@@ -6,15 +6,17 @@
 # fuzz-smoke job (test-fuzz), a coverage gate (cover-check against
 # ci/coverage-baseline.txt), a serve-demo end-to-end daemon smoke job, a
 # metrics-smoke observability gate (/metrics exposition validated and
-# cross-checked against /stats), a soak-smoke wire-protocol gate
+# cross-checked against the /v1 stats), a soak-smoke wire-protocol gate
 # (strict zero-loss UDP+TCP soak with server-vs-client accounting), a
 # fleet-smoke replication gate (leader with two self-trained tenants,
 # snapshot-bootstrapped follower, streamed learn deltas, epoch-equality
 # convergence with per-tenant metrics asserted on both daemons) and a
 # chaos-smoke resilience gate (seeded fault injection against the TCP
-# gateway and the replication follower; see the chaos-smoke target).
+# wire listener and the replication follower; see the chaos-smoke target).
 
 GO ?= go
+# WATCH_BODY prints one all-0.1 MNIST-shaped watch request (the smokes pipe it to curl)
+WATCH_BODY = awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}'
 
 .PHONY: build test race test-fuzz cover cover-check bench bench-serve bench-json bench-check serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
 
@@ -104,50 +106,52 @@ bench-check:
 		-watch 'BenchmarkWatchBatch/workers1|BenchmarkServe|BenchmarkForwardBatch|BenchmarkUpdateSwap|BenchmarkZoneQueryCompiled|BenchmarkZoneQueryBitSliced|BenchmarkMonitorBuildParallel/cpu1|BenchmarkWireEncode|BenchmarkGatewayRoundTrip|BenchmarkSnapshotRoundTrip|BenchmarkRegistryLookup' \
 		-ref 'BenchmarkZoneBuild$$' -max-ratio 1.3
 
-## serve-demo: start napmon-serve against a tiny self-trained model,
-## probe /healthz, POST one watch request through the /v1 tenant route
-## and one through the legacy /watch alias, read /v1 stats, and shut
-## the daemon down gracefully with SIGTERM (CI runs this as the
-## end-to-end daemon smoke job)
+## serve-demo: start napmon-serve (HTTP + wire TCP over one registry)
+## against a tiny self-trained model, probe /healthz, POST one /v1 watch,
+## assert the removed POST /watch alias answers 404, ping/watch the same
+## process over the wire with a 1s strict napmon-soak (accounting checked
+## against /metrics), read /v1 stats, and drain gracefully on SIGTERM
 SERVE_DEMO_ADDR ?= 127.0.0.1:8841
+SERVE_DEMO_TCP ?= 127.0.0.1:8840
 serve-demo:
 	$(GO) build -o bin/napmon-serve ./cmd/napmon-serve
+	$(GO) build -o bin/napmon-soak ./cmd/napmon-soak
 	@set -e; \
-	bin/napmon-serve -selftrain 0.05 -addr $(SERVE_DEMO_ADDR) & pid=$$!; \
+	bin/napmon-serve -selftrain 0.05 -addr $(SERVE_DEMO_ADDR) -tcp $(SERVE_DEMO_TCP) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 150); do \
 		curl -sf http://$(SERVE_DEMO_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
 	curl -sf http://$(SERVE_DEMO_ADDR)/healthz; \
-	awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
-		| curl -sf -X POST --data-binary @- http://$(SERVE_DEMO_ADDR)/v1/models/default/watch; \
-	awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
-		| curl -sf -X POST --data-binary @- http://$(SERVE_DEMO_ADDR)/watch; \
+	$(WATCH_BODY) | curl -sf -X POST --data-binary @- http://$(SERVE_DEMO_ADDR)/v1/models/default/watch; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{}' http://$(SERVE_DEMO_ADDR)/watch); \
+	test "$$code" = 404 || { echo "serve-demo: POST /watch answered $$code, want 404"; exit 1; }; \
+	bin/napmon-soak -addr $(SERVE_DEMO_TCP) -proto tcp -duration 1s -strict -metrics http://$(SERVE_DEMO_ADDR)/metrics >/dev/null; \
 	curl -sf http://$(SERVE_DEMO_ADDR)/v1/models/default/stats; \
 	curl -sf http://$(SERVE_DEMO_ADDR)/v1/models; \
 	kill -TERM $$pid; wait $$pid; trap - EXIT
 
-## soak-smoke: start napmon-gateway against a tiny self-trained model and
-## drive it with cmd/napmon-soak over BOTH transports (closed loop,
-## -strict: a single dropped, malformed or error frame fails the target).
-## The gateway's -admin /metrics endpoint is scraped before and after
-## each soak so the server-vs-client accounting diff is part of the
+## soak-smoke: start napmon-serve with both wire transports against a
+## tiny self-trained model and drive it with cmd/napmon-soak over BOTH
+## (closed loop, -strict: a single dropped, malformed or error frame
+## fails the target). The daemon's /metrics (on -addr) is scraped before
+## and after each soak so the server-vs-client accounting diff is part of the
 ## gate: requests the server counts as served must equal the responses
 ## the soak received. Writes soak-udp.json / soak-tcp.json reports — the
 ## artifacts the CI soak-smoke job uploads. SOAK_DURATION scales the run
 ## (CI uses ~10s per transport).
 SOAK_UDP ?= 127.0.0.1:9710
 SOAK_TCP ?= 127.0.0.1:9711
-SOAK_ADMIN ?= 127.0.0.1:9712
+SOAK_ADDR ?= 127.0.0.1:9712
 SOAK_DURATION ?= 10s
 soak-smoke:
-	$(GO) build -o bin/napmon-gateway ./cmd/napmon-gateway
+	$(GO) build -o bin/napmon-serve ./cmd/napmon-serve
 	$(GO) build -o bin/napmon-soak ./cmd/napmon-soak
 	@set -e; \
-	bin/napmon-gateway -selftrain 0.05 -udp $(SOAK_UDP) -tcp $(SOAK_TCP) -admin $(SOAK_ADMIN) & pid=$$!; \
+	bin/napmon-serve -selftrain 0.05 -udp $(SOAK_UDP) -tcp $(SOAK_TCP) -addr $(SOAK_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	bin/napmon-soak -addr $(SOAK_UDP) -proto udp -duration $(SOAK_DURATION) -strict -o soak-udp.json -connect-timeout 120s -metrics http://$(SOAK_ADMIN)/metrics; \
-	bin/napmon-soak -addr $(SOAK_TCP) -proto tcp -duration $(SOAK_DURATION) -strict -o soak-tcp.json -connect-timeout 120s -metrics http://$(SOAK_ADMIN)/metrics; \
+	bin/napmon-soak -addr $(SOAK_UDP) -proto udp -duration $(SOAK_DURATION) -strict -o soak-udp.json -connect-timeout 120s -metrics http://$(SOAK_ADDR)/metrics; \
+	bin/napmon-soak -addr $(SOAK_TCP) -proto tcp -duration $(SOAK_DURATION) -strict -o soak-tcp.json -connect-timeout 120s -metrics http://$(SOAK_ADDR)/metrics; \
 	kill -TERM $$pid; wait $$pid; trap - EXIT
 
 ## metrics-smoke: start napmon-serve against a tiny self-trained model,
@@ -168,8 +172,7 @@ metrics-smoke:
 	done; \
 	curl -sf http://$(METRICS_DEMO_ADDR)/healthz; \
 	for i in 1 2 3 4 5; do \
-		awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
-			| curl -sf -X POST --data-binary @- http://$(METRICS_DEMO_ADDR)/v1/models/default/watch >/dev/null; \
+		$(WATCH_BODY) | curl -sf -X POST --data-binary @- http://$(METRICS_DEMO_ADDR)/v1/models/default/watch >/dev/null; \
 	done; \
 	bin/napmon-metricslint -url http://$(METRICS_DEMO_ADDR)/metrics \
 		-stats-url http://$(METRICS_DEMO_ADDR)/v1/models/default/stats \
@@ -206,8 +209,7 @@ fleet-smoke:
 		curl -sf http://$(FLEET_FOLLOWER)/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
 	curl -sf http://$(FLEET_FOLLOWER)/healthz >/dev/null; \
-	verdict=$$(awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
-		| curl -sf -X POST --data-binary @- http://$(FLEET_LEADER)/v1/models/alpha/watch); \
+	verdict=$$($(WATCH_BODY) | curl -sf -X POST --data-binary @- http://$(FLEET_LEADER)/v1/models/alpha/watch); \
 	pat=$$(echo "$$verdict" | sed -n 's/.*"pattern": "\([01]*\)".*/\1/p'); \
 	cls=$$(echo "$$verdict" | sed -n 's/.*"class": \([0-9]*\).*/\1/p'); \
 	test -n "$$pat" || { echo "fleet-smoke: no pattern in watch verdict"; exit 1; }; \
@@ -242,40 +244,39 @@ fleet-smoke:
 ## chaos-smoke: the fault-injection resilience gate, two halves sharing
 ## one seed (CHAOS_SEED, echoed on failure — replaying with the same
 ## value reproduces the same fault sequence).
-## 1. Gateway half: napmon-gateway serves TCP behind a chaos-wrapped
+## 1. Gateway half: napmon-serve serves wire TCP behind a chaos-wrapped
 ##    listener (resets, stalls, corruption, partial writes, accept
 ##    failures; the fault budget is bounded so the schedule drains
 ##    mid-run) while napmon-soak drives it with -reconnect -chaos-check:
 ##    the run must produce verdicts, every received response must decode
 ##    to a valid verdict, the client must never receive more verdicts
 ##    than the server served, and the daemon's -leak-check must find
-##    every gateway goroutine gone after the drain. Writes
-##    chaos-soak.json — the artifact the CI chaos-smoke job uploads.
+##    every goroutine gone after the drain. Writes chaos-soak.json —
+##    the artifact the CI chaos-smoke job uploads.
 ## 2. Follower half: a napmon-serve follower replicates from a live
-##    leader through a fault-injected leader client (resets, 5xx bursts,
-##    hangs); learn deltas stream into the leader, and once the fault
-##    budget drains the follower's exponential-backoff poller must still
-##    converge to epoch equality.
+##    leader through a leader client armed by the same -chaos-seed /
+##    -chaos-faults pair (resets, 5xx bursts, hangs); learn deltas
+##    stream into the leader, and once the fault budget drains the
+##    follower's backoff poller must still converge to epoch equality.
 CHAOS_SEED ?= 1
 CHAOS_TCP ?= 127.0.0.1:9713
-CHAOS_ADMIN ?= 127.0.0.1:9714
+CHAOS_ADDR ?= 127.0.0.1:9714
 CHAOS_LEADER ?= 127.0.0.1:8845
 CHAOS_FOLLOWER ?= 127.0.0.1:8846
 CHAOS_DURATION ?= 10s
 chaos-smoke:
-	$(GO) build -o bin/napmon-gateway ./cmd/napmon-gateway
 	$(GO) build -o bin/napmon-soak ./cmd/napmon-soak
 	$(GO) build -o bin/napmon-serve ./cmd/napmon-serve
 	@set -e; \
 	fail() { echo "chaos-smoke: $$1 (CHAOS_SEED=$(CHAOS_SEED) replays this fault sequence)"; exit 1; }; \
-	bin/napmon-gateway -selftrain 0.05 -udp "" -tcp $(CHAOS_TCP) -admin $(CHAOS_ADMIN) \
+	bin/napmon-serve -selftrain 0.05 -tcp $(CHAOS_TCP) -addr $(CHAOS_ADDR) \
 		-chaos-seed $(CHAOS_SEED) -chaos-faults 40 -leak-check & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	bin/napmon-soak -addr $(CHAOS_TCP) -proto tcp -duration $(CHAOS_DURATION) \
 		-reconnect -chaos-check -o chaos-soak.json -connect-timeout 120s \
-		-metrics http://$(CHAOS_ADMIN)/metrics \
+		-metrics http://$(CHAOS_ADDR)/metrics \
 		|| fail "soak chaos invariants failed"; \
-	kill -TERM $$pid; wait $$pid || fail "gateway drain or goroutine leak check failed"; \
+	kill -TERM $$pid; wait $$pid || fail "drain or goroutine leak check failed"; \
 	trap - EXIT; \
 	bin/napmon-serve -selftrain 0.03 -addr $(CHAOS_LEADER) & lpid=$$!; \
 	trap 'kill $$lpid $$fpid 2>/dev/null || true' EXIT; \
@@ -284,15 +285,14 @@ chaos-smoke:
 	done; \
 	curl -sf http://$(CHAOS_LEADER)/healthz >/dev/null || fail "leader never came up"; \
 	bin/napmon-serve -follow http://$(CHAOS_LEADER) -follow-poll 100ms \
-		-follow-chaos-seed $(CHAOS_SEED) -follow-chaos-faults 30 \
+		-chaos-seed $(CHAOS_SEED) -chaos-faults 30 \
 		-addr $(CHAOS_FOLLOWER) & fpid=$$!; \
 	for i in $$(seq 1 300); do \
 		curl -sf http://$(CHAOS_FOLLOWER)/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
 	curl -sf http://$(CHAOS_FOLLOWER)/healthz >/dev/null \
 		|| fail "follower never bootstrapped through the fault schedule"; \
-	verdict=$$(awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
-		| curl -sf -X POST --data-binary @- http://$(CHAOS_LEADER)/v1/models/default/watch); \
+	verdict=$$($(WATCH_BODY) | curl -sf -X POST --data-binary @- http://$(CHAOS_LEADER)/v1/models/default/watch); \
 	pat=$$(echo "$$verdict" | sed -n 's/.*"pattern": "\([01]*\)".*/\1/p'); \
 	cls=$$(echo "$$verdict" | sed -n 's/.*"class": \([0-9]*\).*/\1/p'); \
 	test -n "$$pat" || fail "no pattern in leader watch verdict"; \

@@ -3,7 +3,7 @@
 // parser (internal/obs — the same grammar the exposition writer
 // emits), asserts that every -require'd series is present, and
 // optionally cross-checks core counters against the same daemon's
-// /stats JSON. It is the CI metrics-smoke gate (`make metrics-smoke`):
+// default-tenant stats JSON. It is the CI metrics-smoke gate (`make metrics-smoke`):
 // a daemon that serves an unparseable exposition, silently drops a
 // series, or reports different numbers on its two observability
 // surfaces exits 1 here.
@@ -12,7 +12,7 @@
 //
 //	napmon-metricslint -url http://127.0.0.1:8080/metrics \
 //	    [-require napmon_requests_served_total,napmon_oop_total,...] \
-//	    [-stats-url http://127.0.0.1:8080/stats]
+//	    [-stats-url http://127.0.0.1:8080/v1/models/default/stats]
 //
 // -require takes a comma-separated list of metric names; a histogram is
 // satisfied by its _bucket/_sum/_count series. -stats-url enables the

@@ -10,88 +10,41 @@ import (
 	"net/http/pprof"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"napmon"
 	"napmon/internal/exp"
 	"napmon/internal/obs"
+	"napmon/internal/wire"
 )
 
-// daemon is the HTTP face of one fleet registry: route wiring, the
-// per-tenant shape gate, and the leader/follower mode switch.
+// daemon is one serving process: the fleet registry and the HTTP routes
+// and wire gateway that front it.
 type daemon struct {
 	reg      *napmon.Registry
 	obsReg   *obs.Registry
-	follower bool
 	serveCfg napmon.ServerConfig // flag-level knobs applied to every tenant
 
-	mu     sync.Mutex
-	shapes map[string][]int // tenant name → expected input shape
-}
-
-func (d *daemon) setShape(name string, shape []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.shapes[name] = shape
-}
-
-// swapShape installs a shape and returns what it replaced, so a load
-// path can register the gate BEFORE the tenant becomes acquirable (a
-// watch racing the load must validate against this load's shape, not
-// nil or a previous incarnation's) and still restore on load failure.
-func (d *daemon) swapShape(name string, shape []int) (prev []int, had bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	prev, had = d.shapes[name]
-	d.shapes[name] = shape
-	return prev, had
-}
-
-func (d *daemon) deleteShape(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.shapes, name)
-}
-
-// undoShape reverts a swapShape after a failed load.
-func (d *daemon) undoShape(name string, prev []int, had bool) {
-	if had {
-		d.setShape(name, prev)
-	} else {
-		d.deleteShape(name)
-	}
-}
-
-func (d *daemon) shape(name string) []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.shapes[name]
+	// What run brought up, for drain (nil = never started). A non-nil fol
+	// is also the mode switch: the daemon is a read-only follower.
+	gw      *wire.Gateway
+	httpSrv *http.Server
+	fol     *follower
 }
 
 // routes builds the daemon mux: the tenant-scoped /v1 API plus the
-// legacy unprefixed aliases for the default tenant.
+// process-level /metrics and /healthz.
 func (d *daemon) routes(pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
-	byPath := func(r *http.Request) string { return r.PathValue("name") }
-	asDefault := func(*http.Request) string { return napmon.DefaultTenant }
-
-	mux.HandleFunc("POST /v1/models/{name}/watch", d.handleWatch(byPath))
-	mux.HandleFunc("POST /v1/models/{name}/learn", d.handleLearn(byPath))
-	mux.HandleFunc("GET /v1/models/{name}/stats", d.handleStats(byPath))
+	mux.HandleFunc("POST /v1/models/{name}/watch", d.handleWatch)
+	mux.HandleFunc("POST /v1/models/{name}/learn", d.handleLearn)
+	mux.HandleFunc("GET /v1/models/{name}/stats", d.handleStats)
 	mux.HandleFunc("GET /v1/models", d.handleList)
 	mux.HandleFunc("PUT /v1/models/{name}", d.handleLoad)
 	mux.HandleFunc("DELETE /v1/models/{name}", d.handleUnload)
 	mux.HandleFunc("GET /v1/models/{name}/snapshot", d.handleSnapshot)
 	mux.HandleFunc("GET /v1/models/{name}/deltas", d.handleDeltas)
 	mux.HandleFunc("GET /v1/models/{name}/model", d.handleModel)
-
-	// Legacy aliases: the pre-fleet single-tenant API keeps working
-	// against the default tenant, answering with a Deprecation header
-	// (RFC 9745) that points clients at the /v1 successor route.
-	mux.HandleFunc("POST /watch", deprecated("/v1/models/default/watch", d.handleWatch(asDefault)))
-	mux.HandleFunc("POST /learn", deprecated("/v1/models/default/learn", d.handleLearn(asDefault)))
-	mux.HandleFunc("GET /stats", deprecated("/v1/models/default/stats", d.handleStats(asDefault)))
 
 	mux.Handle("GET /metrics", d.obsReg.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -107,12 +60,29 @@ func (d *daemon) routes(pprofOn bool) *http.ServeMux {
 	return mux
 }
 
-func deprecated(successor string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "@1754600000") // the /v1 API shipped
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		next(w, r)
+// errReadOnly is what a follower answers to a write on either plane: its
+// monitors advance only by replicated leader deltas, so accepting a
+// local write would fork the replica.
+var errReadOnly = errors.New("read-only replication follower; write to the leader")
+
+// readOnlyLane is a follower's tenant as the wire gateway sees it:
+// watch and stats pass through, learn is refused exactly as the HTTP
+// learn route refuses it.
+type readOnlyLane struct{ *napmon.Tenant }
+
+func (readOnlyLane) Learn(map[int][]napmon.Pattern) (uint64, error) { return 0, errReadOnly }
+
+// resolveLane is the wire gateway's resolver: the same registry pin the
+// HTTP handlers take, keyed by wire id.
+func (d *daemon) resolveLane(id uint32) (wire.TenantLane, error) {
+	t, err := d.reg.AcquireID(id)
+	if err != nil {
+		return nil, err
 	}
+	if d.fol != nil {
+		return readOnlyLane{t}, nil
+	}
+	return t, nil
 }
 
 // acquire pins the named tenant for the duration of one request,
@@ -120,25 +90,19 @@ func deprecated(successor string, next http.HandlerFunc) http.HandlerFunc {
 // Release the returned tenant.
 func (d *daemon) acquire(w http.ResponseWriter, name string) *napmon.Tenant {
 	t, err := d.reg.Acquire(name)
-	if err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, napmon.ErrRegistryClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		http.Error(w, fmt.Sprintf("model %q: %v", name, err), status)
+	if err != nil { // only ever ErrTenantNotFound: a closed registry has an empty table
+		http.Error(w, fmt.Sprintf("model %q: %v", name, err), http.StatusNotFound)
 		return nil
 	}
 	return t
 }
 
-// readOnly rejects mutating requests in follower mode: a follower's
-// monitors advance only by replicated leader deltas, so accepting local
-// writes would fork the replica.
+// readOnly rejects mutating requests in follower mode.
 func (d *daemon) readOnly(w http.ResponseWriter) bool {
-	if d.follower {
-		http.Error(w, "read-only replication follower; write to the leader", http.StatusConflict)
+	if d.fol != nil {
+		http.Error(w, errReadOnly.Error(), http.StatusConflict)
 	}
-	return d.follower
+	return d.fol != nil
 }
 
 // watchRequest is the watch body: a flat row-major input plus its
@@ -156,73 +120,73 @@ type watchResponse struct {
 	Pattern      string `json:"pattern"`
 }
 
-func (d *daemon) handleWatch(tenant func(*http.Request) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := tenant(r)
-		t := d.acquire(w, name)
-		if t == nil {
-			return
-		}
-		defer t.Release()
-		shape := d.shape(name)
-		want := 1
-		for _, dim := range shape {
-			want *= dim
-		}
-		// Cap the body before decoding: without a limit, one oversized
-		// request allocates its whole float array (and can OOM the
-		// daemon) before the element-count check below ever runs. ~25
-		// bytes per JSON float is generous; 4 KiB covers the envelope.
-		r.Body = http.MaxBytesReader(w, r.Body, int64(want)*25+4096)
-		var req watchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Check against the model's expected shape before building the
-		// tensor: TensorFromSlice panics on a shape/len mismatch, and
-		// shapes other than the model's would panic inside inference.
-		if !slices.Equal(req.Shape, shape) {
-			http.Error(w, fmt.Sprintf("input shape %v, model %q expects %v", req.Shape, name, shape), http.StatusBadRequest)
-			return
-		}
-		if len(req.Input) != want {
-			http.Error(w, fmt.Sprintf("shape %v needs %d input values, got %d", req.Shape, want, len(req.Input)), http.StatusBadRequest)
-			return
-		}
-		// The HTTP request context rides into the pipeline: a client that
-		// hangs up (or whose deadline fires) while its request is queued
-		// is shed before inference instead of inferred into the void.
-		fut, err := t.Server().SubmitCtx(r.Context(), napmon.TensorFromSlice(req.Input, req.Shape...))
-		if err != nil {
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, napmon.ErrServerClosed):
-				status = http.StatusServiceUnavailable
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				// 499-style: the client is gone; the write likely goes
-				// nowhere, but the status keeps logs honest.
-				status = http.StatusRequestTimeout
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		v, err := fut.Wait()
-		if err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, napmon.ErrExpired) {
-				status = http.StatusRequestTimeout
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		writeJSON(w, watchResponse{
-			Class:        v.Class,
-			Monitored:    v.Monitored,
-			OutOfPattern: v.OutOfPattern,
-			Pattern:      v.Pattern.String(),
-		})
+func (d *daemon) handleWatch(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	t := d.acquire(w, name)
+	if t == nil {
+		return
 	}
+	defer t.Release()
+	// The gate is the pinned tenant's own: a reload of the name while
+	// this request runs cannot swap the shape out from under it.
+	shape := t.Server().InputShape()
+	want := 1
+	for _, dim := range shape {
+		want *= dim
+	}
+	// Cap the body before decoding: without a limit, one oversized
+	// request allocates its whole float array (and can OOM the
+	// daemon) before the element-count check below ever runs. ~25
+	// bytes per JSON float is generous; 4 KiB covers the envelope.
+	r.Body = http.MaxBytesReader(w, r.Body, int64(want)*25+4096)
+	var req watchRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Check against the model's expected shape before building the
+	// tensor: TensorFromSlice panics on a shape/len mismatch, and
+	// shapes other than the model's would panic inside inference.
+	if !slices.Equal(req.Shape, shape) {
+		http.Error(w, fmt.Sprintf("input shape %v, model %q expects %v", req.Shape, name, shape), http.StatusBadRequest)
+		return
+	}
+	if len(req.Input) != want {
+		http.Error(w, fmt.Sprintf("shape %v needs %d input values, got %d", req.Shape, want, len(req.Input)), http.StatusBadRequest)
+		return
+	}
+	// The HTTP request context rides into the pipeline: a client that
+	// hangs up (or whose deadline fires) while its request is queued
+	// is shed before inference instead of inferred into the void.
+	fut, err := t.Server().SubmitCtx(r.Context(), napmon.TensorFromSlice(req.Input, req.Shape...))
+	if err != nil {
+		status := http.StatusBadRequest
+		switch {
+		case errors.Is(err, napmon.ErrServerClosed):
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			// 499-style: the client is gone; the write likely goes
+			// nowhere, but the status keeps logs honest.
+			status = http.StatusRequestTimeout
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	v, err := fut.Wait()
+	if err != nil {
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, napmon.ErrExpired) {
+			status = http.StatusRequestTimeout
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	writeJSON(w, http.StatusOK, watchResponse{
+		Class:        v.Class,
+		Monitored:    v.Monitored,
+		OutOfPattern: v.OutOfPattern,
+		Pattern:      v.Pattern.String(),
+	})
 }
 
 // learnRequest is the learn body: activation patterns (the 0/1 string
@@ -238,54 +202,52 @@ type learnResponse struct {
 	Absorbed int    `json:"absorbed"`
 }
 
-func (d *daemon) handleLearn(tenant func(*http.Request) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if d.readOnly(w) {
-			return
-		}
-		t := d.acquire(w, tenant(r))
-		if t == nil {
-			return
-		}
-		defer t.Release()
-		width := len(t.Monitor().Neurons())
-		// Each pattern is width bytes of JSON string plus quoting; the cap
-		// bounds one request to a generous batch without letting a rogue
-		// client allocate unbounded pattern slices.
-		r.Body = http.MaxBytesReader(w, r.Body, int64(width+16)*4096+4096)
-		var req learnRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(req.Patterns) == 0 {
-			http.Error(w, "no patterns", http.StatusBadRequest)
-			return
-		}
-		pats := make([]napmon.Pattern, len(req.Patterns))
-		for i, s := range req.Patterns {
-			p, err := napmon.ParsePattern(s)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("pattern %d: %v", i, err), http.StatusBadRequest)
-				return
-			}
-			if len(p) != width {
-				http.Error(w, fmt.Sprintf("pattern %d has %d bits, monitor watches %d neurons", i, len(p), width), http.StatusBadRequest)
-				return
-			}
-			pats[i] = p
-		}
-		// Tenant.Learn (not Server.Update) so the published epoch also
-		// lands in the tenant's delta log for replication followers.
-		epoch, err := t.Learn(map[int][]napmon.Pattern{req.Class: pats})
-		if err != nil {
-			// Validation failures (unmonitored class) are the client's
-			// fault; the update path has no server-side failure modes.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, learnResponse{Epoch: epoch, Absorbed: len(pats)})
+func (d *daemon) handleLearn(w http.ResponseWriter, r *http.Request) {
+	if d.readOnly(w) {
+		return
 	}
+	t := d.acquire(w, r.PathValue("name"))
+	if t == nil {
+		return
+	}
+	defer t.Release()
+	width := len(t.Monitor().Neurons())
+	// Each pattern is width bytes of JSON string plus quoting; the cap
+	// bounds one request to a generous batch without letting a rogue
+	// client allocate unbounded pattern slices.
+	r.Body = http.MaxBytesReader(w, r.Body, int64(width+16)*4096+4096)
+	var req learnRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Patterns) == 0 {
+		http.Error(w, "no patterns", http.StatusBadRequest)
+		return
+	}
+	pats := make([]napmon.Pattern, len(req.Patterns))
+	for i, s := range req.Patterns {
+		p, err := napmon.ParsePattern(s)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("pattern %d: %v", i, err), http.StatusBadRequest)
+			return
+		}
+		if len(p) != width {
+			http.Error(w, fmt.Sprintf("pattern %d has %d bits, monitor watches %d neurons", i, len(p), width), http.StatusBadRequest)
+			return
+		}
+		pats[i] = p
+	}
+	// Tenant.Learn (not Server.Update) so the published epoch also
+	// lands in the tenant's delta log for replication followers.
+	epoch, err := t.Learn(map[int][]napmon.Pattern{req.Class: pats})
+	if err != nil {
+		// Validation failures (unmonitored class) are the client's
+		// fault; the update path has no server-side failure modes.
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	writeJSON(w, http.StatusOK, learnResponse{Epoch: epoch, Absorbed: len(pats)})
 }
 
 // statsResponse renders napmon.ServerStats with latencies both raw (ns)
@@ -327,51 +289,49 @@ type stageStats struct {
 	Count uint64 `json:"count"`
 }
 
-func (d *daemon) handleStats(tenant func(*http.Request) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := d.acquire(w, tenant(r))
-		if t == nil {
-			return
-		}
-		defer t.Release()
-		st := t.Server().Stats()
-		stages := make(map[string]stageStats, len(st.Stages))
-		for name, sl := range st.Stages {
-			stages[name] = stageStats{
-				P50Ns: sl.P50.Nanoseconds(),
-				P99Ns: sl.P99.Nanoseconds(),
-				P50:   sl.P50.String(),
-				P99:   sl.P99.String(),
-				Count: sl.Count,
-			}
-		}
-		writeJSON(w, statsResponse{
-			Tenant:        t.Name(),
-			TenantID:      t.ID(),
-			Tenants:       d.reg.Len(),
-			Queued:        st.Queued,
-			Submitted:     st.Submitted,
-			Served:        st.Served,
-			Rejected:      st.Rejected,
-			Shed:          st.Shed,
-			Expired:       st.Expired,
-			Batches:       st.Batches,
-			MeanBatchSize: st.MeanBatchSize,
-			P50Ns:         st.P50.Nanoseconds(),
-			P99Ns:         st.P99.Nanoseconds(),
-			P50:           st.P50.String(),
-			P99:           st.P99.String(),
-			Stages:        stages,
-			Monitored:     st.Monitored,
-			OutOfPattern:  st.OutOfPattern,
-			Unmonitored:   st.Unmonitored,
-			Gamma:         st.Gamma,
-			Lanes:         st.Lanes,
-			Epoch:         st.Epoch,
-			Updates:       st.Updates,
-			Recompiled:    st.Recompiled,
-		})
+func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
+	t := d.acquire(w, r.PathValue("name"))
+	if t == nil {
+		return
 	}
+	defer t.Release()
+	st := t.Server().Stats()
+	stages := make(map[string]stageStats, len(st.Stages))
+	for name, sl := range st.Stages {
+		stages[name] = stageStats{
+			P50Ns: sl.P50.Nanoseconds(),
+			P99Ns: sl.P99.Nanoseconds(),
+			P50:   sl.P50.String(),
+			P99:   sl.P99.String(),
+			Count: sl.Count,
+		}
+	}
+	writeJSON(w, http.StatusOK, statsResponse{
+		Tenant:        t.Name(),
+		TenantID:      t.ID(),
+		Tenants:       d.reg.Len(),
+		Queued:        st.Queued,
+		Submitted:     st.Submitted,
+		Served:        st.Served,
+		Rejected:      st.Rejected,
+		Shed:          st.Shed,
+		Expired:       st.Expired,
+		Batches:       st.Batches,
+		MeanBatchSize: st.MeanBatchSize,
+		P50Ns:         st.P50.Nanoseconds(),
+		P99Ns:         st.P99.Nanoseconds(),
+		P50:           st.P50.String(),
+		P99:           st.P99.String(),
+		Stages:        stages,
+		Monitored:     st.Monitored,
+		OutOfPattern:  st.OutOfPattern,
+		Unmonitored:   st.Unmonitored,
+		Gamma:         st.Gamma,
+		Lanes:         st.Lanes,
+		Epoch:         st.Epoch,
+		Updates:       st.Updates,
+		Recompiled:    st.Recompiled,
+	})
 }
 
 // modelInfo is one entry of the GET /v1/models list. Shape rides along
@@ -390,6 +350,21 @@ type modelInfo struct {
 	Shape       []int  `json:"shape,omitempty"`
 }
 
+// infoOf renders a pinned tenant as its model-list entry.
+func infoOf(t *napmon.Tenant) modelInfo {
+	st := t.Server().Stats()
+	return modelInfo{
+		Name:        t.Name(),
+		ID:          t.ID(),
+		Incarnation: t.Incarnation(),
+		Epoch:       st.Epoch,
+		Gamma:       st.Gamma,
+		Served:      st.Served,
+		Updates:     st.Updates,
+		Shape:       t.Server().InputShape(),
+	}
+}
+
 func (d *daemon) handleList(w http.ResponseWriter, _ *http.Request) {
 	names := d.reg.Names()
 	out := make([]modelInfo, 0, len(names))
@@ -398,76 +373,64 @@ func (d *daemon) handleList(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue // unloaded between Names and Acquire
 		}
-		st := t.Server().Stats()
-		out = append(out, modelInfo{
-			Name:        t.Name(),
-			ID:          t.ID(),
-			Incarnation: t.Incarnation(),
-			Epoch:       st.Epoch,
-			Gamma:       st.Gamma,
-			Served:      st.Served,
-			Updates:     st.Updates,
-			Shape:       d.shape(name),
-		})
+		out = append(out, infoOf(t))
 		t.Release()
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Models []modelInfo `json:"models"`
 	}{out})
 }
 
-// loadRequest is the PUT /v1/models/{name} body: either trained
-// artifact paths on the daemon's filesystem or a selftrain scale, plus
-// optional per-tenant serving knobs overriding the daemon flags.
+// loadRequest names a tenant's model: either trained artifact paths on
+// the daemon's filesystem or a selftrain scale, plus optional per-tenant
+// serving knobs overriding the daemon flags. It is the PUT
+// /v1/models/{name} body, and what the daemon's own model flags become
+// at startup.
 type loadRequest struct {
 	Model     string  `json:"model,omitempty"`     // model file (napmon-train -model)
 	Monitor   string  `json:"monitor,omitempty"`   // monitor file (napmon-train -monitor)
 	Selftrain float64 `json:"selftrain,omitempty"` // in-process training scale
 	Dataset   string  `json:"dataset,omitempty"`   // mnist (default) or gtsrb
 	Seed      uint64  `json:"seed,omitempty"`
-	Gamma     int     `json:"gamma,omitempty"`
-	Shape     []int   `json:"shape,omitempty"`
+	Gamma     *int    `json:"gamma,omitempty"` // absent = 2; 0 is the paper's exact-match monitor
+	Shape     []int   `json:"shape,omitempty"` // absent = the dataset's native shape
 	MaxBatch  int     `json:"max_batch,omitempty"`
 	Queue     int     `json:"queue,omitempty"`
 	Lanes     int     `json:"lanes,omitempty"`
 }
 
-func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if d.readOnly(w) {
-		return
-	}
-	name := r.PathValue("name")
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
-	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// load resolves req into a model and monitor, probes the shape gate
+// against the model and publishes the tenant under name — the one path
+// by which a model enters a non-follower daemon, at startup or by PUT.
+func (d *daemon) load(name string, req loadRequest) (*napmon.Tenant, error) {
 	if req.Dataset == "" {
 		req.Dataset = "mnist"
 	}
-	if req.Gamma == 0 {
-		req.Gamma = 2
+	gamma := 2
+	if req.Gamma != nil {
+		if gamma = *req.Gamma; gamma < 0 {
+			return nil, fmt.Errorf("gamma %d: must be >= 0", gamma)
+		}
 	}
 	shape := req.Shape
 	if shape == nil {
 		var err error
 		if shape, err = exp.InputShape("", req.Dataset); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
 	}
 	start := time.Now()
-	net, mon, err := exp.LoadOrTrain(req.Model, req.Monitor, req.Selftrain, req.Dataset, req.Seed, req.Gamma, log.Printf)
+	net, mon, err := exp.LoadOrTrain(req.Model, req.Monitor, req.Selftrain, req.Dataset, req.Seed, gamma, log.Printf)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
 	if err := exp.ProbeShape(net, shape); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
 	sc := d.serveCfg
+	// Shape-mismatched inference panics in the tensor kernels; the
+	// server-side gate turns an untrusted bad request (on either plane)
+	// into a Submit error instead of a dead daemon.
 	sc.InputShape = shape
 	if req.MaxBatch > 0 {
 		sc.MaxBatch = req.MaxBatch
@@ -478,10 +441,26 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if req.Lanes > 0 {
 		sc.Lanes = req.Lanes
 	}
-	prev, had := d.swapShape(name, shape)
 	t, err := d.reg.Load(name, napmon.TenantConfig{Net: net, Mon: mon, Serve: sc})
 	if err != nil {
-		d.undoShape(name, prev, had)
+		return nil, err
+	}
+	log.Printf("loaded tenant %q (id %d) in %v", name, t.ID(), time.Since(start).Round(time.Millisecond))
+	return t, nil
+}
+
+func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
+	if d.readOnly(w) {
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
+	var req loadRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	t, err := d.load(r.PathValue("name"), req)
+	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, napmon.ErrTenantExists) {
 			status = http.StatusConflict
@@ -489,14 +468,7 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	log.Printf("loaded tenant %q (id %d) in %v", name, t.ID(), time.Since(start).Round(time.Millisecond))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(modelInfo{Name: t.Name(), ID: t.ID(), Incarnation: t.Incarnation(), Epoch: t.Monitor().Epoch(), Gamma: mon.Gamma(), Shape: shape}); err != nil {
-		log.Printf("encode response: %v", err)
-	}
+	writeJSON(w, http.StatusCreated, infoOf(t))
 }
 
 func (d *daemon) handleUnload(w http.ResponseWriter, r *http.Request) {
@@ -512,7 +484,6 @@ func (d *daemon) handleUnload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	d.deleteShape(name)
 	log.Printf("unloaded tenant %q", name)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -574,8 +545,9 @@ func (d *daemon) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

@@ -40,6 +40,14 @@ type follower struct {
 	// fails within the deadline, run logs it, and the next tick retries.
 	timeout time.Duration
 	client  http.Client
+	// transport is the follower's own connection pool (client.Transport,
+	// possibly behind a chaos wrapper), so stop can close the idle leader
+	// connections it alone opened.
+	transport *http.Transport
+
+	// cancel and done belong to the replication loop start launched.
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	// sleep paces the replication loop (sleepCtx in production); tests
 	// inject a recorder to pin backoff sequences without wall time.
@@ -55,7 +63,9 @@ func newFollower(d *daemon, base string, poll time.Duration) *follower {
 	if timeout < 5*time.Second {
 		timeout = 5 * time.Second
 	}
-	f := &follower{d: d, base: base, poll: poll, timeout: timeout, incs: map[string]uint64{}, sleep: sleepCtx}
+	f := &follower{d: d, base: base, poll: poll, timeout: timeout, incs: map[string]uint64{}, sleep: sleepCtx,
+		transport: http.DefaultTransport.(*http.Transport).Clone()}
+	f.client.Transport = f.transport
 	// Belt and suspenders: the per-request context deadline in get is
 	// the primary bound; Client.Timeout catches any future call path
 	// that forgets to derive one.
@@ -125,6 +135,23 @@ func (f *follower) run(ctx context.Context) {
 	}
 }
 
+// start launches the replication loop; stop ends it.
+func (f *follower) start(ctx context.Context) {
+	ctx, f.cancel = context.WithCancel(ctx)
+	f.done = make(chan struct{})
+	go func() { defer close(f.done); f.run(ctx) }()
+}
+
+// stop cancels the replication loop (if start ran), returns once it has
+// exited, and closes the idle leader connections.
+func (f *follower) stop() {
+	if f.cancel != nil {
+		f.cancel()
+		<-f.done
+	}
+	f.transport.CloseIdleConnections()
+}
+
 // pollOnce performs one reconcile pass and reports whether the leader
 // fully answered — any listing or per-tenant sync failure counts
 // against it for backoff purposes.
@@ -147,7 +174,6 @@ func (f *follower) pollOnce(ctx context.Context) bool {
 	for _, name := range f.d.reg.Names() {
 		if !seen[name] {
 			if err := f.d.reg.Unload(ctx, name); err == nil {
-				f.d.deleteShape(name)
 				delete(f.incs, name)
 				log.Printf("follow: unloaded %q (gone from leader)", name)
 			}
@@ -201,7 +227,6 @@ func (f *follower) dropTenant(ctx context.Context, name string) error {
 	if err := f.d.reg.Unload(ctx, name); err != nil {
 		return err
 	}
-	f.d.deleteShape(name)
 	delete(f.incs, name)
 	return nil
 }
@@ -223,13 +248,8 @@ func (f *follower) loadFromSnapshot(ctx context.Context, m modelInfo) error {
 	}
 	sc := f.d.serveCfg
 	sc.InputShape = m.Shape
-	// Shape gate first: the tenant is acquirable the moment LoadSnapshot
-	// publishes it, and a watch landing in that window must validate
-	// against this incarnation's shape.
-	prev, had := f.d.swapShape(m.Name, m.Shape)
 	t, err := f.d.reg.LoadSnapshot(m.Name, net, bytes.NewReader(snapBytes), sc)
 	if err != nil {
-		f.d.undoShape(m.Name, prev, had)
 		return fmt.Errorf("load snapshot: %v", err)
 	}
 	f.incs[m.Name] = m.Incarnation

@@ -1,7 +1,7 @@
-// Command napmon-soak is the load generator for cmd/napmon-gateway: it
-// hammers a gateway with wire-protocol watch requests over UDP or TCP
-// for a fixed duration and reports throughput and latency percentiles
-// as JSON.
+// Command napmon-soak is the load generator for the wire plane of
+// cmd/napmon-serve (its -udp / -tcp listeners): it hammers the gateway
+// with wire-protocol watch requests over UDP or TCP for a fixed
+// duration and reports throughput and latency percentiles as JSON.
 //
 // Two pacing modes:
 //
@@ -21,7 +21,7 @@
 // error frames (server_errors). With -strict, any of those makes the
 // process exit 1 — this is the CI soak gate.
 //
-// -metrics URL points at the gateway's admin /metrics endpoint. The
+// -metrics URL points at the daemon's GET /metrics (its HTTP -addr). The
 // soak scrapes it before and after the run and cross-checks the
 // server-side deltas against its own per-frame accounting: requests the
 // server says it served must equal watch responses this client
@@ -81,7 +81,7 @@ func main() {
 		ds        = flag.String("dataset", "mnist", "dataset whose native shape to send when -shape is empty")
 		seed      = flag.Uint64("seed", 1, "input generator seed")
 		out       = flag.String("o", "", "write the JSON report here (default stdout)")
-		metricsU  = flag.String("metrics", "", "gateway admin /metrics URL to scrape before and after for server-side accounting (empty = off)")
+		metricsU  = flag.String("metrics", "", "napmon-serve /metrics URL to scrape before and after for server-side accounting (empty = off)")
 		strict    = flag.Bool("strict", false, "exit 1 on any dropped, malformed, or error-frame response, or a server-vs-client accounting mismatch")
 		probeWait = flag.Duration("connect-timeout", 10*time.Second, "budget for the initial ping probe")
 		grace     = flag.Duration("grace", 2*time.Second, "wait this long after the send window for stragglers")

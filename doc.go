@@ -115,23 +115,28 @@
 // this is the replication protocol behind `napmon-serve -follow`. See
 // DESIGN.md, "Multi-tenant registry, snapshots, replication".
 //
-// The cmd/napmon-serve binary exposes all of this over HTTP/JSON: the
-// versioned tenant-scoped API (POST /v1/models/{name}/watch and /learn,
-// GET /v1/models/{name}/stats, GET /v1/models, PUT/DELETE
+// The cmd/napmon-serve binary is the one serving daemon: it builds one
+// registry and exposes it over HTTP/JSON — the versioned tenant-scoped
+// API (POST /v1/models/{name}/watch and /learn, GET
+// /v1/models/{name}/stats, GET /v1/models, PUT/DELETE
 // /v1/models/{name} for hot load/unload, plus the replication endpoints
-// GET /v1/models/{name}/snapshot and /deltas?since=N), the legacy
-// unprefixed routes (POST /watch, POST /learn, GET /stats) as aliases
-// for the default tenant that answer with a Deprecation header, and
-// GET /metrics, GET /healthz, with graceful shutdown. Started with
-// -follow <leader-url> it warm-starts every tenant from leader
-// snapshots and polls the delta streams, serving read-only.
+// GET /v1/models/{name}/snapshot and /deltas?since=N), GET /metrics and
+// GET /healthz — and, when -udp / -tcp name a listen address, over the
+// binary wire protocol (internal/wire) routed by tenant id through that
+// same registry, so a tenant hot-loaded over HTTP answers wire frames
+// at once. The pre-fleet unprefixed routes (POST /watch, POST /learn,
+// GET /stats) are gone; they answer 404. Shutdown drains wire, then
+// HTTP, then every tenant's queue. Started with -follow <leader-url>
+// it warm-starts every tenant from leader snapshots and polls the
+// delta streams, serving read-only on both planes.
 //
 // # Observability
 //
-// Every serving surface renders one internal/obs registry as
-// Prometheus text: GET /metrics on cmd/napmon-serve, and on
-// cmd/napmon-gateway's -admin listener (both mount net/http/pprof
-// behind an opt-in -pprof flag). Recording is lock-free — counters are
+// The daemon renders one internal/obs registry as Prometheus text on
+// GET /metrics — serve, monitor, registry, per-tenant and (with the
+// wire plane on) napmon_gateway_* series on the same page — and mounts
+// net/http/pprof on that listener behind an opt-in -pprof flag; the
+// HTTP port is never a wire-protocol port. Recording is lock-free — counters are
 // atomic adds, latency distributions land in log-bucketed atomic
 // histograms (bounded relative quantile error), and metrics that
 // already exist as atomics register as scrape-time callbacks, so the

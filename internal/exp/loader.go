@@ -12,12 +12,12 @@ import (
 	"napmon/internal/tensor"
 )
 
-// This file holds the model/monitor resolution shared by the serving
-// daemons (cmd/napmon-serve, cmd/napmon-gateway): both need the same
-// "load files or self-train a Table I network" startup path, the same
-// -shape flag parsing, and the same startup probe that turns a
-// shape/model mismatch into a clean error instead of a panic inside a
-// serving lane.
+// This file holds the model/monitor resolution of the serving daemon
+// (cmd/napmon-serve): its startup flags and its PUT /v1/models/{name}
+// route need the same "load files or self-train a Table I network"
+// path, the same -shape parsing (shared with cmd/napmon-soak), and the
+// same probe that turns a shape/model mismatch into a clean error
+// instead of a panic inside a serving lane.
 
 // InputShape resolves the input shape a daemon should accept: the
 // -shape flag value when given (e.g. "1,28,28"), otherwise the
@@ -63,12 +63,9 @@ func ProbeShape(net *nn.Network, shape []int) (err error) {
 
 // LoadOrTrain resolves the model and monitor either from files written
 // by napmon-train, or by training one of the Table I networks
-// in-process at a reduced scale. logf (nil to silence) receives
-// progress lines in log.Printf style.
+// in-process at a reduced scale. logf receives progress lines in
+// log.Printf style.
 func LoadOrTrain(modelPath, monitorPath string, selftrain float64, ds string, seed uint64, gamma int, logf func(string, ...any)) (*nn.Network, *core.Monitor, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	switch {
 	case modelPath != "" && monitorPath != "":
 		net, err := nn.LoadFile(modelPath)

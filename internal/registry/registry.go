@@ -41,8 +41,8 @@ import (
 )
 
 // DefaultTenant is the name of the implicit single-tenant lane: wire
-// tenant id 0, the target of the legacy unprefixed HTTP routes, and the
-// tenant napmon.Serve loads.
+// tenant id 0, the tenant cmd/napmon-serve loads from its flags, and
+// the tenant napmon.Serve loads.
 const DefaultTenant = "default"
 
 var (

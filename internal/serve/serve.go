@@ -490,3 +490,9 @@ func (s *Server) Stats() Stats {
 // registration and admin surfaces use to reach the paper-level signals
 // (per-class verdict tallies, epoch/update counters, BDD stats).
 func (s *Server) Monitor() *core.Monitor { return s.mon }
+
+// InputShape returns the shape Submit gates inputs on (Config.InputShape;
+// nil when the server is ungated). A front end validates a request body
+// against the tenant it pinned through this, so the gate has one copy.
+// The slice is the server's own: read it, do not write it.
+func (s *Server) InputShape() []int { return s.cfg.InputShape }

@@ -1,9 +1,10 @@
 // Package wire is the versioned compact binary protocol of the serving
 // stack: the frame layout, the cheap first-bytes packet filter, and the
 // request/response codecs for the watch / learn / stats operations the
-// HTTP front end (cmd/napmon-serve) exposes as JSON. The gateway
-// (gateway.go, behind cmd/napmon-gateway) speaks it over UDP datagrams
-// and persistent TCP streams; cmd/napmon-soak generates load in it.
+// HTTP plane of cmd/napmon-serve exposes as JSON. The gateway
+// (gateway.go, the same daemon's -udp / -tcp plane) speaks it over UDP
+// datagrams and persistent TCP streams; cmd/napmon-soak generates load
+// in it.
 //
 // # Frame layout
 //

@@ -213,7 +213,7 @@ var ErrServerClosed = serve.ErrServerClosed
 
 // ErrQueueFull is returned by Server.TrySubmit when the request queue is
 // full. TrySubmit is the non-blocking submission path lossy transports
-// use to shed load explicitly (the UDP side of cmd/napmon-gateway
+// use to shed load explicitly (the UDP transport of cmd/napmon-serve
 // answers it with an "overloaded" error frame) instead of queueing
 // without bound; blocking callers should use Submit, which applies
 // backpressure by waiting.
@@ -290,8 +290,8 @@ type TenantConfig = registry.TenantConfig
 type DeltaEntry = core.DeltaEntry
 
 // DefaultTenant is the tenant name the single-tenant surfaces map to:
-// napmon.Serve, the legacy unprefixed HTTP routes of cmd/napmon-serve
-// and wire-protocol frames carrying tenant id 0.
+// napmon.Serve, the model cmd/napmon-serve loads from its flags, and
+// wire-protocol frames carrying tenant id 0.
 const DefaultTenant = registry.DefaultTenant
 
 // Fleet registry errors, re-exported for errors.Is against facade
