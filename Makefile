@@ -18,7 +18,7 @@ GO ?= go
 # WATCH_BODY prints one all-0.1 MNIST-shaped watch request (the smokes pipe it to curl)
 WATCH_BODY = awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}'
 
-.PHONY: build test race test-fuzz cover cover-check bench bench-serve bench-json bench-check serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
+.PHONY: build test race test-fuzz cover cover-check bench bench-serve bench-json bench-check bench-verdicts serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
 
 ## build: compile every package
 build:
@@ -106,6 +106,11 @@ bench-check:
 		-watch 'BenchmarkWatchBatch/workers1|BenchmarkServe|BenchmarkForwardBatch|BenchmarkUpdateSwap|BenchmarkZoneQueryCompiled|BenchmarkZoneQueryBitSliced|BenchmarkMonitorBuildParallel/cpu1|BenchmarkWireEncode|BenchmarkGatewayRoundTrip|BenchmarkSnapshotRoundTrip|BenchmarkRegistryLookup' \
 		-ref 'BenchmarkZoneBuild$$' -max-ratio 1.3
 
+## bench-verdicts: bench/'s output checks on the two wire workloads, untimed — fails only on a verdict off the oracle, an error frame or a missing reply
+bench-verdicts:
+	bash bench/run.sh --workload fleet_tiny --seed 1 --seconds 5 --trace 0
+	bash bench/run.sh --workload stream_open --seed 1 --seconds 5 --trace 0
+
 ## serve-demo: start napmon-serve (HTTP + wire TCP over one registry)
 ## against a tiny self-trained model, probe /healthz, POST one /v1 watch,
 ## assert the removed POST /watch alias answers 404, ping/watch the same
@@ -176,7 +181,7 @@ metrics-smoke:
 	done; \
 	bin/napmon-metricslint -url http://$(METRICS_DEMO_ADDR)/metrics \
 		-stats-url http://$(METRICS_DEMO_ADDR)/v1/models/default/stats \
-		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up,napmon_tenant_served_total; \
+		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up,napmon_tenant_served_total; \
 	kill -TERM $$pid; wait $$pid; trap - EXIT
 
 ## fleet-smoke: end-to-end multi-tenant replication gate. A leader

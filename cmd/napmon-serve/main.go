@@ -60,7 +60,7 @@
 //	napmon-serve -model m.model -monitor m.monitor [-addr :8080]
 //	napmon-serve -selftrain 0.05 [-dataset mnist] [-seed 1] [-gamma 2] [-shape 1,28,28]
 //	             [-udp :9710] [-tcp :9711] [-pprof] [-drain 30s]
-//	             [-max-batch 64] [-max-delay 2ms] [-queue 1024] [-lanes 1]
+//	             [-max-batch 64] [-queue 1024] [-lanes 1]
 //	             [-max-inflight 1024] [-write-queue 256]
 //	             [-read-idle 30s] [-write-timeout 10s] [-malformed-budget 8]
 //	napmon-serve -follow http://leader:8080 [-follow-poll 500ms] [-udp ...] [-tcp ...]
@@ -147,8 +147,7 @@ func main() {
 		cfg.shape, err = exp.InputShape(s, "")
 		return err
 	})
-	flag.IntVar(&cfg.serve.MaxBatch, "max-batch", 0, "micro-batch flush threshold (0 = default)")
-	flag.DurationVar(&cfg.serve.MaxDelay, "max-delay", 0, "partial-batch flush deadline (0 = default)")
+	flag.IntVar(&cfg.serve.MaxBatch, "max-batch", 0, "micro-batch size cap; batches form only while every lane is busy (0 = default 64)")
 	flag.IntVar(&cfg.serve.QueueDepth, "queue", 0, "request queue depth (0 = default)")
 	flag.IntVar(&cfg.serve.Lanes, "lanes", 0, "serving lanes / network replicas (0 = default)")
 	flag.IntVar(&cfg.gateway.MaxInflight, "max-inflight", 0, "per-TCP-connection inflight request cap (0 = default)")

@@ -48,15 +48,13 @@
 //
 // For a long-lived service, napmon.Serve wraps the same fast path in a
 // streaming front end: an async bounded request queue with result
-// futures, a micro-batching coalescer (flush at MaxBatch requests or
-// after MaxDelay, whichever first) and per-lane network replicas, so
-// trickle traffic and bulk traffic from many concurrent users both ride
-// full batches:
+// futures, a work-conserving micro-batching coalescer (a batch leaves
+// the moment a lane is idle and grows, up to MaxBatch requests, only
+// while every lane is busy — no timer anywhere) and per-lane network
+// replicas, so trickle traffic is answered at inference latency and
+// bulk traffic from many concurrent users still rides full batches:
 //
-//	srv, _ := napmon.Serve(net, mon, napmon.ServerConfig{
-//		MaxBatch: 64,
-//		MaxDelay: 2 * time.Millisecond,
-//	})
+//	srv, _ := napmon.Serve(net, mon, napmon.ServerConfig{MaxBatch: 64})
 //	fut, err := srv.Submit(input) // safe from any goroutine
 //	if err == nil {
 //		if v, err := fut.Wait(); err == nil && v.OutOfPattern {
@@ -151,11 +149,19 @@
 //	napmon_serve_expired_total             counter    queued requests shed because their context
 //	                                                  expired before inference (SubmitCtx)
 //	napmon_batches_total                   counter    micro-batches dispatched to lanes
+//	napmon_batch_size                      histogram  requests per micro-batch a lane ran — the
+//	                                                  load signal: 1 = lanes idle, MaxBatch =
+//	                                                  saturated
 //	napmon_queue_depth                     gauge      requests waiting in the bounded queue
 //	napmon_lanes                           gauge      serving lanes (network replicas)
-//	napmon_stage_duration_seconds          histogram  per-stage latency, stage label one of
-//	                                                  queue|coalesce|total (per request) or
-//	                                                  dispatch|inference|zone_query (per batch)
+//	napmon_stage_duration_seconds          histogram  per-stage latency by stage label. Per
+//	                                                  request: queue (enqueue → coalescer
+//	                                                  pickup), coalesce (pickup → hand-off to a
+//	                                                  lane, i.e. waiting for an idle lane; no
+//	                                                  timer) and total. Per batch: dispatch
+//	                                                  (hand-off → lane running), inference and
+//	                                                  zone_query. A lone request's first five
+//	                                                  add up to its total
 //	napmon_watched_total                   counter    verdicts per monitored class (class label)
 //	napmon_oop_total                       counter    out-of-pattern verdicts per class (class label)
 //	napmon_unmonitored_total               counter    verdicts the monitor abstained on

@@ -4,87 +4,69 @@ import (
 	"time"
 
 	"napmon/internal/core"
-	"napmon/internal/tensor"
 )
 
 // coalesce is the single goroutine between the request queue and the
-// lanes. It accumulates requests into a batch and flushes when the batch
-// reaches MaxBatch, when MaxDelay has passed since the batch's first
-// request, or when the queue closes (drain on Shutdown). On abort it
-// fails everything still queued instead of serving it. Each request is
-// stamped on pickup (req.deq) and each batch on flush, feeding the
-// queue/coalesce/dispatch stage histograms.
+// lanes. Dispatch is lane-driven, never clock-driven: a batch leaves the
+// moment a lane announces itself idle, and keeps growing — up to
+// MaxBatch — while every lane is busy. So a lone request on an idle
+// server is handed off at once, and batches form exactly when lanes are
+// the bottleneck. On an idle token the batch is topped up with whatever
+// is already queued, stamped, and handed to the waiting lane. When the
+// queue closes (Shutdown) the tail batch still waits for a lane; on
+// abort everything still held or queued is failed instead of served.
+// Each request is stamped on pickup (req.deq) and each batch at
+// hand-off, feeding the queue/coalesce/dispatch stage histograms.
 func (s *Server) coalesce() {
 	defer s.wg.Done()
 	defer close(s.batches)
-	var (
-		pending  []request
-		timer    *time.Timer
-		deadline <-chan time.Time
-	)
-	disarm := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, deadline = nil, nil
+	var pending []request
+	open := true // the queue has not closed yet
+	// admit stamps one picked-up request and batches it unless its
+	// deadline has already fired.
+	admit := func(req request) {
+		req.deq = time.Now()
+		if !s.shedExpired(req) {
+			pending = append(pending, req)
 		}
 	}
-	flush := func() {
-		disarm()
+	for open || len(pending) > 0 {
+		// A nil channel never fires: stop reading at the MaxBatch cap (or
+		// once the queue closed), and leave idle tokens alone while there
+		// is nothing to hand off.
+		queue, idle := s.queue, s.idle
+		if !open || len(pending) >= s.cfg.MaxBatch {
+			queue = nil
+		}
 		if len(pending) == 0 {
-			return
-		}
-		b := batch{reqs: pending, flushed: time.Now()}
-		pending = nil
-		select {
-		case s.batches <- b:
-		case <-s.aborted:
-			failAll(b.reqs)
-		}
-	}
-	for {
-		if pending == nil {
-			// Empty batch: nothing to time out, block for the next request.
-			select {
-			case req, ok := <-s.queue:
-				if !ok {
-					return
-				}
-				req.deq = time.Now()
-				if s.shedExpired(req) {
-					continue
-				}
-				pending = append(pending, req)
-				if len(pending) >= s.cfg.MaxBatch {
-					flush()
-					continue
-				}
-				timer = time.NewTimer(s.cfg.MaxDelay)
-				deadline = timer.C
-			case <-s.aborted:
-				s.drainFail()
-				return
-			}
-			continue
+			idle = nil
 		}
 		select {
-		case req, ok := <-s.queue:
+		case req, ok := <-queue:
 			if !ok {
-				flush()
-				return
-			}
-			req.deq = time.Now()
-			if s.shedExpired(req) {
+				open = false
 				continue
 			}
-			pending = append(pending, req)
-			if len(pending) >= s.cfg.MaxBatch {
-				flush()
+			admit(req)
+		case <-idle:
+		topUp:
+			for open && len(pending) < s.cfg.MaxBatch {
+				select {
+				case req, ok := <-s.queue:
+					if !ok {
+						open = false
+						break topUp
+					}
+					admit(req)
+				default:
+					break topUp
+				}
 			}
-		case <-deadline:
-			timer, deadline = nil, nil
-			flush()
+			// The token's lane is at (or on its way to) its receive and
+			// batches buffers one slot per lane, so this never blocks.
+			s.batches <- batch{reqs: pending, flushed: time.Now()}
+			pending = nil
 		case <-s.aborted:
-			disarm()
 			failAll(pending)
 			s.drainFail()
 			return
@@ -142,46 +124,59 @@ func (s *Server) shedExpiredBatch(reqs []request) []request {
 	return live
 }
 
-// serveLane is one serving shard's loop: take a micro-batch, feed it
-// whole through the batched GEMM inference path (Monitor.
-// WatchBatchPooledTimed over Network.ForwardBatch) on the lane's private
-// replica and scratch pool, resolve the futures, record metrics. The
-// coalescer's MaxBatch therefore translates directly into GEMM width —
-// no per-input goroutine fan-out; on multi-core hosts the GEMM kernels
-// parallelize internally. The lane's pool stays warm across batches, so
-// a steady lane allocates almost nothing per batch beyond the published
-// counter pair. After an abort, remaining batches are failed without
-// inference so Shutdown returns promptly.
+// serveLane is one serving shard's loop: announce idleness, take the
+// micro-batch the coalescer hands over, feed it whole through the
+// batched GEMM inference path (Monitor.WatchBatchPooledTimed over
+// Network.ForwardBatch) on the lane's private replica and scratch pool,
+// resolve the futures, record metrics. The batch's width therefore
+// translates directly into GEMM width — no per-input goroutine fan-out;
+// on multi-core hosts the GEMM kernels parallelize internally. The
+// lane's pool and input slice stay warm across batches of any width, so
+// a steady lane allocates almost nothing per batch beyond the verdicts
+// and the published counter pair. After an abort, remaining batches are
+// failed without inference so Shutdown returns promptly.
 //
-// Stage accounting per batch: dispatch (flush → here), inference and
-// zone_query (split reported by the monitor) are batch-level
-// observations; queue (enq → deq), coalesce (deq → flush) and total
-// (enq → verdict) are recorded per request.
+// Stage accounting per batch: dispatch (hand-off → here), inference and
+// zone_query (split reported by the monitor) and the batch width are
+// batch-level observations; queue (enq → deq), coalesce (deq → hand-off)
+// and total (enq → verdict) are recorded per request.
 func (s *Server) serveLane(ln *lane) {
 	defer s.wg.Done()
-	for b := range s.batches {
+	for {
+		// The token is what lets a batch leave the coalescer, so it goes
+		// out before the lane blocks for work. idle buffers one token per
+		// lane: the send never blocks.
+		s.idle <- struct{}{}
+		b, ok := <-s.batches
+		if !ok {
+			return
+		}
 		select {
 		case <-s.aborted:
 			failAll(b.reqs)
 			continue
 		default:
 		}
-		// Last chance to shed: deadlines that fired while the batch sat in
-		// the dispatch channel. A fully expired batch skips inference AND
-		// the batches counter, so MeanBatchSize keeps describing batches
-		// that actually ran.
+		// Last chance to shed: deadlines that fired while the batch waited
+		// for this lane. A fully expired batch skips inference AND the
+		// batches counter, so MeanBatchSize keeps describing batches that
+		// actually ran.
 		b.reqs = s.shedExpiredBatch(b.reqs)
 		if len(b.reqs) == 0 {
 			continue
 		}
 		start := time.Now()
 		s.stages.record(stageDispatch, start.Sub(b.flushed))
-		inputs := make([]*tensor.Tensor, len(b.reqs))
-		for i, req := range b.reqs {
-			inputs[i] = req.input
+		s.batchSize.Record(int64(len(b.reqs)))
+		inputs := ln.inputs[:0]
+		for _, req := range b.reqs {
+			inputs = append(inputs, req.input)
 		}
 		var bt core.BatchTiming
 		verdicts := s.mon.WatchBatchPooledTimed(ln.net, inputs, ln.scratch, &bt)
+		// A parked lane must not pin the request tensors it last served.
+		clear(inputs)
+		ln.inputs = inputs[:0]
 		s.stages.hist[stageInference].Record(bt.InferenceNs)
 		s.stages.hist[stageZoneQuery].Record(bt.ZoneQueryNs)
 		now := time.Now()

@@ -70,18 +70,15 @@ func TestSubmitCtxAlreadyDone(t *testing.T) {
 }
 
 // TestSubmitCtxExpiredInQueue pins the in-pipeline shed: a request whose
-// deadline fires while it waits for the coalescer's MaxDelay resolves to
+// deadline fires while it is parked behind a busy lane resolves to
 // ErrExpired (not its ctx error, not a verdict), increments
 // Stats.Expired, skips the batch counters, and leaves the server
 // perfectly able to serve the next live request.
 func TestSubmitCtxExpiredInQueue(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 5)
-	// MaxDelay far above the deadline: the request is picked up fresh,
-	// then expires while the partial batch waits for company.
-	s, err := New(net, mon, Config{MaxBatch: 4, MaxDelay: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The lane is held: the request is picked up fresh, then expires
+	// while its batch waits for the lane.
+	s, release := holdLanes(t, net, mon, Config{MaxBatch: 4})
 	defer shutdownOK(t, s)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -90,6 +87,8 @@ func TestSubmitCtxExpiredInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitCtx: %v", err)
 	}
+	<-ctx.Done()
+	release()
 	if _, err := fut.Wait(); !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired-in-queue future resolved to %v, want ErrExpired", err)
 	}
@@ -120,7 +119,7 @@ func TestSubmitCtxExpiredInQueue(t *testing.T) {
 // served + expired.
 func TestSubmitCtxFlood(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 6)
-	s, err := New(net, mon, Config{MaxBatch: 8, MaxDelay: 2 * time.Millisecond, QueueDepth: 16})
+	s, err := New(net, mon, Config{MaxBatch: 8, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,12 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 
 	for i, name := range stageNames {
 		reg.HistogramRef("napmon_stage_duration_seconds",
-			"serving pipeline stage latency (queue/coalesce/total per request; dispatch/inference/zone_query per batch)",
+			"serving pipeline stage latency: queue (enqueue to coalescer pickup), coalesce (pickup to hand-off, i.e. waiting for an idle lane) and total per request; dispatch (hand-off to lane running), inference and zone_query per batch",
 			&s.stages.hist[i], 1e-9, obs.L("stage", name))
 	}
+	reg.HistogramRef("napmon_batch_size",
+		"requests per micro-batch a lane ran: 1 = lanes idle, MaxBatch = saturated",
+		&s.batchSize, 1)
 
 	m := s.mon
 	for _, class := range m.WatchClasses() {

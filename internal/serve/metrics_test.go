@@ -17,7 +17,7 @@ import (
 // Stats, and MeanBatchSize is exactly Served/Batches from one snapshot.
 func TestStatsStagesAndCounts(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 31)
-	s, err := New(net, mon, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	s, err := New(net, mon, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStatsStagesAndCounts(t *testing.T) {
 // contract the metrics-smoke CI job enforces over HTTP.
 func TestRegisterMetrics(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 12)
-	s, err := New(net, mon, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s, err := New(net, mon, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +119,7 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	for _, name := range []string{
 		"napmon_stage_duration_seconds",
+		"napmon_batch_size",
 		"napmon_gamma_level",
 		"napmon_epoch",
 		"napmon_epoch_swaps_total",
@@ -142,6 +143,13 @@ func TestRegisterMetrics(t *testing.T) {
 	if v, ok := exp.Value("napmon_stage_duration_seconds_count", map[string]string{"stage": "total"}); !ok || uint64(v) != st.Served {
 		t.Fatalf("total stage _count = %v (ok=%v), want %d", v, ok, st.Served)
 	}
+	// Batch width: one observation per batch, summing to the requests served.
+	if v, ok := exp.Value("napmon_batch_size_count", nil); !ok || uint64(v) != st.Batches {
+		t.Fatalf("napmon_batch_size_count = %v (ok=%v), Stats.Batches = %d", v, ok, st.Batches)
+	}
+	if v, ok := exp.Value("napmon_batch_size_sum", nil); !ok || uint64(v) != st.Served {
+		t.Fatalf("napmon_batch_size_sum = %v (ok=%v), Stats.Served = %d", v, ok, st.Served)
+	}
 }
 
 // TestMeanBatchSizeSnapshotConsistent hammers Stats while lanes complete
@@ -150,7 +158,7 @@ func TestRegisterMetrics(t *testing.T) {
 // under -race in CI.
 func TestMeanBatchSizeSnapshotConsistent(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 7)
-	s, err := New(net, mon, Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
+	s, err := New(net, mon, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

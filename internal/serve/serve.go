@@ -9,16 +9,18 @@
 //
 // The request queue is a buffered channel of configurable depth; a full
 // queue exerts backpressure by blocking Submit. The coalescer drains the
-// queue into batches, flushing when either MaxBatch requests have
-// accumulated or MaxDelay has elapsed since the batch's first request —
-// so trickle traffic is answered within one deadline and saturating
-// traffic always rides full batches. Lanes are per-shard monitor
-// replicas: each owns a CloneShared copy of the network plus a warm
-// scratch pool and executes whole micro-batches through the batched GEMM
-// inference path (Monitor.WatchBatchPooled → Network.ForwardBatch) —
-// MaxBatch is literally the GEMM width — against the frozen BDD zones,
-// which are safe for concurrent reads by construction (see DESIGN.md,
-// "Freeze-then-serve concurrency model" and "Batched inference").
+// queue into batches and is work-conserving: it never waits on a clock.
+// A batch leaves the moment a lane is idle and otherwise keeps growing,
+// up to MaxBatch, while every lane is busy — so trickle traffic is
+// answered at inference latency and saturating traffic still rides full
+// batches, because batches form exactly when lanes are the bottleneck.
+// Lanes are per-shard monitor replicas: each owns a CloneShared copy of
+// the network plus a warm scratch pool and executes whole micro-batches
+// through the batched GEMM inference path (Monitor.WatchBatchPooled →
+// Network.ForwardBatch) — the batch width is literally the GEMM width —
+// against the frozen BDD zones, which are safe for concurrent reads by
+// construction (see DESIGN.md, "Freeze-then-serve concurrency model" and
+// "Batched inference").
 // The zone queries themselves run on the compiled query plans the
 // monitor's epoch carries (Zone.ContainsBatch, grouped per predicted
 // class): all lanes share one set of plans per epoch, and an online
@@ -42,6 +44,7 @@ import (
 
 	"napmon/internal/core"
 	"napmon/internal/nn"
+	"napmon/internal/obs"
 	"napmon/internal/tensor"
 )
 
@@ -63,13 +66,16 @@ var ErrExpired = errors.New("serve: request expired before serving")
 
 // Config sizes a Server. The zero value of any field selects its default.
 type Config struct {
-	// MaxBatch is the flush threshold: a micro-batch is dispatched as
-	// soon as it holds this many requests (default 64). MaxBatch 1
-	// disables coalescing — every request is its own batch.
+	// MaxBatch caps a micro-batch (default 64): while every lane is busy
+	// the coalescer grows the waiting batch up to this many requests and
+	// then stops reading the queue. It is the widest GEMM a lane runs
+	// and sizes its scratch working set. MaxBatch 1 disables coalescing
+	// — every request is its own batch.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch may wait for
-	// company before the partial batch is flushed (default 2ms). It is
-	// the latency price of coalescing under trickle traffic.
+	// MaxDelay is accepted and ignored: dispatch is lane-driven and no
+	// batch waits on a clock, so there is no delay to bound. The field
+	// stays only because bench/ still sets it; a negative value is still
+	// rejected.
 	MaxDelay time.Duration
 	// QueueDepth is the request queue capacity (default 1024). A full
 	// queue blocks Submit — backpressure instead of unbounded memory.
@@ -80,11 +86,6 @@ type Config struct {
 	// oversubscribing cores, since each WatchBatch already fans out over
 	// GOMAXPROCS workers.
 	Lanes int
-	// LatencyWindow is accepted for configuration compatibility but no
-	// longer bounds anything: latency percentiles now come from
-	// constant-memory log-bucketed histograms over every request since
-	// start (see stageStats), not a sliding sample window.
-	LatencyWindow int
 	// InputShape, when non-nil, makes Submit reject inputs whose tensor
 	// shape differs from it. The tensor substrate panics on
 	// shape-mismatched inference, which inside a lane goroutine would
@@ -102,17 +103,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
 	if c.Lanes == 0 {
 		c.Lanes = 1
-	}
-	if c.LatencyWindow == 0 {
-		c.LatencyWindow = 1024
 	}
 	return c
 }
@@ -127,8 +122,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: negative QueueDepth %d", c.QueueDepth)
 	case c.Lanes < 0:
 		return fmt.Errorf("serve: negative Lanes %d", c.Lanes)
-	case c.LatencyWindow < 0:
-		return fmt.Errorf("serve: negative LatencyWindow %d", c.LatencyWindow)
 	}
 	return nil
 }
@@ -146,8 +139,8 @@ type request struct {
 	deq   time.Time
 }
 
-// batch is one coalesced micro-batch in flight to a lane, stamped with
-// its flush time so the dispatch stage (flush → lane pickup) is
+// batch is one coalesced micro-batch in flight to a lane, stamped at
+// hand-off so the dispatch stage (hand-off → lane running) is
 // measurable.
 type batch struct {
 	reqs    []request
@@ -156,11 +149,13 @@ type batch struct {
 
 // lane is one serving shard: a CloneShared network replica plus a
 // private scratch pool that feeds the batched GEMM inference path and
-// stays warm across micro-batches. Zone membership reads go to the
-// shared frozen monitor, which needs no replication.
+// stays warm across micro-batches, and the slice each batch's inputs are
+// gathered into. Zone membership reads go to the shared frozen monitor,
+// which needs no replication.
 type lane struct {
 	net     *nn.Network
 	scratch *tensor.Pool
+	inputs  []*tensor.Tensor // empty between batches; grows to the widest served
 }
 
 // Server is a long-lived serving front end over one frozen monitor.
@@ -172,7 +167,8 @@ type Server struct {
 	lanes []*lane
 
 	queue   chan request  // Submit → coalescer (bounded; backpressure)
-	batches chan batch    // coalescer → lanes
+	batches chan batch    // coalescer → lanes, one slot per lane
+	idle    chan struct{} // lanes → coalescer: one token per lane waiting for work
 	aborted chan struct{} // closed when a Shutdown context expires
 	done    chan struct{} // closed when coalescer and all lanes exit
 
@@ -197,8 +193,9 @@ type Server struct {
 	updates   atomic.Uint64
 	// counts carries (served, batches) as one immutable pair so readers
 	// snapshot both atomically; see servedCounts.
-	counts atomic.Pointer[servedCounts]
-	stages stageStats
+	counts    atomic.Pointer[servedCounts]
+	stages    stageStats
+	batchSize obs.Histogram // width of every batch a lane ran
 }
 
 // New builds a Server over the network and monitor and starts its
@@ -206,6 +203,19 @@ type Server struct {
 // the entire serving path is read-only; the network must not be trained
 // while the server lives. Stop the server with Shutdown.
 func New(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
+	s, err := newServer(net, m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.startLanes()
+	return s, nil
+}
+
+// newServer is New short of starting the lanes: the coalescer runs, but
+// no lane has announced itself idle yet, so accepted requests park in
+// the coalescer exactly as they do behind lanes that are all mid-batch.
+// Tests hold the lanes back to build such a backlog without a clock.
+func newServer(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
 	if net == nil {
 		return nil, errors.New("serve: nil network")
 	}
@@ -222,6 +232,7 @@ func New(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
 		mon:     m,
 		queue:   make(chan request, cfg.QueueDepth),
 		batches: make(chan batch, cfg.Lanes),
+		idle:    make(chan struct{}, cfg.Lanes),
 		aborted: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -232,14 +243,19 @@ func New(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1 + len(s.lanes))
 	go s.coalesce()
-	for _, ln := range s.lanes {
-		go s.serveLane(ln)
-	}
 	go func() {
 		s.wg.Wait()
 		close(s.done)
 	}()
 	return s, nil
+}
+
+// startLanes starts the lane goroutines newServer already accounted for
+// in s.wg. Call it once.
+func (s *Server) startLanes() {
+	for _, ln := range s.lanes {
+		go s.serveLane(ln)
+	}
 }
 
 // Submit enqueues one input for monitored classification and returns a

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,25 @@ func shutdownOK(t *testing.T, s *Server) {
 	}
 }
 
+// holdLanes builds a server whose lanes are held back by the test: the
+// coalescer runs, but no lane announces itself idle until release is
+// called, so every accepted request parks in the coalescer exactly as it
+// does behind lanes stuck mid-batch. That is how these tests build a
+// backlog — by holding the lane, not by holding a clock. release is
+// idempotent and also runs at cleanup, so a held server can always be
+// shut down.
+func holdLanes(t *testing.T, net *nn.Network, mon *core.Monitor, cfg Config) (s *Server, release func()) {
+	t.Helper()
+	s, err := newServer(net, mon, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release = func() { once.Do(s.startLanes) }
+	t.Cleanup(release)
+	return s, release
+}
+
 // TestServeMatchesWatch pins correctness: every future resolves to
 // exactly the serial Watch verdict for its input, in submission order.
 func TestServeMatchesWatch(t *testing.T) {
@@ -76,7 +96,7 @@ func TestServeMatchesWatch(t *testing.T) {
 	for i, x := range inputs {
 		want[i] = mon.Watch(net, x)
 	}
-	s, err := New(net, mon, Config{MaxBatch: 16, MaxDelay: time.Millisecond})
+	s, err := New(net, mon, Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +135,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	for i, x := range inputs {
 		want[i] = mon.Watch(net, x)
 	}
-	s, err := New(net, mon, Config{MaxBatch: 32, MaxDelay: time.Millisecond, QueueDepth: 64, Lanes: 2})
+	s, err := New(net, mon, Config{MaxBatch: 32, QueueDepth: 64, Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +206,13 @@ func TestSubmitAfterShutdown(t *testing.T) {
 	shutdownOK(t, s)
 }
 
-// TestDeadlineFlush pins the coalescer's MaxDelay path: with a huge
-// MaxBatch a lone request is only served because the deadline fires.
-func TestDeadlineFlush(t *testing.T) {
+// TestLoneRequestFlush pins the no-clock path: even with a MaxBatch no
+// backlog could ever reach, a lone request leaves the coalescer the
+// moment the lane is idle — there is nothing else it could be waiting
+// for.
+func TestLoneRequestFlush(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 4)
-	s, err := New(net, mon, Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond})
+	s, err := New(net, mon, Config{MaxBatch: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +225,7 @@ func TestDeadlineFlush(t *testing.T) {
 		select {
 		case <-f.Done():
 		case <-time.After(10 * time.Second):
-			t.Fatal("deadline flush never fired")
+			t.Fatal("lone request never left the coalescer")
 		}
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)
@@ -211,50 +233,97 @@ func TestDeadlineFlush(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Batches != 3 || st.MeanBatchSize != 1 {
-		t.Fatalf("expected 3 deadline-flushed singleton batches, got %+v", st)
+		t.Fatalf("expected 3 singleton batches, got %+v", st)
 	}
 }
 
-// TestMaxBatchFlush pins the size-triggered path: with an effectively
-// infinite deadline, full batches must still flush immediately.
+// TestIdleLaneNoFloor pins the headline property of lane-driven
+// dispatch on the default configuration: sequential requests on an idle
+// server each ride alone and are answered at inference latency — the
+// toy network's is microseconds, so a millisecond bound leaves a wide
+// margin and still fails any wait on a timer.
+func TestIdleLaneNoFloor(t *testing.T) {
+	net, mon, inputs := toyServerParts(t, 14)
+	s, err := New(net, mon, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownOK(t, s)
+	const n = 200
+	trips := make([]time.Duration, n)
+	for i := range trips {
+		start := time.Now()
+		f, err := s.Submit(inputs[i%len(inputs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		trips[i] = time.Since(start)
+	}
+	st := s.Stats()
+	if st.Batches != n || st.MeanBatchSize != 1 {
+		t.Fatalf("sequential requests shared batches: %+v", st)
+	}
+	slices.Sort(trips)
+	if median := trips[n/2]; median >= time.Millisecond {
+		t.Fatalf("median round trip on an idle server %v, want < 1ms", median)
+	}
+}
+
+// TestMaxBatchFlush pins the cap: a backlog built while the lane is held
+// leaves in MaxBatch-sized batches once the lane is released, and in one
+// batch when the cap is out of reach.
 func TestMaxBatchFlush(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 5)
-	s, err := New(net, mon, Config{MaxBatch: 4, MaxDelay: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	futs, err := s.SubmitAll(inputs[:8]) // two exact MaxBatch multiples
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		select {
-		case <-f.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("future %d stuck despite full batches (deadline is 1h)", i)
+	for _, tc := range []struct {
+		maxBatch    int
+		wantBatches uint64
+		wantMean    float64
+	}{
+		{4, 2, 4},
+		{1 << 20, 1, 8},
+	} {
+		s, release := holdLanes(t, net, mon, Config{MaxBatch: tc.maxBatch})
+		futs, err := s.SubmitAll(inputs[:8])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	shutdownOK(t, s)
-	st := s.Stats()
-	if st.Batches != 2 || st.MeanBatchSize != 4 {
-		t.Fatalf("expected 2 batches of 4, got %+v", st)
+		release()
+		for i, f := range futs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatalf("MaxBatch %d: future %d: %v", tc.maxBatch, i, err)
+			}
+		}
+		shutdownOK(t, s)
+		if st := s.Stats(); st.Batches != tc.wantBatches || st.MeanBatchSize != tc.wantMean {
+			t.Fatalf("MaxBatch %d: expected %d batches of %v, got %+v", tc.maxBatch, tc.wantBatches, tc.wantMean, st)
+		}
 	}
 }
 
 // TestShutdownDrains checks the graceful path: everything accepted before
-// Shutdown is served with a real verdict, even with an hour-long deadline
-// still pending in the coalescer.
+// Shutdown is served with a real verdict, including a backlog still
+// parked in the coalescer behind a busy lane when Shutdown begins.
 func TestShutdownDrains(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 6)
-	s, err := New(net, mon, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, QueueDepth: len(inputs)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, release := holdLanes(t, net, mon, Config{MaxBatch: 1 << 20, QueueDepth: len(inputs)})
 	futs, err := s.SubmitAll(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shutdownOK(t, s)
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(context.Background()) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned %v with the backlog still parked behind a held lane", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	for i, f := range futs {
 		if _, err := f.Wait(); err != nil {
 			t.Fatalf("drained future %d failed: %v", i, err)
@@ -265,47 +334,49 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestShutdownAbort checks the expired-context path: Shutdown returns the
-// context error and every outstanding future still resolves (with a
-// verdict if its batch was already in flight, ErrServerClosed otherwise).
+// TestShutdownAbort checks the expired-context path with the lane held
+// (as if stuck mid-batch): the abort fails every parked future with
+// ErrServerClosed without waiting for the lane, and Shutdown returns the
+// context error once the lane is back.
 func TestShutdownAbort(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 7)
-	s, err := New(net, mon, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, QueueDepth: len(inputs)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, release := holdLanes(t, net, mon, Config{MaxBatch: 1 << 20, QueueDepth: len(inputs)})
 	futs, err := s.SubmitAll(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("aborted Shutdown = %v, want context.Canceled", err)
-	}
+	aborted := make(chan error, 1)
+	go func() { aborted <- s.Shutdown(ctx) }()
 	for i, f := range futs {
 		select {
 		case <-f.Done():
 		case <-time.After(10 * time.Second):
 			t.Fatalf("future %d leaked by abort", i)
 		}
-		if _, err := f.Wait(); err != nil && !errors.Is(err, ErrServerClosed) {
-			t.Fatalf("future %d: unexpected error %v", i, err)
+		if _, err := f.Wait(); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("future %d: %v, want ErrServerClosed", i, err)
 		}
+	}
+	release()
+	if err := <-aborted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("aborted Shutdown = %v, want context.Canceled", err)
+	}
+	if st := s.Stats(); st.Served != 0 || st.Batches != 0 {
+		t.Fatalf("aborted backlog was served: %+v", st)
 	}
 }
 
 // TestConcurrentShutdownAbortWins checks that a patient Shutdown caller
 // is not told the drain was clean when a concurrent caller's expired
-// context aborted the server and failed the accepted requests.
+// context aborted the server and failed the accepted requests. The lane
+// is held until the abort has failed them, so the abort always wins.
 func TestConcurrentShutdownAbortWins(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 11)
-	// Requests park in the coalescer: nothing flushes before shutdown.
-	s, err := New(net, mon, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, QueueDepth: len(inputs)})
+	s, release := holdLanes(t, net, mon, Config{MaxBatch: 1 << 20, QueueDepth: len(inputs)})
+	futs, err := s.SubmitAll(inputs)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SubmitAll(inputs); err != nil {
 		t.Fatal(err)
 	}
 	patient := make(chan error, 1)
@@ -314,20 +385,23 @@ func TestConcurrentShutdownAbortWins(t *testing.T) {
 		defer cancel()
 		patient <- s.Shutdown(ctx)
 	}()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	aerr := s.Shutdown(ctx)
-	perr := <-patient
-	if errors.Is(aerr, context.Canceled) {
-		// The canceled caller aborted before the drain finished, so the
-		// patient caller must not be told the drain was clean.
-		if !errors.Is(perr, ErrServerClosed) {
-			t.Fatalf("patient Shutdown after concurrent abort = %v, want ErrServerClosed", perr)
+	aborter := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		aborter <- s.Shutdown(ctx)
+	}()
+	for i, f := range futs {
+		if _, err := f.Wait(); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("future %d: %v, want ErrServerClosed", i, err)
 		}
-	} else if aerr != nil || perr != nil {
-		// The drain won the race against the canceled context: then both
-		// callers must report it clean.
-		t.Fatalf("clean concurrent drain reported aerr=%v perr=%v", aerr, perr)
+	}
+	release()
+	if err := <-aborter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("aborting Shutdown = %v, want context.Canceled", err)
+	}
+	if err := <-patient; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("patient Shutdown after concurrent abort = %v, want ErrServerClosed", err)
 	}
 }
 
@@ -336,8 +410,8 @@ func TestConcurrentShutdownAbortWins(t *testing.T) {
 // drains.
 func TestBackpressureQueueFull(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 8)
-	// QueueDepth 1 with a 10ms deadline: submits contend for one slot.
-	s, err := New(net, mon, Config{MaxBatch: 8, MaxDelay: 10 * time.Millisecond, QueueDepth: 1})
+	// QueueDepth 1: submits contend for one slot.
+	s, err := New(net, mon, Config{MaxBatch: 8, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +455,7 @@ func TestTrySubmitSheds(t *testing.T) {
 // covers every attempt.
 func TestTrySubmitLive(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 11)
-	s, err := New(net, mon, Config{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 2})
+	s, err := New(net, mon, Config{MaxBatch: 4, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +491,7 @@ func TestConfigValidate(t *testing.T) {
 	net, mon, _ := toyServerParts(t, 9)
 	for _, cfg := range []Config{
 		{MaxBatch: -1}, {MaxDelay: -time.Second}, {QueueDepth: -1},
-		{Lanes: -1}, {LatencyWindow: -2},
+		{Lanes: -1},
 	} {
 		if _, err := New(net, mon, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
@@ -500,6 +574,40 @@ func TestStagePercentiles(t *testing.T) {
 	if lat.P99 < exact99 || lat.P99 > exact99+exact99/32 {
 		t.Fatalf("P99 = %v, want [%v, +1/32]", lat.P99, exact99)
 	}
+
+	// The stage clocks tile a request's life. For lone requests on an
+	// idle server one request is one batch, so the per-batch stages line
+	// up with the per-request ones and queue + coalesce + dispatch +
+	// inference + zone_query must account for total: never more, and
+	// short of it only by the lane's own un-clocked bookkeeping.
+	net, mon, inputs := toyServerParts(t, 15)
+	s, err := New(net, mon, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	for i := 0; i < n; i++ {
+		f, err := s.Submit(inputs[i%len(inputs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdownOK(t, s)
+	var parts int64
+	for stage := stageQueue; stage < stageTotal; stage++ {
+		snap := s.stages.hist[stage].Snapshot()
+		if snap.Count() != n {
+			t.Fatalf("stage %s recorded %d observations for %d lone requests", stageNames[stage], snap.Count(), n)
+		}
+		parts += snap.Sum()
+	}
+	total := s.stages.hist[stageTotal].Snapshot()
+	if gap := total.Sum() - parts; gap < 0 || gap > total.Sum()/4 {
+		t.Fatalf("stages sum to %dns of a recorded total of %dns", parts, total.Sum())
+	}
 }
 
 // TestServeWhileUpdating is the serve-while-retraining regression test:
@@ -514,7 +622,6 @@ func TestServeWhileUpdating(t *testing.T) {
 	var hooked []uint64
 	srv, err := New(net, mon, Config{
 		MaxBatch: 8,
-		MaxDelay: 200 * time.Microsecond,
 		OnEpochSwap: func(epoch uint64) {
 			hookMu.Lock()
 			hooked = append(hooked, epoch)

@@ -29,11 +29,13 @@ type Stats struct {
 	// signal — rising Expired means the queue is holding requests longer
 	// than clients are willing to wait.
 	Expired uint64
-	// Batches is the number of micro-batches dispatched to lanes;
-	// MeanBatchSize is Served divided by it, the coalescer's
-	// effectiveness measure (1.0 = no coalescing happened). Both come
-	// from one atomic snapshot, so the ratio is exact even while lanes
-	// are completing batches concurrently.
+	// Batches is the number of micro-batches lanes ran; MeanBatchSize is
+	// Served divided by it. Batches form only while lanes are busy, so
+	// the width is the load signal: 1.0 = every request found an idle
+	// lane, MaxBatch = saturated (the napmon_batch_size histogram shows
+	// the shape the mean hides). Both come from one atomic snapshot, so
+	// the ratio is exact even while lanes are completing batches
+	// concurrently.
 	Batches       uint64
 	MeanBatchSize float64
 	// P50 and P99 are end-to-end request latency percentiles (enqueue to
@@ -44,10 +46,14 @@ type Stats struct {
 	P99 time.Duration
 	// Stages breaks the pipeline down: per-stage latency percentiles
 	// keyed by stage name. "queue" (enqueue → coalescer pickup),
-	// "coalesce" (pickup → batch flush) and "total" (enqueue → verdict)
-	// are per-request distributions; "dispatch" (flush → lane pickup),
-	// "inference" (forward pass + pattern extraction) and "zone_query"
-	// (comfort-zone membership) are per-batch.
+	// "coalesce" (pickup → hand-off to a lane: no timer runs here, so
+	// this is where "every lane was busy" shows) and "total" (enqueue →
+	// verdict) are per-request distributions; "dispatch" (hand-off →
+	// lane running; the hand-off is stamped when it happens, never when
+	// the coalescer started waiting), "inference" (forward pass + pattern
+	// extraction) and "zone_query" (comfort-zone membership) are
+	// per-batch. For a request that rode alone the first five add up to
+	// its total.
 	Stages map[string]StageLatency
 	// Monitored and OutOfPattern are the monitor's cumulative verdict
 	// tallies across all classes — the paper's safety signal, summed

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -35,7 +36,8 @@ type GatewayConfig struct {
 	// forever. Clients only waiting on in-flight verdicts still count as
 	// idle — pipeline or ping within the window to stay alive.
 	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds each response frame write (default 10s,
+	// WriteTimeout bounds each response write — one frame, or the burst
+	// of queued frames the writer gathered into it (default 10s,
 	// negative disables). A client that stops draining its socket beyond
 	// what the write queue absorbs fails the write; the connection is
 	// reaped rather than left wedged.
@@ -480,18 +482,35 @@ func (g *Gateway) serveTCP(ln net.Listener) {
 	}
 }
 
+// connReadBuffer is each TCP connection's read buffer: one read syscall
+// takes in every pipelined frame that has already arrived, up to this
+// many bytes, instead of two syscalls per frame.
+const connReadBuffer = 16 << 10
+
+// writeGatherBytes caps the bytes of response frames one socket write
+// may carry.
+const writeGatherBytes = 64 << 10
+
 // serveConn owns one persistent TCP connection: a reader goroutine
 // (this one) decoding frames in arrival order, a writer goroutine
 // draining the outbound queue, and one short-lived goroutine per
 // in-flight watch awaiting its future. Backpressure is the blocking
 // chain reader → inflight cap / serve queue → TCP flow control.
 //
+// Both directions pay one syscall per burst, not per frame. The reader
+// decodes out of a connReadBuffer-byte buffer that one read fills with
+// whatever the client has pipelined. The writer, having taken one frame
+// from the queue, gathers every frame already queued behind it (see
+// gatherFrames) and issues one write, so the verdicts of a micro-batch
+// leave together. Per connection that is the read buffer plus a write
+// buffer that grows to the largest burst gathered — at most
+// writeGatherBytes, unless a single frame is larger.
+//
 // The connection lives under three guards: a read deadline armed before
 // every frame (idle or half-sent conns are reaped, not pinned), a write
-// deadline per response (a client that stops draining is reaped once
-// the write queue stops absorbing), and a malformed-payload budget
-// (framing errors kill the stream outright — a byte stream cannot
-// resync).
+// deadline per write (a client that stops draining is reaped once the
+// write queue stops absorbing), and a malformed-payload budget (framing
+// errors kill the stream outright — a byte stream cannot resync).
 func (g *Gateway) serveConn(c net.Conn) {
 	defer g.wg.Done()
 	out := make(chan []byte, g.cfg.WriteQueue)
@@ -512,38 +531,52 @@ func (g *Gateway) serveConn(c net.Conn) {
 	go func() { // writer: sole owner of conn writes
 		defer g.wg.Done()
 		defer close(writerDone)
-		dead := false
-		for frame := range out {
-			if !dead {
-				if g.cfg.WriteTimeout > 0 {
-					c.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-				}
-				if _, err := c.Write(frame); err == nil {
-					g.responded.Add(1)
-				} else {
-					// A failed stream write is terminal: close the conn so
-					// the reader unblocks, then keep draining the queue so
-					// producers never block on a dead connection.
-					dead = true
-					var ne net.Error
-					if errors.As(err, &ne) && ne.Timeout() {
-						reap()
-					}
-					c.Close()
+		var (
+			wbuf  []byte // the frames of one write
+			carry []byte // taken off the queue by the last gather, which had no room for it
+			dead  bool
+		)
+		for {
+			frame := carry
+			if frame == nil {
+				var ok bool
+				if frame, ok = <-out; !ok {
+					return
 				}
 			}
-			g.putBuf(frame)
+			var frames int
+			wbuf, frames, carry = g.gatherFrames(wbuf[:0], frame, out, writeGatherBytes)
+			if dead {
+				continue
+			}
+			if g.cfg.WriteTimeout > 0 {
+				c.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
+			}
+			if _, err := c.Write(wbuf); err == nil {
+				g.responded.Add(uint64(frames))
+			} else {
+				// A failed stream write is terminal: close the conn so
+				// the reader unblocks, then keep draining the queue so
+				// producers never block on a dead connection.
+				dead = true
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					reap()
+				}
+				c.Close()
+			}
 		}
 	}()
 
 	badFrames := 0
+	br := bufio.NewReaderSize(c, connReadBuffer)
 	buf := make([]byte, 0, 4096)
 readLoop:
 	for {
 		if g.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(g.cfg.ReadIdleTimeout))
 		}
-		h, payload, err := ReadFrame(c, buf)
+		h, payload, err := ReadFrame(br, buf)
 		if err != nil {
 			// A malformed header is an unresyncable stream — count it
 			// and kill the connection. A deadline firing here is the
@@ -642,6 +675,34 @@ readLoop:
 	g.mu.Unlock()
 	c.Close()
 	g.connCount.Add(^uint64(0))
+}
+
+// gatherFrames appends first, then every frame already queued on out, to
+// dst — never blocking, and never growing dst past limit: a frame that
+// would not fit comes back as carry, to open the next gather (first is
+// always taken, whatever its size). It reports how many frames dst now
+// holds; their buffers go back to the pool. A closed out ends the gather
+// like an empty one.
+func (g *Gateway) gatherFrames(dst, first []byte, out <-chan []byte, limit int) (buf []byte, frames int, carry []byte) {
+	buf = append(dst, first...)
+	g.putBuf(first)
+	frames = 1
+	for {
+		select {
+		case frame, ok := <-out:
+			if !ok {
+				return buf, frames, nil
+			}
+			if len(buf)+len(frame) > limit {
+				return buf, frames, frame
+			}
+			buf = append(buf, frame...)
+			g.putBuf(frame)
+			frames++
+		default:
+			return buf, frames, nil
+		}
+	}
 }
 
 // --- shared handlers ---

@@ -188,17 +188,16 @@ func NewScratchPool() *ScratchPool { return tensor.NewPool() }
 // micro-batches on the WatchBatch fast path. See Serve.
 type Server = serve.Server
 
-// ServerConfig sizes a Server: micro-batch flush threshold (MaxBatch),
-// partial-batch deadline (MaxDelay), request-queue depth (backpressure),
-// number of serving lanes (network replicas) and the latency-statistics
-// window, plus the OnEpochSwap hook observing online updates published
-// through Server.Update/UpdateGamma. The zero value selects sensible
-// defaults.
+// ServerConfig sizes a Server: micro-batch size cap (MaxBatch),
+// request-queue depth (backpressure) and number of serving lanes
+// (network replicas), plus the OnEpochSwap hook observing online updates
+// published through Server.Update/UpdateGamma. The zero value selects
+// sensible defaults.
 type ServerConfig = serve.Config
 
 // ServerStats is a snapshot of a Server's counters: queue depth,
 // submitted/served/rejected totals, batch count and mean size, p50/p99
-// request latency over a recent window, and the online-update view (the
+// request latency since start, and the online-update view (the
 // monitor epoch currently serving plus the number of epoch swaps
 // published through the server).
 type ServerStats = serve.Stats
@@ -227,9 +226,9 @@ var ErrExpired = serve.ErrExpired
 
 // Serve starts a streaming serving front end over the network and
 // monitor: requests submitted from any number of goroutines are queued,
-// coalesced into micro-batches (flushed at cfg.MaxBatch or after
-// cfg.MaxDelay) and executed on per-lane network replicas against the
-// frozen monitor. The monitor stays updatable while serving —
+// coalesced into micro-batches (a batch leaves the moment a lane is
+// idle and grows, up to cfg.MaxBatch, only while every lane is busy) and
+// executed on per-lane network replicas against the frozen monitor. The monitor stays updatable while serving —
 // Server.Update/UpdateGamma publish new zone epochs that lanes pick up at
 // micro-batch granularity without dropping a request. Stop the server
 // with Server.Shutdown, which drains accepted requests. The

@@ -124,7 +124,6 @@ func TestPublicServe(t *testing.T) {
 	}
 	srv, err := napmon.Serve(net, mon, napmon.ServerConfig{
 		MaxBatch: 16,
-		MaxDelay: time.Millisecond,
 		Lanes:    2,
 	})
 	if err != nil {
