@@ -1,24 +1,25 @@
 # Local invocations mirror .github/workflows/ci.yml exactly: CI calls these
 # same targets, so a green `make ci` locally means a green pipeline. CI
-# gates every PR on: gofmt, vet + staticcheck (lint), build, race tests and
-# a benchmark smoke run across a Go version matrix, plus a bench-regression
-# job (bench-json + bench-check against ci/bench-baseline.json), a
-# fuzz-smoke job (test-fuzz), a coverage gate (cover-check against
-# ci/coverage-baseline.txt), a serve-demo end-to-end daemon smoke job, a
-# metrics-smoke observability gate (/metrics exposition validated and
-# cross-checked against the /v1 stats), a soak-smoke wire-protocol gate
-# (strict zero-loss UDP+TCP soak with server-vs-client accounting), a
+# gates every PR on: gofmt, vet + staticcheck (lint), build and race tests
+# across a Go version matrix, plus a fuzz-smoke job (test-fuzz), a
+# coverage gate (cover-check against ci/coverage-baseline.txt), a
+# serve-demo end-to-end daemon smoke job, a metrics-smoke observability
+# gate (/metrics exposition validated and cross-checked against the /v1
+# stats), a soak-smoke wire-protocol gate (strict zero-loss UDP+TCP soak
+# with server-vs-client accounting, then bench-verdicts: every output of
+# bench/'s five workloads checked against its oracle, no time gated), a
 # fleet-smoke replication gate (leader with two self-trained tenants,
 # snapshot-bootstrapped follower, streamed learn deltas, epoch-equality
 # convergence with per-tenant metrics asserted on both daemons) and a
 # chaos-smoke resilience gate (seeded fault injection against the TCP
 # wire listener and the replication follower; see the chaos-smoke target).
+# Performance is measured by bench/ alone (BENCHMARK.json, bench/README.md).
 
 GO ?= go
 # WATCH_BODY prints one all-0.1 MNIST-shaped watch request (the smokes pipe it to curl)
 WATCH_BODY = awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}'
 
-.PHONY: build test race test-fuzz cover cover-check bench bench-serve bench-json bench-check bench-verdicts serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
+.PHONY: build test race test-fuzz cover cover-check bench-verdicts latency-budget serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
 
 ## build: compile every package
 build:
@@ -37,13 +38,16 @@ race:
 
 ## test-fuzz: smoke-run the fuzz targets (differential BDD fuzzer against
 ## a truth-table oracle; pattern wire-format round trip; binary protocol
-## frame round trip + arbitrary-bytes decoder safety). Each target gets
-## a short budget — CI runs this on every PR; leave a fuzzer running with
+## frame round trip + arbitrary-bytes decoder safety; the snapshot and
+## delta-stream decoders, raw and re-checksummed). Each target gets a
+## short budget — CI runs this on every PR; leave a fuzzer running with
 ## a long -fuzztime to actually hunt.
 FUZZTIME ?= 15s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime $(FUZZTIME) ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltaStream$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 ## cover: run the full test suite with coverage and print the total
@@ -63,53 +67,14 @@ cover-check: cover
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || { \
 		echo "coverage $$total% fell below the recorded baseline $$floor%"; exit 1; }
 
-## bench: smoke-run every benchmark once, with -benchmem so allocation
-## counts are tracked (the batched inference path is expected to be
-## allocation-free after warm-up; use `go test -bench=. -benchtime=2s .`
-## for real numbers)
-bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./...
-
-## bench-serve: smoke-run the serving benchmarks on their own (batched
-## GEMM inference via BenchmarkForwardBatch, raw WatchBatch, and the
-## napmon.Serve queue/coalescer/lane pipeline)
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkWatchBatch|BenchmarkForwardBatch' -benchtime=1x -benchmem .
-
-## bench-json: run the serving benchmarks for real (multiple iterations)
-## and record them as BENCH_PR9.json via cmd/benchjson — the artifact the
-## bench-regression CI job uploads and gates on. BenchmarkWatchBatch's
-## workers1/2/4 sub-benchmarks and BenchmarkMonitorBuildParallel's
-## cpu1/cpu4 pin GOMAXPROCS internally — the -cpu axis with names that
-## stay stable across machines of different core counts.
-BENCH_JSON ?= BENCH_PR9.json
-bench-json:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkWatchBatch|BenchmarkForwardBatch|BenchmarkZoneBuild|BenchmarkUpdateSwap|BenchmarkZoneQueryCompiled|BenchmarkZoneQueryBitSliced|BenchmarkMonitorBuildParallel|BenchmarkWireEncode|BenchmarkGatewayRoundTrip|BenchmarkSnapshotRoundTrip|BenchmarkRegistryLookup' -benchtime=2x -benchmem . \
-		| bin/benchjson -o $(BENCH_JSON)
-
-## bench-check: fail if the serving/update/build hot paths (WatchBatch,
-## Serve + ServeWhileUpdating, ForwardBatch, UpdateSwap, the compiled
-## zone query, the bit-sliced zone query, the sharded monitor build, the wire codecs, the TCP
-## gateway round trip, the snapshot codec and the registry tenant
-## lookup) regressed more than 1.3x
-## against the committed baseline (machine-speed-normalized; see
-## cmd/benchjson). Only the single-core entries of the parallel axes are
-## gated (workers1, cpu1): the other widths exist to show scaling on
-## multi-core runners and are scheduler-noise-dominated on 1-core hosts.
-## For the same reason the speed-normalization reference is pinned to
-## the serial BenchmarkZoneBuild — on a multi-core runner the parallel
-## axes speed up for real, which must not be mistaken for machine speed.
-bench-check:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	bin/benchjson -check -baseline ci/bench-baseline.json -current $(BENCH_JSON) \
-		-watch 'BenchmarkWatchBatch/workers1|BenchmarkServe|BenchmarkForwardBatch|BenchmarkUpdateSwap|BenchmarkZoneQueryCompiled|BenchmarkZoneQueryBitSliced|BenchmarkMonitorBuildParallel/cpu1|BenchmarkWireEncode|BenchmarkGatewayRoundTrip|BenchmarkSnapshotRoundTrip|BenchmarkRegistryLookup' \
-		-ref 'BenchmarkZoneBuild$$' -max-ratio 1.3
-
-## bench-verdicts: bench/'s output checks on the two wire workloads, untimed — fails only on a verdict off the oracle, an error frame or a missing reply
+## bench-verdicts: bench/'s output checks on all five workloads, untimed — fails only on an output off its oracle, an error frame or a missing reply
 bench-verdicts:
-	bash bench/run.sh --workload fleet_tiny --seed 1 --seconds 5 --trace 0
-	bash bench/run.sh --workload stream_open --seed 1 --seconds 5 --trace 0
+	for w in offline_batch stream_open fleet_tiny zone_query zone_learn_mix; do bash bench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; done
+
+## latency-budget: the per-layer peel of a verdict from the traced wire workloads — EXPERIMENTS.md's "Latency budget" table is this output
+latency-budget:
+	@echo "commit $$(git rev-parse --short HEAD)"
+	@for w in fleet_tiny stream_open; do bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 1 | grep -E '^env |^peel |^  [a-z]+ +self '; done
 
 ## serve-demo: start napmon-serve (HTTP + wire TCP over one registry)
 ## against a tiny self-trained model, probe /healthz, POST one /v1 watch,
@@ -340,11 +305,12 @@ lint: vet
 	fi
 
 ## clean: remove local build/test artifacts (compiled test binaries,
-## coverage profiles, the bin/ tool directory) — everything .gitignore
-## hides from git but that still clutters the working tree
+## coverage profiles, the bin/ tool directory, bench/'s build cache and
+## traces) — everything .gitignore hides from git but that still clutters
+## the working tree
 clean:
 	rm -f ./*.test ./*.prof ./*.out coverage.out soak-*.json chaos-soak.json
-	rm -rf bin
+	rm -rf bin .bench_build bench/out
 
 ## ci: everything the pipeline's verify job runs, in the same order
-ci: fmt lint build race bench
+ci: fmt lint build race

@@ -34,7 +34,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "dataset scale factor (1 = full run)")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	verbose := flag.Bool("v", false, "log training progress")
-	artifact := flag.String("artifact", "all", "which artifact to regenerate: all, table1, table2, figure2, figure3")
+	artifact := flag.String("artifact", "all", "which artifact to regenerate: all, table1, table2, figure2, figure3, online")
 	flag.Parse()
 
 	opts := exp.Options{Scale: *scale, Seed: *seed}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -499,6 +500,37 @@ func TestReloadDuringUnloadKeepsShapeGate(t *testing.T) {
 		t.Fatalf("DELETE: status %d, want 204", status)
 	}
 	httpWatch(t, b, "x", inputs[0])
+}
+
+// TestMonitorFileIsTheSnapshot pins the one persisted format end to end:
+// a Monitor.SaveFile file boots a daemon (bootToy), the bytes that daemon
+// serves on GET .../snapshot are a monitor file a second daemon boots
+// from, and the second daemon resumes at the first one's epoch — learned
+// pattern included — with identical verdicts.
+func TestMonitorFileIsTheSnapshot(t *testing.T) {
+	first, model, _, inputs := bootToy(t, 29)
+	seen := httpWatch(t, first, "default", inputs[0])
+	p, _ := flipped(t, seen.Pattern, 0)
+	callJSON(t, "POST", first.http+"/v1/models/default/learn", learnRequest{Class: seen.Class, Patterns: []string{p}}, 200, nil)
+
+	status, snap := call(t, "GET", first.http+"/v1/models/default/snapshot", nil)
+	if status != 200 {
+		t.Fatalf("snapshot: status %d: %s", status, snap)
+	}
+	path := filepath.Join(t.TempDir(), "resumed.monitor")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := boot(t, config{modelPath: model, monitorPath: path, shape: []int{4}}, false)
+
+	if a, b := httpStats(t, first, "default").Epoch, httpStats(t, second, "default").Epoch; a != 2 || b != a {
+		t.Fatalf("first daemon at epoch %d, the one booted from its snapshot at %d, want both 2", a, b)
+	}
+	for i, x := range inputs {
+		if a, b := httpWatch(t, first, "default", x), httpWatch(t, second, "default", x); a != b {
+			t.Fatalf("input %d: verdict %+v from the snapshot-booted daemon, %+v from its source", i, b, a)
+		}
+	}
 }
 
 // TestLoadHonoursGammaZero pins the PUT body's gamma semantics: absent

@@ -227,18 +227,17 @@
 // GTSRB-like datasets and the highway front-car case study the
 // experiments run on. See DESIGN.md for the system inventory; every PR
 // is gated by .github/workflows/ci.yml, mirrored locally by `make ci`:
-// gofmt, vet + staticcheck (make lint), build, race-detector tests and a
-// -benchmem benchmark smoke run on a Go 1.22/1.23 matrix, plus a
-// bench-regression job (make bench-json records BENCH_PR8.json and make
-// bench-check fails >1.3x ns/op regressions of the serving, update,
-// registry and snapshot benchmarks against ci/bench-baseline.json), a
-// fuzz-smoke job (make test-fuzz: the differential BDD fuzzer and the
-// pattern wire-format round trip), a coverage gate (make cover-check
+// gofmt, vet + staticcheck (make lint), build and race-detector tests
+// on a Go 1.22/1.23 matrix, plus a fuzz-smoke job (make test-fuzz: the
+// differential BDD fuzzer, the pattern and wire-frame round trips and
+// the snapshot/delta-stream decoders), a coverage gate (make cover-check
 // against ci/coverage-baseline.txt), a serve-demo end-to-end daemon
 // smoke job (make serve-demo), a metrics-smoke observability gate (make
 // metrics-smoke: /metrics validated and cross-checked against /stats),
 // a soak-smoke wire-protocol gate (make soak-smoke: strict zero-loss
-// UDP+TCP soak with server-vs-client accounting) and a fleet-smoke
+// UDP+TCP soak with server-vs-client accounting, then make
+// bench-verdicts: every output of bench/'s five workloads against its
+// oracle — bench/ is the one benchmark, and no time is gated) and a fleet-smoke
 // replication gate (make fleet-smoke: a two-tenant leader snapshots
 // into a follower, streams learn deltas, and the follower must converge
 // to epoch equality with per-tenant metrics live on both daemons).

@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -481,52 +480,6 @@ func TestEvalLinearMembership(t *testing.T) {
 	})
 	if steps > 8 {
 		t.Fatalf("Eval consulted %d variables, want <= 8", steps)
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	m := NewManager(10)
-	r := rng.New(10)
-	var roots []Node
-	for i := 0; i < 5; i++ {
-		roots = append(roots, randomFunc(m, r, 5))
-	}
-	var buf bytes.Buffer
-	if err := m.Serialize(&buf, roots); err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewManager(10)
-	got, err := m2.Deserialize(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(roots) {
-		t.Fatalf("got %d roots, want %d", len(got), len(roots))
-	}
-	for i := range roots {
-		a, b := brute(m, roots[i]), brute(m2, got[i])
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("root %d truth table differs after round trip", i)
-			}
-		}
-	}
-}
-
-func TestDeserializeRejectsWrongVarCount(t *testing.T) {
-	m := NewManager(4)
-	var buf bytes.Buffer
-	if err := m.Serialize(&buf, []Node{m.Var(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewManager(5).Deserialize(&buf); err == nil {
-		t.Fatal("expected variable-count mismatch error")
-	}
-}
-
-func TestDeserializeRejectsGarbage(t *testing.T) {
-	if _, err := NewManager(4).Deserialize(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("expected error on garbage input")
 	}
 }
 

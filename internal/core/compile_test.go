@@ -7,6 +7,7 @@ package core
 // deterministic regardless of worker count.
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -369,6 +370,33 @@ func TestParallelBuildDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkMonitorBuildParallel measures the manager-sharded zone build
+// in isolation (BuildFromPatterns: no inference, pure per-class BDD
+// insertion + γ-enlargement) on an 8-class monitor, with GOMAXPROCS
+// pinned per sub-benchmark. The 8 per-class managers are independent
+// single-writer shards, so on a multi-core host cpu4 should build well
+// ahead of cpu1. Nothing gates it: bench/'s setup_s on the zone workloads
+// is the end-to-end reading of the same build.
+func BenchmarkMonitorBuildParallel(b *testing.B) {
+	const width, classes, perClass = 48, 8, 300
+	r := rng.New(19)
+	pats := make(map[int][]Pattern, classes)
+	for c := 0; c < classes; c++ {
+		pats[c] = randomPatterns(r, perClass, width)
+	}
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("cpu%d", procs), func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildFromPatterns(width, 2, pats); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

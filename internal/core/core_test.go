@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -542,14 +543,15 @@ func TestMonitorSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mon.Save(&buf); err != nil {
+	if err := mon.Snapshot(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Gamma() != 2 || loaded.LayerWidth() != mon.LayerWidth() {
+	if loaded.Gamma() != 2 || loaded.LayerWidth() != mon.LayerWidth() || loaded.Config().Layer != layer ||
+		!slices.Equal(loaded.Neurons(), mon.Neurons()) {
 		t.Fatal("monitor metadata lost in round trip")
 	}
 	for _, s := range val {
@@ -566,7 +568,7 @@ func TestMonitorSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk\n"))); err == nil {
+	if _, _, err := LoadSnapshot(bytes.NewReader([]byte("junk\n"))); err == nil {
 		t.Fatal("expected error")
 	}
 }

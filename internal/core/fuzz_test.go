@@ -1,16 +1,18 @@
 package core
 
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+)
+
 // FuzzPatternRoundTrip fuzzes the pattern encodings the serving and
 // online-update wire paths rely on: the 0/1 String form (the
 // napmon-serve /watch response and /learn request body) must round-trip
 // through ParsePattern bit-exactly, the compact Key form must be
 // injective, and a fuzzed pattern inserted into a zone must be found by
 // the BDD membership query at γ=0 and at every Hamming-neighbor level.
-
-import (
-	"testing"
-)
-
 func FuzzPatternRoundTrip(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0x0F})
@@ -94,6 +96,142 @@ func FuzzPatternRoundTrip(f *testing.F) {
 		}
 		if got, want := z.PatternCount(), float64(1+width); got != want {
 			t.Fatalf("gamma-1 ball holds %v patterns, want %v", got, want)
+		}
+	})
+}
+
+// maxFuzzStream keeps the decoders' per-class BDD managers (tens of KB
+// each, one per few input bytes at worst) within a fuzz worker's memory.
+const maxFuzzStream = 4 << 10
+
+// FuzzLoadSnapshot fuzzes the one decoder for monitor bytes that arrive
+// from outside the process (a monitor file, a leader's snapshot body).
+// Each input is tried raw and with its FNV trailer recomputed, so
+// mutations reach the field validators instead of dying at the checksum.
+// An accepted monitor must be servable — 0 ≤ γ ≤ width, WatchPattern
+// answers on every class — and canonical: its snapshot loads again and
+// re-encodes to the same bytes.
+func FuzzLoadSnapshot(f *testing.F) {
+	golden, err := hex.DecodeString(snapshotGolden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for gamma := 0; gamma <= 2; gamma++ {
+		var buf bytes.Buffer
+		if err := snapMonitor(f, gamma).Snapshot(&buf, snapTail()); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzStream {
+			return
+		}
+		for _, stream := range [][]byte{data, rechecksum(data)} {
+			m, tail, err := LoadSnapshot(bytes.NewReader(stream))
+			if err != nil {
+				continue
+			}
+			width := len(m.Neurons())
+			if g := m.Gamma(); g < 0 || g > width {
+				t.Fatalf("accepted gamma %d outside [0,%d]", g, width)
+			}
+			probe := make(Pattern, width)
+			for _, c := range m.Classes() {
+				if _, monitored := m.WatchPattern(c, probe); !monitored {
+					t.Fatalf("class %d listed but not monitored", c)
+				}
+			}
+			var first, second bytes.Buffer
+			if err := m.Snapshot(&first, tail); err != nil {
+				t.Fatalf("accepted monitor does not snapshot: %v", err)
+			}
+			m2, tail2, err := LoadSnapshot(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatalf("snapshot of an accepted monitor rejected: %v", err)
+			}
+			if err := m2.Snapshot(&second, tail2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("Snapshot -> LoadSnapshot -> Snapshot changed the bytes:\n%x\n%x", first.Bytes(), second.Bytes())
+			}
+		}
+	})
+}
+
+// FuzzDecodeDeltaStream fuzzes the replication feed's decoder the same
+// way (raw and re-checksummed), decoding at the width the stream itself
+// declares. Accepted entries must be ones a follower can act on: γ within
+// [0,width] or a pattern delta of full-width patterns under non-negative
+// classes, re-encoding to a stream that decodes to the same bytes; at the
+// seeds' width they are replayed into a live monitor, which may refuse
+// them but must not panic.
+func FuzzDecodeDeltaStream(f *testing.F) {
+	seed, err := EncodeDeltaStream(8, snapTail())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(splice(seed, len(seed)-5, 8)) // the γ entry at its bound
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzStream || len(data) <= len(deltaMagic) {
+			return
+		}
+		w, _ := binary.Uvarint(data[len(deltaMagic):])
+		if w == 0 || w > 256 {
+			return
+		}
+		width := int(w)
+		for _, stream := range [][]byte{data, rechecksum(data)} {
+			entries, err := DecodeDeltaStream(stream, width)
+			if err != nil {
+				continue
+			}
+			for i, e := range entries {
+				if e.Gamma < -1 || e.Gamma > width || (e.Gamma >= 0) == (e.Delta != nil) {
+					t.Fatalf("entry %d: gamma %d with delta %v at width %d", i, e.Gamma, e.Delta != nil, width)
+				}
+				for c, pats := range e.Delta {
+					if c < 0 {
+						t.Fatalf("entry %d: negative class %d", i, c)
+					}
+					for _, p := range pats {
+						if len(p) != width {
+							t.Fatalf("entry %d class %d: pattern width %d, want %d", i, c, len(p), width)
+						}
+					}
+				}
+			}
+			first, err := EncodeDeltaStream(width, entries)
+			if err != nil {
+				t.Fatalf("accepted entries do not re-encode: %v", err)
+			}
+			again, err := DecodeDeltaStream(first, width)
+			if err != nil {
+				t.Fatalf("re-encoded stream rejected: %v", err)
+			}
+			second, err := EncodeDeltaStream(width, again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("Encode -> Decode -> Encode changed the bytes:\n%x\n%x", first, second)
+			}
+			if width != 8 {
+				continue
+			}
+			follower := snapMonitor(t, 1)
+			for _, e := range entries {
+				// Errors (unmonitored class, say) are the follower's to
+				// report; only a panic is a finding.
+				if e.Gamma >= 0 {
+					_, _ = follower.UpdateGamma(e.Gamma)
+				} else {
+					_, _ = follower.UpdateBatch(e.Delta)
+				}
+			}
 		}
 	})
 }

@@ -1,134 +1,34 @@
 package core
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sort"
-)
+import "os"
 
-// Monitors are built once after training (Algorithm 1) and then deployed;
-// serialization lets the deployment load the comfort zones without the
-// training set. A monitor file is a JSON header line followed by each
-// class's zone BDD stream in header order.
+// Monitors are built once after training (Algorithm 1) and then deployed.
+// The file on disk is the compact snapshot of snapshot.go — the same bytes
+// GET /v1/models/{name}/snapshot serves and a follower bootstraps from —
+// with an empty delta tail.
 
-type monitorHeader struct {
-	Format  string `json:"format"`
-	Layer   int    `json:"layer"`
-	Gamma   int    `json:"gamma"`
-	Width   int    `json:"width"`
-	Neurons []int  `json:"neurons"`
-	Classes []int  `json:"classes"`
-	Inserts []int  `json:"inserts"` // per class, parallel to Classes
-}
-
-const monitorFormat = "napmon-monitor-v1"
-
-// Save writes the monitor (configuration plus all comfort zones at every
-// cached enlargement level) to w. On a frozen monitor the serving epoch is
-// pinned for the whole write, so the file captures one consistent
-// generation — absorbed online updates included — even while further
-// updates publish concurrently.
-func (m *Monitor) Save(w io.Writer) error {
-	zones, gamma := m.zones, m.cfg.Gamma
-	if e := m.acquire(); e != nil {
-		defer e.unpin()
-		zones, gamma = e.zones, e.gamma
-	}
-	bw := bufio.NewWriter(w)
-	classes := make([]int, 0, len(zones))
-	for c := range zones {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	inserts := make([]int, len(classes))
-	for i, c := range classes {
-		inserts[i] = zones[c].InsertCount()
-	}
-	hdr, err := json.Marshal(monitorHeader{
-		Format:  monitorFormat,
-		Layer:   m.cfg.Layer,
-		Gamma:   gamma,
-		Width:   m.width,
-		Neurons: m.neurons,
-		Classes: classes,
-		Inserts: inserts,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := bw.Write(append(hdr, '\n')); err != nil {
-		return err
-	}
-	for _, c := range classes {
-		if err := zones[c].save(bw); err != nil {
-			return fmt.Errorf("core: saving zone %d: %w", c, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a monitor previously written with Save.
-func Load(r io.Reader) (*Monitor, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("core: reading monitor header: %w", err)
-	}
-	var hdr monitorHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("core: decoding monitor header: %w", err)
-	}
-	if hdr.Format != monitorFormat {
-		return nil, fmt.Errorf("core: unsupported monitor format %q", hdr.Format)
-	}
-	if len(hdr.Inserts) != len(hdr.Classes) {
-		return nil, fmt.Errorf("core: malformed monitor header")
-	}
-	m := &Monitor{
-		cfg: Config{
-			Layer:   hdr.Layer,
-			Gamma:   hdr.Gamma,
-			Classes: hdr.Classes,
-			Neurons: hdr.Neurons,
-		},
-		neurons: hdr.Neurons,
-		width:   hdr.Width,
-		zones:   make(map[int]*Zone, len(hdr.Classes)),
-	}
-	for i, c := range hdr.Classes {
-		z, err := loadZone(br, len(hdr.Neurons), hdr.Gamma, hdr.Inserts[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: loading zone %d: %w", c, err)
-		}
-		m.zones[c] = z
-	}
-	m.upd.m = m
-	m.initWatchCounters()
-	return m, nil
-}
-
-// SaveFile writes the monitor to the named file.
+// SaveFile writes the monitor's snapshot to the named file, freezing the
+// monitor first if needed (Monitor.Snapshot).
 func (m *Monitor) SaveFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := m.Save(f); err != nil {
+	if err := m.Snapshot(f, nil); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// LoadFile reads a monitor from the named file.
+// LoadFile reads a monitor from a snapshot file. The monitor is frozen at
+// the file's epoch; a delta tail in the file is discarded.
 func LoadFile(path string) (*Monitor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	m, _, err := LoadSnapshot(f)
+	return m, err
 }

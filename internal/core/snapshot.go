@@ -1,18 +1,19 @@
-// Compact monitor snapshots: the warm-start/replication wire format.
-// Where the Save/Load monitor file serializes the zone BDDs node by node
-// (a build-time artifact), a snapshot serializes the *serving* state —
-// every zone's compiled query plans, varint/literal-run framed, plus an
-// epoch-keyed tail of recent deltas with bit-packed patterns — so a
-// replica can warm-start mid-stream: load the snapshot, publish the
-// leader's exact epoch id, and converge bit-for-bit by replaying the
-// delta entries whose epoch keys exceed its own (the same monotone-key
-// addressing the epoch machinery already serves by).
+// Compact monitor snapshots: the one persisted form of a monitor — the
+// monitor file (SaveFile/LoadFile), the body of GET
+// /v1/models/{name}/snapshot and a follower's bootstrap are the same
+// bytes. A snapshot serializes the *serving* state — every zone's
+// compiled query plans, varint/literal-run framed, plus an epoch-keyed
+// tail of recent deltas with bit-packed patterns — so a replica can
+// warm-start mid-stream: load the snapshot, publish the leader's exact
+// epoch id, and converge bit-for-bit by replaying the delta entries whose
+// epoch keys exceed its own (the same monotone-key addressing the epoch
+// machinery already serves by).
 //
 // Layout (all integers varint; signed values zigzag):
 //
 //	"NAPSNAP1"                            8-byte magic
 //	layer (zigzag; -1 = pattern-built)    monitor configuration
-//	gamma, epoch, layerWidth              serving-epoch γ, id, d_l
+//	gamma, epoch, layerWidth              serving-epoch γ (≤ n), id, d_l
 //	n, neuron[0], Δneuron...              monitored neurons, delta-coded
 //	numClasses, then per class ascending:
 //	  class, inserts, levels
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 
 	"napmon/internal/bdd"
@@ -153,6 +155,9 @@ func appendDeltaTail(dst []byte, width int, tail []DeltaEntry) ([]byte, error) {
 	for _, e := range tail {
 		dst = binary.AppendUvarint(dst, e.Epoch)
 		if e.Gamma >= 0 {
+			if err := checkGamma(e.Gamma, width); err != nil {
+				return nil, fmt.Errorf("%w (delta epoch %d)", err, e.Epoch)
+			}
 			dst = binary.AppendUvarint(dst, 1)
 			dst = binary.AppendUvarint(dst, uint64(e.Gamma))
 			continue
@@ -240,6 +245,18 @@ func (r *snapReader) count(what string) int {
 	return int(v)
 }
 
+// bounded reads a value that must not exceed max, so its int conversion
+// can neither wrap negative nor hand a hostile magnitude to code that
+// indexes, allocates or iterates by it.
+func (r *snapReader) bounded(what string, max int) int {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(max) {
+		r.fail("%s %d exceeds %d", what, v, max)
+		return 0
+	}
+	return int(v)
+}
+
 func (r *snapReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -287,16 +304,22 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 		return nil, nil, err
 	}
 
-	layer := int(sr.varint())
-	gamma := int(sr.uvarint())
+	layer := sr.varint()
+	gamma := sr.bounded("gamma", math.MaxInt32)
 	epochID := sr.uvarint()
-	layerWidth := int(sr.uvarint())
+	layerWidth := sr.bounded("layer width", math.MaxInt32)
 	numNeurons := sr.count("neuron")
 	if sr.err != nil {
 		return nil, nil, sr.err
 	}
+	if layer < -1 || layer > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("core: snapshot layer %d out of range", layer)
+	}
 	if numNeurons <= 0 {
 		return nil, nil, fmt.Errorf("core: snapshot has no monitored neurons")
+	}
+	if err := checkGamma(gamma, numNeurons); err != nil {
+		return nil, nil, err
 	}
 	if epochID == 0 {
 		return nil, nil, fmt.Errorf("core: snapshot epoch 0 (monitor was never frozen)")
@@ -304,7 +327,7 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 	neurons := make([]int, numNeurons)
 	prev := -1
 	for i := range neurons {
-		d := int(sr.uvarint())
+		d := sr.bounded("neuron", layerWidth)
 		if i == 0 {
 			neurons[i] = d
 		} else {
@@ -325,8 +348,8 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 	classes := make([]int, 0, numClasses)
 	prevClass := -1
 	for ci := 0; ci < numClasses; ci++ {
-		c := int(sr.uvarint())
-		base := int(sr.uvarint())
+		c := sr.bounded("class", math.MaxInt32)
+		base := sr.bounded("insert count", math.MaxInt)
 		levels := sr.count("level")
 		if sr.err != nil {
 			return nil, nil, sr.err
@@ -365,7 +388,7 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 	}
 
 	m := &Monitor{
-		cfg:     Config{Layer: layer, Gamma: gamma, Classes: classes},
+		cfg:     Config{Layer: int(layer), Gamma: gamma, Classes: classes},
 		neurons: neurons,
 		width:   layerWidth,
 		zones:   zones,
@@ -393,13 +416,13 @@ func readPlan(sr *snapReader, numVars int) (*bdd.Compiled, error) {
 	branches := make([]bdd.PlanBranch, progLen)
 	va := int32(0)
 	for i := 0; i < progLen; {
-		runLen := int(sr.uvarint())
-		va += int32(sr.uvarint())
+		runLen := sr.bounded("plan run", progLen-i)
+		va += int32(sr.bounded("plan variable step", numVars))
 		if sr.err != nil {
 			return nil, sr.err
 		}
-		if runLen <= 0 || i+runLen > progLen {
-			return nil, fmt.Errorf("core: plan run of %d branches at %d overruns program of %d", runLen, i, progLen)
+		if runLen == 0 {
+			return nil, fmt.Errorf("core: empty plan run at branch %d", i)
 		}
 		for end := i + runLen; i < end; i++ {
 			lo, err := decodeTarget(i, sr.uvarint())
@@ -446,7 +469,7 @@ func readDeltaTail(sr *snapReader, width int) ([]DeltaEntry, error) {
 		kind := sr.uvarint()
 		switch kind {
 		case 1:
-			e.Gamma = int(sr.uvarint())
+			e.Gamma = sr.bounded("delta gamma", width)
 		case 0:
 			nc := sr.count("delta class")
 			if sr.err != nil {
@@ -454,7 +477,7 @@ func readDeltaTail(sr *snapReader, width int) ([]DeltaEntry, error) {
 			}
 			e.Delta = make(map[int][]Pattern, nc)
 			for j := 0; j < nc; j++ {
-				c := int(sr.uvarint())
+				c := sr.bounded("delta class", math.MaxInt32)
 				np := sr.count("delta pattern")
 				if sr.err != nil {
 					return nil, sr.err
@@ -509,7 +532,7 @@ func DecodeDeltaStream(data []byte, width int) ([]DeltaEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w := int(sr.uvarint()); sr.err == nil && w != width {
+	if w := sr.uvarint(); sr.err == nil && w != uint64(width) {
 		return nil, fmt.Errorf("core: delta stream width %d, monitor width %d", w, width)
 	}
 	entries, err := readDeltaTail(sr, width)

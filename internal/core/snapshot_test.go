@@ -18,7 +18,7 @@ func snapPattern(width int, seed uint64) Pattern {
 }
 
 // snapMonitor builds a small deterministic monitor for snapshot tests.
-func snapMonitor(t *testing.T, gamma int) *Monitor {
+func snapMonitor(t testing.TB, gamma int) *Monitor {
 	t.Helper()
 	const width = 8
 	perClass := map[int][]Pattern{
@@ -33,12 +33,24 @@ func snapMonitor(t *testing.T, gamma int) *Monitor {
 	return m
 }
 
-// saveBytes serializes a monitor with Save — the byte-level identity the
-// replication path converges on.
-func saveBytes(t *testing.T, m *Monitor) []byte {
+// snapTail is a delta log with both entry kinds — a pattern delta and a
+// γ re-level — for the tail round trip and the fuzz seeds.
+func snapTail() []DeltaEntry {
+	return []DeltaEntry{
+		{Epoch: 2, Gamma: -1, Delta: map[int][]Pattern{
+			0: {snapPattern(8, 50)},
+			2: {snapPattern(8, 51), snapPattern(8, 52)},
+		}},
+		{Epoch: 3, Gamma: 2},
+	}
+}
+
+// snapBytes snapshots a monitor with an empty tail — the byte-level
+// identity the replication path converges on.
+func snapBytes(t testing.TB, m *Monitor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.Snapshot(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -46,8 +58,7 @@ func saveBytes(t *testing.T, m *Monitor) []byte {
 
 // TestSnapshotRoundTrip pins the core warm-start contract: a monitor
 // loaded from a snapshot serves at the source's epoch id, answers every
-// membership query identically, Save-serializes to the identical bytes,
-// and re-snapshots to the identical snapshot.
+// membership query identically and re-snapshots to the identical bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	leader := snapMonitor(t, 1)
 	leader.Freeze()
@@ -58,11 +69,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap bytes.Buffer
-	if err := leader.Snapshot(&snap, nil); err != nil {
-		t.Fatal(err)
-	}
-	follower, tail, err := LoadSnapshot(bytes.NewReader(snap.Bytes()))
+	snap := snapBytes(t, leader)
+	follower, tail, err := LoadSnapshot(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +95,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	if !bytes.Equal(saveBytes(t, leader), saveBytes(t, follower)) {
-		t.Fatal("follower Save bytes differ from leader")
-	}
-	var resnap bytes.Buffer
-	if err := follower.Snapshot(&resnap, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap.Bytes(), resnap.Bytes()) {
+	if !bytes.Equal(snap, snapBytes(t, follower)) {
 		t.Fatal("re-snapshot of loaded monitor differs from original snapshot")
 	}
 }
@@ -102,7 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotDeltaReplay is the replication convergence test: a
 // follower warm-started from an epoch-1 snapshot replays the leader's
 // epoch-keyed deltas and converges bit-for-bit — identical epoch ids at
-// every step and identical Save serialization at the end, the
+// every step and identical snapshot bytes at the end, the
 // assert-don't-eyeball discipline of exp.VerifyCompiledServing applied
 // to replication.
 func TestSnapshotDeltaReplay(t *testing.T) {
@@ -155,8 +156,8 @@ func TestSnapshotDeltaReplay(t *testing.T) {
 	if got, want := follower.Epoch(), leader.Epoch(); got != want {
 		t.Fatalf("final epochs diverge: follower %d, leader %d", got, want)
 	}
-	if !bytes.Equal(saveBytes(t, leader), saveBytes(t, follower)) {
-		t.Fatal("replayed follower Save bytes differ from leader — replication is not bit-for-bit")
+	if !bytes.Equal(snapBytes(t, leader), snapBytes(t, follower)) {
+		t.Fatal("replayed follower snapshot differs from leader — replication is not bit-for-bit")
 	}
 }
 
@@ -164,13 +165,7 @@ func TestSnapshotDeltaReplay(t *testing.T) {
 // snapshot, including a γ entry.
 func TestSnapshotDeltaTail(t *testing.T) {
 	m := snapMonitor(t, 1)
-	tail := []DeltaEntry{
-		{Epoch: 2, Gamma: -1, Delta: map[int][]Pattern{
-			0: {snapPattern(8, 50)},
-			2: {snapPattern(8, 51), snapPattern(8, 52)},
-		}},
-		{Epoch: 3, Gamma: 2},
-	}
+	tail := snapTail()
 	var snap bytes.Buffer
 	if err := m.Snapshot(&snap, tail); err != nil {
 		t.Fatal(err)
@@ -205,6 +200,30 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 	assertEntriesEqual(t, got, entries)
 	if _, err := DecodeDeltaStream(enc, 9); err == nil {
 		t.Fatal("width mismatch not detected")
+	}
+}
+
+// TestDeltaStreamRejectsGammaBeyondWidth: a γ entry a follower would hand
+// to cloneAtGamma → extendTo is bounded by the pattern width on both
+// sides of the wire. The decode half crafts the frame behind a valid
+// checksum, since the encoder refuses to write it.
+func TestDeltaStreamRejectsGammaBeyondWidth(t *testing.T) {
+	if _, err := EncodeDeltaStream(8, []DeltaEntry{{Epoch: 2, Gamma: 9}}); err == nil {
+		t.Fatal("encoder wrote gamma 9 for width 8")
+	}
+	enc, err := EncodeDeltaStream(8, []DeltaEntry{{Epoch: 2, Gamma: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, width, count, epoch, kind, gamma — one byte each.
+	const offGamma = 12
+	if _, err := DecodeDeltaStream(splice(enc, offGamma, 8), 8); err != nil {
+		t.Fatalf("gamma == width rejected: %v", err)
+	}
+	for _, g := range []uint64{9, 1 << 40, 1 << 63} {
+		if got, err := DecodeDeltaStream(splice(enc, offGamma, g), 8); err == nil {
+			t.Errorf("gamma %d accepted as %d", g, got[0].Gamma)
+		}
 	}
 }
 

@@ -242,10 +242,10 @@ func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 // SetGamma-after-Freeze footgun: the serving γ changes atomically for
 // whole batches instead of racing per query.
 func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
-	if gamma < 0 {
-		return 0, fmt.Errorf("core: negative gamma %d", gamma)
-	}
 	m := u.m
+	if err := checkGamma(gamma, len(m.neurons)); err != nil {
+		return 0, err
+	}
 	m.Freeze()
 	u.mu.Lock()
 	defer u.mu.Unlock()

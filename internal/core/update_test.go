@@ -406,9 +406,9 @@ func TestUpdateSoundness(t *testing.T) {
 	}
 }
 
-// TestMonitorSaveLoadAfterUpdate checks that Save captures the updated
-// generation: a monitor that absorbed patterns online round-trips through
-// Save/Load with identical zone contents.
+// TestMonitorSaveLoadAfterUpdate checks that a snapshot captures the
+// updated generation: a monitor that absorbed patterns online round-trips
+// through Snapshot/LoadSnapshot with identical zone contents.
 func TestMonitorSaveLoadAfterUpdate(t *testing.T) {
 	r := rng.New(37)
 	net, layer, train, val := trainedToyNet(t, 37)
@@ -422,10 +422,10 @@ func TestMonitorSaveLoadAfterUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mon.Save(&buf); err != nil {
+	if err := mon.Snapshot(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"napmon/internal/bdd"
 )
@@ -77,8 +76,8 @@ func (z *Zone) Insert(p Pattern) {
 // returns an error instead of silently mutating shared serving state.
 // Change a live monitor's γ by publishing a new epoch (Monitor.UpdateGamma).
 func (z *Zone) SetGamma(gamma int) error {
-	if gamma < 0 {
-		return fmt.Errorf("core: negative gamma %d", gamma)
+	if err := checkGamma(gamma, z.m.NumVars()); err != nil {
+		return err
 	}
 	if z.m.Frozen() {
 		if gamma == z.gamma {
@@ -88,6 +87,20 @@ func (z *Zone) SetGamma(gamma int) error {
 	}
 	z.extendTo(gamma)
 	z.gamma = gamma
+	return nil
+}
+
+// checkGamma bounds an enlargement level by the pattern width. Z^width is
+// already every pattern, so a deeper level adds nothing — and the bound
+// keeps a γ decoded from a snapshot or delta stream from driving extendTo
+// through an absurd number of expansions.
+func checkGamma(gamma, width int) error {
+	if gamma < 0 {
+		return fmt.Errorf("core: negative gamma %d", gamma)
+	}
+	if gamma > width {
+		return fmt.Errorf("core: gamma %d exceeds the %d monitored neurons", gamma, width)
+	}
 	return nil
 }
 
@@ -285,24 +298,3 @@ func (z *Zone) Manager() *bdd.Manager { return z.m }
 
 // Root returns the BDD root of the zone at the current γ.
 func (z *Zone) Root() bdd.Node { return z.roots[z.gamma] }
-
-// save writes the zone's Z⁰..Zᵞ roots.
-func (z *Zone) save(w io.Writer) error {
-	return z.m.Serialize(w, z.roots)
-}
-
-// loadZone reads a zone previously written with save.
-func loadZone(r io.Reader, width, gamma, base int) (*Zone, error) {
-	m := bdd.NewManager(width)
-	roots, err := m.Deserialize(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("core: zone stream has no roots")
-	}
-	if gamma >= len(roots) {
-		return nil, fmt.Errorf("core: zone gamma %d exceeds %d stored levels", gamma, len(roots))
-	}
-	return &Zone{m: m, roots: roots, gamma: gamma, base: base}, nil
-}

@@ -353,10 +353,10 @@ func TestRegistryReplication(t *testing.T) {
 	}
 
 	var lb, fb bytes.Buffer
-	if err := leader.Monitor().Save(&lb); err != nil {
+	if err := leader.Monitor().Snapshot(&lb, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.Monitor().Save(&fb); err != nil {
+	if err := follower.Monitor().Snapshot(&fb, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lb.Bytes(), fb.Bytes()) {

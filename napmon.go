@@ -132,10 +132,9 @@ func BuildMonitorFromPatterns(width, gamma int, perClass map[int][]Pattern) (*Mo
 	return core.BuildFromPatterns(width, gamma, perClass)
 }
 
-// LoadMonitor reads a monitor written with Monitor.Save.
-func LoadMonitor(r io.Reader) (*Monitor, error) { return core.Load(r) }
-
-// LoadMonitorFile reads a monitor from a file.
+// LoadMonitorFile reads a monitor from a file written with
+// Monitor.SaveFile (or by napmon-train -monitor): one snapshot in the
+// LoadSnapshot format. The monitor is frozen at the file's epoch.
 func LoadMonitorFile(path string) (*Monitor, error) { return core.LoadFile(path) }
 
 // EvaluateMonitor runs the monitor over a labelled dataset and aggregates

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -186,11 +187,11 @@ func TestPublicMonitorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := mon.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "toy.monitor")
+	if err := mon.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := napmon.LoadMonitor(&buf)
+	loaded, err := napmon.LoadMonitorFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
