@@ -1,7 +1,8 @@
 # Local invocations mirror .github/workflows/ci.yml exactly: CI calls these
 # same targets, so a green `make ci` locally means a green pipeline. CI
-# gates every PR on: gofmt, vet + staticcheck (lint), build and race tests
-# across a Go version matrix, plus a fuzz-smoke job (test-fuzz), a
+# gates every PR on: gofmt, vet + staticcheck (lint), build, race tests
+# and the 1–4-worker split rerun (test-split) across a Go version matrix,
+# plus a fuzz-smoke job (test-fuzz), a
 # coverage gate (cover-check against ci/coverage-baseline.txt), a
 # serve-demo end-to-end daemon smoke job, a metrics-smoke observability
 # gate (/metrics exposition validated and cross-checked against the /v1
@@ -19,7 +20,7 @@ GO ?= go
 # WATCH_BODY prints one all-0.1 MNIST-shaped watch request (the smokes pipe it to curl)
 WATCH_BODY = awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}'
 
-.PHONY: build test race test-fuzz cover cover-check bench-verdicts latency-budget serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
+.PHONY: build test race test-split test-fuzz cover cover-check bench-verdicts latency-budget serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
 
 ## build: compile every package
 build:
@@ -35,6 +36,13 @@ test:
 ## experiment-reproduction tests ~10x, hence the long timeout.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+## test-split: rerun the GEMM and batched-forward parity suites at 1–4
+## workers, so a goroutine split that does not land on a micro-tile
+## boundary (3 workers over 40 rows, 4 over 250 columns) is exercised on
+## every PR, whatever the runner's core count
+test-split:
+	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn
 
 ## test-fuzz: smoke-run the fuzz targets (differential BDD fuzzer against
 ## a truth-table oracle; pattern wire-format round trip; binary protocol
@@ -313,4 +321,4 @@ clean:
 	rm -rf bin .bench_build bench/out
 
 ## ci: everything the pipeline's verify job runs, in the same order
-ci: fmt lint build race
+ci: fmt lint build race test-split

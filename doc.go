@@ -30,16 +30,17 @@
 // WatchBatch call freezes the monitor's BDD managers read-only and
 // compiles every comfort zone into a flat branch-program query plan,
 // after which whole micro-batches flow through the batched GEMM
-// inference path (stacked im2col, blocked matrix multiply, fused
-// bias+ReLU and bias+ReLU+maxpool epilogues, pooled allocation-free
-// scratch — see DESIGN.md, "Batched inference") with membership queries
-// grouped per predicted class against the compiled plans (DESIGN.md,
-// "Compiled query plans + sharded build"). Membership batches 32 wide
-// or more are answered bit-sliced — the branch program is walked once
-// per 64 queries over transposed lane masks rather than once per query
-// (DESIGN.md, "Bit-sliced zone evaluation"); narrower batches keep the
-// scalar walk, whose per-query cost beats the transpose overhead.
-// WatchBatch may be issued from any
+// inference path (stripe-fused convolution that never stores the im2col
+// matrix, one packed 4×8 micro kernel for every multiply-accumulate,
+// fused bias+ReLU and bias+ReLU+maxpool epilogues, pooled
+// allocation-free scratch — see DESIGN.md, "Batched inference") with
+// membership queries grouped per predicted class against the compiled
+// plans (DESIGN.md, "Compiled query plans + sharded build"). Membership
+// batches 32 wide or more are answered bit-sliced — the branch program
+// is walked once per 64 queries over transposed lane masks rather than
+// once per query (DESIGN.md, "Bit-sliced zone evaluation"); narrower
+// batches keep the scalar walk, whose per-query cost beats the
+// transpose overhead. WatchBatch may be issued from any
 // number of goroutines concurrently (safety by construction — the
 // serving path performs no writes; see DESIGN.md, "Freeze-then-serve
 // concurrency model"):
@@ -227,8 +228,9 @@
 // GTSRB-like datasets and the highway front-car case study the
 // experiments run on. See DESIGN.md for the system inventory; every PR
 // is gated by .github/workflows/ci.yml, mirrored locally by `make ci`:
-// gofmt, vet + staticcheck (make lint), build and race-detector tests
-// on a Go 1.22/1.23 matrix, plus a fuzz-smoke job (make test-fuzz: the
+// gofmt, vet + staticcheck (make lint), build, race-detector tests and
+// the GEMM/forward parity suites at 1–4 workers (make test-split) on a
+// Go 1.22/1.23 matrix, plus a fuzz-smoke job (make test-fuzz: the
 // differential BDD fuzzer, the pattern and wire-frame round trips and
 // the snapshot/delta-stream decoders), a coverage gate (make cover-check
 // against ci/coverage-baseline.txt), a serve-demo end-to-end daemon

@@ -61,13 +61,14 @@ type obs struct {
 	pattern Pattern
 }
 
-// extractObs runs inference and pattern extraction over the samples in
-// parallel.
+// extractObs runs batched inference and pattern extraction over the
+// samples.
 func extractObs(net *nn.Network, layer int, neurons []int, samples []nn.Sample) []obs {
-	return nn.ParallelMap(net, samples, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, layer)
-		return obs{pred: logits.ArgMax(), pattern: PatternOfSubset(acts, neurons)}
+	out := make([]obs, len(samples))
+	net.Observe(samples, layer, func(i, pred int, acts []float64) {
+		out[i] = obs{pred: pred, pattern: PatternOfRow(acts, neurons)}
 	})
+	return out
 }
 
 // tallyMetrics aggregates the Table II statistics over extracted
@@ -115,7 +116,7 @@ func (m *Monitor) pinnedZones() (map[int]*Zone, func()) {
 // Evaluate runs the monitor over a labelled dataset (typically the
 // validation set, per §III's procedure for deciding the coarseness of
 // abstraction) and aggregates the Table II statistics. Inference and
-// pattern extraction run in parallel; zone queries are sequential and
+// pattern extraction run batched; zone queries are sequential and
 // read-only. On a frozen monitor the serving epoch is pinned for the
 // whole evaluation, so the metrics describe exactly one generation even
 // while online updates publish new ones.

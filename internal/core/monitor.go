@@ -380,9 +380,11 @@ func (m *Monitor) Frozen() bool {
 // inference, extracts the activation pattern at the monitored layer, and
 // checks it against the comfort zone of the predicted class.
 func (m *Monitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
-	logits, acts := net.ForwardCapture(x, m.cfg.Layer)
-	pred := logits.ArgMax()
-	p := PatternOfSubset(acts, m.neurons)
+	var pred int
+	var p Pattern
+	net.Observe([]nn.Sample{{Input: x}}, m.cfg.Layer, func(_, c int, acts []float64) {
+		pred, p = c, PatternOfRow(acts, m.neurons)
+	})
 	zones, eid := m.zones, uint64(0)
 	if e := m.acquire(); e != nil {
 		defer e.unpin()
@@ -417,26 +419,38 @@ type groupScratch struct {
 var groupScratches = sync.Pool{New: func() any { return &groupScratch{} }}
 
 // maxWatchChunk bounds how many inputs one ForwardBatch pass stacks
-// together, capping scratch memory (the widest intermediate is the
-// batched im2col matrix — ~0.5MB per input for the Table I MNIST net's
-// second conv) while keeping GEMMs wide enough to saturate the kernels:
-// at 64 samples a conv GEMM is already thousands of columns wide.
-const maxWatchChunk = 64
+// together (see nn.MaxChunk).
+const maxWatchChunk = nn.MaxChunk
+
+// watchSplit plans WatchBatch over n inputs on the given number of
+// workers: every worker serves one contiguous run of per chunks of
+// chunk inputs (the last run and chunk may be short), sized so that the
+// chunks are as equal as maxWatchChunk allows and no worker runs more
+// of them than another — 180 inputs on 2 workers are 2 × 2 chunks of
+// 45, not 64/64/52 with a lone tail.
+func watchSplit(n, workers int) (chunk, per int) {
+	share := (n + workers - 1) / workers
+	per = (share + maxWatchChunk - 1) / maxWatchChunk
+	return (n + per*workers - 1) / (per * workers), per
+}
 
 // WatchBatch runs inference and the comfort-zone membership query for a
 // batch of inputs and returns one Verdict per input, in input order. The
 // batch is fed through Network.ForwardBatch in whole micro-batch chunks —
 // dense layers collapse to one (B×in)×(in×out) GEMM, conv layers to one
-// batched im2col + GEMM — rather than fanning out per-input goroutines,
-// with per-row activation-pattern extraction against the frozen BDD
-// zones. On multi-core hosts the batch splits into per-worker chunks so
-// GEMM width and core count multiply; all scratch is pooled, so a warm
-// serving loop allocates only the verdict slice. The monitor is frozen on
-// first use (see Freeze); WatchBatch may be called concurrently from any
-// number of goroutines because the batched forward path touches no
-// per-layer state. The serving epoch is pinned once for the whole batch:
-// every verdict carries the same Epoch even while online updates publish
-// new generations concurrently.
+// stripe-fused convolution — rather than fanning out per-input
+// goroutines, with per-row activation-pattern extraction against the
+// frozen BDD zones. On multi-core hosts the batch splits into equal
+// per-worker runs of chunks (watchSplit) on top of the layers' own
+// stripe split: the nesting keeps every core in a kernel while another
+// chunk is between layers (DESIGN.md has the measurement that kept it).
+// All scratch is pooled, so a warm serving loop allocates only the
+// verdict slice. The monitor is frozen on first use (see Freeze);
+// WatchBatch may be called concurrently from any number of goroutines
+// because the batched forward path touches no per-layer state. The
+// serving epoch is pinned once for the whole batch: every verdict
+// carries the same Epoch even while online updates publish new
+// generations concurrently.
 func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict {
 	if len(inputs) == 0 {
 		// An empty batch has no serving work to do; in particular it must
@@ -447,42 +461,27 @@ func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict
 	e := m.acquire()
 	defer e.unpin()
 	out := make([]Verdict, len(inputs))
-	workers := runtime.GOMAXPROCS(0)
-	chunk := (len(inputs) + workers - 1) / workers
-	if chunk > maxWatchChunk {
-		chunk = maxWatchChunk
+	chunk, per := watchSplit(len(inputs), runtime.GOMAXPROCS(0))
+	// One worker per run, the first on the calling goroutine; each owns
+	// one scratch pool, so memory is bounded by workers × one chunk's
+	// scratch.
+	serve := func(lo int) {
+		pool := scratchPools.Get().(*tensor.Pool)
+		for hi := min(lo+chunk*per, len(inputs)); lo < hi; lo += chunk {
+			end := min(lo+chunk, hi)
+			m.watchChunkPooled(net, inputs[lo:end], out[lo:end], pool, e, nil)
+		}
+		scratchPools.Put(pool)
 	}
-	if chunk >= len(inputs) {
-		m.watchChunk(net, inputs, out, e)
-		return out
-	}
-	// At most `workers` goroutines run regardless of batch size — each
-	// owns one scratch pool at a time and claims chunks off an atomic
-	// cursor, so memory is bounded by workers × one chunk's scratch.
-	numChunks := (len(inputs) + chunk - 1) / chunk
-	if workers > numChunks {
-		workers = numChunks
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for lo := chunk * per; lo < len(inputs); lo += chunk * per {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > len(inputs) {
-					hi = len(inputs)
-				}
-				m.watchChunk(net, inputs[lo:hi], out[lo:hi], e)
-			}
+			serve(lo)
 		}()
 	}
+	serve(0)
 	wg.Wait()
 	return out
 }
@@ -517,13 +516,6 @@ func (m *Monitor) WatchBatchPooledTimed(net *nn.Network, inputs []*tensor.Tensor
 	out := make([]Verdict, len(inputs))
 	m.watchChunkPooled(net, inputs, out, pool, e, t)
 	return out
-}
-
-// watchChunk serves one chunk with a recycled scratch pool.
-func (m *Monitor) watchChunk(net *nn.Network, inputs []*tensor.Tensor, out []Verdict, e *epoch) {
-	pool := scratchPools.Get().(*tensor.Pool)
-	m.watchChunkPooled(net, inputs, out, pool, e, nil)
-	scratchPools.Put(pool)
 }
 
 // watchChunkPooled is the batched serving core: one ForwardBatchCapture

@@ -64,15 +64,8 @@ func BuildQuantized(net *nn.Network, train []nn.Sample, cfg QuantizedConfig) (*Q
 	}
 	m := &QuantizedMonitor{cfg: cfg, neurons: base.neurons}
 
-	// Pass 1: capture activations (parallel) for thresholds and patterns.
-	type obs struct {
-		pred   int
-		values []float64
-	}
-	results := nn.ParallelMap(net, train, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, cfg.Layer)
-		return obs{pred: logits.ArgMax(), values: projectValues(acts, m.neurons)}
-	})
+	// Pass 1: capture activations for thresholds and patterns.
+	results := extractValues(net, cfg.Layer, m.neurons, train)
 
 	// Learn thresholds per neuron: 0 first (the ReLU activation
 	// boundary), then uniform quantiles of the positive activations.
@@ -186,10 +179,8 @@ func (m *QuantizedMonitor) SetGamma(gamma int) error {
 // Watch classifies x and checks its quantized pattern against the
 // predicted class's zone.
 func (m *QuantizedMonitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
-	logits, acts := net.ForwardCapture(x, m.cfg.Layer)
-	pred := logits.ArgMax()
-	values := projectValues(acts, m.neurons)
-	p := m.encode(values)
+	o := extractValues(net, m.cfg.Layer, m.neurons, []nn.Sample{{Input: x}})[0]
+	pred, p := o.pred, m.encode(o.values)
 	z, ok := m.zones[pred]
 	if !ok {
 		return Verdict{Class: pred, Monitored: false, Pattern: p}
@@ -197,14 +188,15 @@ func (m *QuantizedMonitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
 	return Verdict{Class: pred, Monitored: true, OutOfPattern: !z.Contains(p), Pattern: p}
 }
 
-// extractQuantizedObs runs inference in parallel and thermometer-encodes
-// each sample's monitored values, yielding the same observation form the
+// extractQuantizedObs runs batched inference and thermometer-encodes each
+// sample's monitored values, yielding the same observation form the
 // shared tallyMetrics consumes.
 func extractQuantizedObs(net *nn.Network, m *QuantizedMonitor, samples []nn.Sample) []obs {
-	return nn.ParallelMap(net, samples, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, m.cfg.Layer)
-		return obs{pred: logits.ArgMax(), pattern: m.encode(projectValues(acts, m.neurons))}
-	})
+	out := make([]obs, len(samples))
+	for i, o := range extractValues(net, m.cfg.Layer, m.neurons, samples) {
+		out[i] = obs{pred: o.pred, pattern: m.encode(o.values)}
+	}
+	return out
 }
 
 // EvaluateQuantizedAt aggregates Table II-style statistics for a

@@ -125,14 +125,7 @@ func BuildRefined(net *nn.Network, train []nn.Sample, cfg RefinedConfig) (*Refin
 	for c := range base.zones {
 		m.zones[c] = &refinedClassZone{byKey: map[string]refinedElement{}}
 	}
-	type obs struct {
-		pred   int
-		values []float64
-	}
-	results := nn.ParallelMap(net, train, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, cfg.Layer)
-		return obs{pred: logits.ArgMax(), values: projectValues(acts, m.neurons)}
-	})
+	results := extractValues(net, cfg.Layer, m.neurons, train)
 	dim := len(m.neurons)
 	for i, r := range results {
 		if r.pred != train[i].Label {
@@ -169,14 +162,24 @@ func BuildRefined(net *nn.Network, train []nn.Sample, cfg RefinedConfig) (*Refin
 	return m, nil
 }
 
-// projectValues extracts the monitored neuron values from a captured
-// activation tensor.
-func projectValues(acts *tensor.Tensor, neurons []int) []float64 {
-	out := make([]float64, len(neurons))
-	data := acts.Data()
-	for i, n := range neurons {
-		out[i] = data[n]
-	}
+// valueObs is one observation of the value-based monitors: the
+// network's decision and the monitored neurons' activation values.
+type valueObs struct {
+	pred   int
+	values []float64
+}
+
+// extractValues runs batched inference over the samples and projects
+// each captured activation row onto the monitored neurons.
+func extractValues(net *nn.Network, layer int, neurons []int, samples []nn.Sample) []valueObs {
+	out := make([]valueObs, len(samples))
+	net.Observe(samples, layer, func(i, pred int, acts []float64) {
+		values := make([]float64, len(neurons))
+		for j, n := range neurons {
+			values[j] = acts[n]
+		}
+		out[i] = valueObs{pred: pred, values: values}
+	})
 	return out
 }
 
@@ -215,9 +218,8 @@ func (m *RefinedMonitor) Elements(c int) int {
 // Watch classifies x and checks its monitored activation values against
 // the predicted class's refined zone.
 func (m *RefinedMonitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
-	logits, acts := net.ForwardCapture(x, m.cfg.Layer)
-	pred := logits.ArgMax()
-	values := projectValues(acts, m.neurons)
+	o := extractValues(net, m.cfg.Layer, m.neurons, []nn.Sample{{Input: x}})[0]
+	pred, values := o.pred, o.values
 	pattern := valuesPattern(values)
 	z, ok := m.zones[pred]
 	if !ok {
@@ -248,14 +250,7 @@ func (m *RefinedMonitor) zoneContains(z *refinedClassZone, pattern Pattern, valu
 // EvaluateRefined aggregates Table II-style statistics for a refined
 // monitor over a labelled dataset.
 func EvaluateRefined(net *nn.Network, m *RefinedMonitor, samples []nn.Sample) Metrics {
-	type obs struct {
-		pred   int
-		values []float64
-	}
-	results := nn.ParallelMap(net, samples, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, m.cfg.Layer)
-		return obs{pred: logits.ArgMax(), values: projectValues(acts, m.neurons)}
-	})
+	results := extractValues(net, m.cfg.Layer, m.neurons, samples)
 	var out Metrics
 	out.Total = len(samples)
 	for i, r := range results {

@@ -111,26 +111,13 @@ func onlineStudy(opts Options, gamma, chunks int) (*OnlineResult, error) {
 // the activation pattern of every correctly classified sample, keyed by
 // its ground-truth class — exactly the delta Monitor.UpdateBatch absorbs.
 func extractPatterns(net *nn.Network, mon *core.Monitor, samples []nn.Sample) map[int][]core.Pattern {
-	type obs struct {
-		pred    int
-		pattern core.Pattern
-	}
-	layer := mon.Config().Layer
 	neurons := mon.Neurons()
-	results := nn.ParallelMap(net, samples, func(w *nn.Network, s nn.Sample) obs {
-		logits, acts := w.ForwardCapture(s.Input, layer)
-		return obs{pred: logits.ArgMax(), pattern: core.PatternOfSubset(acts, neurons)}
-	})
 	delta := make(map[int][]core.Pattern)
-	for i, r := range results {
-		if r.pred != samples[i].Label {
-			continue
+	net.Observe(samples, mon.Config().Layer, func(i, pred int, acts []float64) {
+		if label := samples[i].Label; pred == label && mon.Zone(label) != nil {
+			delta[label] = append(delta[label], core.PatternOfRow(acts, neurons))
 		}
-		if mon.Zone(samples[i].Label) == nil {
-			continue
-		}
-		delta[samples[i].Label] = append(delta[samples[i].Label], r.pattern)
-	}
+	})
 	return delta
 }
 

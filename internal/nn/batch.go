@@ -1,21 +1,74 @@
 // Batched inference: every layer implements ForwardBatch over a stacked
 // (B, per-sample shape...) tensor, so a whole micro-batch flows through
 // the network as a handful of large GEMMs instead of B small ones —
-// dense layers become one (B×in)×(in×out) product, conv layers lower the
-// whole batch with one Im2ColBatch and multiply once. All scratch comes
-// from a tensor.Pool, making the hot path allocation-free after warm-up,
-// and adjacent Dense+ReLU pairs fuse into a single GEMM with a
-// bias+ReLU epilogue. Each output row is bit-identical to the per-sample
-// Forward path (the kernels keep identical accumulation order), which
-// the randomized equivalence tests in batch_test.go pin down.
+// dense layers become one (B×in)×(in×out) product, conv layers one
+// stripe-fused tensor.Conv2DBatchInto that never stores the im2col
+// matrix. All activations come from a tensor.Pool, making the hot path
+// allocation-free after warm-up; Dense+ReLU fuses into a GEMM with a
+// bias+ReLU epilogue and Conv+ReLU(+MaxPool 2) into the convolution's.
+// Each output row is bit-identical to the per-sample Forward path (the
+// kernels keep identical accumulation order), which the randomized
+// equivalence tests in batch_test.go pin down.
 package nn
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"napmon/internal/tensor"
 )
+
+// MaxChunk bounds how many inputs one ForwardBatch pass stacks together.
+// It caps scratch memory — the widest intermediate of the Table I MNIST
+// net is conv1's pooled map, 46 KB per input — while keeping GEMMs wide
+// enough to saturate the kernels: at 64 samples a conv GEMM is already
+// thousands of columns wide.
+const MaxChunk = 64
+
+// scratchPools recycles tensor.Pool instances across Observe calls. Each
+// pool is owned by exactly one goroutine between Get and Put.
+var scratchPools = sync.Pool{New: func() any { return tensor.NewPool() }}
+
+// Observe is dataset-level inference: it feeds the samples' inputs
+// through ForwardBatchCapture in chunks of at most MaxChunk on one
+// recycled scratch pool and calls visit, in input order, with each
+// sample's index, its decision (the argmax of its logits, ties to the
+// lowest class) and its row of the output of layer capture. The row is
+// only valid during the call; a negative capture skips it (nil row).
+// Like ForwardBatch it touches no per-layer state, so concurrent calls
+// on one network are safe; the cores are spent inside each layer.
+func (n *Network) Observe(samples []Sample, capture int, visit func(i, pred int, captured []float64)) {
+	pool := scratchPools.Get().(*tensor.Pool)
+	defer scratchPools.Put(pool)
+	var inputs [MaxChunk]*tensor.Tensor
+	for lo := 0; lo < len(samples); lo += MaxChunk {
+		b := min(MaxChunk, len(samples)-lo)
+		for i, s := range samples[lo : lo+b] {
+			inputs[i] = s.Input
+		}
+		logits, acts := n.forwardBatch(inputs[:b], capture, pool)
+		nc := logits.Len() / b
+		for i := 0; i < b; i++ {
+			scores, pred := logits.Data()[i*nc:(i+1)*nc], 0
+			for j, v := range scores {
+				if v > scores[pred] {
+					pred = j
+				}
+			}
+			var row []float64
+			if acts != nil {
+				width := acts.Len() / b
+				row = acts.Data()[i*width : (i+1)*width]
+			}
+			visit(lo+i, pred, row)
+		}
+		pool.Put(logits)
+		if acts != nil && &acts.Data()[0] != &logits.Data()[0] {
+			pool.Put(acts)
+		}
+	}
+}
 
 // ForwardBatch runs inference over the batch of inputs and returns the
 // stacked logits of shape (B, classes). All inputs must share one shape.
@@ -73,17 +126,14 @@ func (n *Network) forwardBatch(inputs []*tensor.Tensor, capture int, pool *tenso
 					next = l.forwardBatchDense(cur, pool, true)
 					step = 2
 				case *Conv2D:
-					// Conv→ReLU→MaxPool(2) collapses into one GEMM with a
-					// bias+ReLU+pool epilogue when neither intermediate is
-					// captured: the full-resolution activation map is never
-					// materialized (see tensor.AddBiasReLUPool2Into).
+					// Conv→ReLU→MaxPool(2) collapses into one convolution with
+					// a bias+ReLU+pool epilogue when neither intermediate is
+					// captured.
+					step = 2
 					if mp, ok := poolAfter(n.layers, i+2); ok && capture != i+1 && l.poolFusable(cur, mp.size) {
-						next = l.forwardBatchConvPool(cur, pool, mp.size)
 						step = 3
-					} else {
-						next = l.forwardBatchConv(cur, pool, true)
-						step = 2
 					}
+					next = l.forwardBatchConv(cur, pool, true, step == 3)
 				}
 			}
 		}
@@ -160,52 +210,27 @@ func (d *Dense) forwardBatchDense(x *tensor.Tensor, pool *tensor.Pool, fuseReLU 
 	return out
 }
 
-// ForwardBatch implements Layer: the whole batch is lowered with one
-// Im2ColBatch, multiplied by the kernel matrix in a single GEMM, and
-// unstacked to batch-major layout with the bias folded into the copy.
+// ForwardBatch implements Layer: the whole batch is convolved by one
+// stripe-fused tensor.Conv2DBatchInto with the bias folded in.
 func (c *Conv2D) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	return c.forwardBatchConv(x, pool, false)
+	return c.forwardBatchConv(x, pool, false, false)
 }
 
-// forwardBatchConvPool is the three-layer fusion Conv→ReLU→MaxPool(size):
-// one batched im2col, one GEMM, then the fused bias+ReLU+2×2-max epilogue
-// writing the pooled map directly — the conv's full-resolution output
-// never exists in memory. Bit-identical to the unfused layer sequence.
-func (c *Conv2D) forwardBatchConvPool(x *tensor.Tensor, pool *tensor.Pool, size int) *tensor.Tensor {
+// forwardBatchConv is the batched convolution with the layers that
+// follow it fused into its epilogue: relu covers Conv→ReLU, pool2 (with
+// relu) Conv→ReLU→MaxPool(2), whose full-resolution map then never
+// exists. Bit-identical to the unfused layer sequence.
+func (c *Conv2D) forwardBatchConv(x *tensor.Tensor, pool *tensor.Pool, relu, pool2 bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s ForwardBatch got input %v, want (B,%d,H,W)", c.Name(), x.Shape(), c.inC))
 	}
-	b, inH, inW := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH := (inH-c.kh)/c.stride + 1
-	outW := (inW-c.kw)/c.stride + 1
-	area := outH * outW
-	cols := pool.Get(c.inC*c.kh*c.kw, b*area)
-	tensor.Im2ColBatchInto(cols, x, c.kh, c.kw, c.stride)
-	prod := pool.Get(c.outC, b*area)
-	tensor.MatMulInto(prod, c.w.Reshape(c.outC, c.inC*c.kh*c.kw), cols)
-	pool.Put(cols)
-	out := pool.Get(b, c.outC, outH/size, outW/size)
-	tensor.AddBiasReLUPool2Into(out, prod, b, c.outC, outH, outW, c.b.Data())
-	pool.Put(prod)
-	return out
-}
-
-func (c *Conv2D) forwardBatchConv(x *tensor.Tensor, pool *tensor.Pool, fuseReLU bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.inC {
-		panic(fmt.Sprintf("nn: %s ForwardBatch got input %v, want (B,%d,H,W)", c.Name(), x.Shape(), c.inC))
+	outH := (x.Dim(2)-c.kh)/c.stride + 1
+	outW := (x.Dim(3)-c.kw)/c.stride + 1
+	if pool2 {
+		outH, outW = outH/2, outW/2
 	}
-	b, inH, inW := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH := (inH-c.kh)/c.stride + 1
-	outW := (inW-c.kw)/c.stride + 1
-	area := outH * outW
-	cols := pool.Get(c.inC*c.kh*c.kw, b*area)
-	tensor.Im2ColBatchInto(cols, x, c.kh, c.kw, c.stride)
-	prod := pool.Get(c.outC, b*area)
-	tensor.MatMulInto(prod, c.w.Reshape(c.outC, c.inC*c.kh*c.kw), cols)
-	pool.Put(cols)
-	out := pool.Get(b, c.outC, outH, outW)
-	tensor.AddBiasUnstackInto(out, prod, b, c.outC, area, c.b.Data(), fuseReLU)
-	pool.Put(prod)
+	out := pool.Get(x.Dim(0), c.outC, outH, outW)
+	tensor.Conv2DBatchInto(out, x, c.w, c.b.Data(), c.stride, relu, pool2)
 	return out
 }
 

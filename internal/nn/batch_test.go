@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -126,6 +127,135 @@ func TestForwardBatchCaptureMatchesForwardCapture(t *testing.T) {
 	}
 }
 
+// tableINet spells out the layer lists of exp.MNISTNetSpecs (network 1)
+// and exp.GTSRBNetSpecs (network 2) — nn cannot import exp — with the
+// input shape and the monitored layer of each. Network 2 puts batch-norm
+// between conv and ReLU, so its convolutions take the bias-only epilogue.
+func tableINet(r *rng.Source, network int) (net *Network, shape []int, monitored int) {
+	if network == 1 {
+		return New(
+			NewConv2D(40, 1, 5, 5, 1, r), NewReLU(), NewMaxPool(2),
+			NewConv2D(20, 40, 5, 5, 1, r), NewReLU(), NewMaxPool(2),
+			NewFlatten(),
+			NewDense(320, 320, r), NewReLU(),
+			NewDense(320, 160, r), NewReLU(),
+			NewDense(160, 80, r), NewReLU(),
+			NewDense(80, 40, r), NewReLU(),
+			NewDense(40, 10, r),
+		), []int{1, 28, 28}, 14
+	}
+	return New(
+		NewConv2D(40, 3, 5, 5, 1, r), NewBatchNorm(40), NewReLU(), NewMaxPool(2),
+		NewConv2D(20, 40, 5, 5, 1, r), NewBatchNorm(20), NewReLU(), NewMaxPool(2),
+		NewFlatten(),
+		NewDense(500, 240, r), NewReLU(),
+		NewDense(240, 84, r), NewReLU(),
+		NewDense(84, 43, r),
+	), []int{3, 32, 32}, 12
+}
+
+// TestForwardBatchTableIWidths runs both Table I architectures at every
+// batch width where the schedule changes shape — one row, fewer than a
+// micro panel, exactly one, one past it, one short of a full chunk, a
+// full chunk, one past it — on one pool, against per-sample
+// ForwardCapture.
+func TestForwardBatchTableIWidths(t *testing.T) {
+	for network := 1; network <= 2; network++ {
+		r := rng.New(uint64(800 + network))
+		net, shape, monitored := tableINet(r, network)
+		for warm := 0; warm < 3; warm++ { // nontrivial batch-norm statistics
+			net.forward(randInput(r, shape...), true)
+		}
+		inputs := make([]*tensor.Tensor, 65)
+		wantLogits, wantCap := make([]*tensor.Tensor, 65), make([]*tensor.Tensor, 65)
+		for i := range inputs {
+			inputs[i] = randInput(r, shape...)
+			wantLogits[i], wantCap[i] = net.ForwardCapture(inputs[i], monitored)
+		}
+		pool := tensor.NewPool()
+		for _, width := range []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65} {
+			logits, captured := net.ForwardBatchCapture(inputs[:width], monitored, pool)
+			for b := 0; b < width; b++ {
+				tag := fmt.Sprintf("network %d width %d", network, width)
+				assertRowsEqual(t, tag+" logits", logits, b, wantLogits[b])
+				assertRowsEqual(t, tag+" captured", captured, b, wantCap[b])
+			}
+			pool.Put(logits)
+			pool.Put(captured)
+		}
+	}
+}
+
+// TestForwardBatchAwkwardGeometry sweeps the capture index over every
+// layer of two nets built from what the Table I nets do not have: a
+// stride-2 convolution, odd maps under a 3×3 pool (nothing to fuse), a
+// convolution feeding a pool and one feeding Flatten with no ReLU
+// between, channel counts that are not a multiple of the 4-row micro
+// tile, and K = 270 > blockK.
+func TestForwardBatchAwkwardGeometry(t *testing.T) {
+	r := rng.New(909)
+	for _, c := range []struct {
+		net   *Network
+		shape []int
+	}{
+		{New( // 2×19×19 → 6×9×9 → 6×3×3
+			NewConv2D(6, 2, 3, 3, 2, r), NewReLU(), NewMaxPool(3),
+			NewFlatten(), NewDense(54, 7, r),
+		), []int{2, 19, 19}},
+		{New( // 30×8×8 → 5×6×6 → 5×3×3 → 3×2×2
+			NewConv2D(5, 30, 3, 3, 1, r), NewMaxPool(2),
+			NewConv2D(3, 5, 2, 2, 1, r), NewFlatten(), NewReLU(), NewDense(12, 4, r),
+		), []int{30, 8, 8}},
+	} {
+		inputs := make([]*tensor.Tensor, 9)
+		for i := range inputs {
+			inputs[i] = randInput(r, c.shape...)
+		}
+		pool := tensor.NewPool()
+		for capture := 0; capture < c.net.NumLayers(); capture++ {
+			for _, width := range []int{1, 3, 9} {
+				logits, captured := c.net.ForwardBatchCapture(inputs[:width], capture, pool)
+				for b, x := range inputs[:width] {
+					wantLogits, wantCap := c.net.ForwardCapture(x, capture)
+					tag := fmt.Sprintf("%s capture %d width %d", c.net, capture, width)
+					assertRowsEqual(t, tag+" logits", logits, b, wantLogits)
+					assertRowsEqual(t, tag+" captured", captured, b, wantCap)
+				}
+			}
+		}
+	}
+}
+
+// TestObserveMatchesForwardCapture pins dataset-level inference: every
+// sample is visited once, in order, across chunk boundaries, with the
+// decision and captured row per-sample ForwardCapture gives; an empty
+// dataset visits nothing.
+func TestObserveMatchesForwardCapture(t *testing.T) {
+	r := rng.New(910)
+	net := randConvNet(r)
+	samples := make([]Sample, 2*MaxChunk+7)
+	for i := range samples {
+		samples[i].Input = randInput(r, 2, 12, 12)
+	}
+	const capture = 9 // ReLU(fc(10))
+	next := 0
+	net.Observe(samples, capture, func(i, pred int, acts []float64) {
+		if i != next {
+			t.Fatalf("visited sample %d, want %d", i, next)
+		}
+		next++
+		logits, captured := net.ForwardCapture(samples[i].Input, capture)
+		if pred != logits.ArgMax() {
+			t.Fatalf("sample %d: decision %d, per-sample %d", i, pred, logits.ArgMax())
+		}
+		assertRowsEqual(t, "observed acts", tensor.FromSlice(acts, len(acts)), 0, captured)
+	})
+	if next != len(samples) {
+		t.Fatalf("visited %d of %d samples", next, len(samples))
+	}
+	net.Observe(nil, capture, func(int, int, []float64) { t.Fatal("visit on an empty dataset") })
+}
+
 // TestForwardBatchCapturePreFlattenNoDoubleFree is the regression test
 // for a pool-corruption bug: when the captured layer's output later
 // flowed through Flatten (a view sharing its backing array), the view
@@ -229,45 +359,31 @@ func TestForwardBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkForwardBatchShapes compares per-sample Forward against
-// ForwardBatch on an untrained network with the paper's MNIST (Table I)
-// architecture — training does not change the arithmetic cost, so this
-// is the fast inner-loop benchmark for kernel work. inputs/s is the
-// comparable throughput metric.
-func BenchmarkForwardBatchShapes(b *testing.B) {
+// BenchmarkForwardBatchNet1 is the fast local loop for inference work:
+// one ForwardBatchCapture pass of network 1 (untrained — training does
+// not change the arithmetic cost) on a warm pool at the widths serving
+// sees: 1 (an idle lane), 8 (one micro panel) and 64 (a full chunk).
+func BenchmarkForwardBatchNet1(b *testing.B) {
 	r := rng.New(1)
-	net := New(
-		NewConv2D(40, 1, 5, 5, 1, r), NewReLU(), NewMaxPool(2),
-		NewConv2D(20, 40, 5, 5, 1, r), NewReLU(), NewMaxPool(2),
-		NewFlatten(),
-		NewDense(320, 320, r), NewReLU(),
-		NewDense(320, 160, r), NewReLU(),
-		NewDense(160, 80, r), NewReLU(),
-		NewDense(80, 40, r), NewReLU(),
-		NewDense(40, 10, r),
-	)
-	const batch = 64
-	inputs := make([]*tensor.Tensor, batch)
+	net, shape, monitored := tableINet(r, 1)
+	inputs := make([]*tensor.Tensor, MaxChunk)
 	for i := range inputs {
-		inputs[i] = randInput(r, 1, 28, 28)
+		inputs[i] = randInput(r, shape...)
 	}
-	b.Run("forward_loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, x := range inputs {
-				net.Forward(x)
+	for _, width := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("b%d", width), func(b *testing.B) {
+			pool := tensor.NewPool()
+			for i := 0; i < b.N+1; i++ {
+				if i == 1 {
+					b.ResetTimer() // pass 0 warmed the pool
+				}
+				logits, captured := net.ForwardBatchCapture(inputs[:width], monitored, pool)
+				pool.Put(logits)
+				pool.Put(captured)
 			}
-		}
-		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "inputs/s")
-	})
-	b.Run("forward_batch", func(b *testing.B) {
-		pool := tensor.NewPool()
-		pool.Put(net.ForwardBatch(inputs, pool))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.Put(net.ForwardBatch(inputs, pool))
-		}
-		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "inputs/s")
-	})
+			b.ReportMetric(float64(width)*float64(b.N)/b.Elapsed().Seconds(), "inputs/s")
+		})
+	}
 }
 
 // TestForwardBatchRejectsBadBatch checks the input-validation panics:

@@ -82,21 +82,19 @@ func TestTrainLRDecayApplied(t *testing.T) {
 	}
 }
 
-func TestParallelMapSingleSample(t *testing.T) {
+func TestObserveSingleSample(t *testing.T) {
 	r := rng.New(7)
 	net := New(NewDense(2, 3, r), NewReLU(), NewDense(3, 2, r))
-	out := ParallelMap(net, []Sample{{Input: randInput(r, 2), Label: 0}},
-		func(n *Network, s Sample) int { return n.Predict(s.Input) })
-	if len(out) != 1 {
-		t.Fatalf("got %d results", len(out))
-	}
-}
-
-func TestParallelCountEmpty(t *testing.T) {
-	r := rng.New(8)
-	net := New(NewDense(2, 2, r))
-	if got := ParallelCount(net, nil, func(*Network, Sample) bool { return true }); got != 0 {
-		t.Fatalf("ParallelCount(nil) = %d", got)
+	s := Sample{Input: randInput(r, 2)}
+	visits := 0
+	net.Observe([]Sample{s}, -1, func(i, pred int, acts []float64) {
+		visits++
+		if i != 0 || pred != net.Predict(s.Input) || acts != nil {
+			t.Fatalf("visit(%d, %d, %v), want (0, %d, nil)", i, pred, acts, net.Predict(s.Input))
+		}
+	})
+	if visits != 1 {
+		t.Fatalf("got %d visits", visits)
 	}
 }
 

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"napmon/internal/rng"
@@ -438,9 +439,19 @@ func TestCloneSharedConcurrentInference(t *testing.T) {
 	for i, s := range samples {
 		want[i] = net.Predict(s.Input)
 	}
-	got := ParallelMap(net, samples, func(n *Network, s Sample) int {
-		return n.Predict(s.Input)
-	})
+	got := make([]int, len(samples))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clone := net.CloneShared()
+			for i := g; i < len(samples); i += 4 {
+				got[i] = clone.Predict(samples[i].Input)
+			}
+		}()
+	}
+	wg.Wait()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("parallel prediction %d = %d, sequential = %d", i, got[i], want[i])
@@ -448,7 +459,9 @@ func TestCloneSharedConcurrentInference(t *testing.T) {
 	}
 }
 
-func TestParallelCountMatchesSequential(t *testing.T) {
+// TestAccuracyMatchesSequential pins the batched evaluation count against
+// the per-sample Predict loop, across a chunk boundary.
+func TestAccuracyMatchesSequential(t *testing.T) {
 	r := rng.New(18)
 	net := New(NewDense(4, 8, r), NewReLU(), NewDense(8, 2, r))
 	var samples []Sample
@@ -461,29 +474,8 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 			seq++
 		}
 	}
-	par := ParallelCount(net, samples, func(n *Network, s Sample) bool {
-		return n.Predict(s.Input) == s.Label
-	})
-	if par != seq {
-		t.Fatalf("ParallelCount = %d, sequential = %d", par, seq)
-	}
-}
-
-// TestParallelMapSliceEmpty is the regression guard for degenerate
-// batches: no items must yield an empty but non-nil result, without
-// calling f (there are no workers to spin up and nothing to clone).
-func TestParallelMapSliceEmpty(t *testing.T) {
-	net := New(NewDense(2, 2, rng.New(20)))
-	called := false
-	out := ParallelMapSlice(net, nil, func(*Network, int) int {
-		called = true
-		return 0
-	})
-	if out == nil {
-		t.Fatal("ParallelMapSlice(nil items) returned nil, want empty non-nil")
-	}
-	if len(out) != 0 || called {
-		t.Fatalf("ParallelMapSlice(nil items): len=%d called=%v", len(out), called)
+	if got := Accuracy(net, samples); got != float64(seq)/float64(len(samples)) {
+		t.Fatalf("Accuracy = %v, sequential count = %d of %d", got, seq, len(samples))
 	}
 }
 

@@ -132,13 +132,16 @@ func Train(net *Network, samples []Sample, cfg TrainConfig) []EpochStats {
 }
 
 // Accuracy evaluates the fraction of samples the network classifies
-// correctly, running inference in parallel across shared-parameter clones.
+// correctly, on the batched inference path.
 func Accuracy(net *Network, samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	correct := ParallelCount(net, samples, func(n *Network, s Sample) bool {
-		return n.Predict(s.Input) == s.Label
+	correct := 0
+	net.Observe(samples, -1, func(i, pred int, _ []float64) {
+		if pred == samples[i].Label {
+			correct++
+		}
 	})
 	return float64(correct) / float64(len(samples))
 }

@@ -122,10 +122,11 @@ func TestIm2ColBatchMatchesIm2Col(t *testing.T) {
 		h := kh + r.Intn(6)
 		w := kw + r.Intn(6)
 		batch := randTensor(r, bsz, c, h, w)
-		cols := Im2ColBatch(batch, kh, kw, stride)
 		outH := (h-kh)/stride + 1
 		outW := (w-kw)/stride + 1
 		p := outH * outW
+		cols := New(c*kh*kw, bsz*p)
+		Im2ColBatchInto(cols, batch, kh, kw, stride)
 		sampleLen := c * h * w
 		for s := 0; s < bsz; s++ {
 			sample := FromSlice(batch.Data()[s*sampleLen:(s+1)*sampleLen], c, h, w)
@@ -142,37 +143,125 @@ func TestIm2ColBatchMatchesIm2Col(t *testing.T) {
 	}
 }
 
-// TestAddBiasUnstack checks the conv epilogue: GEMM output columns
-// grouped by sample must land batch-major with the channel bias added.
-func TestAddBiasUnstack(t *testing.T) {
-	const bsz, outC, area = 3, 2, 4
-	src := New(outC, bsz*area)
-	for i := range src.Data() {
-		src.Data()[i] = float64(i)
+// convCase is one random batched-convolution problem. The geometries
+// cover what the stripe driver has to get right: strides 1 and 2, channel
+// counts that are not a multiple of the 4-row micro tile, K beyond one
+// blockK panel, maps wider than a micro panel and narrower than one, and
+// stripes that span several samples.
+type convCase struct {
+	batch, kernel *Tensor
+	bias          []float64
+	stride        int
+}
+
+func randConvCase(r *rng.Source, even bool) convCase {
+	bsz, inC, outC := 1+r.Intn(5), 1+r.Intn(3), 1+r.Intn(9)
+	kh, kw, stride := 1+r.Intn(3), 1+r.Intn(3), 1+r.Intn(2)
+	if r.Bool(0.3) {
+		inC, kh, kw = 30+r.Intn(4), 3, 3 // K = 270..297 > blockK
 	}
-	bias := []float64{10, 20}
-	dst := New(bsz, outC, area)
-	AddBiasUnstackInto(dst, src, bsz, outC, area, bias, false)
-	relu := New(bsz, outC, area)
-	AddBiasUnstackInto(relu, src, bsz, outC, area, bias, true)
-	for i, v := range dst.Data() {
-		want := v
-		if want < 0 {
-			want = 0
-		}
-		if relu.Data()[i] != want {
-			t.Fatalf("relu epilogue elem %d: got %v, want %v", i, relu.Data()[i], want)
-		}
+	outH, outW := 1+r.Intn(12), 1+r.Intn(12)
+	if even {
+		outH, outW = outH+outH%2, outW+outW%2
 	}
+	c := convCase{
+		batch:  randTensor(r, bsz, inC, (outH-1)*stride+kh+r.Intn(stride), (outW-1)*stride+kw+r.Intn(stride)),
+		kernel: randTensor(r, outC, inC, kh, kw),
+		stride: stride,
+	}
+	if r.Bool(0.8) {
+		c.bias = randTensor(r, outC).Data()
+	}
+	return c
+}
+
+// perSample is the reference the batched driver must reproduce bit for
+// bit: per sample Im2Col → MatMul → bias → ReLU → MaxPool2D, stacked.
+func (c convCase) perSample(relu, pool2 bool) *Tensor {
+	bsz, inC, h, w := c.batch.Dim(0), c.batch.Dim(1), c.batch.Dim(2), c.batch.Dim(3)
+	outC, kh, kw := c.kernel.Dim(0), c.kernel.Dim(2), c.kernel.Dim(3)
+	outH, outW := (h-kh)/c.stride+1, (w-kw)/c.stride+1
+	var out []float64
+	for s := 0; s < bsz; s++ {
+		sample := FromSlice(c.batch.Data()[s*inC*h*w:(s+1)*inC*h*w], inC, h, w)
+		y := MatMul(c.kernel.Reshape(outC, inC*kh*kw), Im2Col(sample, kh, kw, c.stride))
+		c.epilogue(y.Data(), outC, outH*outW, relu)
+		if pool2 {
+			y, _ = MaxPool2D(y.Reshape(outC, outH, outW), 2)
+		}
+		out = append(out, y.Data()...)
+	}
+	return FromSlice(out, len(out))
+}
+
+// wholeBatch is the schedule the stripe driver replaced: Im2ColBatchInto
+// → MatMulInto → the same epilogue on the whole (outC, B·area) product.
+func (c convCase) wholeBatch(relu, pool2 bool) *Tensor {
+	bsz, inC, h, w := c.batch.Dim(0), c.batch.Dim(1), c.batch.Dim(2), c.batch.Dim(3)
+	outC, kh, kw := c.kernel.Dim(0), c.kernel.Dim(2), c.kernel.Dim(3)
+	outH, outW := (h-kh)/c.stride+1, (w-kw)/c.stride+1
+	area := outH * outW
+	cols := New(inC*kh*kw, bsz*area)
+	Im2ColBatchInto(cols, c.batch, kh, kw, c.stride)
+	prod := New(outC, bsz*area)
+	MatMulInto(prod, c.kernel.Reshape(outC, inC*kh*kw), cols)
+	c.epilogue(prod.Data(), outC, bsz*area, relu)
+	out := New(bsz, outC, outH, outW)
 	for s := 0; s < bsz; s++ {
 		for oc := 0; oc < outC; oc++ {
-			for i := 0; i < area; i++ {
-				want := src.At(oc, s*area+i) + bias[oc]
-				if got := dst.Data()[(s*outC+oc)*area+i]; got != want {
-					t.Fatalf("sample %d chan %d elem %d: got %v, want %v", s, oc, i, got, want)
-				}
+			copy(out.Data()[(s*outC+oc)*area:], prod.Data()[oc*bsz*area+s*area:][:area])
+		}
+	}
+	if pool2 {
+		pooled := New(bsz, outC, outH/2, outW/2)
+		MaxPool2DBatchInto(pooled, out, 2)
+		out = pooled
+	}
+	return out
+}
+
+// epilogue adds bias[oc] to row oc of the (outC, n) matrix y and
+// rectifies it the way nn.ReLU does.
+func (c convCase) epilogue(y []float64, outC, n int, relu bool) {
+	for oc := 0; oc < outC; oc++ {
+		for i := oc * n; i < (oc+1)*n; i++ {
+			if c.bias != nil {
+				y[i] += c.bias[oc]
+			}
+			if relu && !(y[i] > 0) {
+				y[i] = 0
 			}
 		}
+	}
+}
+
+func (c convCase) check(t *testing.T, relu, pool2 bool) {
+	t.Helper()
+	want := c.perSample(relu, pool2)
+	got := New(want.Len())
+	for i := range got.Data() {
+		got.Data()[i] = math.NaN() // every element must be overwritten
+	}
+	Conv2DBatchInto(got, c.batch, c.kernel, c.bias, c.stride, relu, pool2)
+	whole := c.wholeBatch(relu, pool2)
+	for i, w := range want.Data() {
+		if got.Data()[i] != w || whole.Data()[i] != w {
+			t.Fatalf("batch %v kernel %v stride %d relu %v pool2 %v elem %d: fused %v, whole-batch %v, per-sample %v",
+				c.batch.Shape(), c.kernel.Shape(), c.stride, relu, pool2, i, got.Data()[i], whole.Data()[i], w)
+		}
+	}
+}
+
+// TestAddBiasUnstack checks the conv epilogue without pooling: the
+// stripe-fused driver's products must land batch-major with the channel
+// bias added (and rectified when asked), equal to the per-sample
+// reference and to the whole-batch lowering it replaced.
+func TestAddBiasUnstack(t *testing.T) {
+	r := rng.New(90)
+	for trial := 0; trial < 40; trial++ {
+		c := randConvCase(r, false)
+		c.check(t, false, false)
+		c.check(t, true, false)
 	}
 }
 
@@ -197,39 +286,26 @@ func TestMaxPool2DBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestAddBiasReLUPool2Fused pins the fused conv epilogue against its
-// unfused composition: AddBiasUnstackInto (bias+ReLU) followed by
-// MaxPool2DBatchInto must produce bit-identical pooled maps, across
-// random shapes, with and without bias.
+// TestAddBiasReLUPool2Fused pins the fused bias+ReLU+2×2-max epilogue
+// against its unfused composition, across random shapes, with and
+// without bias and rectification.
 func TestAddBiasReLUPool2Fused(t *testing.T) {
 	r := rng.New(91)
-	for trial := 0; trial < 25; trial++ {
-		bsz := 1 + r.Intn(5)
-		outC := 1 + r.Intn(6)
-		outH := 2 * (1 + r.Intn(5))
-		outW := 2 * (1 + r.Intn(5))
-		area := outH * outW
-		src := randTensor(r, outC, bsz*area)
-		var bias []float64
-		if r.Bool(0.8) {
-			bias = randTensor(r, outC).Data()
-		}
-
-		fused := New(bsz, outC, outH/2, outW/2)
-		AddBiasReLUPool2Into(fused, src, bsz, outC, outH, outW, bias)
-
-		unstacked := New(bsz, outC, outH, outW)
-		AddBiasUnstackInto(unstacked, src, bsz, outC, area, bias, true)
-		want := New(bsz, outC, outH/2, outW/2)
-		MaxPool2DBatchInto(want, unstacked, 2)
-
-		for i, v := range want.Data() {
-			if fused.Data()[i] != v {
-				t.Fatalf("trial %d (b=%d c=%d %dx%d) elem %d: fused %v, unfused %v",
-					trial, bsz, outC, outH, outW, i, fused.Data()[i], v)
-			}
-		}
+	for trial := 0; trial < 40; trial++ {
+		c := randConvCase(r, true)
+		c.check(t, true, true)
+		c.check(t, false, true)
 	}
+}
+
+// TestConv2DBatchWideMap drives a map wider than one blockN stripe, so a
+// stripe is a single output row (a row pair under pooling) and the
+// scratch grows past its usual size.
+func TestConv2DBatchWideMap(t *testing.T) {
+	r := rng.New(92)
+	c := convCase{batch: randTensor(r, 2, 1, 5, blockN+45), kernel: randTensor(r, 3, 1, 2, 2), stride: 1}
+	c.check(t, true, false)
+	c.check(t, true, true)
 }
 
 // TestPoolRecyclesBuffers checks the scratch pool contract: a Put buffer
@@ -261,17 +337,22 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 	}
 }
 
-// BenchmarkAddBiasReLUPool2 isolates the fused conv epilogue on the
-// MNIST-net conv1 shape (40 channels, 24×24 map, 64-sample chunk).
-func BenchmarkAddBiasReLUPool2(b *testing.B) {
+// BenchmarkConv2DBatch runs the stripe-fused convolution on the two
+// conv shapes of the Table I MNIST net at a 64-sample chunk.
+func BenchmarkConv2DBatch(b *testing.B) {
 	r := rng.New(3)
-	const bsz, outC, outH, outW = 64, 40, 24, 24
-	src := randTensor(r, outC, bsz*outH*outW)
-	bias := randTensor(r, outC).Data()
-	dst := New(bsz, outC, outH/2, outW/2)
-	b.SetBytes(int64(src.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddBiasReLUPool2Into(dst, src, bsz, outC, outH, outW, bias)
+	for _, s := range []struct {
+		name          string
+		inC, hw, outC int
+	}{{"conv1", 1, 28, 40}, {"conv2", 40, 12, 20}} {
+		b.Run(s.name, func(b *testing.B) {
+			batch, kernel := randTensor(r, 64, s.inC, s.hw, s.hw), randTensor(r, s.outC, s.inC, 5, 5)
+			bias := randTensor(r, s.outC).Data()
+			dst := New(64, s.outC, (s.hw-4)/2, (s.hw-4)/2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Conv2DBatchInto(dst, batch, kernel, bias, 1, true, true)
+			}
+		})
 	}
 }

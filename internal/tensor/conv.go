@@ -66,24 +66,13 @@ func Im2Col(input *Tensor, kH, kW, stride int) *Tensor {
 	return cols
 }
 
-// Im2ColBatch lowers a stacked (B, C, H, W) input batch into one column
-// matrix of shape (C*kH*kW, B*outH*outW): sample b occupies the column
-// block [b*outH*outW, (b+1)*outH*outW), so a single W×cols GEMM computes
-// the convolution of the whole batch. This is what turns a micro-batch
-// into real GEMM width — N small matrix multiplies become one large,
-// cache-friendly one.
-func Im2ColBatch(batch *Tensor, kH, kW, stride int) *Tensor {
-	inC, inH, inW := batch.shape[1], batch.shape[2], batch.shape[3]
-	outH := (inH-kH)/stride + 1
-	outW := (inW-kW)/stride + 1
-	cols := New(inC*kH*kW, batch.shape[0]*outH*outW)
-	Im2ColBatchInto(cols, batch, kH, kW, stride)
-	return cols
-}
-
-// Im2ColBatchInto is Im2ColBatch writing into a preallocated dst of shape
-// (C*kH*kW, B*outH*outW), for scratch-pooled callers. Every element of
-// dst is overwritten.
+// Im2ColBatchInto lowers a stacked (B, C, H, W) input batch into one
+// column matrix dst of shape (C*kH*kW, B*outH*outW): sample b occupies
+// the column block [b*outH*outW, (b+1)*outH*outW), so a single W×cols
+// GEMM computes the convolution of the whole batch. Every element of dst
+// is overwritten. Conv2DBatchInto multiplies by this matrix without ever
+// storing it; this function is the reference lowering its gather is
+// tested against.
 func Im2ColBatchInto(dst, batch *Tensor, kH, kW, stride int) {
 	if batch.Rank() != 4 {
 		panic("tensor: Im2ColBatchInto requires a rank-4 (B,C,H,W) batch")
@@ -127,103 +116,162 @@ func Im2ColBatchInto(dst, batch *Tensor, kH, kW, stride int) {
 	}
 }
 
-// AddBiasUnstackInto is the epilogue of a batched convolution: it
-// rearranges the GEMM output src of shape (outC, B*area) — sample b in
-// column block [b*area, (b+1)*area) — into the batch-major dst of shape
-// (B, outC, area...), adding bias[oc] to channel oc in the same pass and,
-// when relu is set, clamping at zero (the fused bias+activation epilogue
-// of a conv layer whose next stage is ReLU). bias may be nil. Every
+// Conv2DBatchInto convolves a stacked (B, C, H, W) batch with OIHW
+// kernels (no padding) and writes the batch-major result into dst: the
+// (B, outC, outH, outW) map plus bias (nil for none), clamped at zero
+// when relu is set, or, when pool2 is set, its 2×2 max pool of shape
+// (B, outC, outH/2, outW/2) — outH and outW must then be even. Every
 // element of dst is overwritten.
-func AddBiasUnstackInto(dst, src *Tensor, batch, outC, area int, bias []float64, relu bool) {
-	if src.Len() != outC*batch*area || dst.Len() != batch*outC*area {
-		panic("tensor: AddBiasUnstackInto size mismatch")
+//
+// The product kernel (outC, K) × im2col(batch) (K, B·outH·outW) is
+// computed stripe by stripe and the column matrix never exists: a stripe
+// is a run of output rows, across samples, of about blockN columns; its
+// rows of the virtual column matrix are gathered straight from the input
+// into micro panels, multiplied into an outC × width tile that stays in
+// cache, and the tile is folded into dst by the epilogue. Stripes are
+// the unit of parallelism, so gather, product and epilogue all run on
+// every core. Each output element is the same blockK-panelled FMA chain
+// MatMul(kernel, Im2Col(sample)) computes, plus the bias — bit-identical
+// to the per-sample Conv2D → ReLU → MaxPool2D sequence: x ↦ x+b and the
+// clamp are monotone non-decreasing (also under float rounding), so the
+// window maximum may be taken on the raw products and bias and clamp
+// applied once to the winner.
+func Conv2DBatchInto(dst, batch, kernel *Tensor, bias []float64, stride int, relu, pool2 bool) {
+	if batch.Rank() != 4 || kernel.Rank() != 4 || batch.shape[1] != kernel.shape[1] {
+		panic("tensor: Conv2DBatchInto wants a (B,C,H,W) batch and (outC,C,kH,kW) kernels")
 	}
-	if bias != nil && len(bias) != outC {
-		panic("tensor: AddBiasUnstackInto bias length mismatch")
+	g := convGeom{inC: batch.shape[1], inH: batch.shape[2], inW: batch.shape[3],
+		kH: kernel.shape[2], kW: kernel.shape[3], stride: stride, outC: kernel.shape[0]}
+	g.outH = (g.inH-g.kH)/stride + 1
+	g.outW = (g.inW-g.kW)/stride + 1
+	if g.outH <= 0 || g.outW <= 0 {
+		panic("tensor: Conv2DBatchInto kernel larger than input")
 	}
-	for oc := 0; oc < outC; oc++ {
-		srcRow := src.data[oc*batch*area : (oc+1)*batch*area]
+	g.k, g.step = g.inC*g.kH*g.kW, 1
+	rows, outLen := batch.shape[0]*g.outH, batch.shape[0]*g.outC*g.outH*g.outW
+	if pool2 {
+		if g.outH%2 != 0 || g.outW%2 != 0 {
+			panic("tensor: Conv2DBatchInto output not divisible by the 2x2 window")
+		}
+		g.step, outLen = 2, outLen/4
+	}
+	if dst.Len() != outLen || (bias != nil && len(bias) != g.outC) {
+		panic("tensor: Conv2DBatchInto size mismatch")
+	}
+	// Equal stripes of whole output rows (row pairs under pool2): as few
+	// as blockN columns each allow, rounded up to a multiple of the
+	// workers so that a width-1 pass still splits evenly.
+	work := g.outC * g.k * rows * g.outW
+	workers := workersFor(work)
+	stripes := ((rows*g.outW+blockN-1)/blockN + workers - 1) / workers * workers
+	per := ((rows+stripes-1)/stripes + g.step - 1) / g.step * g.step
+	stripes = (rows + per - 1) / per
+	parallelRange(stripes, 1, work, func(lo, hi int) {
+		sc := gemmScratches.Get().(*gemmScratch)
+		for s := lo; s < hi; s++ {
+			g.stripe(sc, dst.data, batch.data, kernel.data, bias, s*per, min((s+1)*per, rows), relu)
+		}
+		gemmScratches.Put(sc)
+	})
+}
+
+// convGeom is the geometry of one batched convolution.
+type convGeom struct {
+	inC, inH, inW, kH, kW, stride, outC, outH, outW int
+
+	k    int // inC·kH·kW, the rows of the virtual im2col matrix
+	step int // output rows per epilogue step: 2 under the 2×2 pool, else 1
+}
+
+// stripe computes the global output rows [r0, r1) — row r is row r%outH
+// of sample r/outH — of every channel.
+func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float64, r0, r1 int, relu bool) {
+	cols := (r1 - r0) * g.outW
+	ld := (cols + microN - 1) &^ (microN - 1)
+	sc.pack, sc.tile, sc.base = grow(sc.pack, blockK*ld), grow(sc.tile, g.outC*ld), grow(sc.base, ld)
+	// base[j] is the input offset of column j's window; the columns that
+	// pad the last micro panel repeat column 0 (their products are never
+	// read, and real data keeps denormals and NaNs out of the kernel).
+	j := 0
+	for r := r0; r < r1; r++ {
+		off := (r/g.outH*g.inC*g.inH + r%g.outH*g.stride) * g.inW
+		for ox := 0; ox < g.outW; ox++ {
+			sc.base[j] = off + ox*g.stride
+			j++
+		}
+	}
+	for ; j < ld; j++ {
+		sc.base[j] = sc.base[0]
+	}
+	for pc := 0; pc < g.k; pc += blockK {
+		kb := min(blockK, g.k-pc)
+		g.gather(sc.pack, in, sc.base, pc, kb)
+		gemmPacked(sc.tile, 0, ld, 1, w, pc, g.k, g.outC, sc.pack, kb, ld, pc == 0)
+	}
+	for oc := 0; oc < g.outC; oc++ {
 		b := 0.0
 		if bias != nil {
 			b = bias[oc]
 		}
-		for s := 0; s < batch; s++ {
-			dstRow := dst.data[(s*outC+oc)*area : (s*outC+oc+1)*area]
-			seg := srcRow[s*area : (s+1)*area]
-			if relu {
-				for i, v := range seg {
-					v += b
-					if v < 0 {
-						v = 0
+		row := sc.tile[oc*ld : oc*ld+cols]
+		for r := r0; r < r1; r += g.step {
+			seg := row[(r-r0)*g.outW:]
+			s, oy := r/g.outH, r%g.outH
+			switch {
+			case g.step == 2:
+				out := dst[((s*g.outC+oc)*g.outH/2+oy/2)*(g.outW/2):][:g.outW/2]
+				r0w, r1w := seg[:g.outW], seg[g.outW:2*g.outW]
+				for ox := range out {
+					// The builtin max compiles branchless (random activations
+					// mispredict a compare-and-branch ladder about half the time).
+					v := max(max(r0w[2*ox], r0w[2*ox+1]), max(r1w[2*ox], r1w[2*ox+1])) + b
+					if relu {
+						v = max(v, 0)
 					}
-					dstRow[i] = v
+					out[ox] = v
 				}
-			} else {
-				for i, v := range seg {
-					dstRow[i] = v + b
+			case relu:
+				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
+				for ox := range out {
+					out[ox] = max(seg[ox]+b, 0)
+				}
+			default:
+				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
+				for ox := range out {
+					out[ox] = seg[ox] + b
 				}
 			}
 		}
 	}
 }
 
-// AddBiasReLUPool2Into fuses the batched-conv epilogue with the 2×2 max
-// pool that follows it: src is the GEMM output of shape (outC, B*area)
-// (sample s occupies column block [s*area, (s+1)*area), area =
-// outH*outW), and dst is the pooled batch-major output of shape
-// (B, outC, outH/2, outW/2). The full-resolution activation tensor is
-// never materialized: one read of the GEMM output, one write of the 4×
-// smaller pooled map, instead of a full-area write, a full-area read and
-// the pooled write.
-//
-// The window is reduced on the raw GEMM values and bias+ReLU applied
-// once to the winner. That is bit-identical to AddBiasUnstackInto
-// (v += b; clamp below 0) followed by MaxPool2DBatchInto: x ↦ x+b and
-// the ReLU clamp are monotone non-decreasing (also under float
-// rounding), so max_i relu(vᵢ+b) and relu((max_i vᵢ)+b) are the same
-// value — the fusion moves 4 adds and 4 clamps per window down to one
-// of each. outH and outW must be even.
-func AddBiasReLUPool2Into(dst, src *Tensor, batch, outC, outH, outW int, bias []float64) {
-	if outH%2 != 0 || outW%2 != 0 {
-		panic("tensor: AddBiasReLUPool2Into output not divisible by the 2x2 window")
-	}
-	area := outH * outW
-	pooledW := outW / 2
-	pooledLen := (outH / 2) * pooledW
-	if src.Len() != outC*batch*area || dst.Len() != batch*outC*pooledLen {
-		panic("tensor: AddBiasReLUPool2Into size mismatch")
-	}
-	if bias != nil && len(bias) != outC {
-		panic("tensor: AddBiasReLUPool2Into bias length mismatch")
-	}
-	for oc := 0; oc < outC; oc++ {
-		srcC := src.data[oc*batch*area : (oc+1)*batch*area]
-		b := 0.0
-		if bias != nil {
-			b = bias[oc]
-		}
-		for s := 0; s < batch; s++ {
-			seg := srcC[s*area : (s+1)*area]
-			out := dst.data[(s*outC+oc)*pooledLen : (s*outC+oc+1)*pooledLen]
-			oi := 0
-			for oy := 0; oy < outH/2; oy++ {
-				r0 := seg[2*oy*outW : 2*oy*outW+outW]
-				r1 := seg[(2*oy+1)*outW : (2*oy+1)*outW+outW]
-				row := out[oi : oi+pooledW : oi+pooledW]
-				for ox := range row {
-					x := 2 * ox
-					// The builtin max compiles branchless (random
-					// activations mispredict a compare-and-branch ladder
-					// about half the time); for the finite values inference
-					// produces it selects the same value as the ladder.
-					best := max(max(r0[x], r0[x+1]), max(r1[x], r1[x+1]))
-					best += b
-					if best < 0 {
-						best = 0
-					}
-					row[ox] = best
+// gather packs rows [pc, pc+kb) of the virtual im2col matrix — row t is
+// input channel t/(kH·kW), kernel offset (t/kW%kH, t%kW) — for the
+// columns whose window offsets are base, as micro panels.
+func (g *convGeom) gather(pack, in []float64, base []int, pc, kb int) {
+	c0, ky0, kx0 := pc/(g.kH*g.kW), pc/g.kW%g.kH, pc%g.kW
+	for jt := 0; jt < len(base); jt += microN {
+		dst := pack[jt*kb : (jt+microN)*kb]
+		bs := base[jt : jt+microN : jt+microN]
+		// Offsets ascend along a stripe, so a panel whose ends are 7 apart
+		// reads 8 adjacent inputs per row: one bounds check, not eight.
+		adjacent := bs[7]-bs[0] == microN-1
+		c, ky, kx := c0, ky0, kx0
+		for t := 0; t < kb; t++ {
+			off := (c*g.inH+ky)*g.inW + kx
+			d := dst[t*microN : t*microN+microN : t*microN+microN]
+			if adjacent {
+				s := in[off+bs[0] : off+bs[0]+microN : off+bs[0]+microN]
+				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+				d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+			} else {
+				d[0], d[1], d[2], d[3] = in[off+bs[0]], in[off+bs[1]], in[off+bs[2]], in[off+bs[3]]
+				d[4], d[5], d[6], d[7] = in[off+bs[4]], in[off+bs[5]], in[off+bs[6]], in[off+bs[7]]
+			}
+			if kx++; kx == g.kW {
+				if kx, ky = 0, ky+1; ky == g.kH {
+					ky, c = 0, c+1
 				}
-				oi += pooledW
 			}
 		}
 	}

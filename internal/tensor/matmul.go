@@ -11,36 +11,52 @@ import (
 // faster single-threaded.
 const matmulParallelThreshold = 1 << 16
 
-// Blocking parameters of the tiled GEMM. The kernel walks the output
-// columns in blockN stripes and the shared dimension in blockK panels;
-// each blockK×blockN tile of B is packed once into contiguous 8-wide
-// micro panels (B's rows are n elements apart, so the unpacked kernel
-// would touch a new cache line — and for batched conv shapes a new TLB
-// page — every k step) and then consumed by every 4-row strip of A
-// through the 4×8 register-tiled micro kernel: AVX2+FMA assembly on
-// capable amd64 hardware, a bit-identical math.FMA scalar loop
-// elsewhere.
+// Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
+// through one 4×8 register-tiled micro kernel (AVX2+FMA assembly on
+// capable amd64 hardware, a bit-identical math.FMA loop elsewhere) that
+// broadcasts four rows of A against one packed micro panel of B: kb rows
+// of 8 contiguous column values, gathered once per blockK panel and
+// blockN stripe (B's rows are n elements apart, so an unpacked kernel
+// would touch a new cache line every k step) and then reused by every
+// 4-row strip of A. Leftover rows and columns run through the same
+// kernel — short panels are zero-padded when packed, short strips go
+// through a scratch C tile — so no product falls back to a scalar loop.
 //
 // Every C element accumulates over k in ascending order with one fused
 // multiply-add chain per blockK panel and plain adds between panel
-// subtotals, no matter which path (vector, scalar, edge) computes it —
-// so results are bit-identical across tilings, goroutine row splits and
-// architectures, and the batched inference path reproduces the
-// per-sample reference exactly.
+// subtotals, no matter which tile, stripe or goroutine computes it — so
+// results are bit-identical across tilings, splits, operand
+// orientations and architectures, and the batched inference path
+// reproduces the per-sample reference (MatVec, Conv2D) exactly.
+//
+// A product large enough to fan out is cut along its longer side at
+// micro-tile boundaries: by columns when n > m (a batched convolution
+// has 20–40 rows and thousands of columns), so each worker packs only
+// its own stripe of B and sees every row of A, by rows otherwise.
 const (
-	blockM = 64
 	blockK = 256
 	blockN = 256
+	microM = 4 // micro-kernel tile height (rows of A broadcast per call)
 	microN = 8 // micro-kernel tile width (one packed B panel row)
 )
 
-// packBuffers recycles the packed-B tile scratch across GEMM calls and
-// goroutines, keeping the hot path allocation-free.
-var packBuffers = sync.Pool{
-	New: func() any {
-		s := make([]float64, blockK*blockN)
-		return &s
-	},
+// gemmScratch is one worker's packing scratch, recycled across calls
+// and goroutines so the hot path allocates nothing.
+type gemmScratch struct {
+	pack []float64 // one k panel of a column stripe, as micro panels
+	tile []float64 // Conv2DBatchInto: the stripe's outC × width product
+	base []int     // Conv2DBatchInto: input offset of each stripe column
+}
+
+var gemmScratches = sync.Pool{New: func() any { return new(gemmScratch) }}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small. The contents are undefined.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MatMul computes C = A × B for A of shape (m, k) and B of shape (k, n),
@@ -61,8 +77,7 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = A × B with the blocked, packed,
 // register-tiled kernel, overwriting dst. dst must have shape (m, n) and
-// must not alias a or b. Rows are split across goroutines for large
-// products.
+// must not alias a or b. Large products are split across goroutines.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -73,9 +88,7 @@ func MatMulInto(dst, a, b *Tensor) {
 		dst.Zero()
 		return
 	}
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		gemmBlocked(dst.data, a.data, b.data, lo, hi, k, n, false)
-	})
+	gemm(dst.data, a.data, b.data, m, n, k, false)
 }
 
 // MatMulTransB computes C = A × Bᵀ for A of shape (m, k) and B of shape
@@ -88,11 +101,13 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBInto computes dst = A × Bᵀ for A (m, k) and B (n, k),
-// overwriting dst (m, n), with the same packed kernel as MatMulInto (the
-// pack step gathers B's transpose). This is the layout of choice for
-// batched dense layers: Y (B, out) = X (B, in) × Wᵀ with W stored
-// (out, in). Element (i, j) equals the math.FMA dot product MatVec
-// computes, bit for bit.
+// overwriting dst (m, n). It is evaluated as dstᵀ = B × Aᵀ: B's rows feed
+// the micro kernel's broadcast side as they lie in memory and only A is
+// packed. For a dense layer — Y (B, out) = X (B, in) × Wᵀ with W stored
+// (out, in) — that packs B·in activations instead of out·in weights, and
+// a width-1 batch (X zero-padded to one 8-wide panel) runs the vector
+// kernel without copying a single weight. Element (i, j) equals the
+// math.FMA dot product MatVec computes, bit for bit.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
@@ -103,9 +118,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 		dst.Zero()
 		return
 	}
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		gemmBlocked(dst.data, a.data, b.data, lo, hi, k, n, true)
-	})
+	gemm(dst.data, b.data, a.data, n, m, k, true)
 }
 
 // MatMulTransBBiasInto is MatMulTransBInto with a fused epilogue sweep:
@@ -145,106 +158,142 @@ func AddBiasReLURows(m *Tensor, bias []float64, relu bool) {
 	}
 }
 
-// parallelRows runs body over [0, m) split into contiguous row ranges
-// across GOMAXPROCS goroutines when work (the multiply-accumulate count)
-// is large enough, serially otherwise.
-func parallelRows(m, work int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if work < matmulParallelThreshold || workers <= 1 || m <= 1 {
-		body(0, m)
+// parallelRange runs body over [0, n) cut into one contiguous range per
+// worker, every cut a multiple of align, on GOMAXPROCS goroutines (the
+// caller's among them) when work — the multiply-accumulate count — is
+// large enough, and as body(0, n) on the calling goroutine otherwise.
+func parallelRange(n, align, work int, body func(lo, hi int)) {
+	units := (n + align - 1) / align
+	workers := min(workersFor(work), units)
+	if workers <= 1 {
+		body(0, n)
 		return
 	}
-	if workers > m {
-		workers = m
-	}
+	cut := func(w int) int { return min(units*w/workers*align, n) }
 	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			body(lo, hi)
-		}(lo, hi)
+		}(cut(w), cut(w+1))
 	}
+	body(0, cut(1))
 	wg.Wait()
 }
 
-// gemmBlocked computes rows [lo, hi) of C = A×B (or A×Bᵀ when trans is
-// set, with b of shape (n, k)) using column stripes, k panels, packed B
-// tiles and the 4×8 micro kernel. The first k panel stores its subtotal
+// workersFor is how many goroutines a product of work
+// multiply-accumulates is spread over.
+func workersFor(work int) int {
+	if work < matmulParallelThreshold {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// gemm computes C = A×B for A (m, k) and B (k, n). With trans set, b is
+// stored (n, k) and c receives the transposed product, shape (n, m):
+// c[j][i] = Σ a[i][p]·b[j][p].
+func gemm(c, a, b []float64, m, n, k int, trans bool) {
+	if n > m {
+		parallelRange(n, microN, m*n*k, func(lo, hi int) { gemmBlocked(c, a, b, 0, m, lo, hi, m, n, k, trans) })
+	} else {
+		parallelRange(m, microM, m*n*k, func(lo, hi int) { gemmBlocked(c, a, b, lo, hi, 0, n, m, n, k, trans) })
+	}
+}
+
+// gemmBlocked computes rows [i0, i1) × columns [j0, j1) of gemm's
+// product: per blockN column stripe and blockK panel, pack B's tile and
+// sweep A's rows over it. The first k panel stores its subtotal
 // (overwriting C, so no separate zeroing pass is needed); later panels
 // accumulate.
-func gemmBlocked(c, a, b []float64, lo, hi, k, n int, trans bool) {
-	packPtr := packBuffers.Get().(*[]float64)
-	pack := *packPtr
-	for jc := 0; jc < n; jc += blockN {
-		je := jc + blockN
-		if je > n {
-			je = n
-		}
-		jeV := jc + (je-jc)&^(microN-1) // micro tiles cover [jc, jeV)
+func gemmBlocked(c, a, b []float64, i0, i1, j0, j1, m, n, k int, trans bool) {
+	sc := gemmScratches.Get().(*gemmScratch)
+	sc.pack = grow(sc.pack, blockK*blockN)
+	for jc := j0; jc < j1; jc += blockN {
+		je := min(jc+blockN, j1)
 		for pc := 0; pc < k; pc += blockK {
-			pe := pc + blockK
-			if pe > k {
-				pe = k
-			}
-			kb := pe - pc
-			first := pc == 0
-			if hi-lo >= 4 && jeV > jc {
-				packTiles(pack, b, pc, pe, jc, jeV, k, n, trans)
-			}
-			for ic := lo; ic < hi; ic += blockM {
-				ie := ic + blockM
-				if ie > hi {
-					ie = hi
-				}
-				i := ic
-				for ; i+4 <= ie; i += 4 {
-					for jt := jc; jt < jeV; jt += microN {
-						tile := pack[(jt-jc)/microN*kb*microN:]
-						gemmTile4x8(a, i*k+pc, k, tile, kb, c, i*n+jt, n, first)
-					}
-					if jeV < je {
-						gemmEdge(c, a, b, i, i+4, jeV, je, pc, pe, k, n, first, trans)
-					}
-				}
-				if i < ie {
-					gemmEdge(c, a, b, i, ie, jc, je, pc, pe, k, n, first, trans)
-				}
+			kb := min(blockK, k-pc)
+			packTiles(sc.pack, b, pc, pc+kb, jc, je, k, n, trans)
+			if trans {
+				gemmPacked(c, jc*m+i0, 1, m, a, i0*k+pc, k, i1-i0, sc.pack, kb, je-jc, pc == 0)
+			} else {
+				gemmPacked(c, i0*n+jc, n, 1, a, i0*k+pc, k, i1-i0, sc.pack, kb, je-jc, pc == 0)
 			}
 		}
 	}
-	packBuffers.Put(packPtr)
+	gemmScratches.Put(sc)
 }
 
-// packTiles copies the B panel rows [pc, pe) × columns [jc, jeV) into
-// contiguous 8-wide micro panels: tile (jt-jc)/8 holds kb rows of 8
-// consecutive column values. trans gathers from b stored as (n, k).
-func packTiles(pack, b []float64, pc, pe, jc, jeV, k, n int, trans bool) {
+// gemmPacked multiplies m rows of A (first element a[ai], rows lda
+// apart) by n packed columns over one k panel of kb steps. Element
+// (i, j) of the product lands at c[ci+i*rs+j*cs], stored when first is
+// set and added otherwise. Full tiles of a row-major C are written by
+// the kernel itself; partial tiles and a transposed C go through a
+// scratch tile.
+func gemmPacked(c []float64, ci, rs, cs int, a []float64, ai, lda, m int, pack []float64, kb, n int, first bool) {
+	for i := 0; i < m; i += microM {
+		rows := min(microM, m-i)
+		for j := 0; j < n; j += microN {
+			pk := pack[j*kb:]
+			if cols := min(microN, n-j); rows == microM && cols == microN && cs == 1 {
+				gemmTile4x8(a, ai+i*lda, lda, pk, kb, c, ci+i*rs+j, rs, first)
+			} else {
+				gemmTileVia(a, ai+i*lda, lda, rows, pk, kb, c, ci+i*rs+j*cs, rs, cs, cols, first)
+			}
+		}
+	}
+}
+
+// gemmTileVia runs the micro kernel into a scratch tile and moves the
+// tile's valid rows×cols corner into C. A strip of fewer than four rows
+// is computed one row at a time with a row stride of 0 — the kernel
+// then reads that row four times and writes one tile row four times —
+// which neither reads past the end of A nor needs a padded copy of it.
+func gemmTileVia(a []float64, ai, lda, rows int, pk []float64, kb int, c []float64, ci, rs, cs, cols int, first bool) {
+	var tile [microM * microN]float64
+	if rows == microM {
+		gemmTile4x8(a, ai, lda, pk, kb, tile[:], 0, microN, true)
+	} else {
+		for r := 0; r < rows; r++ {
+			gemmTile4x8(a, ai+r*lda, 0, pk, kb, tile[:], r*microN, 0, true)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		for j, v := range tile[r*microN : r*microN+cols] {
+			if first {
+				c[ci+r*rs+j*cs] = v
+			} else {
+				c[ci+r*rs+j*cs] += v
+			}
+		}
+	}
+}
+
+// packTiles copies the B panel rows [pc, pe) × columns [jc, je) into
+// contiguous 8-wide micro panels: panel (jt-jc)/8 holds kb rows of 8
+// consecutive column values, the last one zero-padded when je-jc is not
+// a multiple of 8. trans gathers from b stored as (n, k).
+func packTiles(pack, b []float64, pc, pe, jc, je, k, n int, trans bool) {
 	kb := pe - pc
-	for jt := jc; jt < jeV; jt += microN {
-		dst := pack[(jt-jc)/microN*kb*microN : ((jt-jc)/microN+1)*kb*microN]
-		if trans {
-			for i := 0; i < microN; i++ {
+	for jt := jc; jt < je; jt += microN {
+		dst := pack[(jt-jc)*kb : (jt-jc+microN)*kb]
+		cols := min(microN, je-jt)
+		if cols < microN {
+			clear(dst)
+		}
+		switch {
+		case trans:
+			for i := 0; i < cols; i++ {
 				src := b[(jt+i)*k+pc : (jt+i)*k+pe]
 				for t, v := range src {
 					dst[t*microN+i] = v
 				}
 			}
-		} else {
+		case cols == microN:
 			// Hand-unrolled 8-wide row moves: one packed row is only 64
 			// bytes, so the memmove call overhead of copy() would cost more
-			// than the move itself (the pack runs once per k panel per
-			// column stripe — hundreds of thousands of rows per batched
-			// conv GEMM).
+			// than the move itself.
 			off := pc*n + jt
 			for t := 0; t < kb; t++ {
 				d := dst[t*microN : t*microN+microN : t*microN+microN]
@@ -252,6 +301,10 @@ func packTiles(pack, b []float64, pc, pe, jc, jeV, k, n int, trans bool) {
 				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 				d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
 				off += n
+			}
+		default:
+			for t := 0; t < kb; t++ {
+				copy(dst[t*microN:], b[(pc+t)*n+jt:(pc+t)*n+jt+cols])
 			}
 		}
 	}
@@ -327,34 +380,6 @@ func gemmTile4x8go(a []float64, ai, lda int, pk []float64, kb int, c []float64, 
 			r[1] += c31
 			r[2] += c32
 			r[3] += c33
-		}
-	}
-}
-
-// gemmEdge handles the leftover rows [i0, i1) and columns [j0, j1) that
-// the 4×8 tiling does not cover, over the k panel [p0, p1). Each element
-// is one math.FMA chain over the panel — the same sequence as the micro
-// kernel — followed by a store (first panel) or add.
-func gemmEdge(c, a, b []float64, i0, i1, j0, j1, p0, p1, k, n int, first, trans bool) {
-	for i := i0; i < i1; i++ {
-		ai := a[i*k : (i+1)*k]
-		for j := j0; j < j1; j++ {
-			s := 0.0
-			if trans {
-				bj := b[j*k : (j+1)*k]
-				for p := p0; p < p1; p++ {
-					s = math.FMA(ai[p], bj[p], s)
-				}
-			} else {
-				for p := p0; p < p1; p++ {
-					s = math.FMA(ai[p], b[p*n+j], s)
-				}
-			}
-			if first {
-				c[i*n+j] = s
-			} else {
-				c[i*n+j] += s
-			}
 		}
 	}
 }

@@ -75,3 +75,28 @@ func TestPoolHoldsOneWorkingSet(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardBatchWorkingSet pins the memory side of the stripe-fused
+// convolution, which the benchmark cannot see (it reads live_heap_mb with
+// the servers down): after full-chunk passes of network 1 a lane's pool
+// parks a few activation maps — 3.2 MB — not the 32.8 MB im2col matrix
+// and 11.8 MB product of a whole-batch lowering (40.8 MB parked), and a
+// warm pass allocates nothing.
+func TestForwardBatchWorkingSet(t *testing.T) {
+	net, capture, inputs := mnistNet(t)
+	pool := tensor.NewPool()
+	mnistPass(net, capture, inputs, 64, pool)
+	_, warm := pool.Stats()
+	mnistPass(net, capture, inputs, 64, pool)
+	mnistPass(net, capture, inputs, 64, pool)
+	if _, misses := pool.Stats(); misses != warm {
+		t.Fatalf("warm passes allocated: misses %d → %d", warm, misses)
+	}
+	parked := 0
+	for _, c := range pool.FreeCaps() {
+		parked += 8 * c
+	}
+	if parked >= 8<<20 {
+		t.Fatalf("pool parks %.1f MB after 64-wide passes, want under 8 MB", float64(parked)/(1<<20))
+	}
+}

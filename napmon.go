@@ -155,9 +155,9 @@ func EvaluateMonitorAt(net *Network, m *Monitor, samples []Sample, gamma int) (M
 // WatchBatch is the batched serving front end: it runs inference and the
 // comfort-zone membership query for every input and returns one Verdict
 // per input, in input order. Whole micro-batches flow through the
-// batched GEMM inference path (Network.ForwardBatch: stacked im2col, one
-// blocked matrix multiply per layer, fused bias+ReLU — and, for
-// conv→ReLU→maxpool blocks, bias+ReLU+pool — epilogues, pooled
+// batched GEMM inference path (Network.ForwardBatch: one stripe-fused
+// convolution or blocked matrix multiply per layer, fused bias+ReLU —
+// and, for conv→ReLU→maxpool blocks, bias+ReLU+pool — epilogues, pooled
 // allocation-free scratch), split across GOMAXPROCS workers on
 // multi-core hosts. Membership queries are grouped by predicted class
 // and answered from each zone's compiled query plan in one batched walk
