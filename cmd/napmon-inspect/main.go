@@ -1,7 +1,8 @@
 // Command napmon-inspect prints the contents of saved model and monitor
 // files: architectures, parameter counts, per-class comfort-zone sizes
-// (pattern counts and BDD node counts), and optionally a Graphviz DOT
-// rendering of one class's zone.
+// (pattern counts, BDD node counts and the bytes of every cached level's
+// compiled plan — what a serving process holds for the zone), and
+// optionally a Graphviz DOT rendering of one class's zone.
 //
 // Usage:
 //
@@ -61,13 +62,18 @@ func inspectMonitor(path string, dotClass int) {
 	fmt.Printf("monitor %s\n  layer %d, gamma %d, %d/%d neurons monitored\n",
 		path, cfg.Layer, mon.Gamma(), len(mon.Neurons()), mon.LayerWidth())
 	fmt.Printf("  monitored neurons: %v\n", mon.Neurons())
-	fmt.Println("  class  inserted  patterns(at gamma)  bdd-nodes")
+	fmt.Println("  class  inserted  patterns(at gamma)  bdd-nodes  plan-bytes(level 0..)")
+	planTotal := 0
 	for _, c := range mon.Classes() {
 		z := mon.Zone(c)
-		fmt.Printf("  %5d  %8d  %18.0f  %9d\n",
-			c, z.InsertCount(), z.PatternCount(), z.NodeCount())
+		levels := z.PlanBytes()
+		fmt.Printf("  %5d  %8d  %18.0f  %9d  %v\n",
+			c, z.InsertCount(), z.PatternCount(), z.NodeCount(), levels)
+		for _, b := range levels {
+			planTotal += b
+		}
 	}
-	fmt.Printf("  total BDD nodes: %d\n", mon.StorageNodes())
+	fmt.Printf("  total BDD nodes: %d\n  total plan bytes: %d\n", mon.StorageNodes(), planTotal)
 
 	if dotClass >= 0 {
 		z := mon.Zone(dotClass)

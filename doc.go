@@ -27,8 +27,8 @@
 //	}
 //
 // For serving under heavy traffic, use the batched front end: the first
-// WatchBatch call freezes the monitor's BDD managers read-only and
-// compiles every comfort zone into a flat branch-program query plan,
+// WatchBatch call freezes the monitor: every comfort zone is compiled
+// into a flat branch-program query plan and its BDD manager is let go,
 // after which whole micro-batches flow through the batched GEMM
 // inference path (stripe-fused convolution that never stores the im2col
 // matrix, one packed 4×8 micro kernel for every multiply-accumulate,
@@ -67,7 +67,8 @@
 // A frozen monitor is not a static artifact: the online-update path
 // absorbs newly observed activation patterns while serving continues
 // (serve-while-retraining). Monitor.Update / Monitor.UpdateBatch
-// shadow-build the touched comfort zones on writable clones and publish
+// shadow-build the touched comfort zones on managers re-derived from
+// their plans and publish
 // the result as a new serving epoch with one atomic pointer swap; each
 // batch pins one epoch (every Verdict carries its epoch id), retired
 // epochs are released after their readers drain, and the updated monitor
@@ -177,12 +178,12 @@
 //	napmon_patterns_absorbed_total         counter    activation patterns absorbed by updates
 //	napmon_epochs_released_total           counter    retired epochs past their grace period
 //	napmon_updates_total                   counter    epoch swaps published through the server
-//	napmon_bdd_nodes                       gauge      BDD nodes across the epoch's zone managers
-//	napmon_bdd_unique_hits_total           counter    unique-table hits (node reuse)
-//	napmon_bdd_unique_misses_total         counter    unique-table misses (node creations)
-//	napmon_bdd_cache_hits_total            counter    computed-table hits
-//	napmon_bdd_cache_misses_total          counter    computed-table misses
-//	napmon_bdd_compiles_total              counter    query plans compiled
+//	napmon_bdd_nodes                       gauge      branches across the serving epoch's plans
+//	napmon_bdd_unique_hits_total           counter    unique-table hits, all build sessions
+//	napmon_bdd_unique_misses_total         counter    unique-table misses (node creations), ditto
+//	napmon_bdd_cache_hits_total            counter    computed-table hits, ditto
+//	napmon_bdd_cache_misses_total          counter    computed-table misses, ditto
+//	napmon_bdd_compiles_total              counter    query plans compiled, ditto
 //	napmon_gateway_frames_received_total   counter    frames past the packet filter (gateway)
 //	napmon_gateway_frames_responded_total  counter    response frames handed to a socket
 //	napmon_gateway_frames_malformed_total  counter    rejected datagrams/headers/payloads

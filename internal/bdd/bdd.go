@@ -16,9 +16,14 @@
 // inline against the arena — no boxed map keys, no per-node allocation.
 // Operation results are memoized in a single lossy direct-mapped computed
 // table shared by the binary ops, Not and Exists, sized in lockstep with
-// the unique table. After a diagram set is built, Freeze makes the manager
-// read-only: mutating operations panic, while Eval/EvalBits remain safe to
-// call from any number of goroutines concurrently.
+// the unique table.
+//
+// A Manager is a build tool whose lifetime is one build session: construct
+// the diagrams, Compile them into flat plans (compile.go), let it go. The
+// plans are canonical and complete, so an online update re-derives a
+// manager from them (Derive) for the milliseconds it needs one. Freeze is
+// for a manager kept for inspection: it leaves only the arena, on which
+// Eval/EvalBits and the walks are safe from any number of goroutines.
 package bdd
 
 import (
@@ -50,10 +55,9 @@ type node struct {
 // monitors from a single goroutine, then call Freeze — queries via Eval
 // are read-only and may run concurrently once the manager is frozen.
 type Manager struct {
-	numVars  int
-	nodes    []node
-	frozen   bool
-	released bool // Release was called: the arena and tables are gone
+	numVars int
+	nodes   []node
+	frozen  bool
 
 	// unique is the open-addressed hash table enforcing canonicity. Slots
 	// hold node handles; 0 marks an empty slot (the terminals never enter
@@ -65,8 +69,9 @@ type Manager struct {
 	// cache is the lossy direct-mapped computed table shared by apply,
 	// Not and exists. A zero entry has key.b == 0, which no live key can
 	// have (see cacheStore), so zero slots never produce false hits.
-	cache     []cacheEntry
-	cacheMask uint32
+	cache       []cacheEntry
+	cacheMask   uint32
+	cacheGrowAt uint64 // CacheMisses reading at which cacheStore next checks the table's size
 
 	// compiles counts query plans built by Compile. Atomic because plans
 	// may be compiled from a frozen manager that is concurrently serving
@@ -101,7 +106,8 @@ const terminalLevel = math.MaxInt32
 // load; the computed table doubles alongside it — so hit rates track the
 // arena size — but is capped: past maxCacheSize the marginal hit-rate gain
 // no longer pays for the resize traffic and memory (the table is lossy by
-// design, so a capped size stays correct).
+// design, so a capped size stays correct). A manager whose unique table
+// was sized up front (Derive) earns its computed table: see cacheStore.
 const (
 	initialUniqueSize = 1 << 10
 	initialCacheSize  = 1 << 11
@@ -121,11 +127,11 @@ type Stats struct {
 	// CacheHits and CacheMisses count computed-table probes by apply,
 	// Not and Exists.
 	CacheHits, CacheMisses uint64
-	// UniqueCap and CacheCap are the current table capacities (slots).
+	// UniqueCap and CacheCap are the current table capacities (slots);
+	// both are 0 once the manager is frozen.
 	UniqueCap, CacheCap int
 	// Compiles counts the query plans built from this manager's diagrams
-	// (one per root passed to Compile) — the epoch-swap tests assert via
-	// this counter that online updates recompile only touched zones.
+	// (one per root passed to Compile).
 	Compiles uint64
 	// Frozen reports whether the manager has been frozen read-only.
 	Frozen bool
@@ -133,17 +139,26 @@ type Stats struct {
 
 // NewManager creates a manager for functions over numVars Boolean
 // variables, indexed 0..numVars-1 with the natural variable order.
-func NewManager(numVars int) *Manager {
+func NewManager(numVars int) *Manager { return newManagerFor(numVars, 0) }
+
+// newManagerFor is NewManager with the arena and the unique table sized
+// once for about nodes nodes (load ≤ 1/2: a delta on top does not rehash).
+func newManagerFor(numVars, nodes int) *Manager {
 	if numVars <= 0 {
 		panic("bdd: manager needs at least one variable")
 	}
+	uniqueSize := initialUniqueSize
+	for uniqueSize < 2*nodes {
+		uniqueSize <<= 1
+	}
 	m := &Manager{
-		numVars:    numVars,
-		nodes:      make([]node, 2, 1024),
-		unique:     make([]int32, initialUniqueSize),
-		uniqueMask: initialUniqueSize - 1,
-		cache:      make([]cacheEntry, initialCacheSize),
-		cacheMask:  initialCacheSize - 1,
+		numVars:     numVars,
+		nodes:       make([]node, 2, max(1024, 2+nodes+nodes/8)),
+		unique:      make([]int32, uniqueSize),
+		uniqueMask:  uint32(uniqueSize - 1),
+		cache:       make([]cacheEntry, initialCacheSize),
+		cacheMask:   initialCacheSize - 1,
+		cacheGrowAt: initialCacheSize,
 	}
 	m.nodes[falseNode] = node{level: terminalLevel}
 	m.nodes[trueNode] = node{level: terminalLevel}
@@ -169,13 +184,14 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Freeze makes the manager read-only: any operation that could create a
-// node or touch the memoization cache panics from now on, while Eval,
-// EvalBits and the structural accessors remain valid and are safe for
-// concurrent use from any number of goroutines. Freezing is irreversible;
-// it is the manager-level half of the monitor's freeze-then-serve
-// concurrency model (DESIGN.md).
-func (m *Manager) Freeze() { m.frozen = true }
+// Freeze makes the manager read-only and drops the unique and computed
+// tables, which only node creation reads: any operation that could create
+// a node panics from now on; Eval, EvalBits, Compile and the accessors stay
+// valid on the arena from any number of goroutines. It is irreversible.
+func (m *Manager) Freeze() {
+	m.frozen = true
+	m.unique, m.cache = nil, nil
+}
 
 // Frozen reports whether Freeze has been called.
 func (m *Manager) Frozen() bool { return m.frozen }
@@ -185,7 +201,6 @@ func (m *Manager) Frozen() bool { return m.frozen }
 // frozen manager fails loudly and deterministically instead of racing.
 func (m *Manager) checkMutable() {
 	if m.frozen {
-		m.checkLive()
 		panic("bdd: mutating operation on frozen manager")
 	}
 }
@@ -285,7 +300,11 @@ func (m *Manager) growUnique() {
 	}
 	m.unique = tab
 	m.uniqueMask = mask
+	m.doubleCache()
+}
 
+// doubleCache doubles the computed table, up to maxCacheSize, rehashing.
+func (m *Manager) doubleCache() {
 	if len(m.cache) >= maxCacheSize {
 		return
 	}
@@ -325,7 +344,18 @@ func (m *Manager) cacheLookup(op uint8, a, b Node) (Node, bool) {
 // by terminalApply (binary ops), the Not fast path, and the exists
 // level-check, and commutative operands are ordered a <= b. That invariant
 // is what lets a zero-valued slot (b == 0) act as "empty".
+//
+// Once per table's worth of misses, a table behind the lockstep (two
+// computed slots per unique slot) doubles. A manager grown from NewManager
+// never is; one derived from plans starts with the initial table, so a
+// small delta allocates little and a whole-diagram expansion catches up.
 func (m *Manager) cacheStore(op uint8, a, b, r Node) {
+	if m.stats.CacheMisses >= m.cacheGrowAt {
+		if len(m.cache) < 2*len(m.unique) {
+			m.doubleCache()
+		}
+		m.cacheGrowAt = m.stats.CacheMisses + uint64(len(m.cache))
+	}
 	m.cache[cacheHash(op, a, b)&m.cacheMask] = cacheEntry{a: a, b: b, result: r, op: op}
 }
 

@@ -105,46 +105,62 @@ func TestCloneCompactTerminalRoots(t *testing.T) {
 	}
 }
 
-// TestReleaseSemantics: a released manager reports Released, panics
-// loudly on use, and Release is idempotent.
-func TestReleaseSemantics(t *testing.T) {
-	m, roots := buildSample(t)
-	m.Freeze()
-	m.Release()
-	m.Release() // idempotent
-	if !m.Released() {
-		t.Fatal("Released() false after Release")
+// TestDeriveMatchesCloneCompact holds Derive to its oracle: the manager
+// re-derived from a diagram set's plans is the compact clone of that set
+// — same live nodes, same functions, same plans when compiled again —
+// writable, with its unique table sized once and its computed table
+// still at the initial size.
+func TestDeriveMatchesCloneCompact(t *testing.T) {
+	m := NewManager(12)
+	z0 := buildTestDiagram(m, 7)
+	roots := []Node{z0, m.ExpandHamming1(z0), m.ExpandHamming1(m.ExpandHamming1(z0))}
+	plans := m.Compile(roots...)
+	want, wroots := m.CloneCompact(roots)
+
+	d, droots := Derive(plans)
+	if d.Frozen() {
+		t.Fatal("derived manager is frozen")
 	}
-	if !m.Frozen() {
-		t.Fatal("released manager must read as frozen")
+	if d.Size() != want.Size() {
+		t.Fatalf("derived arena holds %d nodes, compact clone %d", d.Size(), want.Size())
 	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("EvalBits on released manager did not panic")
+	st := d.Stats()
+	if st.CacheCap != initialCacheSize || st.UniqueCap < 2*st.Nodes {
+		t.Fatalf("derived tables: computed %d slots (want %d), unique %d slots for %d nodes", st.CacheCap, initialCacheSize, st.UniqueCap, st.Nodes)
+	}
+	if int(st.UniqueMisses) != st.Nodes {
+		t.Fatalf("derive created %d nodes for %d live ones", st.UniqueMisses, st.Nodes)
+	}
+	again := d.Compile(droots...)
+	for k := range plans {
+		if !plansEqual(plans[k], again[k]) {
+			t.Fatalf("level %d: Compile(Derive(plans)) differs from plans", k)
 		}
-	}()
-	m.EvalBits(roots[0], make([]bool, 4))
+		if d.SatCount(droots[k]) != want.SatCount(wroots[k]) {
+			t.Fatalf("level %d: derived SatCount %v, clone %v", k, d.SatCount(droots[k]), want.SatCount(wroots[k]))
+		}
+	}
+	// Writable: one more expansion on the derived manager is the one the
+	// source manager computes, and a whole-diagram operation earns the
+	// computed table its size back.
+	deeper := d.ExpandHamming1(droots[2])
+	if !plansEqual(d.Compile(deeper)[0], m.Compile(m.ExpandHamming1(roots[2]))[0]) {
+		t.Fatal("expansion on the derived manager differs from the source's")
+	}
+	if got := d.Stats().CacheCap; got <= initialCacheSize {
+		t.Fatalf("computed table still %d slots after a whole-diagram expansion", got)
+	}
 }
 
-// TestCloneSurvivesSourceRelease: the lifetime decoupling the epoch model
-// relies on — releasing a retired source manager must not perturb clones
-// built from it.
-func TestCloneSurvivesSourceRelease(t *testing.T) {
-	m, roots := buildSample(t)
-	// Record the expected truth table before the source dies.
-	want := make([]bool, 1<<4)
-	for a, bits := range allAssignments(4) {
-		want[a] = m.EvalBits(roots[2], bits)
+// plansEqual reports whether two plans are the same program.
+func plansEqual(a, b *Compiled) bool {
+	if a.NumVars() != b.NumVars() || a.Entry() != b.Entry() || a.Len() != b.Len() {
+		return false
 	}
-	compact, croots := m.CloneCompact(roots)
-	m.Release()
-	for a, bits := range allAssignments(4) {
-		if got := compact.EvalBits(croots[2], bits); got != want[a] {
-			t.Fatalf("compact clone diverges after source release on %v", bits)
+	for i := 0; i < a.Len(); i++ {
+		if a.Branch(i) != b.Branch(i) {
+			return false
 		}
 	}
-	// The clone remains mutable.
-	if compact.IsFalse(compact.Or(croots[0], compact.Var(3))) {
-		t.Fatal("compact clone unusable after source release")
-	}
+	return true
 }

@@ -17,7 +17,10 @@
 
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Terminal sentinels of a compiled plan: walk indices are >= 0, so the
 // two constants can never collide with a branch target.
@@ -37,7 +40,7 @@ type branch struct {
 // Compiled is a frozen, self-contained branch program for one diagram.
 // It holds no reference to the Manager it was compiled from: evaluating
 // it is safe from any number of goroutines, for as long as the caller
-// keeps it — even after the source manager is released.
+// keeps it, and the manager is normally gone by then.
 type Compiled struct {
 	numVars int
 	entry   int32
@@ -50,40 +53,41 @@ type Compiled struct {
 // most one visit per level walks monotonically forward through the
 // program — the prefetcher's favorite access pattern — and the hot
 // prefix of a skewed diagram stays contiguous. The manager is only read;
-// compile frozen diagrams once and serve from the plans (Compile on a
-// still-mutable manager snapshots the current diagram and does not track
-// later growth).
+// Compile on a still-mutable manager snapshots the current diagram and
+// does not track later growth.
 func (m *Manager) Compile(roots ...Node) []*Compiled {
-	m.checkLive()
 	plans := make([]*Compiled, len(roots))
+	// pos: node handle → program index; compileOne zeroes what it wrote.
+	pos := make([]int32, len(m.nodes))
 	for i, r := range roots {
-		plans[i] = m.compileOne(r)
+		plans[i] = m.compileOne(r, pos)
 	}
 	m.compiles.Add(uint64(len(roots)))
 	return plans
 }
 
-// compileOne builds the branch program of a single root.
-func (m *Manager) compileOne(root Node) *Compiled {
+// compileOne builds one root's program; pos is all zeroes before and after.
+func (m *Manager) compileOne(root Node, pos []int32) *Compiled {
 	c := &Compiled{numVars: m.numVars}
 	if root <= trueNode {
 		c.entry = terminalSentinel(root)
 		return c
 	}
-	// Pass 1: iterative DFS (lo before hi) recording first-visit order of
-	// the reachable decision nodes.
+	// Pass 1: iterative DFS (lo before hi) recording first-visit order of the
+	// reachable decision nodes and each level's count; nonzero pos = seen.
 	order := make([]Node, 0, 64)
-	seen := make(map[Node]bool, 64)
+	offsets := make([]int32, m.numVars+1) // offsets[lv+1] counts level lv
 	stack := []Node{root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n <= trueNode || seen[n] {
+		if n <= trueNode || pos[n] != 0 {
 			continue
 		}
-		seen[n] = true
+		pos[n] = 1
 		order = append(order, n)
-		nd := m.nodes[n]
+		nd := &m.nodes[n]
+		offsets[nd.level+1]++
 		// Push hi first so lo is visited first: the lo cofactor is the
 		// "neuron off" side, the denser one for ReLU patterns.
 		stack = append(stack, nd.hi, nd.lo)
@@ -93,31 +97,29 @@ func (m *Manager) compileOne(root Node) *Compiled {
 	// guarantees every branch target points forward; within a level the
 	// DFS discovery order keeps hot subgraphs adjacent. A counting sort
 	// over the level histogram preserves that order in O(n).
-	levels := make(map[int32]int, 16)
-	for _, n := range order {
-		levels[m.nodes[n].level]++
+	for lv := 1; lv <= m.numVars; lv++ {
+		offsets[lv] += offsets[lv-1]
 	}
-	offsets := make(map[int32]int32, len(levels))
-	var lv int32
-	var base int32
-	for lv = 0; lv < int32(m.numVars); lv++ {
-		if cnt, ok := levels[lv]; ok {
-			offsets[lv] = base
-			base += int32(cnt)
-		}
-	}
-	pos := make(map[Node]int32, len(order))
 	for _, n := range order {
 		l := m.nodes[n].level
 		pos[n] = offsets[l]
 		offsets[l]++
 	}
+	target := func(n Node) int32 {
+		if n <= trueNode {
+			return terminalSentinel(n)
+		}
+		return pos[n]
+	}
 	c.prog = make([]branch, len(order))
 	for _, n := range order {
-		nd := m.nodes[n]
-		c.prog[pos[n]] = branch{va: nd.level, lo: target(pos, nd.lo), hi: target(pos, nd.hi)}
+		nd := &m.nodes[n]
+		c.prog[pos[n]] = branch{va: nd.level, lo: target(nd.lo), hi: target(nd.hi)}
 	}
 	c.entry = pos[root] // always 0: the root alone occupies its level
+	for _, n := range order {
+		pos[n] = 0
+	}
 	return c
 }
 
@@ -128,19 +130,15 @@ func terminalSentinel(n Node) int32 {
 	return compiledFalse
 }
 
-func target(pos map[Node]int32, n Node) int32 {
-	if n <= trueNode {
-		return terminalSentinel(n)
-	}
-	return pos[n]
-}
-
 // NumVars returns the pattern width the plan evaluates.
 func (c *Compiled) NumVars() int { return c.numVars }
 
 // Len returns the number of branches in the program (0 for a constant
 // diagram) — the same count as the source diagram's NodeCount.
 func (c *Compiled) Len() int { return len(c.prog) }
+
+// Bytes returns the memory the program occupies.
+func (c *Compiled) Bytes() int { return len(c.prog) * int(unsafe.Sizeof(branch{})) }
 
 // Eval runs the branch program on a full assignment: at most one branch
 // per variable, walking forward through the flat program. Bit-exact with

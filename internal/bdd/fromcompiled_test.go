@@ -1,6 +1,8 @@
 package bdd
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -49,15 +51,8 @@ func TestCompiledExportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: FromCompiled: %v", seed, err)
 		}
-		plan2 := m2.Compile(root2)[0]
-		if plan2.Len() != plan.Len() || plan2.Entry() != plan.Entry() {
-			t.Fatalf("seed %d: recompiled plan shape (%d,%d) != original (%d,%d)",
-				seed, plan2.Len(), plan2.Entry(), plan.Len(), plan.Entry())
-		}
-		for i := 0; i < plan.Len(); i++ {
-			if plan.Branch(i) != plan2.Branch(i) {
-				t.Fatalf("seed %d: branch %d differs: %+v vs %+v", seed, i, plan.Branch(i), plan2.Branch(i))
-			}
+		if !plansEqual(m2.Compile(root2)[0], plan) {
+			t.Fatalf("seed %d: recompiled plan differs from the original", seed)
 		}
 
 		// Exhaustive agreement across the full assignment space.
@@ -140,5 +135,135 @@ func TestNewCompiledRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := NewCompiled(2, 0, ok); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
+	}
+}
+
+// TestNewCompiledRejectsNonCanonical feeds NewCompiled programs that are
+// well-formed and evaluate correctly, but are not the program Compile
+// emits for their function. A loader that keeps what it reads must
+// refuse them: replicas are compared by their plans' bytes.
+func TestNewCompiledRejectsNonCanonical(t *testing.T) {
+	// x0 ? (x1 ? x2 : ¬x2) : (x1 ? ¬x2 : x2) over three variables, as
+	// Compile lays it out: lo subgraph first within each level.
+	canonical := []PlanBranch{
+		{Va: 0, Lo: 1, Hi: 2},
+		{Va: 1, Lo: 3, Hi: 4},
+		{Va: 1, Lo: 4, Hi: 3},
+		{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+		{Va: 2, Lo: TerminalTrue, Hi: TerminalFalse},
+	}
+	cases := []struct {
+		name     string
+		branches []PlanBranch
+	}{
+		{"unreachable branch", []PlanBranch{
+			{Va: 0, Lo: TerminalFalse, Hi: 1},
+			{Va: 1, Lo: TerminalFalse, Hi: TerminalTrue},
+			{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+		}},
+		{"unreachable branch mid-level", []PlanBranch{
+			{Va: 0, Lo: TerminalFalse, Hi: 2},
+			{Va: 1, Lo: TerminalTrue, Hi: TerminalFalse},
+			{Va: 1, Lo: TerminalFalse, Hi: TerminalTrue},
+		}},
+		{"duplicate branch", []PlanBranch{
+			{Va: 0, Lo: 1, Hi: 2},
+			{Va: 1, Lo: 3, Hi: 4},
+			{Va: 1, Lo: 4, Hi: 3},
+			{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+			{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+		}},
+		{"swapped same-level siblings", []PlanBranch{
+			{Va: 0, Lo: 2, Hi: 1},
+			{Va: 1, Lo: 4, Hi: 3},
+			{Va: 1, Lo: 3, Hi: 4},
+			{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+			{Va: 2, Lo: TerminalTrue, Hi: TerminalFalse},
+		}},
+		{"swapped lower level", []PlanBranch{
+			{Va: 0, Lo: 1, Hi: 2},
+			{Va: 1, Lo: 4, Hi: 3},
+			{Va: 1, Lo: 3, Hi: 4},
+			{Va: 2, Lo: TerminalTrue, Hi: TerminalFalse},
+			{Va: 2, Lo: TerminalFalse, Hi: TerminalTrue},
+		}},
+	}
+	for _, c := range cases {
+		_, err := NewCompiled(3, 0, c.branches)
+		if err == nil {
+			t.Errorf("%s: NewCompiled accepted a non-canonical plan", c.name)
+		} else if !strings.HasPrefix(err.Error(), "bdd: ") {
+			t.Errorf("%s: error %q lacks the bdd: prefix", c.name, err)
+		}
+	}
+	plan, err := NewCompiled(3, 0, canonical)
+	if err != nil {
+		t.Fatalf("canonical plan rejected: %v", err)
+	}
+	m := NewManager(3)
+	root, err := m.FromCompiled(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEqual(m.Compile(root)[0], plan) {
+		t.Fatal("Compile(FromCompiled(plan)) differs from an accepted plan")
+	}
+}
+
+// TestNewCompiledKeepsOnlyWhatCompileEmits is the loader's oracle as a
+// property: perturb real plans — swap two branches of a level and fix up
+// every reference (same function, different program), or retarget one
+// edge (a different, possibly unreduced function) — and whatever
+// NewCompiled still accepts must be the fixed point of rebuilding and
+// recompiling. The re-ordered programs must all be refused.
+func TestNewCompiledKeepsOnlyWhatCompileEmits(t *testing.T) {
+	const nv = 8
+	r := rand.New(rand.NewSource(26))
+	accepted, refused := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		m := NewManager(nv)
+		plan := m.Compile(randomDiagram(m, r, 1+r.Intn(5), r.Intn(2)))[0]
+		branches := make([]PlanBranch, plan.Len())
+		for i := range branches {
+			branches[i] = plan.Branch(i)
+		}
+		reordered := false
+		if i := r.Intn(len(branches)); trial%2 == 0 && i+1 < len(branches) && branches[i].Va == branches[i+1].Va {
+			branches[i], branches[i+1] = branches[i+1], branches[i]
+			for k := range branches {
+				for _, tgt := range []*int32{&branches[k].Lo, &branches[k].Hi} {
+					switch *tgt {
+					case int32(i):
+						*tgt = int32(i + 1)
+					case int32(i + 1):
+						*tgt = int32(i)
+					}
+				}
+			}
+			reordered = true
+		} else {
+			b := &branches[r.Intn(len(branches))]
+			b.Lo = int32(r.Intn(len(branches)+2)) - 2 // a terminal or any index
+		}
+		kept, err := NewCompiled(nv, 0, branches)
+		if err != nil {
+			refused++
+			continue
+		}
+		if reordered {
+			t.Fatalf("trial %d: a re-ordered program was accepted", trial)
+		}
+		accepted++
+		m2 := NewManager(nv)
+		root, err := m2.FromCompiled(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plansEqual(m2.Compile(root)[0], kept) {
+			t.Fatalf("trial %d: accepted plan is not what Compile emits for its diagram", trial)
+		}
+	}
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("the perturbations never reached both outcomes: %d accepted, %d refused", accepted, refused)
 	}
 }

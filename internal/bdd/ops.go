@@ -161,7 +161,6 @@ func (m *Manager) restrict(f Node, v int32, value bool) Node {
 // never the tables, so it is safe to call concurrently on a frozen
 // manager.
 func (m *Manager) Eval(f Node, value func(v int) bool) bool {
-	m.checkLive()
 	for f > trueNode {
 		n := m.nodes[f]
 		if value(int(n.level)) {
@@ -178,7 +177,6 @@ func (m *Manager) Eval(f Node, value func(v int) bool) bool {
 // down the arena with no closure and no allocation, concurrency-safe on a
 // frozen manager.
 func (m *Manager) EvalBits(f Node, bits []bool) bool {
-	m.checkLive()
 	if len(bits) != m.numVars {
 		panic("bdd: EvalBits assignment length must equal NumVars")
 	}

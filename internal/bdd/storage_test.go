@@ -100,6 +100,12 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 	if m.NodeCount(f) != 2 {
 		t.Fatalf("NodeCount after freeze = %d", m.NodeCount(f))
 	}
+	if st := m.Stats(); st.UniqueCap != 0 || st.CacheCap != 0 || st.Nodes == 0 {
+		t.Fatalf("a frozen manager is its arena alone, got %+v", st)
+	}
+	if got := m.Compile(f)[0].Len(); got != 2 {
+		t.Fatalf("Compile after freeze: %d branches, want 2", got)
+	}
 	mutators := map[string]func(){
 		"Var":    func() { m.Var(3) },
 		"Cube":   func() { m.Cube([]bool{true, true, true, true}) },

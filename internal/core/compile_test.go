@@ -30,23 +30,31 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 		if err := z.SetGamma(2); err != nil {
 			t.Fatal(err)
 		}
+		// The oracle is the build manager itself, kept past the freeze
+		// that makes the zone forget it.
+		m, roots := z.m, z.roots
 		z.Freeze()
-		if z.plans == nil || len(z.plans) != len(z.roots) {
-			t.Fatalf("width %d: freeze compiled %d plans for %d levels", width, len(z.plans), len(z.roots))
+		if z.m != nil || z.roots != nil || len(z.plans) != len(roots) {
+			t.Fatalf("width %d: frozen zone keeps manager %v, %d roots, %d plans for %d levels", width, z.m != nil, len(z.roots), len(z.plans), len(roots))
 		}
 		probe := make(Pattern, width)
 		for a := 0; a < 1<<width; a++ {
 			for v := 0; v < width; v++ {
 				probe[v] = a&(1<<v) != 0
 			}
-			for g := 0; g < len(z.roots); g++ {
-				want := z.m.EvalBits(z.roots[g], probe)
+			for g := range roots {
+				want := m.EvalBits(roots[g], probe)
 				if got := z.ContainsAt(g, probe); got != want {
 					t.Fatalf("width %d γ=%d assignment %d: compiled %v, interpreted %v", width, g, a, got, want)
 				}
 			}
-			if got, want := z.Contains(probe), z.m.EvalBits(z.roots[z.gamma], probe); got != want {
+			if got, want := z.Contains(probe), m.EvalBits(roots[z.gamma], probe); got != want {
 				t.Fatalf("width %d assignment %d: Contains %v, interpreted %v", width, a, got, want)
+			}
+			// The diagnostic view re-derived from the plans is the same
+			// function again.
+			if got, want := z.Manager().EvalBits(z.Root(), probe), m.EvalBits(roots[z.gamma], probe); got != want {
+				t.Fatalf("width %d assignment %d: view %v, interpreted %v", width, a, got, want)
 			}
 		}
 	}
@@ -62,6 +70,7 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 	if err := z.SetGamma(2); err != nil {
 		t.Fatal(err)
 	}
+	m, roots := z.m, z.roots
 	z.Freeze()
 	probes := randomPatterns(r, 300, width)
 	for _, p := range inserted[:10] {
@@ -72,9 +81,9 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 			probes = append(probes, n)
 		}
 	}
-	for g := 0; g < len(z.roots); g++ {
+	for g := range roots {
 		for pi, p := range probes {
-			want := z.m.EvalBits(z.roots[g], p)
+			want := m.EvalBits(roots[g], p)
 			if got := z.ContainsAt(g, p); got != want {
 				t.Fatalf("γ=%d probe %d: compiled %v, interpreted %v", g, pi, got, want)
 			}
@@ -454,7 +463,7 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 		t.Fatalf("cached-level UpdateGamma recompiled %d-1 zones, want 0", got)
 	}
 
-	// Deeper γ: every zone is compact-cloned and recompiled.
+	// Deeper γ: every zone is re-derived, extended and recompiled.
 	if _, err := mon.UpdateGamma(4); err != nil {
 		t.Fatal(err)
 	}
@@ -462,12 +471,15 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 		t.Fatalf("deeper UpdateGamma recompiled %d-1 zones, want 5", got)
 	}
 
-	// Per-manager compile counters agree: each live zone's manager has
-	// compiled exactly its own level stack.
+	// The cumulative compile counter agrees: one plan per level of every
+	// zone built — five at the freeze and one update at three levels,
+	// then five at the five levels γ = 4 needs.
+	if got, want := mon.ManagerStatsTotal().Compiles, uint64(5*3+1*3+5*5); got != want {
+		t.Fatalf("%d plans compiled in total, want %d", got, want)
+	}
 	for c := 0; c < 5; c++ {
-		z := mon.Zone(c)
-		if got, want := z.Manager().Stats().Compiles, uint64(len(z.roots)); got != want {
-			t.Fatalf("class %d manager compiled %d plans, want %d", c, got, want)
+		if z := mon.Zone(c); len(z.plans) != 5 || z.m != nil {
+			t.Fatalf("class %d: %d plans, manager kept: %v", c, len(z.plans), z.m != nil)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"napmon/internal/bdd"
 )
 
 // FuzzPatternRoundTrip fuzzes the pattern encodings the serving and
@@ -100,17 +102,20 @@ func FuzzPatternRoundTrip(f *testing.F) {
 	})
 }
 
-// maxFuzzStream keeps the decoders' per-class BDD managers (tens of KB
-// each, one per few input bytes at worst) within a fuzz worker's memory.
-const maxFuzzStream = 4 << 10
+// maxFuzzStream bounds the streams the decoder fuzzers look at. A decode
+// allocates in proportion to its input (no per-class BDD manager), so the
+// cap is about time per execution, not a fuzz worker's memory.
+const maxFuzzStream = 64 << 10
 
 // FuzzLoadSnapshot fuzzes the one decoder for monitor bytes that arrive
 // from outside the process (a monitor file, a leader's snapshot body).
 // Each input is tried raw and with its FNV trailer recomputed, so
 // mutations reach the field validators instead of dying at the checksum.
 // An accepted monitor must be servable — 0 ≤ γ ≤ width, WatchPattern
-// answers on every class — and canonical: its snapshot loads again and
-// re-encodes to the same bytes.
+// answers on every class — and canonical twice over: every plan the
+// loader kept is the one rebuilding its diagram and compiling it again
+// gives (the loader no longer does that itself), and the monitor's
+// snapshot loads again and re-encodes to the same bytes.
 func FuzzLoadSnapshot(f *testing.F) {
 	golden, err := hex.DecodeString(snapshotGolden)
 	if err != nil {
@@ -141,6 +146,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 			for _, c := range m.Classes() {
 				if _, monitored := m.WatchPattern(c, probe); !monitored {
 					t.Fatalf("class %d listed but not monitored", c)
+				}
+				for li, plan := range m.Zone(c).plans {
+					mgr := bdd.NewManager(width)
+					root, err := mgr.FromCompiled(plan)
+					if err != nil {
+						t.Fatalf("class %d level %d: %v", c, li, err)
+					}
+					if again := mgr.Compile(root)[0]; !bytes.Equal(appendPlan(nil, again), appendPlan(nil, plan)) {
+						t.Fatalf("class %d level %d: accepted plan is not canonical: Compile(FromCompiled(p)) != p", c, li)
+					}
 				}
 			}
 			var first, second bytes.Buffer

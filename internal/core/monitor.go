@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"napmon/internal/bdd"
 	"napmon/internal/nn"
 	"napmon/internal/tensor"
 )
@@ -60,10 +61,14 @@ type Monitor struct {
 	upd Updater
 
 	// freezeOnce guards the build-to-serve transition: after Freeze (or
-	// the first WatchBatch, which freezes implicitly) every zone's BDD
-	// manager is read-only and membership queries are safe from any
-	// number of goroutines.
+	// the first WatchBatch, which freezes implicitly) every zone is its
+	// compiled plans and membership queries are safe from any number of
+	// goroutines.
 	freezeOnce sync.Once
+
+	// bddDone: counters of every BDD manager a zone dropped (foldBDD).
+	bddMu   sync.Mutex
+	bddDone bdd.Stats
 
 	// Serving-signal counters (see obs.go): per-class verdict tallies,
 	// abstentions, and the inference/zone-query time split. wc's key set
@@ -276,9 +281,9 @@ func (m *Monitor) LayerWidth() int { return m.width }
 
 // zonesView returns the zone set a non-serving accessor should read: the
 // current epoch's zones once frozen, the build-phase zones before.
-// Accessors going through it (Zone, Classes, StorageNodes) see the latest
-// generation but do not pin it — racing them against concurrent updates
-// can observe a zone whose manager was released. Serving paths pin instead.
+// Accessors going through it (Zone, Classes) see the latest generation
+// unpinned: safe, since a frozen zone is immutable and valid for as long
+// as it is held, but a later call may see another epoch. Serving paths pin.
 func (m *Monitor) zonesView() map[int]*Zone {
 	if e := m.cur.Load(); e != nil {
 		return e.zones
@@ -289,11 +294,10 @@ func (m *Monitor) zonesView() map[int]*Zone {
 // Zone returns the comfort zone for class c at the current epoch, or nil
 // when c is unmonitored. The returned handle belongs to the epoch current
 // at call time: if online updates later replace class c's zone, the
-// handle's BDD manager is released once that epoch's readers drain, after
-// which its query methods panic. Diagnostics that run concurrently with
-// updates should re-fetch the zone per use (or go through the pinned
-// serving APIs — Watch, WatchPattern, WatchBatch, Evaluate,
-// StorageNodes) rather than caching the handle across updates.
+// handle keeps answering from the generation it was taken from.
+// Diagnostics that must follow updates should re-fetch the zone per use
+// (or go through the pinned serving APIs — Watch, WatchPattern,
+// WatchBatch, Evaluate, StorageNodes).
 func (m *Monitor) Zone(c int) *Zone { return m.zonesView()[c] }
 
 // Classes returns the monitored classes in ascending order.
@@ -340,8 +344,9 @@ func (m *Monitor) Gamma() int {
 	return m.cfg.Gamma
 }
 
-// Freeze transitions the monitor from building to serving: every zone's
-// BDD manager becomes read-only and the zone set is published as epoch 1,
+// Freeze transitions the monitor from building to serving: every zone
+// compiles its plans and drops its BDD manager, and the zone set is
+// published as epoch 1,
 // after which Watch, WatchPattern and WatchBatch are safe to call from any
 // number of goroutines concurrently. Freeze is idempotent; WatchBatch
 // calls it implicitly on first use. A frozen monitor mutates only by
@@ -357,11 +362,9 @@ func (m *Monitor) Freeze() { m.freezeAt(1) }
 func (m *Monitor) freezeAt(id uint64) {
 	m.freezeOnce.Do(func() {
 		for _, z := range m.zones {
-			z.Freeze()
+			m.foldBDD(z.Freeze())
 		}
-		e := newEpoch(id, m.cfg.Gamma, m.zones)
-		m.upd.track(e)
-		m.cur.Store(e)
+		m.cur.Store(newEpoch(id, m.cfg.Gamma, m.zones, &m.upd.released))
 	})
 }
 

@@ -120,34 +120,50 @@ type BatchTiming struct {
 	ZoneQueryNs int64
 }
 
-// ManagerStatsTotal sums BDD manager statistics across the zones of the
-// current serving epoch (or the build-phase zones before freeze). Zones
-// sharing a manager (γ re-view epochs) are counted once. Capacities and
-// hit/miss counters sum; Frozen reports the monitor's own state.
+// addStats accumulates s into total (Frozen aside).
+func addStats(total *bdd.Stats, s bdd.Stats) {
+	total.Nodes += s.Nodes
+	total.UniqueHits += s.UniqueHits
+	total.UniqueMisses += s.UniqueMisses
+	total.CacheHits += s.CacheHits
+	total.CacheMisses += s.CacheMisses
+	total.UniqueCap += s.UniqueCap
+	total.CacheCap += s.CacheCap
+	total.Compiles += s.Compiles
+}
+
+// foldBDD keeps the counters of a manager a zone has just dropped at its
+// freeze; its nodes and tables went with it.
+func (m *Monitor) foldBDD(session bdd.Stats) {
+	session.Nodes, session.UniqueCap, session.CacheCap = 0, 0, 0
+	m.bddMu.Lock()
+	addStats(&m.bddDone, session)
+	m.bddMu.Unlock()
+}
+
+// ManagerStatsTotal reports the monitor's BDD work and size. The hit,
+// miss and compile counters are cumulative over every build session that
+// has ended (the initial build, each zone an update rebuilt) and never
+// decrease. Nodes is what exists now: the branches of every cached level's
+// plan in the serving epoch. Before the freeze the zones still own their
+// managers, and the figures are those managers'.
 func (m *Monitor) ManagerStatsTotal() bdd.Stats {
+	m.bddMu.Lock()
+	total := m.bddDone
+	m.bddMu.Unlock()
+	total.Frozen = m.Frozen()
 	zones := m.zones
 	if e := m.acquire(); e != nil {
 		defer e.unpin()
 		zones = e.zones
 	}
-	seen := make(map[*bdd.Manager]bool, len(zones))
-	var total bdd.Stats
-	total.Frozen = m.Frozen()
 	for _, z := range zones {
-		mgr := z.Manager()
-		if seen[mgr] {
-			continue
+		for _, p := range z.plans {
+			total.Nodes += p.Len()
 		}
-		seen[mgr] = true
-		st := mgr.Stats()
-		total.Nodes += st.Nodes
-		total.UniqueHits += st.UniqueHits
-		total.UniqueMisses += st.UniqueMisses
-		total.CacheHits += st.CacheHits
-		total.CacheMisses += st.CacheMisses
-		total.UniqueCap += st.UniqueCap
-		total.CacheCap += st.CacheCap
-		total.Compiles += st.Compiles
+		if z.m != nil {
+			addStats(&total, z.m.Stats())
+		}
 	}
 	return total
 }

@@ -105,8 +105,12 @@ func TestSwapNanos(t *testing.T) {
 	}
 }
 
-// TestManagerStatsTotal checks the summed BDD statistics accessor
-// against the per-zone managers.
+// TestManagerStatsTotal checks the BDD statistics accessor across the
+// freeze that drops the managers it used to sum: before it the figures
+// are the live build managers'; after it the counters are what those
+// managers had done when they were dropped, Nodes is the branches of the
+// plans that replaced them, there are no tables left to have a capacity,
+// and an update only ever adds.
 func TestManagerStatsTotal(t *testing.T) {
 	r := rng.New(5)
 	const width = 10
@@ -118,19 +122,46 @@ func TestManagerStatsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
+	built := mon.ManagerStatsTotal()
 	wantNodes := 0
 	for _, c := range mon.Classes() {
 		wantNodes += mon.Zone(c).Manager().Stats().Nodes
 	}
+	if built.Frozen || built.Nodes != wantNodes || built.UniqueCap == 0 || built.CacheCap == 0 || built.UniqueMisses == 0 || built.Compiles != 0 {
+		t.Fatalf("build-phase totals: %+v (want %d arena nodes)", built, wantNodes)
+	}
+
+	mon.Freeze()
 	st := mon.ManagerStatsTotal()
-	if st.Nodes != wantNodes {
-		t.Fatalf("ManagerStatsTotal.Nodes = %d, want %d", st.Nodes, wantNodes)
+	wantNodes = 0
+	for _, c := range mon.Classes() {
+		for _, p := range mon.Zone(c).plans {
+			wantNodes += p.Len()
+		}
+	}
+	if st.Nodes != wantNodes || wantNodes == 0 {
+		t.Fatalf("ManagerStatsTotal.Nodes = %d, want %d plan branches", st.Nodes, wantNodes)
 	}
 	if !st.Frozen {
 		t.Fatal("ManagerStatsTotal.Frozen = false on frozen monitor")
 	}
-	if st.UniqueCap == 0 || st.CacheCap == 0 {
-		t.Fatalf("capacities not summed: %+v", st)
+	if st.UniqueCap != 0 || st.CacheCap != 0 {
+		t.Fatalf("a frozen monitor reports table capacities: %+v", st)
+	}
+	if st.UniqueHits != built.UniqueHits || st.UniqueMisses != built.UniqueMisses ||
+		st.CacheHits != built.CacheHits || st.CacheMisses != built.CacheMisses {
+		t.Fatalf("the freeze lost the build's counters: %+v, built %+v", st, built)
+	}
+	if st.Compiles != 2*2 {
+		t.Fatalf("Compiles = %d after freezing 2 zones of 2 levels", st.Compiles)
+	}
+
+	if _, err := mon.Update(4, randomPatterns(r, 2, width)...); err != nil {
+		t.Fatal(err)
+	}
+	after := mon.ManagerStatsTotal()
+	if after.Compiles != st.Compiles+2 || after.UniqueMisses <= st.UniqueMisses || after.CacheMisses <= st.CacheMisses ||
+		after.UniqueHits < st.UniqueHits || after.CacheHits < st.CacheHits {
+		t.Fatalf("an update must only add: %+v, before %+v", after, st)
 	}
 }

@@ -33,6 +33,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -290,16 +291,18 @@ func openChecksummed(data, magic []byte) (*snapReader, error) {
 
 // LoadSnapshot reads a snapshot written by Monitor.Snapshot and returns
 // a monitor already frozen and serving at the snapshot's epoch id, plus
-// the embedded delta tail. The zones are rebuilt from their compiled
-// plans through the canonicalizing BDD constructor, so the loaded
-// monitor's serialized form is byte-identical to the source monitor's —
-// the replication convergence tests pin exactly that.
+// the embedded delta tail. Loading is validate-and-keep: a frozen zone is
+// its plans, and bdd.NewCompiled admits a plan only in the one form
+// Compile emits for its function, so nothing is rebuilt and the loaded
+// monitor re-serializes byte-identically (the replication tests pin it).
 func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	// io.Copy moves a bytes.Reader (every in-process caller) in one write;
+	// io.ReadAll grows by appends and allocates the stream ~5 times over.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, nil, err
 	}
-	sr, err := openChecksummed(data, snapshotMagic)
+	sr, err := openChecksummed(buf.Bytes(), snapshotMagic)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,18 +364,14 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 		if levels <= gamma {
 			return nil, nil, fmt.Errorf("core: snapshot class %d has %d levels, gamma %d", c, levels, gamma)
 		}
-		mgr := bdd.NewManager(width)
-		roots := make([]bdd.Node, levels)
-		for li := range roots {
-			plan, err := readPlan(sr, width)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: snapshot class %d level %d: %w", c, li, err)
-			}
-			if roots[li], err = mgr.FromCompiled(plan); err != nil {
+		plans := make([]*bdd.Compiled, levels)
+		for li := range plans {
+			var err error
+			if plans[li], err = readPlan(sr, width); err != nil {
 				return nil, nil, fmt.Errorf("core: snapshot class %d level %d: %w", c, li, err)
 			}
 		}
-		zones[c] = &Zone{m: mgr, roots: roots, gamma: gamma, base: base}
+		zones[c] = &Zone{width: width, plans: plans, view: new(zoneView), gamma: gamma, base: base}
 		classes = append(classes, c)
 	}
 

@@ -1,11 +1,12 @@
 // Online zone updates: epoch-based read-copy-update over the monitor's
 // frozen comfort zones (DESIGN.md, "Online updates: epochs, grace
 // periods"). The frozen monitor keeps serving while an Updater
-// shadow-builds successors for the touched zones on writable compact
-// clones; the finished generation is published with one atomic pointer
-// swap. Readers pin the current epoch per batch, so a batch never mixes
-// zones from two generations, and a retired epoch's replaced BDD managers
-// are released the moment its last pinned reader drains.
+// shadow-builds successors for the touched zones on managers re-derived
+// from their plans; the finished generation is published with one atomic
+// pointer swap. Readers pin the current epoch per batch, so a batch never
+// mixes zones from two generations. An epoch is plans and nothing else,
+// so a retired one needs no release step: its refcount only times the
+// grace period.
 
 package core
 
@@ -15,8 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"napmon/internal/bdd"
 )
 
 // epoch is one immutable generation of the monitor's serving state: a set
@@ -29,49 +28,27 @@ type epoch struct {
 	// refs counts the epoch's pinned readers plus one reference for being
 	// the monitor's current epoch. Publication of a successor drops the
 	// current-reference; when refs drains to zero the epoch's grace period
-	// ends and its manager references are returned to the updater's
-	// registry (which releases managers no live epoch shares any more).
+	// has ended.
 	refs atomic.Int64
-	// releaseOnce guards the drain handoff: the refcount can be
-	// resurrected transiently by a racing acquire (pin-validate-unpin), so
-	// zero may be observed more than once.
-	releaseOnce sync.Once
-	// onDrain returns the epoch's manager references to the updater's
-	// registry.
-	onDrain func()
+	// drainOnce guards the drain count: the refcount can be resurrected
+	// transiently by a racing acquire (pin-validate-unpin), so zero may be
+	// observed more than once.
+	drainOnce sync.Once
+	drained   *atomic.Uint64 // the updater's ReleasedEpochs counter
 }
 
-func newEpoch(id uint64, gamma int, zones map[int]*Zone) *epoch {
-	e := &epoch{id: id, gamma: gamma, zones: zones}
+func newEpoch(id uint64, gamma int, zones map[int]*Zone, drained *atomic.Uint64) *epoch {
+	e := &epoch{id: id, gamma: gamma, zones: zones, drained: drained}
 	e.refs.Store(1) // the monitor's current-epoch reference
 	return e
 }
 
-// unpin drops one reference; the reader-drain end of the grace period
-// hands the epoch's manager references back exactly once.
+// unpin drops one reference; the last one out counts the epoch as
+// drained, exactly once.
 func (e *epoch) unpin() {
 	if e.refs.Add(-1) == 0 {
-		e.releaseOnce.Do(func() {
-			if e.onDrain != nil {
-				e.onDrain()
-			}
-		})
+		e.drainOnce.Do(func() { e.drained.Add(1) })
 	}
-}
-
-// managers returns the distinct BDD managers backing the epoch's zones
-// (UpdateGamma re-view epochs share managers with their predecessor, so
-// manager lifetime is tracked per manager, not per epoch).
-func (e *epoch) managers() []*bdd.Manager {
-	seen := make(map[*bdd.Manager]bool, len(e.zones))
-	out := make([]*bdd.Manager, 0, len(e.zones))
-	for _, z := range e.zones {
-		if !seen[z.m] {
-			seen[z.m] = true
-			out = append(out, z.m)
-		}
-	}
-	return out
 }
 
 // acquire pins the monitor's current epoch for a batch of reads, or
@@ -96,23 +73,13 @@ func (m *Monitor) acquire() *epoch {
 }
 
 // Updater is the monitor's online-update engine: it shadow-builds zone
-// deltas on writable clones while the frozen epoch keeps serving, then
+// deltas on re-derived managers while the frozen epoch keeps serving, then
 // publishes the new generation atomically. All updates are serialized
 // through the updater's mutex (single writer, many readers); the serving
 // paths never block on it.
 type Updater struct {
 	m  *Monitor
 	mu sync.Mutex
-
-	// mgrRefs counts, per BDD manager, how many undrained epochs reference
-	// it. A manager may back zones in several consecutive epochs
-	// (UpdateGamma re-views share managers), so it is released only when
-	// the last epoch referencing it drains — never while any pinned reader
-	// could still walk it. Guarded by refMu, which is distinct from mu
-	// because drains fire from reader goroutines (and from publish itself,
-	// which holds mu).
-	refMu   sync.Mutex
-	mgrRefs map[*bdd.Manager]int
 
 	published  atomic.Uint64 // epochs published after the freeze epoch
 	absorbed   atomic.Uint64 // patterns absorbed across all updates
@@ -124,36 +91,6 @@ type Updater struct {
 	swapNsLast  atomic.Int64
 }
 
-// track registers a freshly published (or freeze) epoch's manager
-// references and arms its drain handoff.
-func (u *Updater) track(e *epoch) {
-	mgrs := e.managers()
-	u.refMu.Lock()
-	if u.mgrRefs == nil {
-		u.mgrRefs = make(map[*bdd.Manager]int)
-	}
-	for _, mgr := range mgrs {
-		u.mgrRefs[mgr]++
-	}
-	u.refMu.Unlock()
-	e.onDrain = func() { u.drained(e, mgrs) }
-}
-
-// drained ends a retired epoch's grace period: its manager references are
-// returned, and managers no live epoch shares are released for good.
-func (u *Updater) drained(e *epoch, mgrs []*bdd.Manager) {
-	u.refMu.Lock()
-	for _, mgr := range mgrs {
-		u.mgrRefs[mgr]--
-		if u.mgrRefs[mgr] == 0 {
-			delete(u.mgrRefs, mgr)
-			mgr.Release()
-		}
-	}
-	u.refMu.Unlock()
-	u.released.Add(1)
-}
-
 // Published returns how many epochs have been published by updates (the
 // initial freeze epoch is not counted).
 func (u *Updater) Published() uint64 { return u.published.Load() }
@@ -162,28 +99,28 @@ func (u *Updater) Published() uint64 { return u.published.Load() }
 func (u *Updater) Absorbed() uint64 { return u.absorbed.Load() }
 
 // ReleasedEpochs returns how many retired epochs have completed their
-// grace period (all pinned readers drained, replaced managers freed).
+// grace period: all pinned readers drained, nothing references the
+// generation any more.
 func (u *Updater) ReleasedEpochs() uint64 { return u.released.Load() }
 
-// Recompiled returns how many zone query plans updates have rebuilt.
-// Epoch swaps pay compilation only for the zones they actually touch —
-// an Apply recompiles exactly the delta'd classes, an ApplyGamma to a
-// cached level recompiles nothing — so this counter growing slower than
-// Published × classes is the O(delta) property made observable (the
+// Recompiled returns how many zones updates have rebuilt (derived,
+// extended, recompiled). Epoch swaps pay that only for the zones they
+// actually touch — an Apply rebuilds exactly the delta'd classes, an
+// ApplyGamma to a cached level rebuilds nothing — so this counter growing
+// slower than Published × classes is that property made observable (the
 // epoch-swap tests assert on it).
 func (u *Updater) Recompiled() uint64 { return u.recompiled.Load() }
 
 // Apply absorbs new activation patterns into the monitored classes' zones
 // and publishes the result as a new epoch. delta maps class → patterns to
 // add; every class must be monitored and every pattern must match the
-// monitored width. The zones of untouched classes are shared structurally
-// with the previous epoch (their managers are per-class, so sharing is
-// free); each touched zone is compact-cloned with the delta folded into
-// every cached enlargement level (see Zone.cloneWithDelta — cost scales
-// with the delta, not the zone). Serving never pauses: readers pinned to
-// the old epoch finish on it, new batches see the new one. Returns the
-// published epoch id; with an empty delta it returns the current id
-// without publishing. The monitor is frozen on first use.
+// monitored width. The zones of untouched classes are shared with the
+// previous epoch; each touched zone is rebuilt with the delta folded into
+// every cached enlargement level (Zone.cloneWithDelta: the fold scales
+// with the delta, the rebuild around it with the zone). Serving never
+// pauses: readers pinned to the old epoch finish on it, new batches see
+// the new one. Returns the published epoch id; with an empty delta, the
+// current id without publishing. The monitor is frozen on first use.
 func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 	m := u.m
 	m.Freeze()
@@ -225,7 +162,7 @@ func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 			continue
 		}
 		nz := cur.zones[c].cloneWithDelta(delta[c])
-		nz.Freeze() // compiles the successor's query plans
+		m.foldBDD(nz.Freeze()) // compiles the successor's plans, drops its manager
 		zones[c] = nz
 		u.recompiled.Add(1)
 	}
@@ -236,9 +173,9 @@ func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 
 // ApplyGamma publishes a new epoch whose zones are queried at a different
 // enlargement level. Levels cached before the freeze are re-viewed in
-// place — the new zones share the frozen managers, nothing is copied and
-// nothing is retired; a deeper level shadow-builds the missing expansions
-// on compact clones. This is the epoch-swap answer to the
+// place — the new zones share the plans, nothing is copied and nothing is
+// rebuilt; a deeper level shadow-builds the missing expansions on
+// managers re-derived from the plans. This is the epoch-swap answer to the
 // SetGamma-after-Freeze footgun: the serving γ changes atomically for
 // whole batches instead of racing per query.
 func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
@@ -258,8 +195,8 @@ func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
 	zones := make(map[int]*Zone, len(cur.zones))
 	for c, z := range cur.zones {
 		nz := z.cloneAtGamma(gamma)
-		nz.Freeze() // no-op for the shared-manager re-view: plans are shared too
-		if nz.m != z.m {
+		if !nz.Frozen() { // a deeper level was built; a re-view shares the plans
+			m.foldBDD(nz.Freeze())
 			u.recompiled.Add(1)
 		}
 		zones[c] = nz
@@ -267,12 +204,11 @@ func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
 	return u.publish(cur, zones, gamma), nil
 }
 
-// publish swaps in the new generation: register the new epoch's manager
-// references, store the pointer, drop the old epoch's current-reference so
-// its grace period can end. Callers hold u.mu.
+// publish swaps in the new generation: store the pointer, then drop the
+// old epoch's current-reference so its grace period can end. Callers hold
+// u.mu.
 func (u *Updater) publish(old *epoch, zones map[int]*Zone, gamma int) uint64 {
-	next := newEpoch(old.id+1, gamma, zones)
-	u.track(next)
+	next := newEpoch(old.id+1, gamma, zones, &u.released)
 	u.m.cur.Store(next)
 	u.published.Add(1)
 	old.unpin()

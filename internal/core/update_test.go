@@ -2,7 +2,7 @@ package core
 
 // Tests of the epoch-swap online-update subsystem: the updater-vs-union
 // equivalence property, epoch pinning under concurrent update+serve load,
-// grace-period release of retired managers, and the frozen-SetGamma /
+// grace-period drain of retired epochs, and the frozen-SetGamma /
 // UpdateGamma semantics.
 
 import (
@@ -229,9 +229,11 @@ func TestEpochSwapConsistency(t *testing.T) {
 	}
 }
 
-// TestEpochGracePeriod pins the retire protocol: a retired epoch's
-// replaced managers are released only after its last pinned reader
-// drains, and managers shared with the live epoch are never released.
+// TestEpochGracePeriod pins the retire protocol: a retired epoch counts
+// as released only after its last pinned reader drains, the pinned reader
+// keeps answering from the retired generation's plans the whole time (and
+// after), untouched zones are shared with the successor, and no epoch,
+// live or retired, holds a BDD manager.
 func TestEpochGracePeriod(t *testing.T) {
 	net, layer, train, _ := trainedToyNet(t, 33)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 1})
@@ -241,51 +243,63 @@ func TestEpochGracePeriod(t *testing.T) {
 	mon.Freeze()
 	classes := mon.Classes()
 	touched, untouched := classes[0], classes[1]
-	oldTouched := mon.Zone(touched).Manager()
-	oldUntouched := mon.Zone(untouched).Manager()
+	oldTouched, oldUntouched := mon.Zone(touched), mon.Zone(untouched)
 
 	// Pin epoch 1 like a long-running batch would.
 	e := mon.acquire()
 	if e == nil || e.id != 1 {
 		t.Fatalf("acquired epoch %+v", e)
 	}
+	// The first pattern outside the touched zone, then learned.
 	p := make(Pattern, len(mon.Neurons()))
+	for a := 0; oldTouched.Contains(p); a++ {
+		if a == 1<<len(p) {
+			t.Fatal("the touched zone holds every pattern")
+		}
+		for v := range p {
+			p[v] = a&(1<<v) != 0
+		}
+	}
 	if _, err := mon.Update(touched, p); err != nil {
 		t.Fatal(err)
 	}
 	if got := mon.Updater().ReleasedEpochs(); got != 0 {
 		t.Fatalf("epoch released while still pinned (released=%d)", got)
 	}
-	if oldTouched.Released() {
-		t.Fatal("replaced manager released while its epoch was pinned")
+	// The pinned reader still serves off the retired generation, which
+	// has not learned p; the live epoch has.
+	if e.zones[touched] != oldTouched || e.zones[touched].Contains(p) {
+		t.Fatal("pinned reader does not see the retired generation")
 	}
-	// The pinned reader can still serve off the retired generation.
-	_ = e.zones[touched].Contains(p)
+	if oop, monitored := mon.WatchPattern(touched, p); !monitored || oop {
+		t.Fatalf("live epoch: out-of-pattern=%v monitored=%v for the learned pattern", oop, monitored)
+	}
 
 	e.unpin()
 	if got := mon.Updater().ReleasedEpochs(); got != 1 {
 		t.Fatalf("retired epoch not released after drain (released=%d)", got)
 	}
-	if !oldTouched.Released() {
-		t.Fatal("replaced manager not released after grace period")
+	// Nothing was torn down at the drain: a handle taken from the retired
+	// epoch is plans, and plans keep answering.
+	if oldTouched.Contains(p) {
+		t.Fatal("retired zone changed its answer after the drain")
 	}
-	if oldUntouched.Released() {
-		t.Fatal("manager shared with the live epoch was released")
+	if mon.Zone(untouched) != oldUntouched {
+		t.Fatal("untouched zone was not shared with the successor epoch")
 	}
-	if mon.Zone(untouched).Manager() != oldUntouched {
-		t.Fatal("untouched zone was not shared structurally")
-	}
-	// The live epoch still serves.
-	if _, monitored := mon.WatchPattern(touched, p); !monitored {
-		t.Fatal("live epoch lost the touched zone")
+	for _, z := range []*Zone{oldTouched, oldUntouched, mon.Zone(touched)} {
+		if z.m != nil || z.roots != nil || z.view.m != nil {
+			t.Fatal("a published zone holds a BDD manager")
+		}
 	}
 }
 
 // TestUpdateGammaManagerSharing pins the re-view optimization and the
-// per-manager refcounts behind it: UpdateGamma to a level cached before
-// the freeze shares the frozen managers across epochs (nothing copied,
-// nothing retired), and a manager shared by a chain of epochs is released
-// only when the last epoch referencing it drains.
+// single refcount behind it. No epoch holds a manager to share: what an
+// UpdateGamma to a level cached before the freeze shares across epochs is
+// the plans (nothing copied, nothing rebuilt), a deeper level rebuilds,
+// and each retired epoch drains on its own count whatever it shares with
+// its neighbours.
 func TestUpdateGammaManagerSharing(t *testing.T) {
 	net, layer, train, _ := trainedToyNet(t, 34)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 2})
@@ -294,39 +308,38 @@ func TestUpdateGammaManagerSharing(t *testing.T) {
 	}
 	mon.Freeze()
 	c := mon.Classes()[0]
-	orig := mon.Zone(c).Manager()
+	orig := mon.Zone(c)
 
 	// Pin epoch 1, then publish a re-view epoch 2 (gamma 1, cached):
-	// shares every manager with epoch 1.
+	// shares every plan with epoch 1.
 	e1 := mon.acquire()
 	if _, err := mon.UpdateGamma(1); err != nil {
 		t.Fatal(err)
 	}
-	if mon.Zone(c).Manager() != orig {
-		t.Fatal("UpdateGamma to a cached level did not share the manager")
+	if z := mon.Zone(c); &z.plans[0] != &orig.plans[0] || z.view != orig.view {
+		t.Fatal("UpdateGamma to a cached level did not share the plans")
 	}
 	if got := mon.Gamma(); got != 1 {
 		t.Fatalf("Gamma = %d after UpdateGamma(1)", got)
 	}
-	// Publish epoch 3 with fresh managers (an update clones the touched
-	// zone; re-level the rest via a deeper gamma to force clones).
+	// Publish epoch 3 past the cached levels: every zone is rebuilt.
 	if _, err := mon.UpdateGamma(4); err != nil {
 		t.Fatal(err)
 	}
-	if mon.Zone(c).Manager() == orig {
-		t.Fatal("UpdateGamma past the cached levels did not clone")
+	if z := mon.Zone(c); len(z.plans) != 5 || &z.plans[0] == &orig.plans[0] {
+		t.Fatal("UpdateGamma past the cached levels did not rebuild")
 	}
-	// Epoch 2 has drained (it was never pinned), but epoch 1 is still
-	// pinned and shares orig — the chain refcount must keep it alive.
-	if orig.Released() {
-		t.Fatal("manager released while an older epoch still references it")
+	// Epoch 2 has drained (it was never pinned); epoch 1 is still pinned.
+	if got := mon.Updater().ReleasedEpochs(); got != 1 {
+		t.Fatalf("released epochs = %d with epoch 1 pinned, want 1", got)
 	}
-	// The pinned epoch-1 reader can still query through orig.
-	_ = e1.zones[c].Contains(make(Pattern, e1.zones[c].Width()))
+	// The pinned epoch-1 reader still queries at its own γ = 2, on plans
+	// epoch 2 shared and has already let go of.
+	probe := make(Pattern, e1.zones[c].Width())
+	if got, want := e1.zones[c].Contains(probe), orig.ContainsAt(2, probe); e1.gamma != 2 || got != want {
+		t.Fatalf("pinned epoch 1: gamma %d, Contains %v, want gamma 2, %v", e1.gamma, got, want)
+	}
 	e1.unpin()
-	if !orig.Released() {
-		t.Fatal("manager not released after the last referencing epoch drained")
-	}
 	if got := mon.Updater().ReleasedEpochs(); got != 2 {
 		t.Fatalf("released epochs = %d, want 2", got)
 	}

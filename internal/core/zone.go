@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"napmon/internal/bdd"
 )
@@ -12,31 +13,45 @@ import (
 // The set is stored as a BDD over one variable per monitored neuron, so
 // the deployment-time membership query costs at most one node visit per
 // neuron regardless of how many patterns the zone holds.
+//
+// While building, a zone owns a bdd.Manager and a root per enlargement
+// level. Freeze compiles every level into a flat query plan and lets the
+// manager go: a frozen zone is its plans, γ, the insert count and the
+// width. Growing one is a new build session on a manager re-derived from
+// the plans (cloneWithDelta, cloneAtGamma).
 type Zone struct {
-	m     *bdd.Manager
-	roots []bdd.Node // roots[i] is Z^i; roots[0] is the visited-pattern set
-	gamma int        // current query level, an index into roots
-	base  int        // number of Insert calls (visited patterns, with duplicates)
+	width int
+	gamma int // current query level, an index into roots / plans
+	base  int // number of Insert calls (visited patterns, with duplicates)
 
-	// plans[i] is the compiled query plan of roots[i], built by Freeze —
-	// the serving fast path. nil while the zone is mutable (the plan
-	// would go stale under Insert/SetGamma); once set, Contains and
-	// ContainsAt answer from the flat branch programs instead of walking
-	// the manager's arena. Epoch re-views at a cached γ share the slice
-	// with their predecessor, so an online update recompiles only the
-	// zones it actually rebuilt.
+	// Build session state, nil once frozen: roots[i] is Z^i.
+	m     *bdd.Manager
+	roots []bdd.Node
+
+	// plans[i] is the compiled query plan of Z^i; nil while the zone is
+	// mutable (a plan would go stale under Insert/SetGamma). Epoch
+	// re-views at a cached γ share the slice, and the view.
 	plans []*bdd.Compiled
+	view  *zoneView
+}
+
+// zoneView is a frozen zone's diagnostic manager (Manager, Root): frozen,
+// arena-only, materialised from the plans on first request.
+type zoneView struct {
+	once  sync.Once
+	m     *bdd.Manager
+	roots []bdd.Node
 }
 
 // NewZone returns an empty comfort zone over width monitored neurons with
 // γ = 0.
 func NewZone(width int) *Zone {
 	m := bdd.NewManager(width)
-	return &Zone{m: m, roots: []bdd.Node{m.False()}}
+	return &Zone{width: width, m: m, roots: []bdd.Node{m.False()}}
 }
 
 // Width returns the number of monitored neurons.
-func (z *Zone) Width() int { return z.m.NumVars() }
+func (z *Zone) Width() int { return z.width }
 
 // Gamma returns the current Hamming enlargement level used by Contains.
 func (z *Zone) Gamma() int { return z.gamma }
@@ -49,15 +64,10 @@ func (z *Zone) InsertCount() int { return z.base }
 // Z⁰_c ← bdd.or(Z⁰_c, bdd.encode(pat))). Inserting invalidates previously
 // computed enlargements, so they are recomputed lazily by SetGamma.
 func (z *Zone) Insert(p Pattern) {
-	if z.m.Frozen() {
-		// Fail before touching roots: a panic mid-update would leave the
-		// zone with a truncated level stack.
+	if z.Frozen() {
 		panic("core: Insert on frozen zone")
 	}
-	if len(p) != z.m.NumVars() {
-		panic(fmt.Sprintf("core: pattern width %d does not match zone width %d",
-			len(p), z.m.NumVars()))
-	}
+	z.checkWidth(p)
 	z.roots = z.roots[:1]
 	z.roots[0] = z.m.Or(z.roots[0], z.m.Cube(p))
 	if z.gamma > 0 {
@@ -76,10 +86,10 @@ func (z *Zone) Insert(p Pattern) {
 // returns an error instead of silently mutating shared serving state.
 // Change a live monitor's γ by publishing a new epoch (Monitor.UpdateGamma).
 func (z *Zone) SetGamma(gamma int) error {
-	if err := checkGamma(gamma, z.m.NumVars()); err != nil {
+	if err := checkGamma(gamma, z.width); err != nil {
 		return err
 	}
-	if z.m.Frozen() {
+	if z.Frozen() {
 		if gamma == z.gamma {
 			return nil // no change requested; nothing to mutate
 		}
@@ -112,24 +122,31 @@ func (z *Zone) extendTo(gamma int) {
 	}
 }
 
-// Freeze makes the zone's BDD manager read-only and compiles every cached
-// enlargement level into a flat query plan (bdd.Compile): Contains (and
-// ContainsAt for already-computed levels) become safe for unlimited
-// concurrent use and serve from the compiled programs instead of the
-// arena. Insert and SetGamma panic or error from now on. Freezing is
-// irreversible — it is the per-zone half of the monitor's
-// freeze-then-serve concurrency model (see DESIGN.md); growing a frozen
-// zone means shadow-building a successor (cloneWithDelta) and publishing
-// it as a new epoch, which recompiles just that zone's plans.
-func (z *Zone) Freeze() {
-	z.m.Freeze()
-	if z.plans == nil {
-		z.plans = z.m.Compile(z.roots...)
+// Freeze ends the zone's build session: every cached enlargement level is
+// compiled into a flat query plan (bdd.Compile) and the manager is let
+// go. Contains (and ContainsAt for already-computed levels) become safe
+// for unlimited concurrent use; Insert and SetGamma panic or error from
+// now on. Freezing is irreversible (DESIGN.md, freeze-then-serve). It
+// returns the dropped manager's counters (zero if already frozen).
+func (z *Zone) Freeze() bdd.Stats {
+	if z.Frozen() {
+		return bdd.Stats{}
 	}
+	z.plans = z.m.Compile(z.roots...)
+	session := z.m.Stats()
+	z.m, z.roots, z.view = nil, nil, new(zoneView)
+	return session
 }
 
 // Frozen reports whether the zone has been frozen.
-func (z *Zone) Frozen() bool { return z.m.Frozen() }
+func (z *Zone) Frozen() bool { return z.plans != nil }
+
+// checkWidth panics on a pattern of the wrong width.
+func (z *Zone) checkWidth(p Pattern) {
+	if len(p) != z.width {
+		panic(fmt.Sprintf("core: pattern width %d does not match zone width %d", len(p), z.width))
+	}
+}
 
 // Contains reports whether p lies inside the current γ-comfort zone — the
 // monitor's runtime membership query, linear in the number of monitored
@@ -137,10 +154,7 @@ func (z *Zone) Frozen() bool { return z.m.Frozen() }
 // forward walk through a dense branch program); before the freeze it
 // interprets the BDD in place.
 func (z *Zone) Contains(p Pattern) bool {
-	if len(p) != z.m.NumVars() {
-		panic(fmt.Sprintf("core: pattern width %d does not match zone width %d",
-			len(p), z.m.NumVars()))
-	}
+	z.checkWidth(p)
 	if z.plans != nil {
 		return z.plans[z.gamma].Eval(p)
 	}
@@ -164,7 +178,7 @@ func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 	if len(out) < len(patterns) {
 		panic(fmt.Sprintf("core: ContainsBatch output %d shorter than %d patterns", len(out), len(patterns)))
 	}
-	nv := z.m.NumVars()
+	nv := z.width
 	for i, p := range patterns {
 		if len(p) != nv {
 			panic(fmt.Sprintf("core: pattern %d width %d does not match zone width %d", i, len(p), nv))
@@ -184,26 +198,14 @@ func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 // changing the zone's current γ. On an unfrozen zone, missing levels are
 // computed and cached. On a frozen zone only levels cached before the
 // freeze are queryable (the read is then race-free — no state is touched);
-// asking for a deeper level panics, because computing it would mutate the
-// shared manager.
+// asking for a deeper level panics, because a frozen zone has no manager
+// to compute it on.
 func (z *Zone) ContainsAt(gamma int, p Pattern) bool {
-	if gamma < 0 {
-		panic("core: negative gamma")
+	in, err := z.ContainsAtErr(gamma, p)
+	if err != nil {
+		panic(err.Error())
 	}
-	if gamma >= len(z.roots) {
-		if z.m.Frozen() {
-			panic(fmt.Sprintf("core: ContainsAt(%d) beyond the %d levels cached before freeze", gamma, len(z.roots)))
-		}
-		z.extendTo(gamma)
-	}
-	if len(p) != z.m.NumVars() {
-		panic(fmt.Sprintf("core: pattern width %d does not match zone width %d",
-			len(p), z.m.NumVars()))
-	}
-	if z.plans != nil && gamma < len(z.plans) {
-		return z.plans[gamma].Eval(p)
-	}
-	return z.m.EvalBits(z.roots[gamma], p)
+	return in
 }
 
 // ContainsAtErr is ContainsAt with the frozen-zone contract surfaced as
@@ -216,39 +218,37 @@ func (z *Zone) ContainsAtErr(gamma int, p Pattern) (bool, error) {
 	if gamma < 0 {
 		return false, fmt.Errorf("core: negative gamma %d", gamma)
 	}
-	if len(p) != z.m.NumVars() {
-		return false, fmt.Errorf("core: pattern width %d does not match zone width %d",
-			len(p), z.m.NumVars())
+	if len(p) != z.width {
+		return false, fmt.Errorf("core: pattern width %d does not match zone width %d", len(p), z.width)
 	}
-	if gamma >= len(z.roots) {
-		if z.m.Frozen() {
+	if z.plans != nil {
+		if gamma >= len(z.plans) {
 			return false, fmt.Errorf("core: gamma %d beyond the %d levels cached before freeze (publish a deeper level via Monitor.UpdateGamma)",
-				gamma, len(z.roots))
+				gamma, len(z.plans))
 		}
-		z.extendTo(gamma)
+		return z.plans[gamma].Eval(p), nil
 	}
-	return z.ContainsAt(gamma, p), nil
+	z.extendTo(gamma)
+	return z.m.EvalBits(z.roots[gamma], p), nil
 }
 
-// cloneWithDelta shadow-builds this zone's successor for an online update:
-// a writable compact clone of every cached level, with the new patterns
-// folded in at each level incrementally. Hamming expansion distributes
-// over union — ExpandHamming1(f ∪ g) = ExpandHamming1(f) ∪
+// cloneWithDelta shadow-builds this frozen zone's successor for an online
+// update: a writable manager re-derived from the cached plans, with the
+// new patterns folded in at each level incrementally. Hamming expansion
+// distributes over union — ExpandHamming1(f ∪ g) = ExpandHamming1(f) ∪
 // ExpandHamming1(g), because ∃ distributes over ∨ — so
 // Zᵏ(old ∪ new) = Zᵏ(old) ∪ Dᵏ with Dᵏ the k-fold expansion of the delta
-// cubes alone. The update cost therefore scales with the delta, not with
-// the zone: the cached old levels are reused verbatim and only the new
-// patterns are expanded. The receiver is only read (it may be frozen and
-// serving); the returned zone is unfrozen, at the same γ, and backed by a
-// fresh compacted manager.
+// cubes alone: the old levels are reused verbatim and only the new
+// patterns are expanded. That makes the *fold* scale with the delta. The
+// learn does not: deriving the manager here and compiling the successor
+// at its Freeze each visit every node of every cached level — O(zone),
+// small constant. The receiver is only read (it is serving); the
+// returned zone is unfrozen, at the same γ.
 func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
 	for _, p := range pats {
-		if len(p) != z.m.NumVars() {
-			panic(fmt.Sprintf("core: pattern width %d does not match zone width %d",
-				len(p), z.m.NumVars()))
-		}
+		z.checkWidth(p)
 	}
-	m2, roots2 := z.m.CloneCompact(z.roots)
+	m2, roots2 := bdd.Derive(z.plans)
 	delta := m2.False()
 	for _, p := range pats {
 		delta = m2.Or(delta, m2.Cube(p))
@@ -259,42 +259,67 @@ func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
 			delta = m2.ExpandHamming1(delta)
 		}
 	}
-	return &Zone{m: m2, roots: roots2, gamma: z.gamma, base: z.base + len(pats)}
+	return &Zone{width: z.width, m: m2, roots: roots2, gamma: z.gamma, base: z.base + len(pats)}
 }
 
-// cloneAtGamma builds a successor zone queried at a different enlargement
-// level. When the level was cached before the freeze, the new Zone shares
-// the frozen manager, root stack and compiled plans — an O(1) re-view,
-// no copying and no recompilation. A deeper level needs new expansions,
-// so the zone is compact-cloned and extended on the writable copy (its
-// plans are compiled when the successor freezes).
+// cloneAtGamma builds a frozen zone's successor queried at a different
+// enlargement level. When the level was cached before the freeze, the new
+// Zone shares the plans (and the diagnostic view) — an O(1) re-view, no
+// copying and no recompilation. A deeper level needs new expansions, so
+// a manager is re-derived from the plans and extended; the successor is
+// returned unfrozen and compiles its plans when it freezes.
 func (z *Zone) cloneAtGamma(gamma int) *Zone {
-	if gamma < len(z.roots) {
-		return &Zone{m: z.m, roots: z.roots, plans: z.plans, gamma: gamma, base: z.base}
+	if gamma < len(z.plans) {
+		return &Zone{width: z.width, plans: z.plans, view: z.view, gamma: gamma, base: z.base}
 	}
-	m2, roots2 := z.m.CloneCompact(z.roots)
-	z2 := &Zone{m: m2, roots: roots2, gamma: z.gamma, base: z.base}
+	m2, roots2 := bdd.Derive(z.plans)
+	z2 := &Zone{width: z.width, m: m2, roots: roots2, gamma: gamma, base: z.base}
 	z2.extendTo(gamma)
-	z2.gamma = gamma
 	return z2
 }
 
 // PatternCount returns the exact number of patterns inside the zone at the
 // current γ (BDD model count). With w monitored neurons the universe has
-// 2^w patterns.
+// 2^w patterns. On a frozen zone it goes through the diagnostic view.
 func (z *Zone) PatternCount() float64 {
-	return z.m.SatCount(z.roots[z.gamma])
+	return z.Manager().SatCount(z.Root())
 }
 
 // NodeCount returns the number of BDD nodes representing the zone at the
 // current γ — the monitor's storage cost.
 func (z *Zone) NodeCount() int {
+	if z.plans != nil {
+		return z.plans[z.gamma].Len()
+	}
 	return z.m.NodeCount(z.roots[z.gamma])
 }
 
-// Manager exposes the underlying BDD manager (primarily for tests and
-// diagnostics such as DOT export).
-func (z *Zone) Manager() *bdd.Manager { return z.m }
+// PlanBytes returns each cached level's plan size; empty until frozen.
+func (z *Zone) PlanBytes() []int {
+	out := make([]int, len(z.plans))
+	for i, p := range z.plans {
+		out[i] = p.Bytes()
+	}
+	return out
+}
 
-// Root returns the BDD root of the zone at the current γ.
-func (z *Zone) Root() bdd.Node { return z.roots[z.gamma] }
+// diagram returns the zone's BDD for tests and diagnostics (DOT export,
+// model counts, an interpreted walk to check the plans against): the
+// build manager while building; on a frozen zone, which has none, a view
+// materialised from the plans once. Nothing on the serving path comes here.
+func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
+	if z.plans == nil {
+		return z.m, z.roots
+	}
+	z.view.once.Do(func() {
+		z.view.m, z.view.roots = bdd.Derive(z.plans)
+		z.view.m.Freeze()
+	})
+	return z.view.m, z.view.roots
+}
+
+// Manager exposes the zone's BDD manager (see diagram).
+func (z *Zone) Manager() *bdd.Manager { m, _ := z.diagram(); return m }
+
+// Root returns the zone's BDD root at the current γ, a handle into Manager().
+func (z *Zone) Root() bdd.Node { _, roots := z.diagram(); return roots[z.gamma] }

@@ -8,7 +8,7 @@ import (
 
 // RegisterMetrics exposes the server's counters, per-stage latency
 // histograms and the monitor's paper-level signals (per-class verdict
-// tallies, epoch/swap/recompile counters, BDD manager statistics) on
+// tallies, epoch/swap/recompile counters, BDD build statistics) on
 // reg under the napmon_ namespace. Everything that already exists as an
 // atomic registers as a scrape-time callback — the serving hot path
 // pays nothing for being observable beyond the stage clock reads it
@@ -86,22 +86,26 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_updates_total",
 		"epoch swaps published through this server", func() uint64 { return s.updates.Load() })
 
+	// The zones of a serving epoch keep no BDD manager: nodes is the size
+	// of their plans, and the counters are the cumulative work of every
+	// build session (the initial build, each zone an update rebuilt),
+	// folded into the monitor when the session's manager was dropped.
 	reg.GaugeFunc("napmon_bdd_nodes",
-		"BDD decision nodes across the serving epoch's zone managers",
+		"branches across every cached level's plan of the serving epoch's zones",
 		func() float64 { return float64(m.ManagerStatsTotal().Nodes) })
 	reg.CounterFunc("napmon_bdd_unique_hits_total",
-		"unique-table hits (canonical node reuse)",
+		"unique-table hits (canonical node reuse) over all build sessions",
 		func() uint64 { return m.ManagerStatsTotal().UniqueHits })
 	reg.CounterFunc("napmon_bdd_unique_misses_total",
-		"unique-table misses (node creations)",
+		"unique-table misses (node creations) over all build sessions",
 		func() uint64 { return m.ManagerStatsTotal().UniqueMisses })
 	reg.CounterFunc("napmon_bdd_cache_hits_total",
-		"computed-table hits across zone managers",
+		"computed-table hits over all build sessions",
 		func() uint64 { return m.ManagerStatsTotal().CacheHits })
 	reg.CounterFunc("napmon_bdd_cache_misses_total",
-		"computed-table misses across zone managers",
+		"computed-table misses over all build sessions",
 		func() uint64 { return m.ManagerStatsTotal().CacheMisses })
 	reg.CounterFunc("napmon_bdd_compiles_total",
-		"query plans compiled across zone managers",
+		"query plans compiled over all build sessions",
 		func() uint64 { return m.ManagerStatsTotal().Compiles })
 }

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"napmon/internal/core"
 	"napmon/internal/obs"
+	"napmon/internal/rng"
 )
 
 // TestStatsStagesAndCounts drives real traffic through a server and
@@ -149,6 +152,86 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	if v, ok := exp.Value("napmon_batch_size_sum", nil); !ok || uint64(v) != st.Served {
 		t.Fatalf("napmon_batch_size_sum = %v (ok=%v), Stats.Served = %d", v, ok, st.Served)
+	}
+}
+
+// TestBDDCountersMonotone scrapes after every one of 20 pattern updates
+// and 2 γ changes and checks that no napmon_bdd_*_total series ever
+// decreases: they are registered as counters, and the managers whose work
+// they count are dropped at every zone freeze.
+func TestBDDCountersMonotone(t *testing.T) {
+	net, mon, _ := toyServerParts(t, 19)
+	s, err := New(net, mon, Config{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	series := []string{
+		"napmon_bdd_unique_hits_total", "napmon_bdd_unique_misses_total",
+		"napmon_bdd_cache_hits_total", "napmon_bdd_cache_misses_total",
+		"napmon_bdd_compiles_total",
+	}
+	scrape := func() map[string]float64 {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, name := range append(series, "napmon_bdd_nodes") {
+			v, ok := exp.Value(name, nil)
+			if !ok {
+				t.Fatalf("missing series %s", name)
+			}
+			out[name] = v
+		}
+		return out
+	}
+	prev := scrape()
+	if prev["napmon_bdd_compiles_total"] == 0 || prev["napmon_bdd_unique_misses_total"] == 0 {
+		t.Fatalf("the build's work is not counted after the freeze: %v", prev)
+	}
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := scrape()
+		for _, name := range series {
+			if cur[name] < prev[name] {
+				t.Fatalf("%s: %s fell from %v to %v", what, name, prev[name], cur[name])
+			}
+		}
+		if cur["napmon_bdd_nodes"] <= 0 {
+			t.Fatalf("%s: napmon_bdd_nodes = %v", what, cur["napmon_bdd_nodes"])
+		}
+		prev = cur
+	}
+	r := rng.New(19)
+	classes, width := mon.Classes(), len(mon.Neurons())
+	start := prev
+	for i := 0; i < 20; i++ {
+		p := make(core.Pattern, width)
+		for j := range p {
+			p[j] = r.Bool(0.5)
+		}
+		_, err := s.Update(map[int][]core.Pattern{classes[i%len(classes)]: {p}})
+		step(fmt.Sprintf("update %d", i), err)
+		if i == 9 {
+			_, err := s.UpdateGamma(mon.Gamma() + 2) // past the cached levels: every zone rebuilt
+			step("deeper gamma", err)
+		}
+	}
+	_, err = s.UpdateGamma(0) // cached: a re-view, nothing rebuilt
+	step("cached gamma", err)
+	if prev["napmon_bdd_compiles_total"] <= start["napmon_bdd_compiles_total"] ||
+		prev["napmon_bdd_cache_misses_total"] <= start["napmon_bdd_cache_misses_total"] {
+		t.Fatalf("22 updates counted no BDD work: %v -> %v", start, prev)
 	}
 }
 
