@@ -8,8 +8,8 @@
 // and the binary ReLU on/off activation pattern of a close-to-output layer
 // is recorded per class in a binary decision diagram (BDD). Each class's
 // pattern set is enlarged to its γ-comfort zone — every pattern within
-// Hamming distance γ of a visited one — using BDD existential
-// quantification. In deployment, an input whose activation pattern falls
+// Hamming distance γ of a visited one — using one memoized Hamming-ball
+// pass over the BDD. In deployment, an input whose activation pattern falls
 // outside the predicted class's comfort zone is flagged as out-of-pattern:
 // the network is extrapolating beyond its training experience.
 //

@@ -7,16 +7,17 @@
 //
 // The operations provided are exactly those Algorithm 1 of the paper needs
 // (encode a pattern as a cube, union via Or, Hamming enlargement via
-// Exists) plus the general toolkit (And, Not, Xor, Diff, ITE, SatCount,
-// Eval) required by tests, metrics and serialization.
+// ExpandHamming — one memoized pass for what the paper spells as γ rounds
+// of ⋃_j ∃x_j) plus the general toolkit (And, Not, Xor, Diff, Exists, ITE,
+// SatCount, Eval) required by tests, metrics and serialization.
 //
 // Storage layout (see DESIGN.md, "BDD manager internals"): nodes live in a
 // flat arena indexed by their handle. Canonicity is enforced by an
 // open-addressed, power-of-two-sized unique table of int32 handles probed
 // inline against the arena — no boxed map keys, no per-node allocation.
 // Operation results are memoized in a single lossy direct-mapped computed
-// table shared by the binary ops, Not and Exists, sized in lockstep with
-// the unique table.
+// table shared by the binary ops, Not, Exists and ExpandHamming, sized in
+// lockstep with the unique table.
 //
 // A Manager is a build tool whose lifetime is one build session: construct
 // the diagrams, Compile them into flat plans (compile.go), let it go. The
@@ -67,8 +68,8 @@ type Manager struct {
 	uniqueMask uint32
 
 	// cache is the lossy direct-mapped computed table shared by apply,
-	// Not and exists. A zero entry has key.b == 0, which no live key can
-	// have (see cacheStore), so zero slots never produce false hits.
+	// Not, exists and expand. A zero entry has key.b == 0, which no live
+	// key can have (see cacheStore), so zero slots never produce false hits.
 	cache       []cacheEntry
 	cacheMask   uint32
 	cacheGrowAt uint64 // CacheMisses reading at which cacheStore next checks the table's size
@@ -96,6 +97,7 @@ const (
 	opDiff
 	opExists // a = variable, b = function
 	opNot    // a = b = operand
+	opExpand // a = Hamming distance k ≥ 1, b = function
 )
 
 // terminalLevel is the pseudo-level assigned to the two terminals so they
@@ -125,7 +127,7 @@ type Stats struct {
 	// UniqueMisses counts node creations.
 	UniqueHits, UniqueMisses uint64
 	// CacheHits and CacheMisses count computed-table probes by apply,
-	// Not and Exists.
+	// Not, Exists and ExpandHamming.
 	CacheHits, CacheMisses uint64
 	// UniqueCap and CacheCap are the current table capacities (slots);
 	// both are 0 once the manager is frozen.
@@ -341,9 +343,10 @@ func (m *Manager) cacheLookup(op uint8, a, b Node) (Node, bool) {
 // cacheStore records (op, a, b) -> r, evicting whatever occupied the slot
 // (the table is deliberately lossy, as in classic BDD packages). Every key
 // stored here has b >= 2: terminal operands are resolved before memoization
-// by terminalApply (binary ops), the Not fast path, and the exists
-// level-check, and commutative operands are ordered a <= b. That invariant
-// is what lets a zero-valued slot (b == 0) act as "empty".
+// by terminalApply (binary ops), the Not fast path, the exists level-check
+// and the expand terminal check, and commutative operands are ordered
+// a <= b. That invariant is what lets a zero-valued slot (b == 0) act as
+// "empty".
 //
 // Once per table's worth of misses, a table behind the lockstep (two
 // computed slots per unique slot) doubles. A manager grown from NewManager

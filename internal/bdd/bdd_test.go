@@ -1,9 +1,9 @@
 package bdd
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"napmon/internal/rng"
 )
@@ -340,6 +340,9 @@ func TestExpandHamming1SmallExample(t *testing.T) {
 	m := NewManager(3)
 	z := m.Cube([]bool{false, false, true}) // pattern 001 (x2 is the '1')
 	z1 := m.ExpandHamming1(z)
+	if m.ExpandHamming(z, 1) != z1 {
+		t.Fatal("ExpandHamming(z, 1) differs from Algorithm 1's round")
+	}
 	if got := m.SatCount(z1); got != 4 { // 001 plus its 3 neighbours
 		t.Fatalf("expanded zone has %v patterns, want 4", got)
 	}
@@ -359,76 +362,102 @@ func TestExpandHamming1SmallExample(t *testing.T) {
 	}
 }
 
-// hamming returns the Hamming distance between two bit-vectors.
-func hamming(a, b []bool) int {
-	d := 0
-	for i := range a {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d
-}
-
 func TestExpandHammingEqualsBallProperty(t *testing.T) {
-	// Property (core of Algorithm 1's correctness): applying
-	// ExpandHamming1 γ times to a set S yields exactly
-	// { p : ∃ s∈S, H(p,s) ≤ γ }.
-	check := func(seed uint32, gRaw uint8) bool {
-		const nVars = 7
-		gamma := int(gRaw % 4)
-		r := rng.New(uint64(seed))
-		m := NewManager(nVars)
-		// Random seed set of 1..4 patterns.
-		var seeds [][]bool
-		z := m.False()
-		for k := 0; k < 1+r.Intn(4); k++ {
-			bits := make([]bool, nVars)
-			for i := range bits {
-				bits[i] = r.Bool(0.5)
+	// Property (Definition 2, the core of Algorithm 1's correctness):
+	// ExpandHamming(S, k) is exactly { p : ∃ s∈S, H(p,s) ≤ k } —
+	// exhaustively over every assignment, for every width ≤ 10 and every
+	// k ≤ width.
+	r := rng.New(29)
+	for nv := 1; nv <= 10; nv++ {
+		assigns := allAssignments(nv)
+		for trial := 0; trial < 4; trial++ {
+			m := NewManager(nv)
+			// Trial 0 is the empty zone; the others hold 1..6 patterns.
+			n := 0
+			if trial > 0 {
+				n = 1 + r.Intn(6)
 			}
-			seeds = append(seeds, bits)
-			z = m.Or(z, m.Cube(bits))
-		}
-		for g := 0; g < gamma; g++ {
-			z = m.ExpandHamming1(z)
-		}
-		// Compare against brute-force ball membership.
-		bits := make([]bool, nVars)
-		for a := 0; a < 1<<nVars; a++ {
-			for v := 0; v < nVars; v++ {
-				bits[v] = a&(1<<v) != 0
+			var seeds []int
+			z := m.False()
+			for s := 0; s < n; s++ {
+				a := r.Intn(1 << nv)
+				seeds = append(seeds, a)
+				z = m.Or(z, m.Cube(assigns[a]))
 			}
-			inBall := false
-			for _, s := range seeds {
-				if hamming(bits, s) <= gamma {
-					inBall = true
-					break
+			// dist[a]: distance from a to the nearest seed (nv+1 = none).
+			dist := make([]int, 1<<nv)
+			for a := range dist {
+				dist[a] = nv + 1
+				for _, s := range seeds {
+					dist[a] = min(dist[a], bits.OnesCount(uint(a^s)))
 				}
 			}
-			if m.EvalBits(z, bits) != inBall {
-				return false
+			for k := 0; k <= nv; k++ {
+				ball := m.ExpandHamming(z, k)
+				for a, d := range dist {
+					if got := m.EvalBits(ball, assigns[a]); got != (d <= k) {
+						t.Fatalf("nv=%d seeds=%v k=%d assignment %d: in ball %v, nearest seed at %d", nv, seeds, k, a, got, d)
+					}
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
-func TestExpandHamming1SubsetOnlyFlipsListed(t *testing.T) {
-	m := NewManager(4)
-	z := m.Cube([]bool{true, true, false, false})
-	z1 := m.ExpandHamming1Subset(z, []int{0, 2})
-	if !m.EvalBits(z1, []bool{false, true, false, false}) {
-		t.Fatal("flip of listed var 0 missing")
+// TestExpandHammingMatchesAlgorithm1 holds the one-pass enlargement to its
+// oracle, Algorithm 1's lines 9-14 applied literally (ExpandHamming1, k
+// rounds of ⋃_j ∃x_j), on independent managers and on the zone shapes the
+// monitor serves: every level compiles to the same plan, branch for
+// branch.
+func TestExpandHammingMatchesAlgorithm1(t *testing.T) {
+	for _, c := range []struct{ patterns, width, gamma int }{
+		{400, 40, 2}, {50, 64, 1}, {30, 12, 3},
+	} {
+		r := rng.New(uint64(c.patterns*c.width + c.gamma))
+		got, want := NewManager(c.width), NewManager(c.width)
+		zg, zw := got.False(), want.False()
+		p := make([]bool, c.width)
+		for i := 0; i < c.patterns; i++ {
+			for v := range p {
+				p[v] = r.Bool(0.5)
+			}
+			zg = got.Or(zg, got.Cube(p))
+			zw = want.Or(zw, want.Cube(p))
+		}
+		for k := 0; k <= c.gamma; k++ {
+			if !plansEqual(got.Compile(got.ExpandHamming(zg, k))[0], want.Compile(zw)[0]) {
+				t.Fatalf("%d × %d, k=%d: ExpandHamming's plan differs from Algorithm 1's", c.patterns, c.width, k)
+			}
+			zw = want.ExpandHamming1(zw)
+		}
 	}
-	if !m.EvalBits(z1, []bool{true, true, true, false}) {
-		t.Fatal("flip of listed var 2 missing")
-	}
-	if m.EvalBits(z1, []bool{true, false, false, false}) {
-		t.Fatal("flip of unlisted var 1 wrongly included")
+}
+
+// TestExpandHammingIdentities checks two laws of Hamming balls on
+// arbitrary functions, as handle equality (canonicity): balls compose,
+// B(B(f,a),b) = B(f,a+b), and distribute over union,
+// B(f∨g,k) = B(f,k) ∨ B(g,k) — the law cloneWithDelta's fold rests on.
+func TestExpandHammingIdentities(t *testing.T) {
+	const nv = 12
+	m := NewManager(nv)
+	r := rng.New(31)
+	assigns := allAssignments(nv)
+	for trial := 0; trial < 30; trial++ {
+		f, g := randomFunc(m, r, 3), randomFunc(m, r, 3)
+		if trial%2 == 0 { // sparse sets, the zone shape
+			f, g = m.False(), m.False()
+			for i := 0; i < 5; i++ {
+				f = m.Or(f, m.Cube(assigns[r.Intn(1<<nv)]))
+				g = m.Or(g, m.Cube(assigns[r.Intn(1<<nv)]))
+			}
+		}
+		a, b, k := r.Intn(4), r.Intn(4), r.Intn(5)
+		if m.ExpandHamming(m.ExpandHamming(f, a), b) != m.ExpandHamming(f, a+b) {
+			t.Fatalf("trial %d: B(B(f,%d),%d) != B(f,%d)", trial, a, b, a+b)
+		}
+		if m.ExpandHamming(m.Or(f, g), k) != m.Or(m.ExpandHamming(f, k), m.ExpandHamming(g, k)) {
+			t.Fatalf("trial %d: B(f∨g,%d) != B(f,%d) ∨ B(g,%d)", trial, k, k, k)
+		}
 	}
 }
 
@@ -531,21 +560,5 @@ func BenchmarkMembership64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.EvalBits(z, bits)
-	}
-}
-
-func BenchmarkExpandHamming64(b *testing.B) {
-	r := rng.New(3)
-	for i := 0; i < b.N; i++ {
-		m := NewManager(64)
-		bits := make([]bool, 64)
-		z := m.False()
-		for k := 0; k < 50; k++ {
-			for j := range bits {
-				bits[j] = r.Bool(0.5)
-			}
-			z = m.Or(z, m.Cube(bits))
-		}
-		m.ExpandHamming1(z)
 	}
 }

@@ -140,15 +140,17 @@ func TestDeriveMatchesCloneCompact(t *testing.T) {
 			t.Fatalf("level %d: derived SatCount %v, clone %v", k, d.SatCount(droots[k]), want.SatCount(wroots[k]))
 		}
 	}
-	// Writable: one more expansion on the derived manager is the one the
-	// source manager computes, and a whole-diagram operation earns the
-	// computed table its size back.
-	deeper := d.ExpandHamming1(droots[2])
+	// Writable: one more level on the derived manager is the one the
+	// source manager computes, and a table's worth of misses (here
+	// Algorithm 1's 2·NumVars whole-diagram passes) earns the computed
+	// table its size back.
+	deeper := d.ExpandHamming(droots[0], 3)
 	if !plansEqual(d.Compile(deeper)[0], m.Compile(m.ExpandHamming1(roots[2]))[0]) {
 		t.Fatal("expansion on the derived manager differs from the source's")
 	}
-	if got := d.Stats().CacheCap; got <= initialCacheSize {
-		t.Fatalf("computed table still %d slots after a whole-diagram expansion", got)
+	d.ExpandHamming1(deeper)
+	if st := d.Stats(); st.CacheMisses < initialCacheSize || st.CacheCap <= initialCacheSize {
+		t.Fatalf("computed table still %d slots after %d misses", st.CacheCap, st.CacheMisses)
 	}
 }
 

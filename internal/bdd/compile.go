@@ -1,7 +1,7 @@
 // Compiled query plans: the deployment-time fast path of the membership
 // query. EvalBits realizes the paper's "one node visit per monitored
 // neuron" bound as a pointer-chase through the manager's node arena — an
-// arena that, after a build session, is mostly garbage (dead Or/Exists
+// arena that, after a build session, is mostly garbage (dead Or/expand
 // intermediates) with the live diagram scattered across it, so every hop
 // of a query is a potential cache miss into a structure sized by the
 // build, not by the diagram. Compile fixes the layout once, at freeze

@@ -18,10 +18,7 @@ func randomDiagram(m *Manager, r *rand.Rand, nCubes, expands int) Node {
 		}
 		f = m.Or(f, m.Cube(bits))
 	}
-	for i := 0; i < expands; i++ {
-		f = m.ExpandHamming1(f)
-	}
-	return f
+	return m.ExpandHamming(f, expands)
 }
 
 // TestCompiledExhaustive pins Compiled.Eval and EvalBatch bit-exact

@@ -1,5 +1,18 @@
 package bdd
 
+// ExpandHamming1 returns the union of f with every pattern at Hamming
+// distance exactly 1 from some member of f: line 12 of the paper's
+// Algorithm 1, ⋃_j ∃x_j.f, spelled literally as 2·NumVars whole-diagram
+// operations. Applied k times it is the tests' independent oracle for
+// ExpandHamming(f, k).
+func (m *Manager) ExpandHamming1(f Node) Node {
+	out := f
+	for v := 0; v < m.numVars; v++ {
+		out = m.Or(out, m.exists(int32(v), f))
+	}
+	return out
+}
+
 // CloneCompact rebuilds the sub-diagrams reachable from roots into a fresh
 // writable manager and returns it with the remapped roots (parallel to the
 // input). Unreachable nodes — dead intermediates from Or/Exists chains

@@ -21,7 +21,7 @@ func buildTestDiagram(m *Manager, seed uint64) Node {
 		}
 		f = m.Or(f, m.Cube(bits))
 	}
-	return m.ExpandHamming1(f)
+	return m.ExpandHamming(f, 1)
 }
 
 // TestCompiledExportRoundTrip pins the serialization hooks: a compiled

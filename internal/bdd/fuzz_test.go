@@ -2,8 +2,10 @@ package bdd
 
 // FuzzBDDOps is a differential fuzzer for the BDD engine: the fuzz input
 // is interpreted as a little program over a stack of diagrams (push
-// variables and cubes, apply And/Or/Xor/Diff/Not/Exists/Restrict), and a
-// parallel truth table over ≤ 12 variables is maintained as the oracle.
+// variables and cubes, apply And/Or/Xor/Diff/Not/Exists/Restrict and
+// ExpandHamming), and a parallel truth table over ≤ 12 variables is
+// maintained as the oracle — for ExpandHamming(f, k), k rounds of "a or
+// some one-bit neighbour of a" over the table.
 // After every step the invariants the monitor relies on are checked:
 //
 //   - Eval/EvalBits agree with the truth table on every assignment;
@@ -16,7 +18,7 @@ package bdd
 //   - NodeCount is consistent between equal handles.
 //
 // The covered operations are exactly the Algorithm 1 set (Cube, Or,
-// Exists for the Hamming enlargement) plus the general toolkit.
+// ExpandHamming for the Hamming enlargement) plus the general toolkit.
 
 import (
 	"math/bits"
@@ -50,6 +52,7 @@ func FuzzBDDOps(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 10, 2, 3, 11, 12, 30, 1, 40, 2})
 	f.Add([]byte{12, 0, 5, 11, 30, 0, 31, 5, 13, 20})
 	f.Add([]byte{8, 50, 0xAA, 50, 0x55, 11, 14, 32, 7})
+	f.Add([]byte{6, 9, 0x2A, 10, 2, 0, 9, 0x51, 3, 0, 1, 21, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -98,7 +101,7 @@ func FuzzBDDOps(f *testing.F) {
 				return 0
 			}
 			var e entry
-			switch op % 10 {
+			switch op % 11 {
 			case 0: // push variable
 				v := arg() % nv
 				e = entry{n: m.Var(v), tt: newTable(nv)}
@@ -178,6 +181,18 @@ func FuzzBDDOps(f *testing.F) {
 					}
 				}
 				e.tt.set(idx, true)
+			case 10: // ExpandHamming (Algorithm 1's enlargement, one pass)
+				k := arg() % (nv + 1)
+				x := pop(arg())
+				e = entry{n: m.ExpandHamming(x.n, k), tt: append(table(nil), x.tt...)}
+				for ; k > 0; k-- {
+					prev := append(table(nil), e.tt...)
+					for a := 0; a < na; a++ {
+						for v := 0; v < nv && !e.tt.get(a); v++ {
+							e.tt.set(a, prev.get(a^1<<v))
+						}
+					}
+				}
 			}
 			stack = append(stack, e)
 			steps++

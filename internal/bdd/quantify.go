@@ -29,35 +29,37 @@ func (m *Manager) exists(v int32, f Node) Node {
 	return r
 }
 
-// ExistsSet existentially quantifies every variable in vars (in order).
-func (m *Manager) ExistsSet(vars []int, f Node) Node {
-	for _, v := range vars {
-		f = m.Exists(v, f)
+// ExpandHamming returns every pattern within Hamming distance k of some
+// member of f — the γ-comfort zone Zᵏ of Definition 2 when f is Z⁰. It
+// denotes the same function as k rounds of Algorithm 1's ⋃_j ∃x_j.f, but
+// in one memoized pass over (node, k) pairs instead of 2·NumVars whole-
+// diagram operations per round:
+//
+//	B(f, 0) = f,  B(terminal, k) = terminal,
+//	B((v, lo, hi), k) = (v, B(lo,k) ∨ B(hi,k−1), B(hi,k) ∨ B(lo,k−1)).
+//
+// A variable a node skips is already don't-care, so it spends no budget.
+func (m *Manager) ExpandHamming(f Node, k int) Node {
+	m.checkMutable()
+	if k < 0 {
+		panic("bdd: negative Hamming distance")
 	}
-	return f
+	return m.expand(f, Node(min(k, m.numVars)))
 }
 
-// ExpandHamming1 returns the union of f with every pattern at Hamming
-// distance exactly 1 from some member of f, i.e. line 12 of the paper's
-// Algorithm 1: ⋃_j ∃x_j.f. Applying it γ times yields the γ-comfort zone.
-func (m *Manager) ExpandHamming1(f Node) Node {
-	out := f
-	for v := 0; v < m.numVars; v++ {
-		out = m.Or(out, m.exists(int32(v), f))
+func (m *Manager) expand(f, k Node) Node {
+	if k == 0 || f <= trueNode {
+		return f
 	}
-	return out
-}
-
-// ExpandHamming1Subset behaves like ExpandHamming1 but only flips the
-// listed variables; other variables keep their polarity. Used when only a
-// monitored subset of neurons participates in the abstraction.
-func (m *Manager) ExpandHamming1Subset(f Node, vars []int) Node {
-	out := f
-	for _, v := range vars {
-		m.checkVar(v)
-		out = m.Or(out, m.exists(int32(v), f))
+	if r, ok := m.cacheLookup(opExpand, k, f); ok {
+		return r
 	}
-	return out
+	n := m.nodes[f] // a copy: mk below may grow the arena
+	lo := m.Or(m.expand(n.lo, k), m.expand(n.hi, k-1))
+	hi := m.Or(m.expand(n.hi, k), m.expand(n.lo, k-1))
+	r := m.mk(n.level, lo, hi)
+	m.cacheStore(opExpand, k, f, r)
+	return r
 }
 
 // Support returns the sorted list of variables f depends on. The visited

@@ -109,10 +109,11 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 	mutators := map[string]func(){
 		"Var":    func() { m.Var(3) },
 		"Cube":   func() { m.Cube([]bool{true, true, true, true}) },
-		"And":    func() { m.And(f, m.True()) }, // needs cache traffic
-		"Exists": func() { m.Exists(0, f) },     // needs cache traffic
-		"Not":    func() { m.Not(f) },           // needs cache traffic
-		"mk-new": func() { m.NVar(3) },          // needs a fresh node
+		"And":    func() { m.And(f, m.True()) },    // needs cache traffic
+		"Exists": func() { m.Exists(0, f) },        // needs cache traffic
+		"Expand": func() { m.ExpandHamming(f, 1) }, // needs cache traffic
+		"Not":    func() { m.Not(f) },              // needs cache traffic
+		"mk-new": func() { m.NVar(3) },             // needs a fresh node
 	}
 	for name, fn := range mutators {
 		func() {
@@ -142,7 +143,7 @@ func TestFrozenConcurrentEval(t *testing.T) {
 		z = m.Or(z, m.Cube(bits))
 		pats = append(pats, append([]bool(nil), bits...))
 	}
-	z = m.ExpandHamming1(z)
+	z = m.ExpandHamming(z, 1)
 	m.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -181,8 +182,8 @@ func TestCacheEvictionIsCorrect(t *testing.T) {
 		zs = small.Or(zs, small.Cube(bits))
 		zb = big.Or(zb, big.Cube(bits))
 	}
-	zs = small.ExpandHamming1(zs)
-	zb = big.ExpandHamming1(zb)
+	zs = small.ExpandHamming(zs, 2)
+	zb = big.ExpandHamming(zb, 2)
 	if small.NodeCount(zs) != big.NodeCount(zb) {
 		t.Fatalf("node counts diverge: %d vs %d", small.NodeCount(zs), big.NodeCount(zb))
 	}

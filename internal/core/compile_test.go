@@ -409,6 +409,28 @@ func BenchmarkMonitorBuildParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkZoneBuild times one zone_query-shaped zone from empty to
+// compiled plans (400 inserts × width 40, SetGamma(2), Freeze) and reports
+// the nodes its build session left in the arena. Un-gated, like
+// BenchmarkMonitorBuildParallel: bench/'s setup_s on zone_query is the
+// end-to-end reading, TestZoneBuildArena the bound.
+func BenchmarkZoneBuild(b *testing.B) {
+	pats := randomPatterns(rng.New(30), 400, 40)
+	nodes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z := NewZone(40)
+		for _, p := range pats {
+			z.Insert(p)
+		}
+		if err := z.SetGamma(2); err != nil {
+			b.Fatal(err)
+		}
+		nodes = z.Freeze().Nodes
+	}
+	b.ReportMetric(float64(nodes), "arena_nodes")
+}
+
 // TestUpdateRecompilesOnlyTouchedZones asserts, via the compile
 // counters, that epoch swaps pay plan compilation only for the zones
 // they rebuild: untouched classes share the predecessor's Zone (and its

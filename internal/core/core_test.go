@@ -144,6 +144,57 @@ func TestZoneInsertAfterExpandRecomputes(t *testing.T) {
 	}
 }
 
+// TestInsertAtGammaIsLazy: an Insert at γ > 0 drops the enlarged levels
+// instead of recomputing them, so 400 inserts after SetGamma(2) cost one
+// enlargement (at Freeze), not 400. The plans equal an insert-then-
+// SetGamma build's, and the session's arena is no larger than it.
+func TestInsertAtGammaIsLazy(t *testing.T) {
+	const n, width, gamma = 400, 40, 2
+	pats := randomPatterns(rng.New(29), n, width)
+	early, late := NewZone(width), NewZone(width)
+	if err := early.SetGamma(gamma); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pats {
+		early.Insert(p)
+		late.Insert(p)
+	}
+	if len(early.roots) != 1 {
+		t.Fatalf("inserts at γ=%d left %d levels built, want Z⁰ alone", gamma, len(early.roots))
+	}
+	if err := late.SetGamma(gamma); err != nil {
+		t.Fatal(err)
+	}
+	se, sl := early.Freeze(), late.Freeze()
+	if !samePlans(early, late) {
+		t.Fatal("SetGamma-then-insert plans differ from insert-then-SetGamma plans")
+	}
+	t.Logf("build arena: %d nodes inserting at γ=%d, %d enlarging after", se.Nodes, gamma, sl.Nodes)
+	if 2*se.Nodes > 3*sl.Nodes {
+		t.Fatalf("inserting at γ=%d built %d nodes, more than 1.5 × the %d of enlarging once", gamma, se.Nodes, sl.Nodes)
+	}
+}
+
+// samePlans reports whether two frozen zones hold the same program at
+// every cached level.
+func samePlans(a, b *Zone) bool {
+	if len(a.plans) != len(b.plans) {
+		return false
+	}
+	for k, pa := range a.plans {
+		pb := b.plans[k]
+		if pa.Entry() != pb.Entry() || pa.Len() != pb.Len() {
+			return false
+		}
+		for i := 0; i < pa.Len(); i++ {
+			if pa.Branch(i) != pb.Branch(i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestZonePatternCountGamma0(t *testing.T) {
 	z := NewZone(6)
 	seen := map[string]bool{}

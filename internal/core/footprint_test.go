@@ -89,6 +89,26 @@ func TestFrozenZoneFootprint(t *testing.T) {
 	runtime.KeepAlive(&snap)
 }
 
+// TestZoneBuildArena bounds what building one zone_query-shaped zone
+// (400 patterns × width 40, γ = 2) leaves in its manager's arena, which
+// keeps every node ever made: ≤ 250k nodes. Algorithm 1's literal 2·n·γ
+// quantify-and-union loop left 1.03 M, nine tenths of them garbage; the
+// one-pass ExpandHamming leaves about 153k.
+func TestZoneBuildArena(t *testing.T) {
+	z := NewZone(40)
+	for _, p := range randomPatterns(rng.New(30), 400, 40) {
+		z.Insert(p)
+	}
+	if err := z.SetGamma(2); err != nil {
+		t.Fatal(err)
+	}
+	st := z.Freeze()
+	t.Logf("build arena: %d nodes for %d plan branches at γ=2", st.Nodes, z.NodeCount())
+	if st.Nodes > 250_000 {
+		t.Fatalf("building the zone left %d nodes in the arena, more than 250k", st.Nodes)
+	}
+}
+
 // TestLoadSnapshotBuildsNoManager bounds what a decode allocates in total,
 // garbage included: within 4× the plan bytes it decodes. A loader that
 // rebuilt each level through a manager allocated an arena, a unique table

@@ -3,8 +3,8 @@
 // training set back through the network, records the binary ReLU on/off
 // pattern of a chosen close-to-output layer per class inside a BDD, and
 // enlarges each class's pattern set to the γ-comfort zone by adding every
-// pattern within Hamming distance γ (Definition 2) via BDD existential
-// quantification. In operation the monitor flags a classification whose
+// pattern within Hamming distance γ (Definition 2) via one memoized BDD
+// Hamming-ball pass. In operation the monitor flags a classification whose
 // activation pattern falls outside the comfort zone of the predicted
 // class: the decision is not supported by prior similarities in training.
 package core

@@ -15,8 +15,8 @@ import (
 // training distribution, and the bucket index is thermometer-encoded
 // (level L sets the L lowest of K-1 bits). Thermometer codes make the
 // BDD Hamming enlargement meaningful — distance 1 corresponds exactly to
-// one neuron moving one level — so Algorithm 1's existential
-// quantification machinery is reused unchanged, just over more variables.
+// one neuron moving one level — so Algorithm 1's Hamming enlargement
+// (bdd.ExpandHamming) is reused unchanged, just over more variables.
 
 // QuantizedConfig specifies a quantized monitor.
 type QuantizedConfig struct {

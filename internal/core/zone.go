@@ -61,8 +61,8 @@ func (z *Zone) Gamma() int { return z.gamma }
 func (z *Zone) InsertCount() int { return z.base }
 
 // Insert adds a visited activation pattern to Z⁰ (line 6 of Algorithm 1:
-// Z⁰_c ← bdd.or(Z⁰_c, bdd.encode(pat))). Inserting invalidates previously
-// computed enlargements, so they are recomputed lazily by SetGamma.
+// Z⁰_c ← bdd.or(Z⁰_c, bdd.encode(pat))). It drops the enlarged levels; the
+// next read (Contains, NodeCount, Freeze, ...) recomputes them once.
 func (z *Zone) Insert(p Pattern) {
 	if z.Frozen() {
 		panic("core: Insert on frozen zone")
@@ -70,16 +70,12 @@ func (z *Zone) Insert(p Pattern) {
 	z.checkWidth(p)
 	z.roots = z.roots[:1]
 	z.roots[0] = z.m.Or(z.roots[0], z.m.Cube(p))
-	if z.gamma > 0 {
-		z.extendTo(z.gamma)
-	}
 	z.base++
 }
 
 // SetGamma sets the Hamming enlargement level used by Contains, computing
-// Zᵞ from Z⁰ by γ applications of the existential-quantification expansion
-// (lines 9-14 of Algorithm 1). Intermediate levels are cached, so sweeping
-// γ upward is incremental.
+// the missing levels Zᵏ of Algorithm 1's lines 9-14 from Z⁰ (extendTo).
+// Levels are cached, so sweeping γ upward only computes the new ones.
 //
 // A frozen zone's γ is immutable: once a zone serves concurrent readers,
 // changing the query level in place would race with Contains, so SetGamma
@@ -114,11 +110,11 @@ func checkGamma(gamma, width int) error {
 	return nil
 }
 
-// extendTo computes and caches enlargement levels up to gamma.
+// extendTo caches levels up to gamma, each one bdd.ExpandHamming pass over
+// Z⁰ (measured cheaper than stepping Zᵏ⁻¹ by one).
 func (z *Zone) extendTo(gamma int) {
-	for len(z.roots) <= gamma {
-		prev := z.roots[len(z.roots)-1]
-		z.roots = append(z.roots, z.m.ExpandHamming1(prev))
+	for k := len(z.roots); k <= gamma; k++ {
+		z.roots = append(z.roots, z.m.ExpandHamming(z.roots[0], k))
 	}
 }
 
@@ -132,6 +128,7 @@ func (z *Zone) Freeze() bdd.Stats {
 	if z.Frozen() {
 		return bdd.Stats{}
 	}
+	z.extendTo(z.gamma)
 	z.plans = z.m.Compile(z.roots...)
 	session := z.m.Stats()
 	z.m, z.roots, z.view = nil, nil, new(zoneView)
@@ -152,13 +149,13 @@ func (z *Zone) checkWidth(p Pattern) {
 // monitor's runtime membership query, linear in the number of monitored
 // neurons. On a frozen zone the query runs on the compiled plan (a
 // forward walk through a dense branch program); before the freeze it
-// interprets the BDD in place.
+// interprets the BDD in place, enlarging first if an Insert dropped Zᵞ.
 func (z *Zone) Contains(p Pattern) bool {
 	z.checkWidth(p)
 	if z.plans != nil {
 		return z.plans[z.gamma].Eval(p)
 	}
-	return z.m.EvalBits(z.roots[z.gamma], p)
+	return z.m.EvalBits(z.Root(), p)
 }
 
 // ContainsBatch answers the membership query for a whole micro-batch of
@@ -188,7 +185,7 @@ func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 		z.plans[z.gamma].EvalBatch(patterns, out)
 		return
 	}
-	root := z.roots[z.gamma]
+	root := z.Root()
 	for i, p := range patterns {
 		out[i] = z.m.EvalBits(root, p)
 	}
@@ -234,16 +231,14 @@ func (z *Zone) ContainsAtErr(gamma int, p Pattern) (bool, error) {
 
 // cloneWithDelta shadow-builds this frozen zone's successor for an online
 // update: a writable manager re-derived from the cached plans, with the
-// new patterns folded in at each level incrementally. Hamming expansion
-// distributes over union — ExpandHamming1(f ∪ g) = ExpandHamming1(f) ∪
-// ExpandHamming1(g), because ∃ distributes over ∨ — so
-// Zᵏ(old ∪ new) = Zᵏ(old) ∪ Dᵏ with Dᵏ the k-fold expansion of the delta
-// cubes alone: the old levels are reused verbatim and only the new
-// patterns are expanded. That makes the *fold* scale with the delta. The
-// learn does not: deriving the manager here and compiling the successor
-// at its Freeze each visit every node of every cached level — O(zone),
-// small constant. The receiver is only read (it is serving); the
-// returned zone is unfrozen, at the same γ.
+// new patterns folded in at each level incrementally. A Hamming ball of a
+// union is the union of the balls, so Zᵏ(old ∪ new) =
+// Zᵏ(old) ∪ ExpandHamming(D, k) with D the delta cubes alone: the old
+// levels are reused verbatim and only the new patterns are expanded. That
+// makes the *fold* scale with the delta. The learn does not: deriving the
+// manager here and compiling the successor at its Freeze each visit every
+// node of every cached level — O(zone), small constant. The receiver is
+// only read (it is serving); the returned zone is unfrozen, at the same γ.
 func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
 	for _, p := range pats {
 		z.checkWidth(p)
@@ -254,10 +249,7 @@ func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
 		delta = m2.Or(delta, m2.Cube(p))
 	}
 	for k := range roots2 {
-		roots2[k] = m2.Or(roots2[k], delta)
-		if k+1 < len(roots2) {
-			delta = m2.ExpandHamming1(delta)
-		}
+		roots2[k] = m2.Or(roots2[k], m2.ExpandHamming(delta, k))
 	}
 	return &Zone{width: z.width, m: m2, roots: roots2, gamma: z.gamma, base: z.base + len(pats)}
 }
@@ -265,7 +257,7 @@ func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
 // cloneAtGamma builds a frozen zone's successor queried at a different
 // enlargement level. When the level was cached before the freeze, the new
 // Zone shares the plans (and the diagnostic view) — an O(1) re-view, no
-// copying and no recompilation. A deeper level needs new expansions, so
+// copying and no recompilation. A deeper level needs new enlargements, so
 // a manager is re-derived from the plans and extended; the successor is
 // returned unfrozen and compiles its plans when it freezes.
 func (z *Zone) cloneAtGamma(gamma int) *Zone {
@@ -291,7 +283,7 @@ func (z *Zone) NodeCount() int {
 	if z.plans != nil {
 		return z.plans[z.gamma].Len()
 	}
-	return z.m.NodeCount(z.roots[z.gamma])
+	return z.m.NodeCount(z.Root())
 }
 
 // PlanBytes returns each cached level's plan size; empty until frozen.
@@ -305,10 +297,11 @@ func (z *Zone) PlanBytes() []int {
 
 // diagram returns the zone's BDD for tests and diagnostics (DOT export,
 // model counts, an interpreted walk to check the plans against): the
-// build manager while building; on a frozen zone, which has none, a view
+// build manager, enlarged up to γ; on a frozen zone, which has none, a view
 // materialised from the plans once. Nothing on the serving path comes here.
 func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
 	if z.plans == nil {
+		z.extendTo(z.gamma)
 		return z.m, z.roots
 	}
 	z.view.once.Do(func() {
