@@ -31,7 +31,7 @@ test:
 	$(GO) test ./...
 
 ## race: run the full test suite under the race detector (guards the
-## monitor's freeze-then-serve concurrency model and the shared-network
+## monitor's build → publish epoch 1 → serve concurrency model and the shared-network
 ## ForwardBatch path). Race instrumentation slows the
 ## experiment-reproduction tests ~10x, hence the long timeout.
 race:

@@ -165,33 +165,23 @@ func main() {
 	rep.P50Ns, rep.P99Ns, rep.P999Ns = q(0.50).Nanoseconds(), q(0.99).Nanoseconds(), q(0.999).Nanoseconds()
 	rep.P50, rep.P99, rep.P999 = q(0.50).String(), q(0.99).String(), q(0.999).String()
 
-	accountingOK := true
 	if before != nil {
 		after, err := scrape(*metricsU)
 		if err != nil {
 			log.Fatalf("post-run metrics scrape: %v", err)
 		}
-		sv := &serverSide{
+		rep.Server = &serverSide{
 			ServedDelta:    after.served - before.served,
 			ShedDelta:      after.shed - before.shed,
 			GwDroppedDelta: after.gwDropped - before.gwDropped,
 		}
-		// Served-side accounting must close: every request the server
-		// counts as served came back here as a watch response, and every
-		// gateway shed came back as an overload error frame. (Only holds
-		// when this soak is the gateway's sole client — as in CI.)
-		if sv.ServedDelta != rep.Received {
-			accountingOK = false
-			log.Printf("accounting mismatch: server served %d, client received %d",
-				sv.ServedDelta, rep.Received)
-		}
-		if sv.GwDroppedDelta != rep.Overloaded {
-			accountingOK = false
-			log.Printf("accounting mismatch: gateway shed %d, client saw %d overload frames",
-				sv.GwDroppedDelta, rep.Overloaded)
-		}
-		sv.ConsistentWithClient = accountingOK
-		rep.Server = sv
+	}
+	mismatches, failures := judge(rep, *strict, *chaosCheck)
+	for _, m := range mismatches {
+		log.Printf("accounting mismatch: %s", m)
+	}
+	if rep.Server != nil {
+		rep.Server.ConsistentWithClient = len(mismatches) == 0
 	}
 
 	enc, _ := json.MarshalIndent(rep, "", "  ")
@@ -203,38 +193,61 @@ func main() {
 	}
 	os.Stdout.Write(enc)
 
-	if *strict && (rep.Dropped > 0 || rep.Malformed > 0 || rep.Overloaded > 0 || rep.ServerErrors > 0 || !accountingOK) {
-		log.Fatalf("strict: %d dropped, %d malformed, %d overloaded, %d server errors, accounting ok=%v",
-			rep.Dropped, rep.Malformed, rep.Overloaded, rep.ServerErrors, accountingOK)
+	for _, f := range failures {
+		log.Print(f)
 	}
-
-	// Chaos gates can't demand -strict's closed accounting — injected
-	// resets legitimately lose responses and corrupted requests
-	// legitimately earn error frames. What must still hold: the service
-	// did real work (responses came back), every response that did come
-	// back decoded to a valid verdict, and the client never received more
-	// verdicts than the server claims it served (phantom responses).
+	if len(failures) > 0 {
+		os.Exit(1)
+	}
 	if *chaosCheck {
-		ok := true
-		if rep.Received == 0 {
-			ok = false
-			log.Printf("chaos-check: no watch responses received — the service did no useful work under faults")
-		}
-		if rep.Malformed > 0 {
-			ok = false
-			log.Printf("chaos-check: %d malformed responses — an acknowledged frame carried an unreadable verdict", rep.Malformed)
-		}
-		if rep.Server != nil && rep.Received > rep.Server.ServedDelta {
-			ok = false
-			log.Printf("chaos-check: client received %d verdicts but the server only served %d — phantom responses",
-				rep.Received, rep.Server.ServedDelta)
-		}
-		if !ok {
-			log.Fatal("chaos-check failed")
-		}
 		log.Printf("chaos-check ok: %d verdicts received, 0 malformed, %d connection failures survived",
 			rep.Received, rep.ConnErrors)
 	}
+}
+
+// judge is the run's verdict, a pure function of its report. mismatches
+// lists where the server's /metrics deltas disagree with this client's
+// per-frame accounting (checked only when rep.Server is set): every
+// request the server counts as served must have come back as a watch
+// response, and every gateway shed as an overload error frame — which
+// holds when this soak is the gateway's sole client, as in CI. failures
+// lists why the run fails the gates it was asked for; none means exit 0.
+//
+// -strict demands closed accounting: nothing dropped, malformed, shed or
+// errored, and no mismatch. -chaos-check cannot — injected resets
+// legitimately lose responses and corrupted requests legitimately earn
+// error frames — so it demands what must still hold: the service did real
+// work (responses came back), every response that did come back decoded
+// to a valid verdict, and the client never received more verdicts than
+// the server claims it served (phantom responses).
+func judge(rep report, strict, chaosCheck bool) (mismatches, failures []string) {
+	if sv := rep.Server; sv != nil {
+		if sv.ServedDelta != rep.Received {
+			mismatches = append(mismatches, fmt.Sprintf("server served %d, client received %d",
+				sv.ServedDelta, rep.Received))
+		}
+		if sv.GwDroppedDelta != rep.Overloaded {
+			mismatches = append(mismatches, fmt.Sprintf("gateway shed %d, client saw %d overload frames",
+				sv.GwDroppedDelta, rep.Overloaded))
+		}
+	}
+	if strict && (rep.Dropped > 0 || rep.Malformed > 0 || rep.Overloaded > 0 || rep.ServerErrors > 0 || len(mismatches) > 0) {
+		failures = append(failures, fmt.Sprintf("strict: %d dropped, %d malformed, %d overloaded, %d server errors, accounting ok=%v",
+			rep.Dropped, rep.Malformed, rep.Overloaded, rep.ServerErrors, len(mismatches) == 0))
+	}
+	if chaosCheck {
+		if rep.Received == 0 {
+			failures = append(failures, "chaos-check: no watch responses received — the service did no useful work under faults")
+		}
+		if rep.Malformed > 0 {
+			failures = append(failures, fmt.Sprintf("chaos-check: %d malformed responses — an acknowledged frame carried an unreadable verdict", rep.Malformed))
+		}
+		if rep.Server != nil && rep.Received > rep.Server.ServedDelta {
+			failures = append(failures, fmt.Sprintf("chaos-check: client received %d verdicts but the server only served %d — phantom responses",
+				rep.Received, rep.Server.ServedDelta))
+		}
+	}
+	return mismatches, failures
 }
 
 // serverSample is one scrape of the counters the accounting check uses.

@@ -26,10 +26,11 @@
 //		// decision not supported by training data
 //	}
 //
-// For serving under heavy traffic, use the batched front end: the first
-// WatchBatch call freezes the monitor: every comfort zone is compiled
-// into a flat branch-program query plan and its BDD manager is let go,
-// after which whole micro-batches flow through the batched GEMM
+// A monitor is born serving: BuildMonitor compiles every comfort zone
+// into a flat branch-program query plan, lets its BDD manager go and
+// publishes the zones as serving epoch 1. For serving under heavy
+// traffic, use the batched front end: whole micro-batches flow through
+// the batched GEMM
 // inference path (stripe-fused convolution that never stores the im2col
 // matrix, one packed 4×8 micro kernel for every multiply-accumulate,
 // fused bias+ReLU and bias+ReLU+maxpool epilogues, pooled
@@ -42,8 +43,8 @@
 // batches keep the scalar walk, whose per-query cost beats the
 // transpose overhead. WatchBatch may be issued from any
 // number of goroutines concurrently (safety by construction — the
-// serving path performs no writes; see DESIGN.md, "Freeze-then-serve
-// concurrency model"):
+// serving path performs no writes; see DESIGN.md, "Build → publish
+// epoch 1 → serve: concurrency model"):
 //
 //	verdicts := napmon.WatchBatch(net, mon, inputs)
 //
@@ -64,7 +65,7 @@
 //	}
 //	srv.Shutdown(ctx) // drains accepted requests, then stops
 //
-// A frozen monitor is not a static artifact: the online-update path
+// A monitor is not a static artifact: the online-update path
 // absorbs newly observed activation patterns while serving continues
 // (serve-while-retraining). Monitor.Update / Monitor.UpdateBatch
 // shadow-build the touched comfort zones on managers re-derived from
@@ -73,12 +74,12 @@
 // batch pins one epoch (every Verdict carries its epoch id), retired
 // epochs are released after their readers drain, and the updated monitor
 // answers exactly like one built from all patterns in one shot.
-// Monitor.UpdateGamma re-levels γ the same way — SetGamma errors once
-// frozen. Through a Server the same flow is Server.Update (observable
-// via ServerConfig.OnEpochSwap and ServerStats.Epoch):
+// Monitor.UpdateGamma re-levels γ the same way. Through a Server the
+// same flow is Server.Update (observable via ServerConfig.OnEpochSwap and
+// ServerStats.Epoch):
 //
-//	mon.Freeze()                      // epoch 1 starts serving
-//	epoch, err := mon.Update(class, pattern) // publishes epoch 2
+//	mon, _ := napmon.BuildMonitor(net, samples, cfg) // serves epoch 1
+//	epoch, err := mon.Update(class, pattern)         // publishes epoch 2
 //
 // See the Monitor.Update example and DESIGN.md, "Online updates: epochs,
 // grace periods".
@@ -104,7 +105,7 @@
 // napmon.Serve is the one-tenant form — it loads the DefaultTenant of a
 // fresh registry, so single-model callers keep the old API unchanged.
 //
-// A frozen monitor serializes to a compact snapshot (compiled zone
+// A monitor serializes to a compact snapshot (compiled zone
 // query plans + bit-packed patterns, checksummed) with
 // Monitor.Snapshot / Tenant.Snapshot, and loads back frozen at the same
 // epoch with napmon.LoadSnapshot / Registry.LoadSnapshot. Each tenant

@@ -24,9 +24,6 @@ func TestWatchBatchMatchesWatch(t *testing.T) {
 		want[i] = mon.Watch(net, s.Input)
 	}
 	got := mon.WatchBatch(net, inputs)
-	if !mon.Frozen() {
-		t.Fatal("WatchBatch did not freeze the monitor")
-	}
 	if len(got) != len(want) {
 		t.Fatalf("WatchBatch returned %d verdicts for %d inputs", len(got), len(want))
 	}
@@ -40,7 +37,7 @@ func TestWatchBatchMatchesWatch(t *testing.T) {
 }
 
 // TestWatchBatchConcurrent is the read-only-after-build guard: many
-// goroutines call WatchBatch against one frozen monitor simultaneously.
+// goroutines call WatchBatch against one monitor simultaneously.
 // Run under -race (the CI workflow does) this fails if any serving path
 // still writes manager state.
 func TestWatchBatchConcurrent(t *testing.T) {
@@ -53,10 +50,7 @@ func TestWatchBatchConcurrent(t *testing.T) {
 	for i, s := range val {
 		inputs[i] = s.Input
 	}
-	want := mon.WatchBatch(net, inputs) // also freezes
-	if !mon.Frozen() {
-		t.Fatal("monitor not frozen after WatchBatch")
-	}
+	want := mon.WatchBatch(net, inputs)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -77,58 +71,8 @@ func TestWatchBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFrozenMonitorRejectsMutation checks the freeze-then-serve contract:
-// after freezing, inserting into a zone panics and SetGamma errors instead
-// of silently mutating shared serving state — changing γ on a live monitor
-// goes through UpdateGamma, which publishes a new epoch.
-func TestFrozenMonitorRejectsMutation(t *testing.T) {
-	net, layer, train, _ := trainedToyNet(t, 13)
-	mon, err := Build(net, train, Config{Layer: layer, Gamma: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Freeze()
-	mon.Freeze() // idempotent
-	// The current level is not a change: explicitly allowed as a no-op.
-	if err := mon.SetGamma(2); err != nil {
-		t.Fatalf("SetGamma to the current level on a frozen monitor: %v", err)
-	}
-	// Any actual change must error — even to a level cached pre-freeze,
-	// because flipping the query level in place races concurrent readers.
-	if err := mon.SetGamma(1); err == nil {
-		t.Fatal("SetGamma(1) on frozen monitor did not error")
-	}
-	if err := mon.SetGamma(3); err == nil {
-		t.Fatal("SetGamma past the cached levels on frozen monitor did not error")
-	}
-	c := mon.Classes()[0]
-	if err := mon.Zone(c).SetGamma(1); err == nil {
-		t.Fatal("Zone.SetGamma change on frozen zone did not error")
-	}
-	// UpdateGamma is the sanctioned route: a cached level is an O(1)
-	// re-view epoch, a deeper one is shadow-built.
-	if id, err := mon.UpdateGamma(1); err != nil || id != 2 {
-		t.Fatalf("UpdateGamma(1) = (%d, %v), want epoch 2", id, err)
-	}
-	if got := mon.Gamma(); got != 1 {
-		t.Fatalf("Gamma after UpdateGamma(1) = %d", got)
-	}
-	if id, err := mon.UpdateGamma(3); err != nil || id != 3 {
-		t.Fatalf("UpdateGamma(3) = (%d, %v), want epoch 3", id, err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Insert did not panic on frozen zone")
-			}
-		}()
-		mon.Zone(c).Insert(make(Pattern, len(mon.Neurons())))
-	}()
-}
-
 // TestWatchBatchEmpty checks the degenerate batch: an empty input must
-// yield an empty non-nil slice and — regression — must NOT freeze the
-// monitor, so a build in progress can keep inserting patterns afterwards.
+// yield an empty non-nil slice, on both batch entry points.
 func TestWatchBatchEmpty(t *testing.T) {
 	net, layer, train, _ := trainedToyNet(t, 14)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 0})
@@ -142,14 +86,9 @@ func TestWatchBatchEmpty(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("empty batch returned %d verdicts", len(got))
 	}
-	if mon.Frozen() {
-		t.Fatal("empty WatchBatch froze the monitor")
+	if got := mon.WatchBatchPooled(net, nil, nil); got == nil || len(got) != 0 {
+		t.Fatalf("empty pooled batch returned %v, want an empty non-nil slice", got)
 	}
-	// The monitor must still be buildable: insert one more pattern and
-	// grow γ, both of which panic on a frozen zone.
-	c := mon.Classes()[0]
-	mon.Zone(c).Insert(make(Pattern, len(mon.Neurons())))
-	mon.SetGamma(1)
 }
 
 // TestExtractObsOrder pins the ordering contract every evaluator relies

@@ -12,30 +12,32 @@ import (
 	"strings"
 	"testing"
 
+	"napmon/internal/bdd"
 	"napmon/internal/rng"
 	"napmon/internal/tensor"
 )
 
-// TestCompiledZoneAgreesWithInterpreted pins Contains/ContainsAt on a
-// frozen zone (compiled plans) bit-exact against the interpreted
-// EvalBits walk, for every cached γ: exhaustively for narrow zones,
-// with random probes for monitor-width ones.
+// interpretedZone builds a zone from pats at γ and returns it with its
+// builder's manager and roots: the interpreted oracle the plans came from.
+func interpretedZone(width, gamma int, pats []Pattern) (*Zone, *bdd.Manager, []bdd.Node) {
+	b := newZoneBuilder(width, gamma)
+	for _, p := range pats {
+		b.insert(p)
+	}
+	z, _ := b.freeze()
+	return z, b.m, b.roots
+}
+
+// TestCompiledZoneAgreesWithInterpreted pins Contains/ContainsAtErr on a
+// zone (compiled plans) bit-exact against the interpreted EvalBits walk
+// of the manager that built it, for every cached γ: exhaustively for
+// narrow zones, with random probes for monitor-width ones.
 func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 	r := rng.New(41)
 	for _, width := range []int{4, 8, 12} {
-		z := NewZone(width)
-		for _, p := range randomPatterns(r, 6, width) {
-			z.Insert(p)
-		}
-		if err := z.SetGamma(2); err != nil {
-			t.Fatal(err)
-		}
-		// The oracle is the build manager itself, kept past the freeze
-		// that makes the zone forget it.
-		m, roots := z.m, z.roots
-		z.Freeze()
-		if z.m != nil || z.roots != nil || len(z.plans) != len(roots) {
-			t.Fatalf("width %d: frozen zone keeps manager %v, %d roots, %d plans for %d levels", width, z.m != nil, len(z.roots), len(z.plans), len(roots))
+		z, m, roots := interpretedZone(width, 2, randomPatterns(r, 6, width))
+		if len(z.plans) != len(roots) {
+			t.Fatalf("width %d: %d plans for %d levels", width, len(z.plans), len(roots))
 		}
 		probe := make(Pattern, width)
 		for a := 0; a < 1<<width; a++ {
@@ -44,7 +46,7 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 			}
 			for g := range roots {
 				want := m.EvalBits(roots[g], probe)
-				if got := z.ContainsAt(g, probe); got != want {
+				if got := containsAt(t, z, g, probe); got != want {
 					t.Fatalf("width %d γ=%d assignment %d: compiled %v, interpreted %v", width, g, a, got, want)
 				}
 			}
@@ -62,16 +64,8 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 	// Monitor-width zone: random probes plus the inserted patterns and
 	// their Hamming-1 neighbors (the boundary the enlargement moves).
 	const width = 40
-	z := NewZone(width)
 	inserted := randomPatterns(r, 60, width)
-	for _, p := range inserted {
-		z.Insert(p)
-	}
-	if err := z.SetGamma(2); err != nil {
-		t.Fatal(err)
-	}
-	m, roots := z.m, z.roots
-	z.Freeze()
+	z, m, roots := interpretedZone(width, 2, inserted)
 	probes := randomPatterns(r, 300, width)
 	for _, p := range inserted[:10] {
 		probes = append(probes, p)
@@ -84,7 +78,7 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 	for g := range roots {
 		for pi, p := range probes {
 			want := m.EvalBits(roots[g], p)
-			if got := z.ContainsAt(g, p); got != want {
+			if got := containsAt(t, z, g, p); got != want {
 				t.Fatalf("γ=%d probe %d: compiled %v, interpreted %v", g, pi, got, want)
 			}
 		}
@@ -92,123 +86,97 @@ func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
 }
 
 // TestContainsBatchMatchesContains checks the micro-batch entry point
-// against per-pattern queries, frozen and unfrozen, at batch widths on
-// both sides of the bit-sliced dispatch threshold and across ragged
-// 64-lane block boundaries (1, 63, 64, 65).
+// against per-pattern queries at batch widths on both sides of the
+// bit-sliced dispatch threshold and across ragged 64-lane block
+// boundaries (1, 63, 64, 65).
 func TestContainsBatchMatchesContains(t *testing.T) {
 	r := rng.New(17)
 	const width = 24
-	for _, freeze := range []bool{false, true} {
-		z := NewZone(width)
-		for _, p := range randomPatterns(r, 20, width) {
-			z.Insert(p)
-		}
-		if err := z.SetGamma(1); err != nil {
-			t.Fatal(err)
-		}
-		if freeze {
-			z.Freeze()
-		}
-		probes := randomPatterns(r, 97, width)
-		batch := make([][]bool, len(probes))
-		for i, p := range probes {
-			batch[i] = p
-		}
-		for _, n := range []int{1, 63, 64, 65, len(batch)} {
-			out := make([]bool, n)
-			z.ContainsBatch(batch[:n], out)
-			for i, p := range probes[:n] {
-				if want := z.Contains(p); out[i] != want {
-					t.Fatalf("frozen=%v n=%d probe %d: batch %v, single %v", freeze, n, i, out[i], want)
-				}
+	z := buildZone(width, 1, randomPatterns(r, 20, width)...)
+	probes := randomPatterns(r, 97, width)
+	batch := make([][]bool, len(probes))
+	for i, p := range probes {
+		batch[i] = p
+	}
+	for _, n := range []int{1, 63, 64, 65, len(batch)} {
+		out := make([]bool, n)
+		z.ContainsBatch(batch[:n], out)
+		for i, p := range probes[:n] {
+			if want := z.Contains(p); out[i] != want {
+				t.Fatalf("n=%d probe %d: batch %v, single %v", n, i, out[i], want)
 			}
 		}
 	}
 }
 
-// TestContainsBatchValidatesUpFront pins the batch contract fixed in
-// PR 9: on BOTH the frozen (compiled) and unfrozen (interpreted) paths,
-// a short out and a mid-batch width mismatch panic with a core:-prefixed
-// message before any verdict lands in out — previously the frozen path
-// leaked a bdd:-prefixed panic for short outputs, and a bad pattern
-// mid-batch panicked only after earlier verdicts were already written.
+// TestContainsBatchValidatesUpFront pins the batch contract: a short out
+// and a mid-batch width mismatch panic with a core:-prefixed message
+// before any verdict lands in out — never a bdd:-prefixed panic for short
+// outputs, and never after earlier verdicts were already written.
 func TestContainsBatchValidatesUpFront(t *testing.T) {
 	const width = 12
-	for _, freeze := range []bool{false, true} {
-		z := NewZone(width)
-		z.Insert(make(Pattern, width)) // zone = {all-zeros}, γ=0
-		if freeze {
-			z.Freeze()
-		}
-		mustPanicCore := func(name string, f func()) {
-			t.Helper()
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					t.Fatalf("frozen=%v: %s did not panic", freeze, name)
-				}
-				if msg, ok := rec.(string); !ok || !strings.HasPrefix(msg, "core:") {
-					t.Fatalf("frozen=%v: %s panicked with %v, want a core:-prefixed message", freeze, name, rec)
-				}
-			}()
-			f()
-		}
-		good := func() []bool { return make([]bool, width) }
-		mustPanicCore("short out", func() {
-			z.ContainsBatch([][]bool{good(), good(), good()}, make([]bool, 2))
-		})
-		// A batch whose every valid pattern is OUTSIDE the zone (bit 0
-		// set) would write false into out; the true sentinels surviving
-		// the panic proves validation ran before any verdict.
-		bad := make([][]bool, 40)
-		for i := range bad {
-			p := good()
-			p[0] = true
-			bad[i] = p
-		}
-		bad[25] = make([]bool, width-1)
-		out := make([]bool, len(bad))
-		for i := range out {
-			out[i] = true
-		}
-		mustPanicCore("mid-batch width mismatch", func() { z.ContainsBatch(bad, out) })
-		for i, v := range out {
-			if !v {
-				t.Fatalf("frozen=%v: verdict %d written before the whole batch was validated", freeze, i)
+	z := buildZone(width, 0, make(Pattern, width)) // zone = {all-zeros}
+	mustPanicCore := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			rec := recover()
+			if rec == nil {
+				t.Fatalf("%s did not panic", name)
 			}
+			if msg, ok := rec.(string); !ok || !strings.HasPrefix(msg, "core:") {
+				t.Fatalf("%s panicked with %v, want a core:-prefixed message", name, rec)
+			}
+		}()
+		f()
+	}
+	good := func() []bool { return make([]bool, width) }
+	mustPanicCore("short out", func() {
+		z.ContainsBatch([][]bool{good(), good(), good()}, make([]bool, 2))
+	})
+	// A batch whose every valid pattern is OUTSIDE the zone (bit 0 set)
+	// would write false into out; the true sentinels surviving the panic
+	// proves validation ran before any verdict.
+	bad := make([][]bool, 40)
+	for i := range bad {
+		p := good()
+		p[0] = true
+		bad[i] = p
+	}
+	bad[25] = make([]bool, width-1)
+	out := make([]bool, len(bad))
+	for i := range out {
+		out[i] = true
+	}
+	mustPanicCore("mid-batch width mismatch", func() { z.ContainsBatch(bad, out) })
+	for i, v := range out {
+		if !v {
+			t.Fatalf("verdict %d written before the whole batch was validated", i)
 		}
 	}
 }
 
 // TestContainsAtErr covers the error surface the serving daemons rely
-// on: frozen-beyond-cache is an error (not a panic), unfrozen extends,
-// and bad inputs are reported.
+// on: every level the builder cached is queryable whatever the zone's γ,
+// a deeper level is an error (not a panic), and bad inputs are reported.
 func TestContainsAtErr(t *testing.T) {
 	r := rng.New(5)
 	const width = 10
-	z := NewZone(width)
+	b := newZoneBuilder(width, 1)
 	for _, p := range randomPatterns(r, 4, width) {
-		z.Insert(p)
+		b.insert(p)
 	}
-	if err := z.SetGamma(1); err != nil {
-		t.Fatal(err)
+	b.extendTo(3)
+	z, _ := b.freeze()
+	if len(z.plans) != 4 || z.Gamma() != 1 {
+		t.Fatalf("zone has %d levels at γ=%d, want 4 at γ=1", len(z.plans), z.Gamma())
 	}
 
-	// Unfrozen: a deeper level is computed on demand.
 	p := make(Pattern, width)
 	if _, err := z.ContainsAtErr(3, p); err != nil {
-		t.Fatalf("unfrozen deep level errored: %v", err)
-	}
-	if len(z.roots) != 4 {
-		t.Fatalf("deep query cached %d levels, want 4", len(z.roots))
-	}
-
-	z.Freeze()
-	if _, err := z.ContainsAtErr(3, p); err != nil {
-		t.Fatalf("cached level errored after freeze: %v", err)
+		t.Fatalf("cached level errored: %v", err)
 	}
 	if _, err := z.ContainsAtErr(4, p); err == nil {
-		t.Fatal("frozen beyond-cache query did not error")
+		t.Fatal("beyond-cache query did not error")
 	} else if !strings.Contains(err.Error(), "beyond") {
 		t.Fatalf("unexpected error text: %v", err)
 	}
@@ -218,29 +186,18 @@ func TestContainsAtErr(t *testing.T) {
 	if _, err := z.ContainsAtErr(0, make(Pattern, width+1)); err == nil {
 		t.Fatal("width mismatch did not error")
 	}
-	// The Zone-layer panic contract is unchanged.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("frozen beyond-cache ContainsAt did not panic")
-			}
-		}()
-		z.ContainsAt(4, p)
-	}()
 }
 
 // TestEvaluateAtErrors checks the monitor-level error surfacing: a
-// frozen monitor evaluated beyond its cached levels returns an error
-// instead of crashing, and at cached levels EvaluateAt matches
-// Evaluate.
+// monitor evaluated beyond its cached levels returns an error instead of
+// crashing, and at cached levels EvaluateAt matches Evaluate.
 func TestEvaluateAtErrors(t *testing.T) {
 	net, layer, train, val := trainedToyNet(t, 9)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Evaluate(net, mon, val) // at γ=2, build phase
-	mon.Freeze()
+	want := Evaluate(net, mon, val) // at the serving γ=2
 	got, err := EvaluateAt(net, mon, val, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +206,7 @@ func TestEvaluateAtErrors(t *testing.T) {
 		t.Fatalf("EvaluateAt(2) = %+v, Evaluate said %+v", got, want)
 	}
 	if _, err := EvaluateAt(net, mon, val, 9); err == nil {
-		t.Fatal("EvaluateAt beyond cached levels did not error on a frozen monitor")
+		t.Fatal("EvaluateAt beyond cached levels did not error")
 	}
 	if _, err := EvaluateAt(net, mon, val, -1); err == nil {
 		t.Fatal("EvaluateAt(-1) did not error")
@@ -272,11 +229,8 @@ func TestEvaluateQuantizedAtErrors(t *testing.T) {
 	if got != want {
 		t.Fatalf("EvaluateQuantizedAt(1) = %+v, EvaluateQuantized said %+v", got, want)
 	}
-	for _, z := range mon.zones {
-		z.Freeze()
-	}
 	if _, err := EvaluateQuantizedAt(net, mon, val, 7); err == nil {
-		t.Fatal("EvaluateQuantizedAt beyond cached levels did not error on frozen zones")
+		t.Fatal("EvaluateQuantizedAt beyond cached levels did not error")
 	}
 }
 
@@ -299,13 +253,7 @@ func TestBuildFromPatterns(t *testing.T) {
 		t.Fatalf("classes = %v", got)
 	}
 	for c, pats := range perClass {
-		ref := NewZone(width)
-		for _, p := range pats {
-			ref.Insert(p)
-		}
-		if err := ref.SetGamma(1); err != nil {
-			t.Fatal(err)
-		}
+		ref := buildZone(width, 1, pats...)
 		for _, probe := range append(randomPatterns(r, 50, width), pats...) {
 			oop, monitored := mon.WatchPattern(c, probe)
 			if !monitored {
@@ -410,7 +358,7 @@ func BenchmarkMonitorBuildParallel(b *testing.B) {
 }
 
 // BenchmarkZoneBuild times one zone_query-shaped zone from empty to
-// compiled plans (400 inserts × width 40, SetGamma(2), Freeze) and reports
+// compiled plans (400 inserts × width 40 at γ = 2, then freeze) and reports
 // the nodes its build session left in the arena. Un-gated, like
 // BenchmarkMonitorBuildParallel: bench/'s setup_s on zone_query is the
 // end-to-end reading, TestZoneBuildArena the bound.
@@ -419,14 +367,12 @@ func BenchmarkZoneBuild(b *testing.B) {
 	nodes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z := NewZone(40)
+		zb := newZoneBuilder(40, 2)
 		for _, p := range pats {
-			z.Insert(p)
+			zb.insert(p)
 		}
-		if err := z.SetGamma(2); err != nil {
-			b.Fatal(err)
-		}
-		nodes = z.Freeze().Nodes
+		_, session := zb.freeze()
+		nodes = session.Nodes
 	}
 	b.ReportMetric(float64(nodes), "arena_nodes")
 }
@@ -446,10 +392,9 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	upd := mon.Updater()
 	if got := upd.Recompiled(); got != 0 {
-		t.Fatalf("freeze alone recompiled %d zones", got)
+		t.Fatalf("the build alone recompiled %d zones", got)
 	}
 	before := map[int]*Zone{}
 	for c := 0; c < 5; c++ {
@@ -494,14 +439,14 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 	}
 
 	// The cumulative compile counter agrees: one plan per level of every
-	// zone built — five at the freeze and one update at three levels,
+	// zone built — five at the build and one update at three levels,
 	// then five at the five levels γ = 4 needs.
 	if got, want := mon.ManagerStatsTotal().Compiles, uint64(5*3+1*3+5*5); got != want {
 		t.Fatalf("%d plans compiled in total, want %d", got, want)
 	}
 	for c := 0; c < 5; c++ {
-		if z := mon.Zone(c); len(z.plans) != 5 || z.m != nil {
-			t.Fatalf("class %d: %d plans, manager kept: %v", c, len(z.plans), z.m != nil)
+		if z := mon.Zone(c); len(z.plans) != 5 {
+			t.Fatalf("class %d: %d plans, want 5", c, len(z.plans))
 		}
 	}
 }

@@ -75,15 +75,34 @@ func randPattern(r *rng.Source, w int) Pattern {
 	return p
 }
 
+// buildZone builds the zone of pats over width neurons, queried at γ —
+// the tests' front door to zoneBuilder.
+func buildZone(width, gamma int, pats ...Pattern) *Zone {
+	b := newZoneBuilder(width, gamma)
+	for _, p := range pats {
+		b.insert(p)
+	}
+	z, _ := b.freeze()
+	return z
+}
+
+// containsAt is ContainsAtErr at a level the test knows is cached.
+func containsAt(t testing.TB, z *Zone, gamma int, p Pattern) bool {
+	t.Helper()
+	in, err := z.ContainsAtErr(gamma, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestZoneInsertContains(t *testing.T) {
-	z := NewZone(8)
 	r := rng.New(1)
 	var inserted []Pattern
 	for i := 0; i < 20; i++ {
-		p := randPattern(r, 8)
-		z.Insert(p)
-		inserted = append(inserted, p)
+		inserted = append(inserted, randPattern(r, 8))
 	}
+	z := buildZone(8, 0, inserted...)
 	for _, p := range inserted {
 		if !z.Contains(p) {
 			t.Fatal("zone missing inserted pattern at gamma=0")
@@ -97,14 +116,15 @@ func TestZoneInsertContains(t *testing.T) {
 func TestZoneGammaMonotone(t *testing.T) {
 	// Z⁰ ⊆ Z¹ ⊆ Z² — enlargement never removes patterns.
 	r := rng.New(2)
-	z := NewZone(10)
+	var pats []Pattern
 	for i := 0; i < 10; i++ {
-		z.Insert(randPattern(r, 10))
+		pats = append(pats, randPattern(r, 10))
 	}
+	z := buildZone(10, 3, pats...)
 	prev := -1.0
 	for g := 0; g <= 3; g++ {
-		z.SetGamma(g)
-		count := z.PatternCount()
+		zg, _ := z.cloneAtGamma(g)
+		count := zg.PatternCount()
 		if count < prev {
 			t.Fatalf("zone shrank when enlarging: %v -> %v at gamma %d", prev, count, g)
 		}
@@ -113,14 +133,15 @@ func TestZoneGammaMonotone(t *testing.T) {
 }
 
 func TestZoneContainsAtDoesNotChangeGamma(t *testing.T) {
-	z := NewZone(4)
-	z.Insert(Pattern{true, false, false, false})
-	z.SetGamma(0)
+	b := newZoneBuilder(4, 0)
+	b.insert(Pattern{true, false, false, false})
+	b.extendTo(1) // cache Z¹ beside the γ = 0 the zone is queried at
+	z, _ := b.freeze()
 	p := Pattern{true, true, false, false} // distance 1
 	if z.Contains(p) {
 		t.Fatal("gamma 0 zone contains distance-1 pattern")
 	}
-	if !z.ContainsAt(1, p) {
+	if !containsAt(t, z, 1, p) {
 		t.Fatal("ContainsAt(1) missed distance-1 pattern")
 	}
 	if z.Gamma() != 0 {
@@ -132,42 +153,40 @@ func TestZoneContainsAtDoesNotChangeGamma(t *testing.T) {
 }
 
 func TestZoneInsertAfterExpandRecomputes(t *testing.T) {
-	z := NewZone(5)
-	z.Insert(Pattern{true, true, true, true, true})
-	z.SetGamma(1)
+	b := newZoneBuilder(5, 1)
+	b.insert(Pattern{true, true, true, true, true})
+	b.extendTo(1)
 	// Inserting a new pattern must refresh the enlarged level too.
 	q := Pattern{false, false, false, false, false}
-	z.Insert(q)
+	b.insert(q)
+	z, _ := b.freeze()
 	near := Pattern{true, false, false, false, false} // distance 1 from q
 	if !z.Contains(near) {
 		t.Fatal("enlargement stale after Insert")
 	}
 }
 
-// TestInsertAtGammaIsLazy: an Insert at γ > 0 drops the enlarged levels
-// instead of recomputing them, so 400 inserts after SetGamma(2) cost one
-// enlargement (at Freeze), not 400. The plans equal an insert-then-
-// SetGamma build's, and the session's arena is no larger than it.
+// TestInsertAtGammaIsLazy: an insert into a builder already enlarged to
+// γ > 0 drops the enlarged levels instead of recomputing them, so 400
+// inserts after extendTo(2) cost one enlargement (at freeze), not 400. The
+// plans equal an insert-then-enlarge build's, and the session's arena is
+// no larger than it.
 func TestInsertAtGammaIsLazy(t *testing.T) {
 	const n, width, gamma = 400, 40, 2
 	pats := randomPatterns(rng.New(29), n, width)
-	early, late := NewZone(width), NewZone(width)
-	if err := early.SetGamma(gamma); err != nil {
-		t.Fatal(err)
-	}
+	early, late := newZoneBuilder(width, gamma), newZoneBuilder(width, gamma)
+	early.extendTo(gamma)
 	for _, p := range pats {
-		early.Insert(p)
-		late.Insert(p)
+		early.insert(p)
+		late.insert(p)
 	}
 	if len(early.roots) != 1 {
 		t.Fatalf("inserts at γ=%d left %d levels built, want Z⁰ alone", gamma, len(early.roots))
 	}
-	if err := late.SetGamma(gamma); err != nil {
-		t.Fatal(err)
-	}
-	se, sl := early.Freeze(), late.Freeze()
-	if !samePlans(early, late) {
-		t.Fatal("SetGamma-then-insert plans differ from insert-then-SetGamma plans")
+	ze, se := early.freeze()
+	zl, sl := late.freeze()
+	if !samePlans(ze, zl) {
+		t.Fatal("enlarge-then-insert plans differ from insert-then-enlarge plans")
 	}
 	t.Logf("build arena: %d nodes inserting at γ=%d, %d enlarging after", se.Nodes, gamma, sl.Nodes)
 	if 2*se.Nodes > 3*sl.Nodes {
@@ -175,7 +194,7 @@ func TestInsertAtGammaIsLazy(t *testing.T) {
 	}
 }
 
-// samePlans reports whether two frozen zones hold the same program at
+// samePlans reports whether two zones hold the same program at
 // every cached level.
 func samePlans(a, b *Zone) bool {
 	if len(a.plans) != len(b.plans) {
@@ -196,14 +215,15 @@ func samePlans(a, b *Zone) bool {
 }
 
 func TestZonePatternCountGamma0(t *testing.T) {
-	z := NewZone(6)
 	seen := map[string]bool{}
 	r := rng.New(3)
+	var pats []Pattern
 	for i := 0; i < 30; i++ {
 		p := randPattern(r, 6)
 		seen[p.Key()] = true
-		z.Insert(p)
+		pats = append(pats, p)
 	}
+	z := buildZone(6, 0, pats...)
 	if got := z.PatternCount(); got != float64(len(seen)) {
 		t.Fatalf("PatternCount = %v, want %d distinct", got, len(seen))
 	}
@@ -217,14 +237,14 @@ func TestZoneMatchesExactZoneProperty(t *testing.T) {
 		gamma := int(gammaRaw % 4)
 		const w = 9
 		r := rng.New(uint64(seed))
-		z := NewZone(w)
 		e := NewExactZone(w)
+		var pats []Pattern
 		for i := 0; i < 1+r.Intn(8); i++ {
 			p := randPattern(r, w)
-			z.Insert(p)
+			pats = append(pats, p)
 			e.Insert(p)
 		}
-		z.SetGamma(gamma)
+		z := buildZone(w, gamma, pats...)
 		e.SetGamma(gamma)
 		for i := 0; i < 200; i++ {
 			p := randPattern(r, w)
@@ -300,7 +320,9 @@ func TestBuildSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g <= 2; g++ {
-		mon.SetGamma(g)
+		if _, err := mon.UpdateGamma(g); err != nil {
+			t.Fatal(err)
+		}
 		for _, s := range train {
 			v := mon.Watch(net, s.Input)
 			if v.Class != s.Label {
@@ -423,7 +445,9 @@ func TestGammaSweepMonotoneOutOfPattern(t *testing.T) {
 	}
 	// At gamma = width the zone covers everything reachable by flipping
 	// all monitored bits: nothing can be out of pattern.
-	mon.SetGamma(mon.Zone(0).Width())
+	if _, err := mon.UpdateGamma(mon.Zone(0).Width()); err != nil {
+		t.Fatal(err)
+	}
 	full := Evaluate(net, mon, val)
 	if full.OutOfPattern != 0 {
 		t.Fatalf("gamma=width still flags %d samples", full.OutOfPattern)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"napmon/internal/nn"
 )
@@ -103,28 +104,18 @@ func tallyMetrics(results []obs, samples []nn.Sample, zones map[int]*Zone,
 	return out, nil
 }
 
-// pinnedZones returns the zone set an evaluation should read — the
-// pinned current epoch's once frozen, the build-phase zones before —
-// plus the unpin to defer.
-func (m *Monitor) pinnedZones() (map[int]*Zone, func()) {
-	if e := m.acquire(); e != nil {
-		return e.zones, e.unpin
-	}
-	return m.zones, func() {}
-}
-
 // Evaluate runs the monitor over a labelled dataset (typically the
 // validation set, per §III's procedure for deciding the coarseness of
 // abstraction) and aggregates the Table II statistics. Inference and
 // pattern extraction run batched; zone queries are sequential and
-// read-only. On a frozen monitor the serving epoch is pinned for the
-// whole evaluation, so the metrics describe exactly one generation even
-// while online updates publish new ones.
+// read-only. The serving epoch is pinned for the whole evaluation, so the
+// metrics describe exactly one generation even while online updates
+// publish new ones.
 func Evaluate(net *nn.Network, m *Monitor, samples []nn.Sample) Metrics {
 	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	zones, unpin := m.pinnedZones()
-	defer unpin()
-	out, _ := tallyMetrics(results, samples, zones, func(z *Zone, p Pattern) (bool, error) {
+	e := m.acquire()
+	defer e.unpin()
+	out, _ := tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
 		return z.Contains(p), nil
 	})
 	return out
@@ -132,49 +123,46 @@ func Evaluate(net *nn.Network, m *Monitor, samples []nn.Sample) Metrics {
 
 // EvaluateAt aggregates the Table II statistics at an explicit
 // enlargement level without changing the monitor's serving γ and without
-// publishing an epoch. On an unfrozen monitor missing levels are
-// computed and cached; on a frozen monitor only levels cached before the
-// freeze are queryable, and asking deeper returns an error instead of
-// panicking — the monitor-level surface of Zone.ContainsAtErr, so a
-// serving daemon probing alternative γs can degrade gracefully rather
-// than crash (publish a deeper level with Monitor.UpdateGamma).
+// publishing an epoch. Only the serving epoch's cached levels are
+// queryable; asking deeper returns an error instead of panicking — the
+// monitor-level surface of Zone.ContainsAtErr, so a serving daemon probing
+// alternative γs can degrade gracefully rather than crash (publish a
+// deeper level with Monitor.UpdateGamma).
 func EvaluateAt(net *nn.Network, m *Monitor, samples []nn.Sample, gamma int) (Metrics, error) {
 	if gamma < 0 {
 		return Metrics{}, fmt.Errorf("core: negative gamma %d", gamma)
 	}
 	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	zones, unpin := m.pinnedZones()
-	defer unpin()
-	return tallyMetrics(results, samples, zones, func(z *Zone, p Pattern) (bool, error) {
+	e := m.acquire()
+	defer e.unpin()
+	return tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
 		return z.ContainsAtErr(gamma, p)
 	})
 }
 
-// GammaSweep evaluates the monitor at each γ in gammas (ascending order is
-// cheapest because enlargements are cached) and returns one Metrics per γ.
-// The monitor is left at the last γ. On a frozen monitor each level is
-// published as a new serving epoch (UpdateGamma), so sweeping a live
-// monitor is legal and never races its readers.
+// GammaSweep evaluates the monitor at each γ in gammas and returns one
+// Metrics per γ. It publishes the deepest level once (UpdateGamma), so
+// every other level is an O(1) re-view epoch, and leaves the monitor at
+// the last γ. Each level is a serving epoch, so sweeping a live monitor
+// never races its readers.
 func GammaSweep(net *nn.Network, m *Monitor, samples []nn.Sample, gammas []int) []Metrics {
 	out := make([]Metrics, len(gammas))
+	if len(gammas) == 0 {
+		return out
+	}
+	mustUpdateGamma(m, slices.Max(gammas))
 	for i, g := range gammas {
-		setServingGamma(m, g)
+		mustUpdateGamma(m, g)
 		out[i] = Evaluate(net, m, samples)
 	}
 	return out
 }
 
-// setServingGamma moves the monitor to γ by the phase-appropriate route:
-// in-place during build, a published epoch once frozen. Negative γ panics,
-// matching the historical SetGamma contract of the sweep helpers.
-func setServingGamma(m *Monitor, g int) {
-	var err error
-	if m.Frozen() {
-		_, err = m.UpdateGamma(g)
-	} else {
-		err = m.SetGamma(g)
-	}
-	if err != nil {
+// mustUpdateGamma publishes γ as the serving level. A negative or
+// wider-than-the-pattern γ panics: the sweep helpers take their levels
+// from the caller's code, not from input.
+func mustUpdateGamma(m *Monitor, g int) {
+	if _, err := m.UpdateGamma(g); err != nil {
 		panic(err)
 	}
 }
@@ -190,13 +178,13 @@ func InferGamma(net *nn.Network, m *Monitor, validation []nn.Sample,
 	minPrecision, minRate float64, maxGamma int) (int, []Metrics) {
 	var history []Metrics
 	for g := 0; g <= maxGamma; g++ {
-		setServingGamma(m, g)
+		mustUpdateGamma(m, g)
 		metrics := Evaluate(net, m, validation)
 		history = append(history, metrics)
 		if metrics.OutOfPatternPrecision() >= minPrecision || metrics.OutOfPatternRate() <= minRate {
 			return g, history
 		}
 	}
-	setServingGamma(m, maxGamma)
+	mustUpdateGamma(m, maxGamma)
 	return maxGamma, history
 }

@@ -78,18 +78,14 @@ func FuzzPatternRoundTrip(f *testing.F) {
 		// Zone round trip: the inserted pattern is a member at γ=0; its
 		// 1-bit neighbors are members exactly at γ≥1 (and are the only
 		// distance-1 additions).
-		z := NewZone(width)
-		z.Insert(p)
-		if !z.Contains(p) {
+		z := buildZone(width, 1, p)
+		if !containsAt(t, z, 0, p) {
 			t.Fatal("inserted pattern not in zone at gamma 0")
-		}
-		if err := z.SetGamma(1); err != nil {
-			t.Fatal(err)
 		}
 		for i := 0; i < width; i++ {
 			n := p.Clone()
 			n[i] = !n[i]
-			if z.ContainsAt(0, n) {
+			if containsAt(t, z, 0, n) {
 				t.Fatalf("distance-1 neighbor %d in zone at gamma 0", i)
 			}
 			if !z.Contains(n) {

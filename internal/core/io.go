@@ -7,8 +7,8 @@ import "os"
 // GET /v1/models/{name}/snapshot serves and a follower bootstraps from —
 // with an empty delta tail.
 
-// SaveFile writes the monitor's snapshot to the named file, freezing the
-// monitor first if needed (Monitor.Snapshot).
+// SaveFile writes the monitor's snapshot (Monitor.Snapshot) to the named
+// file.
 func (m *Monitor) SaveFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -21,7 +21,7 @@ func (m *Monitor) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadFile reads a monitor from a snapshot file. The monitor is frozen at
+// LoadFile reads a monitor from a snapshot file. The monitor serves at
 // the file's epoch; a delta tail in the file is discarded.
 func LoadFile(path string) (*Monitor, error) {
 	f, err := os.Open(path)

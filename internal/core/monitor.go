@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,44 +36,31 @@ type Config struct {
 // γ-comfort zone per monitored class, consulted after each classification
 // decision.
 //
-// A monitor has two phases. While building (Algorithm 1) it is
-// single-writer: Insert and SetGamma mutate the zones directly. Freeze
-// publishes the zones as the first serving epoch; from then on every read
-// path (Watch, WatchBatch, WatchPattern, Evaluate) pins the current epoch
-// for the duration of its batch, and the zones only change by whole-epoch
-// replacement through the Updater (Update/UpdateBatch/UpdateGamma) — see
-// DESIGN.md, "Online updates: epochs, grace periods".
+// A monitor is born serving: Build (Algorithm 1) ends by publishing the
+// finished zones as epoch 1, and every read path (Watch, WatchBatch,
+// WatchPattern, Evaluate) pins the current epoch for the duration of its
+// batch. The zones only change by whole-epoch replacement through the
+// Updater (Update/UpdateBatch/UpdateGamma) — see DESIGN.md, "Online
+// updates: epochs, grace periods".
 type Monitor struct {
 	cfg     Config
 	neurons []int // resolved monitored neuron indices (always non-nil)
 	width   int   // layer output width d_l
 
-	// zones is the build-phase state, owned by the building goroutine
-	// until Freeze. After Freeze the source of truth is the current
-	// epoch; zones keeps the freeze-time generation only so the
-	// freezeOnce closure can hand it over.
-	zones map[int]*Zone
-
-	// cur is the serving epoch: nil until Freeze, then swapped atomically
-	// by the updater. Readers go through acquire/unpin.
+	// cur is the serving epoch, published at construction and swapped
+	// atomically by the updater. Readers go through acquire/unpin.
 	cur atomic.Pointer[epoch]
 
 	// upd serializes online updates and carries their counters.
 	upd Updater
 
-	// freezeOnce guards the build-to-serve transition: after Freeze (or
-	// the first WatchBatch, which freezes implicitly) every zone is its
-	// compiled plans and membership queries are safe from any number of
-	// goroutines.
-	freezeOnce sync.Once
-
-	// bddDone: counters of every BDD manager a zone dropped (foldBDD).
+	// bddDone: counters of every finished zone build session (foldBDD).
 	bddMu   sync.Mutex
 	bddDone bdd.Stats
 
 	// Serving-signal counters (see obs.go): per-class verdict tallies,
 	// abstentions, and the inference/zone-query time split. wc's key set
-	// mirrors zones and is immutable after construction.
+	// is the monitored classes and is immutable after construction.
 	wc          map[int]*watchCounters
 	unmonitored atomic.Uint64
 	infNs       atomic.Int64
@@ -92,23 +80,23 @@ type Verdict struct {
 	OutOfPattern bool
 	// Pattern is the extracted activation pattern over monitored neurons.
 	Pattern Pattern
-	// Epoch identifies the serving epoch the verdict was computed against
-	// (0 while the monitor is unfrozen). All verdicts of one batch carry
-	// the same epoch: a batch never straddles an online update.
+	// Epoch identifies the serving epoch the verdict was computed against.
+	// All verdicts of one batch carry the same epoch: a batch never
+	// straddles an online update.
 	Epoch uint64
 }
 
 // Build runs Algorithm 1: it feeds every training sample through the
 // network, records the activation pattern of each correctly classified
-// sample in its ground-truth class's zone, and enlarges every zone to the
-// configured γ. The network is not modified. Both halves run on all
-// cores: pattern extraction fans samples over a worker pool, and the
-// zone phase fans classes over one — every class's zone lives in its own
-// single-writer BDD manager, so per-class insertion and enlargement are
-// independent (see shard.go). The result is deterministic regardless of
-// worker count.
+// sample in its ground-truth class's zone, enlarges every zone to the
+// configured γ, and publishes the finished zones as serving epoch 1. The
+// network is not modified. Both halves run on all cores: pattern
+// extraction fans samples over a worker pool, and the zone phase fans
+// classes over one — every class's zone is built by its own single-writer
+// BDD manager, so per-class insertion and enlargement are independent
+// (see shard.go). The result is deterministic regardless of worker count.
 func Build(net *nn.Network, train []nn.Sample, cfg Config) (*Monitor, error) {
-	m, err := newMonitor(net, cfg)
+	m, classes, err := newMonitor(net, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -116,18 +104,18 @@ func Build(net *nn.Network, train []nn.Sample, cfg Config) (*Monitor, error) {
 	// Line 5 of Algorithm 1: only correctly predicted training images
 	// contribute their pattern, to the zone of their true class. Grouping
 	// preserves training order within each class, so the sharded build
-	// constructs the same BDDs as the old sequential loop.
-	perClass := make(map[int][]Pattern, len(m.zones))
-	for i, r := range results {
-		if r.pred != train[i].Label {
-			continue
-		}
-		if _, ok := m.zones[train[i].Label]; !ok {
-			continue // class not monitored
-		}
-		perClass[train[i].Label] = append(perClass[train[i].Label], r.pattern)
+	// constructs the same BDDs as a sequential loop.
+	perClass := make(map[int][]Pattern, len(classes))
+	for _, c := range classes {
+		perClass[c] = nil
 	}
-	if err := m.buildZones(perClass, cfg.Gamma); err != nil {
+	for i, r := range results {
+		label := train[i].Label
+		if pats, ok := perClass[label]; ok && r.pred == label {
+			perClass[label] = append(pats, r.pattern)
+		}
+	}
+	if err := m.build(perClass); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -153,7 +141,7 @@ func BuildFromPatterns(width, gamma int, perClass map[int][]Pattern) (*Monitor, 
 	if len(perClass) == 0 {
 		return nil, fmt.Errorf("core: BuildFromPatterns needs at least one class")
 	}
-	zones := make(map[int]*Zone, len(perClass))
+	classes := make([]int, 0, len(perClass))
 	for c, pats := range perClass {
 		if c < 0 {
 			return nil, fmt.Errorf("core: negative class %d", c)
@@ -164,43 +152,58 @@ func BuildFromPatterns(width, gamma int, perClass map[int][]Pattern) (*Monitor, 
 					c, len(p), width)
 			}
 		}
-		zones[c] = NewZone(width)
+		classes = append(classes, c)
 	}
 	neurons := make([]int, width)
 	for i := range neurons {
 		neurons[i] = i
-	}
-	classes := make([]int, 0, len(perClass))
-	for c := range perClass {
-		classes = append(classes, c)
 	}
 	sort.Ints(classes)
 	m := &Monitor{
 		cfg:     Config{Layer: -1, Gamma: gamma, Classes: classes},
 		neurons: neurons,
 		width:   width,
-		zones:   zones,
 	}
-	m.upd.m = m
-	m.initWatchCounters()
-	if err := m.buildZones(perClass, gamma); err != nil {
+	if err := m.build(perClass); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// newMonitor validates cfg against the network and allocates empty zones.
-func newMonitor(net *nn.Network, cfg Config) (*Monitor, error) {
+// build runs Algorithm 1's zone phase over perClass (one zone per key, at
+// the configured γ) and publishes the zones as epoch 1.
+func (m *Monitor) build(perClass map[int][]Pattern) error {
+	zones, session, err := buildZones(perClass, len(m.neurons), m.cfg.Gamma)
+	if err != nil {
+		return err
+	}
+	m.foldBDD(session)
+	m.serve(1, m.cfg.Gamma, zones)
+	return nil
+}
+
+// serve publishes the monitor's first epoch: id 1 for a fresh build, the
+// file's id for a monitor loaded from a snapshot, so replayed deltas keep
+// publishing the same ids as the leader they came from (LoadSnapshot).
+func (m *Monitor) serve(id uint64, gamma int, zones map[int]*Zone) {
+	m.upd.m = m
+	m.initWatchCounters(zones)
+	m.cur.Store(newEpoch(id, gamma, zones, &m.upd.released))
+}
+
+// newMonitor validates cfg against the network and resolves the monitored
+// neurons and classes (ascending); the caller builds the zones.
+func newMonitor(net *nn.Network, cfg Config) (*Monitor, []int, error) {
 	if cfg.Layer < 0 || cfg.Layer >= net.NumLayers() {
-		return nil, fmt.Errorf("core: monitored layer %d out of range [0,%d)",
+		return nil, nil, fmt.Errorf("core: monitored layer %d out of range [0,%d)",
 			cfg.Layer, net.NumLayers())
 	}
 	if cfg.Gamma < 0 {
-		return nil, fmt.Errorf("core: negative gamma %d", cfg.Gamma)
+		return nil, nil, fmt.Errorf("core: negative gamma %d", cfg.Gamma)
 	}
 	numClasses, width, err := probeDims(net, cfg.Layer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	neurons := cfg.Neurons
 	if neurons == nil {
@@ -210,41 +213,37 @@ func newMonitor(net *nn.Network, cfg Config) (*Monitor, error) {
 		}
 	} else {
 		if len(neurons) == 0 {
-			return nil, fmt.Errorf("core: empty monitored neuron list")
+			return nil, nil, fmt.Errorf("core: empty monitored neuron list")
 		}
 		if !sort.IntsAreSorted(neurons) {
-			return nil, fmt.Errorf("core: monitored neurons must be sorted ascending")
+			return nil, nil, fmt.Errorf("core: monitored neurons must be sorted ascending")
 		}
 		for i, n := range neurons {
 			if n < 0 || n >= width {
-				return nil, fmt.Errorf("core: neuron %d out of range [0,%d)", n, width)
+				return nil, nil, fmt.Errorf("core: neuron %d out of range [0,%d)", n, width)
 			}
 			if i > 0 && neurons[i-1] == n {
-				return nil, fmt.Errorf("core: duplicate monitored neuron %d", n)
+				return nil, nil, fmt.Errorf("core: duplicate monitored neuron %d", n)
 			}
 		}
 	}
-	classes := cfg.Classes
+	classes := slices.Clone(cfg.Classes)
 	if classes == nil {
 		classes = make([]int, numClasses)
 		for i := range classes {
 			classes[i] = i
 		}
 	}
-	zones := make(map[int]*Zone, len(classes))
-	for _, c := range classes {
+	sort.Ints(classes)
+	for i, c := range classes {
 		if c < 0 || c >= numClasses {
-			return nil, fmt.Errorf("core: monitored class %d out of range [0,%d)", c, numClasses)
+			return nil, nil, fmt.Errorf("core: monitored class %d out of range [0,%d)", c, numClasses)
 		}
-		if _, dup := zones[c]; dup {
-			return nil, fmt.Errorf("core: duplicate monitored class %d", c)
+		if i > 0 && classes[i-1] == c {
+			return nil, nil, fmt.Errorf("core: duplicate monitored class %d", c)
 		}
-		zones[c] = NewZone(len(neurons))
 	}
-	m := &Monitor{cfg: cfg, neurons: neurons, width: width, zones: zones}
-	m.upd.m = m
-	m.initWatchCounters()
-	return m, nil
+	return &Monitor{cfg: cfg, neurons: neurons, width: width}, classes, nil
 }
 
 // probeDims determines the network's class count and the monitored layer's
@@ -279,17 +278,11 @@ func (m *Monitor) Neurons() []int { return m.neurons }
 // LayerWidth returns the monitored layer's full width d_l.
 func (m *Monitor) LayerWidth() int { return m.width }
 
-// zonesView returns the zone set a non-serving accessor should read: the
-// current epoch's zones once frozen, the build-phase zones before.
-// Accessors going through it (Zone, Classes) see the latest generation
-// unpinned: safe, since a frozen zone is immutable and valid for as long
-// as it is held, but a later call may see another epoch. Serving paths pin.
-func (m *Monitor) zonesView() map[int]*Zone {
-	if e := m.cur.Load(); e != nil {
-		return e.zones
-	}
-	return m.zones
-}
+// zonesView returns the current epoch's zones, unpinned, for the
+// non-serving accessors (Zone, Classes): safe, since a zone is immutable
+// and valid for as long as it is held, but a later call may see another
+// epoch. Serving paths pin.
+func (m *Monitor) zonesView() map[int]*Zone { return m.cur.Load().zones }
 
 // Zone returns the comfort zone for class c at the current epoch, or nil
 // when c is unmonitored. The returned handle belongs to the epoch current
@@ -311,73 +304,14 @@ func (m *Monitor) Classes() []int {
 	return cs
 }
 
-// SetGamma changes the enlargement level of every zone (recomputed
-// incrementally from cached levels), with the per-class enlargements
-// fanned out over the worker pool — each zone's manager is independent,
-// so the classes expand concurrently and deterministically. It is a
-// build-phase operation: on a frozen monitor it returns an error instead
-// of mutating shared serving state — publish the change as a new epoch
-// with UpdateGamma instead.
-func (m *Monitor) SetGamma(gamma int) error {
-	if m.Frozen() {
-		if e := m.cur.Load(); e != nil && e.gamma == gamma {
-			return nil // no change requested; nothing to mutate
-		}
-		return fmt.Errorf("core: SetGamma(%d) on frozen monitor (use UpdateGamma to publish a new serving epoch)", gamma)
-	}
-	err := forEachClass(sortedClasses(m.zones), func(c int) error {
-		return m.zones[c].SetGamma(gamma)
-	})
-	if err != nil {
-		return err
-	}
-	m.cfg.Gamma = gamma
-	return nil
-}
+// Gamma returns the serving epoch's enlargement level (UpdateGamma may
+// have moved it from the build configuration).
+func (m *Monitor) Gamma() int { return m.cur.Load().gamma }
 
-// Gamma returns the current enlargement level: the serving epoch's γ once
-// frozen (UpdateGamma may have moved it), the build configuration before.
-func (m *Monitor) Gamma() int {
-	if e := m.cur.Load(); e != nil {
-		return e.gamma
-	}
-	return m.cfg.Gamma
-}
-
-// Freeze transitions the monitor from building to serving: every zone
-// compiles its plans and drops its BDD manager, and the zone set is
-// published as epoch 1,
-// after which Watch, WatchPattern and WatchBatch are safe to call from any
-// number of goroutines concurrently. Freeze is idempotent; WatchBatch
-// calls it implicitly on first use. A frozen monitor mutates only by
-// whole-epoch replacement: Update/UpdateBatch absorb new patterns and
-// UpdateGamma re-levels the zones, each publishing a successor epoch
-// without a serving gap; SetGamma and Insert fail.
-func (m *Monitor) Freeze() { m.freezeAt(1) }
-
-// freezeAt is Freeze with an explicit id for the first published epoch.
-// A freshly built monitor starts at epoch 1; a monitor warm-started from
-// a snapshot resumes at the snapshot's epoch id so replayed deltas keep
-// publishing the same ids as the leader they came from (LoadSnapshot).
-func (m *Monitor) freezeAt(id uint64) {
-	m.freezeOnce.Do(func() {
-		for _, z := range m.zones {
-			m.foldBDD(z.Freeze())
-		}
-		m.cur.Store(newEpoch(id, m.cfg.Gamma, m.zones, &m.upd.released))
-	})
-}
-
-// Frozen reports whether the monitor has been frozen for serving.
-func (m *Monitor) Frozen() bool {
-	if m.cur.Load() != nil {
-		return true
-	}
-	for _, z := range m.zones {
-		return z.Frozen()
-	}
-	return true // a monitor with no zones has nothing left to mutate
-}
+// Freeze is a no-op kept for source compatibility: a monitor is frozen
+// and serving epoch 1 from the moment Build, BuildFromPatterns or
+// LoadSnapshot returns it.
+func (m *Monitor) Freeze() {}
 
 // Watch supplements one classification decision (Figure 1-(b)): it runs
 // inference, extracts the activation pattern at the monitored layer, and
@@ -388,19 +322,16 @@ func (m *Monitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
 	net.Observe([]nn.Sample{{Input: x}}, m.cfg.Layer, func(_, c int, acts []float64) {
 		pred, p = c, PatternOfRow(acts, m.neurons)
 	})
-	zones, eid := m.zones, uint64(0)
-	if e := m.acquire(); e != nil {
-		defer e.unpin()
-		zones, eid = e.zones, e.id
-	}
-	z, ok := zones[pred]
+	e := m.acquire()
+	defer e.unpin()
+	z, ok := e.zones[pred]
 	if !ok {
 		m.countVerdict(pred, false, false)
-		return Verdict{Class: pred, Monitored: false, Pattern: p, Epoch: eid}
+		return Verdict{Class: pred, Monitored: false, Pattern: p, Epoch: e.id}
 	}
 	oop := !z.Contains(p)
 	m.countVerdict(pred, true, oop)
-	return Verdict{Class: pred, Monitored: true, OutOfPattern: oop, Pattern: p, Epoch: eid}
+	return Verdict{Class: pred, Monitored: true, OutOfPattern: oop, Pattern: p, Epoch: e.id}
 }
 
 // scratchPools recycles tensor.Pool instances across WatchBatch calls so
@@ -443,24 +374,21 @@ func watchSplit(n, workers int) (chunk, per int) {
 // dense layers collapse to one (B×in)×(in×out) GEMM, conv layers to one
 // stripe-fused convolution — rather than fanning out per-input
 // goroutines, with per-row activation-pattern extraction against the
-// frozen BDD zones. On multi-core hosts the batch splits into equal
+// zones' compiled plans. On multi-core hosts the batch splits into equal
 // per-worker runs of chunks (watchSplit) on top of the layers' own
 // stripe split: the nesting keeps every core in a kernel while another
 // chunk is between layers (DESIGN.md has the measurement that kept it).
 // All scratch is pooled, so a warm serving loop allocates only the
-// verdict slice. The monitor is frozen on first use (see Freeze);
-// WatchBatch may be called concurrently from any number of goroutines
-// because the batched forward path touches no per-layer state. The
+// verdict slice. WatchBatch may be called concurrently from any number
+// of goroutines because the batched forward path touches no per-layer
+// state and the zones are immutable. The
 // serving epoch is pinned once for the whole batch: every verdict
 // carries the same Epoch even while online updates publish new
 // generations concurrently.
 func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict {
 	if len(inputs) == 0 {
-		// An empty batch has no serving work to do; in particular it must
-		// not freeze a monitor that is still being built.
-		return []Verdict{}
+		return []Verdict{} // no serving work, and watchSplit needs n > 0
 	}
-	m.Freeze()
 	e := m.acquire()
 	defer e.unpin()
 	out := make([]Verdict, len(inputs))
@@ -496,9 +424,8 @@ func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict
 // across micro-batches, and lane-level parallelism replaces WatchBatch's
 // own worker split. Each call re-resolves and pins the serving epoch, so
 // a lane picks up published online updates at micro-batch granularity and
-// never mixes generations within one batch. The monitor is frozen on
-// first use; pool must not be shared between concurrent callers. A nil
-// pool uses a throwaway one.
+// never mixes generations within one batch. pool must not be shared
+// between concurrent callers; a nil pool uses a throwaway one.
 func (m *Monitor) WatchBatchPooled(net *nn.Network, inputs []*tensor.Tensor, pool *tensor.Pool) []Verdict {
 	return m.WatchBatchPooledTimed(net, inputs, pool, nil)
 }
@@ -513,7 +440,6 @@ func (m *Monitor) WatchBatchPooledTimed(net *nn.Network, inputs []*tensor.Tensor
 	if len(inputs) == 0 {
 		return []Verdict{}
 	}
-	m.Freeze()
 	e := m.acquire()
 	defer e.unpin()
 	out := make([]Verdict, len(inputs))
@@ -624,12 +550,9 @@ func (m *Monitor) watchChunkPooled(net *nn.Network, inputs []*tensor.Tensor, out
 // WatchPattern checks a pre-extracted pattern against class c's zone at
 // the current epoch. It reports (outOfPattern, monitored).
 func (m *Monitor) WatchPattern(c int, p Pattern) (outOfPattern, monitored bool) {
-	zones := m.zones
-	if e := m.acquire(); e != nil {
-		defer e.unpin()
-		zones = e.zones
-	}
-	z, ok := zones[c]
+	e := m.acquire()
+	defer e.unpin()
+	z, ok := e.zones[c]
 	if !ok {
 		m.countVerdict(c, false, false)
 		return false, false
@@ -639,17 +562,14 @@ func (m *Monitor) WatchPattern(c int, p Pattern) (outOfPattern, monitored bool) 
 	return oop, true
 }
 
-// StorageNodes returns the total BDD node count across all zones at the
-// current γ. On a frozen monitor the epoch is pinned for the whole walk,
-// so polling it concurrently with online updates is safe.
+// StorageNodes returns the total plan branch count across all zones at
+// the serving γ. The epoch is pinned for the whole walk, so polling it
+// concurrently with online updates is safe.
 func (m *Monitor) StorageNodes() int {
-	zones := m.zones
-	if e := m.acquire(); e != nil {
-		defer e.unpin()
-		zones = e.zones
-	}
+	e := m.acquire()
+	defer e.unpin()
 	total := 0
-	for _, z := range zones {
+	for _, z := range e.zones {
 		total += z.NodeCount()
 	}
 	return total

@@ -25,14 +25,13 @@ type watchCounters struct {
 	oop     atomic.Uint64 // of those, OutOfPattern == true
 }
 
-// initWatchCounters allocates the per-class counter map from the zone
-// set. Called at every construction site, before the monitor escapes:
-// online updates cannot add classes (Updater.Apply rejects unmonitored
-// classes), so the map's key set is immutable and concurrent lookups
-// need no locking.
-func (m *Monitor) initWatchCounters() {
-	m.wc = make(map[int]*watchCounters, len(m.zones))
-	for c := range m.zones {
+// initWatchCounters allocates the per-class counter map from the first
+// epoch's zone set, before the monitor escapes: online updates cannot add
+// classes (Updater.Apply rejects unmonitored classes), so the map's key
+// set is immutable and concurrent lookups need no locking.
+func (m *Monitor) initWatchCounters(zones map[int]*Zone) {
+	m.wc = make(map[int]*watchCounters, len(zones))
+	for c := range zones {
 		m.wc[c] = &watchCounters{}
 	}
 }
@@ -132,8 +131,8 @@ func addStats(total *bdd.Stats, s bdd.Stats) {
 	total.Compiles += s.Compiles
 }
 
-// foldBDD keeps the counters of a manager a zone has just dropped at its
-// freeze; its nodes and tables went with it.
+// foldBDD keeps the counters of a finished zone build session; its nodes
+// and tables went with its manager.
 func (m *Monitor) foldBDD(session bdd.Stats) {
 	session.Nodes, session.UniqueCap, session.CacheCap = 0, 0, 0
 	m.bddMu.Lock()
@@ -142,27 +141,21 @@ func (m *Monitor) foldBDD(session bdd.Stats) {
 }
 
 // ManagerStatsTotal reports the monitor's BDD work and size. The hit,
-// miss and compile counters are cumulative over every build session that
-// has ended (the initial build, each zone an update rebuilt) and never
-// decrease. Nodes is what exists now: the branches of every cached level's
-// plan in the serving epoch. Before the freeze the zones still own their
-// managers, and the figures are those managers'.
+// miss and compile counters are cumulative over every build session (the
+// initial build, each zone an update rebuilt) and never decrease. Nodes
+// is what exists now: the branches of every cached level's plan in the
+// serving epoch. No manager outlives its session, so Frozen is always set
+// and the table capacities are zero.
 func (m *Monitor) ManagerStatsTotal() bdd.Stats {
 	m.bddMu.Lock()
 	total := m.bddDone
 	m.bddMu.Unlock()
-	total.Frozen = m.Frozen()
-	zones := m.zones
-	if e := m.acquire(); e != nil {
-		defer e.unpin()
-		zones = e.zones
-	}
-	for _, z := range zones {
+	total.Frozen = true
+	e := m.acquire()
+	defer e.unpin()
+	for _, z := range e.zones {
 		for _, p := range z.plans {
 			total.Nodes += p.Len()
-		}
-		if z.m != nil {
-			addStats(&total, z.m.Stats())
 		}
 	}
 	return total

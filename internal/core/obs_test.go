@@ -21,7 +21,6 @@ func TestWatchCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	if cs := mon.WatchClasses(); len(cs) != 2 || cs[0] != 0 || cs[1] != 2 {
 		t.Fatalf("WatchClasses = %v", cs)
 	}
@@ -78,7 +77,6 @@ func TestSwapNanos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	u := mon.Updater()
 	if total, last := u.SwapNanos(); total != 0 || last != 0 {
 		t.Fatalf("pre-update SwapNanos = (%d, %d)", total, last)
@@ -105,12 +103,10 @@ func TestSwapNanos(t *testing.T) {
 	}
 }
 
-// TestManagerStatsTotal checks the BDD statistics accessor across the
-// freeze that drops the managers it used to sum: before it the figures
-// are the live build managers'; after it the counters are what those
-// managers had done when they were dropped, Nodes is the branches of the
-// plans that replaced them, there are no tables left to have a capacity,
-// and an update only ever adds.
+// TestManagerStatsTotal checks the BDD statistics accessor: a built
+// monitor's counters are what its build sessions did before their
+// managers went, Nodes is the branches of the plans they left, there are
+// no tables left to have a capacity, and an update only ever adds.
 func TestManagerStatsTotal(t *testing.T) {
 	r := rng.New(5)
 	const width = 10
@@ -122,18 +118,8 @@ func TestManagerStatsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := mon.ManagerStatsTotal()
-	wantNodes := 0
-	for _, c := range mon.Classes() {
-		wantNodes += mon.Zone(c).Manager().Stats().Nodes
-	}
-	if built.Frozen || built.Nodes != wantNodes || built.UniqueCap == 0 || built.CacheCap == 0 || built.UniqueMisses == 0 || built.Compiles != 0 {
-		t.Fatalf("build-phase totals: %+v (want %d arena nodes)", built, wantNodes)
-	}
-
-	mon.Freeze()
 	st := mon.ManagerStatsTotal()
-	wantNodes = 0
+	wantNodes := 0
 	for _, c := range mon.Classes() {
 		for _, p := range mon.Zone(c).plans {
 			wantNodes += p.Len()
@@ -143,17 +129,16 @@ func TestManagerStatsTotal(t *testing.T) {
 		t.Fatalf("ManagerStatsTotal.Nodes = %d, want %d plan branches", st.Nodes, wantNodes)
 	}
 	if !st.Frozen {
-		t.Fatal("ManagerStatsTotal.Frozen = false on frozen monitor")
+		t.Fatal("ManagerStatsTotal.Frozen = false")
 	}
 	if st.UniqueCap != 0 || st.CacheCap != 0 {
-		t.Fatalf("a frozen monitor reports table capacities: %+v", st)
+		t.Fatalf("a built monitor reports table capacities: %+v", st)
 	}
-	if st.UniqueHits != built.UniqueHits || st.UniqueMisses != built.UniqueMisses ||
-		st.CacheHits != built.CacheHits || st.CacheMisses != built.CacheMisses {
-		t.Fatalf("the freeze lost the build's counters: %+v, built %+v", st, built)
+	if st.UniqueMisses == 0 || st.CacheMisses == 0 {
+		t.Fatalf("the build's counters were lost: %+v", st)
 	}
 	if st.Compiles != 2*2 {
-		t.Fatalf("Compiles = %d after freezing 2 zones of 2 levels", st.Compiles)
+		t.Fatalf("Compiles = %d after building 2 zones of 2 levels", st.Compiles)
 	}
 
 	if _, err := mon.Update(4, randomPatterns(r, 2, width)...); err != nil {

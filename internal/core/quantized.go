@@ -50,7 +50,7 @@ func BuildQuantized(net *nn.Network, train []nn.Sample, cfg QuantizedConfig) (*Q
 	if cfg.Levels < 2 {
 		return nil, fmt.Errorf("core: quantization needs at least 2 levels, got %d", cfg.Levels)
 	}
-	base, err := newMonitor(net, Config{
+	base, classes, err := newMonitor(net, Config{
 		Layer:   cfg.Layer,
 		Gamma:   cfg.Gamma,
 		Classes: cfg.Classes,
@@ -100,29 +100,17 @@ func BuildQuantized(net *nn.Network, train []nn.Sample, cfg QuantizedConfig) (*Q
 	// per-class insertion and enlargement sharded over the worker pool —
 	// the thermometer zones are per-class managers exactly like the
 	// binary monitor's, so the same fan-out applies (see shard.go).
-	bitsPer := cfg.Levels - 1
-	m.zones = make(map[int]*Zone, len(base.zones))
-	for c := range base.zones {
-		m.zones[c] = NewZone(bitsPer * len(m.neurons))
+	perClass := make(map[int][]Pattern, len(classes))
+	for _, c := range classes {
+		perClass[c] = nil
 	}
-	perClass := make(map[int][]Pattern, len(m.zones))
 	for i, r := range results {
-		if r.pred != train[i].Label {
-			continue
+		label := train[i].Label
+		if pats, ok := perClass[label]; ok && r.pred == label {
+			perClass[label] = append(pats, m.encode(r.values))
 		}
-		if _, ok := m.zones[train[i].Label]; !ok {
-			continue
-		}
-		perClass[train[i].Label] = append(perClass[train[i].Label], m.encode(r.values))
 	}
-	err = forEachClass(sortedClasses(m.zones), func(c int) error {
-		z := m.zones[c]
-		for _, p := range perClass[c] {
-			z.Insert(p)
-		}
-		return z.SetGamma(cfg.Gamma)
-	})
-	if err != nil {
+	if m.zones, _, err = buildZones(perClass, (cfg.Levels-1)*len(m.neurons), cfg.Gamma); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -163,19 +151,6 @@ func (m *QuantizedMonitor) Neurons() []int { return m.neurons }
 // Zone returns class c's zone (over thermometer bits), or nil.
 func (m *QuantizedMonitor) Zone(c int) *Zone { return m.zones[c] }
 
-// SetGamma changes the enlargement level of every zone. Like
-// Monitor.SetGamma it is a build-phase operation: it errors once any zone
-// has been frozen for serving.
-func (m *QuantizedMonitor) SetGamma(gamma int) error {
-	for _, z := range m.zones {
-		if err := z.SetGamma(gamma); err != nil {
-			return err
-		}
-	}
-	m.cfg.Gamma = gamma
-	return nil
-}
-
 // Watch classifies x and checks its quantized pattern against the
 // predicted class's zone.
 func (m *QuantizedMonitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
@@ -200,10 +175,10 @@ func extractQuantizedObs(net *nn.Network, m *QuantizedMonitor, samples []nn.Samp
 }
 
 // EvaluateQuantizedAt aggregates Table II-style statistics for a
-// quantized monitor at an explicit enlargement level. Like EvaluateAt it
-// surfaces the frozen-zone "level not cached" condition as an error
-// instead of the Zone-layer panic, so daemons probing γ on a serving
-// quantized monitor cannot be crashed by a too-deep query.
+// quantized monitor at an explicit enlargement level, 0..cfg.Gamma (the
+// levels the zones were built with). Like EvaluateAt it reports a deeper
+// level as an error, so daemons probing γ on a serving quantized monitor
+// cannot be crashed by a too-deep query.
 func EvaluateQuantizedAt(net *nn.Network, m *QuantizedMonitor, samples []nn.Sample, gamma int) (Metrics, error) {
 	if gamma < 0 {
 		return Metrics{}, fmt.Errorf("core: negative gamma %d", gamma)

@@ -85,11 +85,14 @@ func TestQuantizedThresholdsAscending(t *testing.T) {
 
 func TestQuantizedGammaMonotone(t *testing.T) {
 	net, layer, train, val := trainedToyNet(t, 44)
-	m := buildQuantized(t, net, train, layer, QuantizedConfig{Levels: 3, Gamma: 0})
+	m := buildQuantized(t, net, train, layer, QuantizedConfig{Levels: 3, Gamma: 3})
 	prev := -1
 	for g := 0; g <= 3; g++ {
-		m.SetGamma(g)
-		got := EvaluateQuantized(net, m, val).OutOfPattern
+		met, err := EvaluateQuantizedAt(net, m, val, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := met.OutOfPattern
 		if prev >= 0 && got > prev {
 			t.Fatalf("flags increased with gamma: %d -> %d", prev, got)
 		}

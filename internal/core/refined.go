@@ -106,7 +106,7 @@ func (cfg RefinedConfig) newElement(dim int) refinedElement {
 // Algorithm 1: only correctly classified training samples contribute, to
 // the zone of their ground-truth class.
 func BuildRefined(net *nn.Network, train []nn.Sample, cfg RefinedConfig) (*RefinedMonitor, error) {
-	base, err := newMonitor(net, Config{
+	base, classes, err := newMonitor(net, Config{
 		Layer:   cfg.Layer,
 		Classes: cfg.Classes,
 		Neurons: cfg.Neurons,
@@ -120,9 +120,9 @@ func BuildRefined(net *nn.Network, train []nn.Sample, cfg RefinedConfig) (*Refin
 	m := &RefinedMonitor{
 		cfg:     cfg,
 		neurons: base.neurons,
-		zones:   make(map[int]*refinedClassZone, len(base.zones)),
+		zones:   make(map[int]*refinedClassZone, len(classes)),
 	}
-	for c := range base.zones {
+	for _, c := range classes {
 		m.zones[c] = &refinedClassZone{byKey: map[string]refinedElement{}}
 	}
 	results := extractValues(net, cfg.Layer, m.neurons, train)

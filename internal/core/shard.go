@@ -15,41 +15,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"napmon/internal/bdd"
 )
 
-// sortedClasses returns the zone map's keys in ascending order — the
-// deterministic work list every sharded loop iterates.
-func sortedClasses(zones map[int]*Zone) []int {
-	cs := make([]int, 0, len(zones))
-	for c := range zones {
-		cs = append(cs, c)
-	}
-	sort.Ints(cs)
-	return cs
-}
-
-// forEachClass runs fn once per class on up to GOMAXPROCS workers.
-// Workers claim classes off an atomic cursor, so imbalanced classes
-// (one hot class with most of the training set) don't serialize the
-// rest. The returned error is the first failure in class order — the
-// same error a sequential loop would have surfaced — and every class is
-// attempted even when one fails, so no zone is left half-built relative
-// to the others.
-func forEachClass(classes []int, fn func(c int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(classes) {
-		workers = len(classes)
-	}
+// forEachClass runs fn(i, classes[i]) once per class on up to GOMAXPROCS
+// workers. Workers claim classes off an atomic cursor, so imbalanced
+// classes (one hot class with most of the training set) don't serialize
+// the rest.
+func forEachClass(classes []int, fn func(i, c int)) {
+	workers := min(runtime.GOMAXPROCS(0), len(classes))
 	if workers <= 1 {
-		var first error
-		for _, c := range classes {
-			if err := fn(c); err != nil && first == nil {
-				first = err
-			}
+		for i, c := range classes {
+			fn(i, c)
 		}
-		return first
+		return
 	}
-	errs := make([]error, len(classes))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -61,34 +42,41 @@ func forEachClass(classes []int, fn func(c int) error) error {
 				if i >= len(classes) {
 					return
 				}
-				errs[i] = fn(classes[i])
+				fn(i, classes[i])
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// buildZones is the sharded core of Algorithm 1's zone phase: per class,
-// insert that class's patterns (in the order given) and enlarge to γ,
-// with classes spread across the worker pool. Patterns for unmonitored
-// classes must have been filtered by the caller.
-func (m *Monitor) buildZones(perClass map[int][]Pattern, gamma int) error {
-	err := forEachClass(sortedClasses(m.zones), func(c int) error {
-		z := m.zones[c]
-		for _, p := range perClass[c] {
-			z.Insert(p)
-		}
-		return z.SetGamma(gamma)
-	})
-	if err != nil {
-		return err
+// buildZones is the sharded core of Algorithm 1's zone phase: one zone
+// per key of perClass, built from that class's patterns (in the order
+// given), enlarged to γ and frozen, with classes spread across the worker
+// pool. Every pattern must have the given width. It returns the zones and
+// the summed counters of their build sessions.
+func buildZones(perClass map[int][]Pattern, width, gamma int) (map[int]*Zone, bdd.Stats, error) {
+	if err := checkGamma(gamma, width); err != nil {
+		return nil, bdd.Stats{}, err
 	}
-	m.cfg.Gamma = gamma
-	return nil
+	classes := make([]int, 0, len(perClass))
+	for c := range perClass {
+		classes = append(classes, c)
+	}
+	sort.Ints(classes)
+	built := make([]*Zone, len(classes))
+	sessions := make([]bdd.Stats, len(classes))
+	forEachClass(classes, func(i, c int) {
+		b := newZoneBuilder(width, gamma)
+		for _, p := range perClass[c] {
+			b.insert(p)
+		}
+		built[i], sessions[i] = b.freeze()
+	})
+	zones := make(map[int]*Zone, len(classes))
+	var total bdd.Stats
+	for i, c := range classes {
+		zones[c] = built[i]
+		addStats(&total, sessions[i])
+	}
+	return zones, total, nil
 }

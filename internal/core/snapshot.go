@@ -58,13 +58,12 @@ type DeltaEntry struct {
 }
 
 // Snapshot writes the monitor's serving state to w in the compact
-// snapshot format, freezing the monitor first if needed. The serving
-// epoch is pinned for the whole write, so the snapshot captures one
-// consistent generation even under concurrent updates. tail is an
-// optional epoch-keyed delta log to embed (the registry passes its
-// recent entries so a follower of a follower can chain).
+// snapshot format. The serving epoch is pinned for the whole write, so
+// the snapshot captures one consistent generation even under concurrent
+// updates. tail is an optional epoch-keyed delta log to embed (the
+// registry passes its recent entries so a follower of a follower can
+// chain).
 func (m *Monitor) Snapshot(w io.Writer, tail []DeltaEntry) error {
-	m.Freeze()
 	e := m.acquire()
 	defer e.unpin()
 
@@ -290,11 +289,11 @@ func openChecksummed(data, magic []byte) (*snapReader, error) {
 }
 
 // LoadSnapshot reads a snapshot written by Monitor.Snapshot and returns
-// a monitor already frozen and serving at the snapshot's epoch id, plus
-// the embedded delta tail. Loading is validate-and-keep: a frozen zone is
-// its plans, and bdd.NewCompiled admits a plan only in the one form
-// Compile emits for its function, so nothing is rebuilt and the loaded
-// monitor re-serializes byte-identically (the replication tests pin it).
+// a monitor serving at the snapshot's epoch id, plus the embedded delta
+// tail. Loading is validate-and-keep: a zone is its plans, and
+// bdd.NewCompiled admits a plan only in the one form Compile emits for
+// its function, so nothing is rebuilt and the loaded monitor
+// re-serializes byte-identically (the replication tests pin it).
 func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 	// io.Copy moves a bytes.Reader (every in-process caller) in one write;
 	// io.ReadAll grows by appends and allocates the stream ~5 times over.
@@ -325,7 +324,7 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 		return nil, nil, err
 	}
 	if epochID == 0 {
-		return nil, nil, fmt.Errorf("core: snapshot epoch 0 (monitor was never frozen)")
+		return nil, nil, fmt.Errorf("core: snapshot epoch 0 (epochs start at 1)")
 	}
 	neurons := make([]int, numNeurons)
 	prev := -1
@@ -390,11 +389,8 @@ func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {
 		cfg:     Config{Layer: int(layer), Gamma: gamma, Classes: classes},
 		neurons: neurons,
 		width:   layerWidth,
-		zones:   zones,
 	}
-	m.upd.m = m
-	m.initWatchCounters()
-	m.freezeAt(epochID)
+	m.serve(epochID, gamma, zones)
 	return m, tail, nil
 }
 

@@ -61,7 +61,6 @@ func snapBytes(t testing.TB, m *Monitor) []byte {
 // membership query identically and re-snapshots to the identical bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	leader := snapMonitor(t, 1)
-	leader.Freeze()
 	if _, err := leader.Update(0, snapPattern(8, 40), snapPattern(8, 41)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // to replication.
 func TestSnapshotDeltaReplay(t *testing.T) {
 	leader := snapMonitor(t, 1)
-	leader.Freeze()
 	var snap bytes.Buffer
 	if err := leader.Snapshot(&snap, nil); err != nil {
 		t.Fatal(err)

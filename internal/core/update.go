@@ -1,10 +1,10 @@
 // Online zone updates: epoch-based read-copy-update over the monitor's
-// frozen comfort zones (DESIGN.md, "Online updates: epochs, grace
-// periods"). The frozen monitor keeps serving while an Updater
-// shadow-builds successors for the touched zones on managers re-derived
-// from their plans; the finished generation is published with one atomic
-// pointer swap. Readers pin the current epoch per batch, so a batch never
-// mixes zones from two generations. An epoch is plans and nothing else,
+// comfort zones (DESIGN.md, "Online updates: epochs, grace periods"). The
+// monitor keeps serving while an Updater shadow-builds successors for the
+// touched zones on builders re-derived from their plans; the finished
+// generation is published with one atomic pointer swap. Readers pin the
+// current epoch per batch, so a batch never mixes zones from two
+// generations. An epoch is plans and nothing else,
 // so a retired one needs no release step: its refcount only times the
 // grace period.
 
@@ -19,11 +19,11 @@ import (
 )
 
 // epoch is one immutable generation of the monitor's serving state: a set
-// of frozen zones plus the reference count that times its grace period.
+// of zones plus the reference count that times its grace period.
 type epoch struct {
 	id    uint64
 	gamma int
-	zones map[int]*Zone // every zone frozen before publication
+	zones map[int]*Zone
 
 	// refs counts the epoch's pinned readers plus one reference for being
 	// the monitor's current epoch. Publication of a successor drops the
@@ -51,19 +51,14 @@ func (e *epoch) unpin() {
 	}
 }
 
-// acquire pins the monitor's current epoch for a batch of reads, or
-// returns nil when the monitor has not frozen yet (build phase: m.zones is
-// the single-writer state). The load-increment-validate loop closes the
-// race with a concurrent publication: if the epoch was swapped out between
-// the load and the increment, the increment may have resurrected a
-// draining epoch — drop the pin and retry on the fresh pointer. Callers
-// must unpin exactly once.
+// acquire pins the monitor's current epoch for a batch of reads. The
+// load-increment-validate loop closes the race with a concurrent
+// publication: if the epoch was swapped out between the load and the
+// increment, the increment may have resurrected a draining epoch — drop
+// the pin and retry on the fresh pointer. Callers must unpin exactly once.
 func (m *Monitor) acquire() *epoch {
 	for {
 		e := m.cur.Load()
-		if e == nil {
-			return nil
-		}
 		e.refs.Add(1)
 		if m.cur.Load() == e {
 			return e
@@ -73,7 +68,7 @@ func (m *Monitor) acquire() *epoch {
 }
 
 // Updater is the monitor's online-update engine: it shadow-builds zone
-// deltas on re-derived managers while the frozen epoch keeps serving, then
+// deltas on re-derived managers while the current epoch keeps serving, then
 // publishes the new generation atomically. All updates are serialized
 // through the updater's mutex (single writer, many readers); the serving
 // paths never block on it.
@@ -81,7 +76,7 @@ type Updater struct {
 	m  *Monitor
 	mu sync.Mutex
 
-	published  atomic.Uint64 // epochs published after the freeze epoch
+	published  atomic.Uint64 // epochs published after the build epoch
 	absorbed   atomic.Uint64 // patterns absorbed across all updates
 	released   atomic.Uint64 // retired epochs whose grace period has ended
 	recompiled atomic.Uint64 // zones whose query plans were rebuilt by updates
@@ -92,7 +87,7 @@ type Updater struct {
 }
 
 // Published returns how many epochs have been published by updates (the
-// initial freeze epoch is not counted).
+// build epoch is not counted).
 func (u *Updater) Published() uint64 { return u.published.Load() }
 
 // Absorbed returns the total number of patterns absorbed by updates.
@@ -120,10 +115,9 @@ func (u *Updater) Recompiled() uint64 { return u.recompiled.Load() }
 // with the delta, the rebuild around it with the zone). Serving never
 // pauses: readers pinned to the old epoch finish on it, new batches see
 // the new one. Returns the published epoch id; with an empty delta, the
-// current id without publishing. The monitor is frozen on first use.
+// current id without publishing.
 func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 	m := u.m
-	m.Freeze()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	cur := m.cur.Load() // stable: only Apply/ApplyGamma swap, and we hold the lock
@@ -161,8 +155,8 @@ func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 		if len(delta[c]) == 0 {
 			continue
 		}
-		nz := cur.zones[c].cloneWithDelta(delta[c])
-		m.foldBDD(nz.Freeze()) // compiles the successor's plans, drops its manager
+		nz, session := cur.zones[c].cloneWithDelta(delta[c])
+		m.foldBDD(session)
 		zones[c] = nz
 		u.recompiled.Add(1)
 	}
@@ -172,18 +166,16 @@ func (u *Updater) Apply(delta map[int][]Pattern) (uint64, error) {
 }
 
 // ApplyGamma publishes a new epoch whose zones are queried at a different
-// enlargement level. Levels cached before the freeze are re-viewed in
-// place — the new zones share the plans, nothing is copied and nothing is
-// rebuilt; a deeper level shadow-builds the missing expansions on
-// managers re-derived from the plans. This is the epoch-swap answer to the
-// SetGamma-after-Freeze footgun: the serving γ changes atomically for
-// whole batches instead of racing per query.
+// enlargement level. Cached levels are re-viewed in place — the new zones
+// share the plans, nothing is copied and nothing is rebuilt; a deeper
+// level shadow-builds the missing expansions on managers re-derived from
+// the plans. The serving γ changes atomically for whole batches, never
+// per query.
 func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
 	m := u.m
 	if err := checkGamma(gamma, len(m.neurons)); err != nil {
 		return 0, err
 	}
-	m.Freeze()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	cur := m.cur.Load()
@@ -194,9 +186,9 @@ func (u *Updater) ApplyGamma(gamma int) (uint64, error) {
 	defer func() { u.recordSwap(time.Since(tStart).Nanoseconds()) }()
 	zones := make(map[int]*Zone, len(cur.zones))
 	for c, z := range cur.zones {
-		nz := z.cloneAtGamma(gamma)
-		if !nz.Frozen() { // a deeper level was built; a re-view shares the plans
-			m.foldBDD(nz.Freeze())
+		nz, session := z.cloneAtGamma(gamma)
+		if session.Compiles > 0 { // a deeper level was built; a re-view shares the plans
+			m.foldBDD(session)
 			u.recompiled.Add(1)
 		}
 		zones[c] = nz
@@ -234,21 +226,14 @@ func (m *Monitor) UpdateBatch(delta map[int][]Pattern) (uint64, error) {
 }
 
 // UpdateGamma changes the serving enlargement level by publishing a new
-// epoch; see Updater.ApplyGamma. It is the frozen-monitor counterpart of
-// SetGamma.
+// epoch; see Updater.ApplyGamma.
 func (m *Monitor) UpdateGamma(gamma int) (uint64, error) {
 	return m.upd.ApplyGamma(gamma)
 }
 
-// Epoch returns the id of the epoch currently serving (1 for the freeze
-// epoch, incremented by every published update), or 0 while the monitor is
-// still building.
-func (m *Monitor) Epoch() uint64 {
-	if e := m.cur.Load(); e != nil {
-		return e.id
-	}
-	return 0
-}
+// Epoch returns the id of the epoch currently serving (1 for the build
+// epoch, incremented by every published update).
+func (m *Monitor) Epoch() uint64 { return m.cur.Load().id }
 
 // Updates returns how many update epochs have been published.
 func (m *Monitor) Updates() uint64 { return m.upd.Published() }

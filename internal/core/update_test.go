@@ -2,8 +2,7 @@ package core
 
 // Tests of the epoch-swap online-update subsystem: the updater-vs-union
 // equivalence property, epoch pinning under concurrent update+serve load,
-// grace-period drain of retired epochs, and the frozen-SetGamma /
-// UpdateGamma semantics.
+// grace-period drain of retired epochs, and the UpdateGamma semantics.
 
 import (
 	"bytes"
@@ -51,24 +50,9 @@ func TestZoneCloneWithDeltaEquivalence(t *testing.T) {
 		a := randomPatterns(r, nA, width)
 		b := randomPatterns(r, nB, width)
 
-		frozen := NewZone(width)
-		for _, p := range a {
-			frozen.Insert(p)
-		}
-		if err := frozen.SetGamma(gamma); err != nil {
-			t.Fatal(err)
-		}
-		frozen.Freeze()
-		updated := frozen.cloneWithDelta(b)
-		updated.Freeze()
-
-		union := NewZone(width)
-		for _, p := range append(append([]Pattern{}, a...), b...) {
-			union.Insert(p)
-		}
-		if err := union.SetGamma(gamma); err != nil {
-			t.Fatal(err)
-		}
+		built := buildZone(width, gamma, a...)
+		updated, _ := built.cloneWithDelta(b)
+		union := buildZone(width, gamma, append(append([]Pattern{}, a...), b...)...)
 
 		if got, want := updated.InsertCount(), union.InsertCount(); got != want {
 			t.Fatalf("trial %d: updated InsertCount %d, union %d", trial, got, want)
@@ -83,7 +67,7 @@ func TestZoneCloneWithDeltaEquivalence(t *testing.T) {
 		queries = append(queries, randomPatterns(r, 40, width)...)
 		for g := 0; g <= gamma; g++ {
 			for qi, q := range queries {
-				if got, want := updated.ContainsAt(g, q), union.ContainsAt(g, q); got != want {
+				if got, want := containsAt(t, updated, g, q), containsAt(t, union, g, q); got != want {
 					t.Fatalf("trial %d width=%d gamma=%d/%d query %d: updated=%v union=%v",
 						trial, width, g, gamma, qi, got, want)
 				}
@@ -110,7 +94,6 @@ func TestMonitorUpdateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.Freeze()
 	// Absorb the withheld half exactly as Build would have recorded it:
 	// correctly classified samples only, keyed by ground-truth class.
 	delta := make(map[int][]Pattern)
@@ -129,7 +112,6 @@ func TestMonitorUpdateEquivalence(t *testing.T) {
 	for i, s := range val {
 		inputs[i] = s.Input
 	}
-	full.Freeze()
 	for g := 0; g <= gamma; g++ {
 		if _, err := part.UpdateGamma(g); err != nil {
 			t.Fatal(err)
@@ -168,7 +150,6 @@ func TestEpochSwapConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	inputs := make([]*tensor.Tensor, 0, 48)
 	for _, s := range val[:48] {
 		inputs = append(inputs, s.Input)
@@ -240,14 +221,13 @@ func TestEpochGracePeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	classes := mon.Classes()
 	touched, untouched := classes[0], classes[1]
 	oldTouched, oldUntouched := mon.Zone(touched), mon.Zone(untouched)
 
 	// Pin epoch 1 like a long-running batch would.
 	e := mon.acquire()
-	if e == nil || e.id != 1 {
+	if e.id != 1 {
 		t.Fatalf("acquired epoch %+v", e)
 	}
 	// The first pattern outside the touched zone, then learned.
@@ -288,7 +268,7 @@ func TestEpochGracePeriod(t *testing.T) {
 		t.Fatal("untouched zone was not shared with the successor epoch")
 	}
 	for _, z := range []*Zone{oldTouched, oldUntouched, mon.Zone(touched)} {
-		if z.m != nil || z.roots != nil || z.view.m != nil {
+		if z.view.m != nil {
 			t.Fatal("a published zone holds a BDD manager")
 		}
 	}
@@ -296,7 +276,7 @@ func TestEpochGracePeriod(t *testing.T) {
 
 // TestUpdateGammaManagerSharing pins the re-view optimization and the
 // single refcount behind it. No epoch holds a manager to share: what an
-// UpdateGamma to a level cached before the freeze shares across epochs is
+// UpdateGamma to a cached level shares across epochs is
 // the plans (nothing copied, nothing rebuilt), a deeper level rebuilds,
 // and each retired epoch drains on its own count whatever it shares with
 // its neighbours.
@@ -306,7 +286,6 @@ func TestUpdateGammaManagerSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	c := mon.Classes()[0]
 	orig := mon.Zone(c)
 
@@ -336,7 +315,7 @@ func TestUpdateGammaManagerSharing(t *testing.T) {
 	// The pinned epoch-1 reader still queries at its own γ = 2, on plans
 	// epoch 2 shared and has already let go of.
 	probe := make(Pattern, e1.zones[c].Width())
-	if got, want := e1.zones[c].Contains(probe), orig.ContainsAt(2, probe); e1.gamma != 2 || got != want {
+	if got, want := e1.zones[c].Contains(probe), containsAt(t, orig, 2, probe); e1.gamma != 2 || got != want {
 		t.Fatalf("pinned epoch 1: gamma %d, Contains %v, want gamma 2, %v", e1.gamma, got, want)
 	}
 	e1.unpin()
@@ -359,7 +338,6 @@ func TestUpdateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	w := len(mon.Neurons())
 	if _, err := mon.Update(2, make(Pattern, w)); err == nil {
 		t.Fatal("update for unmonitored class did not error")
@@ -392,7 +370,6 @@ func TestUpdateSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	w := len(mon.Neurons())
 	c := mon.Classes()[0]
 	before := randomPatterns(r, 32, w)
@@ -407,7 +384,7 @@ func TestUpdateSoundness(t *testing.T) {
 	z := mon.Zone(c)
 	for g := 0; g <= 2; g++ {
 		for i, p := range added {
-			if !z.ContainsAt(g, p) {
+			if !containsAt(t, z, g, p) {
 				t.Fatalf("gamma %d: absorbed pattern %d not in zone", g, i)
 			}
 		}
@@ -429,7 +406,6 @@ func TestMonitorSaveLoadAfterUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Freeze()
 	c := mon.Classes()[0]
 	if _, err := mon.Update(c, randomPatterns(r, 5, len(mon.Neurons()))...); err != nil {
 		t.Fatal(err)
@@ -461,12 +437,8 @@ func TestUpdateCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.Epoch(); got != 0 {
-		t.Fatalf("unfrozen monitor reports epoch %d", got)
-	}
-	mon.Freeze()
 	if got := mon.Epoch(); got != 1 {
-		t.Fatalf("freeze epoch id %d", got)
+		t.Fatalf("build epoch id %d", got)
 	}
 	w := len(mon.Neurons())
 	for i := 0; i < 3; i++ {

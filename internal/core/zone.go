@@ -10,32 +10,27 @@ import (
 // Zone is the γ-comfort zone of one class (Definition 2): the set of
 // activation patterns visited by correctly classified training inputs,
 // enlarged with every pattern within Hamming distance γ of a visited one.
-// The set is stored as a BDD over one variable per monitored neuron, so
-// the deployment-time membership query costs at most one node visit per
-// neuron regardless of how many patterns the zone holds.
+// The set is stored as one compiled BDD query plan per enlargement level,
+// so the deployment-time membership query costs at most one branch per
+// monitored neuron regardless of how many patterns the zone holds.
 //
-// While building, a zone owns a bdd.Manager and a root per enlargement
-// level. Freeze compiles every level into a flat query plan and lets the
-// manager go: a frozen zone is its plans, γ, the insert count and the
-// width. Growing one is a new build session on a manager re-derived from
-// the plans (cloneWithDelta, cloneAtGamma).
+// A Zone is finished when it exists: its width, γ, insert count and plans
+// never change, so any number of goroutines may query it. The BDD manager
+// that built it belonged to a zoneBuilder and is gone; growing a zone is a
+// new build session on a manager re-derived from the plans
+// (cloneWithDelta, cloneAtGamma).
 type Zone struct {
 	width int
-	gamma int // current query level, an index into roots / plans
-	base  int // number of Insert calls (visited patterns, with duplicates)
+	gamma int // query level, an index into plans
+	base  int // number of inserted patterns (with duplicates)
 
-	// Build session state, nil once frozen: roots[i] is Z^i.
-	m     *bdd.Manager
-	roots []bdd.Node
-
-	// plans[i] is the compiled query plan of Z^i; nil while the zone is
-	// mutable (a plan would go stale under Insert/SetGamma). Epoch
-	// re-views at a cached γ share the slice, and the view.
+	// plans[i] is the compiled query plan of Z^i. Epoch re-views at a
+	// cached γ share the slice, and the view.
 	plans []*bdd.Compiled
 	view  *zoneView
 }
 
-// zoneView is a frozen zone's diagnostic manager (Manager, Root): frozen,
+// zoneView is a zone's diagnostic manager (Manager, Root): frozen,
 // arena-only, materialised from the plans on first request.
 type zoneView struct {
 	once  sync.Once
@@ -43,57 +38,48 @@ type zoneView struct {
 	roots []bdd.Node
 }
 
-// NewZone returns an empty comfort zone over width monitored neurons with
-// γ = 0.
-func NewZone(width int) *Zone {
+// zoneBuilder is one zone's build session (Algorithm 1): a BDD manager and
+// a root per cached enlargement level, roots[k] = Zᵏ. freeze compiles the
+// levels into the finished Zone; the manager goes with the builder.
+type zoneBuilder struct {
+	width int
+	gamma int // the finished zone's query level
+	base  int // number of inserted patterns (with duplicates)
+	m     *bdd.Manager
+	roots []bdd.Node
+}
+
+// newZoneBuilder starts an empty zone over width monitored neurons, to be
+// queried at γ once frozen.
+func newZoneBuilder(width, gamma int) *zoneBuilder {
 	m := bdd.NewManager(width)
-	return &Zone{width: width, m: m, roots: []bdd.Node{m.False()}}
+	return &zoneBuilder{width: width, gamma: gamma, m: m, roots: []bdd.Node{m.False()}}
+}
+
+// builder re-opens the zone for a shadow build queried at γ, on a manager
+// derived from the plans with every cached level as a root.
+func (z *Zone) builder(gamma int) *zoneBuilder {
+	m, roots := bdd.Derive(z.plans)
+	return &zoneBuilder{width: z.width, gamma: gamma, base: z.base, m: m, roots: roots}
 }
 
 // Width returns the number of monitored neurons.
 func (z *Zone) Width() int { return z.width }
 
-// Gamma returns the current Hamming enlargement level used by Contains.
+// Gamma returns the Hamming enlargement level used by Contains.
 func (z *Zone) Gamma() int { return z.gamma }
 
 // InsertCount returns how many patterns have been inserted (counting
 // duplicates).
 func (z *Zone) InsertCount() int { return z.base }
 
-// Insert adds a visited activation pattern to Z⁰ (line 6 of Algorithm 1:
-// Z⁰_c ← bdd.or(Z⁰_c, bdd.encode(pat))). It drops the enlarged levels; the
-// next read (Contains, NodeCount, Freeze, ...) recomputes them once.
-func (z *Zone) Insert(p Pattern) {
-	if z.Frozen() {
-		panic("core: Insert on frozen zone")
-	}
-	z.checkWidth(p)
-	z.roots = z.roots[:1]
-	z.roots[0] = z.m.Or(z.roots[0], z.m.Cube(p))
-	z.base++
-}
-
-// SetGamma sets the Hamming enlargement level used by Contains, computing
-// the missing levels Zᵏ of Algorithm 1's lines 9-14 from Z⁰ (extendTo).
-// Levels are cached, so sweeping γ upward only computes the new ones.
-//
-// A frozen zone's γ is immutable: once a zone serves concurrent readers,
-// changing the query level in place would race with Contains, so SetGamma
-// returns an error instead of silently mutating shared serving state.
-// Change a live monitor's γ by publishing a new epoch (Monitor.UpdateGamma).
-func (z *Zone) SetGamma(gamma int) error {
-	if err := checkGamma(gamma, z.width); err != nil {
-		return err
-	}
-	if z.Frozen() {
-		if gamma == z.gamma {
-			return nil // no change requested; nothing to mutate
-		}
-		return fmt.Errorf("core: SetGamma(%d) on frozen zone (gamma is fixed at freeze; publish a new epoch via Monitor.UpdateGamma)", gamma)
-	}
-	z.extendTo(gamma)
-	z.gamma = gamma
-	return nil
+// insert adds a visited activation pattern to Z⁰ (line 6 of Algorithm 1:
+// Z⁰_c ← bdd.or(Z⁰_c, bdd.encode(pat))). It drops the enlarged levels;
+// extendTo or freeze recomputes them once.
+func (b *zoneBuilder) insert(p Pattern) {
+	b.roots = b.roots[:1]
+	b.roots[0] = b.m.Or(b.roots[0], b.m.Cube(p))
+	b.base++
 }
 
 // checkGamma bounds an enlargement level by the pattern width. Z^width is
@@ -112,31 +98,20 @@ func checkGamma(gamma, width int) error {
 
 // extendTo caches levels up to gamma, each one bdd.ExpandHamming pass over
 // Z⁰ (measured cheaper than stepping Zᵏ⁻¹ by one).
-func (z *Zone) extendTo(gamma int) {
-	for k := len(z.roots); k <= gamma; k++ {
-		z.roots = append(z.roots, z.m.ExpandHamming(z.roots[0], k))
+func (b *zoneBuilder) extendTo(gamma int) {
+	for k := len(b.roots); k <= gamma; k++ {
+		b.roots = append(b.roots, b.m.ExpandHamming(b.roots[0], k))
 	}
 }
 
-// Freeze ends the zone's build session: every cached enlargement level is
-// compiled into a flat query plan (bdd.Compile) and the manager is let
-// go. Contains (and ContainsAt for already-computed levels) become safe
-// for unlimited concurrent use; Insert and SetGamma panic or error from
-// now on. Freezing is irreversible (DESIGN.md, freeze-then-serve). It
-// returns the dropped manager's counters (zero if already frozen).
-func (z *Zone) Freeze() bdd.Stats {
-	if z.Frozen() {
-		return bdd.Stats{}
-	}
-	z.extendTo(z.gamma)
-	z.plans = z.m.Compile(z.roots...)
-	session := z.m.Stats()
-	z.m, z.roots, z.view = nil, nil, new(zoneView)
-	return session
+// freeze ends the build session: every cached level, at least up to γ, is
+// compiled into a flat query plan (bdd.Compile). It returns the finished
+// zone and the session manager's counters.
+func (b *zoneBuilder) freeze() (*Zone, bdd.Stats) {
+	b.extendTo(b.gamma)
+	z := &Zone{width: b.width, gamma: b.gamma, base: b.base, plans: b.m.Compile(b.roots...), view: new(zoneView)}
+	return z, b.m.Stats()
 }
-
-// Frozen reports whether the zone has been frozen.
-func (z *Zone) Frozen() bool { return z.plans != nil }
 
 // checkWidth panics on a pattern of the wrong width.
 func (z *Zone) checkWidth(p Pattern) {
@@ -145,32 +120,27 @@ func (z *Zone) checkWidth(p Pattern) {
 	}
 }
 
-// Contains reports whether p lies inside the current γ-comfort zone — the
-// monitor's runtime membership query, linear in the number of monitored
-// neurons. On a frozen zone the query runs on the compiled plan (a
-// forward walk through a dense branch program); before the freeze it
-// interprets the BDD in place, enlarging first if an Insert dropped Zᵞ.
+// Contains reports whether p lies inside the γ-comfort zone — the
+// monitor's runtime membership query, a forward walk through the compiled
+// plan of Zᵞ, linear in the number of monitored neurons.
 func (z *Zone) Contains(p Pattern) bool {
 	z.checkWidth(p)
-	if z.plans != nil {
-		return z.plans[z.gamma].Eval(p)
-	}
-	return z.m.EvalBits(z.Root(), p)
+	return z.plans[z.gamma].Eval(p)
 }
 
 // ContainsBatch answers the membership query for a whole micro-batch of
-// patterns at the current γ, writing one verdict per pattern into out
-// (len(out) must cover the patterns). On a frozen zone the batch runs
-// through the compiled plan's EvalBatch — one setup, the branch program
-// hot in cache across the batch, and wide batches auto-dispatch to the
-// bit-sliced walk (64 queries per pass over the program) — which is how
-// WatchBatch consults each class once per chunk. Elements of patterns
-// may be Pattern values (Pattern's underlying type is []bool).
+// patterns at the zone's γ, writing one verdict per pattern into out
+// (len(out) must cover the patterns). The batch runs through the compiled
+// plan's EvalBatch — one setup, the branch program hot in cache across
+// the batch, and wide batches auto-dispatch to the bit-sliced walk (64
+// queries per pass over the program) — which is how WatchBatch consults
+// each class once per chunk. Elements of patterns may be Pattern values
+// (Pattern's underlying type is []bool).
 //
-// The batch contract is validated up front on both the frozen and
-// unfrozen paths: a short out or a width-mismatched pattern anywhere in
-// the batch panics with a core:-prefixed message before any verdict is
-// written, so a bad batch never leaves out partially filled.
+// The batch contract is validated up front: a short out or a
+// width-mismatched pattern anywhere in the batch panics with a
+// core:-prefixed message before any verdict is written, so a bad batch
+// never leaves out partially filled.
 func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 	if len(out) < len(patterns) {
 		panic(fmt.Sprintf("core: ContainsBatch output %d shorter than %d patterns", len(out), len(patterns)))
@@ -181,36 +151,14 @@ func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 			panic(fmt.Sprintf("core: pattern %d width %d does not match zone width %d", i, len(p), nv))
 		}
 	}
-	if z.plans != nil {
-		z.plans[z.gamma].EvalBatch(patterns, out)
-		return
-	}
-	root := z.Root()
-	for i, p := range patterns {
-		out[i] = z.m.EvalBits(root, p)
-	}
+	z.plans[z.gamma].EvalBatch(patterns, out)
 }
 
-// ContainsAt reports membership at an explicit enlargement level without
-// changing the zone's current γ. On an unfrozen zone, missing levels are
-// computed and cached. On a frozen zone only levels cached before the
-// freeze are queryable (the read is then race-free — no state is touched);
-// asking for a deeper level panics, because a frozen zone has no manager
-// to compute it on.
-func (z *Zone) ContainsAt(gamma int, p Pattern) bool {
-	in, err := z.ContainsAtErr(gamma, p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return in
-}
-
-// ContainsAtErr is ContainsAt with the frozen-zone contract surfaced as
-// an error instead of a panic: asking a frozen zone for a level deeper
-// than was cached before the freeze returns an error a serving daemon
-// can degrade on, rather than crashing the process. Width mismatches and
-// negative γ are reported the same way. The monitor-level evaluators
-// (EvaluateAt, EvaluateQuantizedAt) route through it.
+// ContainsAtErr reports membership at an explicit enlargement level
+// without changing the zone's γ. Only the levels the zone was built with
+// are queryable; a deeper level, a width mismatch or a negative γ is an
+// error a serving daemon can degrade on, never a panic. The monitor-level
+// evaluators (EvaluateAt, EvaluateQuantizedAt) route through it.
 func (z *Zone) ContainsAtErr(gamma int, p Pattern) (bool, error) {
 	if gamma < 0 {
 		return false, fmt.Errorf("core: negative gamma %d", gamma)
@@ -218,75 +166,60 @@ func (z *Zone) ContainsAtErr(gamma int, p Pattern) (bool, error) {
 	if len(p) != z.width {
 		return false, fmt.Errorf("core: pattern width %d does not match zone width %d", len(p), z.width)
 	}
-	if z.plans != nil {
-		if gamma >= len(z.plans) {
-			return false, fmt.Errorf("core: gamma %d beyond the %d levels cached before freeze (publish a deeper level via Monitor.UpdateGamma)",
-				gamma, len(z.plans))
-		}
-		return z.plans[gamma].Eval(p), nil
+	if gamma >= len(z.plans) {
+		return false, fmt.Errorf("core: gamma %d beyond the zone's %d cached levels (publish a deeper level via Monitor.UpdateGamma)",
+			gamma, len(z.plans))
 	}
-	z.extendTo(gamma)
-	return z.m.EvalBits(z.roots[gamma], p), nil
+	return z.plans[gamma].Eval(p), nil
 }
 
-// cloneWithDelta shadow-builds this frozen zone's successor for an online
-// update: a writable manager re-derived from the cached plans, with the
-// new patterns folded in at each level incrementally. A Hamming ball of a
-// union is the union of the balls, so Zᵏ(old ∪ new) =
-// Zᵏ(old) ∪ ExpandHamming(D, k) with D the delta cubes alone: the old
-// levels are reused verbatim and only the new patterns are expanded. That
-// makes the *fold* scale with the delta. The learn does not: deriving the
-// manager here and compiling the successor at its Freeze each visit every
-// node of every cached level — O(zone), small constant. The receiver is
-// only read (it is serving); the returned zone is unfrozen, at the same γ.
-func (z *Zone) cloneWithDelta(pats []Pattern) *Zone {
+// cloneWithDelta shadow-builds this zone's successor for an online update:
+// a builder re-derived from the cached plans, with the new patterns folded
+// in at each level incrementally. A Hamming ball of a union is the union
+// of the balls, so Zᵏ(old ∪ new) = Zᵏ(old) ∪ ExpandHamming(D, k) with D
+// the delta cubes alone: the old levels are reused verbatim and only the
+// new patterns are expanded. That makes the *fold* scale with the delta.
+// The learn does not: deriving the manager and compiling the successor
+// each visit every node of every cached level — O(zone), small constant.
+// The receiver is only read (it is serving); the successor keeps its γ.
+// It returns the session's counters with the finished zone.
+func (z *Zone) cloneWithDelta(pats []Pattern) (*Zone, bdd.Stats) {
+	b := z.builder(z.gamma)
+	delta := b.m.False()
 	for _, p := range pats {
-		z.checkWidth(p)
+		delta = b.m.Or(delta, b.m.Cube(p))
 	}
-	m2, roots2 := bdd.Derive(z.plans)
-	delta := m2.False()
-	for _, p := range pats {
-		delta = m2.Or(delta, m2.Cube(p))
+	for k := range b.roots {
+		b.roots[k] = b.m.Or(b.roots[k], b.m.ExpandHamming(delta, k))
 	}
-	for k := range roots2 {
-		roots2[k] = m2.Or(roots2[k], m2.ExpandHamming(delta, k))
-	}
-	return &Zone{width: z.width, m: m2, roots: roots2, gamma: z.gamma, base: z.base + len(pats)}
+	b.base += len(pats)
+	return b.freeze()
 }
 
-// cloneAtGamma builds a frozen zone's successor queried at a different
-// enlargement level. When the level was cached before the freeze, the new
-// Zone shares the plans (and the diagnostic view) — an O(1) re-view, no
-// copying and no recompilation. A deeper level needs new enlargements, so
-// a manager is re-derived from the plans and extended; the successor is
-// returned unfrozen and compiles its plans when it freezes.
-func (z *Zone) cloneAtGamma(gamma int) *Zone {
+// cloneAtGamma returns this zone's successor queried at a different
+// enlargement level. When the level is cached, the new Zone shares the
+// plans (and the diagnostic view) — an O(1) re-view, no copying, no
+// recompilation and zero counters. A deeper level needs new enlargements:
+// a builder is re-derived from the plans, extended and frozen.
+func (z *Zone) cloneAtGamma(gamma int) (*Zone, bdd.Stats) {
 	if gamma < len(z.plans) {
-		return &Zone{width: z.width, plans: z.plans, view: z.view, gamma: gamma, base: z.base}
+		return &Zone{width: z.width, plans: z.plans, view: z.view, gamma: gamma, base: z.base}, bdd.Stats{}
 	}
-	m2, roots2 := bdd.Derive(z.plans)
-	z2 := &Zone{width: z.width, m: m2, roots: roots2, gamma: gamma, base: z.base}
-	z2.extendTo(gamma)
-	return z2
+	return z.builder(gamma).freeze()
 }
 
-// PatternCount returns the exact number of patterns inside the zone at the
-// current γ (BDD model count). With w monitored neurons the universe has
-// 2^w patterns. On a frozen zone it goes through the diagnostic view.
+// PatternCount returns the exact number of patterns inside the zone at its
+// γ (BDD model count), through the diagnostic view. With w monitored
+// neurons the universe has 2^w patterns.
 func (z *Zone) PatternCount() float64 {
 	return z.Manager().SatCount(z.Root())
 }
 
-// NodeCount returns the number of BDD nodes representing the zone at the
-// current γ — the monitor's storage cost.
-func (z *Zone) NodeCount() int {
-	if z.plans != nil {
-		return z.plans[z.gamma].Len()
-	}
-	return z.m.NodeCount(z.Root())
-}
+// NodeCount returns the number of branches of the zone's plan at its γ —
+// the monitor's storage cost.
+func (z *Zone) NodeCount() int { return z.plans[z.gamma].Len() }
 
-// PlanBytes returns each cached level's plan size; empty until frozen.
+// PlanBytes returns each cached level's plan size.
 func (z *Zone) PlanBytes() []int {
 	out := make([]int, len(z.plans))
 	for i, p := range z.plans {
@@ -296,14 +229,10 @@ func (z *Zone) PlanBytes() []int {
 }
 
 // diagram returns the zone's BDD for tests and diagnostics (DOT export,
-// model counts, an interpreted walk to check the plans against): the
-// build manager, enlarged up to γ; on a frozen zone, which has none, a view
-// materialised from the plans once. Nothing on the serving path comes here.
+// model counts, an interpreted walk to check the plans against): a frozen
+// view materialised from the plans once and shared by every re-view.
+// Nothing on the serving path comes here.
 func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
-	if z.plans == nil {
-		z.extendTo(z.gamma)
-		return z.m, z.roots
-	}
 	z.view.once.Do(func() {
 		z.view.m, z.view.roots = bdd.Derive(z.plans)
 		z.view.m.Freeze()
@@ -311,8 +240,8 @@ func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
 	return z.view.m, z.view.roots
 }
 
-// Manager exposes the zone's BDD manager (see diagram).
+// Manager exposes the zone's diagnostic BDD manager (see diagram).
 func (z *Zone) Manager() *bdd.Manager { m, _ := z.diagram(); return m }
 
-// Root returns the zone's BDD root at the current γ, a handle into Manager().
+// Root returns the zone's BDD root at its γ, a handle into Manager().
 func (z *Zone) Root() bdd.Node { _, roots := z.diagram(); return roots[z.gamma] }

@@ -177,6 +177,38 @@ func TestFigure2SweepShape(t *testing.T) {
 	}
 }
 
+// TestVerifyCompiledServing runs the serving referee on both Table II
+// monitors (every class; the stop sign alone) after their γ sweeps, and
+// checks that it catches a monitor whose zones are not Definition 2's for
+// the training set: built from no samples, every zone is empty, while the
+// referee's γ = width ball around the recorded patterns holds everything.
+func TestVerifyCompiledServing(t *testing.T) {
+	m1, m2 := tinyModels(t)
+	for _, m := range []*Model{m1, m2} {
+		_, mon, err := Table2ForModel(m, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := VerifyCompiledServing(m, mon)
+		if err != nil {
+			t.Fatalf("network %d: %v", m.ID, err)
+		}
+		if n != len(m.Data.Val) {
+			t.Fatalf("network %d: checked %d of %d validation inputs", m.ID, n, len(m.Data.Val))
+		}
+	}
+
+	cfg := MNISTMonitorConfig(m1)
+	cfg.Gamma = 40 // every monitored neuron
+	empty, err := core.Build(m1.Net, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyCompiledServing(m1, empty); err == nil || !strings.Contains(err.Error(), "Definition 2") {
+		t.Fatalf("a monitor with empty zones passed the referee: %v", err)
+	}
+}
+
 func TestFrontCarStudySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")

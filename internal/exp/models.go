@@ -105,45 +105,29 @@ func GTSRBNetSpecs() (specs []nn.Spec, monitorLayer int) {
 
 // TrainMNIST trains network 1 on the MNIST-like dataset.
 func TrainMNIST(opts Options) (*Model, error) {
-	specs, layer := MNISTNetSpecs()
-	net, err := nn.Build(specs, rng.New(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
 	ds := dataset.MNISTLike(opts.scaled(3000), opts.scaled(1500), opts.Seed+10)
-	nn.Train(net, ds.Train, nn.TrainConfig{
-		Epochs:    5,
-		BatchSize: 32,
-		LR:        0.02,
-		LRDecay:   0.85,
-		Seed:      opts.Seed + 20,
-		Log:       opts.Log,
-	})
-	m := &Model{ID: 1, Name: "MNIST", Net: net, Data: ds, MonitorLayer: layer}
-	m.TrainAcc = nn.Accuracy(net, ds.Train)
-	m.ValAcc = nn.Accuracy(net, ds.Val)
-	return m, nil
+	return train(&Model{ID: 1, Name: "MNIST", Data: ds}, MNISTNetSpecs, opts.Seed,
+		nn.TrainConfig{Epochs: 5, BatchSize: 32, LR: 0.02, LRDecay: 0.85, Seed: opts.Seed + 20, Log: opts.Log})
 }
 
 // TrainGTSRB trains network 2 on the GTSRB-like dataset.
 func TrainGTSRB(opts Options) (*Model, error) {
-	specs, layer := GTSRBNetSpecs()
-	net, err := nn.Build(specs, rng.New(opts.Seed+1))
+	ds := dataset.GTSRBLike(opts.scaled(4300), opts.scaled(2150), opts.Seed+11)
+	return train(&Model{ID: 2, Name: "GTSRB", Data: ds}, GTSRBNetSpecs, opts.Seed+1,
+		nn.TrainConfig{Epochs: 12, BatchSize: 32, LR: 0.03, LRDecay: 0.93, Seed: opts.Seed + 21, Log: opts.Log})
+}
+
+// train builds m's network from specs with the given seed, trains it on
+// m.Data with cfg and records its accuracies.
+func train(m *Model, specs func() ([]nn.Spec, int), seed uint64, cfg nn.TrainConfig) (*Model, error) {
+	s, layer := specs()
+	net, err := nn.Build(s, rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
-	ds := dataset.GTSRBLike(opts.scaled(4300), opts.scaled(2150), opts.Seed+11)
-	nn.Train(net, ds.Train, nn.TrainConfig{
-		Epochs:    12,
-		BatchSize: 32,
-		LR:        0.03,
-		LRDecay:   0.93,
-		Seed:      opts.Seed + 21,
-		Log:       opts.Log,
-	})
-	m := &Model{ID: 2, Name: "GTSRB", Net: net, Data: ds, MonitorLayer: layer}
-	m.TrainAcc = nn.Accuracy(net, ds.Train)
-	m.ValAcc = nn.Accuracy(net, ds.Val)
+	nn.Train(net, m.Data.Train, cfg)
+	m.Net, m.MonitorLayer = net, layer
+	m.TrainAcc, m.ValAcc = nn.Accuracy(net, m.Data.Train), nn.Accuracy(net, m.Data.Val)
 	return m, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // The online-phase experiment measures serve-while-retraining: a monitor
-// is built from only part of the training patterns, frozen, and then the
+// is built from only part of the training patterns, and then the
 // withheld patterns are streamed back in through the online updater
 // (Monitor.UpdateBatch) in chunks — the epoch-swap path a production
 // napmon uses to absorb newly observed activations without a serving
@@ -20,7 +20,7 @@ import (
 // OnlinePoint is one epoch of the online phase.
 type OnlinePoint struct {
 	// Epoch is the serving epoch id the metrics were measured against
-	// (1 = the freeze epoch, before any update).
+	// (1 = the build epoch, before any update).
 	Epoch uint64
 	// Absorbed is the cumulative number of patterns fed through the
 	// updater up to this epoch.
@@ -68,7 +68,6 @@ func onlineStudy(opts Options, gamma, chunks int) (*OnlineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mon.Freeze()
 	res := &OnlineResult{
 		Name:        m.Name,
 		Gamma:       gamma,

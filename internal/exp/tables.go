@@ -79,7 +79,8 @@ func GTSRBMonitorConfig(m *Model) (core.Config, error) {
 }
 
 // Table2ForModel builds the model's monitor per the paper's configuration
-// and sweeps γ over the given levels, returning one row per level.
+// at the deepest of the given levels and sweeps γ over them, returning one
+// row per level. The monitor is left serving at the last level.
 func Table2ForModel(m *Model, gammas []int) ([]Table2Row, *core.Monitor, error) {
 	var cfg core.Config
 	var err error
@@ -93,6 +94,9 @@ func Table2ForModel(m *Model, gammas []int) ([]Table2Row, *core.Monitor, error) 
 		}
 	default:
 		return nil, nil, fmt.Errorf("exp: unknown model id %d", m.ID)
+	}
+	for _, g := range gammas {
+		cfg.Gamma = max(cfg.Gamma, g)
 	}
 	mon, err := core.Build(m.Net, m.Data.Train, cfg)
 	if err != nil {
@@ -140,20 +144,18 @@ type Figure2Point struct {
 
 // Figure2Sweep sweeps γ from 0 to maxGamma on the model's Table II monitor
 // and records the trajectory between the two useless extremes of Figure 2.
-// A frozen monitor (one that has already served) is swept by publishing
-// each level as a new epoch, mirroring core.GammaSweep.
+// Like core.GammaSweep it publishes maxGamma once and then re-views every
+// level as a new epoch.
 func Figure2Sweep(m *Model, mon *core.Monitor, maxGamma int) []Figure2Point {
+	level := func(g int) {
+		if _, err := mon.UpdateGamma(g); err != nil {
+			panic(err) // unreachable for levels within the monitored width
+		}
+	}
+	level(maxGamma)
 	pts := make([]Figure2Point, 0, maxGamma+1)
 	for g := 0; g <= maxGamma; g++ {
-		var err error
-		if mon.Frozen() {
-			_, err = mon.UpdateGamma(g)
-		} else {
-			err = mon.SetGamma(g)
-		}
-		if err != nil {
-			panic(err) // unreachable for the swept non-negative levels
-		}
+		level(g)
 		met := core.Evaluate(m.Net, mon, m.Data.Val)
 		total := 0.0
 		for _, c := range mon.Classes() {

@@ -11,36 +11,45 @@ import (
 // monitors without importing internal/core directly.
 type Monitor = core.Monitor
 
-// VerifyCompiledServing freezes the monitor and asserts, for every
-// validation input, that the batched serving path — compiled query
-// plans, membership grouped per predicted class — agrees with both the
-// per-sample Watch path and the interpreted BDD walk (EvalBits on the
-// zone's root) on the same extracted pattern. The experiment driver
-// runs it after each Table II monitor so a full-scale sweep proves the
-// compiled engine bit-equivalent on real traffic instead of eyeballing
-// rates. Returns the number of inputs checked.
+// VerifyCompiledServing asserts that, for every validation input, the
+// batched serving path (compiled plans, membership grouped per class) and
+// the per-sample Watch path both return Definition 2's verdict, computed
+// by a referee that shares no BDD, plan or batched inference with them:
+// the per-sample forward pass (Network.ForwardCapture → PatternOfSubset)
+// gives class and pattern, and core.ExactZone over each monitored class's
+// correctly classified training patterns, at mon.Gamma(), gives
+// membership. mon must hold what Build recorded from m.Data.Train; γ may
+// have moved since. Returns the number of inputs checked.
 func VerifyCompiledServing(m *Model, mon *core.Monitor) (int, error) {
-	mon.Freeze()
+	layer, neurons := mon.Config().Layer, mon.Neurons()
+	observe := func(x *tensor.Tensor) (int, core.Pattern) {
+		logits, acts := m.Net.ForwardCapture(x, layer)
+		return logits.ArgMax(), core.PatternOfSubset(acts, neurons)
+	}
+	exact := make(map[int]*core.ExactZone)
+	for _, c := range mon.Classes() {
+		exact[c] = core.NewExactZone(len(neurons))
+		exact[c].SetGamma(mon.Gamma())
+	}
+	for _, s := range m.Data.Train {
+		if pred, p := observe(s.Input); pred == s.Label && exact[pred] != nil {
+			exact[pred].Insert(p)
+		}
+	}
 	inputs := make([]*tensor.Tensor, len(m.Data.Val))
 	for i, s := range m.Data.Val {
 		inputs[i] = s.Input
 	}
-	batch := mon.WatchBatch(m.Net, inputs)
-	for i, v := range batch {
-		single := mon.Watch(m.Net, inputs[i])
-		if v.Class != single.Class || v.Monitored != single.Monitored ||
-			v.OutOfPattern != single.OutOfPattern || v.Pattern.String() != single.Pattern.String() {
-			return i, fmt.Errorf("exp: input %d: batched verdict %+v != per-sample verdict %+v", i, v, single)
-		}
-		if !v.Monitored {
-			continue
-		}
-		z := mon.Zone(v.Class)
-		interpreted := z.Manager().EvalBits(z.Root(), v.Pattern)
-		if v.OutOfPattern == interpreted {
-			return i, fmt.Errorf("exp: input %d class %d: compiled out-of-pattern=%v, interpreted membership=%v",
-				i, v.Class, v.OutOfPattern, interpreted)
+	for i, v := range mon.WatchBatch(m.Net, inputs) {
+		pred, p := observe(inputs[i])
+		z := exact[pred]
+		want := core.Verdict{Class: pred, Monitored: z != nil, OutOfPattern: z != nil && !z.Contains(p), Pattern: p}
+		for _, got := range []core.Verdict{v, mon.Watch(m.Net, inputs[i])} {
+			if got.Class != want.Class || got.Monitored != want.Monitored ||
+				got.OutOfPattern != want.OutOfPattern || got.Pattern.String() != want.Pattern.String() {
+				return i, fmt.Errorf("exp: input %d: served %+v, Definition 2 says %+v", i, got, want)
+			}
 		}
 	}
-	return len(batch), nil
+	return len(inputs), nil
 }

@@ -18,9 +18,9 @@
 // the network plus a warm scratch pool and executes whole micro-batches
 // through the batched GEMM inference path (Monitor.WatchBatchPooled →
 // Network.ForwardBatch) — the batch width is literally the GEMM width —
-// against the frozen BDD zones, which are safe for concurrent reads by
-// construction (see DESIGN.md, "Freeze-then-serve concurrency model" and
-// "Batched inference").
+// against the monitor's compiled zones, which are safe for concurrent
+// reads by construction (see DESIGN.md, "Build → publish epoch 1 → serve:
+// concurrency model" and "Batched inference").
 // The zone queries themselves run on the compiled query plans the
 // monitor's epoch carries (Zone.ContainsBatch, grouped per predicted
 // class): all lanes share one set of plans per epoch, and an online
@@ -199,9 +199,9 @@ type Server struct {
 }
 
 // New builds a Server over the network and monitor and starts its
-// coalescer and lane goroutines. The monitor is frozen (idempotently) so
-// the entire serving path is read-only; the network must not be trained
-// while the server lives. Stop the server with Shutdown.
+// coalescer and lane goroutines. The entire serving path is read-only;
+// the network must not be trained while the server lives. Stop the server
+// with Shutdown.
 func New(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
 	s, err := newServer(net, m, cfg)
 	if err != nil {
@@ -226,7 +226,6 @@ func newServer(net *nn.Network, m *core.Monitor, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	m.Freeze()
 	s := &Server{
 		cfg:     cfg,
 		mon:     m,

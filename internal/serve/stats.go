@@ -67,7 +67,7 @@ type Stats struct {
 	// Lanes is the number of serving lanes (network replicas).
 	Lanes int
 	// Epoch is the id of the monitor epoch currently serving; it starts
-	// at 1 (the freeze epoch) and increments with every online update
+	// at 1 (the build epoch) and increments with every online update
 	// published through Server.Update/UpdateGamma (or directly on the
 	// monitor).
 	Epoch uint64

@@ -76,6 +76,9 @@ type GatewayCounters struct {
 	// header validation, across both transports.
 	Received uint64
 	// Responded counts response frames successfully handed to a socket.
+	// A frame is counted after its write returns, so while connections
+	// are live the count may trail what a client has already read; it is
+	// exact once Close has returned (Close waits for every writer).
 	Responded uint64
 	// Malformed counts datagrams the packet filter rejected, stream
 	// frames with invalid headers (those also kill their connection —

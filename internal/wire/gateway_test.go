@@ -393,6 +393,12 @@ func TestGatewayTCPSustained(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A writer bumps Responded after its write returns, which can be after
+	// the client has read the bytes; Close waits for every writer, so the
+	// counters are exact from here on.
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
 	ct := g.Counters()
 	if ct.Received != conns*perConn {
 		t.Fatalf("received %d frames, want %d", ct.Received, conns*perConn)

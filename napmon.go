@@ -21,8 +21,8 @@ import (
 // user needs to drive it.
 
 // Monitor is a neuron activation pattern monitor (paper Definition 3):
-// one γ-comfort zone per monitored class, stored as BDDs. A frozen
-// monitor is a live service, not a static artifact: Monitor.Update,
+// one γ-comfort zone per monitored class, stored as compiled BDD query
+// plans. A monitor is a live service, not a static artifact: Monitor.Update,
 // Monitor.UpdateBatch and Monitor.UpdateGamma absorb newly observed
 // activation patterns (or re-level γ) by shadow-building the touched
 // zones and atomically publishing a new serving epoch, while readers keep
@@ -31,7 +31,7 @@ type Monitor = core.Monitor
 
 // Updater is a monitor's online-update engine: it serializes
 // Update/UpdateBatch/UpdateGamma calls, shadow-builds zone deltas on
-// writable clones while the frozen epoch keeps serving, swaps the new
+// writable clones while the current epoch keeps serving, swaps the new
 // epoch in atomically, and releases retired epochs once their pinned
 // readers drain. Obtain it with Monitor.Updater for its counters
 // (Published, Absorbed, ReleasedEpochs).
@@ -118,7 +118,9 @@ func LoadModelFile(path string) (*Network, error) { return nn.LoadFile(path) }
 // all cores: inference over a sample worker pool, then per-class zone
 // construction over a class worker pool (each class's BDD manager is an
 // independent single-writer shard), with results identical to a
-// sequential build regardless of GOMAXPROCS.
+// sequential build regardless of GOMAXPROCS. The monitor it returns is
+// already serving epoch 1: every zone is compiled and immutable, and it
+// changes only through the Update family.
 func BuildMonitor(net *Network, train []Sample, cfg Config) (*Monitor, error) {
 	return core.Build(net, train, cfg)
 }
@@ -134,7 +136,7 @@ func BuildMonitorFromPatterns(width, gamma int, perClass map[int][]Pattern) (*Mo
 
 // LoadMonitorFile reads a monitor from a file written with
 // Monitor.SaveFile (or by napmon-train -monitor): one snapshot in the
-// LoadSnapshot format. The monitor is frozen at the file's epoch.
+// LoadSnapshot format. The monitor serves at the file's epoch.
 func LoadMonitorFile(path string) (*Monitor, error) { return core.LoadFile(path) }
 
 // EvaluateMonitor runs the monitor over a labelled dataset and aggregates
@@ -144,10 +146,9 @@ func EvaluateMonitor(net *Network, m *Monitor, samples []Sample) Metrics {
 }
 
 // EvaluateMonitorAt evaluates at an explicit enlargement level without
-// changing the serving γ. On a frozen monitor, asking for a level deeper
-// than was cached before the freeze returns an error instead of
-// panicking, so a live daemon probing γ cannot be crashed by a too-deep
-// query.
+// changing the serving γ. Asking for a level deeper than the serving
+// epoch caches returns an error instead of panicking, so a live daemon
+// probing γ cannot be crashed by a too-deep query.
 func EvaluateMonitorAt(net *Network, m *Monitor, samples []Sample, gamma int) (Metrics, error) {
 	return core.EvaluateAt(net, m, samples, gamma)
 }
@@ -161,9 +162,9 @@ func EvaluateMonitorAt(net *Network, m *Monitor, samples []Sample, gamma int) (M
 // allocation-free scratch), split across GOMAXPROCS workers on
 // multi-core hosts. Membership queries are grouped by predicted class
 // and answered from each zone's compiled query plan in one batched walk
-// per class per chunk. The monitor is frozen read-only on first use
-// (Monitor.Freeze), which makes concurrent WatchBatch calls from any
-// number of goroutines safe by construction; a frozen monitor grows only
+// per class per chunk. The zones are immutable from the moment the
+// monitor is built, which makes concurrent WatchBatch calls from any
+// number of goroutines safe by construction; a monitor grows only
 // through the online-update path (Monitor.Update/UpdateBatch/UpdateGamma),
 // which publishes whole new epochs — each batch pins one epoch, and every
 // Verdict carries the epoch id it was computed against.
@@ -338,7 +339,7 @@ func ServeFleet(cfg RegistryConfig, tenants map[string]TenantConfig) (*Registry,
 // LoadSnapshot reads a compact monitor snapshot written with
 // Monitor.Snapshot: compiled zone query plans plus bit-packed patterns,
 // checksummed, with the trailing delta-log entries the leader saved
-// alongside. The returned monitor is frozen at the leader's epoch and
+// alongside. The returned monitor serves at the leader's epoch and
 // answers queries identically; Registry.LoadSnapshot wraps this to
 // warm-start a serving tenant directly.
 func LoadSnapshot(r io.Reader) (*Monitor, []DeltaEntry, error) {

@@ -101,9 +101,6 @@ func TestPublicWatchBatch(t *testing.T) {
 			t.Fatalf("verdict %d: batch %+v != serial %+v", i, batch[i], serial[i])
 		}
 	}
-	if !mon.Frozen() {
-		t.Fatal("monitor not frozen after WatchBatch")
-	}
 }
 
 // TestPublicServe drives the streaming front end through the facade: a
@@ -253,8 +250,9 @@ func TestPublicDatasets(t *testing.T) {
 }
 
 // ExampleMonitor_Update demonstrates the serve-while-retraining loop: a
-// frozen monitor absorbs a newly observed activation pattern by
-// publishing a new serving epoch, without a serving gap. The pattern
+// monitor serves epoch 1 from the moment it is built, and absorbs a newly
+// observed activation pattern by publishing a new serving epoch, without
+// a serving gap. The pattern
 // string is the wire form the napmon-serve daemon returns from /watch
 // and accepts on /learn.
 func ExampleMonitor_Update() {
@@ -269,15 +267,11 @@ func ExampleMonitor_Update() {
 	napmon.Train(net, train, napmon.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.05, Seed: 52})
 	mon, _ := napmon.BuildMonitor(net, train, napmon.Config{Layer: 3, Gamma: 1})
 
-	mon.Freeze() // epoch 1 starts serving; zones are now immutable
-	fmt.Println("epoch after freeze:", mon.Epoch())
+	fmt.Println("epoch after build:", mon.Epoch()) // zones are immutable
 
-	// In-place mutation is refused once serving...
-	fmt.Println("SetGamma while frozen errors:", mon.SetGamma(0) != nil)
-
-	// ...but the online updater absorbs new patterns by epoch swap. A
-	// production loop would feed back patterns from flagged verdicts;
-	// here one arrives as the /learn wire form.
+	// The online updater absorbs new patterns by epoch swap. A production
+	// loop would feed back patterns from flagged verdicts; here one
+	// arrives as the /learn wire form.
 	pattern, _ := napmon.ParsePattern("10110101")
 	epoch, err := mon.Update(2, pattern)
 	if err != nil {
@@ -288,8 +282,7 @@ func ExampleMonitor_Update() {
 	out, monitored := mon.WatchPattern(2, pattern)
 	fmt.Println("absorbed pattern now in its comfort zone:", monitored && !out)
 	// Output:
-	// epoch after freeze: 1
-	// SetGamma while frozen errors: true
+	// epoch after build: 1
 	// epoch after update: 2
 	// absorbed pattern now in its comfort zone: true
 }
