@@ -11,9 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"napmon/internal/core"
@@ -21,66 +22,81 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("napmon-inspect: ")
-	modelPath := flag.String("model", "", "model file to inspect")
-	monitorPath := flag.String("monitor", "", "monitor file to inspect")
-	dotClass := flag.Int("dot", -1, "write the DOT rendering of this class's zone to stdout")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "napmon-inspect:", err)
+		os.Exit(1)
+	}
+}
 
+// run parses args and writes the requested reports to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("napmon-inspect", flag.ContinueOnError)
+	modelPath := fs.String("model", "", "model file to inspect")
+	monitorPath := fs.String("monitor", "", "monitor file to inspect")
+	dotClass := fs.Int("dot", -1, "write the DOT rendering of this class's zone to stdout")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *modelPath == "" && *monitorPath == "" {
-		log.Fatal("nothing to inspect; pass -model and/or -monitor")
+		return errors.New("nothing to inspect; pass -model and/or -monitor")
 	}
 	if *modelPath != "" {
-		inspectModel(*modelPath)
+		if err := inspectModel(stdout, *modelPath); err != nil {
+			return err
+		}
 	}
 	if *monitorPath != "" {
-		inspectMonitor(*monitorPath, *dotClass)
+		return inspectMonitor(stdout, *monitorPath, *dotClass)
 	}
+	return nil
 }
 
-func inspectModel(path string) {
+func inspectModel(w io.Writer, path string) error {
 	net, err := nn.LoadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("model %s\n  architecture: %v\n", path, net)
+	fmt.Fprintf(w, "model %s\n  architecture: %v\n", path, net)
 	totalParams := 0
 	for _, p := range net.Params() {
-		fmt.Printf("  %-16s %v (%d values)\n", p.Name, p.Value.Shape(), p.Value.Len())
+		fmt.Fprintf(w, "  %-16s %v (%d values)\n", p.Name, p.Value.Shape(), p.Value.Len())
 		totalParams += p.Value.Len()
 	}
-	fmt.Printf("  total learnable parameters: %d\n", totalParams)
+	fmt.Fprintf(w, "  total learnable parameters: %d\n", totalParams)
+	return nil
 }
 
-func inspectMonitor(path string, dotClass int) {
+func inspectMonitor(w io.Writer, path string, dotClass int) error {
 	mon, err := core.LoadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := mon.Config()
-	fmt.Printf("monitor %s\n  layer %d, gamma %d, %d/%d neurons monitored\n",
+	fmt.Fprintf(w, "monitor %s\n  layer %d, gamma %d, %d/%d neurons monitored\n",
 		path, cfg.Layer, mon.Gamma(), len(mon.Neurons()), mon.LayerWidth())
-	fmt.Printf("  monitored neurons: %v\n", mon.Neurons())
-	fmt.Println("  class  inserted  patterns(at gamma)  bdd-nodes  plan-bytes(level 0..)")
+	fmt.Fprintf(w, "  monitored neurons: %v\n", mon.Neurons())
+	fmt.Fprintln(w, "  class  inserted  patterns(at gamma)  bdd-nodes  plan-bytes(level 0..)")
 	planTotal := 0
 	for _, c := range mon.Classes() {
 		z := mon.Zone(c)
 		levels := z.PlanBytes()
-		fmt.Printf("  %5d  %8d  %18.0f  %9d  %v\n",
+		fmt.Fprintf(w, "  %5d  %8d  %18.0f  %9d  %v\n",
 			c, z.InsertCount(), z.PatternCount(), z.NodeCount(), levels)
 		for _, b := range levels {
 			planTotal += b
 		}
 	}
-	fmt.Printf("  total BDD nodes: %d\n  total plan bytes: %d\n", mon.StorageNodes(), planTotal)
+	fmt.Fprintf(w, "  total BDD nodes: %d\n  total plan bytes: %d\n", mon.StorageNodes(), planTotal)
 
 	if dotClass >= 0 {
 		z := mon.Zone(dotClass)
 		if z == nil {
-			log.Fatalf("class %d is not monitored", dotClass)
+			return fmt.Errorf("class %d is not monitored", dotClass)
 		}
-		fmt.Fprintln(os.Stderr, "writing DOT to stdout")
-		fmt.Print(z.Manager().Dot(z.Root(), fmt.Sprintf("zone_%d", dotClass)))
+		fmt.Fprint(w, z.Dot(fmt.Sprintf("zone_%d", dotClass)))
 	}
+	return nil
 }

@@ -71,9 +71,10 @@
 // shadow-build the touched comfort zones on managers re-derived from
 // their plans and publish
 // the result as a new serving epoch with one atomic pointer swap; each
-// batch pins one epoch (every Verdict carries its epoch id), retired
-// epochs are released after their readers drain, and the updated monitor
-// answers exactly like one built from all patterns in one shot.
+// batch loads one epoch (every Verdict carries its epoch id), a retired
+// epoch is plans the garbage collector takes once its last batch returns,
+// and the updated monitor answers exactly like one built from all
+// patterns in one shot.
 // Monitor.UpdateGamma re-levels γ the same way. Through a Server the
 // same flow is Server.Update (observable via ServerConfig.OnEpochSwap and
 // ServerStats.Epoch):
@@ -177,7 +178,6 @@
 //	napmon_epoch_swap_last_seconds         gauge      wall time of the latest publication
 //	napmon_zone_plans_recompiled_total     counter    zone query plans rebuilt by updates
 //	napmon_patterns_absorbed_total         counter    activation patterns absorbed by updates
-//	napmon_epochs_released_total           counter    retired epochs past their grace period
 //	napmon_updates_total                   counter    epoch swaps published through the server
 //	napmon_bdd_nodes                       gauge      branches across the serving epoch's plans
 //	napmon_bdd_unique_hits_total           counter    unique-table hits, all build sessions

@@ -5,30 +5,34 @@
 // handles. Structural sharing plus a unique table guarantee canonicity:
 // two Nodes are equal iff they denote the same Boolean function.
 //
-// The operations provided are exactly those Algorithm 1 of the paper needs
-// (encode a pattern as a cube, union via Or, Hamming enlargement via
-// ExpandHamming — one memoized pass for what the paper spells as γ rounds
-// of ⋃_j ∃x_j) plus the general toolkit (And, Not, Xor, Diff, Exists, ITE,
-// SatCount, Eval) required by tests, metrics and serialization.
+// A Manager exports exactly what Algorithm 1 of the paper needs — encode
+// a pattern as a Cube, union via Or, Hamming enlargement via ExpandHamming
+// (one memoized pass for what the paper spells as γ rounds of ⋃_j ∃x_j) —
+// and what ends a build: Compile into flat plans (compile.go), Derive a
+// manager back from them (fromcompiled.go), Stats and Freeze. The rest of
+// Bryant's toolkit (And, Not, Xor, Diff, Exists, Restrict, SatCount) lives
+// in export_test.go, where the fuzzer and the oracles use it; the generic
+// apply underneath is shared.
 //
 // Storage layout (see DESIGN.md, "BDD manager internals"): nodes live in a
 // flat arena indexed by their handle. Canonicity is enforced by an
 // open-addressed, power-of-two-sized unique table of int32 handles probed
 // inline against the arena — no boxed map keys, no per-node allocation.
 // Operation results are memoized in a single lossy direct-mapped computed
-// table shared by the binary ops, Not, Exists and ExpandHamming, sized in
-// lockstep with the unique table.
+// table shared by the binary ops and ExpandHamming, sized in lockstep with
+// the unique table.
 //
 // A Manager is a build tool whose lifetime is one build session: construct
-// the diagrams, Compile them into flat plans (compile.go), let it go. The
-// plans are canonical and complete, so an online update re-derives a
-// manager from them (Derive) for the milliseconds it needs one. Freeze is
-// for a manager kept for inspection: it leaves only the arena, on which
-// Eval/EvalBits and the walks are safe from any number of goroutines.
+// the diagrams, Compile them into flat plans, let it go. The plans are
+// canonical and complete, so an online update re-derives a manager from
+// them (Derive) for the milliseconds it needs one, and every read of a
+// finished diagram — membership, model count, DOT rendering — is a read of
+// its plan. Freeze drops the tables of a manager kept past its build: only
+// the arena is left, on which EvalBits and Compile are safe from any
+// number of goroutines.
 package bdd
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -53,8 +57,8 @@ type node struct {
 
 // Manager owns the node arena, the unique table enforcing canonicity and
 // the memoization cache. It is not safe for concurrent mutation; build
-// monitors from a single goroutine, then call Freeze — queries via Eval
-// are read-only and may run concurrently once the manager is frozen.
+// from a single goroutine, then Compile (or Freeze, after which EvalBits
+// may run concurrently).
 type Manager struct {
 	numVars int
 	nodes   []node
@@ -68,8 +72,9 @@ type Manager struct {
 	uniqueMask uint32
 
 	// cache is the lossy direct-mapped computed table shared by apply,
-	// Not, exists and expand. A zero entry has key.b == 0, which no live
-	// key can have (see cacheStore), so zero slots never produce false hits.
+	// expand and the test-only Not and exists. A zero entry has key.b == 0,
+	// which no live key can have (see cacheStore), so zero slots never
+	// produce false hits.
 	cache       []cacheEntry
 	cacheMask   uint32
 	cacheGrowAt uint64 // CacheMisses reading at which cacheStore next checks the table's size
@@ -170,11 +175,6 @@ func newManagerFor(numVars, nodes int) *Manager {
 // NumVars returns the number of variables the manager was created with.
 func (m *Manager) NumVars() int { return m.numVars }
 
-// Size returns the total number of live nodes in the arena, including the
-// two terminals. It measures cumulative memory, not the size of any one
-// diagram (use NodeCount for that).
-func (m *Manager) Size() int { return len(m.nodes) }
-
 // Stats returns a snapshot of the manager's storage and cache counters.
 func (m *Manager) Stats() Stats {
 	s := m.stats
@@ -188,15 +188,12 @@ func (m *Manager) Stats() Stats {
 
 // Freeze makes the manager read-only and drops the unique and computed
 // tables, which only node creation reads: any operation that could create
-// a node panics from now on; Eval, EvalBits, Compile and the accessors stay
-// valid on the arena from any number of goroutines. It is irreversible.
+// a node panics from now on; EvalBits and Compile stay valid on the arena
+// from any number of goroutines. It is irreversible.
 func (m *Manager) Freeze() {
 	m.frozen = true
 	m.unique, m.cache = nil, nil
 }
-
-// Frozen reports whether Freeze has been called.
-func (m *Manager) Frozen() bool { return m.frozen }
 
 // checkMutable panics when the manager is frozen. Every operation that
 // could create nodes or write the computed table calls it on entry, so a
@@ -212,31 +209,6 @@ func (m *Manager) False() Node { return falseNode }
 
 // True returns the constant-true diagram (the set of all patterns).
 func (m *Manager) True() Node { return trueNode }
-
-// IsFalse reports whether n denotes the empty set.
-func (m *Manager) IsFalse(n Node) bool { return n == falseNode }
-
-// IsTrue reports whether n denotes the universal set.
-func (m *Manager) IsTrue(n Node) bool { return n == trueNode }
-
-// Var returns the diagram for variable v (the set of patterns whose v-th
-// bit is 1).
-func (m *Manager) Var(v int) Node {
-	m.checkVar(v)
-	return m.mk(int32(v), falseNode, trueNode)
-}
-
-// NVar returns the diagram for the negation of variable v.
-func (m *Manager) NVar(v int) Node {
-	m.checkVar(v)
-	return m.mk(int32(v), trueNode, falseNode)
-}
-
-func (m *Manager) checkVar(v int) {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
-	}
-}
 
 // hash3 mixes a (level, lo, hi) triple into a table index. Distinct odd
 // multipliers per field followed by an avalanche keep clustering low under
@@ -360,30 +332,4 @@ func (m *Manager) cacheStore(op uint8, a, b, r Node) {
 		m.cacheGrowAt = m.stats.CacheMisses + uint64(len(m.cache))
 	}
 	m.cache[cacheHash(op, a, b)&m.cacheMask] = cacheEntry{a: a, b: b, result: r, op: op}
-}
-
-// Lo returns the low (variable=0) child of n. Terminals return n itself.
-func (m *Manager) Lo(n Node) Node {
-	if n <= trueNode {
-		return n
-	}
-	return m.nodes[n].lo
-}
-
-// Hi returns the high (variable=1) child of n. Terminals return n itself.
-func (m *Manager) Hi(n Node) Node {
-	if n <= trueNode {
-		return n
-	}
-	return m.nodes[n].hi
-}
-
-// Level returns the variable index tested at n, or NumVars() for the
-// terminals.
-func (m *Manager) Level(n Node) int {
-	lv := m.nodes[n].level
-	if lv == terminalLevel {
-		return m.numVars
-	}
-	return int(lv)
 }

@@ -167,39 +167,6 @@ func TestAlgebraicIdentities(t *testing.T) {
 	}
 }
 
-func TestITE(t *testing.T) {
-	m := NewManager(4)
-	r := rng.New(4)
-	for trial := 0; trial < 20; trial++ {
-		f := randomFunc(m, r, 2)
-		g := randomFunc(m, r, 2)
-		h := randomFunc(m, r, 2)
-		ite := brute(m, m.ITE(f, g, h))
-		tf, tg, th := brute(m, f), brute(m, g), brute(m, h)
-		for i := range ite {
-			want := th[i]
-			if tf[i] {
-				want = tg[i]
-			}
-			if ite[i] != want {
-				t.Fatalf("ITE wrong at assignment %d", i)
-			}
-		}
-	}
-}
-
-func TestImplies(t *testing.T) {
-	m := NewManager(3)
-	a, b := m.Var(0), m.Var(1)
-	imp := brute(m, m.Implies(a, b))
-	ta, tb := brute(m, a), brute(m, b)
-	for i := range imp {
-		if imp[i] != (!ta[i] || tb[i]) {
-			t.Fatalf("Implies wrong at %d", i)
-		}
-	}
-}
-
 func TestExistsMatchesCofactorDisjunction(t *testing.T) {
 	m := NewManager(5)
 	r := rng.New(5)
@@ -218,10 +185,11 @@ func TestExistsRemovesFromSupport(t *testing.T) {
 	m := NewManager(4)
 	f := m.And(m.Var(0), m.And(m.Var(1), m.Var(3)))
 	g := m.Exists(1, f)
-	for _, v := range m.Support(g) {
-		if v == 1 {
-			t.Fatal("Exists left variable in support")
-		}
+	if m.Restrict(g, 1, false) != m.Restrict(g, 1, true) {
+		t.Fatal("Exists left variable 1 in the support")
+	}
+	if g != m.And(m.Var(0), m.Var(3)) {
+		t.Fatal("Exists(1, x0∧x1∧x3) != x0∧x3")
 	}
 }
 
@@ -242,29 +210,6 @@ func TestCubeEncodesSinglePattern(t *testing.T) {
 	}
 }
 
-func TestCubeSparse(t *testing.T) {
-	m := NewManager(5)
-	c := m.CubeSparse([]int{1, 3}, []bool{true, false})
-	if got := m.SatCount(c); got != 8 { // 3 free vars
-		t.Fatalf("sparse cube SatCount = %v, want 8", got)
-	}
-	if !m.EvalBits(c, []bool{false, true, true, false, true}) {
-		t.Fatal("sparse cube rejects a matching pattern")
-	}
-	if m.EvalBits(c, []bool{false, false, true, false, true}) {
-		t.Fatal("sparse cube accepts a non-matching pattern")
-	}
-}
-
-func TestCubeSparsePanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewManager(5).CubeSparse([]int{3, 1}, []bool{true, false})
-}
-
 func TestSatCountMatchesBrute(t *testing.T) {
 	m := NewManager(6)
 	r := rng.New(6)
@@ -280,57 +225,6 @@ func TestSatCountMatchesBrute(t *testing.T) {
 		if got := m.SatCount(f); got != float64(want) {
 			t.Fatalf("SatCount = %v, want %d", got, want)
 		}
-	}
-}
-
-func TestAnySat(t *testing.T) {
-	m := NewManager(5)
-	r := rng.New(7)
-	for trial := 0; trial < 30; trial++ {
-		f := randomFunc(m, r, 3)
-		bits, ok := m.AnySat(f)
-		if f == m.False() {
-			if ok {
-				t.Fatal("AnySat found model of false")
-			}
-			continue
-		}
-		if !ok {
-			t.Fatal("AnySat failed on satisfiable function")
-		}
-		if !m.EvalBits(f, bits) {
-			t.Fatal("AnySat returned non-model")
-		}
-	}
-}
-
-func TestAllSatEnumerates(t *testing.T) {
-	m := NewManager(4)
-	f := m.Or(m.Cube([]bool{true, false, false, true}), m.Cube([]bool{false, true, true, false}))
-	var got [][]bool
-	m.AllSat(f, func(bits []bool) bool {
-		got = append(got, append([]bool(nil), bits...))
-		return true
-	})
-	if len(got) != 2 {
-		t.Fatalf("AllSat found %d models, want 2", len(got))
-	}
-	for _, bits := range got {
-		if !m.EvalBits(f, bits) {
-			t.Fatal("AllSat emitted non-model")
-		}
-	}
-}
-
-func TestAllSatEarlyStop(t *testing.T) {
-	m := NewManager(4)
-	calls := 0
-	m.AllSat(m.True(), func([]bool) bool {
-		calls++
-		return calls < 3
-	})
-	if calls != 3 {
-		t.Fatalf("AllSat made %d calls after early stop, want 3", calls)
 	}
 }
 
@@ -461,21 +355,6 @@ func TestExpandHammingIdentities(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	m := NewManager(6)
-	f := m.And(m.Var(1), m.Or(m.Var(4), m.NVar(2)))
-	got := m.Support(f)
-	want := []int{1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Support = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Support = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestNodeCount(t *testing.T) {
 	m := NewManager(3)
 	if m.NodeCount(m.True()) != 0 || m.NodeCount(m.False()) != 0 {
@@ -491,7 +370,9 @@ func TestNodeCount(t *testing.T) {
 }
 
 func TestEvalLinearMembership(t *testing.T) {
-	// Eval must walk at most NumVars nodes regardless of diagram size.
+	// A membership walk visits at most one branch per variable, however
+	// large the diagram: the compiled plan's targets test strictly later
+	// variables.
 	m := NewManager(8)
 	r := rng.New(9)
 	z := m.False()
@@ -502,20 +383,27 @@ func TestEvalLinearMembership(t *testing.T) {
 		}
 		z = m.Or(z, m.Cube(bits))
 	}
-	steps := 0
-	m.Eval(z, func(v int) bool {
-		steps++
-		return v%2 == 0
-	})
-	if steps > 8 {
-		t.Fatalf("Eval consulted %d variables, want <= 8", steps)
+	cp := m.Compile(z)[0]
+	for _, bits := range allAssignments(8) {
+		steps := 0
+		for i := cp.entry; i >= 0; steps++ {
+			if b := cp.prog[i]; bits[b.va] {
+				i = b.hi
+			} else {
+				i = b.lo
+			}
+		}
+		if steps > 8 {
+			t.Fatalf("the walk on %v visited %d branches, want <= 8", bits, steps)
+		}
 	}
 }
 
 func TestDotOutput(t *testing.T) {
 	m := NewManager(2)
-	d := m.Dot(m.And(m.Var(0), m.Var(1)), "and")
-	for _, frag := range []string{"digraph", "x0", "x1", "style=dashed"} {
+	d := m.Compile(m.And(m.Var(0), m.Var(1)))[0].Dot("and")
+	for _, frag := range []string{"digraph \"and\"", `n0 [label="x0"]`, `n1 [label="x1"]`,
+		"n0 -> f0 [style=dashed]", "n0 -> n1;", "n1 -> f1;"} {
 		if !strings.Contains(d, frag) {
 			t.Fatalf("Dot output missing %q:\n%s", frag, d)
 		}

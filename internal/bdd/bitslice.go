@@ -109,22 +109,9 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// EvalBatchSliced evaluates the plan on every pattern through the
-// bit-sliced walk, writing one verdict per pattern into out. Bit-exact
-// with EvalBatchScalar and the interpreted EvalBits on every input —
-// the property/fuzz suites pin all three against each other. The
-// out-length and per-pattern width contract is validated up front,
-// before any verdict is written, exactly like the other batch entry
-// points. Callers normally use EvalBatch, which dispatches here above
-// the batch-width threshold; this entry exists for the parity suites
-// and benchmarks that must pick the path explicitly.
-func (c *Compiled) EvalBatchSliced(patterns [][]bool, out []bool) {
-	c.checkBatch(patterns, out)
-	c.evalSliced(patterns, out)
-}
-
-// evalSliced is the unvalidated bit-sliced core shared by EvalBatch
-// dispatch and EvalBatchSliced.
+// evalSliced is the unvalidated bit-sliced core EvalBatch dispatches to
+// above the batch-width threshold (the parity suites reach it directly
+// through the test-only EvalBatchSliced).
 func (c *Compiled) evalSliced(patterns [][]bool, out []bool) {
 	prog := c.prog
 	if len(prog) == 0 {

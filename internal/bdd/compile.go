@@ -19,6 +19,7 @@ package bdd
 
 import (
 	"fmt"
+	"strings"
 	"unsafe"
 )
 
@@ -139,6 +140,74 @@ func (c *Compiled) Len() int { return len(c.prog) }
 
 // Bytes returns the memory the program occupies.
 func (c *Compiled) Bytes() int { return len(c.prog) * int(unsafe.Sizeof(branch{})) }
+
+// SatCount returns the number of patterns the plan accepts, over all
+// NumVars variables (the cardinality of the pattern set). Targets point
+// forward, so one backward pass over the program counts every branch after
+// its children, with the interpreted recursion's formula: count(lo)·2^gap
+// + count(hi)·2^gap, gap the variables skipped on the edge. Scaling by a
+// power of two is exact, so the count is bit-equal to the diagram's: exact
+// while it fits a float64 mantissa, a faithful magnitude beyond.
+func (c *Compiled) SatCount() float64 {
+	if len(c.prog) == 0 {
+		if c.entry == compiledTrue {
+			return pow2(c.numVars)
+		}
+		return 0
+	}
+	count := make([]float64, len(c.prog))
+	// models of target t over the variables from level(t) on, and level(t)
+	at := func(t int32) (float64, int) {
+		switch t {
+		case compiledFalse:
+			return 0, c.numVars
+		case compiledTrue:
+			return 1, c.numVars
+		}
+		return count[t], int(c.prog[t].va)
+	}
+	for i := len(c.prog) - 1; i >= 0; i-- {
+		b := c.prog[i]
+		lo, loLv := at(b.lo)
+		hi, hiLv := at(b.hi)
+		count[i] = lo*pow2(loLv-int(b.va)-1) + hi*pow2(hiLv-int(b.va)-1)
+	}
+	return count[c.entry] * pow2(int(c.prog[c.entry].va))
+}
+
+func pow2(k int) float64 {
+	v := 1.0
+	for i := 0; i < k; i++ {
+		v *= 2
+	}
+	return v
+}
+
+// Dot renders the plan in Graphviz DOT format, for debugging and
+// documentation: terminals are the boxes f0 and f1, branch i is node ni
+// labelled with its variable, with a dashed edge to lo and a solid one
+// to hi.
+func (c *Compiled) Dot(name string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", name)
+	b.WriteString("  f0 [label=\"0\", shape=box];\n  f1 [label=\"1\", shape=box];\n")
+	target := func(t int32) string {
+		switch t {
+		case compiledFalse:
+			return "f0"
+		case compiledTrue:
+			return "f1"
+		}
+		return fmt.Sprintf("n%d", t)
+	}
+	for i, br := range c.prog {
+		fmt.Fprintf(&b, "  n%d [label=\"x%d\"];\n", i, br.va)
+		fmt.Fprintf(&b, "  n%d -> %s [style=dashed];\n", i, target(br.lo))
+		fmt.Fprintf(&b, "  n%d -> %s;\n", i, target(br.hi))
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
 
 // Eval runs the branch program on a full assignment: at most one branch
 // per variable, walking forward through the flat program. Bit-exact with

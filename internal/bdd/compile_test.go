@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -213,6 +214,31 @@ func TestCompiledOutlivesManager(t *testing.T) {
 		}
 		if got := cp.Eval(bits); got != want[a] {
 			t.Fatalf("assignment %d: %v without the manager, want %v", a, got, want[a])
+		}
+	}
+}
+
+// TestCompiledSatCountMatchesDiagram holds the plan's one backward pass to
+// the interpreted recursion, bit for bit, on every cached level of
+// zone-shaped diagrams (400 random patterns, γ = 2) at monitor widths, and
+// on the two constants.
+func TestCompiledSatCountMatchesDiagram(t *testing.T) {
+	for _, nv := range []int{40, 70, 129} {
+		m := NewManager(nv)
+		z0 := randomDiagram(m, rand.New(rand.NewSource(int64(nv))), 400, 0)
+		for k := 0; k <= 2; k++ {
+			root := m.ExpandHamming(z0, k)
+			got, want := m.Compile(root)[0].SatCount(), m.SatCount(root)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("width %d, γ=%d: compiled SatCount %v, diagram %v", nv, k, got, want)
+			}
+			t.Logf("width %d, γ=%d: %.0f patterns", nv, k, got)
+		}
+	}
+	m := NewManager(5)
+	for _, root := range []Node{m.False(), m.True()} {
+		if got, want := m.Compile(root)[0].SatCount(), m.SatCount(root); got != want {
+			t.Fatalf("constant %d: compiled SatCount %v, diagram %v", root, got, want)
 		}
 	}
 }

@@ -8,17 +8,19 @@ package bdd
 // some one-bit neighbour of a" over the table.
 // After every step the invariants the monitor relies on are checked:
 //
-//   - Eval/EvalBits agree with the truth table on every assignment;
+//   - EvalBits agrees with the truth table on every assignment;
 //   - the compiled query plan (Compile → Eval/EvalBatch) agrees with the
 //     truth table on every assignment — the serving fast path is checked
 //     differentially against the same oracle as the interpreter;
 //   - canonicity: two stack entries have the same handle iff they denote
 //     the same Boolean function;
-//   - SatCount equals the truth table's popcount;
+//   - SatCount, interpreted and over the compiled plan, equals the truth
+//     table's popcount;
 //   - NodeCount is consistent between equal handles.
 //
 // The covered operations are exactly the Algorithm 1 set (Cube, Or,
-// ExpandHamming for the Hamming enlargement) plus the general toolkit.
+// ExpandHamming for the Hamming enlargement) plus the test-only toolkit
+// of export_test.go.
 
 import (
 	"math/bits"
@@ -197,8 +199,8 @@ func FuzzBDDOps(f *testing.F) {
 			stack = append(stack, e)
 			steps++
 
-			// Invariant 1: Eval and EvalBits agree with the truth table on
-			// every assignment.
+			// Invariant 1: EvalBits agrees with the truth table on every
+			// assignment.
 			assign := make([]bool, nv)
 			for a := 0; a < na; a++ {
 				for v := 0; v < nv; v++ {
@@ -207,9 +209,6 @@ func FuzzBDDOps(f *testing.F) {
 				want := e.tt.get(a)
 				if got := m.EvalBits(e.n, assign); got != want {
 					t.Fatalf("step %d: EvalBits(%d)=%v, truth table says %v", steps, a, got, want)
-				}
-				if got := m.Eval(e.n, func(v int) bool { return assign[v] }); got != want {
-					t.Fatalf("step %d: Eval(%d)=%v, truth table says %v", steps, a, got, want)
 				}
 			}
 			// Invariant 1b: the compiled plan agrees with the truth table
@@ -251,9 +250,14 @@ func FuzzBDDOps(f *testing.F) {
 				t.Fatalf("step %d: compiled Len %d, NodeCount %d", steps, got, want)
 			}
 
-			// Invariant 2: SatCount matches the popcount.
-			if got, want := m.SatCount(e.n), float64(e.tt.popcount()); got != want {
+			// Invariant 2: SatCount, on the diagram and on its plan,
+			// matches the popcount.
+			want := float64(e.tt.popcount())
+			if got := m.SatCount(e.n); got != want {
 				t.Fatalf("step %d: SatCount=%v, popcount=%v", steps, got, want)
+			}
+			if got := cp.SatCount(); got != want {
+				t.Fatalf("step %d: compiled SatCount=%v, popcount=%v", steps, got, want)
 			}
 		}
 

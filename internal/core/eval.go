@@ -108,13 +108,12 @@ func tallyMetrics(results []obs, samples []nn.Sample, zones map[int]*Zone,
 // validation set, per §III's procedure for deciding the coarseness of
 // abstraction) and aggregates the Table II statistics. Inference and
 // pattern extraction run batched; zone queries are sequential and
-// read-only. The serving epoch is pinned for the whole evaluation, so the
-// metrics describe exactly one generation even while online updates
-// publish new ones.
+// read-only. The serving epoch is loaded once for the whole evaluation,
+// so the metrics describe exactly one generation even while online
+// updates publish new ones.
 func Evaluate(net *nn.Network, m *Monitor, samples []nn.Sample) Metrics {
 	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	out, _ := tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
 		return z.Contains(p), nil
 	})
@@ -133,8 +132,7 @@ func EvaluateAt(net *nn.Network, m *Monitor, samples []nn.Sample, gamma int) (Me
 		return Metrics{}, fmt.Errorf("core: negative gamma %d", gamma)
 	}
 	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	return tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
 		return z.ContainsAtErr(gamma, p)
 	})

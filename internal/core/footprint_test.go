@@ -159,7 +159,7 @@ func TestFrozenZoneViewConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if z.Manager() != review.Manager() || !z.Manager().Frozen() {
+	if z.Manager() != review.Manager() || !z.Manager().Stats().Frozen {
 		t.Fatal("a re-view must share the one frozen view")
 	}
 }

@@ -38,21 +38,22 @@ type Config struct {
 //
 // A monitor is born serving: Build (Algorithm 1) ends by publishing the
 // finished zones as epoch 1, and every read path (Watch, WatchBatch,
-// WatchPattern, Evaluate) pins the current epoch for the duration of its
-// batch. The zones only change by whole-epoch replacement through the
-// Updater (Update/UpdateBatch/UpdateGamma) — see DESIGN.md, "Online
-// updates: epochs, grace periods".
+// WatchPattern, Evaluate) loads the current epoch once for its whole
+// batch. The zones only change by whole-epoch replacement through
+// Update/UpdateBatch/UpdateGamma — see DESIGN.md, "Online updates: epochs,
+// grace periods".
 type Monitor struct {
 	cfg     Config
 	neurons []int // resolved monitored neuron indices (always non-nil)
 	width   int   // layer output width d_l
 
 	// cur is the serving epoch, published at construction and swapped
-	// atomically by the updater. Readers go through acquire/unpin.
+	// atomically by updates. A reader loads it once per batch.
 	cur atomic.Pointer[epoch]
 
-	// upd serializes online updates and carries their counters.
-	upd Updater
+	// updMu serializes online updates; upd carries their counters.
+	updMu sync.Mutex
+	upd   Updater
 
 	// bddDone: counters of every finished zone build session (foldBDD).
 	bddMu   sync.Mutex
@@ -186,9 +187,8 @@ func (m *Monitor) build(perClass map[int][]Pattern) error {
 // file's id for a monitor loaded from a snapshot, so replayed deltas keep
 // publishing the same ids as the leader they came from (LoadSnapshot).
 func (m *Monitor) serve(id uint64, gamma int, zones map[int]*Zone) {
-	m.upd.m = m
 	m.initWatchCounters(zones)
-	m.cur.Store(newEpoch(id, gamma, zones, &m.upd.released))
+	m.cur.Store(&epoch{id: id, gamma: gamma, zones: zones})
 }
 
 // newMonitor validates cfg against the network and resolves the monitored
@@ -278,24 +278,18 @@ func (m *Monitor) Neurons() []int { return m.neurons }
 // LayerWidth returns the monitored layer's full width d_l.
 func (m *Monitor) LayerWidth() int { return m.width }
 
-// zonesView returns the current epoch's zones, unpinned, for the
-// non-serving accessors (Zone, Classes): safe, since a zone is immutable
-// and valid for as long as it is held, but a later call may see another
-// epoch. Serving paths pin.
-func (m *Monitor) zonesView() map[int]*Zone { return m.cur.Load().zones }
-
 // Zone returns the comfort zone for class c at the current epoch, or nil
 // when c is unmonitored. The returned handle belongs to the epoch current
 // at call time: if online updates later replace class c's zone, the
 // handle keeps answering from the generation it was taken from.
 // Diagnostics that must follow updates should re-fetch the zone per use
-// (or go through the pinned serving APIs — Watch, WatchPattern,
+// (or go through the one-epoch serving APIs — Watch, WatchPattern,
 // WatchBatch, Evaluate, StorageNodes).
-func (m *Monitor) Zone(c int) *Zone { return m.zonesView()[c] }
+func (m *Monitor) Zone(c int) *Zone { return m.cur.Load().zones[c] }
 
 // Classes returns the monitored classes in ascending order.
 func (m *Monitor) Classes() []int {
-	zones := m.zonesView()
+	zones := m.cur.Load().zones
 	cs := make([]int, 0, len(zones))
 	for c := range zones {
 		cs = append(cs, c)
@@ -322,8 +316,7 @@ func (m *Monitor) Watch(net *nn.Network, x *tensor.Tensor) Verdict {
 	net.Observe([]nn.Sample{{Input: x}}, m.cfg.Layer, func(_, c int, acts []float64) {
 		pred, p = c, PatternOfRow(acts, m.neurons)
 	})
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	z, ok := e.zones[pred]
 	if !ok {
 		m.countVerdict(pred, false, false)
@@ -382,15 +375,14 @@ func watchSplit(n, workers int) (chunk, per int) {
 // verdict slice. WatchBatch may be called concurrently from any number
 // of goroutines because the batched forward path touches no per-layer
 // state and the zones are immutable. The
-// serving epoch is pinned once for the whole batch: every verdict
+// serving epoch is loaded once for the whole batch: every verdict
 // carries the same Epoch even while online updates publish new
 // generations concurrently.
 func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict {
 	if len(inputs) == 0 {
 		return []Verdict{} // no serving work, and watchSplit needs n > 0
 	}
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	out := make([]Verdict, len(inputs))
 	chunk, per := watchSplit(len(inputs), runtime.GOMAXPROCS(0))
 	// One worker per run, the first on the calling goroutine; each owns
@@ -422,7 +414,7 @@ func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict
 // caller's scratch pool. This is the entry point for serving lanes that
 // own a long-lived pool (internal/serve): the lane's buffers stay warm
 // across micro-batches, and lane-level parallelism replaces WatchBatch's
-// own worker split. Each call re-resolves and pins the serving epoch, so
+// own worker split. Each call loads the serving epoch afresh, so
 // a lane picks up published online updates at micro-batch granularity and
 // never mixes generations within one batch. pool must not be shared
 // between concurrent callers; a nil pool uses a throwaway one.
@@ -440,8 +432,7 @@ func (m *Monitor) WatchBatchPooledTimed(net *nn.Network, inputs []*tensor.Tensor
 	if len(inputs) == 0 {
 		return []Verdict{}
 	}
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	out := make([]Verdict, len(inputs))
 	m.watchChunkPooled(net, inputs, out, pool, e, t)
 	return out
@@ -452,7 +443,7 @@ func (m *Monitor) WatchBatchPooledTimed(net *nn.Network, inputs []*tensor.Tensor
 // zone membership queries grouped by predicted class — each class's
 // compiled plan is consulted once per chunk (Zone.ContainsBatch →
 // Compiled.EvalBatch), so the branch program stays hot in cache across
-// all of the chunk's rows that hit it, against the caller's pinned epoch.
+// all of the chunk's rows that hit it, against the caller's epoch.
 func (m *Monitor) watchChunkPooled(net *nn.Network, inputs []*tensor.Tensor, out []Verdict, pool *tensor.Pool, e *epoch, bt *BatchTiming) {
 	tStart := time.Now()
 	logits, acts := net.ForwardBatchCapture(inputs, m.cfg.Layer, pool)
@@ -550,8 +541,7 @@ func (m *Monitor) watchChunkPooled(net *nn.Network, inputs []*tensor.Tensor, out
 // WatchPattern checks a pre-extracted pattern against class c's zone at
 // the current epoch. It reports (outOfPattern, monitored).
 func (m *Monitor) WatchPattern(c int, p Pattern) (outOfPattern, monitored bool) {
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	z, ok := e.zones[c]
 	if !ok {
 		m.countVerdict(c, false, false)
@@ -563,11 +553,10 @@ func (m *Monitor) WatchPattern(c int, p Pattern) (outOfPattern, monitored bool) 
 }
 
 // StorageNodes returns the total plan branch count across all zones at
-// the serving γ. The epoch is pinned for the whole walk, so polling it
+// the serving γ. The epoch is loaded once for the whole walk, so polling it
 // concurrently with online updates is safe.
 func (m *Monitor) StorageNodes() int {
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 	total := 0
 	for _, z := range e.zones {
 		total += z.NodeCount()

@@ -27,7 +27,7 @@ type watchCounters struct {
 
 // initWatchCounters allocates the per-class counter map from the first
 // epoch's zone set, before the monitor escapes: online updates cannot add
-// classes (Updater.Apply rejects unmonitored classes), so the map's key
+// classes (UpdateBatch rejects unmonitored classes), so the map's key
 // set is immutable and concurrent lookups need no locking.
 func (m *Monitor) initWatchCounters(zones map[int]*Zone) {
 	m.wc = make(map[int]*watchCounters, len(zones))
@@ -151,9 +151,7 @@ func (m *Monitor) ManagerStatsTotal() bdd.Stats {
 	total := m.bddDone
 	m.bddMu.Unlock()
 	total.Frozen = true
-	e := m.acquire()
-	defer e.unpin()
-	for _, z := range e.zones {
+	for _, z := range m.cur.Load().zones {
 		for _, p := range z.plans {
 			total.Nodes += p.Len()
 		}

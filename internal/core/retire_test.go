@@ -12,8 +12,8 @@ import (
 
 // TestRetiredGenerationIsCollected pins that nothing in the monitor keeps
 // a replaced generation alive: once updates have replaced every class's
-// epoch-1 zone and the reader pinned to epoch 1 has drained, the
-// collector reclaims every epoch-1 zone.
+// epoch-1 zone and the reader holding epoch 1 has returned, the collector
+// reclaims every epoch-1 zone.
 func TestRetiredGenerationIsCollected(t *testing.T) {
 	r := rng.New(71)
 	const classes, width = 3, 16
@@ -30,17 +30,16 @@ func TestRetiredGenerationIsCollected(t *testing.T) {
 		built[c] = weak.Make(mon.Zone(c))
 	}
 
-	e := mon.acquire() // a reader still on epoch 1
+	e := mon.cur.Load() // a reader still on epoch 1
 	for c := 0; c < classes; c++ {
 		if _, err := mon.Update(c, randomPatterns(r, 2, width)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.unpin()
-	e = nil
-	if got := mon.Updater().ReleasedEpochs(); got != classes {
-		t.Fatalf("%d retired epochs drained, want %d", got, classes)
+	if e.zones[0] != built[0].Value() {
+		t.Fatal("the epoch-1 reader lost its generation")
 	}
+	e = nil
 
 	runtime.GC()
 	for c, w := range built {

@@ -58,14 +58,13 @@ type DeltaEntry struct {
 }
 
 // Snapshot writes the monitor's serving state to w in the compact
-// snapshot format. The serving epoch is pinned for the whole write, so
-// the snapshot captures one consistent generation even under concurrent
-// updates. tail is an optional epoch-keyed delta log to embed (the
+// snapshot format. The serving epoch is loaded once for the whole write,
+// so the snapshot captures one consistent generation even under
+// concurrent updates. tail is an optional epoch-keyed delta log to embed (the
 // registry passes its recent entries so a follower of a follower can
 // chain).
 func (m *Monitor) Snapshot(w io.Writer, tail []DeltaEntry) error {
-	e := m.acquire()
-	defer e.unpin()
+	e := m.cur.Load()
 
 	body := append([]byte(nil), snapshotMagic...)
 	body = binary.AppendVarint(body, int64(m.cfg.Layer))

@@ -210,11 +210,10 @@ func TestEpochSwapConsistency(t *testing.T) {
 	}
 }
 
-// TestEpochGracePeriod pins the retire protocol: a retired epoch counts
-// as released only after its last pinned reader drains, the pinned reader
-// keeps answering from the retired generation's plans the whole time (and
-// after), untouched zones are shared with the successor, and no epoch,
-// live or retired, holds a BDD manager.
+// TestEpochGracePeriod pins the retire protocol: a reader holding a
+// retired epoch keeps answering from that generation's plans, untouched
+// zones are shared with the successor, and no epoch, live or retired,
+// holds a BDD manager.
 func TestEpochGracePeriod(t *testing.T) {
 	net, layer, train, _ := trainedToyNet(t, 33)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 1})
@@ -225,10 +224,10 @@ func TestEpochGracePeriod(t *testing.T) {
 	touched, untouched := classes[0], classes[1]
 	oldTouched, oldUntouched := mon.Zone(touched), mon.Zone(untouched)
 
-	// Pin epoch 1 like a long-running batch would.
-	e := mon.acquire()
+	// Hold epoch 1 like a long-running batch would.
+	e := mon.cur.Load()
 	if e.id != 1 {
-		t.Fatalf("acquired epoch %+v", e)
+		t.Fatalf("loaded epoch %+v", e)
 	}
 	// The first pattern outside the touched zone, then learned.
 	p := make(Pattern, len(mon.Neurons()))
@@ -243,26 +242,19 @@ func TestEpochGracePeriod(t *testing.T) {
 	if _, err := mon.Update(touched, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.Updater().ReleasedEpochs(); got != 0 {
-		t.Fatalf("epoch released while still pinned (released=%d)", got)
-	}
-	// The pinned reader still serves off the retired generation, which
+	// The held reader still serves off the retired generation, which
 	// has not learned p; the live epoch has.
 	if e.zones[touched] != oldTouched || e.zones[touched].Contains(p) {
-		t.Fatal("pinned reader does not see the retired generation")
+		t.Fatal("the epoch-1 reader does not see the retired generation")
 	}
 	if oop, monitored := mon.WatchPattern(touched, p); !monitored || oop {
 		t.Fatalf("live epoch: out-of-pattern=%v monitored=%v for the learned pattern", oop, monitored)
 	}
 
-	e.unpin()
-	if got := mon.Updater().ReleasedEpochs(); got != 1 {
-		t.Fatalf("retired epoch not released after drain (released=%d)", got)
-	}
-	// Nothing was torn down at the drain: a handle taken from the retired
-	// epoch is plans, and plans keep answering.
+	// Nothing tears a retired epoch down: a handle taken from it is
+	// plans, and plans keep answering.
 	if oldTouched.Contains(p) {
-		t.Fatal("retired zone changed its answer after the drain")
+		t.Fatal("retired zone changed its answer after the update")
 	}
 	if mon.Zone(untouched) != oldUntouched {
 		t.Fatal("untouched zone was not shared with the successor epoch")
@@ -274,12 +266,11 @@ func TestEpochGracePeriod(t *testing.T) {
 	}
 }
 
-// TestUpdateGammaManagerSharing pins the re-view optimization and the
-// single refcount behind it. No epoch holds a manager to share: what an
-// UpdateGamma to a cached level shares across epochs is
-// the plans (nothing copied, nothing rebuilt), a deeper level rebuilds,
-// and each retired epoch drains on its own count whatever it shares with
-// its neighbours.
+// TestUpdateGammaManagerSharing pins the re-view optimization. No epoch
+// holds a manager to share: what an UpdateGamma to a cached level shares
+// across epochs is the plans (nothing copied, nothing rebuilt), a deeper
+// level rebuilds, and a reader still holding an earlier epoch answers at
+// that epoch's γ whatever its successors share.
 func TestUpdateGammaManagerSharing(t *testing.T) {
 	net, layer, train, _ := trainedToyNet(t, 34)
 	mon, err := Build(net, train, Config{Layer: layer, Gamma: 2})
@@ -289,9 +280,9 @@ func TestUpdateGammaManagerSharing(t *testing.T) {
 	c := mon.Classes()[0]
 	orig := mon.Zone(c)
 
-	// Pin epoch 1, then publish a re-view epoch 2 (gamma 1, cached):
+	// Hold epoch 1, then publish a re-view epoch 2 (gamma 1, cached):
 	// shares every plan with epoch 1.
-	e1 := mon.acquire()
+	e1 := mon.cur.Load()
 	if _, err := mon.UpdateGamma(1); err != nil {
 		t.Fatal(err)
 	}
@@ -308,19 +299,11 @@ func TestUpdateGammaManagerSharing(t *testing.T) {
 	if z := mon.Zone(c); len(z.plans) != 5 || &z.plans[0] == &orig.plans[0] {
 		t.Fatal("UpdateGamma past the cached levels did not rebuild")
 	}
-	// Epoch 2 has drained (it was never pinned); epoch 1 is still pinned.
-	if got := mon.Updater().ReleasedEpochs(); got != 1 {
-		t.Fatalf("released epochs = %d with epoch 1 pinned, want 1", got)
-	}
-	// The pinned epoch-1 reader still queries at its own γ = 2, on plans
-	// epoch 2 shared and has already let go of.
+	// The epoch-1 reader still queries at its own γ = 2, on plans epoch 2
+	// shared and epoch 3 no longer holds.
 	probe := make(Pattern, e1.zones[c].Width())
 	if got, want := e1.zones[c].Contains(probe), containsAt(t, orig, 2, probe); e1.gamma != 2 || got != want {
-		t.Fatalf("pinned epoch 1: gamma %d, Contains %v, want gamma 2, %v", e1.gamma, got, want)
-	}
-	e1.unpin()
-	if got := mon.Updater().ReleasedEpochs(); got != 2 {
-		t.Fatalf("released epochs = %d, want 2", got)
+		t.Fatalf("epoch 1: gamma %d, Contains %v, want gamma 2, %v", e1.gamma, got, want)
 	}
 	// Current epoch (4 levels of expansion) still serves fine.
 	verdict := mon.Watch(net, train[0].Input)
@@ -447,8 +430,8 @@ func TestUpdateCounters(t *testing.T) {
 		}
 	}
 	u := mon.Updater()
-	if u.Published() != 3 || mon.Updates() != 3 {
-		t.Fatalf("published %d / %d, want 3", u.Published(), mon.Updates())
+	if u.Published() != 3 {
+		t.Fatalf("published %d, want 3", u.Published())
 	}
 	if u.Absorbed() != 3 {
 		t.Fatalf("absorbed %d, want 3", u.Absorbed())

@@ -30,8 +30,9 @@ type Zone struct {
 	view  *zoneView
 }
 
-// zoneView is a zone's diagnostic manager (Manager, Root): frozen,
-// arena-only, materialised from the plans on first request.
+// zoneView is a frozen manager derived from the plans on the first call
+// to Manager or Root. Every product read goes through the plans; the view
+// is left for the benchmark harness, whose referee walks it with EvalBits.
 type zoneView struct {
 	once  sync.Once
 	m     *bdd.Manager
@@ -209,11 +210,13 @@ func (z *Zone) cloneAtGamma(gamma int) (*Zone, bdd.Stats) {
 }
 
 // PatternCount returns the exact number of patterns inside the zone at its
-// γ (BDD model count), through the diagnostic view. With w monitored
-// neurons the universe has 2^w patterns.
-func (z *Zone) PatternCount() float64 {
-	return z.Manager().SatCount(z.Root())
-}
+// γ (the model count of its plan). With w monitored neurons the universe
+// has 2^w patterns.
+func (z *Zone) PatternCount() float64 { return z.plans[z.gamma].SatCount() }
+
+// Dot renders the zone's plan at its γ in Graphviz DOT format under the
+// given graph name.
+func (z *Zone) Dot(name string) string { return z.plans[z.gamma].Dot(name) }
 
 // NodeCount returns the number of branches of the zone's plan at its γ —
 // the monitor's storage cost.
@@ -228,10 +231,9 @@ func (z *Zone) PlanBytes() []int {
 	return out
 }
 
-// diagram returns the zone's BDD for tests and diagnostics (DOT export,
-// model counts, an interpreted walk to check the plans against): a frozen
-// view materialised from the plans once and shared by every re-view.
-// Nothing on the serving path comes here.
+// diagram returns the zone's BDD as a frozen view materialised from the
+// plans once and shared by every re-view: an interpreted walk to check the
+// plans against. Nothing in the product comes here.
 func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
 	z.view.once.Do(func() {
 		z.view.m, z.view.roots = bdd.Derive(z.plans)
@@ -240,7 +242,7 @@ func (z *Zone) diagram() (*bdd.Manager, []bdd.Node) {
 	return z.view.m, z.view.roots
 }
 
-// Manager exposes the zone's diagnostic BDD manager (see diagram).
+// Manager exposes the zone's view manager (see diagram).
 func (z *Zone) Manager() *bdd.Manager { m, _ := z.diagram(); return m }
 
 // Root returns the zone's BDD root at its γ, a handle into Manager().

@@ -1,16 +1,17 @@
 // Package registry is the multi-tenant fleet layer: one process, many
 // named (model, monitor, server-config) tenants, hot-loaded and
-// hot-unloaded while traffic flows. It reuses the epoch/refcount shape
-// the monitor's online updates are built on (internal/core, DESIGN.md
-// "Online updates: epochs, grace periods"), one level up:
+// hot-unloaded while traffic flows. It reuses the immutable-generation
+// shape the monitor's online updates are built on (internal/core,
+// DESIGN.md "Online updates: epochs, grace periods"), one level up, plus
+// a refcount, which a tenant needs and an epoch of plans does not:
 //
 //   - The tenant table is an immutable generation behind an atomic
 //     pointer. Load and Unload publish a successor generation; lookups
 //     never take the registry lock.
-//   - Acquire pins a tenant with the same load-increment-validate loop
-//     epoch readers use, so a lookup can never resurrect a tenant whose
-//     unload already published — and a pinned tenant can never be torn
-//     down under an in-flight request.
+//   - Acquire pins a tenant with a load-increment-validate loop, so a
+//     lookup can never resurrect a tenant whose unload already published
+//     — and a pinned tenant can never be torn down under an in-flight
+//     request.
 //   - Unload removes the tenant from the current generation, drops the
 //     registry's base reference, and drains: the tenant's serve.Server
 //     shuts down gracefully (bounded by the grace budget) only after

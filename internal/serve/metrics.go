@@ -81,8 +81,6 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		"zone query plans rebuilt by online updates", func() uint64 { return upd.Recompiled() })
 	reg.CounterFunc("napmon_patterns_absorbed_total",
 		"activation patterns absorbed by online updates", func() uint64 { return upd.Absorbed() })
-	reg.CounterFunc("napmon_epochs_released_total",
-		"retired epochs whose grace period has ended", func() uint64 { return upd.ReleasedEpochs() })
 	reg.CounterFunc("napmon_updates_total",
 		"epoch swaps published through this server", func() uint64 { return s.updates.Load() })
 

@@ -26,15 +26,14 @@ import (
 // Monitor.UpdateBatch and Monitor.UpdateGamma absorb newly observed
 // activation patterns (or re-level γ) by shadow-building the touched
 // zones and atomically publishing a new serving epoch, while readers keep
-// serving the old one without a gap — see Updater.
+// serving the old one without a gap.
 type Monitor = core.Monitor
 
-// Updater is a monitor's online-update engine: it serializes
-// Update/UpdateBatch/UpdateGamma calls, shadow-builds zone deltas on
-// writable clones while the current epoch keeps serving, swaps the new
-// epoch in atomically, and releases retired epochs once their pinned
-// readers drain. Obtain it with Monitor.Updater for its counters
-// (Published, Absorbed, ReleasedEpochs).
+// Updater holds a monitor's online-update counters (Published, Absorbed,
+// Recompiled, SwapNanos); obtain it with Monitor.Updater. The updates
+// themselves are Monitor.Update, UpdateBatch and UpdateGamma: each
+// shadow-builds the touched zones while the current epoch keeps serving
+// and swaps the new epoch in atomically.
 type Updater = core.Updater
 
 // Config specifies which layer, classes and neurons a monitor covers and
