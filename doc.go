@@ -32,7 +32,7 @@
 // traffic, use the batched front end: whole micro-batches flow through
 // the batched GEMM
 // inference path (stripe-fused convolution that never stores the im2col
-// matrix, one packed 4×8 micro kernel for every multiply-accumulate,
+// matrix, packed 4×16/4×8 micro kernels for every multiply-accumulate,
 // fused bias+ReLU and bias+ReLU+maxpool epilogues, pooled
 // allocation-free scratch — see DESIGN.md, "Batched inference") with
 // membership queries grouped per predicted class against the compiled

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -44,14 +45,31 @@ func randConvNet(r *rng.Source) *Network {
 	)
 }
 
+// forEachKernel runs body once per tensor kernel level, as a subtest
+// named after the level with the tensor package forced to it. A level
+// the host lacks is skipped with the reason.
+func forEachKernel(t *testing.T, body func(t *testing.T)) {
+	for l := tensor.KernelGo; l <= tensor.KernelAVX512; l++ {
+		t.Run(l.String(), func(t *testing.T) {
+			restore, err := tensor.ForceKernel(l)
+			if err != nil {
+				t.Skip(err)
+			}
+			defer restore()
+			body(t)
+		})
+	}
+}
+
 // assertRowsEqual checks that row b of the stacked batch output is
-// bit-identical to the per-sample reference tensor.
+// bit-identical to the per-sample reference tensor, counting any NaN
+// equal to any NaN (payloads are not part of the contract).
 func assertRowsEqual(t *testing.T, tag string, batchOut *tensor.Tensor, b int, want *tensor.Tensor) {
 	t.Helper()
 	rowLen := want.Len()
 	row := batchOut.Data()[b*rowLen : (b+1)*rowLen]
 	for i, v := range want.Data() {
-		if row[i] != v {
+		if row[i] != v && !(math.IsNaN(row[i]) && math.IsNaN(v)) {
 			t.Fatalf("%s: sample %d element %d: batch %v, single %v", tag, b, i, row[i], v)
 		}
 	}
@@ -158,31 +176,68 @@ func tableINet(r *rng.Source, network int) (net *Network, shape []int, monitored
 // batch width where the schedule changes shape — one row, fewer than a
 // micro panel, exactly one, one past it, one short of a full chunk, a
 // full chunk, one past it — on one pool, against per-sample
-// ForwardCapture.
+// ForwardCapture, on every kernel level.
 func TestForwardBatchTableIWidths(t *testing.T) {
-	for network := 1; network <= 2; network++ {
-		r := rng.New(uint64(800 + network))
-		net, shape, monitored := tableINet(r, network)
-		for warm := 0; warm < 3; warm++ { // nontrivial batch-norm statistics
-			net.forward(randInput(r, shape...), true)
-		}
-		inputs := make([]*tensor.Tensor, 65)
-		wantLogits, wantCap := make([]*tensor.Tensor, 65), make([]*tensor.Tensor, 65)
-		for i := range inputs {
-			inputs[i] = randInput(r, shape...)
-			wantLogits[i], wantCap[i] = net.ForwardCapture(inputs[i], monitored)
-		}
-		pool := tensor.NewPool()
-		for _, width := range []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65} {
-			logits, captured := net.ForwardBatchCapture(inputs[:width], monitored, pool)
-			for b := 0; b < width; b++ {
-				tag := fmt.Sprintf("network %d width %d", network, width)
-				assertRowsEqual(t, tag+" logits", logits, b, wantLogits[b])
-				assertRowsEqual(t, tag+" captured", captured, b, wantCap[b])
+	forEachKernel(t, func(t *testing.T) {
+		for network := 1; network <= 2; network++ {
+			r := rng.New(uint64(800 + network))
+			net, shape, monitored := tableINet(r, network)
+			for warm := 0; warm < 3; warm++ { // nontrivial batch-norm statistics
+				net.forward(randInput(r, shape...), true)
 			}
-			pool.Put(logits)
-			pool.Put(captured)
+			inputs := make([]*tensor.Tensor, 65)
+			for i := range inputs {
+				inputs[i] = randInput(r, shape...)
+			}
+			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65})
 		}
+	})
+}
+
+// TestForwardBatchNonFinite is the Table I parity check on inputs that
+// carry NaN, +Inf and -Inf at fixed positions, as a float32 wire payload
+// may: the fused epilogues must rectify and pool them exactly as the
+// per-sample ReLU and MaxPool layers do.
+func TestForwardBatchNonFinite(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for network := 1; network <= 2; network++ {
+			r := rng.New(uint64(820 + network))
+			net, shape, monitored := tableINet(r, network)
+			for warm := 0; warm < 3; warm++ {
+				net.forward(randInput(r, shape...), true)
+			}
+			inputs := make([]*tensor.Tensor, 64)
+			for i := range inputs {
+				inputs[i] = randInput(r, shape...)
+				x := inputs[i].Data()
+				x[(7*i+100)%len(x)] = math.NaN()
+				x[(11*i+300)%len(x)] = math.Inf(1)
+				x[(13*i+500)%len(x)] = math.Inf(-1)
+			}
+			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 8, 64})
+		}
+	})
+}
+
+// checkTableIWidths runs ForwardBatchCapture over inputs[:width] for each
+// width on one pool and checks every row against per-sample
+// ForwardCapture.
+func checkTableIWidths(t *testing.T, net *Network, network, monitored int, inputs []*tensor.Tensor, widths []int) {
+	t.Helper()
+	wantLogits, wantCap := make([]*tensor.Tensor, len(inputs)), make([]*tensor.Tensor, len(inputs))
+	for i, x := range inputs {
+		wantLogits[i], wantCap[i] = net.ForwardCapture(x, monitored)
+	}
+	pool := tensor.NewPool()
+	for _, width := range widths {
+		logits, captured := net.ForwardBatchCapture(inputs[:width], monitored, pool)
+		for b := 0; b < width; b++ {
+			tag := fmt.Sprintf("network %d width %d", network, width)
+			assertRowsEqual(t, tag+" logits", logits, b, wantLogits[b])
+			assertRowsEqual(t, tag+" captured", captured, b, wantCap[b])
+		}
+		pool.Put(logits)
+		pool.Put(captured)
 	}
 }
 
@@ -191,39 +246,41 @@ func TestForwardBatchTableIWidths(t *testing.T) {
 // stride-2 convolution, odd maps under a 3×3 pool (nothing to fuse), a
 // convolution feeding a pool and one feeding Flatten with no ReLU
 // between, channel counts that are not a multiple of the 4-row micro
-// tile, and K = 270 > blockK.
+// tile, and K = 270 > blockK. It runs on every kernel level.
 func TestForwardBatchAwkwardGeometry(t *testing.T) {
-	r := rng.New(909)
-	for _, c := range []struct {
-		net   *Network
-		shape []int
-	}{
-		{New( // 2×19×19 → 6×9×9 → 6×3×3
-			NewConv2D(6, 2, 3, 3, 2, r), NewReLU(), NewMaxPool(3),
-			NewFlatten(), NewDense(54, 7, r),
-		), []int{2, 19, 19}},
-		{New( // 30×8×8 → 5×6×6 → 5×3×3 → 3×2×2
-			NewConv2D(5, 30, 3, 3, 1, r), NewMaxPool(2),
-			NewConv2D(3, 5, 2, 2, 1, r), NewFlatten(), NewReLU(), NewDense(12, 4, r),
-		), []int{30, 8, 8}},
-	} {
-		inputs := make([]*tensor.Tensor, 9)
-		for i := range inputs {
-			inputs[i] = randInput(r, c.shape...)
-		}
-		pool := tensor.NewPool()
-		for capture := 0; capture < c.net.NumLayers(); capture++ {
-			for _, width := range []int{1, 3, 9} {
-				logits, captured := c.net.ForwardBatchCapture(inputs[:width], capture, pool)
-				for b, x := range inputs[:width] {
-					wantLogits, wantCap := c.net.ForwardCapture(x, capture)
-					tag := fmt.Sprintf("%s capture %d width %d", c.net, capture, width)
-					assertRowsEqual(t, tag+" logits", logits, b, wantLogits)
-					assertRowsEqual(t, tag+" captured", captured, b, wantCap)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(909)
+		for _, c := range []struct {
+			net   *Network
+			shape []int
+		}{
+			{New( // 2×19×19 → 6×9×9 → 6×3×3
+				NewConv2D(6, 2, 3, 3, 2, r), NewReLU(), NewMaxPool(3),
+				NewFlatten(), NewDense(54, 7, r),
+			), []int{2, 19, 19}},
+			{New( // 30×8×8 → 5×6×6 → 5×3×3 → 3×2×2
+				NewConv2D(5, 30, 3, 3, 1, r), NewMaxPool(2),
+				NewConv2D(3, 5, 2, 2, 1, r), NewFlatten(), NewReLU(), NewDense(12, 4, r),
+			), []int{30, 8, 8}},
+		} {
+			inputs := make([]*tensor.Tensor, 9)
+			for i := range inputs {
+				inputs[i] = randInput(r, c.shape...)
+			}
+			pool := tensor.NewPool()
+			for capture := 0; capture < c.net.NumLayers(); capture++ {
+				for _, width := range []int{1, 3, 9} {
+					logits, captured := c.net.ForwardBatchCapture(inputs[:width], capture, pool)
+					for b, x := range inputs[:width] {
+						wantLogits, wantCap := c.net.ForwardCapture(x, capture)
+						tag := fmt.Sprintf("%s capture %d width %d", c.net, capture, width)
+						assertRowsEqual(t, tag+" logits", logits, b, wantLogits)
+						assertRowsEqual(t, tag+" captured", captured, b, wantCap)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestObserveMatchesForwardCapture pins dataset-level inference: every

@@ -82,12 +82,15 @@ func TestMatMulTransBMatchesMatVec(t *testing.T) {
 }
 
 // TestMatMulTransBBiasReLUFusion checks the fused epilogue against the
-// unfused product followed by an explicit bias add and rectification.
+// unfused product followed by an explicit bias add and nn.ReLU's
+// rectification, which maps NaN to +0: row 0 of A carries a NaN and
+// row 1 an infinity.
 func TestMatMulTransBBiasReLUFusion(t *testing.T) {
 	r := rng.New(11)
 	m, k, n := 13, 37, 21
 	a := randTensor(r, m, k)
 	b := randTensor(r, n, k)
+	a.Data()[3], a.Data()[k+5] = math.NaN(), math.Inf(1)
 	bias := make([]float64, n)
 	for i := range bias {
 		bias[i] = r.NormScaled(0, 1)
@@ -99,7 +102,7 @@ func TestMatMulTransBBiasReLUFusion(t *testing.T) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			want := plain.At(i, j) + bias[j]
-			if want < 0 {
+			if !(want > 0) {
 				want = 0
 			}
 			if got := fused.At(i, j); got != want {
@@ -245,24 +248,30 @@ func (c convCase) check(t *testing.T, relu, pool2 bool) {
 	Conv2DBatchInto(got, c.batch, c.kernel, c.bias, c.stride, relu, pool2)
 	whole := c.wholeBatch(relu, pool2)
 	for i, w := range want.Data() {
-		if got.Data()[i] != w || whole.Data()[i] != w {
+		if !sameFloat(got.Data()[i], w) || !sameFloat(whole.Data()[i], w) {
 			t.Fatalf("batch %v kernel %v stride %d relu %v pool2 %v elem %d: fused %v, whole-batch %v, per-sample %v",
 				c.batch.Shape(), c.kernel.Shape(), c.stride, relu, pool2, i, got.Data()[i], whole.Data()[i], w)
 		}
 	}
 }
 
+// sameFloat is bit equality up to NaN payloads: any NaN equals any NaN.
+func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
+
 // TestAddBiasUnstack checks the conv epilogue without pooling: the
 // stripe-fused driver's products must land batch-major with the channel
 // bias added (and rectified when asked), equal to the per-sample
-// reference and to the whole-batch lowering it replaced.
+// reference and to the whole-batch lowering it replaced, on every
+// kernel level.
 func TestAddBiasUnstack(t *testing.T) {
-	r := rng.New(90)
-	for trial := 0; trial < 40; trial++ {
-		c := randConvCase(r, false)
-		c.check(t, false, false)
-		c.check(t, true, false)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(90)
+		for trial := 0; trial < 40; trial++ {
+			c := randConvCase(r, false)
+			c.check(t, false, false)
+			c.check(t, true, false)
+		}
+	})
 }
 
 // TestMaxPool2DBatchMatchesSingle checks the inference-only batched
@@ -288,24 +297,49 @@ func TestMaxPool2DBatchMatchesSingle(t *testing.T) {
 
 // TestAddBiasReLUPool2Fused pins the fused bias+ReLU+2×2-max epilogue
 // against its unfused composition, across random shapes, with and
-// without bias and rectification.
+// without bias and rectification, on every kernel level.
 func TestAddBiasReLUPool2Fused(t *testing.T) {
-	r := rng.New(91)
-	for trial := 0; trial < 40; trial++ {
-		c := randConvCase(r, true)
-		c.check(t, true, true)
-		c.check(t, false, true)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(91)
+		for trial := 0; trial < 40; trial++ {
+			c := randConvCase(r, true)
+			c.check(t, true, true)
+			c.check(t, false, true)
+		}
+	})
 }
 
 // TestConv2DBatchWideMap drives a map wider than one blockN stripe, so a
 // stripe is a single output row (a row pair under pooling) and the
 // scratch grows past its usual size.
 func TestConv2DBatchWideMap(t *testing.T) {
-	r := rng.New(92)
-	c := convCase{batch: randTensor(r, 2, 1, 5, blockN+45), kernel: randTensor(r, 3, 1, 2, 2), stride: 1}
-	c.check(t, true, false)
-	c.check(t, true, true)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(92)
+		c := convCase{batch: randTensor(r, 2, 1, 5, blockN+45), kernel: randTensor(r, 3, 1, 2, 2), stride: 1}
+		c.check(t, true, false)
+		c.check(t, true, true)
+	})
+}
+
+// TestConv2DBatchNonFinite puts NaN, +Inf and -Inf into the input at
+// fixed positions. Every epilogue must treat them as the unfused layers
+// do: the clamp maps a NaN product to +0, and an unrectified window
+// keeps a NaN only when it comes first.
+func TestConv2DBatchNonFinite(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(93)
+		for trial := 0; trial < 20; trial++ {
+			c := randConvCase(r, true)
+			x := c.batch.Data()
+			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				x[(i*len(x)/3+trial)%len(x)] = v
+			}
+			for _, relu := range []bool{false, true} {
+				c.check(t, relu, false)
+				c.check(t, relu, true)
+			}
+		}
+	})
 }
 
 // TestPoolRecyclesBuffers checks the scratch pool contract: a Put buffer
@@ -338,21 +372,23 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 }
 
 // BenchmarkConv2DBatch runs the stripe-fused convolution on the two
-// conv shapes of the Table I MNIST net at a 64-sample chunk.
+// conv shapes of the Table I MNIST net at a 64-sample chunk, once per
+// kernel level the host has.
 func BenchmarkConv2DBatch(b *testing.B) {
 	r := rng.New(3)
 	for _, s := range []struct {
 		name          string
 		inC, hw, outC int
 	}{{"conv1", 1, 28, 40}, {"conv2", 40, 12, 20}} {
+		batch, kernel := randTensor(r, 64, s.inC, s.hw, s.hw), randTensor(r, s.outC, s.inC, 5, 5)
+		bias := randTensor(r, s.outC).Data()
+		dst := New(64, s.outC, (s.hw-4)/2, (s.hw-4)/2)
 		b.Run(s.name, func(b *testing.B) {
-			batch, kernel := randTensor(r, 64, s.inC, s.hw, s.hw), randTensor(r, s.outC, s.inC, 5, 5)
-			bias := randTensor(r, s.outC).Data()
-			dst := New(64, s.outC, (s.hw-4)/2, (s.hw-4)/2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Conv2DBatchInto(dst, batch, kernel, bias, 1, true, true)
-			}
+			forEachKernel(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2DBatchInto(dst, batch, kernel, bias, 1, true, true)
+				}
+			})
 		})
 	}
 }

@@ -132,10 +132,12 @@ func Im2ColBatchInto(dst, batch *Tensor, kH, kW, stride int) {
 // the unit of parallelism, so gather, product and epilogue all run on
 // every core. Each output element is the same blockK-panelled FMA chain
 // MatMul(kernel, Im2Col(sample)) computes, plus the bias — bit-identical
-// to the per-sample Conv2D → ReLU → MaxPool2D sequence: x ↦ x+b and the
-// clamp are monotone non-decreasing (also under float rounding), so the
-// window maximum may be taken on the raw products and bias and clamp
-// applied once to the winner.
+// to the per-sample Conv2D → ReLU → MaxPool2D sequence, because the
+// epilogue runs in that unfused order: add the bias, clamp as nn.ReLU
+// does (v > 0 ? v : +0), then take the window maximum in MaxPool2D's
+// first-wins order. Taking the maximum on the raw products and clamping
+// the winner would agree on finite values, but not on NaN, which the
+// clamp maps to +0 and a maximum propagates.
 func Conv2DBatchInto(dst, batch, kernel *Tensor, bias []float64, stride int, relu, pool2 bool) {
 	if batch.Rank() != 4 || kernel.Rank() != 4 || batch.shape[1] != kernel.shape[1] {
 		panic("tensor: Conv2DBatchInto wants a (B,C,H,W) batch and (outC,C,kH,kW) kernels")
@@ -189,6 +191,7 @@ func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float64, r0, r1 in
 	cols := (r1 - r0) * g.outW
 	ld := (cols + microN - 1) &^ (microN - 1)
 	sc.pack, sc.tile, sc.base = grow(sc.pack, blockK*ld), grow(sc.tile, g.outC*ld), grow(sc.base, ld)
+	sc.rows = grow(sc.rows, g.k)
 	// base[j] is the input offset of column j's window; the columns that
 	// pad the last micro panel repeat column 0 (their products are never
 	// read, and real data keeps denormals and NaNs out of the kernel).
@@ -203,9 +206,21 @@ func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float64, r0, r1 in
 	for ; j < ld; j++ {
 		sc.base[j] = sc.base[0]
 	}
+	// rows[t] is the offset of im2col row t — input channel t/(kH·kW),
+	// kernel offset (t/kW%kH, t%kW) — from a window's origin. It ascends
+	// with t.
+	t := 0
+	for c := 0; c < g.inC; c++ {
+		for ky := 0; ky < g.kH; ky++ {
+			for kx := 0; kx < g.kW; kx++ {
+				sc.rows[t] = (c*g.inH+ky)*g.inW + kx
+				t++
+			}
+		}
+	}
 	for pc := 0; pc < g.k; pc += blockK {
 		kb := min(blockK, g.k-pc)
-		g.gather(sc.pack, in, sc.base, pc, kb)
+		gather(sc.pack, in, sc.base, sc.rows[pc:pc+kb])
 		gemmPacked(sc.tile, 0, ld, 1, w, pc, g.k, g.outC, sc.pack, kb, ld, pc == 0)
 	}
 	for oc := 0; oc < g.outC; oc++ {
@@ -221,19 +236,17 @@ func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float64, r0, r1 in
 			case g.step == 2:
 				out := dst[((s*g.outC+oc)*g.outH/2+oy/2)*(g.outW/2):][:g.outW/2]
 				r0w, r1w := seg[:g.outW], seg[g.outW:2*g.outW]
+				if relu {
+					pool2ReLU(out, r0w, r1w, b)
+					continue
+				}
 				for ox := range out {
-					// The builtin max compiles branchless (random activations
-					// mispredict a compare-and-branch ladder about half the time).
-					v := max(max(r0w[2*ox], r0w[2*ox+1]), max(r1w[2*ox], r1w[2*ox+1])) + b
-					if relu {
-						v = max(v, 0)
-					}
-					out[ox] = v
+					out[ox] = max4(r0w[2*ox]+b, r0w[2*ox+1]+b, r1w[2*ox]+b, r1w[2*ox+1]+b)
 				}
 			case relu:
 				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
 				for ox := range out {
-					out[ox] = max(seg[ox]+b, 0)
+					out[ox] = clamp(seg[ox] + b)
 				}
 			default:
 				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
@@ -245,36 +258,85 @@ func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float64, r0, r1 in
 	}
 }
 
-// gather packs rows [pc, pc+kb) of the virtual im2col matrix — row t is
-// input channel t/(kH·kW), kernel offset (t/kW%kH, t%kW) — for the
-// columns whose window offsets are base, as micro panels.
-func (g *convGeom) gather(pack, in []float64, base []int, pc, kb int) {
-	c0, ky0, kx0 := pc/(g.kH*g.kW), pc/g.kW%g.kH, pc%g.kW
+// gather packs the im2col rows whose offsets from a window's origin are
+// rows, for the columns whose window origins are base, as micro panels.
+func gather(pack, in []float64, base, rows []int) {
+	kb := len(rows)
 	for jt := 0; jt < len(base); jt += microN {
 		dst := pack[jt*kb : (jt+microN)*kb]
 		bs := base[jt : jt+microN : jt+microN]
 		// Offsets ascend along a stripe, so a panel whose ends are 7 apart
-		// reads 8 adjacent inputs per row: one bounds check, not eight.
-		adjacent := bs[7]-bs[0] == microN-1
-		c, ky, kx := c0, ky0, kx0
-		for t := 0; t < kb; t++ {
-			off := (c*g.inH+ky)*g.inW + kx
+		// reads 8 adjacent inputs per row.
+		if bs[7]-bs[0] == microN-1 {
+			gatherAdjacent(dst, in[bs[0]:], rows)
+			continue
+		}
+		for t, off := range rows {
 			d := dst[t*microN : t*microN+microN : t*microN+microN]
-			if adjacent {
-				s := in[off+bs[0] : off+bs[0]+microN : off+bs[0]+microN]
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-				d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
-			} else {
-				d[0], d[1], d[2], d[3] = in[off+bs[0]], in[off+bs[1]], in[off+bs[2]], in[off+bs[3]]
-				d[4], d[5], d[6], d[7] = in[off+bs[4]], in[off+bs[5]], in[off+bs[6]], in[off+bs[7]]
-			}
-			if kx++; kx == g.kW {
-				if kx, ky = 0, ky+1; ky == g.kH {
-					ky, c = 0, c+1
-				}
-			}
+			d[0], d[1], d[2], d[3] = in[off+bs[0]], in[off+bs[1]], in[off+bs[2]], in[off+bs[3]]
+			d[4], d[5], d[6], d[7] = in[off+bs[4]], in[off+bs[5]], in[off+bs[6]], in[off+bs[7]]
 		}
 	}
+}
+
+// gatherAdjacent copies src[rows[t]:rows[t]+8] to dst[8t:8t+8] for every
+// t; rows ascends.
+func gatherAdjacent(dst, src []float64, rows []int) {
+	if kernelLevel == KernelGo {
+		for t, off := range rows {
+			d := dst[t*microN : t*microN+microN : t*microN+microN]
+			s := src[off : off+microN : off+microN]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+		}
+		return
+	}
+	// The highest element the assembly touches: rows ascends, so its
+	// last offset is the furthest one read.
+	last := rows[len(rows)-1]
+	_, _ = dst[len(rows)*microN-1], src[last+microN-1]
+	gather8asm(&dst[0], &src[0], &rows[0], len(rows))
+}
+
+// pool2ReLU is the fused Conv→ReLU→MaxPool(2) epilogue of one output
+// row: out[i] is the 2×2 window maximum over r0[2i], r0[2i+1], r1[2i],
+// r1[2i+1], each plus b and clamped — the unfused layers' order.
+func pool2ReLU(out, r0, r1 []float64, b float64) {
+	i := 0
+	if q := len(out) / 4; kernelLevel >= KernelAVX2 && q > 0 {
+		_, _, _ = out[4*q-1], r0[8*q-1], r1[8*q-1]
+		pool2ReLUasm(&out[0], &r0[0], &r1[0], q, b)
+		i = 4 * q
+	}
+	for ; i < len(out); i++ {
+		out[i] = max4(clamp(r0[2*i]+b), clamp(r0[2*i+1]+b), clamp(r1[2*i]+b), clamp(r1[2*i+1]+b))
+	}
+}
+
+// clamp is nn.ReLU's rectification, v > 0 ? v : +0, which maps -0 and
+// NaN to +0.
+func clamp(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+// max4 is the maximum of one 2×2 pooling window in MaxPool2D's
+// first-wins order: a later value replaces the best so far only when it
+// is greater, so a NaN is kept only when it comes first.
+func max4(a, b, c, d float64) float64 {
+	best := a
+	if b > best {
+		best = b
+	}
+	if c > best {
+		best = c
+	}
+	if d > best {
+		best = d
+	}
+	return best
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) a column

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -12,22 +13,26 @@ import (
 const matmulParallelThreshold = 1 << 16
 
 // Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
-// through one 4×8 register-tiled micro kernel (AVX2+FMA assembly on
-// capable amd64 hardware, a bit-identical math.FMA loop elsewhere) that
-// broadcasts four rows of A against one packed micro panel of B: kb rows
-// of 8 contiguous column values, gathered once per blockK panel and
-// blockN stripe (B's rows are n elements apart, so an unpacked kernel
-// would touch a new cache line every k step) and then reused by every
-// 4-row strip of A. Leftover rows and columns run through the same
-// kernel — short panels are zero-padded when packed, short strips go
-// through a scratch C tile — so no product falls back to a scalar loop.
+// through a register-tiled micro kernel that broadcasts four rows of A
+// against packed micro panels of B: kb rows of 8 contiguous column
+// values, gathered once per blockK panel and blockN stripe (B's rows are
+// n elements apart, so an unpacked kernel would touch a new cache line
+// every k step) and then reused by every 4-row strip of A. Which kernel
+// runs is the package's KernelLevel: a 4×16 AVX-512 kernel over two
+// adjacent panels for full strips of a row-major C, a 4×8 AVX2+FMA
+// kernel for everything else on amd64, and a 4×8 math.FMA loop on other
+// hosts. Leftover rows and columns run through the same kernels — short
+// panels are zero-padded when packed, short strips go through a scratch
+// C tile — so no product falls back to a scalar loop.
 //
-// Every C element accumulates over k in ascending order with one fused
-// multiply-add chain per blockK panel and plain adds between panel
-// subtotals, no matter which tile, stripe or goroutine computes it — so
-// results are bit-identical across tilings, splits, operand
-// orientations and architectures, and the batched inference path
-// reproduces the per-sample reference (MatVec, Conv2D) exactly.
+// One accumulation contract holds at every level: every C element
+// accumulates over k in ascending order with one fused multiply-add
+// chain per blockK panel and plain adds between panel subtotals, no
+// matter which kernel, tile, stripe or goroutine computes it. Fused
+// multiply-add is correctly rounded in every form, so results are
+// bit-identical across levels, tilings, splits, operand orientations
+// and architectures, and the batched inference path reproduces the
+// per-sample reference (MatVec, Conv2D) exactly.
 //
 // A product large enough to fan out is cut along its longer side at
 // micro-tile boundaries: by columns when n > m (a batched convolution
@@ -40,12 +45,61 @@ const (
 	microN = 8 // micro-kernel tile width (one packed B panel row)
 )
 
+// KernelLevel is a tier of the inference kernels. Every level computes
+// the same bits; a higher one only uses more of the vector unit.
+type KernelLevel uint8
+
+const (
+	// KernelGo runs the math.FMA micro kernel and the Go gather and
+	// epilogue loops: the reference, and the only level off amd64.
+	KernelGo KernelLevel = iota
+	// KernelAVX2 runs the 4×8 AVX2+FMA micro kernel, the AVX2 im2col
+	// gather and the AVX2 Conv→ReLU→MaxPool(2) epilogue.
+	KernelAVX2
+	// KernelAVX512 adds the 4×16 AVX-512 micro kernel for full strips.
+	KernelAVX512
+)
+
+func (l KernelLevel) String() string {
+	switch l {
+	case KernelGo:
+		return "go"
+	case KernelAVX2:
+		return "avx2"
+	case KernelAVX512:
+		return "avx512"
+	}
+	return fmt.Sprintf("KernelLevel(%d)", uint8(l))
+}
+
+// detectedKernel is the highest level the host supports, and
+// kernelLevel the one the package runs at: detectedKernel unless
+// ForceKernel lowered it.
+var (
+	detectedKernel = detectKernel()
+	kernelLevel    = detectedKernel
+)
+
+// ForceKernel makes the package run at level l until the returned
+// restore function puts the detected level back. It refuses a level
+// above the one the host supports. It exists so that tests and
+// benchmarks can cover every level a host has; it must not be called
+// while a product is running.
+func ForceKernel(l KernelLevel) (restore func(), err error) {
+	if l > detectedKernel {
+		return nil, fmt.Errorf("tensor: kernel level %v is above this host's %v", l, detectedKernel)
+	}
+	kernelLevel = l
+	return func() { kernelLevel = detectedKernel }, nil
+}
+
 // gemmScratch is one worker's packing scratch, recycled across calls
 // and goroutines so the hot path allocates nothing.
 type gemmScratch struct {
 	pack []float64 // one k panel of a column stripe, as micro panels
 	tile []float64 // Conv2DBatchInto: the stripe's outC × width product
 	base []int     // Conv2DBatchInto: input offset of each stripe column
+	rows []int     // Conv2DBatchInto: input offset of each im2col row
 }
 
 var gemmScratches = sync.Pool{New: func() any { return new(gemmScratch) }}
@@ -150,7 +204,7 @@ func AddBiasReLURows(m *Tensor, bias []float64, relu bool) {
 		}
 		if relu {
 			for j, v := range row {
-				if v < 0 {
+				if !(v > 0) { // nn.ReLU's clamp: -0 and NaN become +0
 					row[j] = 0
 				}
 			}
@@ -229,12 +283,19 @@ func gemmBlocked(c, a, b []float64, i0, i1, j0, j1, m, n, k int, trans bool) {
 // apart) by n packed columns over one k panel of kb steps. Element
 // (i, j) of the product lands at c[ci+i*rs+j*cs], stored when first is
 // set and added otherwise. Full tiles of a row-major C are written by
-// the kernel itself; partial tiles and a transposed C go through a
-// scratch tile.
+// the kernels themselves, two panels at a time at KernelAVX512; partial
+// tiles and a transposed C go through a scratch tile.
 func gemmPacked(c []float64, ci, rs, cs int, a []float64, ai, lda, m int, pack []float64, kb, n int, first bool) {
+	wide := kernelLevel == KernelAVX512 && cs == 1
 	for i := 0; i < m; i += microM {
 		rows := min(microM, m-i)
-		for j := 0; j < n; j += microN {
+		j := 0
+		if wide && rows == microM {
+			for ; n-j >= 2*microN; j += 2 * microN {
+				gemmTile4x16(a, ai+i*lda, lda, pack[j*kb:], kb, c, ci+i*rs+j, rs, first)
+			}
+		}
+		for ; j < n; j += microN {
 			pk := pack[j*kb:]
 			if cols := min(microN, n-j); rows == microM && cols == microN && cs == 1 {
 				gemmTile4x8(a, ai+i*lda, lda, pk, kb, c, ci+i*rs+j, rs, first)
@@ -243,6 +304,26 @@ func gemmPacked(c []float64, ci, rs, cs int, a []float64, ai, lda, m int, pack [
 			}
 		}
 	}
+}
+
+// gemmTile4x8 computes one 4×8 C tile over a packed k panel: rows ai,
+// ai+lda, ai+2·lda, ai+3·lda of A against the panel pk, into C rows ldc
+// apart from ci.
+func gemmTile4x8(a []float64, ai, lda int, pk []float64, kb int, c []float64, ci, ldc int, first bool) {
+	if kernelLevel == KernelGo {
+		gemmTile4x8go(a, ai, lda, pk, kb, c, ci, ldc, first)
+		return
+	}
+	// The highest element the assembly touches in each operand.
+	_, _, _ = a[ai+3*lda+kb-1], pk[microN*kb-1], c[ci+3*ldc+microN-1]
+	gemm4x8asm(&a[ai], lda, &pk[0], kb, &c[ci], ldc, first)
+}
+
+// gemmTile4x16 is gemmTile4x8 over the two adjacent panels pk and
+// pk[8·kb:], for a 4×16 C tile. Only KernelAVX512 calls it.
+func gemmTile4x16(a []float64, ai, lda int, pk []float64, kb int, c []float64, ci, ldc int, first bool) {
+	_, _, _ = a[ai+3*lda+kb-1], pk[2*microN*kb-1], c[ci+3*ldc+2*microN-1]
+	gemm4x16asm(&a[ai], lda, &pk[0], kb, &c[ci], ldc, first)
 }
 
 // gemmTileVia runs the micro kernel into a scratch tile and moves the

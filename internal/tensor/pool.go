@@ -86,18 +86,7 @@ func maxPool2CHW(dst, src []float64, c, h, w int) {
 			r1 := src[base+(2*oy+1)*w : base+(2*oy+1)*w+w]
 			out := dst[oi : oi+outW : oi+outW]
 			for ox := 0; ox < outW; ox++ {
-				x := 2 * ox
-				best := r0[x]
-				if v := r0[x+1]; v > best {
-					best = v
-				}
-				if v := r1[x]; v > best {
-					best = v
-				}
-				if v := r1[x+1]; v > best {
-					best = v
-				}
-				out[ox] = best
+				out[ox] = max4(r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1])
 			}
 			oi += outW
 		}

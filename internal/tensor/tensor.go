@@ -1,8 +1,12 @@
 // Package tensor implements the dense numerical arrays and the handful of
 // linear-algebra kernels (matrix multiply, 2-D convolution via im2col,
 // max-pooling) that the neural-network substrate is built on. Everything is
-// float64 and pure Go; the matrix multiply is cache-blocked and parallelized
-// across goroutines because it dominates both training and inference time.
+// float64. The matrix multiply is cache-blocked and parallelized across
+// goroutines because it dominates both training and inference time; its
+// micro kernel, the convolution's im2col gather and its pooling epilogue
+// have amd64 assembly forms (AVX2, and AVX-512 for the kernel) picked at
+// start-up by CPU detection. Every KernelLevel computes the same bits as
+// the pure-Go one, which other architectures run.
 package tensor
 
 import (

@@ -388,15 +388,20 @@ func BenchmarkMatMul64(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMul256 times a 256³ product once per kernel level the
+// host has and reports its rate, so one command reads each level's
+// peak.
 func BenchmarkMatMul256(b *testing.B) {
 	r := rng.New(1)
 	x := randTensor(r, 256, 256)
 	y := randTensor(r, 256, 256)
 	dst := New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
+	forEachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulInto(dst, x, y)
+		}
+		b.ReportMetric(2*256*256*256*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
 }
 
 func BenchmarkConv2D(b *testing.B) {
