@@ -78,71 +78,79 @@ func assertRowsEqual(t *testing.T, tag string, batchOut *tensor.Tensor, b int, w
 // TestForwardBatchMatchesForwardDense is the randomized property test for
 // fully-connected networks: for random architectures, batch sizes and
 // inputs, every row of ForwardBatch must equal the per-input Forward
-// output bit for bit (the GEMM accumulates in MatVec order).
+// output bit for bit (the GEMM accumulates in MatVec order), on every
+// kernel level.
 func TestForwardBatchMatchesForwardDense(t *testing.T) {
-	r := rng.New(101)
-	for trial := 0; trial < 25; trial++ {
-		in := 1 + r.Intn(30)
-		net := randDenseNet(r, in)
-		bsz := 1 + r.Intn(9)
-		inputs := make([]*tensor.Tensor, bsz)
-		for i := range inputs {
-			inputs[i] = randInput(r, in)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(101)
+		for trial := 0; trial < 25; trial++ {
+			in := 1 + r.Intn(30)
+			net := randDenseNet(r, in)
+			bsz := 1 + r.Intn(9)
+			inputs := make([]*tensor.Tensor, bsz)
+			for i := range inputs {
+				inputs[i] = randInput(r, in)
+			}
+			pool := tensor.NewPool()
+			logits := net.ForwardBatch(inputs, pool)
+			if logits.Dim(0) != bsz {
+				t.Fatalf("trial %d: logits shape %v for batch %d", trial, logits.Shape(), bsz)
+			}
+			for b, x := range inputs {
+				assertRowsEqual(t, "dense logits", logits, b, net.Forward(x))
+			}
 		}
-		pool := tensor.NewPool()
-		logits := net.ForwardBatch(inputs, pool)
-		if logits.Dim(0) != bsz {
-			t.Fatalf("trial %d: logits shape %v for batch %d", trial, logits.Shape(), bsz)
-		}
-		for b, x := range inputs {
-			assertRowsEqual(t, "dense logits", logits, b, net.Forward(x))
-		}
-	}
+	})
 }
 
 // TestForwardBatchMatchesForwardConv is the conv-net property test:
 // batched im2col + one GEMM + epilogue must reproduce the per-sample
-// conv/BN/pool pipeline bit-exactly.
+// conv/BN/pool pipeline bit-exactly, on every kernel level.
 func TestForwardBatchMatchesForwardConv(t *testing.T) {
-	r := rng.New(202)
-	for trial := 0; trial < 8; trial++ {
-		net := randConvNet(r)
-		// Give BatchNorm nontrivial running statistics.
-		for warm := 0; warm < 3; warm++ {
-			net.forward(randInput(r, 2, 12, 12), true)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(202)
+		for trial := 0; trial < 8; trial++ {
+			net := randConvNet(r)
+			// Give BatchNorm nontrivial running statistics.
+			for warm := 0; warm < 3; warm++ {
+				net.forward(randInput(r, 2, 12, 12), true)
+			}
+			bsz := 1 + r.Intn(7)
+			inputs := make([]*tensor.Tensor, bsz)
+			for i := range inputs {
+				inputs[i] = randInput(r, 2, 12, 12)
+			}
+			logits := net.ForwardBatch(inputs, tensor.NewPool())
+			for b, x := range inputs {
+				assertRowsEqual(t, "conv logits", logits, b, net.Forward(x))
+			}
 		}
-		bsz := 1 + r.Intn(7)
-		inputs := make([]*tensor.Tensor, bsz)
-		for i := range inputs {
-			inputs[i] = randInput(r, 2, 12, 12)
-		}
-		logits := net.ForwardBatch(inputs, tensor.NewPool())
-		for b, x := range inputs {
-			assertRowsEqual(t, "conv logits", logits, b, net.Forward(x))
-		}
-	}
+	})
 }
 
 // TestForwardBatchCaptureMatchesForwardCapture sweeps the capture index
 // over every layer — including Dense layers whose following ReLU would
 // otherwise be fused, and view-returning Flatten — and checks both the
-// captured rows and the logits against ForwardCapture.
+// captured rows and the logits against ForwardCapture, on every kernel
+// level.
 func TestForwardBatchCaptureMatchesForwardCapture(t *testing.T) {
-	r := rng.New(303)
-	net := randConvNet(r)
-	inputs := make([]*tensor.Tensor, 5)
-	for i := range inputs {
-		inputs[i] = randInput(r, 2, 12, 12)
-	}
-	pool := tensor.NewPool()
-	for capture := 0; capture < net.NumLayers(); capture++ {
-		logits, captured := net.ForwardBatchCapture(inputs, capture, pool)
-		for b, x := range inputs {
-			wantLogits, wantCap := net.ForwardCapture(x, capture)
-			assertRowsEqual(t, "capture logits", logits, b, wantLogits)
-			assertRowsEqual(t, "captured acts", captured, b, wantCap)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(303)
+		net := randConvNet(r)
+		inputs := make([]*tensor.Tensor, 5)
+		for i := range inputs {
+			inputs[i] = randInput(r, 2, 12, 12)
 		}
-	}
+		pool := tensor.NewPool()
+		for capture := 0; capture < net.NumLayers(); capture++ {
+			logits, captured := net.ForwardBatchCapture(inputs, capture, pool)
+			for b, x := range inputs {
+				wantLogits, wantCap := net.ForwardCapture(x, capture)
+				assertRowsEqual(t, "capture logits", logits, b, wantLogits)
+				assertRowsEqual(t, "captured acts", captured, b, wantCap)
+			}
+		}
+	})
 }
 
 // tableINet spells out the layer lists of exp.MNISTNetSpecs (network 1)
@@ -173,10 +181,11 @@ func tableINet(r *rng.Source, network int) (net *Network, shape []int, monitored
 }
 
 // TestForwardBatchTableIWidths runs both Table I architectures at every
-// batch width where the schedule changes shape — one row, fewer than a
-// micro panel, exactly one, one past it, one short of a full chunk, a
-// full chunk, one past it — on one pool, against per-sample
-// ForwardCapture, on every kernel level.
+// batch width where the schedule changes shape — one row, the matrix-
+// vector kernel's batch slabs and its crossovers to the packed GEMM (3
+// at avx2, 6 at go, 8 at avx512), one micro panel, one past it, one
+// short of a full chunk, a full chunk, one past it — on one pool,
+// against per-sample ForwardCapture, on every kernel level.
 func TestForwardBatchTableIWidths(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for network := 1; network <= 2; network++ {
@@ -214,7 +223,7 @@ func TestForwardBatchNonFinite(t *testing.T) {
 				x[(11*i+300)%len(x)] = math.Inf(1)
 				x[(13*i+500)%len(x)] = math.Inf(-1)
 			}
-			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 8, 64})
+			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 2, 3, 4, 5, 8, 9, 63, 64})
 		}
 	})
 }
@@ -419,7 +428,8 @@ func TestForwardBatchConcurrent(t *testing.T) {
 // BenchmarkForwardBatchNet1 is the fast local loop for inference work:
 // one ForwardBatchCapture pass of network 1 (untrained — training does
 // not change the arithmetic cost) on a warm pool at the widths serving
-// sees: 1 (an idle lane), 8 (one micro panel) and 64 (a full chunk).
+// sees: 1 (an idle lane, where the matrix-vector kernel runs), the
+// narrow widths 2 and 4, 8 (one micro panel), 16 and 64 (a full chunk).
 func BenchmarkForwardBatchNet1(b *testing.B) {
 	r := rng.New(1)
 	net, shape, monitored := tableINet(r, 1)
@@ -427,7 +437,7 @@ func BenchmarkForwardBatchNet1(b *testing.B) {
 	for i := range inputs {
 		inputs[i] = randInput(r, shape...)
 	}
-	for _, width := range []int{1, 8, 64} {
+	for _, width := range []int{1, 2, 4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("b%d", width), func(b *testing.B) {
 			pool := tensor.NewPool()
 			for i := 0; i < b.N+1; i++ {

@@ -8,6 +8,21 @@ import (
 	"napmon/internal/rng"
 )
 
+// TestTinyDenseNeverForks pins the claim that fleet_tiny's 16→64→4
+// dense nets never fork: at a full chunk (nn.MaxChunk = 64 inputs; nn
+// imports tensor, so the value is spelled here) the wider layer is
+// 64·16·64 multiply-accumulates, below matmulParallelThreshold.
+func TestTinyDenseNeverForks(t *testing.T) {
+	const maxChunk = 64
+	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prev)
+	for _, l := range [][2]int{{16, 64}, {64, 4}} {
+		if w := workersFor(maxChunk * l[0] * l[1]); w != 1 {
+			t.Fatalf("a %d→%d layer at width %d runs on %d goroutines", l[0], l[1], maxChunk, w)
+		}
+	}
+}
+
 // TestMatMulBlockedMatchesNaive sweeps random shapes — including inner
 // dimensions beyond one k panel and edge sizes the 4×4 tiling does not
 // cover — and checks the blocked kernel against the triple-loop
@@ -45,6 +60,9 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	MatMulInto(serial, a, b)
 	runtime.GOMAXPROCS(8)
+	if workersFor(67*530*45) < 2 {
+		t.Fatal("the product is below matmulParallelThreshold: nothing forks")
+	}
 	parallel := New(67, 45)
 	MatMulInto(parallel, a, b)
 	runtime.GOMAXPROCS(prev)
@@ -58,27 +76,31 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 
 // TestMatMulTransBMatchesMatVec pins the dense-batch contract: row i of
 // A×Bᵀ must equal MatVec(B, row i of A) bit for bit, since ForwardBatch
-// relies on exactly this equivalence against the per-sample path.
+// relies on exactly this equivalence against the per-sample path. Rows
+// below the level's gemvWidth take the matrix-vector kernel too, wider
+// products the packed GEMM.
 func TestMatMulTransBMatchesMatVec(t *testing.T) {
-	r := rng.New(9)
-	for trial := 0; trial < 20; trial++ {
-		m := 1 + r.Intn(19)
-		k := 1 + r.Intn(400)
-		n := 1 + r.Intn(50)
-		a := randTensor(r, m, k)
-		b := randTensor(r, n, k)
-		c := New(m, n)
-		MatMulTransBInto(c, a, b)
-		for i := 0; i < m; i++ {
-			row := FromSlice(append([]float64(nil), a.Data()[i*k:(i+1)*k]...), k)
-			want := MatVec(b, row.Data())
-			for j := 0; j < n; j++ {
-				if got := c.At(i, j); got != want[j] {
-					t.Fatalf("(%d,%d,%d) row %d col %d: transB %v, matvec %v", m, k, n, i, j, got, want[j])
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(9)
+		for trial := 0; trial < 20; trial++ {
+			m := 1 + r.Intn(19)
+			k := 1 + r.Intn(400)
+			n := 1 + r.Intn(50)
+			a := randTensor(r, m, k)
+			b := randTensor(r, n, k)
+			c := New(m, n)
+			MatMulTransBInto(c, a, b)
+			for i := 0; i < m; i++ {
+				row := FromSlice(append([]float64(nil), a.Data()[i*k:(i+1)*k]...), k)
+				want := MatVec(b, row.Data())
+				for j := 0; j < n; j++ {
+					if got := c.At(i, j); got != want[j] {
+						t.Fatalf("(%d,%d,%d) row %d col %d: transB %v, matvec %v", m, k, n, i, j, got, want[j])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestMatMulTransBBiasReLUFusion checks the fused epilogue against the

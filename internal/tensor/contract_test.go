@@ -32,6 +32,28 @@ func contractGemm(a, bt []float64, m, n, k int) []float64 {
 	return c
 }
 
+// matVecRef spells the same contract for one vector, y = A × x for A
+// (m, n), as one plain scalar loop per row: the reference MatVec is
+// tested against.
+func matVecRef(a []float64, x []float64, m, n int) []float64 {
+	y := make([]float64, m)
+	for i := range y {
+		row := a[i*n : (i+1)*n]
+		for pc := 0; pc < n; pc += 256 {
+			s := 0.0
+			for p := pc; p < min(pc+256, n); p++ {
+				s = math.FMA(row[p], x[p], s)
+			}
+			if pc == 0 {
+				y[i] = s
+			} else {
+				y[i] += s
+			}
+		}
+	}
+	return y
+}
+
 // runner is what forEachKernel needs of a *testing.T or *testing.B.
 type runner[T any] interface {
 	Run(name string, f func(T)) bool
@@ -77,12 +99,16 @@ func TestKernelLevel(t *testing.T) {
 // that hit every edge — fewer rows than a micro tile, one row or column
 // past a tile, a panel pair followed by an odd panel, a stripe and a
 // panel boundary, thin and wide products — for A×B and A×Bᵀ, on every
-// kernel level the host has. Run under -cpu 1,2,3,4 (make test-split)
-// it also covers worker splits that do not land on tile boundaries.
+// kernel level the host has. For A×Bᵀ, m below the level's gemvWidth
+// (3, 6 or 8) runs the matrix-vector kernel: m = 1–7 cover its batch
+// slabs and every crossover, n its row groups and the shifted last
+// group, k = 7, 8, 9 and 244 its masked k tail. Run under -cpu 1,2,3,4
+// (make test-split) it also covers worker splits that do not land on
+// tile boundaries.
 func TestGemmContract(t *testing.T) {
-	ms := []int{1, 2, 3, 5, 10, 20, 40, 64, 65}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 10, 20, 40, 64, 65}
 	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 64, 250, 4096}
-	ks := []int{1, 25, 255, 256, 257, 1000}
+	ks := []int{1, 7, 8, 9, 25, 244, 255, 256, 257, 1000}
 	r := rng.New(77)
 	forEachKernel(t, func(t *testing.T) {
 		for _, m := range ms {
@@ -121,4 +147,38 @@ func checkGemmContract(t *testing.T, r *rng.Source, m, n, k int) {
 				fmt.Sprintf("m=%d n=%d k=%d", m, n, k), i, plain.data[i], trans.data[i], w)
 		}
 	}
+}
+
+// TestMatVecContract demands bit equality between MatVec and matVecRef
+// on every kernel level, over the row counts of the matrix-vector
+// kernel's edges — fewer than one 8-row group, one past a group, an odd
+// group count, the Table I layer widths — and k values that end in a
+// masked tail of every length or cross a blockK panel.
+func TestMatVecContract(t *testing.T) {
+	r := rng.New(78)
+	forEachKernel(t, func(t *testing.T) {
+		for _, m := range []int{1, 3, 7, 8, 9, 10, 15, 16, 17, 24, 40, 43, 84, 320} {
+			for _, n := range []int{0, 1, 5, 7, 8, 9, 16, 63, 244, 256, 257, 500} {
+				a, x := randTensor(r, m, n), randTensor(r, n)
+				want, got := matVecRef(a.data, x.data, m, n), MatVec(a, x.data)
+				for i, w := range want {
+					if got[i] != w {
+						t.Fatalf("m=%d n=%d elem %d: MatVec %v, contract %v", m, n, i, got[i], w)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemvNoAlloc checks that a warm width-1 MatMulTransBInto — one
+// dense layer of a lone request — allocates nothing.
+func TestGemvNoAlloc(t *testing.T) {
+	r := rng.New(79)
+	x, w, y := randTensor(r, 1, 320), randTensor(r, 320, 320), New(1, 320)
+	forEachKernel(t, func(t *testing.T) {
+		if allocs := testing.AllocsPerRun(20, func() { MatMulTransBInto(y, x, w) }); allocs != 0 {
+			t.Fatalf("width-1 MatMulTransBInto allocates %v times per call", allocs)
+		}
+	})
 }

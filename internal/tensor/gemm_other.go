@@ -17,6 +17,14 @@ func gemm4x16asm(a *float64, lda int, pk *float64, kb int, c *float64, ldc int, 
 	panic("tensor: no assembly kernels on this architecture")
 }
 
+func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *float64, ldy, m0, m1 int, first bool) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
+func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
 func gather8asm(dst, src *float64, rows *int, kb int) {
 	panic("tensor: no assembly kernels on this architecture")
 }

@@ -8,9 +8,18 @@ import (
 )
 
 // matmulParallelThreshold is the minimum number of multiply-accumulate
-// operations before a GEMM fans out across goroutines. Small products are
-// faster single-threaded.
-const matmulParallelThreshold = 1 << 16
+// operations before a GEMM or a batched convolution fans out across
+// goroutines. Small products are faster single-threaded. 2¹⁷ is the
+// smallest power of two above the widest layer of a 16→64→4 net at a
+// full 64-input chunk (64·16·64 = 2¹⁶), so such nets never fork. Larger
+// values were measured on network 1 (BenchmarkForwardBatchNet1 on a
+// 2-vCPU Sapphire Rapids whose vCPUs share one core's FMA units, twelve
+// alternations against 2¹⁶): 2²¹, which keeps a whole width-1 pass on
+// the calling goroutine, made width 1 faster (median 0.231 vs 0.268 ms)
+// but width 16 slower (2.44 vs 2.20 ms), because width 8–16 dense
+// products stop forking too; 2²⁰ and 3·2¹⁹ slowed width 8 the same way.
+// Narrow dense layers stay on one goroutine regardless: gemv never forks.
+const matmulParallelThreshold = 1 << 17
 
 // Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
 // through a register-tiled micro kernel that broadcasts four rows of A
@@ -23,7 +32,10 @@ const matmulParallelThreshold = 1 << 16
 // kernel for everything else on amd64, and a 4×8 math.FMA loop on other
 // hosts. Leftover rows and columns run through the same kernels — short
 // panels are zero-padded when packed, short strips go through a scratch
-// C tile — so no product falls back to a scalar loop.
+// C tile — so no product falls back to a scalar loop. A×Bᵀ narrower than
+// gemvWidth — a dense layer at batch width 1 — skips the packing: gemv
+// (gemv.go) reads B's rows where they lie and runs on the calling
+// goroutine.
 //
 // One accumulation contract holds at every level: every C element
 // accumulates over k in ascending order with one fused multiply-add
@@ -32,7 +44,7 @@ const matmulParallelThreshold = 1 << 16
 // multiply-add is correctly rounded in every form, so results are
 // bit-identical across levels, tilings, splits, operand orientations
 // and architectures, and the batched inference path reproduces the
-// per-sample reference (MatVec, Conv2D) exactly.
+// per-sample reference (MatVec, Conv2D) exactly. gemv keeps it too.
 //
 // A product large enough to fan out is cut along its longer side at
 // micro-tile boundaries: by columns when n > m (a batched convolution
@@ -155,13 +167,14 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBInto computes dst = A × Bᵀ for A (m, k) and B (n, k),
-// overwriting dst (m, n). It is evaluated as dstᵀ = B × Aᵀ: B's rows feed
-// the micro kernel's broadcast side as they lie in memory and only A is
-// packed. For a dense layer — Y (B, out) = X (B, in) × Wᵀ with W stored
-// (out, in) — that packs B·in activations instead of out·in weights, and
-// a width-1 batch (X zero-padded to one 8-wide panel) runs the vector
-// kernel without copying a single weight. Element (i, j) equals the
-// math.FMA dot product MatVec computes, bit for bit.
+// overwriting dst (m, n). For a dense layer — Y (B, out) = X (B, in) × Wᵀ
+// with W stored (out, in) — neither path copies a weight. Below
+// gemvWidth rows of A (a lone request is one) it runs gemv, the
+// matrix-vector kernel, which reads each row of B once where it lies and
+// stays on the calling goroutine. Wider products are evaluated as dstᵀ =
+// B × Aᵀ: B's rows feed the micro kernel's broadcast side as they lie in
+// memory and only A — B·in activations — is packed. Element (i, j)
+// equals the math.FMA dot product MatVec computes, bit for bit.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
@@ -170,6 +183,10 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	if k == 0 {
 		dst.Zero()
+		return
+	}
+	if m < gemvWidth[kernelLevel] {
+		gemv(dst.data, b.data, a.data, n, m, k)
 		return
 	}
 	gemm(dst.data, b.data, a.data, n, m, k, true)
@@ -518,35 +535,15 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatVec computes y = A × x for A of shape (m, n) and x of length n. The
-// accumulation — math.FMA chains per blockK panel, plain adds between
-// panel subtotals — matches the batched GEMM kernels exactly, keeping
-// the per-sample dense path bit-identical to ForwardBatch rows.
+// MatVec computes y = A × x for A of shape (m, n) and x of length n,
+// through the matrix-vector kernel a width-1 MatMulTransBInto runs, so
+// the per-sample dense path is bit-identical to ForwardBatch rows.
 func MatVec(a *Tensor, x []float64) []float64 {
 	m, n := a.shape[0], a.shape[1]
 	if len(x) != n {
 		panic("tensor: MatVec dimension mismatch")
 	}
 	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		yi := 0.0
-		for pc := 0; pc < n; pc += blockK {
-			pe := pc + blockK
-			if pe > n {
-				pe = n
-			}
-			s := 0.0
-			for p := pc; p < pe; p++ {
-				s = math.FMA(row[p], x[p], s)
-			}
-			if pc == 0 {
-				yi = s
-			} else {
-				yi += s
-			}
-		}
-		y[i] = yi
-	}
+	gemv(y, a.data, x, m, 1, n)
 	return y
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,10 +229,12 @@ func TestMatMulTransB(t *testing.T) {
 
 func TestMatVec(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := MatVec(a, []float64{1, 0, -1})
-	if y[0] != -2 || y[1] != -2 {
-		t.Fatalf("MatVec = %v, want [-2 -2]", y)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		y := MatVec(a, []float64{1, 0, -1})
+		if y[0] != -2 || y[1] != -2 {
+			t.Fatalf("MatVec = %v, want [-2 -2]", y)
+		}
+	})
 }
 
 // Property: (A×B)×C == A×(B×C) within floating-point tolerance.
@@ -413,4 +416,23 @@ func BenchmarkConv2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Conv2D(input, kernel, bias, 1)
 	}
+}
+
+// BenchmarkGemv times a width-1 MatMulTransBInto — one dense layer of a
+// lone request, which runs the matrix-vector kernel — over network 1's
+// dense shapes (out × in), once per kernel level the host has, and
+// reports the multiply-accumulate rate.
+func BenchmarkGemv(b *testing.B) {
+	r := rng.New(1)
+	forEachKernel(b, func(b *testing.B) {
+		for _, s := range [][2]int{{320, 320}, {160, 320}, {80, 160}, {40, 80}, {10, 40}} {
+			x, w, y := randTensor(r, 1, s[1]), randTensor(r, s[0], s[1]), New(1, s[0])
+			b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulTransBInto(y, x, w)
+				}
+				b.ReportMetric(float64(s[0]*s[1])*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+	})
 }
