@@ -10,7 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -18,52 +21,59 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("napmon-train: ")
-	ds := flag.String("dataset", "mnist", "dataset: mnist or gtsrb")
-	scale := flag.Float64("scale", 1.0, "dataset scale factor")
-	seed := flag.Uint64("seed", 1, "seed")
-	gamma := flag.Int("gamma", 2, "monitor gamma")
-	modelPath := flag.String("model", "", "write trained model to this path")
-	monitorPath := flag.String("monitor", "", "write activation monitor to this path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "napmon-train:", err)
+		os.Exit(1)
+	}
+}
 
-	opts := exp.Options{Scale: *scale, Seed: *seed, Log: os.Stderr}
-	var (
-		m   *exp.Model
-		err error
-	)
-	switch *ds {
-	case "mnist":
-		m, err = exp.TrainMNIST(opts)
-	case "gtsrb":
-		m, err = exp.TrainGTSRB(opts)
-	default:
-		log.Fatalf("unknown dataset %q (want mnist or gtsrb)", *ds)
+// run parses args, trains, and writes the requested files; progress lines
+// go to stderr. Flags are checked before training starts.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("napmon-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ds := fs.String("dataset", "mnist", "dataset: mnist or gtsrb")
+	scale := fs.Float64("scale", 1.0, "dataset scale factor")
+	seed := fs.Uint64("seed", 1, "seed")
+	gamma := fs.Int("gamma", 2, "monitor gamma")
+	modelPath := fs.String("model", "", "write trained model to this path")
+	monitorPath := fs.String("monitor", "", "write activation monitor to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	if *gamma < 0 {
+		return fmt.Errorf("-gamma %d: must be >= 0", *gamma)
+	}
+	logger := log.New(stderr, "napmon-train: ", 0)
+
+	m, err := exp.TrainDataset(*ds, exp.Options{Scale: *scale, Seed: *seed, Log: stderr})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("%s accuracy: train %.2f%%, validation %.2f%%",
+	logger.Printf("%s accuracy: train %.2f%%, validation %.2f%%",
 		m.Name, 100*m.TrainAcc, 100*m.ValAcc)
 
 	if *modelPath != "" {
 		if err := m.Net.SaveFile(*modelPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("model written to %s", *modelPath)
+		logger.Printf("model written to %s", *modelPath)
 	}
 	if *monitorPath != "" {
 		rows, mon, err := exp.Table2ForModel(m, []int{*gamma})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := mon.SaveFile(*monitorPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("monitor (gamma=%d) written to %s; out-of-pattern %.2f%%, precision %.2f%%",
+		logger.Printf("monitor (gamma=%d) written to %s; out-of-pattern %.2f%%, precision %.2f%%",
 			*gamma, *monitorPath,
 			100*rows[0].Metrics.OutOfPatternRate(),
 			100*rows[0].Metrics.OutOfPatternPrecision())
 	}
+	return nil
 }

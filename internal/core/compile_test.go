@@ -28,8 +28,8 @@ func interpretedZone(width, gamma int, pats []Pattern) (*Zone, *bdd.Manager, []b
 	return z, b.m, b.roots
 }
 
-// TestCompiledZoneAgreesWithInterpreted pins Contains/ContainsAtErr on a
-// zone (compiled plans) bit-exact against the interpreted EvalBits walk
+// TestCompiledZoneAgreesWithInterpreted pins Contains and containsAt on
+// a zone (compiled plans) bit-exact against the interpreted EvalBits walk
 // of the manager that built it, for every cached γ: exhaustively for
 // narrow zones, with random probes for monitor-width ones.
 func TestCompiledZoneAgreesWithInterpreted(t *testing.T) {
@@ -152,85 +152,6 @@ func TestContainsBatchValidatesUpFront(t *testing.T) {
 		if !v {
 			t.Fatalf("verdict %d written before the whole batch was validated", i)
 		}
-	}
-}
-
-// TestContainsAtErr covers the error surface the serving daemons rely
-// on: every level the builder cached is queryable whatever the zone's γ,
-// a deeper level is an error (not a panic), and bad inputs are reported.
-func TestContainsAtErr(t *testing.T) {
-	r := rng.New(5)
-	const width = 10
-	b := newZoneBuilder(width, 1)
-	for _, p := range randomPatterns(r, 4, width) {
-		b.insert(p)
-	}
-	b.extendTo(3)
-	z, _ := b.freeze()
-	if len(z.plans) != 4 || z.Gamma() != 1 {
-		t.Fatalf("zone has %d levels at γ=%d, want 4 at γ=1", len(z.plans), z.Gamma())
-	}
-
-	p := make(Pattern, width)
-	if _, err := z.ContainsAtErr(3, p); err != nil {
-		t.Fatalf("cached level errored: %v", err)
-	}
-	if _, err := z.ContainsAtErr(4, p); err == nil {
-		t.Fatal("beyond-cache query did not error")
-	} else if !strings.Contains(err.Error(), "beyond") {
-		t.Fatalf("unexpected error text: %v", err)
-	}
-	if _, err := z.ContainsAtErr(-1, p); err == nil {
-		t.Fatal("negative gamma did not error")
-	}
-	if _, err := z.ContainsAtErr(0, make(Pattern, width+1)); err == nil {
-		t.Fatal("width mismatch did not error")
-	}
-}
-
-// TestEvaluateAtErrors checks the monitor-level error surfacing: a
-// monitor evaluated beyond its cached levels returns an error instead of
-// crashing, and at cached levels EvaluateAt matches Evaluate.
-func TestEvaluateAtErrors(t *testing.T) {
-	net, layer, train, val := trainedToyNet(t, 9)
-	mon, err := Build(net, train, Config{Layer: layer, Gamma: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Evaluate(net, mon, val) // at the serving γ=2
-	got, err := EvaluateAt(net, mon, val, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("EvaluateAt(2) = %+v, Evaluate said %+v", got, want)
-	}
-	if _, err := EvaluateAt(net, mon, val, 9); err == nil {
-		t.Fatal("EvaluateAt beyond cached levels did not error")
-	}
-	if _, err := EvaluateAt(net, mon, val, -1); err == nil {
-		t.Fatal("EvaluateAt(-1) did not error")
-	}
-}
-
-// TestEvaluateQuantizedAtErrors mirrors TestEvaluateAtErrors for the
-// quantized monitor.
-func TestEvaluateQuantizedAtErrors(t *testing.T) {
-	net, layer, train, val := trainedToyNet(t, 10)
-	mon, err := BuildQuantized(net, train, QuantizedConfig{Layer: layer, Levels: 3, Gamma: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := EvaluateQuantized(net, mon, val)
-	got, err := EvaluateQuantizedAt(net, mon, val, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("EvaluateQuantizedAt(1) = %+v, EvaluateQuantized said %+v", got, want)
-	}
-	if _, err := EvaluateQuantizedAt(net, mon, val, 7); err == nil {
-		t.Fatal("EvaluateQuantizedAt beyond cached levels did not error")
 	}
 }
 

@@ -86,14 +86,14 @@ func buildZone(width, gamma int, pats ...Pattern) *Zone {
 	return z
 }
 
-// containsAt is ContainsAtErr at a level the test knows is cached.
+// containsAt reports membership at a cached level other than the zone's
+// γ, reading its plan directly.
 func containsAt(t testing.TB, z *Zone, gamma int, p Pattern) bool {
 	t.Helper()
-	in, err := z.ContainsAtErr(gamma, p)
-	if err != nil {
-		t.Fatal(err)
+	if gamma >= len(z.plans) || len(p) != z.width {
+		t.Fatalf("containsAt(γ=%d, width %d) on a zone of %d levels, width %d", gamma, len(p), len(z.plans), z.width)
 	}
-	return in
+	return z.plans[gamma].Eval(p)
 }
 
 func TestZoneInsertContains(t *testing.T) {
@@ -451,6 +451,40 @@ func TestGammaSweepMonotoneOutOfPattern(t *testing.T) {
 	full := Evaluate(net, mon, val)
 	if full.OutOfPattern != 0 {
 		t.Fatalf("gamma=width still flags %d samples", full.OutOfPattern)
+	}
+}
+
+// TestGammaSweepMatchesFreshBuilds is the sweep's differential check:
+// each level it answers from a re-viewed cached plan must give the same
+// metrics as a monitor built from scratch at that γ, whatever order the
+// levels are asked in.
+func TestGammaSweepMatchesFreshBuilds(t *testing.T) {
+	net, layer, train, val := trainedToyNet(t, 5)
+	fresh := make(map[int]Metrics)
+	for g := 0; g <= 3; g++ {
+		mon, err := Build(net, train, Config{Layer: layer, Gamma: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[g] = Evaluate(net, mon, val)
+	}
+	if fresh[0] == fresh[3] {
+		t.Fatalf("γ = 0 and γ = 3 give the same metrics %+v: the check cannot tell levels apart", fresh[0])
+	}
+	for _, gammas := range [][]int{{0, 1, 2, 3}, {3, 0, 2, 1}} {
+		mon, err := Build(net, train, Config{Layer: layer, Gamma: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := GammaSweep(net, mon, val, gammas)
+		for i, g := range gammas {
+			if sweep[i] != fresh[g] {
+				t.Fatalf("sweep %v at γ = %d: %+v, fresh build %+v", gammas, g, sweep[i], fresh[g])
+			}
+		}
+		if last := gammas[len(gammas)-1]; mon.Gamma() != last {
+			t.Fatalf("sweep %v left the monitor at γ = %d, want %d", gammas, mon.Gamma(), last)
+		}
 	}
 }
 

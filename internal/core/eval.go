@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"napmon/internal/nn"
@@ -56,7 +55,7 @@ func ratio(num, den int) float64 {
 
 // obs is one extracted observation of the evaluation loops: the
 // network's decision and the activation pattern over the monitored
-// neurons (thermometer-encoded for quantized monitors).
+// neurons.
 type obs struct {
 	pred    int
 	pattern Pattern
@@ -72,14 +71,17 @@ func extractObs(net *nn.Network, layer int, neurons []int, samples []nn.Sample) 
 	return out
 }
 
-// tallyMetrics aggregates the Table II statistics over extracted
-// observations, answering each membership query through member — the
-// single tally shared by every evaluator, so a new counter cannot be
-// added to one variant and missed in another.
-func tallyMetrics(results []obs, samples []nn.Sample, zones map[int]*Zone,
-	member func(*Zone, Pattern) (bool, error)) (Metrics, error) {
-	var out Metrics
-	out.Total = len(samples)
+// Evaluate runs the monitor over a labelled dataset (typically the
+// validation set, per §III's procedure for deciding the coarseness of
+// abstraction) and aggregates the Table II statistics. Inference and
+// pattern extraction run batched; zone queries are sequential and
+// read-only. The serving epoch is loaded once for the whole evaluation,
+// so the metrics describe exactly one generation even while online
+// updates publish new ones.
+func Evaluate(net *nn.Network, m *Monitor, samples []nn.Sample) Metrics {
+	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
+	zones := m.cur.Load().zones
+	out := Metrics{Total: len(samples)}
 	for i, r := range results {
 		mis := r.pred != samples[i].Label
 		if mis {
@@ -90,52 +92,14 @@ func tallyMetrics(results []obs, samples []nn.Sample, zones map[int]*Zone,
 			continue
 		}
 		out.Watched++
-		in, err := member(z, r.pattern)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("core: evaluating class %d: %w", r.pred, err)
-		}
-		if !in {
+		if !z.Contains(r.pattern) {
 			out.OutOfPattern++
 			if mis {
 				out.OutOfPatternMisclassified++
 			}
 		}
 	}
-	return out, nil
-}
-
-// Evaluate runs the monitor over a labelled dataset (typically the
-// validation set, per §III's procedure for deciding the coarseness of
-// abstraction) and aggregates the Table II statistics. Inference and
-// pattern extraction run batched; zone queries are sequential and
-// read-only. The serving epoch is loaded once for the whole evaluation,
-// so the metrics describe exactly one generation even while online
-// updates publish new ones.
-func Evaluate(net *nn.Network, m *Monitor, samples []nn.Sample) Metrics {
-	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	e := m.cur.Load()
-	out, _ := tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
-		return z.Contains(p), nil
-	})
 	return out
-}
-
-// EvaluateAt aggregates the Table II statistics at an explicit
-// enlargement level without changing the monitor's serving γ and without
-// publishing an epoch. Only the serving epoch's cached levels are
-// queryable; asking deeper returns an error instead of panicking — the
-// monitor-level surface of Zone.ContainsAtErr, so a serving daemon probing
-// alternative γs can degrade gracefully rather than crash (publish a
-// deeper level with Monitor.UpdateGamma).
-func EvaluateAt(net *nn.Network, m *Monitor, samples []nn.Sample, gamma int) (Metrics, error) {
-	if gamma < 0 {
-		return Metrics{}, fmt.Errorf("core: negative gamma %d", gamma)
-	}
-	results := extractObs(net, m.cfg.Layer, m.neurons, samples)
-	e := m.cur.Load()
-	return tallyMetrics(results, samples, e.zones, func(z *Zone, p Pattern) (bool, error) {
-		return z.ContainsAtErr(gamma, p)
-	})
 }
 
 // GammaSweep evaluates the monitor at each γ in gammas and returns one

@@ -155,25 +155,6 @@ func (z *Zone) ContainsBatch(patterns [][]bool, out []bool) {
 	z.plans[z.gamma].EvalBatch(patterns, out)
 }
 
-// ContainsAtErr reports membership at an explicit enlargement level
-// without changing the zone's γ. Only the levels the zone was built with
-// are queryable; a deeper level, a width mismatch or a negative γ is an
-// error a serving daemon can degrade on, never a panic. The monitor-level
-// evaluators (EvaluateAt, EvaluateQuantizedAt) route through it.
-func (z *Zone) ContainsAtErr(gamma int, p Pattern) (bool, error) {
-	if gamma < 0 {
-		return false, fmt.Errorf("core: negative gamma %d", gamma)
-	}
-	if len(p) != z.width {
-		return false, fmt.Errorf("core: pattern width %d does not match zone width %d", len(p), z.width)
-	}
-	if gamma >= len(z.plans) {
-		return false, fmt.Errorf("core: gamma %d beyond the zone's %d cached levels (publish a deeper level via Monitor.UpdateGamma)",
-			gamma, len(z.plans))
-	}
-	return z.plans[gamma].Eval(p), nil
-}
-
 // cloneWithDelta shadow-builds this zone's successor for an online update:
 // a builder re-derived from the cached plans, with the new patterns folded
 // in at each level incrementally. A Hamming ball of a union is the union

@@ -134,6 +134,15 @@ func TestTable2MNIST(t *testing.T) {
 	}
 }
 
+// TestTable2RejectsNegativeGamma: a negative level is an error, not a
+// panic inside the sweep, and it is reported before anything is built (the
+// model has no network to build from).
+func TestTable2RejectsNegativeGamma(t *testing.T) {
+	if _, _, err := Table2ForModel(&Model{ID: 1}, []int{2, -1}); err == nil || !strings.Contains(err.Error(), "negative gamma -1") {
+		t.Fatalf("Table2ForModel(γ = -1) = %v, want a negative-gamma error", err)
+	}
+}
+
 func TestTable2GTSRBStopSignOnly(t *testing.T) {
 	_, m2 := tinyModels(t)
 	rows, mon, err := Table2ForModel(m2, []int{0, 1})

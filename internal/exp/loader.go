@@ -78,19 +78,7 @@ func LoadOrTrain(modelPath, monitorPath string, selftrain float64, ds string, se
 		}
 		return net, mon, nil
 	case selftrain > 0:
-		opts := Options{Scale: selftrain, Seed: seed, Log: os.Stderr}
-		var (
-			m   *Model
-			err error
-		)
-		switch ds {
-		case "mnist":
-			m, err = TrainMNIST(opts)
-		case "gtsrb":
-			m, err = TrainGTSRB(opts)
-		default:
-			return nil, nil, fmt.Errorf("unknown dataset %q (want mnist or gtsrb)", ds)
-		}
+		m, err := TrainDataset(ds, Options{Scale: selftrain, Seed: seed, Log: os.Stderr})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -103,6 +103,20 @@ func GTSRBNetSpecs() (specs []nn.Spec, monitorLayer int) {
 	return specs, 12
 }
 
+// TrainDataset trains the Table I network of the named dataset, "mnist"
+// (TrainMNIST) or "gtsrb" (TrainGTSRB). Any other name is an error,
+// reported before training.
+func TrainDataset(name string, opts Options) (*Model, error) {
+	switch name {
+	case "mnist":
+		return TrainMNIST(opts)
+	case "gtsrb":
+		return TrainGTSRB(opts)
+	default:
+		return nil, fmt.Errorf("unknown dataset %q (want mnist or gtsrb)", name)
+	}
+}
+
 // TrainMNIST trains network 1 on the MNIST-like dataset.
 func TrainMNIST(opts Options) (*Model, error) {
 	ds := dataset.MNISTLike(opts.scaled(3000), opts.scaled(1500), opts.Seed+10)

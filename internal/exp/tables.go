@@ -80,8 +80,14 @@ func GTSRBMonitorConfig(m *Model) (core.Config, error) {
 
 // Table2ForModel builds the model's monitor per the paper's configuration
 // at the deepest of the given levels and sweeps γ over them, returning one
-// row per level. The monitor is left serving at the last level.
+// row per level. The monitor is left serving at the last level. A
+// negative level is an error, reported before anything is built.
 func Table2ForModel(m *Model, gammas []int) ([]Table2Row, *core.Monitor, error) {
+	for _, g := range gammas {
+		if g < 0 {
+			return nil, nil, fmt.Errorf("exp: negative gamma %d", g)
+		}
+	}
 	var cfg core.Config
 	var err error
 	switch m.ID {

@@ -5,11 +5,12 @@
 // the monitor needs — capturing hidden-layer activations during inference
 // and computing output-to-neuron gradients for neuron selection.
 //
-// Layers process one sample at a time; mini-batch training accumulates
-// gradients across samples before each optimizer step. BatchNorm therefore
-// normalizes with running statistics (updated online during training, used
-// frozen in the backward pass), a standard small-batch approximation that
-// preserves the Table I architecture.
+// Inference runs whole batches through ForwardBatch. Training steps one
+// sample at a time and accumulates gradients across a mini-batch before
+// each optimizer step. BatchNorm therefore normalizes with running
+// statistics (updated online during training, used frozen in the backward
+// pass), a standard small-batch approximation that preserves the Table I
+// architecture.
 package nn
 
 import (

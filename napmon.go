@@ -144,14 +144,6 @@ func EvaluateMonitor(net *Network, m *Monitor, samples []Sample) Metrics {
 	return core.Evaluate(net, m, samples)
 }
 
-// EvaluateMonitorAt evaluates at an explicit enlargement level without
-// changing the serving γ. Asking for a level deeper than the serving
-// epoch caches returns an error instead of panicking, so a live daemon
-// probing γ cannot be crashed by a too-deep query.
-func EvaluateMonitorAt(net *Network, m *Monitor, samples []Sample, gamma int) (Metrics, error) {
-	return core.EvaluateAt(net, m, samples, gamma)
-}
-
 // WatchBatch is the batched serving front end: it runs inference and the
 // comfort-zone membership query for every input and returns one Verdict
 // per input, in input order. Whole micro-batches flow through the
