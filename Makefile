@@ -1,7 +1,8 @@
 # Local invocations mirror .github/workflows/ci.yml exactly: CI calls these
 # same targets, so a green `make ci` locally means a green pipeline. CI
-# gates every PR on: gofmt, vet + staticcheck (lint), build, race tests
-# and the 1–4-worker split rerun (test-split) across a Go version matrix,
+# gates every PR on: gofmt, vet + staticcheck (lint), build, the arm64
+# vet and test builds (cross), race tests and the 1–4-worker split rerun
+# (test-split) across a Go version matrix,
 # plus a fuzz-smoke job (test-fuzz), a
 # coverage gate (cover-check against ci/coverage-baseline.txt), a
 # serve-demo end-to-end daemon smoke job, a metrics-smoke observability
@@ -20,11 +21,21 @@ GO ?= go
 # WATCH_BODY prints one all-0.1 MNIST-shaped watch request (the smokes pipe it to curl)
 WATCH_BODY = awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}'
 
-.PHONY: build test race test-split test-fuzz cover cover-check bench-verdicts latency-budget serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
+.PHONY: build cross test race test-split test-fuzz cover cover-check bench-verdicts latency-budget serve-demo soak-smoke metrics-smoke fleet-smoke chaos-smoke fmt vet lint ci clean
 
 ## build: compile every package
 build:
 	$(GO) build ./...
+
+## cross: vet every package and compile the kernel and network tests for
+## arm64, whose only kernels are the pure-Go ones in gemm_other.go (and
+## where Go fuses x*y + z into FMADDS/FMADDD, so a float expression that
+## must round twice needs an explicit conversion). The amd64 jobs never
+## build that file.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/tensor
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/nn
 
 ## test: run the full test suite
 test:
@@ -324,4 +335,4 @@ clean:
 	rm -rf bin .bench_build bench/out
 
 ## ci: everything the pipeline's verify job runs, in the same order
-ci: fmt lint build race test-split
+ci: fmt lint build cross race test-split

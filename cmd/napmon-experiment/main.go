@@ -107,11 +107,11 @@ func runTables(opts exp.Options, artifact string, w io.Writer) {
 		m   *exp.Model
 		mon *exp.Monitor
 	}{{m1, mon1}, {m2, mon2}} {
-		n, err := exp.VerifyCompiledServing(v.m, v.mon)
+		n, flips, err := exp.VerifyCompiledServing(v.m, v.mon)
 		if err != nil {
 			log.Fatalf("compiled serving diverges from Definition 2: %v", err)
 		}
-		log.Printf("network %d: compiled serving path verified against Definition 2 (exact Hamming zones) on %d validation inputs", v.m.ID, n)
+		log.Printf("network %d: compiled serving path verified against Definition 2 (exact Hamming zones) on %d validation inputs, %d float32 sign flips within ε of 0", v.m.ID, n, flips)
 	}
 	if artifact == "all" || artifact == "table2" {
 		fmt.Fprintln(w, exp.RenderTable2(append(rows1, rows2...)))

@@ -198,13 +198,14 @@ func TestVerifyCompiledServing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := VerifyCompiledServing(m, mon)
+		n, flips, err := VerifyCompiledServing(m, mon)
 		if err != nil {
 			t.Fatalf("network %d: %v", m.ID, err)
 		}
 		if n != len(m.Data.Val) {
 			t.Fatalf("network %d: checked %d of %d validation inputs", m.ID, n, len(m.Data.Val))
 		}
+		t.Logf("network %d: %d accepted float32 sign flips", m.ID, flips)
 	}
 
 	cfg := MNISTMonitorConfig(m1)
@@ -213,8 +214,47 @@ func TestVerifyCompiledServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyCompiledServing(m1, empty); err == nil || !strings.Contains(err.Error(), "Definition 2") {
+	if _, _, err := VerifyCompiledServing(m1, empty); err == nil || !strings.Contains(err.Error(), "Definition 2") {
 		t.Fatalf("a monitor with empty zones passed the referee: %v", err)
+	}
+}
+
+// TestFlipWithinEps pins the referee's tolerance for float32 serving: a
+// served bit may differ from the float64 one only where the float64
+// activation is within servedFlipEps of 0.
+func TestFlipWithinEps(t *testing.T) {
+	neurons := []int{0, 2, 3}
+	acts := []float64{0.5, 7, -servedFlipEps / 2, -0.25}
+	ref := core.Pattern{true, false, false}
+	if flipped, err := flipWithinEps(core.Pattern{true, false, false}, ref, acts, neurons); flipped || err != nil {
+		t.Fatalf("equal patterns: flipped %v, err %v", flipped, err)
+	}
+	if flipped, err := flipWithinEps(core.Pattern{true, true, false}, ref, acts, neurons); !flipped || err != nil {
+		t.Fatalf("a flip within ε: flipped %v, err %v", flipped, err)
+	}
+	for _, served := range []core.Pattern{{false, false, false}, {true, true, true}, {true, false}} {
+		if _, err := flipWithinEps(served, ref, acts, neurons); err == nil {
+			t.Fatalf("served %v against %v passed", served, ref)
+		}
+	}
+}
+
+// TestProbeShape checks that the startup probe, which runs the path the
+// serving lanes run, accepts the model's input shape and turns every
+// mismatch into an error instead of a panic.
+func TestProbeShape(t *testing.T) {
+	specs, _ := MNISTNetSpecs()
+	net, err := nn.Build(specs, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ProbeShape(net, []int{1, 28, 28}); err != nil {
+		t.Fatalf("the model's own shape: %v", err)
+	}
+	for _, shape := range [][]int{{3, 32, 32}, {1, 27, 27}, {784}, {1, 4, 4}} {
+		if err := ProbeShape(net, shape); err == nil || !strings.Contains(err.Error(), "incompatible") {
+			t.Fatalf("shape %v: err %v", shape, err)
+		}
 	}
 }
 

@@ -45,19 +45,20 @@ func InputShape(flagVal, ds string) ([]int, error) {
 	}
 }
 
-// ProbeShape runs one forward pass of a zero tensor with the gate shape
-// through the model at startup. The tensor kernels panic on mismatched
-// shapes; catching that here turns a -shape/-dataset flag that does not
-// match the loaded model into a clean startup error, instead of a gate
-// that rejects every valid request and lets a conformant-but-wrong one
-// panic inside a serving lane.
+// ProbeShape runs one width-1 batched forward pass — the path every
+// serving lane runs — of a zero tensor with the gate shape through the
+// model at startup. The layers and kernels panic on mismatched shapes;
+// catching that here turns a -shape/-dataset flag that does not match
+// the loaded model into a clean startup error, instead of a gate that
+// rejects every valid request and lets a conformant-but-wrong one panic
+// inside a serving lane.
 func ProbeShape(net *nn.Network, shape []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("input shape %v incompatible with the model: %v (set -shape or -dataset to the model's input shape)", shape, r)
 		}
 	}()
-	net.Forward(tensor.New(shape...))
+	net.ForwardBatch([]*tensor.Tensor{tensor.New(shape...)}, nil)
 	return nil
 }
 

@@ -1,14 +1,18 @@
 // Batched inference: every layer implements ForwardBatch over a stacked
-// (B, per-sample shape...) tensor, so a whole micro-batch flows through
-// the network as a handful of large GEMMs instead of B small ones —
-// dense layers become one (B×in)×(in×out) product, conv layers one
-// stripe-fused tensor.Conv2DBatchInto that never stores the im2col
-// matrix. All activations come from a tensor.Pool, making the hot path
-// allocation-free after warm-up; Dense+ReLU fuses into a GEMM with a
-// bias+ReLU epilogue and Conv+ReLU(+MaxPool 2) into the convolution's.
-// Each output row is bit-identical to the per-sample Forward path (the
-// kernels keep identical accumulation order), which the randomized
-// equivalence tests in batch_test.go pin down.
+// (B, per-sample shape...) float32 tensor, so a whole micro-batch flows
+// through the network as a handful of large GEMMs instead of B small
+// ones — dense layers become one tensor.DenseBatchInto product, conv
+// layers one stripe-fused tensor.Conv2DBatchInto that never stores the
+// im2col matrix — on the layers' float32 weight copies. The inputs are
+// narrowed to float32 as they are stacked; only the captured layer and
+// the logits are widened back to float64 for the caller. All activations
+// come from a tensor.Pool, making the hot path allocation-free after
+// warm-up; Dense+ReLU fuses into a GEMM with a bias+ReLU epilogue and
+// Conv+ReLU(+MaxPool 2) into the convolution's. Each output row is
+// bit-identical to the width-1 pass over its input (the kernels keep one
+// accumulation order whatever the batch width, kernel level or worker
+// count) and within float32 rounding of the float64 per-sample Forward
+// path, the oracle; the randomized tests in batch_test.go pin down both.
 package nn
 
 import (
@@ -21,7 +25,7 @@ import (
 
 // MaxChunk bounds how many inputs one ForwardBatch pass stacks together.
 // It caps scratch memory — the widest intermediate of the Table I MNIST
-// net is conv1's pooled map, 46 KB per input — while keeping GEMMs wide
+// net is conv1's pooled map, 23 KB per input in float32 — while keeping GEMMs wide
 // enough to saturate the kernels: at 64 samples a conv GEMM is already
 // thousands of columns wide.
 const MaxChunk = 64
@@ -64,17 +68,15 @@ func (n *Network) Observe(samples []Sample, capture int, visit func(i, pred int,
 			visit(lo+i, pred, row)
 		}
 		pool.Put(logits)
-		if acts != nil && &acts.Data()[0] != &logits.Data()[0] {
-			pool.Put(acts)
-		}
+		pool.Put(acts)
 	}
 }
 
 // ForwardBatch runs inference over the batch of inputs and returns the
-// stacked logits of shape (B, classes). All inputs must share one shape.
-// Unlike Forward it touches no per-layer state, so concurrent calls on
-// the same network are safe; pool must be private to the caller (pass
-// nil for a throwaway pool).
+// stacked logits of shape (B, classes), computed in float32 and widened.
+// All inputs must share one shape. Unlike Forward it touches no
+// per-layer state, so concurrent calls on the same network are safe;
+// pool must be private to the caller (pass nil for a throwaway pool).
 func (n *Network) ForwardBatch(inputs []*tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 	logits, _ := n.forwardBatch(inputs, -1, pool)
 	return logits
@@ -82,9 +84,8 @@ func (n *Network) ForwardBatch(inputs []*tensor.Tensor, pool *tensor.Pool) *tens
 
 // ForwardBatchCapture is ForwardBatch additionally returning the stacked
 // output of the layer at index capture, shaped (B, layer output...).
-// Neither returned tensor is retained by the network; callers owning the
-// pool may Put both back when done (they never alias each other unless
-// capture is the final layer).
+// Neither returned tensor is retained by the network, and they never
+// alias each other; callers owning the pool may Put both back when done.
 func (n *Network) ForwardBatchCapture(inputs []*tensor.Tensor, capture int, pool *tensor.Pool) (logits, captured *tensor.Tensor) {
 	if capture < 0 || capture >= len(n.layers) {
 		panic(fmt.Sprintf("nn: capture index %d out of range [0,%d)", capture, len(n.layers)))
@@ -92,9 +93,10 @@ func (n *Network) ForwardBatchCapture(inputs []*tensor.Tensor, capture int, pool
 	return n.forwardBatch(inputs, capture, pool)
 }
 
-// forwardBatch stacks the inputs into one pooled (B, sample...) tensor
-// and walks the layers through their ForwardBatch implementations,
-// recycling each intermediate as soon as the next layer has consumed it.
+// forwardBatch narrows the inputs into one pooled (B, sample...) float32
+// tensor and walks the layers through their ForwardBatch
+// implementations, recycling each intermediate as soon as the next
+// layer has consumed it, then widens the logits and the captured layer.
 // A Dense layer immediately followed by ReLU is fused into one GEMM with
 // a bias+ReLU epilogue unless the Dense output itself is captured.
 func (n *Network) forwardBatch(inputs []*tensor.Tensor, capture int, pool *tensor.Pool) (logits, captured *tensor.Tensor) {
@@ -105,19 +107,20 @@ func (n *Network) forwardBatch(inputs []*tensor.Tensor, capture int, pool *tenso
 		pool = tensor.NewPool()
 	}
 	shape := inputs[0].Shape()
-	x := pool.Get(append([]int{len(inputs)}, shape...)...)
+	x := pool.Get32(append([]int{len(inputs)}, shape...)...)
 	sampleLen := inputs[0].Len()
 	for i, in := range inputs {
 		if in.Len() != sampleLen {
 			panic(fmt.Sprintf("nn: ForwardBatch input %d has %d elements, input 0 has %d",
 				i, in.Len(), sampleLen))
 		}
-		copy(x.Data()[i*sampleLen:(i+1)*sampleLen], in.Data())
+		tensor.Narrow32(x.Data()[i*sampleLen:(i+1)*sampleLen], in.Data())
 	}
 	cur := x
+	var capt *tensor.Tensor32
 	i := 0
 	for i < len(n.layers) {
-		var next *tensor.Tensor
+		var next *tensor.Tensor32
 		step := 1
 		if i+1 < len(n.layers) && capture != i {
 			if _, isReLU := n.layers[i+1].(*ReLU); isReLU {
@@ -143,19 +146,37 @@ func (n *Network) forwardBatch(inputs []*tensor.Tensor, capture int, pool *tenso
 		// Recycle the consumed input unless the new tensor is a view of
 		// it (Flatten) or it shares the captured activation's backing
 		// array (cur may itself be the captured tensor, or a later view
-		// of it — recycling either would hand the caller's captured
-		// buffer back to the pool while still live).
-		if &cur.Data()[0] != &next.Data()[0] &&
-			(captured == nil || &cur.Data()[0] != &captured.Data()[0]) {
-			pool.Put(cur)
+		// of it).
+		if !sameBacking(cur, next) && !sameBacking(cur, capt) {
+			pool.Put32(cur)
 		}
 		cur = next
 		if i <= capture && capture <= i+step-1 {
-			captured = cur
+			capt = cur
 		}
 		i += step
 	}
-	return cur, captured
+	logits = widen(cur, pool)
+	if capt != nil {
+		captured = widen(capt, pool)
+		if !sameBacking(capt, cur) {
+			pool.Put32(capt)
+		}
+	}
+	pool.Put32(cur)
+	return logits, captured
+}
+
+// sameBacking reports whether b is non-nil and shares a's backing array.
+func sameBacking(a, b *tensor.Tensor32) bool {
+	return b != nil && &a.Data()[0] == &b.Data()[0]
+}
+
+// widen returns a pooled float64 copy of t.
+func widen(t *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor {
+	out := pool.Get(t.Shape()...)
+	tensor.Widen64(out.Data(), t.Data())
+	return out
 }
 
 // poolAfter returns the MaxPool at layer index i, if any.
@@ -171,7 +192,7 @@ func poolAfter(layers []Layer, i int) (*MaxPool, bool) {
 // evenly into the pooling window — the only geometry the fused epilogue
 // handles (any other geometry would panic in MaxPool anyway, but the
 // check keeps the fusion decision explicit and the fallback exact).
-func (c *Conv2D) poolFusable(x *tensor.Tensor, size int) bool {
+func (c *Conv2D) poolFusable(x *tensor.Tensor32, size int) bool {
 	if size != 2 || x.Rank() != 4 {
 		return false
 	}
@@ -181,46 +202,48 @@ func (c *Conv2D) poolFusable(x *tensor.Tensor, size int) bool {
 }
 
 // batchDim checks that x carries a leading batch dimension over the
-// expected per-sample element count and returns the batch size.
-func batchDim(x *tensor.Tensor, sampleLen int, name string) int {
+// expected per-sample element count of layer l and returns the batch
+// size. It names l only when it panics: formatting the name costs more
+// than a tiny layer's product.
+func batchDim(x *tensor.Tensor32, sampleLen int, l Layer) int {
 	if x.Rank() < 2 || x.Dim(0) <= 0 {
-		panic(fmt.Sprintf("nn: %s ForwardBatch input %v lacks a batch dimension", name, x.Shape()))
+		panic(fmt.Sprintf("nn: %s ForwardBatch input %v lacks a batch dimension", l.Name(), x.Shape()))
 	}
 	if x.Len() != x.Dim(0)*sampleLen {
 		panic(fmt.Sprintf("nn: %s ForwardBatch got %d elements per sample, want %d",
-			name, x.Len()/x.Dim(0), sampleLen))
+			l.Name(), x.Len()/x.Dim(0), sampleLen))
 	}
 	return x.Dim(0)
 }
 
-// ForwardBatch implements Layer: one (B×in)×(in×out)ᵀ GEMM with a fused
-// bias epilogue replaces B MatVec calls.
-func (d *Dense) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
+// ForwardBatch implements Layer: one tensor.DenseBatchInto product with
+// a fused bias epilogue replaces B MatVec calls.
+func (d *Dense) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	return d.forwardBatchDense(x, pool, false)
 }
 
-func (d *Dense) forwardBatchDense(x *tensor.Tensor, pool *tensor.Pool, fuseReLU bool) *tensor.Tensor {
-	b := batchDim(x, d.in, d.Name())
+func (d *Dense) forwardBatchDense(x *tensor.Tensor32, pool *tensor.Pool, fuseReLU bool) *tensor.Tensor32 {
+	b := batchDim(x, d.in, d)
 	xm := x
 	if x.Rank() != 2 {
 		xm = x.Reshape(b, d.in)
 	}
-	out := pool.Get(b, d.out)
-	tensor.MatMulTransBBiasInto(out, xm, d.w, d.b.Data(), fuseReLU)
+	out := pool.Get32(b, d.out)
+	tensor.DenseBatchInto(out, xm, d.w.f32, d.b.f32.Data(), fuseReLU)
 	return out
 }
 
 // ForwardBatch implements Layer: the whole batch is convolved by one
 // stripe-fused tensor.Conv2DBatchInto with the bias folded in.
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
+func (c *Conv2D) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	return c.forwardBatchConv(x, pool, false, false)
 }
 
 // forwardBatchConv is the batched convolution with the layers that
 // follow it fused into its epilogue: relu covers Conv→ReLU, pool2 (with
 // relu) Conv→ReLU→MaxPool(2), whose full-resolution map then never
-// exists. Bit-identical to the unfused layer sequence.
-func (c *Conv2D) forwardBatchConv(x *tensor.Tensor, pool *tensor.Pool, relu, pool2 bool) *tensor.Tensor {
+// exists. Bit-identical to the unfused batched layer sequence.
+func (c *Conv2D) forwardBatchConv(x *tensor.Tensor32, pool *tensor.Pool, relu, pool2 bool) *tensor.Tensor32 {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s ForwardBatch got input %v, want (B,%d,H,W)", c.Name(), x.Shape(), c.inC))
 	}
@@ -229,15 +252,15 @@ func (c *Conv2D) forwardBatchConv(x *tensor.Tensor, pool *tensor.Pool, relu, poo
 	if pool2 {
 		outH, outW = outH/2, outW/2
 	}
-	out := pool.Get(x.Dim(0), c.outC, outH, outW)
-	tensor.Conv2DBatchInto(out, x, c.w, c.b.Data(), c.stride, relu, pool2)
+	out := pool.Get32(x.Dim(0), c.outC, outH, outW)
+	tensor.Conv2DBatchInto(out, x, c.w.f32, c.b.f32.Data(), c.stride, relu, pool2)
 	return out
 }
 
 // ForwardBatch implements Layer: one rectification sweep over the stacked
 // batch.
-func (l *ReLU) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	out := pool.Get(x.Shape()...)
+func (l *ReLU) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
+	out := pool.Get32(x.Shape()...)
 	dst := out.Data()
 	for i, v := range x.Data() {
 		if v > 0 {
@@ -251,45 +274,45 @@ func (l *ReLU) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor 
 
 // ForwardBatch implements Layer: a reshaping view keeping the batch
 // dimension — no copy, the backing array is shared with x.
-func (l *Flatten) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
+func (l *Flatten) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	b := x.Dim(0)
 	return x.Reshape(b, x.Len()/b)
 }
 
-// ForwardBatch implements Layer: sample-by-sample pooling into one pooled
+// ForwardBatch implements Layer: plane-by-plane pooling into one pooled
 // output, with no argmax bookkeeping.
-func (l *MaxPool) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
+func (l *MaxPool) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s ForwardBatch got input %v, want (B,C,H,W)", l.Name(), x.Shape()))
 	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := pool.Get(b, c, h/l.size, w/l.size)
+	out := pool.Get32(b, c, h/l.size, w/l.size)
 	tensor.MaxPool2DBatchInto(out, x, l.size)
 	return out
 }
 
 // ForwardBatch implements Layer: channel-wise normalization of the whole
-// batch with the frozen running statistics (inference mode).
-func (bn *BatchNorm) ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
+// batch with the frozen running statistics (inference mode), in float32
+// in Forward's normalize-then-affine order. The product g·norm is
+// rounded before the add, so no target may fuse the two.
+func (bn *BatchNorm) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	if x.Rank() != 4 || x.Dim(1) != bn.ch {
 		panic(fmt.Sprintf("nn: %s ForwardBatch got input %v, want (B,%d,H,W)", bn.Name(), x.Shape(), bn.ch))
 	}
 	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	area := h * w
-	out := pool.Get(b, bn.ch, h, w)
+	out := pool.Get32(b, bn.ch, h, w)
 	for c := 0; c < bn.ch; c++ {
-		mean := bn.runMean.Data()[c]
-		invStd := 1 / math.Sqrt(bn.runVar.Data()[c]+bnEps)
-		g, bv := bn.gamma.Data()[c], bn.beta.Data()[c]
+		mean := bn.runMean.f32.Data()[c]
+		invStd := 1 / float32(math.Sqrt(float64(bn.runVar.f32.Data()[c]+bnEps)))
+		g, bv := bn.gamma.f32.Data()[c], bn.beta.f32.Data()[c]
 		for s := 0; s < b; s++ {
 			base := (s*bn.ch + c) * area
 			src := x.Data()[base : base+area]
 			dst := out.Data()[base : base+area]
 			for i, v := range src {
-				// Same operation order as Forward's normalize-then-affine
-				// so the result is bit-identical.
 				norm := (v - mean) * invStd
-				dst[i] = g*norm + bv
+				dst[i] = float32(g*norm) + bv
 			}
 		}
 	}

@@ -62,23 +62,65 @@ func forEachKernel(t *testing.T, body func(t *testing.T)) {
 }
 
 // assertRowsEqual checks that row b of the stacked batch output is
-// bit-identical to the per-sample reference tensor, counting any NaN
-// equal to any NaN (payloads are not part of the contract).
+// bit-identical to the reference tensor, counting any NaN equal to any
+// NaN (payloads are not part of the contract).
 func assertRowsEqual(t *testing.T, tag string, batchOut *tensor.Tensor, b int, want *tensor.Tensor) {
 	t.Helper()
 	rowLen := want.Len()
 	row := batchOut.Data()[b*rowLen : (b+1)*rowLen]
 	for i, v := range want.Data() {
 		if row[i] != v && !(math.IsNaN(row[i]) && math.IsNaN(v)) {
-			t.Fatalf("%s: sample %d element %d: batch %v, single %v", tag, b, i, row[i], v)
+			t.Fatalf("%s: sample %d element %d: batch %v, reference %v", tag, b, i, row[i], v)
 		}
 	}
 }
 
+// f32Tol bounds how far a float32 inference value may sit from the
+// float64 oracle, relative to the largest magnitude in its row: about
+// 2¹⁰ float32 ulps, room for the rounding of a few thousand-term dot
+// products chained through a dozen layers. The Table I nets land below
+// 2⁻¹⁹ of that scale.
+const f32Tol = 1.0 / (1 << 13)
+
+// assertRowsClose checks that row b of the stacked float32-computed
+// batch output is within f32Tol of the float64 per-sample reference;
+// a non-finite reference must be matched exactly in kind.
+func assertRowsClose(t *testing.T, tag string, batchOut *tensor.Tensor, b int, ref *tensor.Tensor) {
+	t.Helper()
+	rowLen := ref.Len()
+	row := batchOut.Data()[b*rowLen : (b+1)*rowLen]
+	scale := 1.0
+	for _, v := range ref.Data() {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			scale = math.Max(scale, math.Abs(v))
+		}
+	}
+	for i, v := range ref.Data() {
+		got := row[i]
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			if !(got == v || math.IsNaN(got) && math.IsNaN(v)) {
+				t.Fatalf("%s: sample %d element %d: batch %v, float64 reference %v", tag, b, i, got, v)
+			}
+		case math.Abs(got-v) > f32Tol*scale:
+			t.Fatalf("%s: sample %d element %d: batch %v, float64 reference %v (row scale %v)", tag, b, i, got, v, scale)
+		}
+	}
+}
+
+// width1 runs the width-1 pass over x: the reference every batched row
+// must equal bit for bit.
+func width1(net *Network, x *tensor.Tensor, capture int) (logits, captured *tensor.Tensor) {
+	if capture < 0 {
+		return net.ForwardBatch([]*tensor.Tensor{x}, nil), nil
+	}
+	return net.ForwardBatchCapture([]*tensor.Tensor{x}, capture, nil)
+}
+
 // TestForwardBatchMatchesForwardDense is the randomized property test for
 // fully-connected networks: for random architectures, batch sizes and
-// inputs, every row of ForwardBatch must equal the per-input Forward
-// output bit for bit (the GEMM accumulates in MatVec order), on every
+// inputs, every row of ForwardBatch must equal the width-1 pass over its
+// input bit for bit and the float64 Forward within f32Tol, on every
 // kernel level.
 func TestForwardBatchMatchesForwardDense(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
@@ -97,15 +139,18 @@ func TestForwardBatchMatchesForwardDense(t *testing.T) {
 				t.Fatalf("trial %d: logits shape %v for batch %d", trial, logits.Shape(), bsz)
 			}
 			for b, x := range inputs {
-				assertRowsEqual(t, "dense logits", logits, b, net.Forward(x))
+				one, _ := width1(net, x, -1)
+				assertRowsEqual(t, "dense logits", logits, b, one)
+				assertRowsClose(t, "dense logits", logits, b, net.Forward(x))
 			}
 		}
 	})
 }
 
-// TestForwardBatchMatchesForwardConv is the conv-net property test:
-// batched im2col + one GEMM + epilogue must reproduce the per-sample
-// conv/BN/pool pipeline bit-exactly, on every kernel level.
+// TestForwardBatchMatchesForwardConv is the conv-net property test: the
+// batched conv/BN/pool pipeline must reproduce the width-1 pass
+// bit-exactly and the per-sample float64 pipeline within f32Tol, on
+// every kernel level.
 func TestForwardBatchMatchesForwardConv(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(202)
@@ -122,7 +167,9 @@ func TestForwardBatchMatchesForwardConv(t *testing.T) {
 			}
 			logits := net.ForwardBatch(inputs, tensor.NewPool())
 			for b, x := range inputs {
-				assertRowsEqual(t, "conv logits", logits, b, net.Forward(x))
+				one, _ := width1(net, x, -1)
+				assertRowsEqual(t, "conv logits", logits, b, one)
+				assertRowsClose(t, "conv logits", logits, b, net.Forward(x))
 			}
 		}
 	})
@@ -131,8 +178,8 @@ func TestForwardBatchMatchesForwardConv(t *testing.T) {
 // TestForwardBatchCaptureMatchesForwardCapture sweeps the capture index
 // over every layer — including Dense layers whose following ReLU would
 // otherwise be fused, and view-returning Flatten — and checks both the
-// captured rows and the logits against ForwardCapture, on every kernel
-// level.
+// captured rows and the logits against the width-1 pass (bit for bit)
+// and ForwardCapture (within f32Tol), on every kernel level.
 func TestForwardBatchCaptureMatchesForwardCapture(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(303)
@@ -145,9 +192,12 @@ func TestForwardBatchCaptureMatchesForwardCapture(t *testing.T) {
 		for capture := 0; capture < net.NumLayers(); capture++ {
 			logits, captured := net.ForwardBatchCapture(inputs, capture, pool)
 			for b, x := range inputs {
+				oneLogits, oneCap := width1(net, x, capture)
+				assertRowsEqual(t, "capture logits", logits, b, oneLogits)
+				assertRowsEqual(t, "captured acts", captured, b, oneCap)
 				wantLogits, wantCap := net.ForwardCapture(x, capture)
-				assertRowsEqual(t, "capture logits", logits, b, wantLogits)
-				assertRowsEqual(t, "captured acts", captured, b, wantCap)
+				assertRowsClose(t, "capture logits", logits, b, wantLogits)
+				assertRowsClose(t, "captured acts", captured, b, wantCap)
 			}
 		}
 	})
@@ -185,22 +235,11 @@ func tableINet(r *rng.Source, network int) (net *Network, shape []int, monitored
 // vector kernel's batch slabs and its crossovers to the packed GEMM (3
 // at avx2, 6 at go, 8 at avx512), one micro panel, one past it, one
 // short of a full chunk, a full chunk, one past it — on one pool,
-// against per-sample ForwardCapture, on every kernel level.
+// against the width-1 pass computed at KernelGo (bit for bit: batch
+// width and kernel level change nothing) and per-sample ForwardCapture
+// (within f32Tol), on every kernel level.
 func TestForwardBatchTableIWidths(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
-		for network := 1; network <= 2; network++ {
-			r := rng.New(uint64(800 + network))
-			net, shape, monitored := tableINet(r, network)
-			for warm := 0; warm < 3; warm++ { // nontrivial batch-norm statistics
-				net.forward(randInput(r, shape...), true)
-			}
-			inputs := make([]*tensor.Tensor, 65)
-			for i := range inputs {
-				inputs[i] = randInput(r, shape...)
-			}
-			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65})
-		}
-	})
+	checkTableI(t, 800, 65, nil, []int{1, 2, 3, 4, 5, 8, 9, 63, 64, 65})
 }
 
 // TestForwardBatchNonFinite is the Table I parity check on inputs that
@@ -208,42 +247,83 @@ func TestForwardBatchTableIWidths(t *testing.T) {
 // may: the fused epilogues must rectify and pool them exactly as the
 // per-sample ReLU and MaxPool layers do.
 func TestForwardBatchNonFinite(t *testing.T) {
+	nonFinite := func(i int, x []float64) {
+		x[(7*i+100)%len(x)] = math.NaN()
+		x[(11*i+300)%len(x)] = math.Inf(1)
+		x[(13*i+500)%len(x)] = math.Inf(-1)
+	}
+	checkTableI(t, 820, 64, nonFinite, []int{1, 2, 3, 4, 5, 8, 9, 63, 64})
+}
+
+// checkTableI builds both Table I networks (seeded seed+network, with
+// nontrivial batch-norm statistics) and n random inputs each, edited by
+// poke when it is set, takes the references at KernelGo, and runs
+// checkTableIWidths on every kernel level.
+func checkTableI(t *testing.T, seed uint64, n int, poke func(i int, x []float64), widths []int) {
+	type fixture struct {
+		net       *Network
+		monitored int
+		inputs    []*tensor.Tensor
+		refs      tableIRefs
+	}
+	var nets [2]fixture
+	for network := 1; network <= 2; network++ {
+		r := rng.New(seed + uint64(network))
+		net, shape, monitored := tableINet(r, network)
+		for warm := 0; warm < 3; warm++ {
+			net.forward(randInput(r, shape...), true)
+		}
+		inputs := make([]*tensor.Tensor, n)
+		for i := range inputs {
+			inputs[i] = randInput(r, shape...)
+			if poke != nil {
+				poke(i, inputs[i].Data())
+			}
+		}
+		nets[network-1] = fixture{net, monitored, inputs, tableIRefsOf(t, net, monitored, inputs)}
+	}
 	forEachKernel(t, func(t *testing.T) {
-		for network := 1; network <= 2; network++ {
-			r := rng.New(uint64(820 + network))
-			net, shape, monitored := tableINet(r, network)
-			for warm := 0; warm < 3; warm++ {
-				net.forward(randInput(r, shape...), true)
-			}
-			inputs := make([]*tensor.Tensor, 64)
-			for i := range inputs {
-				inputs[i] = randInput(r, shape...)
-				x := inputs[i].Data()
-				x[(7*i+100)%len(x)] = math.NaN()
-				x[(11*i+300)%len(x)] = math.Inf(1)
-				x[(13*i+500)%len(x)] = math.Inf(-1)
-			}
-			checkTableIWidths(t, net, network, monitored, inputs, []int{1, 2, 3, 4, 5, 8, 9, 63, 64})
+		for i, f := range nets {
+			checkTableIWidths(t, f.net, i+1, f.monitored, f.inputs, f.refs, widths)
 		}
 	})
 }
 
-// checkTableIWidths runs ForwardBatchCapture over inputs[:width] for each
-// width on one pool and checks every row against per-sample
-// ForwardCapture.
-func checkTableIWidths(t *testing.T, net *Network, network, monitored int, inputs []*tensor.Tensor, widths []int) {
+// tableIRefs holds, per input, the width-1 pass at KernelGo and the
+// float64 ForwardCapture.
+type tableIRefs struct {
+	logits, captured, logits64, captured64 []*tensor.Tensor
+}
+
+func tableIRefsOf(t *testing.T, net *Network, monitored int, inputs []*tensor.Tensor) tableIRefs {
 	t.Helper()
-	wantLogits, wantCap := make([]*tensor.Tensor, len(inputs)), make([]*tensor.Tensor, len(inputs))
-	for i, x := range inputs {
-		wantLogits[i], wantCap[i] = net.ForwardCapture(x, monitored)
+	restore, err := tensor.ForceKernel(tensor.KernelGo)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer restore()
+	n := len(inputs)
+	refs := tableIRefs{make([]*tensor.Tensor, n), make([]*tensor.Tensor, n), make([]*tensor.Tensor, n), make([]*tensor.Tensor, n)}
+	for i, x := range inputs {
+		refs.logits[i], refs.captured[i] = width1(net, x, monitored)
+		refs.logits64[i], refs.captured64[i] = net.ForwardCapture(x, monitored)
+	}
+	return refs
+}
+
+// checkTableIWidths runs ForwardBatchCapture over inputs[:width] for each
+// width on one pool and checks every row against the references.
+func checkTableIWidths(t *testing.T, net *Network, network, monitored int, inputs []*tensor.Tensor, refs tableIRefs, widths []int) {
+	t.Helper()
 	pool := tensor.NewPool()
 	for _, width := range widths {
 		logits, captured := net.ForwardBatchCapture(inputs[:width], monitored, pool)
 		for b := 0; b < width; b++ {
 			tag := fmt.Sprintf("network %d width %d", network, width)
-			assertRowsEqual(t, tag+" logits", logits, b, wantLogits[b])
-			assertRowsEqual(t, tag+" captured", captured, b, wantCap[b])
+			assertRowsEqual(t, tag+" logits", logits, b, refs.logits[b])
+			assertRowsEqual(t, tag+" captured", captured, b, refs.captured[b])
+			assertRowsClose(t, tag+" logits", logits, b, refs.logits64[b])
+			assertRowsClose(t, tag+" captured", captured, b, refs.captured64[b])
 		}
 		pool.Put(logits)
 		pool.Put(captured)
@@ -281,10 +361,13 @@ func TestForwardBatchAwkwardGeometry(t *testing.T) {
 				for _, width := range []int{1, 3, 9} {
 					logits, captured := c.net.ForwardBatchCapture(inputs[:width], capture, pool)
 					for b, x := range inputs[:width] {
-						wantLogits, wantCap := c.net.ForwardCapture(x, capture)
 						tag := fmt.Sprintf("%s capture %d width %d", c.net, capture, width)
-						assertRowsEqual(t, tag+" logits", logits, b, wantLogits)
-						assertRowsEqual(t, tag+" captured", captured, b, wantCap)
+						oneLogits, oneCap := width1(c.net, x, capture)
+						assertRowsEqual(t, tag+" logits", logits, b, oneLogits)
+						assertRowsEqual(t, tag+" captured", captured, b, oneCap)
+						wantLogits, wantCap := c.net.ForwardCapture(x, capture)
+						assertRowsClose(t, tag+" logits", logits, b, wantLogits)
+						assertRowsClose(t, tag+" captured", captured, b, wantCap)
 					}
 				}
 			}
@@ -294,8 +377,9 @@ func TestForwardBatchAwkwardGeometry(t *testing.T) {
 
 // TestObserveMatchesForwardCapture pins dataset-level inference: every
 // sample is visited once, in order, across chunk boundaries, with the
-// decision and captured row per-sample ForwardCapture gives; an empty
-// dataset visits nothing.
+// decision and captured row the width-1 pass gives (and the captured
+// row within f32Tol of per-sample ForwardCapture); an empty dataset
+// visits nothing.
 func TestObserveMatchesForwardCapture(t *testing.T) {
 	r := rng.New(910)
 	net := randConvNet(r)
@@ -310,11 +394,13 @@ func TestObserveMatchesForwardCapture(t *testing.T) {
 			t.Fatalf("visited sample %d, want %d", i, next)
 		}
 		next++
-		logits, captured := net.ForwardCapture(samples[i].Input, capture)
+		logits, captured := width1(net, samples[i].Input, capture)
 		if pred != logits.ArgMax() {
-			t.Fatalf("sample %d: decision %d, per-sample %d", i, pred, logits.ArgMax())
+			t.Fatalf("sample %d: decision %d, width-1 pass %d", i, pred, logits.ArgMax())
 		}
 		assertRowsEqual(t, "observed acts", tensor.FromSlice(acts, len(acts)), 0, captured)
+		_, captured64 := net.ForwardCapture(samples[i].Input, capture)
+		assertRowsClose(t, "observed acts", tensor.FromSlice(acts, len(acts)), 0, captured64)
 	})
 	if next != len(samples) {
 		t.Fatalf("visited %d of %d samples", next, len(samples))

@@ -13,10 +13,8 @@ import (
 // multiply per sample.
 type Conv2D struct {
 	outC, inC, kh, kw, stride int
-	w                         *tensor.Tensor // (outC, inC, kh, kw)
-	b                         *tensor.Tensor // (outC)
-	gw                        *tensor.Tensor
-	gb                        *tensor.Tensor
+	w                         weight // (outC, inC, kh, kw)
+	b                         weight // (outC)
 
 	lastCols           *tensor.Tensor // im2col of last training input
 	lastInH, lastInW   int
@@ -27,12 +25,10 @@ type Conv2D struct {
 func NewConv2D(outC, inC, kh, kw, stride int, r *rng.Source) *Conv2D {
 	c := &Conv2D{
 		outC: outC, inC: inC, kh: kh, kw: kw, stride: stride,
-		w:  tensor.New(outC, inC, kh, kw),
-		b:  tensor.New(outC),
-		gw: tensor.New(outC, inC, kh, kw),
-		gb: tensor.New(outC),
+		w: newWeight(outC, inC, kh, kw),
+		b: newWeight(outC),
 	}
-	heInit(c.w, inC*kh*kw, r)
+	heInit(&c.w, inC*kh*kw, r)
 	return c
 }
 
@@ -58,11 +54,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		c.lastInH, c.lastInW = inH, inW
 		c.lastOutH, c.lastOutW = outH, outW
 	}
-	wMat := c.w.Reshape(c.outC, c.inC*c.kh*c.kw)
+	wMat := c.w.v.Reshape(c.outC, c.inC*c.kh*c.kw)
 	out := tensor.MatMul(wMat, cols)
 	for ch := 0; ch < c.outC; ch++ {
 		row := out.Data()[ch*outH*outW : (ch+1)*outH*outW]
-		bv := c.b.Data()[ch]
+		bv := c.b.v.Data()[ch]
 		for i := range row {
 			row[i] += bv
 		}
@@ -78,28 +74,32 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	p := c.lastOutH * c.lastOutW
 	g := gradOut.Reshape(c.outC, p)
 	// Bias gradient: sum over spatial positions.
+	gb := c.b.grad().Data()
 	for ch := 0; ch < c.outC; ch++ {
 		sum := 0.0
 		for _, v := range g.Data()[ch*p : (ch+1)*p] {
 			sum += v
 		}
-		c.gb.Data()[ch] += sum
+		gb[ch] += sum
 	}
 	// Weight gradient: g (outC, p) × colsᵀ (p, K) = (outC, K).
 	gw := tensor.MatMulTransB(g, c.lastCols)
-	c.gw.AddInto(gw.Reshape(c.outC, c.inC, c.kh, c.kw))
+	c.w.grad().AddInto(gw.Reshape(c.outC, c.inC, c.kh, c.kw))
 	// Input gradient: Wᵀ (K, outC) × g (outC, p) = (K, p) scattered by col2im.
-	wMat := c.w.Reshape(c.outC, c.inC*c.kh*c.kw)
+	wMat := c.w.v.Reshape(c.outC, c.inC*c.kh*c.kw)
 	gCols := tensor.MatMulTransA(wMat, g)
 	return tensor.Col2Im(gCols, c.inC, c.lastInH, c.lastInW, c.kh, c.kw, c.stride)
 }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []Param {
-	return []Param{
-		{Name: c.Name() + ".w", Value: c.w, Grad: c.gw},
-		{Name: c.Name() + ".b", Value: c.b, Grad: c.gb},
-	}
+	return []Param{c.w.param(c.Name() + ".w"), c.b.param(c.Name() + ".b")}
+}
+
+func (c *Conv2D) weights() []*weight { return []*weight{&c.w, &c.b} }
+
+func (c *Conv2D) release() {
+	c.w.g, c.b.g, c.lastCols = nil, nil, nil
 }
 
 func (c *Conv2D) clone() Layer {
@@ -145,6 +145,10 @@ func (l *MaxPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (l *MaxPool) Params() []Param { return nil }
 
+func (l *MaxPool) weights() []*weight { return nil }
+
+func (l *MaxPool) release() { l.argmax = nil }
+
 func (l *MaxPool) clone() Layer { return &MaxPool{size: l.size} }
 
 // BatchNorm normalizes each channel of a CHW tensor with running
@@ -153,14 +157,11 @@ func (l *MaxPool) clone() Layer { return &MaxPool{size: l.size} }
 // per-sample spatial statistics and treated as constants in the backward
 // pass (frozen-statistics BN). bnEps guards against division by zero.
 type BatchNorm struct {
-	ch          int
-	gamma, beta *tensor.Tensor
-	gGamma      *tensor.Tensor
-	gBeta       *tensor.Tensor
-	runMean     *tensor.Tensor
-	runVar      *tensor.Tensor
-	lastNorm    *tensor.Tensor // normalized input cached for Backward
-	momentum    float64
+	ch              int
+	gamma, beta     weight
+	runMean, runVar weight
+	lastNorm        *tensor.Tensor // normalized input cached for Backward
+	momentum        float64
 }
 
 const bnEps = 1e-5
@@ -170,16 +171,14 @@ const bnEps = 1e-5
 func NewBatchNorm(ch int) *BatchNorm {
 	bn := &BatchNorm{
 		ch:       ch,
-		gamma:    tensor.New(ch),
-		beta:     tensor.New(ch),
-		gGamma:   tensor.New(ch),
-		gBeta:    tensor.New(ch),
-		runMean:  tensor.New(ch),
-		runVar:   tensor.New(ch),
+		gamma:    newWeight(ch),
+		beta:     newWeight(ch),
+		runMean:  newWeight(ch),
+		runVar:   newWeight(ch),
 		momentum: 0.1,
 	}
-	bn.gamma.Fill(1)
-	bn.runVar.Fill(1)
+	bn.gamma.fill(1)
+	bn.runVar.fill(1)
 	return bn
 }
 
@@ -192,7 +191,7 @@ func (bn *BatchNorm) Spec() Spec { return Spec{Kind: KindBN, Ch: bn.ch} }
 // RunningStats exposes the running mean and variance tensors so
 // serialization can persist them.
 func (bn *BatchNorm) RunningStats() (mean, variance *tensor.Tensor) {
-	return bn.runMean, bn.runVar
+	return bn.runMean.v, bn.runVar.v
 }
 
 // Forward implements Layer.
@@ -217,16 +216,16 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance += d * d
 			}
 			variance /= float64(area)
-			bn.runMean.Data()[c] = (1-bn.momentum)*bn.runMean.Data()[c] + bn.momentum*mean
-			bn.runVar.Data()[c] = (1-bn.momentum)*bn.runVar.Data()[c] + bn.momentum*variance
+			bn.runMean.set(c, (1-bn.momentum)*bn.runMean.v.Data()[c]+bn.momentum*mean)
+			bn.runVar.set(c, (1-bn.momentum)*bn.runVar.v.Data()[c]+bn.momentum*variance)
 		}
 	}
 	out := tensor.New(bn.ch, h, w)
 	norm := tensor.New(bn.ch, h, w)
 	for c := 0; c < bn.ch; c++ {
-		mean := bn.runMean.Data()[c]
-		invStd := 1 / math.Sqrt(bn.runVar.Data()[c]+bnEps)
-		g, b := bn.gamma.Data()[c], bn.beta.Data()[c]
+		mean := bn.runMean.v.Data()[c]
+		invStd := 1 / math.Sqrt(bn.runVar.v.Data()[c]+bnEps)
+		g, b := bn.gamma.v.Data()[c], bn.beta.v.Data()[c]
 		src := x.Data()[c*area : (c+1)*area]
 		dstN := norm.Data()[c*area : (c+1)*area]
 		dst := out.Data()[c*area : (c+1)*area]
@@ -250,9 +249,10 @@ func (bn *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	h, w := gradOut.Dim(1), gradOut.Dim(2)
 	area := h * w
 	gin := tensor.New(bn.ch, h, w)
+	gGamma, gBeta := bn.gamma.grad().Data(), bn.beta.grad().Data()
 	for c := 0; c < bn.ch; c++ {
-		invStd := 1 / math.Sqrt(bn.runVar.Data()[c]+bnEps)
-		g := bn.gamma.Data()[c]
+		invStd := 1 / math.Sqrt(bn.runVar.v.Data()[c]+bnEps)
+		g := bn.gamma.v.Data()[c]
 		gOut := gradOut.Data()[c*area : (c+1)*area]
 		norm := bn.lastNorm.Data()[c*area : (c+1)*area]
 		dst := gin.Data()[c*area : (c+1)*area]
@@ -261,8 +261,8 @@ func (bn *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			sumG += gv
 			sumGN += gv * norm[i]
 		}
-		bn.gBeta.Data()[c] += sumG
-		bn.gGamma.Data()[c] += sumGN
+		gBeta[c] += sumG
+		gGamma[c] += sumGN
 		scale := g * invStd
 		for i, gv := range gOut {
 			dst[i] = scale * gv
@@ -273,10 +273,13 @@ func (bn *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (bn *BatchNorm) Params() []Param {
-	return []Param{
-		{Name: bn.Name() + ".gamma", Value: bn.gamma, Grad: bn.gGamma},
-		{Name: bn.Name() + ".beta", Value: bn.beta, Grad: bn.gBeta},
-	}
+	return []Param{bn.gamma.param(bn.Name() + ".gamma"), bn.beta.param(bn.Name() + ".beta")}
+}
+
+func (bn *BatchNorm) weights() []*weight { return []*weight{&bn.gamma, &bn.beta} }
+
+func (bn *BatchNorm) release() {
+	bn.gamma.g, bn.beta.g, bn.lastNorm = nil, nil, nil
 }
 
 func (bn *BatchNorm) clone() Layer {

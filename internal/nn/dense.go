@@ -11,24 +11,15 @@ import (
 // vector x of length in and output of length out.
 type Dense struct {
 	in, out int
-	w       *tensor.Tensor // (out, in)
-	b       *tensor.Tensor // (out)
-	gw      *tensor.Tensor
-	gb      *tensor.Tensor
+	w       weight         // (out, in)
+	b       weight         // (out)
 	lastIn  *tensor.Tensor // cached input for Backward
 }
 
 // NewDense returns a He-initialized fully-connected layer.
 func NewDense(in, out int, r *rng.Source) *Dense {
-	d := &Dense{
-		in:  in,
-		out: out,
-		w:   tensor.New(out, in),
-		b:   tensor.New(out),
-		gw:  tensor.New(out, in),
-		gb:  tensor.New(out),
-	}
-	heInit(d.w, in, r)
+	d := &Dense{in: in, out: out, w: newWeight(out, in), b: newWeight(out)}
+	heInit(&d.w, in, r)
 	return d
 }
 
@@ -42,7 +33,7 @@ func (d *Dense) Spec() Spec { return Spec{Kind: KindDense, In: d.in, Out: d.out}
 // neuron selection reads it directly when the monitored layer feeds a
 // linear output layer (the paper's special case where ∂n_c/∂n_i is simply
 // the connecting weight).
-func (d *Dense) Weights() *tensor.Tensor { return d.w }
+func (d *Dense) Weights() *tensor.Tensor { return d.w.v }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -52,9 +43,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		d.lastIn = x
 	}
-	y := tensor.MatVec(d.w, x.Data())
+	y := tensor.MatVec(d.w.v, x.Data())
 	for i := range y {
-		y[i] += d.b.Data()[i]
+		y[i] += d.b.v.Data()[i]
 	}
 	return tensor.FromSlice(y, d.out)
 }
@@ -66,14 +57,15 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	g := gradOut.Data()
 	x := d.lastIn.Data()
+	gw, gb := d.w.grad().Data(), d.b.grad().Data()
 	// dW[i][j] += g[i] * x[j]; db[i] += g[i]
 	for i := 0; i < d.out; i++ {
 		gi := g[i]
-		d.gb.Data()[i] += gi
+		gb[i] += gi
 		if gi == 0 {
 			continue
 		}
-		row := d.gw.Data()[i*d.in : (i+1)*d.in]
+		row := gw[i*d.in : (i+1)*d.in]
 		for j, xv := range x {
 			row[j] += gi * xv
 		}
@@ -85,7 +77,7 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		if gi == 0 {
 			continue
 		}
-		row := d.w.Data()[i*d.in : (i+1)*d.in]
+		row := d.w.v.Data()[i*d.in : (i+1)*d.in]
 		for j, wv := range row {
 			gin[j] += wv * gi
 		}
@@ -95,10 +87,13 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (d *Dense) Params() []Param {
-	return []Param{
-		{Name: d.Name() + ".w", Value: d.w, Grad: d.gw},
-		{Name: d.Name() + ".b", Value: d.b, Grad: d.gb},
-	}
+	return []Param{d.w.param(d.Name() + ".w"), d.b.param(d.Name() + ".b")}
+}
+
+func (d *Dense) weights() []*weight { return []*weight{&d.w, &d.b} }
+
+func (d *Dense) release() {
+	d.w.g, d.b.g, d.lastIn = nil, nil, nil
 }
 
 func (d *Dense) clone() Layer {
@@ -160,6 +155,10 @@ func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (l *ReLU) Params() []Param { return nil }
 
+func (l *ReLU) weights() []*weight { return nil }
+
+func (l *ReLU) release() { l.mask = nil }
+
 func (l *ReLU) clone() Layer { return &ReLU{} }
 
 // Flatten reshapes any tensor to a flat vector, remembering the original
@@ -192,5 +191,9 @@ func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (l *Flatten) Params() []Param { return nil }
+
+func (l *Flatten) weights() []*weight { return nil }
+
+func (l *Flatten) release() { l.shape = nil }
 
 func (l *Flatten) clone() Layer { return &Flatten{} }

@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"napmon/internal/rng"
-	"napmon/internal/tensor"
 )
 
 // Model files consist of a JSON header (layer specs) terminated by a
@@ -36,8 +35,8 @@ func (n *Network) Save(w io.Writer) error {
 	if _, err := bw.Write(append(hdr, '\n')); err != nil {
 		return err
 	}
-	for _, t := range n.persistedTensors() {
-		for _, v := range t.Data() {
+	for _, a := range n.persisted() {
+		for _, v := range a.v.Data() {
 			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
 				return err
 			}
@@ -64,33 +63,29 @@ func Load(r io.Reader) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range net.persistedTensors() {
-		data := t.Data()
-		for i := range data {
+	for _, w := range net.persisted() {
+		for i := range w.v.Data() {
 			var bits uint64
 			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 				return nil, fmt.Errorf("nn: reading parameters: %w", err)
 			}
-			data[i] = math.Float64frombits(bits)
+			w.set(i, math.Float64frombits(bits))
 		}
 	}
 	return net, nil
 }
 
-// persistedTensors returns every tensor that must round-trip through a
-// model file: learnable parameters plus BatchNorm running statistics.
-func (n *Network) persistedTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
+// persisted returns every array that must round-trip through a model
+// file: learnable parameters plus BatchNorm running statistics.
+func (n *Network) persisted() []*weight {
+	var ws []*weight
 	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			ts = append(ts, p.Value)
-		}
+		ws = append(ws, l.weights()...)
 		if bn, ok := l.(*BatchNorm); ok {
-			mean, variance := bn.RunningStats()
-			ts = append(ts, mean, variance)
+			ws = append(ws, &bn.runMean, &bn.runVar)
 		}
 	}
-	return ts
+	return ws
 }
 
 // SaveFile writes the model to the named file.

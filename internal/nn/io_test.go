@@ -57,10 +57,10 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	opt := NewSGD(0.1)
 	opt.Momentum = 0
 	opt.WeightDecay = 0.5
-	before := d.w.Clone()
+	before := d.w.v.Clone()
 	// Zero gradients: the update is pure decay.
 	opt.Step(d.Params(), 1)
-	for i, v := range d.w.Data() {
+	for i, v := range d.w.v.Data() {
 		want := before.Data()[i] * (1 - 0.1*0.5)
 		if diff := v - want; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("weight %d: got %v, want %v", i, v, want)

@@ -5,12 +5,15 @@
 // the monitor needs — capturing hidden-layer activations during inference
 // and computing output-to-neuron gradients for neuron selection.
 //
-// Inference runs whole batches through ForwardBatch. Training steps one
-// sample at a time and accumulates gradients across a mini-batch before
-// each optimizer step. BatchNorm therefore normalizes with running
-// statistics (updated online during training, used frozen in the backward
-// pass), a standard small-batch approximation that preserves the Table I
-// architecture.
+// Inference runs whole batches through ForwardBatch, in float32. Training
+// steps one sample at a time in float64 and accumulates gradients across
+// a mini-batch before each optimizer step; gradients and backward caches
+// exist only while training. Every weight array keeps its float64 master
+// for training and, beside it, the float32 copy inference reads, which
+// every writer of the master updates in the same loop. BatchNorm
+// normalizes with running statistics (updated online during training,
+// used frozen in the backward pass), a standard small-batch
+// approximation that preserves the Table I architecture.
 package nn
 
 import (
@@ -21,11 +24,59 @@ import (
 	"napmon/internal/tensor"
 )
 
-// Param couples a learnable tensor with its gradient accumulator.
+// Param couples a learnable tensor with its gradient accumulator and
+// its float32 copy.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	// Grad accumulates the gradient while the network trains. It is nil
+	// until the first training-mode use and again after Train returns.
+	Grad *tensor.Tensor
+	// F32 is Value rounded to float32, the copy inference reads; whoever
+	// writes an element of Value writes it here too.
+	F32 []float32
+}
+
+// weight is one array a model file carries: the float64 master training
+// updates, the float32 copy batched inference reads — equal to
+// float32(master) element for element, because every writer of the
+// master (initialization, SGD.Step, Load, BatchNorm's running
+// statistics) writes the copy in the same loop — and, for a learnable
+// array, its gradient, which exists only while training. Clones made by
+// CloneShared copy the struct, so they share all three arrays.
+type weight struct {
+	v   *tensor.Tensor
+	f32 *tensor.Tensor32
+	g   *tensor.Tensor
+}
+
+func newWeight(shape ...int) weight {
+	return weight{v: tensor.New(shape...), f32: tensor.New32(shape...)}
+}
+
+// set stores x at flat index i of the master and of its copy.
+func (w *weight) set(i int, x float64) {
+	w.v.Data()[i] = x
+	w.f32.Data()[i] = float32(x)
+}
+
+// fill sets every element of the master and of its copy to x.
+func (w *weight) fill(x float64) {
+	for i := range w.v.Data() {
+		w.set(i, x)
+	}
+}
+
+// grad returns the gradient, allocating it on first use.
+func (w *weight) grad() *tensor.Tensor {
+	if w.g == nil {
+		w.g = tensor.New(w.v.Shape()...)
+	}
+	return w.g
+}
+
+func (w *weight) param(name string) Param {
+	return Param{Name: name, Value: w.v, Grad: w.g, F32: w.f32.Data()}
 }
 
 // Layer is one differentiable stage of a network. Forward with train=true
@@ -43,15 +94,22 @@ type Layer interface {
 	// caching, BatchNorm uses running statistics), draws every scratch
 	// and output buffer from pool, and touches no per-layer mutable
 	// state — so unlike Forward it is safe to call concurrently on the
-	// same layer. Row b of the output is bit-identical to
+	// same layer. It computes in float32 on the float32 weight copies:
+	// row b of the output is bit-identical to the width-1 pass over
+	// sample b, and within float32 rounding of the float64
 	// Forward(sample b); see batch.go.
-	ForwardBatch(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor
+	ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32
 	// Backward propagates gradOut (gradient of the loss with respect to
 	// this layer's output) to the layer input, accumulating parameter
 	// gradients along the way.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the learnable parameters, empty for stateless layers.
 	Params() []Param
+	// weights returns the learnable arrays, in Params order.
+	weights() []*weight
+	// release drops the gradients and every backward cache: the state
+	// only training needs.
+	release()
 	// Spec returns the serializable configuration of the layer.
 	Spec() Spec
 	// clone returns a copy sharing parameter tensors but owning its own
@@ -103,14 +161,14 @@ func buildLayer(s Spec, r *rng.Source) (Layer, error) {
 	}
 }
 
-// heInit fills t with He-normal initialization for the given fan-in, the
+// heInit fills w with He-normal initialization for the given fan-in, the
 // standard choice for ReLU networks.
-func heInit(t *tensor.Tensor, fanIn int, r *rng.Source) {
+func heInit(w *weight, fanIn int, r *rng.Source) {
 	stddev := 0.0
 	if fanIn > 0 {
 		stddev = math.Sqrt(2.0 / float64(fanIn))
 	}
-	for i := range t.Data() {
-		t.Data()[i] = r.NormScaled(0, stddev)
+	for i := range w.v.Data() {
+		w.set(i, r.NormScaled(0, stddev))
 	}
 }

@@ -101,10 +101,29 @@ func (n *Network) Params() []Param {
 	return ps
 }
 
-// ZeroGrads clears all accumulated parameter gradients.
+// ZeroGrads clears all accumulated parameter gradients, allocating any
+// that do not exist yet.
 func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
+	for _, p := range n.trainParams() {
 		p.Grad.Zero()
+	}
+}
+
+// trainParams returns Params with every gradient allocated.
+func (n *Network) trainParams() []Param {
+	for _, l := range n.layers {
+		for _, w := range l.weights() {
+			w.grad()
+		}
+	}
+	return n.Params()
+}
+
+// release drops every layer's gradients and backward caches, which only
+// training needs; the next training-mode use allocates them again.
+func (n *Network) release() {
+	for _, l := range n.layers {
+		l.release()
 	}
 }
 
@@ -145,9 +164,10 @@ func (n *Network) GradientAtLayer(x *tensor.Tensor, class, layer int) *tensor.Te
 	return g
 }
 
-// CloneShared returns a network that shares n's parameter tensors but owns
-// private per-layer forward caches, so inference can run concurrently with
-// other clones. It must not be trained while the original is in use.
+// CloneShared returns a network that shares n's parameter tensors and
+// their float32 copies but owns private per-layer forward caches, so
+// inference can run concurrently with other clones and adds no weight
+// memory. It must not be trained while the original is in use.
 func (n *Network) CloneShared() *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {

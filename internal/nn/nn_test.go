@@ -56,8 +56,8 @@ func checkParamGradients(t *testing.T, net *Network, x *tensor.Tensor, label int
 func TestDenseForward(t *testing.T) {
 	r := rng.New(1)
 	d := NewDense(3, 2, r)
-	copy(d.w.Data(), []float64{1, 2, 3, 4, 5, 6})
-	copy(d.b.Data(), []float64{0.5, -0.5})
+	copy(d.w.v.Data(), []float64{1, 2, 3, 4, 5, 6})
+	copy(d.b.v.Data(), []float64{0.5, -0.5})
 	y := d.Forward(tensor.FromSlice([]float64{1, 0, -1}, 3), false)
 	if y.Data()[0] != 1+0-3+0.5 || y.Data()[1] != 4+0-6-0.5 {
 		t.Fatalf("Dense forward = %v", y.Data())

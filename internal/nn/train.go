@@ -31,7 +31,8 @@ func NewSGD(lr float64) *SGD {
 }
 
 // Step applies one update to every parameter from its accumulated gradient
-// scaled by 1/batchSize, then clears the gradients.
+// scaled by 1/batchSize (a nil gradient counts as zero), then clears the
+// gradients. It writes each parameter's float32 copy beside its master.
 func (o *SGD) Step(params []Param, batchSize int) {
 	if o.velocity == nil {
 		o.velocity = map[*tensor.Tensor]*tensor.Tensor{}
@@ -43,13 +44,23 @@ func (o *SGD) Step(params []Param, batchSize int) {
 			v = tensor.New(p.Value.Shape()...)
 			o.velocity[p.Value] = v
 		}
-		vd, gd, wd := v.Data(), p.Grad.Data(), p.Value.Data()
+		vd, wd, w32 := v.Data(), p.Value.Data(), p.F32
+		var gd []float64
+		if p.Grad != nil {
+			gd = p.Grad.Data()
+		}
 		for i := range vd {
-			g := gd[i]*inv + o.WeightDecay*wd[i]
+			g := o.WeightDecay * wd[i]
+			if gd != nil {
+				g = gd[i]*inv + o.WeightDecay*wd[i]
+			}
 			vd[i] = o.Momentum*vd[i] - o.LR*g
 			wd[i] += vd[i]
+			w32[i] = float32(wd[i])
 		}
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
 	}
 }
 
@@ -76,7 +87,10 @@ type EpochStats struct {
 }
 
 // Train runs mini-batch SGD over the samples and returns per-epoch stats.
+// The gradients and backward caches it uses are dropped when it returns,
+// so a trained network holds no more than a loaded one.
 func Train(net *Network, samples []Sample, cfg TrainConfig) []EpochStats {
+	defer net.release()
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
@@ -92,7 +106,7 @@ func Train(net *Network, samples []Sample, cfg TrainConfig) []EpochStats {
 	}
 	opt.WeightDecay = cfg.WeightDecay
 	r := rng.New(cfg.Seed)
-	params := net.Params()
+	params := net.trainParams()
 	var stats []EpochStats
 	idx := make([]int, len(samples))
 	for i := range idx {

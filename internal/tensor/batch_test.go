@@ -103,35 +103,29 @@ func TestMatMulTransBMatchesMatVec(t *testing.T) {
 	})
 }
 
-// TestMatMulTransBBiasReLUFusion checks the fused epilogue against the
-// unfused product followed by an explicit bias add and nn.ReLU's
-// rectification, which maps NaN to +0: row 0 of A carries a NaN and
-// row 1 an infinity.
+// TestMatMulTransBBiasReLUFusion checks DenseBatchInto's fused
+// epilogue against the unfused float32 product followed by an explicit
+// bias add and nn.ReLU's rectification, which maps NaN to +0: row 0 of
+// X carries a NaN and row 1 an infinity. It runs at widths on both
+// sides of gemvWidth32, on every kernel level.
 func TestMatMulTransBBiasReLUFusion(t *testing.T) {
-	r := rng.New(11)
-	m, k, n := 13, 37, 21
-	a := randTensor(r, m, k)
-	b := randTensor(r, n, k)
-	a.Data()[3], a.Data()[k+5] = math.NaN(), math.Inf(1)
-	bias := make([]float64, n)
-	for i := range bias {
-		bias[i] = r.NormScaled(0, 1)
-	}
-	fused := New(m, n)
-	MatMulTransBBiasInto(fused, a, b, bias, true)
-	plain := New(m, n)
-	MatMulTransBInto(plain, a, b)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			want := plain.At(i, j) + bias[j]
-			if !(want > 0) {
-				want = 0
-			}
-			if got := fused.At(i, j); got != want {
-				t.Fatalf("elem (%d,%d): fused %v, reference %v", i, j, got, want)
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(11)
+		for _, m := range []int{2, 13} {
+			k, n := 37, 21
+			x, w := randTensor32(r, m, k), randTensor32(r, n, k)
+			x.data[3], x.data[k+5] = float32(math.NaN()), float32(math.Inf(1))
+			bias := randTensor32(r, n).data
+			fused, plain := New32(m, n), New32(m, n)
+			DenseBatchInto(fused, x, w, bias, true)
+			DenseBatchInto(plain, x, w, nil, false)
+			for i, v := range plain.data {
+				if want := clamp32(v + bias[i%n]); fused.data[i] != want {
+					t.Fatalf("m=%d elem %d: fused %v, reference %v", m, i, fused.data[i], want)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestIm2ColBatchMatchesIm2Col checks that each sample's column block of
@@ -171,11 +165,12 @@ func TestIm2ColBatchMatchesIm2Col(t *testing.T) {
 // convCase is one random batched-convolution problem. The geometries
 // cover what the stripe driver has to get right: strides 1 and 2, channel
 // counts that are not a multiple of the 4-row micro tile, K beyond one
-// blockK panel, maps wider than a micro panel and narrower than one, and
-// stripes that span several samples.
+// blockK panel, maps wider than a micro panel and narrower than one, map
+// widths that are and are not a multiple of 8 (whole or split gather
+// halves), and stripes that span several samples.
 type convCase struct {
-	batch, kernel *Tensor
-	bias          []float64
+	batch, kernel *Tensor32
+	bias          []float32
 	stride        int
 }
 
@@ -186,105 +181,88 @@ func randConvCase(r *rng.Source, even bool) convCase {
 		inC, kh, kw = 30+r.Intn(4), 3, 3 // K = 270..297 > blockK
 	}
 	outH, outW := 1+r.Intn(12), 1+r.Intn(12)
+	if r.Bool(0.3) {
+		outW = 8 * (1 + r.Intn(3))
+	}
 	if even {
 		outH, outW = outH+outH%2, outW+outW%2
 	}
 	c := convCase{
-		batch:  randTensor(r, bsz, inC, (outH-1)*stride+kh+r.Intn(stride), (outW-1)*stride+kw+r.Intn(stride)),
-		kernel: randTensor(r, outC, inC, kh, kw),
+		batch:  randTensor32(r, bsz, inC, (outH-1)*stride+kh+r.Intn(stride), (outW-1)*stride+kw+r.Intn(stride)),
+		kernel: randTensor32(r, outC, inC, kh, kw),
 		stride: stride,
 	}
 	if r.Bool(0.8) {
-		c.bias = randTensor(r, outC).Data()
+		c.bias = randTensor32(r, outC).data
 	}
 	return c
 }
 
 // perSample is the reference the batched driver must reproduce bit for
-// bit: per sample Im2Col → MatMul → bias → ReLU → MaxPool2D, stacked.
-func (c convCase) perSample(relu, pool2 bool) *Tensor {
+// bit: per sample Im2Col → the float32 contract product → bias → ReLU →
+// MaxPool2D, stacked. Lowering and pooling only move and compare, so
+// they run on the float64 widening of the float32 values.
+func (c convCase) perSample(relu, pool2 bool) []float32 {
 	bsz, inC, h, w := c.batch.Dim(0), c.batch.Dim(1), c.batch.Dim(2), c.batch.Dim(3)
 	outC, kh, kw := c.kernel.Dim(0), c.kernel.Dim(2), c.kernel.Dim(3)
 	outH, outW := (h-kh)/c.stride+1, (w-kw)/c.stride+1
-	var out []float64
+	var out []float32
 	for s := 0; s < bsz; s++ {
-		sample := FromSlice(c.batch.Data()[s*inC*h*w:(s+1)*inC*h*w], inC, h, w)
-		y := MatMul(c.kernel.Reshape(outC, inC*kh*kw), Im2Col(sample, kh, kw, c.stride))
-		c.epilogue(y.Data(), outC, outH*outW, relu)
-		if pool2 {
-			y, _ = MaxPool2D(y.Reshape(outC, outH, outW), 2)
+		sample := New(inC, h, w)
+		Widen64(sample.data, c.batch.data[s*inC*h*w:(s+1)*inC*h*w])
+		colsT := Im2Col(sample, kh, kw, c.stride) // (K, area)
+		bt := make([]float32, outH*outW*inC*kh*kw)
+		for row := 0; row < colsT.Dim(0); row++ {
+			for col := 0; col < colsT.Dim(1); col++ {
+				bt[col*colsT.Dim(0)+row] = float32(colsT.At(row, col))
+			}
 		}
-		out = append(out, y.Data()...)
-	}
-	return FromSlice(out, len(out))
-}
-
-// wholeBatch is the schedule the stripe driver replaced: Im2ColBatchInto
-// → MatMulInto → the same epilogue on the whole (outC, B·area) product.
-func (c convCase) wholeBatch(relu, pool2 bool) *Tensor {
-	bsz, inC, h, w := c.batch.Dim(0), c.batch.Dim(1), c.batch.Dim(2), c.batch.Dim(3)
-	outC, kh, kw := c.kernel.Dim(0), c.kernel.Dim(2), c.kernel.Dim(3)
-	outH, outW := (h-kh)/c.stride+1, (w-kw)/c.stride+1
-	area := outH * outW
-	cols := New(inC*kh*kw, bsz*area)
-	Im2ColBatchInto(cols, c.batch, kh, kw, c.stride)
-	prod := New(outC, bsz*area)
-	MatMulInto(prod, c.kernel.Reshape(outC, inC*kh*kw), cols)
-	c.epilogue(prod.Data(), outC, bsz*area, relu)
-	out := New(bsz, outC, outH, outW)
-	for s := 0; s < bsz; s++ {
+		y := contractGemm32(c.kernel.data, bt, outC, outH*outW, inC*kh*kw)
 		for oc := 0; oc < outC; oc++ {
-			copy(out.Data()[(s*outC+oc)*area:], prod.Data()[oc*bsz*area+s*area:][:area])
+			for i := oc * outH * outW; i < (oc+1)*outH*outW; i++ {
+				if c.bias != nil {
+					y[i] += c.bias[oc]
+				}
+				if relu {
+					y[i] = clamp32(y[i])
+				}
+			}
 		}
-	}
-	if pool2 {
-		pooled := New(bsz, outC, outH/2, outW/2)
-		MaxPool2DBatchInto(pooled, out, 2)
-		out = pooled
+		if pool2 {
+			y64 := New(outC, outH, outW)
+			Widen64(y64.data, y)
+			pooled, _ := MaxPool2D(y64, 2)
+			y = make([]float32, pooled.Len())
+			Narrow32(y, pooled.data)
+		}
+		out = append(out, y...)
 	}
 	return out
-}
-
-// epilogue adds bias[oc] to row oc of the (outC, n) matrix y and
-// rectifies it the way nn.ReLU does.
-func (c convCase) epilogue(y []float64, outC, n int, relu bool) {
-	for oc := 0; oc < outC; oc++ {
-		for i := oc * n; i < (oc+1)*n; i++ {
-			if c.bias != nil {
-				y[i] += c.bias[oc]
-			}
-			if relu && !(y[i] > 0) {
-				y[i] = 0
-			}
-		}
-	}
 }
 
 func (c convCase) check(t *testing.T, relu, pool2 bool) {
 	t.Helper()
 	want := c.perSample(relu, pool2)
-	got := New(want.Len())
-	for i := range got.Data() {
-		got.Data()[i] = math.NaN() // every element must be overwritten
+	got := New32(len(want))
+	for i := range got.data {
+		got.data[i] = float32(math.NaN()) // every element must be overwritten
 	}
 	Conv2DBatchInto(got, c.batch, c.kernel, c.bias, c.stride, relu, pool2)
-	whole := c.wholeBatch(relu, pool2)
-	for i, w := range want.Data() {
-		if !sameFloat(got.Data()[i], w) || !sameFloat(whole.Data()[i], w) {
-			t.Fatalf("batch %v kernel %v stride %d relu %v pool2 %v elem %d: fused %v, whole-batch %v, per-sample %v",
-				c.batch.Shape(), c.kernel.Shape(), c.stride, relu, pool2, i, got.Data()[i], whole.Data()[i], w)
+	for i, w := range want {
+		if !sameFloat32(got.data[i], w) {
+			t.Fatalf("batch %v kernel %v stride %d relu %v pool2 %v elem %d: batched %v, per-sample %v",
+				c.batch.Shape(), c.kernel.Shape(), c.stride, relu, pool2, i, got.data[i], w)
 		}
 	}
 }
 
-// sameFloat is bit equality up to NaN payloads: any NaN equals any NaN.
-func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
+// sameFloat32 is bit equality up to NaN payloads: any NaN equals any NaN.
+func sameFloat32(a, b float32) bool { return a == b || a != a && b != b }
 
 // TestAddBiasUnstack checks the conv epilogue without pooling: the
 // stripe-fused driver's products must land batch-major with the channel
 // bias added (and rectified when asked), equal to the per-sample
-// reference and to the whole-batch lowering it replaced, on every
-// kernel level.
+// contract reference, on every kernel level.
 func TestAddBiasUnstack(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(90)
@@ -297,21 +275,26 @@ func TestAddBiasUnstack(t *testing.T) {
 }
 
 // TestMaxPool2DBatchMatchesSingle checks the inference-only batched
-// pooling against the per-sample kernel.
+// float32 pooling, 2×2 and 3×3, against the per-sample kernel.
 func TestMaxPool2DBatchMatchesSingle(t *testing.T) {
 	r := rng.New(17)
-	const bsz, c, h, w, size = 4, 3, 6, 8, 2
-	batch := randTensor(r, bsz, c, h, w)
-	out := New(bsz, c, h/size, w/size)
-	MaxPool2DBatchInto(out, batch, size)
-	sampleLen := c * h * w
-	outLen := c * (h / size) * (w / size)
-	for s := 0; s < bsz; s++ {
-		sample := FromSlice(batch.Data()[s*sampleLen:(s+1)*sampleLen], c, h, w)
-		want, _ := MaxPool2D(sample, size)
-		for i, v := range want.Data() {
-			if got := out.Data()[s*outLen+i]; got != v {
-				t.Fatalf("sample %d elem %d: batch %v, single %v", s, i, got, v)
+	for _, size := range []int{2, 3} {
+		const bsz, c = 4, 3
+		h, w := 3*size, 4*size
+		batch := randTensor32(r, bsz, c, h, w)
+		batch.data[5] = float32(math.NaN())
+		out := New32(bsz, c, h/size, w/size)
+		MaxPool2DBatchInto(out, batch, size)
+		sampleLen := c * h * w
+		outLen := c * (h / size) * (w / size)
+		for s := 0; s < bsz; s++ {
+			sample := New(c, h, w)
+			Widen64(sample.data, batch.data[s*sampleLen:(s+1)*sampleLen])
+			want, _ := MaxPool2D(sample, size)
+			for i, v := range want.Data() {
+				if got := out.data[s*outLen+i]; !sameFloat32(got, float32(v)) {
+					t.Fatalf("size %d sample %d elem %d: batch %v, single %v", size, s, i, got, v)
+				}
 			}
 		}
 	}
@@ -337,7 +320,7 @@ func TestAddBiasReLUPool2Fused(t *testing.T) {
 func TestConv2DBatchWideMap(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(92)
-		c := convCase{batch: randTensor(r, 2, 1, 5, blockN+45), kernel: randTensor(r, 3, 1, 2, 2), stride: 1}
+		c := convCase{batch: randTensor32(r, 2, 1, 5, blockN+45), kernel: randTensor32(r, 3, 1, 2, 2), stride: 1}
 		c.check(t, true, false)
 		c.check(t, true, true)
 	})
@@ -352,9 +335,9 @@ func TestConv2DBatchNonFinite(t *testing.T) {
 		r := rng.New(93)
 		for trial := 0; trial < 20; trial++ {
 			c := randConvCase(r, true)
-			x := c.batch.Data()
+			x := c.batch.data
 			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-				x[(i*len(x)/3+trial)%len(x)] = v
+				x[(i*len(x)/3+trial)%len(x)] = float32(v)
 			}
 			for _, relu := range []bool{false, true} {
 				c.check(t, relu, false)
@@ -391,20 +374,27 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 	if p.Get(3).Len() != 3 {
 		t.Fatal("Get after no-op Puts broken")
 	}
+	// float32 buffers recycle through their own list.
+	f := p.Get32(2, 16)
+	backing32 := &f.Data()[0]
+	p.Put32(f)
+	if g := p.Get32(32); &g.Data()[0] != backing32 {
+		t.Fatal("Get32 after Put32 allocated instead of recycling")
+	}
 }
 
-// BenchmarkConv2DBatch runs the stripe-fused convolution on the two
-// conv shapes of the Table I MNIST net at a 64-sample chunk, once per
-// kernel level the host has.
+// BenchmarkConv2DBatch runs the stripe-fused float32 convolution on the
+// two conv shapes of the Table I MNIST net at a 64-sample chunk, once
+// per kernel level the host has.
 func BenchmarkConv2DBatch(b *testing.B) {
 	r := rng.New(3)
 	for _, s := range []struct {
 		name          string
 		inC, hw, outC int
 	}{{"conv1", 1, 28, 40}, {"conv2", 40, 12, 20}} {
-		batch, kernel := randTensor(r, 64, s.inC, s.hw, s.hw), randTensor(r, s.outC, s.inC, 5, 5)
-		bias := randTensor(r, s.outC).Data()
-		dst := New(64, s.outC, (s.hw-4)/2, (s.hw-4)/2)
+		batch, kernel := randTensor32(r, 64, s.inC, s.hw, s.hw), randTensor32(r, s.outC, s.inC, 5, 5)
+		bias := randTensor32(r, s.outC).data
+		dst := New32(64, s.outC, (s.hw-4)/2, (s.hw-4)/2)
 		b.Run(s.name, func(b *testing.B) {
 			forEachKernel(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -1,11 +1,18 @@
 package tensor
 
-// FreeCaps reports the capacities, in elements and ascending, of the
-// buffers the pool currently holds free — its parked working set.
-func (p *Pool) FreeCaps() []int {
-	caps := make([]int, len(p.free))
-	for i, buf := range p.free {
-		caps[i] = cap(buf)
+import "slices"
+
+// FreeBytes reports the sizes in bytes, ascending, of the buffers the
+// pool currently holds free, float64 and float32 alike — its parked
+// working set.
+func (p *Pool) FreeBytes() []int {
+	var sizes []int
+	for _, buf := range p.free {
+		sizes = append(sizes, 8*cap(buf))
 	}
-	return caps
+	for _, buf := range p.free32 {
+		sizes = append(sizes, 4*cap(buf))
+	}
+	slices.Sort(sizes)
+	return sizes
 }

@@ -30,15 +30,41 @@ func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *fl
 //go:noescape
 func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool)
 
-// gather8asm copies src[rows[t]:rows[t]+8] to dst[8t:8t+8] for t < kb (AVX2).
+// gemm4x16ps is the 4×16 float32 YMM micro kernel (AVX2+FMA).
 //
 //go:noescape
-func gather8asm(dst, src *float64, rows *int, kb int)
+func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
 
-// pool2ReLUasm is pool2ReLU over quads groups of four outputs (AVX2).
+// gemm4x32ps is the 4×32 float32 ZMM micro kernel (AVX-512F) over two
+// adjacent packed panels, pk and pk+16·kb.
 //
 //go:noescape
-func pool2ReLUasm(out, r0, r1 *float64, quads int, b float64)
+func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+
+// gemv16ps is the float32 transposing matrix-vector kernel (AVX-512F):
+// one 16-row weight group against nb ≤ 4 batch rows of x, the outputs
+// stored under the lane mask.
+//
+//go:noescape
+func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool)
+
+// gemv8ps is the float32 matrix-vector kernel for up to eight weight
+// rows against one x, eight scalar FMA chains side by side (AVX2+FMA);
+// it writes eight outputs whatever rows is.
+//
+//go:noescape
+func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool)
+
+// gather16ps copies src0[rows[t]:rows[t]+8] to dst[16t:16t+8] and
+// src1[rows[t]:rows[t]+8] to dst[16t+8:16t+16] for t < kb (AVX2).
+//
+//go:noescape
+func gather16ps(dst, src0, src1 *float32, rows *int, kb int)
+
+// pool2ReLUps is pool2ReLU32 over quads groups of four outputs (AVX2).
+//
+//go:noescape
+func pool2ReLUps(out, r0, r1 *float32, quads int, b float32)
 
 // cpuidex and xgetbv0 are implemented in gemm_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

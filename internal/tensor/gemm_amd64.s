@@ -1,11 +1,12 @@
-// Assembly of the inference kernels. The GEMM micro kernels accumulate
-// one C tile over a k panel, reading B from its packed micro panels (kb
-// rows of 8 contiguous float64); the matrix-vector kernels read the
-// weight rows where they lie. Per output element the accumulation is a
-// chain of fused multiply-adds in ascending k — the same
-// correctly-rounded sequence the math.FMA scalar kernel performs, so
-// every level computes the same bits. The gather and the pool epilogue
-// only move, add, clamp and compare, in the order their Go loops do.
+// Assembly of the kernels, float64 (…asm) and float32 (…ps). The GEMM
+// micro kernels accumulate one C tile over a k panel, reading B from its
+// packed micro panels (kb rows of 8 contiguous float64 or 16 float32);
+// the matrix-vector kernels read the weight rows where they lie. Per
+// output element the accumulation is a chain of fused multiply-adds in
+// ascending k — the same correctly-rounded sequence the math.FMA and
+// fma32 scalar kernels perform, so every level computes the same bits.
+// The gather and the pool epilogue only move, add, clamp and compare, in
+// the order their Go loops do.
 
 #include "textflag.h"
 
@@ -511,66 +512,576 @@ put8:
 	VZEROUPPER
 	RET
 
-// func gather8asm(dst, src *float64, rows *int, kb int)
-// One packed micro panel of an adjacent im2col panel: row t is the 8
-// inputs at src+rows[t], one 64-byte move.
-TEXT ·gather8asm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), BX
+// func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+// The float32 form of gemm4x8asm (AVX2+FMA): a 4×16 C tile over one
+// packed panel of kb rows of 16 float32, two YMM accumulators per row.
+TEXT ·gemm4x16ps(SB), NOSPLIT, $0-49
+	MOVQ a+0(FP), R8
+	MOVQ lda+8(FP), R9
+	SHLQ $2, R9            // row stride in bytes
+	LEAQ (R8)(R9*1), R10   // a row 1
+	LEAQ (R10)(R9*1), R11  // a row 2
+	LEAQ (R11)(R9*1), R12  // a row 3
+	MOVQ pk+16(FP), SI
 	MOVQ kb+24(FP), CX
 
-gather:
-	MOVQ    (BX), AX
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 32(SI)(AX*8), Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $8, BX
-	ADDQ    $64, DI
-	DECQ    CX
-	JNZ     gather
+	VXORPS Y0, Y0, Y0      // c[0][0:8]
+	VXORPS Y1, Y1, Y1      // c[0][8:16]
+	VXORPS Y2, Y2, Y2      // c[1][0:8]
+	VXORPS Y3, Y3, Y3      // c[1][8:16]
+	VXORPS Y4, Y4, Y4      // c[2][0:8]
+	VXORPS Y5, Y5, Y5      // c[2][8:16]
+	VXORPS Y6, Y6, Y6      // c[3][0:8]
+	VXORPS Y7, Y7, Y7      // c[3][8:16]
+
+loopps:
+	VMOVUPS (SI), Y8       // b[t][0:8]
+	VMOVUPS 32(SI), Y9     // b[t][8:16]
+	ADDQ    $64, SI
+
+	VBROADCASTSS (R8), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (R10), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	VFMADD231PS  Y9, Y10, Y3
+	VBROADCASTSS (R11), Y10
+	VFMADD231PS  Y8, Y10, Y4
+	VFMADD231PS  Y9, Y10, Y5
+	VBROADCASTSS (R12), Y10
+	VFMADD231PS  Y8, Y10, Y6
+	VFMADD231PS  Y9, Y10, Y7
+
+	ADDQ $4, R8
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  loopps
+
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), DX
+	SHLQ    $2, DX
+	MOVBLZX first+48(FP), AX
+	TESTL   AX, AX
+	JZ      accumps
+
+	// first panel: overwrite C with the subtotals
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	JMP     doneps
+
+accumps:
+	// later panels: C += subtotal
+	VMOVUPS (DI), Y8
+	VADDPS  Y0, Y8, Y8
+	VMOVUPS Y8, (DI)
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y1, Y9, Y9
+	VMOVUPS Y9, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Y8
+	VADDPS  Y2, Y8, Y8
+	VMOVUPS Y8, (DI)
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y3, Y9, Y9
+	VMOVUPS Y9, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Y8
+	VADDPS  Y4, Y8, Y8
+	VMOVUPS Y8, (DI)
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y5, Y9, Y9
+	VMOVUPS Y9, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Y8
+	VADDPS  Y6, Y8, Y8
+	VMOVUPS Y8, (DI)
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y7, Y9, Y9
+	VMOVUPS Y9, 32(DI)
+
+doneps:
 	VZEROUPPER
 	RET
 
-// func pool2ReLUasm(out, r0, r1 *float64, quads int, b float64)
+// func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+// The float32 form of gemm4x16asm (AVX-512F): a 4×32 C tile over two
+// adjacent packed panels, columns 0–15 from pk and 16–31 from
+// pk+16·kb, one ZMM accumulator per row half.
+TEXT ·gemm4x32ps(SB), NOSPLIT, $0-49
+	MOVQ a+0(FP), R8
+	MOVQ lda+8(FP), R9
+	SHLQ $2, R9            // row stride in bytes
+	LEAQ (R8)(R9*1), R10   // a row 1
+	LEAQ (R10)(R9*1), R11  // a row 2
+	LEAQ (R11)(R9*1), R12  // a row 3
+	MOVQ pk+16(FP), SI
+	MOVQ kb+24(FP), CX
+	MOVQ CX, BX
+	SHLQ $6, BX            // 16·kb float32: byte offset of the second panel
+	XORQ AX, AX            // byte offset of k step t in a row of A
+
+	VPXORD Z0, Z0, Z0      // c[0][0:16]
+	VPXORD Z1, Z1, Z1      // c[0][16:32]
+	VPXORD Z2, Z2, Z2      // c[1][0:16]
+	VPXORD Z3, Z3, Z3      // c[1][16:32]
+	VPXORD Z4, Z4, Z4      // c[2][0:16]
+	VPXORD Z5, Z5, Z5      // c[2][16:32]
+	VPXORD Z6, Z6, Z6      // c[3][0:16]
+	VPXORD Z7, Z7, Z7      // c[3][16:32]
+
+loop32ps:
+	VMOVUPS (SI), Z8       // b[t][0:16]
+	VMOVUPS (SI)(BX*1), Z9 // b[t][16:32]
+	ADDQ    $64, SI
+
+	VBROADCASTSS (R8)(AX*1), Z10
+	VFMADD231PS  Z8, Z10, Z0
+	VFMADD231PS  Z9, Z10, Z1
+	VBROADCASTSS (R10)(AX*1), Z11
+	VFMADD231PS  Z8, Z11, Z2
+	VFMADD231PS  Z9, Z11, Z3
+	VBROADCASTSS (R11)(AX*1), Z10
+	VFMADD231PS  Z8, Z10, Z4
+	VFMADD231PS  Z9, Z10, Z5
+	VBROADCASTSS (R12)(AX*1), Z11
+	VFMADD231PS  Z8, Z11, Z6
+	VFMADD231PS  Z9, Z11, Z7
+
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  loop32ps
+
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), DX
+	SHLQ    $2, DX
+	MOVBLZX first+48(FP), AX
+	TESTL   AX, AX
+	JZ      accum32ps
+
+	// first panel: overwrite C with the subtotals
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	JMP     done32ps
+
+accum32ps:
+	// later panels: C += subtotal
+	VMOVUPS (DI), Z8
+	VADDPS  Z0, Z8, Z8
+	VMOVUPS Z8, (DI)
+	VMOVUPS 64(DI), Z9
+	VADDPS  Z1, Z9, Z9
+	VMOVUPS Z9, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Z8
+	VADDPS  Z2, Z8, Z8
+	VMOVUPS Z8, (DI)
+	VMOVUPS 64(DI), Z9
+	VADDPS  Z3, Z9, Z9
+	VMOVUPS Z9, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Z8
+	VADDPS  Z4, Z8, Z8
+	VMOVUPS Z8, (DI)
+	VMOVUPS 64(DI), Z9
+	VADDPS  Z5, Z9, Z9
+	VMOVUPS Z9, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS (DI), Z8
+	VADDPS  Z6, Z8, Z8
+	VMOVUPS Z8, (DI)
+	VMOVUPS 64(DI), Z9
+	VADDPS  Z7, Z9, Z9
+	VMOVUPS Z9, 64(DI)
+
+done32ps:
+	VZEROUPPER
+	RET
+
+// LOADROWS16 loads eight k values of the sixteen weight rows of a group
+// into Z0–Z7: lanes 0–7 of Z_r from row r (rows 0–2, 4, 6 off R8, rows
+// 3, 5, 7 off R9 = R8+3·ldw), lanes 8–15 from row r+8 (off R10 =
+// R8+8·ldw and R11 = R10+3·ldw, read 32 bytes early so that the lanes
+// line up; the lanes below 8 are masked off and never read). DX = ldw
+// bytes, BX = 3·ldw bytes; lo masks the k lanes of the low half, hi the
+// same lanes of the high half.
+#define LOADROWS16(lo, hi) \
+	VMOVUPS.Z (R8), lo, Z0; \
+	VMOVUPS   -32(R10), hi, Z0; \
+	VMOVUPS.Z (R8)(DX*1), lo, Z1; \
+	VMOVUPS   -32(R10)(DX*1), hi, Z1; \
+	VMOVUPS.Z (R8)(DX*2), lo, Z2; \
+	VMOVUPS   -32(R10)(DX*2), hi, Z2; \
+	VMOVUPS.Z (R9), lo, Z3; \
+	VMOVUPS   -32(R11), hi, Z3; \
+	VMOVUPS.Z (R8)(DX*4), lo, Z4; \
+	VMOVUPS   -32(R10)(DX*4), hi, Z4; \
+	VMOVUPS.Z (R9)(DX*2), lo, Z5; \
+	VMOVUPS   -32(R11)(DX*2), hi, Z5; \
+	VMOVUPS.Z (R8)(BX*2), lo, Z6; \
+	VMOVUPS   -32(R10)(BX*2), hi, Z6; \
+	VMOVUPS.Z (R9)(DX*4), lo, Z7; \
+	VMOVUPS   -32(R11)(DX*4), hi, Z7
+
+// TRANSPOSE16X8 turns Z0–Z7 as LOADROWS16 leaves them into Z8–Z15, Z8+k
+// holding k step k of all sixteen rows, with 8 VUNPCK{L,H}PS, 8 VSHUFPS
+// and 8 VSHUFF32X4. The two 8×8 halves transpose side by side, so the
+// lanes come out in row-quad order 0–3, 8–11, 4–7, 12–15, which the
+// store puts back. Z0–Z7 are clobbered.
+#define TRANSPOSE16X8 \
+	VUNPCKLPS  Z1, Z0, Z8; \
+	VUNPCKHPS  Z1, Z0, Z9; \
+	VUNPCKLPS  Z3, Z2, Z10; \
+	VUNPCKHPS  Z3, Z2, Z11; \
+	VUNPCKLPS  Z5, Z4, Z12; \
+	VUNPCKHPS  Z5, Z4, Z13; \
+	VUNPCKLPS  Z7, Z6, Z14; \
+	VUNPCKHPS  Z7, Z6, Z15; \
+	VSHUFPS    $0x44, Z10, Z8, Z0; \
+	VSHUFPS    $0xee, Z10, Z8, Z1; \
+	VSHUFPS    $0x44, Z11, Z9, Z2; \
+	VSHUFPS    $0xee, Z11, Z9, Z3; \
+	VSHUFPS    $0x44, Z14, Z12, Z4; \
+	VSHUFPS    $0xee, Z14, Z12, Z5; \
+	VSHUFPS    $0x44, Z15, Z13, Z6; \
+	VSHUFPS    $0xee, Z15, Z13, Z7; \
+	VSHUFF32X4 $0x88, Z4, Z0, Z8; \
+	VSHUFF32X4 $0x88, Z5, Z1, Z9; \
+	VSHUFF32X4 $0x88, Z6, Z2, Z10; \
+	VSHUFF32X4 $0x88, Z7, Z3, Z11; \
+	VSHUFF32X4 $0xdd, Z4, Z0, Z12; \
+	VSHUFF32X4 $0xdd, Z5, Z1, Z13; \
+	VSHUFF32X4 $0xdd, Z6, Z2, Z14; \
+	VSHUFF32X4 $0xdd, Z7, Z3, Z15
+
+// FMA8PS runs k steps 0–7 of one batch row (x at p) into the
+// accumulator c.
+#define FMA8PS(p, c) \
+	VFMADD231PS.BCST (p), Z8, c; \
+	VFMADD231PS.BCST 4(p), Z9, c; \
+	VFMADD231PS.BCST 8(p), Z10, c; \
+	VFMADD231PS.BCST 12(p), Z11, c; \
+	VFMADD231PS.BCST 16(p), Z12, c; \
+	VFMADD231PS.BCST 20(p), Z13, c; \
+	VFMADD231PS.BCST 24(p), Z14, c; \
+	VFMADD231PS.BCST 28(p), Z15, c
+
+// STORE16 puts the accumulator c back in row order and writes it to the
+// 16 outputs at p under mask K3: stored on the first panel, added to
+// what is there otherwise (R8 holds first).
+#define STORE16(c, p) \
+	VSHUFF32X4 $0xd8, c, c, c; \
+	VMOVUPS.Z  (p), K3, Z0; \
+	VADDPS     c, Z0, Z0; \
+	TESTQ      R8, R8; \
+	JZ         3(PC); \
+	VMOVUPS    c, K3, (p); \
+	JMP        2(PC); \
+	VMOVUPS    Z0, K3, (p)
+
+// func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool)
+// The float32 transposing matrix-vector kernel (AVX-512F): one group of
+// sixteen weight rows (rows ldw elements apart) against nb ≤ 4 batch
+// rows of x (ldx apart) over one k panel of kb steps. Each 16×8 block
+// is loaded where it lies and transposed in registers, so one lane of
+// the step-k register holds one row's weight k; that lane of a batch
+// row's accumulator then runs the row's ascending-k fused multiply-add
+// chain against x[k] broadcast, every block reused by all nb batch
+// rows. The kb%8 tail is loaded under a mask and only its real steps
+// are run. Batch row b lands at y+b·ldy under the lane mask.
+TEXT ·gemv16ps(SB), NOSPLIT, $0-73
+	MOVQ w+0(FP), R8
+	MOVQ ldw+8(FP), DX
+	SHLQ $2, DX            // row stride in bytes
+	LEAQ (DX)(DX*2), BX    // 3 row strides
+	LEAQ (R8)(BX*1), R9    // row 3
+	LEAQ (R8)(DX*8), R10   // row 8
+	LEAQ (R10)(BX*1), R11  // row 11
+	MOVQ x+16(FP), SI
+	MOVQ ldx+24(FP), R12
+	SHLQ $2, R12
+	MOVQ nb+32(FP), R13
+	MOVQ kb+40(FP), CX
+	MOVQ CX, AX
+	ANDQ $7, AX            // tail steps
+	SHRQ $3, CX            // full 8-step blocks
+
+	VPXORD Z24, Z24, Z24   // batch rows 0–3
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	MOVL   $0xff, DI
+	KMOVW  DI, K1          // k lanes of the low half
+	MOVL   $0xff00, DI
+	KMOVW  DI, K2          // the same lanes of the high half
+	TESTQ  CX, CX
+	JZ     tailv
+
+blockv:
+	LOADROWS16(K1, K2)
+	TRANSPOSE16X8
+	MOVQ SI, DI
+	FMA8PS(DI, Z24)
+	CMPQ R13, $1
+	JEQ  nextv
+	ADDQ R12, DI
+	FMA8PS(DI, Z25)
+	CMPQ R13, $2
+	JEQ  nextv
+	ADDQ R12, DI
+	FMA8PS(DI, Z26)
+	CMPQ R13, $3
+	JEQ  nextv
+	ADDQ R12, DI
+	FMA8PS(DI, Z27)
+
+nextv:
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  blockv
+
+tailv:
+	TESTQ AX, AX
+	JZ    storev
+	MOVQ  AX, CX
+	MOVL  $1, DI
+	SHLL  CX, DI
+	DECL  DI
+	KMOVW DI, K1           // the tail's k lanes
+	SHLL  $8, DI
+	KMOVW DI, K2
+	LOADROWS16(K1, K2)
+	TRANSPOSE16X8
+
+tailstepv:
+	// one k step of every batch row, then shift the next step into Z8
+	// (a tail has at most 7 steps, so step 7 never needs to move)
+	MOVQ SI, DI
+	VFMADD231PS.BCST (DI), Z8, Z24
+	CMPQ R13, $1
+	JEQ  shiftv
+	ADDQ R12, DI
+	VFMADD231PS.BCST (DI), Z8, Z25
+	CMPQ R13, $2
+	JEQ  shiftv
+	ADDQ R12, DI
+	VFMADD231PS.BCST (DI), Z8, Z26
+	CMPQ R13, $3
+	JEQ  shiftv
+	ADDQ R12, DI
+	VFMADD231PS.BCST (DI), Z8, Z27
+
+shiftv:
+	VMOVAPS Z9, Z8
+	VMOVAPS Z10, Z9
+	VMOVAPS Z11, Z10
+	VMOVAPS Z12, Z11
+	VMOVAPS Z13, Z12
+	VMOVAPS Z14, Z13
+	ADDQ    $4, SI
+	DECQ    AX
+	JNZ     tailstepv
+
+storev:
+	MOVQ    y+48(FP), DI
+	MOVQ    ldy+56(FP), DX
+	SHLQ    $2, DX
+	MOVQ    mask+64(FP), AX
+	KMOVW   AX, K3
+	MOVBQZX first+72(FP), R8
+	STORE16(Z24, DI)
+	CMPQ    R13, $1
+	JEQ     donev
+	ADDQ    DX, DI
+	STORE16(Z25, DI)
+	CMPQ    R13, $2
+	JEQ     donev
+	ADDQ    DX, DI
+	STORE16(Z26, DI)
+	CMPQ    R13, $3
+	JEQ     donev
+	ADDQ    DX, DI
+	STORE16(Z27, DI)
+
+donev:
+	VZEROUPPER
+	RET
+
+// func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool)
+// The float32 form of gemv8asm (AVX2+FMA): up to eight weight rows (ldw
+// elements apart) against one x over one k panel of kb steps, one scalar
+// fused multiply-add chain per row in ascending k, the eight chains
+// interleaved. With rows < 8 the pointers of rows rows..7 repeat row
+// rows-1, so nothing past it is read; row r's subtotal lands at y+r for
+// all eight r.
+TEXT ·gemv8ps(SB), NOSPLIT, $0-49
+	MOVQ w+0(FP), R8
+	MOVQ ldw+8(FP), DX
+	SHLQ $2, DX            // row stride in bytes
+	MOVQ rows+16(FP), CX
+	// row r = row r-1 + ldw while r < rows, else row r-1
+	LEAQ    (R8)(DX*1), AX
+	MOVQ    R8, R9
+	CMPQ    CX, $1
+	CMOVQGT AX, R9
+	LEAQ    (R9)(DX*1), AX
+	MOVQ    R9, R10
+	CMPQ    CX, $2
+	CMOVQGT AX, R10
+	LEAQ    (R10)(DX*1), AX
+	MOVQ    R10, R11
+	CMPQ    CX, $3
+	CMOVQGT AX, R11
+	LEAQ    (R11)(DX*1), AX
+	MOVQ    R11, R12
+	CMPQ    CX, $4
+	CMOVQGT AX, R12
+	LEAQ    (R12)(DX*1), AX
+	MOVQ    R12, R13
+	CMPQ    CX, $5
+	CMOVQGT AX, R13
+	LEAQ    (R13)(DX*1), AX
+	MOVQ    R13, BX
+	CMPQ    CX, $6
+	CMOVQGT AX, BX
+	LEAQ    (BX)(DX*1), AX
+	MOVQ    BX, DI
+	CMPQ    CX, $7
+	CMOVQGT AX, DI
+	MOVQ    x+24(FP), SI
+	MOVQ    kb+32(FP), CX
+	XORQ    AX, AX         // byte offset of k step t
+
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+
+stepps:
+	VMOVSS      (SI)(AX*1), X8
+	VFMADD231SS (R8)(AX*1), X8, X0
+	VFMADD231SS (R9)(AX*1), X8, X1
+	VFMADD231SS (R10)(AX*1), X8, X2
+	VFMADD231SS (R11)(AX*1), X8, X3
+	VFMADD231SS (R12)(AX*1), X8, X4
+	VFMADD231SS (R13)(AX*1), X8, X5
+	VFMADD231SS (BX)(AX*1), X8, X6
+	VFMADD231SS (DI)(AX*1), X8, X7
+	ADDQ        $4, AX
+	DECQ        CX
+	JNZ         stepps
+
+	MOVQ    y+40(FP), DI
+	MOVBLZX first+48(FP), AX
+	TESTL   AX, AX
+	JNZ     put8ps
+	VADDSS  (DI), X0, X0
+	VADDSS  4(DI), X1, X1
+	VADDSS  8(DI), X2, X2
+	VADDSS  12(DI), X3, X3
+	VADDSS  16(DI), X4, X4
+	VADDSS  20(DI), X5, X5
+	VADDSS  24(DI), X6, X6
+	VADDSS  28(DI), X7, X7
+
+put8ps:
+	VMOVSS X0, (DI)
+	VMOVSS X1, 4(DI)
+	VMOVSS X2, 8(DI)
+	VMOVSS X3, 12(DI)
+	VMOVSS X4, 16(DI)
+	VMOVSS X5, 20(DI)
+	VMOVSS X6, 24(DI)
+	VMOVSS X7, 28(DI)
+	VZEROUPPER
+	RET
+
+// func gather16ps(dst, src0, src1 *float32, rows *int, kb int)
+// One packed micro panel of an im2col panel whose two halves each read
+// 8 adjacent inputs: row t is the 8 float32 at src0+rows[t] followed by
+// the 8 at src1+rows[t].
+TEXT ·gather16ps(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src0+8(FP), SI
+	MOVQ src1+16(FP), DX
+	MOVQ rows+24(FP), BX
+	MOVQ kb+32(FP), CX
+
+gatherps:
+	MOVQ    (BX), AX
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS (DX)(AX*4), Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $8, BX
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     gatherps
+	VZEROUPPER
+	RET
+
+// func pool2ReLUps(out, r0, r1 *float32, quads int, b float32)
 // Per group of four outputs: rows r0 and r1 of 8 products each get the
 // bias added and are clamped, v > 0 ? v : +0 (NaN becomes +0, as in
 // nn.ReLU), and each output takes the first-wins maximum of its 2×2
-// window in maxPool2CHW's order r0[2i], r0[2i+1], r1[2i], r1[2i+1].
-// MAXPD returns its second source unless the first is greater, which
-// is both the clamp and the first-wins compare.
-TEXT ·pool2ReLUasm(SB), NOSPLIT, $0-40
+// window in MaxPool2D's order r0[2i], r0[2i+1], r1[2i], r1[2i+1]. MAXPS
+// returns its second source unless the first is greater, which is both
+// the clamp and the first-wins compare.
+TEXT ·pool2ReLUps(SB), NOSPLIT, $0-36
 	MOVQ         out+0(FP), DI
 	MOVQ         r0+8(FP), SI
 	MOVQ         r1+16(FP), DX
 	MOVQ         quads+24(FP), CX
-	VBROADCASTSD b+32(FP), Y15
-	VXORPD       Y14, Y14, Y14
+	VBROADCASTSS b+32(FP), Y15
+	VXORPS       Y14, Y14, Y14
 
-pool:
-	VADDPD    (SI), Y15, Y0    // r0[0:4] + b
-	VADDPD    32(SI), Y15, Y1  // r0[4:8] + b
-	VADDPD    (DX), Y15, Y2    // r1[0:4] + b
-	VADDPD    32(DX), Y15, Y3  // r1[4:8] + b
-	VMAXPD    Y14, Y0, Y0      // clamp: v > 0 ? v : +0
-	VMAXPD    Y14, Y1, Y1
-	VMAXPD    Y14, Y2, Y2
-	VMAXPD    Y14, Y3, Y3
-	VUNPCKLPD Y1, Y0, Y4       // r0 even columns, lanes ordered outputs 0 2 1 3
-	VUNPCKHPD Y1, Y0, Y5       // r0 odd columns
-	VUNPCKLPD Y3, Y2, Y6       // r1 even columns
-	VUNPCKHPD Y3, Y2, Y7       // r1 odd columns
-	VMAXPD    Y4, Y5, Y4       // best = r0 odd > best ? r0 odd : best
-	VMAXPD    Y4, Y6, Y4
-	VMAXPD    Y4, Y7, Y4
-	VPERMPD   $0xd8, Y4, Y4    // lanes 0 2 1 3 -> outputs 0 1 2 3
-	VMOVUPD   Y4, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DX
-	ADDQ      $32, DI
-	DECQ      CX
-	JNZ       pool
+poolps:
+	VADDPS       (SI), Y15, Y0     // r0[0:8] + b
+	VADDPS       (DX), Y15, Y2     // r1[0:8] + b
+	VMAXPS       Y14, Y0, Y0       // clamp: v > 0 ? v : +0
+	VMAXPS       Y14, Y2, Y2
+	VEXTRACTF128 $1, Y0, X1        // r0[4:8]
+	VEXTRACTF128 $1, Y2, X3        // r1[4:8]
+	VSHUFPS      $0x88, X1, X0, X4 // r0 even columns
+	VSHUFPS      $0xdd, X1, X0, X5 // r0 odd columns
+	VSHUFPS      $0x88, X3, X2, X6 // r1 even columns
+	VSHUFPS      $0xdd, X3, X2, X7 // r1 odd columns
+	VMAXPS       X4, X5, X4        // best = r0 odd > best ? r0 odd : best
+	VMAXPS       X4, X6, X4
+	VMAXPS       X4, X7, X4
+	VMOVUPS      X4, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DX
+	ADDQ         $16, DI
+	DECQ         CX
+	JNZ          poolps
 	VZEROUPPER
 	RET
 

@@ -2,9 +2,10 @@
 
 package tensor
 
-// Other architectures run at KernelGo: the math.FMA micro kernel and the
-// Go gather and epilogues, which compute the same bits as the amd64
-// assembly (fused multiply-add is correctly rounded in either form).
+// Other architectures run at KernelGo: the math.FMA and fma32 micro
+// kernels and the Go gather and epilogues, which compute the same bits
+// as the amd64 assembly (fused multiply-add is correctly rounded in
+// every form).
 // ForceKernel refuses every higher level, so the assembly entry points
 // below are never reached.
 func detectKernel() KernelLevel { return KernelGo }
@@ -25,10 +26,26 @@ func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gather8asm(dst, src *float64, rows *int, kb int) {
+func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func pool2ReLUasm(out, r0, r1 *float64, quads int, b float64) {
+func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
+func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
+func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
+func gather16ps(dst, src0, src1 *float32, rows *int, kb int) {
+	panic("tensor: no assembly kernels on this architecture")
+}
+
+func pool2ReLUps(out, r0, r1 *float32, quads int, b float32) {
 	panic("tensor: no assembly kernels on this architecture")
 }

@@ -23,28 +23,32 @@ const matmulParallelThreshold = 1 << 17
 
 // Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
 // through a register-tiled micro kernel that broadcasts four rows of A
-// against packed micro panels of B: kb rows of 8 contiguous column
-// values, gathered once per blockK panel and blockN stripe (B's rows are
-// n elements apart, so an unpacked kernel would touch a new cache line
-// every k step) and then reused by every 4-row strip of A. Which kernel
-// runs is the package's KernelLevel: a 4×16 AVX-512 kernel over two
-// adjacent panels for full strips of a row-major C, a 4×8 AVX2+FMA
-// kernel for everything else on amd64, and a 4×8 math.FMA loop on other
-// hosts. Leftover rows and columns run through the same kernels — short
-// panels are zero-padded when packed, short strips go through a scratch
-// C tile — so no product falls back to a scalar loop. A×Bᵀ narrower than
-// gemvWidth — a dense layer at batch width 1 — skips the packing: gemv
-// (gemv.go) reads B's rows where they lie and runs on the calling
-// goroutine.
+// against packed micro panels of B: kb rows of 8 contiguous float64 (16
+// float32, gemm32.go) column values, gathered once per blockK panel and
+// blockN stripe (B's rows are n elements apart, so an unpacked kernel
+// would touch a new cache line every k step) and then reused by every
+// 4-row strip of A. Which kernel runs is the package's KernelLevel: for
+// float64 a 4×16 AVX-512 kernel over two adjacent panels for full
+// strips of a row-major C, a 4×8 AVX2+FMA kernel for everything else on
+// amd64, and a 4×8 math.FMA loop on other hosts. Leftover rows and
+// columns run through the same kernels — short panels are zero-padded
+// when packed, short strips go through a scratch C tile — so no product
+// falls back to a scalar loop. A×Bᵀ narrower than gemvWidth — a dense
+// layer at batch width 1 — skips the packing: gemv (gemv.go) reads B's
+// rows where they lie and runs on the calling goroutine.
 //
-// One accumulation contract holds at every level: every C element
-// accumulates over k in ascending order with one fused multiply-add
-// chain per blockK panel and plain adds between panel subtotals, no
-// matter which kernel, tile, stripe or goroutine computes it. Fused
-// multiply-add is correctly rounded in every form, so results are
-// bit-identical across levels, tilings, splits, operand orientations
-// and architectures, and the batched inference path reproduces the
-// per-sample reference (MatVec, Conv2D) exactly. gemv keeps it too.
+// The float64 kernels serve training (MatMul, MatMulTransB, MatVec,
+// Conv2D); inference runs the float32 kernels of gemm32.go, gemv32.go
+// and conv32.go, which share this blocking. One accumulation contract
+// holds for each precision at every level: every C element accumulates
+// over k in ascending order with one fused multiply-add chain per blockK
+// panel — float64 FMA here, float32 FMA there — and plain adds of that
+// precision between panel subtotals, no matter which kernel, tile,
+// stripe or goroutine computes it. Fused multiply-add is correctly
+// rounded in every form, so results are bit-identical across levels,
+// tilings, splits, batch widths, operand orientations and
+// architectures; the per-sample float64 path (MatVec, Conv2D) is the
+// oracle the float32 inference path stays within rounding of.
 //
 // A product large enough to fan out is cut along its longer side at
 // micro-tile boundaries: by columns when n > m (a batched convolution
@@ -57,18 +61,21 @@ const (
 	microN = 8 // micro-kernel tile width (one packed B panel row)
 )
 
-// KernelLevel is a tier of the inference kernels. Every level computes
-// the same bits; a higher one only uses more of the vector unit.
+// KernelLevel is a tier of the kernels. Every level computes the same
+// bits; a higher one only uses more of the vector unit.
 type KernelLevel uint8
 
 const (
-	// KernelGo runs the math.FMA micro kernel and the Go gather and
-	// epilogue loops: the reference, and the only level off amd64.
+	// KernelGo runs the math.FMA and fma32 micro kernels and the Go
+	// gather and epilogue loops: the reference, and the only level off
+	// amd64.
 	KernelGo KernelLevel = iota
-	// KernelAVX2 runs the 4×8 AVX2+FMA micro kernel, the AVX2 im2col
+	// KernelAVX2 runs the 4×8 float64 and 4×16 float32 AVX2+FMA micro
+	// kernels, the eight-chain matrix-vector kernels, the AVX2 im2col
 	// gather and the AVX2 Conv→ReLU→MaxPool(2) epilogue.
 	KernelAVX2
-	// KernelAVX512 adds the 4×16 AVX-512 micro kernel for full strips.
+	// KernelAVX512 adds the 4×16 float64 and 4×32 float32 AVX-512 micro
+	// kernels for full strips and the transposing matrix-vector kernels.
 	KernelAVX512
 )
 
@@ -108,10 +115,11 @@ func ForceKernel(l KernelLevel) (restore func(), err error) {
 // gemmScratch is one worker's packing scratch, recycled across calls
 // and goroutines so the hot path allocates nothing.
 type gemmScratch struct {
-	pack []float64 // one k panel of a column stripe, as micro panels
-	tile []float64 // Conv2DBatchInto: the stripe's outC × width product
-	base []int     // Conv2DBatchInto: input offset of each stripe column
-	rows []int     // Conv2DBatchInto: input offset of each im2col row
+	pack   []float64 // one k panel of a column stripe, as micro panels
+	pack32 []float32 // the same, for the float32 kernels
+	tile   []float32 // Conv2DBatchInto: the stripe's outC × width product
+	base   []int     // Conv2DBatchInto: input offset of each stripe column
+	rows   []int     // Conv2DBatchInto: input offset of each im2col row
 }
 
 var gemmScratches = sync.Pool{New: func() any { return new(gemmScratch) }}
@@ -158,8 +166,7 @@ func MatMulInto(dst, a, b *Tensor) {
 }
 
 // MatMulTransB computes C = A × Bᵀ for A of shape (m, k) and B of shape
-// (n, k), returning (m, n). Used by batched dense layers and by
-// backpropagation for input gradients.
+// (n, k), returning (m, n). Used by backpropagation.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	c := New(a.shape[0], b.shape[0])
 	MatMulTransBInto(c, a, b)
@@ -190,43 +197,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 		return
 	}
 	gemm(dst.data, b.data, a.data, n, m, k, true)
-}
-
-// MatMulTransBBiasInto is MatMulTransBInto with a fused epilogue sweep:
-// bias[j] is added to every column j and, when relu is set, the result
-// is clamped at zero — the bias+activation epilogue of a dense layer.
-// bias may be nil.
-func MatMulTransBBiasInto(dst, a, b *Tensor, bias []float64, relu bool) {
-	MatMulTransBInto(dst, a, b)
-	if bias != nil && len(bias) != dst.shape[1] {
-		panic("tensor: MatMulTransBBiasInto bias length mismatch")
-	}
-	AddBiasReLURows(dst, bias, relu)
-}
-
-// AddBiasReLURows adds bias[j] to column j of every row of the rank-2
-// tensor m (bias may be nil) and, when relu is set, clamps the results
-// at zero in the same pass.
-func AddBiasReLURows(m *Tensor, bias []float64, relu bool) {
-	n := m.shape[len(m.shape)-1]
-	if bias != nil && len(bias) != n {
-		panic("tensor: AddBiasReLURows bias length mismatch")
-	}
-	for base := 0; base < len(m.data); base += n {
-		row := m.data[base : base+n]
-		if bias != nil {
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
-		if relu {
-			for j, v := range row {
-				if !(v > 0) { // nn.ReLU's clamp: -0 and NaN become +0
-					row[j] = 0
-				}
-			}
-		}
-	}
 }
 
 // parallelRange runs body over [0, n) cut into one contiguous range per
@@ -536,8 +506,8 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 }
 
 // MatVec computes y = A × x for A of shape (m, n) and x of length n,
-// through the matrix-vector kernel a width-1 MatMulTransBInto runs, so
-// the per-sample dense path is bit-identical to ForwardBatch rows.
+// through the matrix-vector kernel a width-1 MatMulTransBInto runs: the
+// per-sample dense layer of training and of the float64 oracle.
 func MatVec(a *Tensor, x []float64) []float64 {
 	m, n := a.shape[0], a.shape[1]
 	if len(x) != n {

@@ -63,12 +63,12 @@ func TestPoolHoldsOneWorkingSet(t *testing.T) {
 	net, capture, inputs := mnistNet(t)
 	widest := tensor.NewPool()
 	mnistPass(net, capture, inputs, 64, widest)
-	want := widest.FreeCaps()
+	want := widest.FreeBytes()
 
 	pool := tensor.NewPool()
 	for width := 1; width <= 64; width++ {
 		mnistPass(net, capture, inputs, width, pool)
-		got := pool.FreeCaps()
+		got := pool.FreeBytes()
 		if len(got) > len(want) || got[len(got)-1] > want[len(want)-1] {
 			t.Fatalf("after width %d the pool parks %v, more than the one working set %v a cold width-64 pass leaves",
 				width, got, want)
@@ -79,9 +79,9 @@ func TestPoolHoldsOneWorkingSet(t *testing.T) {
 // TestForwardBatchWorkingSet pins the memory side of the stripe-fused
 // convolution, which the benchmark cannot see (it reads live_heap_mb with
 // the servers down): after full-chunk passes of network 1 a lane's pool
-// parks a few activation maps — 3.2 MB — not the 32.8 MB im2col matrix
-// and 11.8 MB product of a whole-batch lowering (40.8 MB parked), and a
-// warm pass allocates nothing.
+// parks a few float32 activation maps — 1.6 MB — not the 32.8 MB im2col
+// matrix and 11.8 MB product of a float64 whole-batch lowering (40.8 MB
+// parked), and a warm pass allocates nothing.
 func TestForwardBatchWorkingSet(t *testing.T) {
 	net, capture, inputs := mnistNet(t)
 	pool := tensor.NewPool()
@@ -93,8 +93,8 @@ func TestForwardBatchWorkingSet(t *testing.T) {
 		t.Fatalf("warm passes allocated: misses %d → %d", warm, misses)
 	}
 	parked := 0
-	for _, c := range pool.FreeCaps() {
-		parked += 8 * c
+	for _, c := range pool.FreeBytes() {
+		parked += c
 	}
 	if parked >= 8<<20 {
 		t.Fatalf("pool parks %.1f MB after 64-wide passes, want under 8 MB", float64(parked)/(1<<20))

@@ -1,12 +1,17 @@
 // Package tensor implements the dense numerical arrays and the handful of
 // linear-algebra kernels (matrix multiply, 2-D convolution via im2col,
-// max-pooling) that the neural-network substrate is built on. Everything is
-// float64. The matrix multiply is cache-blocked and parallelized across
-// goroutines because it dominates both training and inference time; its
-// micro kernel, the convolution's im2col gather and its pooling epilogue
-// have amd64 assembly forms (AVX2, and AVX-512 for the kernel) picked at
-// start-up by CPU detection. Every KernelLevel computes the same bits as
-// the pure-Go one, which other architectures run.
+// max-pooling) that the neural-network substrate is built on, in two
+// precisions. Tensor is float64: training, the per-sample reference path
+// and every value the package hands back. Tensor32 is float32: batched
+// inference (DenseBatchInto, Conv2DBatchInto, MaxPool2DBatchInto), whose
+// kernels move twice the lanes per vector instruction. The matrix
+// multiply is cache-blocked and parallelized across goroutines because it
+// dominates both training and inference time; its micro kernels, the
+// matrix-vector kernel, the convolution's im2col gather and its pooling
+// epilogue have amd64 assembly forms (AVX2, and AVX-512 for the kernels)
+// picked at start-up by CPU detection. Within each precision every
+// KernelLevel computes the same bits as the pure-Go one, which other
+// architectures run.
 package tensor
 
 import (
@@ -24,14 +29,7 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape. A tensor with no
 // dimensions holds a single scalar.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, elems(shape))}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used

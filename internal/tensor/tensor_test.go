@@ -418,18 +418,18 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
-// BenchmarkGemv times a width-1 MatMulTransBInto — one dense layer of a
-// lone request, which runs the matrix-vector kernel — over network 1's
-// dense shapes (out × in), once per kernel level the host has, and
-// reports the multiply-accumulate rate.
+// BenchmarkGemv times a width-1 DenseBatchInto — one dense layer of a
+// lone request, which runs the float32 matrix-vector kernel — over
+// network 1's dense shapes (out × in), once per kernel level the host
+// has, and reports the multiply-accumulate rate.
 func BenchmarkGemv(b *testing.B) {
 	r := rng.New(1)
 	forEachKernel(b, func(b *testing.B) {
 		for _, s := range [][2]int{{320, 320}, {160, 320}, {80, 160}, {40, 80}, {10, 40}} {
-			x, w, y := randTensor(r, 1, s[1]), randTensor(r, s[0], s[1]), New(1, s[0])
+			x, w, y := randTensor32(r, 1, s[1]), randTensor32(r, s[0], s[1]), New32(1, s[0])
 			b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulTransBInto(y, x, w)
+					DenseBatchInto(y, x, w, nil, false)
 				}
 				b.ReportMetric(float64(s[0]*s[1])*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})

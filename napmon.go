@@ -72,7 +72,10 @@ type TrainConfig = nn.TrainConfig
 // LayerSpec describes one layer for building networks declaratively.
 type LayerSpec = nn.Spec
 
-// Tensor is a dense float64 array.
+// Tensor is a dense float64 array: the type of inputs, weights and every
+// inference result. Batched inference computes in float32 on float32
+// copies of the weights and widens the logits and captured activations
+// back (see Network.ForwardBatch); training runs in float64.
 type Tensor = tensor.Tensor
 
 // RNG is a deterministic random number source.
@@ -147,7 +150,7 @@ func EvaluateMonitor(net *Network, m *Monitor, samples []Sample) Metrics {
 // WatchBatch is the batched serving front end: it runs inference and the
 // comfort-zone membership query for every input and returns one Verdict
 // per input, in input order. Whole micro-batches flow through the
-// batched GEMM inference path (Network.ForwardBatch: one stripe-fused
+// batched float32 GEMM inference path (Network.ForwardBatch: one stripe-fused
 // convolution or blocked matrix multiply per layer, fused bias+ReLU —
 // and, for conv→ReLU→maxpool blocks, bias+ReLU+pool — epilogues, pooled
 // allocation-free scratch), split across GOMAXPROCS workers on
