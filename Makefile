@@ -50,13 +50,16 @@ race:
 
 ## test-split: rerun the GEMM and batched-forward parity suites at 1–4
 ## workers, so a goroutine split that does not land on a micro-tile
-## boundary (3 workers over 40 rows, 4 over 250 columns) is exercised on
-## every PR, whatever the runner's core count. The suites run once per
-## kernel level the host has; the first line prints the detected level,
-## so the log says which kernels were exercised.
+## boundary (3 workers over 40 rows, 4 over 250 columns, a dense layer's
+## columns in 32-wide pairs of panels) is exercised on every PR, whatever
+## the runner's core count, and the monitor's suites with them, so
+## WatchBatch's split over chunks runs on top of the dense layers' column
+## split. The kernel suites run once per kernel level the host has; the
+## first line prints the detected level, so the log says which kernels
+## were exercised.
 test-split:
 	$(GO) test -count=1 -run '^TestKernelLevel$$' -v ./internal/tensor
-	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn
+	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn ./internal/core
 
 ## test-fuzz: smoke-run the fuzz targets (differential BDD fuzzer against
 ## a truth-table oracle; pattern wire-format round trip; binary protocol

@@ -7,7 +7,8 @@
 // narrowed to float32 as they are stacked; only the captured layer and
 // the logits are widened back to float64 for the caller. All activations
 // come from a tensor.Pool, making the hot path allocation-free after
-// warm-up; Dense+ReLU fuses into a GEMM with a bias+ReLU epilogue and
+// warm-up; Dense+ReLU fuses into a GEMM whose micro kernels add the
+// bias and clamp as they store the last k panel, and
 // Conv+ReLU(+MaxPool 2) into the convolution's. Each output row is
 // bit-identical to the width-1 pass over its input (the kernels keep one
 // accumulation order whatever the batch width, kernel level or worker
@@ -216,8 +217,9 @@ func batchDim(x *tensor.Tensor32, sampleLen int, l Layer) int {
 	return x.Dim(0)
 }
 
-// ForwardBatch implements Layer: one tensor.DenseBatchInto product with
-// a fused bias epilogue replaces B MatVec calls.
+// ForwardBatch implements Layer: one tensor.DenseBatchInto product on
+// the prepacked float32 panels, the bias added in the kernels' store,
+// replaces B MatVec calls.
 func (d *Dense) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	return d.forwardBatchDense(x, pool, false)
 }

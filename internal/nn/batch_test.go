@@ -231,10 +231,10 @@ func tableINet(r *rng.Source, network int) (net *Network, shape []int, monitored
 }
 
 // TestForwardBatchTableIWidths runs both Table I architectures at every
-// batch width where the schedule changes shape — one row, the matrix-
-// vector kernel's batch slabs and its crossovers to the packed GEMM (3
-// at avx2, 6 at go, 8 at avx512), one micro panel, one past it, one
-// short of a full chunk, a full chunk, one past it — on one pool,
+// batch width where the schedule changes shape — one row, the widths
+// the 1-row kernel takes alone (below one 4-row strip), one strip, one
+// strip and a row, two strips, two and a row, one short of a full
+// chunk, a full chunk, one past it — on one pool,
 // against the width-1 pass computed at KernelGo (bit for bit: batch
 // width and kernel level change nothing) and per-sample ForwardCapture
 // (within f32Tol), on every kernel level.
@@ -514,8 +514,9 @@ func TestForwardBatchConcurrent(t *testing.T) {
 // BenchmarkForwardBatchNet1 is the fast local loop for inference work:
 // one ForwardBatchCapture pass of network 1 (untrained — training does
 // not change the arithmetic cost) on a warm pool at the widths serving
-// sees: 1 (an idle lane, where the matrix-vector kernel runs), the
-// narrow widths 2 and 4, 8 (one micro panel), 16 and 64 (a full chunk).
+// sees: 1 (an idle lane, where the dense layers run the 1-row kernel),
+// 2 (the same, twice), 4 (one whole 4-row strip), 8, 16 and 64 (a full
+// chunk).
 func BenchmarkForwardBatchNet1(b *testing.B) {
 	r := rng.New(1)
 	net, shape, monitored := tableINet(r, 1)

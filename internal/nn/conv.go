@@ -216,9 +216,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance += d * d
 			}
 			variance /= float64(area)
-			bn.runMean.set(c, (1-bn.momentum)*bn.runMean.v.Data()[c]+bn.momentum*mean)
-			bn.runVar.set(c, (1-bn.momentum)*bn.runVar.v.Data()[c]+bn.momentum*variance)
+			bn.runMean.v.Data()[c] = (1-bn.momentum)*bn.runMean.v.Data()[c] + bn.momentum*mean
+			bn.runVar.v.Data()[c] = (1-bn.momentum)*bn.runVar.v.Data()[c] + bn.momentum*variance
 		}
+		bn.runMean.sync()
+		bn.runVar.sync()
 	}
 	out := tensor.New(bn.ch, h, w)
 	norm := tensor.New(bn.ch, h, w)

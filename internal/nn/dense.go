@@ -11,14 +11,14 @@ import (
 // vector x of length in and output of length out.
 type Dense struct {
 	in, out int
-	w       weight         // (out, in)
+	w       weight         // (out, in), its float32 copy as panels
 	b       weight         // (out)
 	lastIn  *tensor.Tensor // cached input for Backward
 }
 
 // NewDense returns a He-initialized fully-connected layer.
 func NewDense(in, out int, r *rng.Source) *Dense {
-	d := &Dense{in: in, out: out, w: newWeight(out, in), b: newWeight(out)}
+	d := &Dense{in: in, out: out, w: newPanelWeight(out, in), b: newWeight(out)}
 	heInit(&d.w, in, r)
 	return d
 }

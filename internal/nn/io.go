@@ -69,8 +69,9 @@ func Load(r io.Reader) (*Network, error) {
 			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 				return nil, fmt.Errorf("nn: reading parameters: %w", err)
 			}
-			w.set(i, math.Float64frombits(bits))
+			w.v.Data()[i] = math.Float64frombits(bits)
 		}
+		w.sync()
 	}
 	return net, nil
 }

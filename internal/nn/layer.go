@@ -10,7 +10,7 @@
 // a mini-batch before each optimizer step; gradients and backward caches
 // exist only while training. Every weight array keeps its float64 master
 // for training and, beside it, the float32 copy inference reads, which
-// every writer of the master updates in the same loop. BatchNorm
+// every writer of the master re-derives after its writes. BatchNorm
 // normalizes with running statistics (updated online during training,
 // used frozen in the backward pass), a standard small-batch
 // approximation that preserves the Table I architecture.
@@ -24,47 +24,57 @@ import (
 	"napmon/internal/tensor"
 )
 
-// Param couples a learnable tensor with its gradient accumulator and
-// its float32 copy.
+// Param couples a learnable tensor with its gradient accumulator.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	// Grad accumulates the gradient while the network trains. It is nil
 	// until the first training-mode use and again after Train returns.
 	Grad *tensor.Tensor
-	// F32 is Value rounded to float32, the copy inference reads; whoever
-	// writes an element of Value writes it here too.
-	F32 []float32
+
+	w *weight // the array Value is the master of, for SGD.Step's sync
 }
 
 // weight is one array a model file carries: the float64 master training
-// updates, the float32 copy batched inference reads — equal to
-// float32(master) element for element, because every writer of the
-// master (initialization, SGD.Step, Load, BatchNorm's running
-// statistics) writes the copy in the same loop — and, for a learnable
-// array, its gradient, which exists only while training. Clones made by
+// updates, the float32 copy batched inference reads — float32(master),
+// laid out as tensor.PackPanels32's micro kernel panels for a dense
+// layer's matrix and element for element otherwise, because every writer
+// of the master (initialization, SGD.Step, Load, BatchNorm's running
+// statistics) calls sync after its writes — and, for a learnable array,
+// its gradient, which exists only while training. Clones made by
 // CloneShared copy the struct, so they share all three arrays.
 type weight struct {
-	v   *tensor.Tensor
-	f32 *tensor.Tensor32
-	g   *tensor.Tensor
+	v      *tensor.Tensor
+	f32    *tensor.Tensor32
+	g      *tensor.Tensor
+	panels bool // f32 holds the (out, in) master as panels
 }
 
 func newWeight(shape ...int) weight {
 	return weight{v: tensor.New(shape...), f32: tensor.New32(shape...)}
 }
 
-// set stores x at flat index i of the master and of its copy.
-func (w *weight) set(i int, x float64) {
-	w.v.Data()[i] = x
-	w.f32.Data()[i] = float32(x)
+// newPanelWeight returns a dense layer's (out, in) weight matrix, whose
+// float32 copy is the panels tensor.DenseBatchInto reads.
+func newPanelWeight(out, in int) weight {
+	return weight{v: tensor.New(out, in), f32: tensor.New32(tensor.PanelsLen32(out, in)), panels: true}
 }
 
-// fill sets every element of the master and of its copy to x.
+// sync re-derives the float32 copy from the master.
+func (w *weight) sync() {
+	if w.panels {
+		tensor.PackPanels32(w.f32.Data(), w.v.Data(), w.v.Dim(0), w.v.Dim(1))
+		return
+	}
+	tensor.Narrow32(w.f32.Data(), w.v.Data())
+}
+
+// fill sets every element of the master, and so of its copy, to x.
 func (w *weight) fill(x float64) {
 	for i := range w.v.Data() {
-		w.set(i, x)
+		w.v.Data()[i] = x
 	}
+	w.sync()
 }
 
 // grad returns the gradient, allocating it on first use.
@@ -76,7 +86,7 @@ func (w *weight) grad() *tensor.Tensor {
 }
 
 func (w *weight) param(name string) Param {
-	return Param{Name: name, Value: w.v, Grad: w.g, F32: w.f32.Data()}
+	return Param{Name: name, Value: w.v, Grad: w.g, w: w}
 }
 
 // Layer is one differentiable stage of a network. Forward with train=true
@@ -169,6 +179,7 @@ func heInit(w *weight, fanIn int, r *rng.Source) {
 		stddev = math.Sqrt(2.0 / float64(fanIn))
 	}
 	for i := range w.v.Data() {
-		w.set(i, r.NormScaled(0, stddev))
+		w.v.Data()[i] = r.NormScaled(0, stddev)
 	}
+	w.sync()
 }

@@ -32,7 +32,8 @@ func NewSGD(lr float64) *SGD {
 
 // Step applies one update to every parameter from its accumulated gradient
 // scaled by 1/batchSize (a nil gradient counts as zero), then clears the
-// gradients. It writes each parameter's float32 copy beside its master.
+// gradients. It re-derives each parameter's float32 copy from its
+// updated master.
 func (o *SGD) Step(params []Param, batchSize int) {
 	if o.velocity == nil {
 		o.velocity = map[*tensor.Tensor]*tensor.Tensor{}
@@ -44,7 +45,7 @@ func (o *SGD) Step(params []Param, batchSize int) {
 			v = tensor.New(p.Value.Shape()...)
 			o.velocity[p.Value] = v
 		}
-		vd, wd, w32 := v.Data(), p.Value.Data(), p.F32
+		vd, wd := v.Data(), p.Value.Data()
 		var gd []float64
 		if p.Grad != nil {
 			gd = p.Grad.Data()
@@ -56,8 +57,8 @@ func (o *SGD) Step(params []Param, batchSize int) {
 			}
 			vd[i] = o.Momentum*vd[i] - o.LR*g
 			wd[i] += vd[i]
-			w32[i] = float32(wd[i])
 		}
+		p.w.sync()
 		if p.Grad != nil {
 			p.Grad.Zero()
 		}

@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"napmon/internal/rng"
@@ -18,17 +20,57 @@ func trainingSamples(r *rng.Source, n int) []Sample {
 	return samples
 }
 
-// checkCopies demands that every array a model file carries has a
-// float32 copy equal to float32(master) element for element, and that a
-// batched pass equals the width-1 pass over each of its inputs.
+// wantCopy spells a weight's float32 copy from its master, apart from
+// the code under test: float32(master) element for element, or, for a
+// dense layer's (n, k) matrix, tensor.PackPanels32's layout — per
+// 256-wide block [pc, pc+kb) of k, starting at pc·n16 (n16 = n rounded
+// up to 16), panel j/16 holds kb rows of 16 with W[j][pc+t] at row t,
+// lane j%16, and the lanes past n are zero.
+func wantCopy(w *weight) []float32 {
+	v := w.v.Data()
+	if !w.panels {
+		want := make([]float32, len(v))
+		for i, x := range v {
+			want[i] = float32(x)
+		}
+		return want
+	}
+	n, k := w.v.Dim(0), w.v.Dim(1)
+	n16 := (n + 15) / 16 * 16
+	want := make([]float32, n16*k)
+	for j := 0; j < n; j++ {
+		for p := 0; p < k; p++ {
+			pc := p / 256 * 256
+			kb := min(256, k-pc)
+			want[pc*n16+j/16*16*kb+(p-pc)*16+j%16] = float32(v[j*k+p])
+		}
+	}
+	return want
+}
+
+// checkCopies demands that every array a model file carries has the
+// float32 copy wantCopy spells — as panels for every Dense matrix — and
+// that a batched pass equals the width-1 pass over each of its inputs.
 func checkCopies(t *testing.T, tag string, net *Network, inputs []*tensor.Tensor) {
 	t.Helper()
+	for i, l := range net.layers {
+		if d, ok := l.(*Dense); ok && !d.w.panels {
+			t.Fatalf("%s: layer %d %s keeps its float32 matrix row-major", tag, i, d.Name())
+		}
+	}
 	for _, w := range net.persisted() {
-		for i, v := range w.v.Data() {
-			if got := w.f32.Data()[i]; got != float32(v) {
-				t.Fatalf("%s: %v element %d: float32 copy %v, master %v", tag, w.v.Shape(), i, got, v)
+		want := wantCopy(w)
+		if len(want) != w.f32.Len() {
+			t.Fatalf("%s: %v: float32 copy of %d values, want %d", tag, w.v.Shape(), w.f32.Len(), len(want))
+		}
+		for i, v := range want {
+			if got := w.f32.Data()[i]; math.Float32bits(got) != math.Float32bits(v) {
+				t.Fatalf("%s: %v copy element %d: %v, want %v", tag, w.v.Shape(), i, got, v)
 			}
 		}
+	}
+	if inputs == nil {
+		return
 	}
 	batch := net.ForwardBatch(inputs, nil)
 	for b, x := range inputs {
@@ -78,16 +120,52 @@ func TestF32CopyFollowsWrites(t *testing.T) {
 
 // TestCloneSharedSharesF32Copies checks that CloneShared replicas read
 // the original's float32 arrays — the same first-element address — so N
-// serving lanes add no weight memory.
+// serving lanes add no weight memory, and that those copies are what
+// wantCopy spells, on network 1 too, whose 320-wide dense matrices
+// cross a 256-wide k block.
 func TestCloneSharedSharesF32Copies(t *testing.T) {
-	net := randConvNet(rng.New(62))
-	clone := net.CloneShared()
-	orig, shared := net.persisted(), clone.persisted()
-	for i, w := range orig {
-		if &w.f32.Data()[0] != &shared[i].f32.Data()[0] || &w.v.Data()[0] != &shared[i].v.Data()[0] {
-			t.Fatalf("array %d (%v): the clone holds its own copy", i, w.v.Shape())
+	net1, _, _ := tableINet(rng.New(62), 1)
+	for _, net := range []*Network{randConvNet(rng.New(62)), net1} {
+		clone := net.CloneShared()
+		checkCopies(t, "CloneShared", clone, nil)
+		orig, shared := net.persisted(), clone.persisted()
+		for i, w := range orig {
+			if &w.f32.Data()[0] != &shared[i].f32.Data()[0] || &w.v.Data()[0] != &shared[i].v.Data()[0] {
+				t.Fatalf("array %d (%v): the clone holds its own copy", i, w.v.Shape())
+			}
 		}
 	}
+}
+
+// TestF32CopiesCostHalfTheMasters bounds what network 1's weights cost
+// beside their float64 masters: the float32 copies at most half the
+// masters' bytes plus the zero padding of the dense matrices' last
+// panels, and building the network allocates no more than masters,
+// copies and a little slack. A second float32 copy of the dense
+// matrices — row-major beside the panels — would add about a third of
+// the masters and fail here.
+func TestF32CopiesCostHalfTheMasters(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, _, _ := tableINet(rng.New(64), 1)
+	runtime.ReadMemStats(&after)
+	masters, copies, padding := 0, 0, 0
+	for _, w := range net.persisted() {
+		masters += 8 * w.v.Len()
+		copies += 4 * w.f32.Len()
+		if w.panels {
+			n, k := w.v.Dim(0), w.v.Dim(1)
+			padding += 4 * ((n+15)/16*16 - n) * k
+		}
+	}
+	if copies > masters/2+padding {
+		t.Fatalf("float32 copies take %d bytes, over half the masters' %d plus %d of padding", copies, masters, padding)
+	}
+	built := int(after.TotalAlloc - before.TotalAlloc)
+	if limit := masters + masters/2 + padding + masters/20; built > limit {
+		t.Fatalf("building network 1 allocated %d bytes, over %d (masters %d, copies %d)", built, limit, masters, copies)
+	}
+	t.Logf("masters %d B, float32 copies %d B (padding %d B), built with %d B", masters, copies, padding, built)
 }
 
 // trainingState lists, per layer, what only training needs that the

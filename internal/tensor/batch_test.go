@@ -103,17 +103,18 @@ func TestMatMulTransBMatchesMatVec(t *testing.T) {
 	})
 }
 
-// TestMatMulTransBBiasReLUFusion checks DenseBatchInto's fused
+// TestMatMulTransBBiasReLUFusion checks DenseBatchInto's in-kernel
 // epilogue against the unfused float32 product followed by an explicit
 // bias add and nn.ReLU's rectification, which maps NaN to +0: row 0 of
-// X carries a NaN and row 1 an infinity. It runs at widths on both
-// sides of gemvWidth32, on every kernel level.
+// X carries a NaN and row 1 an infinity. It runs at widths below four
+// rows (the 1-row kernel) and past them (4-row strips with a leftover
+// row), on every kernel level.
 func TestMatMulTransBBiasReLUFusion(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(11)
 		for _, m := range []int{2, 13} {
 			k, n := 37, 21
-			x, w := randTensor32(r, m, k), randTensor32(r, n, k)
+			x, w := randTensor32(r, m, k), panels32(randTensor32(r, n, k))
 			x.data[3], x.data[k+5] = float32(math.NaN()), float32(math.Inf(1))
 			bias := randTensor32(r, n).data
 			fused, plain := New32(m, n), New32(m, n)

@@ -15,6 +15,14 @@ func randTensor32(r *rng.Source, shape ...int) *Tensor32 {
 	return t
 }
 
+// panels32 returns W (n, k) in PackPanels32's layout, the form
+// DenseBatchInto reads.
+func panels32(w *Tensor32) *Tensor32 {
+	p := New32(PanelsLen32(w.shape[0], w.shape[1]))
+	PackPanels32(p.data, w.data, w.shape[0], w.shape[1])
+	return p
+}
+
 // contractGemm32 spells the float32 accumulation contract of gemm32.go,
 // independent of tiling, packing, splits, batch width and kernel: per C
 // element one ascending-k fma32 chain per 256-wide k panel, plain
@@ -41,16 +49,15 @@ func contractGemm32(a, bt []float32, m, n, k int) []float32 {
 
 // TestGemm32Contract demands bit equality between DenseBatchInto and
 // contractGemm32 — X (m, k) × Wᵀ, W (n, k) — on every kernel level,
-// over shapes that hit every edge: batch widths 1–7 below and across
-// each level's gemvWidth32 (the matrix-vector kernel's 4-row slabs and
-// its crossover to the packed GEMM), one and two 16-wide panels and one
-// past them; weight row counts below, at and past the 8- and 16-row
-// groups, with a shifted last group; k with a masked tail of every
-// length and k across a blockK panel. Run under -cpu 1,2,3,4 (make
-// test-split) it also covers worker splits.
+// over shapes that hit every edge: batch widths 1–3 (the 1-row kernel
+// alone), whole 4-row strips and strips with 1–3 rows left over; weight
+// row counts below, at and past one and two 16-wide panels, a short
+// last panel, and past the 1-row kernel's groups of four and eight
+// panels; k of every small length and across a blockK panel. Run under
+// -cpu 1,2,3,4 (make test-split) it also covers the column split.
 func TestGemm32Contract(t *testing.T) {
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 64, 65}
-	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 40, 43, 84, 320}
+	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 40, 43, 84, 129, 160, 320}
 	ks := []int{1, 7, 8, 9, 25, 244, 256, 257, 600}
 	r := rng.New(177)
 	forEachKernel(t, func(t *testing.T) {
@@ -62,7 +69,7 @@ func TestGemm32Contract(t *testing.T) {
 					}
 					x, w := randTensor32(r, m, k), randTensor32(r, n, k)
 					want, got := contractGemm32(x.data, w.data, m, n, k), New32(m, n)
-					DenseBatchInto(got, x, w, nil, false)
+					DenseBatchInto(got, x, panels32(w), nil, false)
 					for i, v := range want {
 						if got.data[i] != v {
 							t.Fatalf("m=%d n=%d k=%d elem %d: DenseBatchInto %v, contract %v", m, n, k, i, got.data[i], v)
@@ -182,14 +189,14 @@ func TestFMA32MatchesAssembly(t *testing.T) {
 		cols int
 		run  func()
 	}{
-		{"4x16", microN32, func() { gemm4x16ps(&a[0], 2, &pk[0], 2, &c[0], 2*microN32, true) }},
+		{"4x16", microN32, func() { gemm4x16ps(&a[0], 2, &pk[0], 2, &c[0], 2*microN32, nil, 0) }},
 	}
 	if detectedKernel == KernelAVX512 {
 		kernels = append(kernels, struct {
 			name string
 			cols int
 			run  func()
-		}{"4x32", 2 * microN32, func() { gemm4x32ps(&a[0], 2, &pk[0], 2, &c[0], 2*microN32, true) }})
+		}{"4x32", 2 * microN32, func() { gemm4x32ps(&a[0], 2, &pk[0], 2, &c[0], 2*microN32, nil, 0) }})
 	}
 	for _, kern := range kernels {
 		for base := 0; base+4 <= len(cases); base += 4 {
@@ -220,14 +227,86 @@ func TestFMA32MatchesAssembly(t *testing.T) {
 }
 
 // TestGemv32NoAlloc checks that a warm width-1 DenseBatchInto — one
-// dense layer of a lone request — allocates nothing.
+// dense layer of a lone request, the 1-row kernel that took over from
+// the matrix-vector kernel gemv32 — allocates nothing.
 func TestGemv32NoAlloc(t *testing.T) {
 	r := rng.New(79)
-	x, w, y := randTensor32(r, 1, 320), randTensor32(r, 320, 320), New32(1, 320)
+	x, w, y := randTensor32(r, 1, 320), panels32(randTensor32(r, 320, 320)), New32(1, 320)
 	bias := randTensor32(r, 320).data
 	forEachKernel(t, func(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { DenseBatchInto(y, x, w, bias, true) }); allocs != 0 {
 			t.Fatalf("width-1 DenseBatchInto allocates %v times per call", allocs)
+		}
+	})
+}
+
+// TestDenseEpilogueContract demands that DenseBatchInto's in-kernel
+// epilogue equal the unfused float32 reference — contractGemm32, then +
+// bias, then nn.ReLU's clamp — with relu on and off and with and
+// without a bias, on every kernel level, at the batch widths serving
+// sees (1–5, 45 = watchSplit's chunk of 180 inputs on 2 workers, 64),
+// every out of network 1's shapes and a short last panel, and in = 300,
+// across a blockK panel. The pre-activations include −0, ±Inf and NaN
+// (columns of tiny, huge and zero weights against positive inputs, and
+// rows carrying a NaN or an infinity) and one bias is NaN, so the clamp
+// must map NaN and −0 to +0 and keep the order add-then-clamp. Results
+// are compared bit for bit, except that any NaN matches any NaN: which
+// operand's NaN an add returns is not part of the contract.
+func TestDenseEpilogueContract(t *testing.T) {
+	const k = 300
+	type epiCase struct {
+		m, n      int
+		x, w      *Tensor32
+		bias, pre []float32
+	}
+	var cases []epiCase
+	r := rng.New(83)
+	for _, n := range []int{4, 10, 16, 40, 320} {
+		w := New32(n, k)
+		for j := 0; j < n; j++ {
+			special := j < 4 || j >= n-4
+			for p := 0; p < k; p++ {
+				v := float32(r.Range(-1, 1))
+				if special {
+					v = [4]float32{-1e-30, 1e38, -1e38, 0}[j%4] // −0, +Inf, −Inf, +0 or NaN
+				}
+				w.data[j*k+p] = v
+			}
+		}
+		bias := randTensor32(r, n).data
+		bias[0], bias[n/2] = float32(math.Copysign(0, -1)), float32(math.NaN())
+		for _, m := range []int{1, 2, 3, 4, 5, 45, 64} {
+			x := New32(m, k)
+			for i := range x.data {
+				x.data[i] = float32(r.Range(0.1, 1))
+			}
+			x.data[(m-1)*k+7] = float32(math.NaN())
+			if m > 1 {
+				x.data[k+260] = float32(math.Inf(1))
+			}
+			cases = append(cases, epiCase{m, n, x, panels32(w), bias, contractGemm32(x.data, w.data, m, n, k)})
+		}
+	}
+	forEachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			got := New32(c.m, c.n)
+			for _, b := range [][]float32{nil, c.bias} {
+				for _, relu := range []bool{false, true} {
+					DenseBatchInto(got, c.x, c.w, b, relu)
+					for i, v := range c.pre {
+						if b != nil {
+							v += b[i%c.n]
+						}
+						if relu {
+							v = clamp32(v)
+						}
+						if g := got.data[i]; math.Float32bits(g) != math.Float32bits(v) && !(g != g && v != v) {
+							t.Fatalf("m=%d n=%d bias %t relu %t elem %d: kernel %v (%#x), reference %v (%#x)",
+								c.m, c.n, b != nil, relu, i, g, math.Float32bits(g), v, math.Float32bits(v))
+						}
+					}
+				}
+			}
 		}
 	})
 }

@@ -66,7 +66,7 @@ type convGeom struct {
 	inC, inH, inW, kH, kW, stride, outC, outH, outW int
 
 	k    int // inC·kH·kW, the rows of the virtual im2col matrix
-	step int // output rows per epilogue step: 2 under the 2×2 pool, else 1
+	step int // output rows per stored row: 2 under the 2×2 pool, else 1
 }
 
 // stripe computes the global output rows [r0, r1) — row r is row r%outH
@@ -103,42 +103,40 @@ func (g *convGeom) stripe(sc *gemmScratch, dst, in, w, bias []float32, r0, r1 in
 		}
 	}
 	for pc := 0; pc < g.k; pc += blockK {
-		kb := min(blockK, g.k-pc)
-		gather32(sc.pack32, in, sc.base, sc.rows[pc:pc+kb])
-		gemmPacked32(sc.tile, 0, ld, 1, w, pc, g.k, g.outC, sc.pack32, kb, ld, pc == 0)
-	}
-	for oc := 0; oc < g.outC; oc++ {
-		var b float32
-		if bias != nil {
-			b = bias[oc]
+		kb, flags := min(blockK, g.k-pc), 0
+		if pc > 0 {
+			flags = epiAcc
 		}
-		row := sc.tile[oc*ld : oc*ld+cols]
-		for r := r0; r < r1; r += g.step {
-			seg := row[(r-r0)*g.outW:]
-			s, oy := r/g.outH, r%g.outH
+		gather32(sc.pack32, in, sc.base, sc.rows[pc:pc+kb])
+		gemmPacked32(sc.tile, 0, ld, w, pc, g.k, g.outC, sc.pack32, kb, ld, nil, 0, flags)
+	}
+	// The epilogue takes each channel's share of one sample's rows, a
+	// run of whole output rows (row pairs under pool2) that lies
+	// contiguously both in the tile and in dst, in one call.
+	for r := r0; r < r1; {
+		s, oy := r/g.outH, r%g.outH
+		end := min(r1, r-oy+g.outH)
+		for oc := 0; oc < g.outC; oc++ {
+			var b float32
+			if bias != nil {
+				b = bias[oc]
+			}
+			run := sc.tile[oc*ld+(r-r0)*g.outW : oc*ld+(end-r0)*g.outW]
+			out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW/g.step/g.step:][:len(run)/g.step/g.step]
 			switch {
 			case g.step == 2:
-				out := dst[((s*g.outC+oc)*g.outH/2+oy/2)*(g.outW/2):][:g.outW/2]
-				r0w, r1w := seg[:g.outW], seg[g.outW:2*g.outW]
-				if relu {
-					pool2ReLU32(out, r0w, r1w, b)
-					continue
-				}
-				for ox := range out {
-					out[ox] = max4of32(r0w[2*ox]+b, r0w[2*ox+1]+b, r1w[2*ox]+b, r1w[2*ox+1]+b)
-				}
+				pool2Rows32(out, run, g.outW, b, relu)
 			case relu:
-				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
-				for ox := range out {
-					out[ox] = clamp32(seg[ox] + b)
+				for i, v := range run {
+					out[i] = clamp32(v + b)
 				}
 			default:
-				out := dst[((s*g.outC+oc)*g.outH+oy)*g.outW:][:g.outW]
-				for ox := range out {
-					out[ox] = seg[ox] + b
+				for i, v := range run {
+					out[i] = v + b
 				}
 			}
 		}
+		r = end
 	}
 }
 
@@ -186,18 +184,32 @@ func gatherHalves(dst, src0, src1 []float32, rows []int) {
 	gather16ps(&dst[0], &src0[0], &src1[0], &rows[0], len(rows))
 }
 
-// pool2ReLU32 is the fused Conv→ReLU→MaxPool(2) epilogue of one output
-// row: out[i] is the 2×2 window maximum over r0[2i], r0[2i+1], r1[2i],
-// r1[2i+1], each plus b and clamped — the unfused layers' order.
-func pool2ReLU32(out, r0, r1 []float32, b float32) {
-	i := 0
-	if q := len(out) / 4; kernelLevel >= KernelAVX2 && q > 0 {
-		_, _, _ = out[4*q-1], r0[8*q-1], r1[8*q-1]
-		pool2ReLUps(&out[0], &r0[0], &r1[0], q, b)
-		i = 4 * q
+// pool2Rows32 is the Conv→(ReLU→)MaxPool(2) epilogue of a run of row
+// pairs: in holds rows of w products, out their pooled rows of w/2, and
+// output i of pair p is the 2×2 window maximum over in[2p·w + 2i],
+// in[2p·w + 2i+1], in[(2p+1)·w + 2i] and in[(2p+1)·w + 2i+1], each plus b
+// and, when relu is set, clamped — the unfused layers' order. Under relu
+// one assembly call takes every whole group of four outputs of the run.
+func pool2Rows32(out, in []float32, w int, b float32, relu bool) {
+	half, quads := w/2, 0
+	if relu && kernelLevel >= KernelAVX2 {
+		if quads = half / 4; quads > 0 {
+			_, _ = out[len(out)-half+4*quads-1], in[len(in)-w+8*quads-1]
+			pool2ReLUps(&out[0], &in[0], len(out)/half, quads, w, b)
+		}
 	}
-	for ; i < len(out); i++ {
-		out[i] = max4of32(clamp32(r0[2*i]+b), clamp32(r0[2*i+1]+b), clamp32(r1[2*i]+b), clamp32(r1[2*i+1]+b))
+	if 4*quads == half {
+		return
+	}
+	for p := 0; p < len(out)/half; p++ {
+		r0, r1, o := in[2*p*w:(2*p+1)*w], in[(2*p+1)*w:(2*p+2)*w], out[p*half:(p+1)*half]
+		for i := 4 * quads; i < half; i++ {
+			if relu {
+				o[i] = max4of32(clamp32(r0[2*i]+b), clamp32(r0[2*i+1]+b), clamp32(r1[2*i]+b), clamp32(r1[2*i+1]+b))
+			} else {
+				o[i] = max4of32(r0[2*i]+b, r0[2*i+1]+b, r1[2*i]+b, r1[2*i+1]+b)
+			}
+		}
 	}
 }
 

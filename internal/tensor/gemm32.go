@@ -14,8 +14,13 @@ import "math"
 // Packed micro panels are microN32 = 16 float32 wide — one ZMM register,
 // two YMM, the same 64 bytes as a float64 panel row. The micro kernels
 // are a 4×32 AVX-512 kernel over two adjacent panels for full strips, a
-// 4×16 AVX2+FMA kernel for everything else on amd64 and a 4×16 fma32
-// loop on other hosts.
+// 4×16 AVX2+FMA kernel for everything else on amd64 and an fma32 loop on
+// other hosts; a row past the last 4-row strip runs the 1-row kernel,
+// which streams up to eight whole panels (four at KernelAVX2) per call.
+// Each kernel stores its k panel's subtotals itself, as its epilogue
+// flags say: overwriting C on the first k panel, adding to it on later
+// ones, and on a dense layer's last k panel then adding the bias row and
+// clamping — the unfused layers' order, so fusing changes no bit.
 const microN32 = 16
 
 // fma32 returns a·b + c rounded once to float32. The product of two
@@ -60,194 +65,236 @@ func roundToOdd(s, p, c float64) float64 {
 	return math.Float64frombits(bits)
 }
 
-// gemvWidth32 is gemvWidth for the float32 kernels: below it a dense
-// layer runs gemv32 instead of the packed GEMM.
-var gemvWidth32 = [...]int{KernelGo: 6, KernelAVX2: 3, KernelAVX512: 8}
+// The epilogue flags of the float32 micro kernels: how a tile's k panel
+// subtotal s lands in its C element c.
+const (
+	epiAcc  = 1 << iota // c + s instead of s: every k panel but the first
+	epiBias             // then + the column's bias
+	epiReLU             // then clamp as nn.ReLU does, v > 0 ? v : +0
+)
 
-// DenseBatchInto computes dst = X × Wᵀ + bias for X (b, in) and W
-// (out, in) into dst (b, out), clamping the result at zero as nn.ReLU
-// does when relu is set; bias may be nil. It is the batched dense layer
-// of inference. Below gemvWidth32 rows of X (a lone request is one) it
-// runs gemv32, which reads each row of W once where it lies and stays on
-// the calling goroutine. Wider batches are evaluated as dstᵀ = W × Xᵀ:
-// W's rows feed the micro kernel's broadcast side as they lie in memory
-// and only X is packed.
+// epi32 is the micro kernels' store of one element as flags say, with
+// bias[j] the column's bias.
+func epi32(c, s float32, bias []float32, j, flags int) float32 {
+	if flags&epiAcc != 0 {
+		s = c + s
+	}
+	if flags&epiBias != 0 {
+		s += bias[j]
+	}
+	if flags&epiReLU != 0 {
+		s = clamp32(s)
+	}
+	return s
+}
+
+// PanelsLen32 is the length of the panel layout of an (n, k) matrix: n
+// rounded up to whole 16-wide micro panels, times k.
+func PanelsLen32(n, k int) int { return (n + microN32 - 1) &^ (microN32 - 1) * k }
+
+// PackPanels32 stores W (n, k), row-major, rounded to float32 into dst,
+// PanelsLen32(n, k) long, in the layout DenseBatchInto reads: per blockK
+// block of k, the block [pc, pc+kb) starting at dst[pc·n16] (n16 = n
+// rounded up to 16), micro panel jt/16 of it at dst[pc·n16 + jt·kb]
+// holds kb rows of 16, row t being W[jt..jt+16][pc+t] — the packed side
+// of the micro kernels, laid out once instead of on every call. The rows
+// past n are zero.
+func PackPanels32[T float32 | float64](dst []float32, w []T, n, k int) {
+	n16 := PanelsLen32(n, 1)
+	for pc := 0; pc < k; pc += blockK {
+		kb := min(blockK, k-pc)
+		for jt := 0; jt < n16; jt += microN32 {
+			p := dst[pc*n16+jt*kb : pc*n16+(jt+microN32)*kb]
+			if jt+microN32 > n {
+				clear(p)
+			}
+			for i := jt; i < min(jt+microN32, n); i++ {
+				for t, v := range w[i*k+pc : i*k+pc+kb] {
+					p[t*microN32+i-jt] = float32(v)
+				}
+			}
+		}
+	}
+}
+
+// DenseBatchInto computes dst = X × Wᵀ + bias for X (b, in) and W (out,
+// in) into dst (b, out), clamping the result at zero as nn.ReLU does when
+// relu is set; bias may be nil. w holds W in PackPanels32's layout. It
+// is the batched dense layer of inference: the rows of X feed the micro
+// kernels' broadcast side where they lie, W's panels their packed side,
+// and the kernels store the row-major result, adding the bias and
+// clamping in the last k panel's store. Fewer than four rows — a lone
+// request is one — run the 1-row kernel on the calling goroutine; wider
+// batches split the columns across goroutines.
 func DenseBatchInto(dst, x, w *Tensor32, bias []float32, relu bool) {
 	m, k := x.shape[0], x.shape[1]
-	n := w.shape[0]
-	if w.shape[1] != k || dst.shape[0] != m || dst.shape[1] != n || bias != nil && len(bias) != n {
+	n := dst.shape[1]
+	if dst.shape[0] != m || w.Len() != PanelsLen32(n, k) || bias != nil && len(bias) != n {
 		panic("tensor: DenseBatchInto shape mismatch")
 	}
-	switch {
-	case k == 0:
-		clear(dst.data)
-	case m < gemvWidth32[kernelLevel]:
-		gemv32(dst.data, w.data, x.data, n, m, k)
-	default:
-		parallelRange(n, microM, m*n*k, func(lo, hi int) { gemm32Blocked(dst.data, w.data, x.data, lo, hi, n, m, k) })
+	last := 0
+	if bias != nil {
+		last |= epiBias
 	}
-	addBiasReLURows32(dst.data, n, bias, relu)
+	if relu {
+		last |= epiReLU
+	}
+	if k == 0 {
+		for i := range dst.data {
+			dst.data[i] = epi32(0, 0, bias, i%n, last)
+		}
+		return
+	}
+	if m < microM {
+		denseCols32(dst.data, x.data, w.data, bias, 0, n, m, n, k, last)
+		return
+	}
+	parallelRange(n, 2*microN32, m*n*k, func(lo, hi int) { denseCols32(dst.data, x.data, w.data, bias, lo, hi, m, n, k, last) })
 }
 
-// addBiasReLURows32 adds bias[j] to column j of every n-wide row of m
-// (bias may be nil) and, when relu is set, clamps the results at zero in
-// the same pass.
-func addBiasReLURows32(m []float32, n int, bias []float32, relu bool) {
-	for base := 0; base < len(m); base += n {
-		row := m[base : base+n]
-		if bias != nil {
-			for j := range row {
-				row[j] += bias[j]
-			}
+// denseCols32 computes columns [lo, hi) of DenseBatchInto's product, k
+// panel by k panel, the last one's store adding the bias and clamping as
+// last says.
+func denseCols32(y, x, w, bias []float32, lo, hi, m, n, k, last int) {
+	n16 := PanelsLen32(n, 1)
+	for pc := 0; pc < k; pc += blockK {
+		kb, flags := min(blockK, k-pc), 0
+		if pc > 0 {
+			flags = epiAcc
 		}
-		if relu {
-			for j, v := range row {
-				row[j] = clamp32(v)
-			}
+		if pc+kb == k {
+			flags |= last
 		}
-	}
-}
-
-// gemm32Blocked computes rows [i0, i1) of the transposed product C (n,
-// m), c[j][i] = Σ a[i][p]·b[j][p], for A (m, k) and B (n, k): per blockN
-// stripe of B's rows and blockK panel, pack B's tile and sweep A's rows
-// over it. The first k panel stores its subtotal; later panels
-// accumulate.
-func gemm32Blocked(c, a, b []float32, i0, i1, m, n, k int) {
-	sc := gemmScratches.Get().(*gemmScratch)
-	sc.pack32 = grow(sc.pack32, blockK*blockN)
-	for jc := 0; jc < n; jc += blockN {
-		je := min(jc+blockN, n)
-		for pc := 0; pc < k; pc += blockK {
-			kb := min(blockK, k-pc)
-			packTiles32(sc.pack32, b, pc, pc+kb, jc, je, k)
-			gemmPacked32(c, jc*m+i0, 1, m, a, i0*k+pc, k, i1-i0, sc.pack32, kb, je-jc, pc == 0)
-		}
-	}
-	gemmScratches.Put(sc)
-}
-
-// packTiles32 copies columns [pc, pe) of B's rows [jc, je) — B stored
-// (n, k) — into contiguous 16-wide micro panels: panel (jt-jc)/16 holds
-// kb rows of 16 values, row t the k index pc+t of 16 consecutive B
-// rows, the last panel zero-padded.
-func packTiles32(pack, b []float32, pc, pe, jc, je, k int) {
-	kb := pe - pc
-	for jt := jc; jt < je; jt += microN32 {
-		dst := pack[(jt-jc)*kb : (jt-jc+microN32)*kb]
-		cols := min(microN32, je-jt)
-		if cols < microN32 {
-			clear(dst)
-		}
-		for i := 0; i < cols; i++ {
-			for t, v := range b[(jt+i)*k+pc : (jt+i)*k+pe] {
-				dst[t*microN32+i] = v
-			}
-		}
+		gemmPacked32(y, lo, n, x, pc, k, m, w[pc*n16+lo*kb:], kb, hi-lo, bias, lo, flags)
 	}
 }
 
 // gemmPacked32 multiplies m rows of A (first element a[ai], rows lda
-// apart) by n packed columns over one k panel of kb steps. Element
-// (i, j) of the product lands at c[ci+i*rs+j*cs], stored when first is
-// set and added otherwise. Full tiles of a row-major C are written by
-// the kernels themselves, two panels at a time at KernelAVX512; partial
-// tiles and a transposed C go through a scratch tile.
-func gemmPacked32(c []float32, ci, rs, cs int, a []float32, ai, lda, m int, pack []float32, kb, n int, first bool) {
-	wide := kernelLevel == KernelAVX512
-	for i := 0; i < m; i += microM {
-		rows := min(microM, m-i)
-		j := 0
-		if wide && rows == microM {
-			for ; n-j >= 2*microN32; j += 2 * microN32 {
-				if cs == 1 {
-					gemm32Tile4x32(a, ai+i*lda, lda, pack[j*kb:], kb, c, ci+i*rs+j, rs, first)
-				} else {
-					gemm32TileVia(a, ai+i*lda, lda, rows, pack[j*kb:], kb, c, ci+i*rs+j*cs, rs, cs, 2*microN32, first)
+// apart) by n columns packed as micro panels over one k panel of kb
+// steps, into the row-major C at c[ci] (rows ldc apart), storing each
+// element as flags say (column j's bias is bias[bi+j]). Column panels
+// run outermost, so a panel stays in cache while every 4-row strip of A
+// passes over it: two panels at a time at KernelAVX512. The rows past
+// the last whole strip run the 1-row kernel.
+func gemmPacked32(c []float32, ci, ldc int, a []float32, ai, lda, m int, pack []float32, kb, n int, bias []float32, bi, flags int) {
+	strips := m &^ (microM - 1)
+	j := 0
+	if kernelLevel == KernelAVX512 {
+		for ; n-j >= 2*microN32; j += 2 * microN32 {
+			for i := 0; i < strips; i += microM {
+				gemm32Tile(a, ai+i*lda, lda, microM, pack[j*kb:], kb, c, ci+i*ldc+j, ldc, 2*microN32, bias, bi+j, flags)
+			}
+		}
+	}
+	for ; j < n; j += microN32 {
+		for i := 0; i < strips; i += microM {
+			gemm32Tile(a, ai+i*lda, lda, microM, pack[j*kb:], kb, c, ci+i*ldc+j, ldc, min(microN32, n-j), bias, bi+j, flags)
+		}
+	}
+	for i := strips; i < m; i++ {
+		gemm32Row(a, ai+i*lda, pack, kb, c, ci+i*ldc, n, bias, bi, flags)
+	}
+}
+
+// gemm32Row is gemmPacked32 for the one row of A at a[ai]: the 1-row
+// kernel streams up to eight whole panels per call (four at
+// KernelAVX2), and a short last panel goes through gemm32Tile.
+func gemm32Row(a []float32, ai int, pack []float32, kb int, c []float32, ci, n int, bias []float32, bi, flags int) {
+	group := 8
+	switch kernelLevel {
+	case KernelGo:
+		gemm32TileGo(a, ai, 0, 1, pack, kb, c, ci, 0, n, bias, bi, flags)
+		return
+	case KernelAVX2:
+		group = 4
+	}
+	full := n &^ (microN32 - 1)
+	for j := 0; j < full; j += group * microN32 {
+		w := min(group*microN32, full-j)
+		_, _, _ = a[ai+kb-1], pack[(j+w)*kb-1], c[ci+j+w-1]
+		if group == 8 {
+			gemm1x128ps(&a[ai], &pack[j*kb], kb, w/microN32, &c[ci+j], biasAt(bias, bi+j, w, flags), flags)
+		} else {
+			gemm1x64ps(&a[ai], &pack[j*kb], kb, w/microN32, &c[ci+j], biasAt(bias, bi+j, w, flags), flags)
+		}
+	}
+	if full < n {
+		gemm32Tile(a, ai, 0, 1, pack[full*kb:], kb, c, ci+full, 0, n-full, bias, bi+full, flags)
+	}
+}
+
+// biasAt bounds-checks the w biases from bias[bi] an epilogue reads and
+// returns their address. When flags add no bias it returns noBias: the
+// AVX-512 kernels then load it under an all-zero mask, which reads
+// nothing but costs a microcode assist per load unless the address is
+// mapped.
+func biasAt(bias []float32, bi, w, flags int) *float32 {
+	if flags&epiBias == 0 {
+		return &noBias[0]
+	}
+	_ = bias[bi+w-1]
+	return &bias[bi]
+}
+
+var noBias [8 * microN32]float32
+
+// gemm32Tile computes the rows × cols corner (rows ≤ 4, cols ≤ 16, or a
+// full 4×32 tile at KernelAVX512) of the C tile at c[ci] (rows ldc apart)
+// from the rows of A at a[ai] (lda apart) and the panels pk, storing as
+// flags say. Full tiles are stored by the assembly kernels themselves;
+// a partial one is computed into a scratch tile and stored from there. A
+// strip of fewer than four rows is computed one row at a time with a row
+// stride of 0 — the kernel then reads that row four times and writes one
+// tile row four times — which neither reads past the end of A nor needs
+// a padded copy of it.
+func gemm32Tile(a []float32, ai, lda, rows int, pk []float32, kb int, c []float32, ci, ldc, cols int, bias []float32, bi, flags int) {
+	switch {
+	case kernelLevel == KernelGo:
+		gemm32TileGo(a, ai, lda, rows, pk, kb, c, ci, ldc, cols, bias, bi, flags)
+	case rows == microM && cols == 2*microN32:
+		_, _, _ = a[ai+3*lda+kb-1], pk[2*microN32*kb-1], c[ci+3*ldc+2*microN32-1]
+		gemm4x32ps(&a[ai], lda, &pk[0], kb, &c[ci], ldc, biasAt(bias, bi, cols, flags), flags)
+	case rows == microM && cols == microN32:
+		_, _, _ = a[ai+3*lda+kb-1], pk[microN32*kb-1], c[ci+3*ldc+microN32-1]
+		gemm4x16ps(&a[ai], lda, &pk[0], kb, &c[ci], ldc, biasAt(bias, bi, cols, flags), flags)
+	default:
+		var tile [microM * microN32]float32
+		_ = pk[microN32*kb-1]
+		if rows == microM {
+			_ = a[ai+3*lda+kb-1]
+			gemm4x16ps(&a[ai], lda, &pk[0], kb, &tile[0], microN32, nil, 0)
+		} else {
+			for r := 0; r < rows; r++ {
+				_ = a[ai+r*lda+kb-1]
+				gemm4x16ps(&a[ai+r*lda], 0, &pk[0], kb, &tile[r*microN32], 0, nil, 0)
+			}
+		}
+		for r := 0; r < rows; r++ {
+			row := c[ci+r*ldc : ci+r*ldc+cols]
+			for j, s := range tile[r*microN32 : r*microN32+cols] {
+				row[j] = epi32(row[j], s, bias, bi+j, flags)
+			}
+		}
+	}
+}
+
+// gemm32TileGo is the scalar micro kernel: the rows × cols corner of a C
+// tile (rows ≤ 4, any cols) panel by panel, per element the identical
+// ascending-k chain of correctly rounded fma32 steps as the assembly, so
+// vector and scalar results match bit for bit.
+func gemm32TileGo(a []float32, ai, lda, rows int, pk []float32, kb int, c []float32, ci, ldc, cols int, bias []float32, bi, flags int) {
+	for jt := 0; jt < cols; jt += microN32 {
+		p := pk[jt*kb : (jt+microN32)*kb]
+		for r := 0; r < rows; r++ {
+			var acc [microN32]float32
+			for t, av := range a[ai+r*lda : ai+r*lda+kb] {
+				for j, bv := range p[t*microN32 : t*microN32+microN32] {
+					acc[j] = fma32(av, bv, acc[j])
 				}
 			}
-		}
-		for ; j < n; j += microN32 {
-			pk := pack[j*kb:]
-			if cols := min(microN32, n-j); rows == microM && cols == microN32 && cs == 1 {
-				gemm32Tile4x16(a, ai+i*lda, lda, pk, kb, c, ci+i*rs+j, rs, first)
-			} else {
-				gemm32TileVia(a, ai+i*lda, lda, rows, pk, kb, c, ci+i*rs+j*cs, rs, cs, cols, first)
-			}
-		}
-	}
-}
-
-// gemm32Tile4x16 computes one 4×16 C tile over a packed k panel: rows
-// ai, ai+lda, ai+2·lda, ai+3·lda of A against the panel pk, into C rows
-// ldc apart from ci.
-func gemm32Tile4x16(a []float32, ai, lda int, pk []float32, kb int, c []float32, ci, ldc int, first bool) {
-	if kernelLevel == KernelGo {
-		gemm32Tile4x16go(a, ai, lda, pk, kb, c, ci, ldc, first)
-		return
-	}
-	// The highest element the assembly touches in each operand.
-	_, _, _ = a[ai+3*lda+kb-1], pk[microN32*kb-1], c[ci+3*ldc+microN32-1]
-	gemm4x16ps(&a[ai], lda, &pk[0], kb, &c[ci], ldc, first)
-}
-
-// gemm32Tile4x32 is gemm32Tile4x16 over the two adjacent panels pk and
-// pk[16·kb:], for a 4×32 C tile. Only KernelAVX512 calls it.
-func gemm32Tile4x32(a []float32, ai, lda int, pk []float32, kb int, c []float32, ci, ldc int, first bool) {
-	_, _, _ = a[ai+3*lda+kb-1], pk[2*microN32*kb-1], c[ci+3*ldc+2*microN32-1]
-	gemm4x32ps(&a[ai], lda, &pk[0], kb, &c[ci], ldc, first)
-}
-
-// gemm32TileVia runs a micro kernel into a scratch tile and moves the
-// tile's valid rows×cols corner into C; cols above 16 take the 4×32
-// kernel. A strip of fewer than four rows is computed one row at a time
-// with a row stride of 0 — the kernel then reads that row four times
-// and writes one tile row four times — which neither reads past the end
-// of A nor needs a padded copy of it.
-func gemm32TileVia(a []float32, ai, lda, rows int, pk []float32, kb int, c []float32, ci, rs, cs, cols int, first bool) {
-	var tile [microM * 2 * microN32]float32
-	w := microN32
-	switch {
-	case cols > microN32:
-		w = 2 * microN32
-		gemm32Tile4x32(a, ai, lda, pk, kb, tile[:], 0, w, true)
-	case rows == microM:
-		gemm32Tile4x16(a, ai, lda, pk, kb, tile[:], 0, w, true)
-	default:
-		for r := 0; r < rows; r++ {
-			gemm32Tile4x16(a, ai+r*lda, 0, pk, kb, tile[:], r*w, 0, true)
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for j, v := range tile[r*w : r*w+cols] {
-			if first {
-				c[ci+r*rs+j*cs] = v
-			} else {
-				c[ci+r*rs+j*cs] += v
-			}
-		}
-	}
-}
-
-// gemm32Tile4x16go is the scalar micro kernel: the same 4×16 tile as
-// the assembly, per element the identical ascending-k chain of
-// correctly rounded fma32 steps, so vector and scalar results match bit
-// for bit.
-func gemm32Tile4x16go(a []float32, ai, lda int, pk []float32, kb int, c []float32, ci, ldc int, first bool) {
-	for r := 0; r < microM; r++ {
-		ar := a[ai+r*lda : ai+r*lda+kb]
-		var acc [microN32]float32
-		for t, av := range ar {
-			for j, bv := range pk[t*microN32 : t*microN32+microN32] {
-				acc[j] = fma32(av, bv, acc[j])
-			}
-		}
-		row := c[ci+r*ldc : ci+r*ldc+microN32]
-		for j, v := range acc {
-			if first {
-				row[j] = v
-			} else {
-				row[j] += v
+			row := c[ci+r*ldc+jt : ci+r*ldc+min(jt+microN32, cols)]
+			for j := range row {
+				row[j] = epi32(row[j], acc[j], bias, bi+jt+j, flags)
 			}
 		}
 	}

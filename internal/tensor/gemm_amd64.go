@@ -30,30 +30,28 @@ func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *fl
 //go:noescape
 func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool)
 
-// gemm4x16ps is the 4×16 float32 YMM micro kernel (AVX2+FMA).
+// gemm4x16ps is the 4×16 float32 YMM micro kernel (AVX2+FMA), storing
+// its tile as the epilogue flags say; bias is read only under epiBias.
 //
 //go:noescape
-func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int)
 
 // gemm4x32ps is the 4×32 float32 ZMM micro kernel (AVX-512F) over two
-// adjacent packed panels, pk and pk+16·kb.
+// adjacent packed panels, pk and pk+16·kb, storing as gemm4x16ps does.
 //
 //go:noescape
-func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int)
 
-// gemv16ps is the float32 transposing matrix-vector kernel (AVX-512F):
-// one 16-row weight group against nb ≤ 4 batch rows of x, the outputs
-// stored under the lane mask.
+// gemm1x128ps is the float32 1-row kernel (AVX-512F): the row at a
+// against 1–8 adjacent whole panels from pk, stored as gemm4x16ps does.
 //
 //go:noescape
-func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool)
+func gemm1x128ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int)
 
-// gemv8ps is the float32 matrix-vector kernel for up to eight weight
-// rows against one x, eight scalar FMA chains side by side (AVX2+FMA);
-// it writes eight outputs whatever rows is.
+// gemm1x64ps is gemm1x128ps over 1–4 panels (AVX2+FMA).
 //
 //go:noescape
-func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool)
+func gemm1x64ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int)
 
 // gather16ps copies src0[rows[t]:rows[t]+8] to dst[16t:16t+8] and
 // src1[rows[t]:rows[t]+8] to dst[16t+8:16t+16] for t < kb (AVX2).
@@ -61,10 +59,11 @@ func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bo
 //go:noescape
 func gather16ps(dst, src0, src1 *float32, rows *int, kb int)
 
-// pool2ReLUps is pool2ReLU32 over quads groups of four outputs (AVX2).
+// pool2ReLUps is pool2Rows32 under relu over pairs row pairs of w
+// products, quads groups of four outputs per pair (AVX2).
 //
 //go:noescape
-func pool2ReLUps(out, r0, r1 *float32, quads int, b float32)
+func pool2ReLUps(out, in *float32, pairs, quads, w int, b float32)
 
 // cpuidex and xgetbv0 are implemented in gemm_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

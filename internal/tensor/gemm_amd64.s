@@ -1,12 +1,13 @@
 // Assembly of the kernels, float64 (…asm) and float32 (…ps). The GEMM
 // micro kernels accumulate one C tile over a k panel, reading B from its
 // packed micro panels (kb rows of 8 contiguous float64 or 16 float32);
-// the matrix-vector kernels read the weight rows where they lie. Per
-// output element the accumulation is a chain of fused multiply-adds in
-// ascending k — the same correctly-rounded sequence the math.FMA and
-// fma32 scalar kernels perform, so every level computes the same bits.
-// The gather and the pool epilogue only move, add, clamp and compare, in
-// the order their Go loops do.
+// the float32 1-row kernels stream those panels against one row of A,
+// and the float64 matrix-vector kernels read the weight rows where they
+// lie. Per output element the accumulation is a chain of fused
+// multiply-adds in ascending k — the same correctly-rounded sequence the
+// math.FMA and fma32 scalar kernels perform, so every level computes the
+// same bits. The float32 stores, the gather and the pool epilogue only
+// move, add, clamp and compare, in the order their Go loops do.
 
 #include "textflag.h"
 
@@ -512,10 +513,44 @@ put8:
 	VZEROUPPER
 	RET
 
-// func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
-// The float32 form of gemm4x8asm (AVX2+FMA): a 4×16 C tile over one
-// packed panel of kb rows of 16 float32, two YMM accumulators per row.
-TEXT ·gemm4x16ps(SB), NOSPLIT, $0-49
+// FLAGMASKS sets the AVX-512 opmasks from the epilogue flags in f (t is
+// clobbered): K1 all ones under epiAcc, K2 under epiBias, K3 under
+// epiReLU, each zero otherwise.
+#define FLAGMASKS(f, t) \
+	MOVL f, t; \
+	ANDL $1, t; \
+	NEGL t; \
+	KMOVW t, K1; \
+	MOVL f, t; \
+	SHRL $1, t; \
+	ANDL $1, t; \
+	NEGL t; \
+	KMOVW t, K2; \
+	MOVL f, t; \
+	SHRL $2, t; \
+	ANDL $1, t; \
+	NEGL t; \
+	KMOVW t, K3
+
+// EPI16 stores the 16 subtotals in s to off(DI) as FLAGMASKS's masks
+// say, the 16 biases at off(SI): under K1 s = C + s, under K2 s = s +
+// bias, under K3 s = s > 0 ? s : +0 (Z31 is zero) — masked-off lanes
+// read no memory and keep s. Z8 and Z9 are clobbered.
+#define EPI16(off, s) \
+	VMOVUPS.Z off(DI), K1, Z8; \
+	VADDPS    s, Z8, K1, s; \
+	VMOVUPS.Z off(SI), K2, Z9; \
+	VADDPS    Z9, s, K2, s; \
+	VMAXPS    Z31, s, K3, s; \
+	VMOVUPS   s, off(DI)
+
+// func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int)
+// The float32 4×16 micro kernel (AVX2+FMA): a 4×16 C tile over one
+// packed panel of kb rows of 16 float32, two YMM accumulators per row,
+// stored as the epilogue flags say: added to C under epiAcc, then the 16
+// biases added under epiBias, then clamped under epiReLU (MAXPS returns
+// its second source unless the first is greater: v > 0 ? v : +0).
+TEXT ·gemm4x16ps(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), R8
 	MOVQ lda+8(FP), R9
 	SHLQ $2, R9            // row stride in bytes
@@ -559,66 +594,80 @@ loopps:
 	DECQ CX
 	JNZ  loopps
 
-	MOVQ    c+32(FP), DI
-	MOVQ    ldc+40(FP), DX
-	SHLQ    $2, DX
-	MOVBLZX first+48(FP), AX
-	TESTL   AX, AX
-	JZ      accumps
+	MOVQ c+32(FP), DI      // C row 0
+	MOVQ ldc+40(FP), DX
+	SHLQ $2, DX
+	LEAQ (DI)(DX*1), R9    // C row 1
+	LEAQ (R9)(DX*1), R10   // C row 2
+	LEAQ (R10)(DX*1), R11  // C row 3
+	MOVQ flags+56(FP), AX
+	TESTQ $1, AX
+	JZ    bias16ps
 
-	// first panel: overwrite C with the subtotals
+	// later k panels: C + subtotal
+	VMOVUPS (DI), Y8
+	VADDPS  Y0, Y8, Y0
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y1, Y9, Y1
+	VMOVUPS (R9), Y8
+	VADDPS  Y2, Y8, Y2
+	VMOVUPS 32(R9), Y9
+	VADDPS  Y3, Y9, Y3
+	VMOVUPS (R10), Y8
+	VADDPS  Y4, Y8, Y4
+	VMOVUPS 32(R10), Y9
+	VADDPS  Y5, Y9, Y5
+	VMOVUPS (R11), Y8
+	VADDPS  Y6, Y8, Y6
+	VMOVUPS 32(R11), Y9
+	VADDPS  Y7, Y9, Y7
+
+bias16ps:
+	TESTQ $2, AX
+	JZ    relu16ps
+	MOVQ    bias+48(FP), SI
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	VADDPS  Y8, Y0, Y0
+	VADDPS  Y9, Y1, Y1
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y9, Y3, Y3
+	VADDPS  Y8, Y4, Y4
+	VADDPS  Y9, Y5, Y5
+	VADDPS  Y8, Y6, Y6
+	VADDPS  Y9, Y7, Y7
+
+relu16ps:
+	TESTQ $4, AX
+	JZ    store16ps
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y8, Y0, Y0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y8, Y4, Y4
+	VMAXPS Y8, Y5, Y5
+	VMAXPS Y8, Y6, Y6
+	VMAXPS Y8, Y7, Y7
+
+store16ps:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS Y2, (DI)
-	VMOVUPS Y3, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS Y6, (DI)
-	VMOVUPS Y7, 32(DI)
-	JMP     doneps
-
-accumps:
-	// later panels: C += subtotal
-	VMOVUPS (DI), Y8
-	VADDPS  Y0, Y8, Y8
-	VMOVUPS Y8, (DI)
-	VMOVUPS 32(DI), Y9
-	VADDPS  Y1, Y9, Y9
-	VMOVUPS Y9, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Y8
-	VADDPS  Y2, Y8, Y8
-	VMOVUPS Y8, (DI)
-	VMOVUPS 32(DI), Y9
-	VADDPS  Y3, Y9, Y9
-	VMOVUPS Y9, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Y8
-	VADDPS  Y4, Y8, Y8
-	VMOVUPS Y8, (DI)
-	VMOVUPS 32(DI), Y9
-	VADDPS  Y5, Y9, Y9
-	VMOVUPS Y9, 32(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Y8
-	VADDPS  Y6, Y8, Y8
-	VMOVUPS Y8, (DI)
-	VMOVUPS 32(DI), Y9
-	VADDPS  Y7, Y9, Y9
-	VMOVUPS Y9, 32(DI)
-
-doneps:
+	VMOVUPS Y2, (R9)
+	VMOVUPS Y3, 32(R9)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	VMOVUPS Y6, (R11)
+	VMOVUPS Y7, 32(R11)
 	VZEROUPPER
 	RET
 
-// func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool)
+// func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int)
 // The float32 form of gemm4x16asm (AVX-512F): a 4×32 C tile over two
 // adjacent packed panels, columns 0–15 from pk and 16–31 from
-// pk+16·kb, one ZMM accumulator per row half.
-TEXT ·gemm4x32ps(SB), NOSPLIT, $0-49
+// pk+16·kb, one ZMM accumulator per row half, stored as gemm4x16ps
+// does under FLAGMASKS's masks, or plainly when flags are 0.
+TEXT ·gemm4x32ps(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), R8
 	MOVQ lda+8(FP), R9
 	SHLQ $2, R9            // row stride in bytes
@@ -662,14 +711,14 @@ loop32ps:
 	DECQ CX
 	JNZ  loop32ps
 
-	MOVQ    c+32(FP), DI
-	MOVQ    ldc+40(FP), DX
-	SHLQ    $2, DX
-	MOVBLZX first+48(FP), AX
-	TESTL   AX, AX
-	JZ      accum32ps
+	MOVQ   c+32(FP), DI
+	MOVQ   ldc+40(FP), DX
+	SHLQ   $2, DX
+	MOVQ   flags+56(FP), AX
+	TESTQ  AX, AX
+	JNZ    epi32ps
 
-	// first panel: overwrite C with the subtotals
+	// a first k panel that is not also the last: store the subtotals
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
 	ADDQ    DX, DI
@@ -681,345 +730,235 @@ loop32ps:
 	ADDQ    DX, DI
 	VMOVUPS Z6, (DI)
 	VMOVUPS Z7, 64(DI)
-	JMP     done32ps
-
-accum32ps:
-	// later panels: C += subtotal
-	VMOVUPS (DI), Z8
-	VADDPS  Z0, Z8, Z8
-	VMOVUPS Z8, (DI)
-	VMOVUPS 64(DI), Z9
-	VADDPS  Z1, Z9, Z9
-	VMOVUPS Z9, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Z8
-	VADDPS  Z2, Z8, Z8
-	VMOVUPS Z8, (DI)
-	VMOVUPS 64(DI), Z9
-	VADDPS  Z3, Z9, Z9
-	VMOVUPS Z9, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Z8
-	VADDPS  Z4, Z8, Z8
-	VMOVUPS Z8, (DI)
-	VMOVUPS 64(DI), Z9
-	VADDPS  Z5, Z9, Z9
-	VMOVUPS Z9, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS (DI), Z8
-	VADDPS  Z6, Z8, Z8
-	VMOVUPS Z8, (DI)
-	VMOVUPS 64(DI), Z9
-	VADDPS  Z7, Z9, Z9
-	VMOVUPS Z9, 64(DI)
-
-done32ps:
 	VZEROUPPER
 	RET
 
-// LOADROWS16 loads eight k values of the sixteen weight rows of a group
-// into Z0–Z7: lanes 0–7 of Z_r from row r (rows 0–2, 4, 6 off R8, rows
-// 3, 5, 7 off R9 = R8+3·ldw), lanes 8–15 from row r+8 (off R10 =
-// R8+8·ldw and R11 = R10+3·ldw, read 32 bytes early so that the lanes
-// line up; the lanes below 8 are masked off and never read). DX = ldw
-// bytes, BX = 3·ldw bytes; lo masks the k lanes of the low half, hi the
-// same lanes of the high half.
-#define LOADROWS16(lo, hi) \
-	VMOVUPS.Z (R8), lo, Z0; \
-	VMOVUPS   -32(R10), hi, Z0; \
-	VMOVUPS.Z (R8)(DX*1), lo, Z1; \
-	VMOVUPS   -32(R10)(DX*1), hi, Z1; \
-	VMOVUPS.Z (R8)(DX*2), lo, Z2; \
-	VMOVUPS   -32(R10)(DX*2), hi, Z2; \
-	VMOVUPS.Z (R9), lo, Z3; \
-	VMOVUPS   -32(R11), hi, Z3; \
-	VMOVUPS.Z (R8)(DX*4), lo, Z4; \
-	VMOVUPS   -32(R10)(DX*4), hi, Z4; \
-	VMOVUPS.Z (R9)(DX*2), lo, Z5; \
-	VMOVUPS   -32(R11)(DX*2), hi, Z5; \
-	VMOVUPS.Z (R8)(BX*2), lo, Z6; \
-	VMOVUPS   -32(R10)(BX*2), hi, Z6; \
-	VMOVUPS.Z (R9)(DX*4), lo, Z7; \
-	VMOVUPS   -32(R11)(DX*4), hi, Z7
-
-// TRANSPOSE16X8 turns Z0–Z7 as LOADROWS16 leaves them into Z8–Z15, Z8+k
-// holding k step k of all sixteen rows, with 8 VUNPCK{L,H}PS, 8 VSHUFPS
-// and 8 VSHUFF32X4. The two 8×8 halves transpose side by side, so the
-// lanes come out in row-quad order 0–3, 8–11, 4–7, 12–15, which the
-// store puts back. Z0–Z7 are clobbered.
-#define TRANSPOSE16X8 \
-	VUNPCKLPS  Z1, Z0, Z8; \
-	VUNPCKHPS  Z1, Z0, Z9; \
-	VUNPCKLPS  Z3, Z2, Z10; \
-	VUNPCKHPS  Z3, Z2, Z11; \
-	VUNPCKLPS  Z5, Z4, Z12; \
-	VUNPCKHPS  Z5, Z4, Z13; \
-	VUNPCKLPS  Z7, Z6, Z14; \
-	VUNPCKHPS  Z7, Z6, Z15; \
-	VSHUFPS    $0x44, Z10, Z8, Z0; \
-	VSHUFPS    $0xee, Z10, Z8, Z1; \
-	VSHUFPS    $0x44, Z11, Z9, Z2; \
-	VSHUFPS    $0xee, Z11, Z9, Z3; \
-	VSHUFPS    $0x44, Z14, Z12, Z4; \
-	VSHUFPS    $0xee, Z14, Z12, Z5; \
-	VSHUFPS    $0x44, Z15, Z13, Z6; \
-	VSHUFPS    $0xee, Z15, Z13, Z7; \
-	VSHUFF32X4 $0x88, Z4, Z0, Z8; \
-	VSHUFF32X4 $0x88, Z5, Z1, Z9; \
-	VSHUFF32X4 $0x88, Z6, Z2, Z10; \
-	VSHUFF32X4 $0x88, Z7, Z3, Z11; \
-	VSHUFF32X4 $0xdd, Z4, Z0, Z12; \
-	VSHUFF32X4 $0xdd, Z5, Z1, Z13; \
-	VSHUFF32X4 $0xdd, Z6, Z2, Z14; \
-	VSHUFF32X4 $0xdd, Z7, Z3, Z15
-
-// FMA8PS runs k steps 0–7 of one batch row (x at p) into the
-// accumulator c.
-#define FMA8PS(p, c) \
-	VFMADD231PS.BCST (p), Z8, c; \
-	VFMADD231PS.BCST 4(p), Z9, c; \
-	VFMADD231PS.BCST 8(p), Z10, c; \
-	VFMADD231PS.BCST 12(p), Z11, c; \
-	VFMADD231PS.BCST 16(p), Z12, c; \
-	VFMADD231PS.BCST 20(p), Z13, c; \
-	VFMADD231PS.BCST 24(p), Z14, c; \
-	VFMADD231PS.BCST 28(p), Z15, c
-
-// STORE16 puts the accumulator c back in row order and writes it to the
-// 16 outputs at p under mask K3: stored on the first panel, added to
-// what is there otherwise (R8 holds first).
-#define STORE16(c, p) \
-	VSHUFF32X4 $0xd8, c, c, c; \
-	VMOVUPS.Z  (p), K3, Z0; \
-	VADDPS     c, Z0, Z0; \
-	TESTQ      R8, R8; \
-	JZ         3(PC); \
-	VMOVUPS    c, K3, (p); \
-	JMP        2(PC); \
-	VMOVUPS    Z0, K3, (p)
-
-// func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool)
-// The float32 transposing matrix-vector kernel (AVX-512F): one group of
-// sixteen weight rows (rows ldw elements apart) against nb ≤ 4 batch
-// rows of x (ldx apart) over one k panel of kb steps. Each 16×8 block
-// is loaded where it lies and transposed in registers, so one lane of
-// the step-k register holds one row's weight k; that lane of a batch
-// row's accumulator then runs the row's ascending-k fused multiply-add
-// chain against x[k] broadcast, every block reused by all nb batch
-// rows. The kb%8 tail is loaded under a mask and only its real steps
-// are run. Batch row b lands at y+b·ldy under the lane mask.
-TEXT ·gemv16ps(SB), NOSPLIT, $0-73
-	MOVQ w+0(FP), R8
-	MOVQ ldw+8(FP), DX
-	SHLQ $2, DX            // row stride in bytes
-	LEAQ (DX)(DX*2), BX    // 3 row strides
-	LEAQ (R8)(BX*1), R9    // row 3
-	LEAQ (R8)(DX*8), R10   // row 8
-	LEAQ (R10)(BX*1), R11  // row 11
-	MOVQ x+16(FP), SI
-	MOVQ ldx+24(FP), R12
-	SHLQ $2, R12
-	MOVQ nb+32(FP), R13
-	MOVQ kb+40(FP), CX
-	MOVQ CX, AX
-	ANDQ $7, AX            // tail steps
-	SHRQ $3, CX            // full 8-step blocks
-
-	VPXORD Z24, Z24, Z24   // batch rows 0–3
-	VPXORD Z25, Z25, Z25
-	VPXORD Z26, Z26, Z26
-	VPXORD Z27, Z27, Z27
-	MOVL   $0xff, DI
-	KMOVW  DI, K1          // k lanes of the low half
-	MOVL   $0xff00, DI
-	KMOVW  DI, K2          // the same lanes of the high half
-	TESTQ  CX, CX
-	JZ     tailv
-
-blockv:
-	LOADROWS16(K1, K2)
-	TRANSPOSE16X8
-	MOVQ SI, DI
-	FMA8PS(DI, Z24)
-	CMPQ R13, $1
-	JEQ  nextv
-	ADDQ R12, DI
-	FMA8PS(DI, Z25)
-	CMPQ R13, $2
-	JEQ  nextv
-	ADDQ R12, DI
-	FMA8PS(DI, Z26)
-	CMPQ R13, $3
-	JEQ  nextv
-	ADDQ R12, DI
-	FMA8PS(DI, Z27)
-
-nextv:
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  blockv
-
-tailv:
-	TESTQ AX, AX
-	JZ    storev
-	MOVQ  AX, CX
-	MOVL  $1, DI
-	SHLL  CX, DI
-	DECL  DI
-	KMOVW DI, K1           // the tail's k lanes
-	SHLL  $8, DI
-	KMOVW DI, K2
-	LOADROWS16(K1, K2)
-	TRANSPOSE16X8
-
-tailstepv:
-	// one k step of every batch row, then shift the next step into Z8
-	// (a tail has at most 7 steps, so step 7 never needs to move)
-	MOVQ SI, DI
-	VFMADD231PS.BCST (DI), Z8, Z24
-	CMPQ R13, $1
-	JEQ  shiftv
-	ADDQ R12, DI
-	VFMADD231PS.BCST (DI), Z8, Z25
-	CMPQ R13, $2
-	JEQ  shiftv
-	ADDQ R12, DI
-	VFMADD231PS.BCST (DI), Z8, Z26
-	CMPQ R13, $3
-	JEQ  shiftv
-	ADDQ R12, DI
-	VFMADD231PS.BCST (DI), Z8, Z27
-
-shiftv:
-	VMOVAPS Z9, Z8
-	VMOVAPS Z10, Z9
-	VMOVAPS Z11, Z10
-	VMOVAPS Z12, Z11
-	VMOVAPS Z13, Z12
-	VMOVAPS Z14, Z13
-	ADDQ    $4, SI
-	DECQ    AX
-	JNZ     tailstepv
-
-storev:
-	MOVQ    y+48(FP), DI
-	MOVQ    ldy+56(FP), DX
-	SHLQ    $2, DX
-	MOVQ    mask+64(FP), AX
-	KMOVW   AX, K3
-	MOVBQZX first+72(FP), R8
-	STORE16(Z24, DI)
-	CMPQ    R13, $1
-	JEQ     donev
-	ADDQ    DX, DI
-	STORE16(Z25, DI)
-	CMPQ    R13, $2
-	JEQ     donev
-	ADDQ    DX, DI
-	STORE16(Z26, DI)
-	CMPQ    R13, $3
-	JEQ     donev
-	ADDQ    DX, DI
-	STORE16(Z27, DI)
-
-donev:
+epi32ps:
+	MOVQ   bias+48(FP), SI
+	FLAGMASKS(AX, BX)
+	VPXORD Z31, Z31, Z31
+	EPI16(0, Z0)
+	EPI16(64, Z1)
+	ADDQ   DX, DI
+	EPI16(0, Z2)
+	EPI16(64, Z3)
+	ADDQ   DX, DI
+	EPI16(0, Z4)
+	EPI16(64, Z5)
+	ADDQ   DX, DI
+	EPI16(0, Z6)
+	EPI16(64, Z7)
 	VZEROUPPER
 	RET
 
-// func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool)
-// The float32 form of gemv8asm (AVX2+FMA): up to eight weight rows (ldw
-// elements apart) against one x over one k panel of kb steps, one scalar
-// fused multiply-add chain per row in ascending k, the eight chains
-// interleaved. With rows < 8 the pointers of rows rows..7 repeat row
-// rows-1, so nothing past it is read; row r's subtotal lands at y+r for
-// all eight r.
-TEXT ·gemv8ps(SB), NOSPLIT, $0-49
-	MOVQ w+0(FP), R8
-	MOVQ ldw+8(FP), DX
-	SHLQ $2, DX            // row stride in bytes
-	MOVQ rows+16(FP), CX
-	// row r = row r-1 + ldw while r < rows, else row r-1
-	LEAQ    (R8)(DX*1), AX
-	MOVQ    R8, R9
-	CMPQ    CX, $1
-	CMOVQGT AX, R9
-	LEAQ    (R9)(DX*1), AX
-	MOVQ    R9, R10
-	CMPQ    CX, $2
-	CMOVQGT AX, R10
-	LEAQ    (R10)(DX*1), AX
-	MOVQ    R10, R11
-	CMPQ    CX, $3
-	CMOVQGT AX, R11
-	LEAQ    (R11)(DX*1), AX
-	MOVQ    R11, R12
-	CMPQ    CX, $4
-	CMOVQGT AX, R12
-	LEAQ    (R12)(DX*1), AX
-	MOVQ    R12, R13
-	CMPQ    CX, $5
-	CMOVQGT AX, R13
-	LEAQ    (R13)(DX*1), AX
-	MOVQ    R13, BX
-	CMPQ    CX, $6
-	CMOVQGT AX, BX
-	LEAQ    (BX)(DX*1), AX
-	MOVQ    BX, DI
-	CMPQ    CX, $7
-	CMOVQGT AX, DI
-	MOVQ    x+24(FP), SI
-	MOVQ    kb+32(FP), CX
-	XORQ    AX, AX         // byte offset of k step t
+// PANELPTRS points p at the panel after q, DX bytes on, while the panel
+// count in SI exceeds n, and at q itself otherwise: a group short of its
+// full width repeats its last panel, so nothing past it is read. AX is
+// clobbered.
+#define PANELPTRS(q, p, n) \
+	LEAQ    (q)(DX*1), AX; \
+	MOVQ    q, p; \
+	CMPQ    SI, $n; \
+	CMOVQGT AX, p
 
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	VXORPS X4, X4, X4
-	VXORPS X5, X5, X5
-	VXORPS X6, X6, X6
-	VXORPS X7, X7, X7
+// func gemm1x128ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int)
+// The float32 1-row kernel (AVX-512F): the one row of A at a against
+// 1–8 adjacent whole panels from pk (16·kb float32 apart), one ZMM
+// accumulator per panel, so eight independent fused multiply-add chains
+// hide the FMA latency and each panel is streamed once. Panel p's 16
+// subtotals land at c+16p, stored as gemm4x16ps does, with the biases
+// from bias+16p.
+TEXT ·gemm1x128ps(SB), NOSPLIT, $0-56
+	MOVQ pk+8(FP), R8
+	MOVQ kb+16(FP), CX
+	MOVQ CX, DX
+	SHLQ $6, DX            // 16·kb float32: the bytes from one panel to the next
+	MOVQ panels+24(FP), SI
+	PANELPTRS(R8, R9, 1)
+	PANELPTRS(R9, R10, 2)
+	PANELPTRS(R10, R11, 3)
+	PANELPTRS(R11, R12, 4)
+	PANELPTRS(R12, R13, 5)
+	PANELPTRS(R13, BX, 6)
+	PANELPTRS(BX, DI, 7)
+	MOVQ a+0(FP), SI
+	XORQ AX, AX            // byte offset of k step t in a panel
 
-stepps:
-	VMOVSS      (SI)(AX*1), X8
-	VFMADD231SS (R8)(AX*1), X8, X0
-	VFMADD231SS (R9)(AX*1), X8, X1
-	VFMADD231SS (R10)(AX*1), X8, X2
-	VFMADD231SS (R11)(AX*1), X8, X3
-	VFMADD231SS (R12)(AX*1), X8, X4
-	VFMADD231SS (R13)(AX*1), X8, X5
-	VFMADD231SS (BX)(AX*1), X8, X6
-	VFMADD231SS (DI)(AX*1), X8, X7
-	ADDQ        $4, AX
-	DECQ        CX
-	JNZ         stepps
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
 
-	MOVQ    y+40(FP), DI
-	MOVBLZX first+48(FP), AX
-	TESTL   AX, AX
-	JNZ     put8ps
-	VADDSS  (DI), X0, X0
-	VADDSS  4(DI), X1, X1
-	VADDSS  8(DI), X2, X2
-	VADDSS  12(DI), X3, X3
-	VADDSS  16(DI), X4, X4
-	VADDSS  20(DI), X5, X5
-	VADDSS  24(DI), X6, X6
-	VADDSS  28(DI), X7, X7
+loop1x128ps:
+	VBROADCASTSS (SI), Z8
+	VFMADD231PS  (R8)(AX*1), Z8, Z0
+	VFMADD231PS  (R9)(AX*1), Z8, Z1
+	VFMADD231PS  (R10)(AX*1), Z8, Z2
+	VFMADD231PS  (R11)(AX*1), Z8, Z3
+	VFMADD231PS  (R12)(AX*1), Z8, Z4
+	VFMADD231PS  (R13)(AX*1), Z8, Z5
+	VFMADD231PS  (BX)(AX*1), Z8, Z6
+	VFMADD231PS  (DI)(AX*1), Z8, Z7
+	ADDQ         $4, SI
+	ADDQ         $64, AX
+	DECQ         CX
+	JNZ          loop1x128ps
 
-put8ps:
-	VMOVSS X0, (DI)
-	VMOVSS X1, 4(DI)
-	VMOVSS X2, 8(DI)
-	VMOVSS X3, 12(DI)
-	VMOVSS X4, 16(DI)
-	VMOVSS X5, 20(DI)
-	VMOVSS X6, 24(DI)
-	VMOVSS X7, 28(DI)
+	MOVQ   c+32(FP), DI
+	MOVQ   bias+40(FP), SI
+	MOVQ   panels+24(FP), DX
+	MOVQ   flags+48(FP), AX
+	FLAGMASKS(AX, BX)
+	VPXORD Z31, Z31, Z31
+	EPI16(0, Z0)
+	CMPQ   DX, $1
+	JEQ    done1x128ps
+	EPI16(64, Z1)
+	CMPQ   DX, $2
+	JEQ    done1x128ps
+	EPI16(128, Z2)
+	CMPQ   DX, $3
+	JEQ    done1x128ps
+	EPI16(192, Z3)
+	CMPQ   DX, $4
+	JEQ    done1x128ps
+	EPI16(256, Z4)
+	CMPQ   DX, $5
+	JEQ    done1x128ps
+	EPI16(320, Z5)
+	CMPQ   DX, $6
+	JEQ    done1x128ps
+	EPI16(384, Z6)
+	CMPQ   DX, $7
+	JEQ    done1x128ps
+	EPI16(448, Z7)
+
+done1x128ps:
+	VZEROUPPER
+	RET
+
+// func gemm1x64ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int)
+// gemm1x128ps at AVX2+FMA: 1–4 panels, two YMM accumulators each, and
+// the epilogue of gemm4x16ps, panel by panel up to the panel count.
+TEXT ·gemm1x64ps(SB), NOSPLIT, $0-56
+	MOVQ pk+8(FP), R8
+	MOVQ kb+16(FP), CX
+	MOVQ CX, DX
+	SHLQ $6, DX            // 16·kb float32: the bytes from one panel to the next
+	MOVQ panels+24(FP), SI
+	PANELPTRS(R8, R9, 1)
+	PANELPTRS(R9, R10, 2)
+	PANELPTRS(R10, R11, 3)
+	MOVQ a+0(FP), SI
+	XORQ AX, AX            // byte offset of k step t in a panel
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+loop1x64ps:
+	VBROADCASTSS (SI), Y8
+	VFMADD231PS  (R8)(AX*1), Y8, Y0
+	VFMADD231PS  32(R8)(AX*1), Y8, Y1
+	VFMADD231PS  (R9)(AX*1), Y8, Y2
+	VFMADD231PS  32(R9)(AX*1), Y8, Y3
+	VFMADD231PS  (R10)(AX*1), Y8, Y4
+	VFMADD231PS  32(R10)(AX*1), Y8, Y5
+	VFMADD231PS  (R11)(AX*1), Y8, Y6
+	VFMADD231PS  32(R11)(AX*1), Y8, Y7
+	ADDQ         $4, SI
+	ADDQ         $64, AX
+	DECQ         CX
+	JNZ          loop1x64ps
+
+	MOVQ  c+32(FP), DI
+	MOVQ  panels+24(FP), DX
+	MOVQ  flags+48(FP), AX
+	TESTQ $1, AX
+	JZ    bias1x64ps
+
+	// later k panels: C + subtotal
+	VMOVUPS (DI), Y8
+	VADDPS  Y0, Y8, Y0
+	VMOVUPS 32(DI), Y9
+	VADDPS  Y1, Y9, Y1
+	CMPQ    DX, $1
+	JEQ     bias1x64ps
+	VMOVUPS 64(DI), Y8
+	VADDPS  Y2, Y8, Y2
+	VMOVUPS 96(DI), Y9
+	VADDPS  Y3, Y9, Y3
+	CMPQ    DX, $2
+	JEQ     bias1x64ps
+	VMOVUPS 128(DI), Y8
+	VADDPS  Y4, Y8, Y4
+	VMOVUPS 160(DI), Y9
+	VADDPS  Y5, Y9, Y5
+	CMPQ    DX, $3
+	JEQ     bias1x64ps
+	VMOVUPS 192(DI), Y8
+	VADDPS  Y6, Y8, Y6
+	VMOVUPS 224(DI), Y9
+	VADDPS  Y7, Y9, Y7
+
+bias1x64ps:
+	TESTQ  $2, AX
+	JZ     relu1x64ps
+	MOVQ   bias+40(FP), SI
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	CMPQ   DX, $1
+	JEQ    relu1x64ps
+	VADDPS 64(SI), Y2, Y2
+	VADDPS 96(SI), Y3, Y3
+	CMPQ   DX, $2
+	JEQ    relu1x64ps
+	VADDPS 128(SI), Y4, Y4
+	VADDPS 160(SI), Y5, Y5
+	CMPQ   DX, $3
+	JEQ    relu1x64ps
+	VADDPS 192(SI), Y6, Y6
+	VADDPS 224(SI), Y7, Y7
+
+relu1x64ps:
+	TESTQ  $4, AX
+	JZ     store1x64ps
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y8, Y0, Y0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y8, Y4, Y4
+	VMAXPS Y8, Y5, Y5
+	VMAXPS Y8, Y6, Y6
+	VMAXPS Y8, Y7, Y7
+
+store1x64ps:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ    DX, $1
+	JEQ     done1x64ps
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	CMPQ    DX, $2
+	JEQ     done1x64ps
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	CMPQ    DX, $3
+	JEQ     done1x64ps
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+
+done1x64ps:
 	VZEROUPPER
 	RET
 
@@ -1047,23 +986,34 @@ gatherps:
 	VZEROUPPER
 	RET
 
-// func pool2ReLUps(out, r0, r1 *float32, quads int, b float32)
-// Per group of four outputs: rows r0 and r1 of 8 products each get the
-// bias added and are clamped, v > 0 ? v : +0 (NaN becomes +0, as in
+// func pool2ReLUps(out, in *float32, pairs, quads, w int, b float32)
+// The Conv→ReLU→MaxPool(2) epilogue of a run of row pairs: pair p reads
+// rows 2p and 2p+1 of w products each from in and writes quads groups
+// of four outputs to out+p·w/2. Per group, 8 products of each row get
+// the bias added and are clamped, v > 0 ? v : +0 (NaN becomes +0, as in
 // nn.ReLU), and each output takes the first-wins maximum of its 2×2
 // window in MaxPool2D's order r0[2i], r0[2i+1], r1[2i], r1[2i+1]. MAXPS
 // returns its second source unless the first is greater, which is both
 // the clamp and the first-wins compare.
-TEXT ·pool2ReLUps(SB), NOSPLIT, $0-36
+TEXT ·pool2ReLUps(SB), NOSPLIT, $0-44
 	MOVQ         out+0(FP), DI
-	MOVQ         r0+8(FP), SI
-	MOVQ         r1+16(FP), DX
-	MOVQ         quads+24(FP), CX
-	VBROADCASTSS b+32(FP), Y15
+	MOVQ         in+8(FP), SI
+	MOVQ         pairs+16(FP), BX
+	MOVQ         w+32(FP), R9
+	SHLQ         $2, R9            // bytes per row of products
+	MOVQ         R9, R10
+	SHRQ         $1, R10           // bytes per row of outputs
+	VBROADCASTSS b+40(FP), Y15
 	VXORPS       Y14, Y14, Y14
 
+pairps:
+	MOVQ quads+24(FP), CX
+	MOVQ SI, R11                   // row 2p
+	LEAQ (SI)(R9*1), DX            // row 2p+1
+	MOVQ DI, R12
+
 poolps:
-	VADDPS       (SI), Y15, Y0     // r0[0:8] + b
+	VADDPS       (R11), Y15, Y0    // r0[0:8] + b
 	VADDPS       (DX), Y15, Y2     // r1[0:8] + b
 	VMAXPS       Y14, Y0, Y0       // clamp: v > 0 ? v : +0
 	VMAXPS       Y14, Y2, Y2
@@ -1076,12 +1026,17 @@ poolps:
 	VMAXPS       X4, X5, X4        // best = r0 odd > best ? r0 odd : best
 	VMAXPS       X4, X6, X4
 	VMAXPS       X4, X7, X4
-	VMOVUPS      X4, (DI)
-	ADDQ         $32, SI
+	VMOVUPS      X4, (R12)
+	ADDQ         $32, R11
 	ADDQ         $32, DX
-	ADDQ         $16, DI
+	ADDQ         $16, R12
 	DECQ         CX
 	JNZ          poolps
+
+	LEAQ (SI)(R9*2), SI            // the next pair
+	ADDQ R10, DI
+	DECQ BX
+	JNZ  pairps
 	VZEROUPPER
 	RET
 

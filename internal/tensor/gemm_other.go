@@ -26,19 +26,19 @@ func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool) {
+func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, first bool) {
+func gemm4x32ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gemv16ps(w *float32, ldw int, x *float32, ldx, nb, kb int, y *float32, ldy, mask int, first bool) {
+func gemm1x128ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gemv8ps(w *float32, ldw, rows int, x *float32, kb int, y *float32, first bool) {
+func gemm1x64ps(a *float32, pk *float32, kb, panels int, c *float32, bias *float32, flags int) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
@@ -46,6 +46,6 @@ func gather16ps(dst, src0, src1 *float32, rows *int, kb int) {
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func pool2ReLUps(out, r0, r1 *float32, quads int, b float32) {
+func pool2ReLUps(out, in *float32, pairs, quads, w int, b float32) {
 	panic("tensor: no assembly kernels on this architecture")
 }

@@ -18,7 +18,8 @@ import (
 // the calling goroutine, made width 1 faster (median 0.231 vs 0.268 ms)
 // but width 16 slower (2.44 vs 2.20 ms), because width 8–16 dense
 // products stop forking too; 2²⁰ and 3·2¹⁹ slowed width 8 the same way.
-// Narrow dense layers stay on one goroutine regardless: gemv never forks.
+// Dense layers narrower than one 4-row strip stay on one goroutine
+// regardless: the float32 1-row kernel, like the float64 gemv, never forks.
 const matmulParallelThreshold = 1 << 17
 
 // Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
@@ -38,8 +39,8 @@ const matmulParallelThreshold = 1 << 17
 // rows where they lie and runs on the calling goroutine.
 //
 // The float64 kernels serve training (MatMul, MatMulTransB, MatVec,
-// Conv2D); inference runs the float32 kernels of gemm32.go, gemv32.go
-// and conv32.go, which share this blocking. One accumulation contract
+// Conv2D); inference runs the float32 kernels of gemm32.go and
+// conv32.go, which share this blocking. One accumulation contract
 // holds for each precision at every level: every C element accumulates
 // over k in ascending order with one fused multiply-add chain per blockK
 // panel — float64 FMA here, float32 FMA there — and plain adds of that
@@ -71,11 +72,13 @@ const (
 	// amd64.
 	KernelGo KernelLevel = iota
 	// KernelAVX2 runs the 4×8 float64 and 4×16 float32 AVX2+FMA micro
-	// kernels, the eight-chain matrix-vector kernels, the AVX2 im2col
+	// kernels, the float64 eight-chain matrix-vector kernel, the float32
+	// four-panel 1-row kernel, the AVX2 im2col
 	// gather and the AVX2 Conv→ReLU→MaxPool(2) epilogue.
 	KernelAVX2
 	// KernelAVX512 adds the 4×16 float64 and 4×32 float32 AVX-512 micro
-	// kernels for full strips and the transposing matrix-vector kernels.
+	// kernels for full strips, the float64 transposing matrix-vector
+	// kernel and the float32 eight-panel 1-row kernel.
 	KernelAVX512
 )
 
@@ -116,7 +119,7 @@ func ForceKernel(l KernelLevel) (restore func(), err error) {
 // and goroutines so the hot path allocates nothing.
 type gemmScratch struct {
 	pack   []float64 // one k panel of a column stripe, as micro panels
-	pack32 []float32 // the same, for the float32 kernels
+	pack32 []float32 // Conv2DBatchInto: one k panel of the stripe's gathered im2col
 	tile   []float32 // Conv2DBatchInto: the stripe's outC × width product
 	base   []int     // Conv2DBatchInto: input offset of each stripe column
 	rows   []int     // Conv2DBatchInto: input offset of each im2col row

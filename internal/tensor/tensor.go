@@ -7,11 +7,11 @@
 // kernels move twice the lanes per vector instruction. The matrix
 // multiply is cache-blocked and parallelized across goroutines because it
 // dominates both training and inference time; its micro kernels, the
-// matrix-vector kernel, the convolution's im2col gather and its pooling
-// epilogue have amd64 assembly forms (AVX2, and AVX-512 for the kernels)
-// picked at start-up by CPU detection. Within each precision every
-// KernelLevel computes the same bits as the pure-Go one, which other
-// architectures run.
+// matrix-vector and 1-row kernels, the convolution's im2col gather and
+// its pooling epilogue have amd64 assembly forms (AVX2, and AVX-512 for
+// the kernels) picked at start-up by CPU detection. Within each
+// precision every KernelLevel computes the same bits as the pure-Go one,
+// which other architectures run.
 package tensor
 
 import (

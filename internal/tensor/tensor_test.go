@@ -418,21 +418,26 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
-// BenchmarkGemv times a width-1 DenseBatchInto — one dense layer of a
-// lone request, which runs the float32 matrix-vector kernel — over
-// network 1's dense shapes (out × in), once per kernel level the host
-// has, and reports the multiply-accumulate rate.
-func BenchmarkGemv(b *testing.B) {
+// BenchmarkDenseBatch times DenseBatchInto with its bias+ReLU epilogue
+// over network 1's dense shapes (out × in) at the batch widths serving
+// sees — 1 (a lone request, the 1-row kernel), 4, 8, 45 (watchSplit's
+// chunk of offline_batch's 180 inputs on 2 workers) and 64 (a full
+// chunk) — once per kernel level the host has, and reports the
+// multiply-accumulate rate.
+func BenchmarkDenseBatch(b *testing.B) {
 	r := rng.New(1)
 	forEachKernel(b, func(b *testing.B) {
 		for _, s := range [][2]int{{320, 320}, {160, 320}, {80, 160}, {40, 80}, {10, 40}} {
-			x, w, y := randTensor32(r, 1, s[1]), randTensor32(r, s[0], s[1]), New32(1, s[0])
-			b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					DenseBatchInto(y, x, w, nil, false)
-				}
-				b.ReportMetric(float64(s[0]*s[1])*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-			})
+			w, bias := panels32(randTensor32(r, s[0], s[1])), randTensor32(r, s[0]).data
+			for _, m := range []int{1, 4, 8, 45, 64} {
+				x, y := randTensor32(r, m, s[1]), New32(m, s[0])
+				b.Run(fmt.Sprintf("%dx%d/b%d", s[0], s[1], m), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						DenseBatchInto(y, x, w, bias, true)
+					}
+					b.ReportMetric(float64(m*s[0]*s[1])*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				})
+			}
 		}
 	})
 }
