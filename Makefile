@@ -2,7 +2,8 @@
 # same targets, so a green `make ci` locally means a green pipeline. CI
 # gates every PR on: gofmt, vet + staticcheck (lint), build, the arm64
 # vet and test builds (cross), race tests and the 1–4-worker split rerun
-# (test-split) across a Go version matrix,
+# of the kernel, monitor, serve and wire suites (test-split) across a Go
+# version matrix,
 # plus a fuzz-smoke job (test-fuzz), a
 # coverage gate (cover-check against ci/coverage-baseline.txt), a
 # serve-demo end-to-end daemon smoke job, a metrics-smoke observability
@@ -56,10 +57,13 @@ race:
 ## WatchBatch's split over chunks runs on top of the dense layers' column
 ## split. The kernel suites run once per kernel level the host has; the
 ## first line prints the detected level, so the log says which kernels
-## were exercised.
+## were exercised. The serve and wire suites run at 1–4 too: a lane's
+## completions queue verdict frames for a connection's writer, and how
+## those two interleave differs at GOMAXPROCS 1, where the lane queues
+## its whole batch before the writer runs.
 test-split:
 	$(GO) test -count=1 -run '^TestKernelLevel$$' -v ./internal/tensor
-	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn ./internal/core
+	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn ./internal/core ./internal/serve ./internal/wire
 
 ## test-fuzz: smoke-run the fuzz targets (differential BDD fuzzer against
 ## a truth-table oracle; pattern wire-format round trip; binary protocol

@@ -61,7 +61,7 @@
 //	napmon-serve -selftrain 0.05 [-dataset mnist] [-seed 1] [-gamma 2] [-shape 1,28,28]
 //	             [-udp :9710] [-tcp :9711] [-pprof] [-drain 30s]
 //	             [-max-batch 64] [-queue 1024] [-lanes 1]
-//	             [-max-inflight 1024] [-write-queue 256]
+//	             [-max-inflight 1024]
 //	             [-read-idle 30s] [-write-timeout 10s] [-malformed-budget 8]
 //	napmon-serve -follow http://leader:8080 [-follow-poll 500ms] [-udp ...] [-tcp ...]
 //
@@ -150,8 +150,7 @@ func main() {
 	flag.IntVar(&cfg.serve.MaxBatch, "max-batch", 0, "micro-batch size cap; batches form only while every lane is busy (0 = default 64)")
 	flag.IntVar(&cfg.serve.QueueDepth, "queue", 0, "request queue depth (0 = default)")
 	flag.IntVar(&cfg.serve.Lanes, "lanes", 0, "serving lanes / network replicas (0 = default)")
-	flag.IntVar(&cfg.gateway.MaxInflight, "max-inflight", 0, "per-TCP-connection inflight request cap (0 = default)")
-	flag.IntVar(&cfg.gateway.WriteQueue, "write-queue", 0, "per-TCP-connection response queue depth (0 = default)")
+	flag.IntVar(&cfg.gateway.MaxInflight, "max-inflight", 0, "per-TCP-connection cap on frames accepted but not yet written, and the UDP in-flight watch cap (0 = default)")
 	flag.DurationVar(&cfg.gateway.ReadIdleTimeout, "read-idle", 0, "per-TCP-conn read idle timeout (0 = default 30s, negative = disabled)")
 	flag.DurationVar(&cfg.gateway.WriteTimeout, "write-timeout", 0, "per-TCP-conn response write timeout (0 = default 10s, negative = disabled)")
 	flag.IntVar(&cfg.gateway.MalformedBudget, "malformed-budget", 0, "malformed payloads one TCP conn may send before teardown (0 = default 8, negative = disabled)")

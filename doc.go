@@ -187,6 +187,8 @@
 //	napmon_bdd_compiles_total              counter    query plans compiled, ditto
 //	napmon_gateway_frames_received_total   counter    frames past the packet filter (gateway)
 //	napmon_gateway_frames_responded_total  counter    response frames handed to a socket
+//	napmon_gateway_tcp_writes_total        counter    TCP socket writes, each carrying every
+//	                                                  response frame queued on its conn
 //	napmon_gateway_frames_malformed_total  counter    rejected datagrams/headers/payloads
 //	napmon_gateway_frames_dropped_total    counter    watch requests shed under pressure
 //	napmon_gateway_conns_reaped_total      counter    TCP conns torn down by a read-idle or

@@ -15,8 +15,10 @@ import (
 // is already queued, stamped, and handed to the waiting lane. When the
 // queue closes (Shutdown) the tail batch still waits for a lane; on
 // abort everything still held or queued is failed instead of served.
-// Each request is stamped on pickup (req.deq) and each batch at
-// hand-off, feeding the queue/coalesce/dispatch stage histograms.
+// Every request it sheds (expired at pickup) or fails (abort) completes
+// here, on this goroutine, through its done function. Each request is
+// stamped on pickup (req.deq) and each batch at hand-off, feeding the
+// queue/coalesce/dispatch stage histograms.
 func (s *Server) coalesce() {
 	defer s.wg.Done()
 	defer close(s.batches)
@@ -79,19 +81,19 @@ func (s *Server) coalesce() {
 // Shutdown already rejects new Submits and abort unblocks pending ones.
 func (s *Server) drainFail() {
 	for req := range s.queue {
-		req.fut.complete(core.Verdict{}, ErrServerClosed)
+		req.done(core.Verdict{}, ErrServerClosed)
 	}
 }
 
-// failAll resolves every future in the batch to ErrServerClosed.
+// failAll completes every request in the batch with ErrServerClosed.
 func failAll(reqs []request) {
 	for _, req := range reqs {
-		req.fut.complete(core.Verdict{}, ErrServerClosed)
+		req.done(core.Verdict{}, ErrServerClosed)
 	}
 }
 
-// shedExpired sheds one request whose context is already done: its
-// Future resolves to ErrExpired, Stats.Expired counts it, and it never
+// shedExpired sheds one request whose context is already done: it
+// completes with ErrExpired, Stats.Expired counts it, and it never
 // reaches a batch. Expired requests are excluded from the latency
 // histograms — they measure served traffic, and a pile of
 // deadline-exceeded sheds should read as goodput loss (Expired), not as
@@ -103,7 +105,7 @@ func (s *Server) shedExpired(req request) bool {
 	select {
 	case <-req.ctx.Done():
 		s.expired.Add(1)
-		req.fut.complete(core.Verdict{}, ErrExpired)
+		req.done(core.Verdict{}, ErrExpired)
 		return true
 	default:
 		return false
@@ -128,7 +130,12 @@ func (s *Server) shedExpiredBatch(reqs []request) []request {
 // micro-batch the coalescer hands over, feed it whole through the
 // batched GEMM inference path (Monitor.WatchBatchPooledTimed over
 // Network.ForwardBatch) on the lane's private replica and scratch pool,
-// resolve the futures, record metrics. The batch's width therefore
+// call every request's done function with its verdict, back to back on
+// this goroutine, and record metrics. So a front end whose done
+// functions queue frames sees the whole batch queued before the lane
+// takes its next batch, and one socket write can carry it; a done that
+// blocked would stall this lane and every request behind it, which is
+// why the contract forbids it (SubmitFunc). The batch's width therefore
 // translates directly into GEMM width — no per-input goroutine fan-out;
 // on multi-core hosts the GEMM kernels parallelize internally. The
 // lane's pool and input slice stay warm across batches of any width, so
@@ -180,15 +187,16 @@ func (s *Server) serveLane(ln *lane) {
 		s.stages.hist[stageInference].Record(bt.InferenceNs)
 		s.stages.hist[stageZoneQuery].Record(bt.ZoneQueryNs)
 		now := time.Now()
-		for i, req := range b.reqs {
+		for _, req := range b.reqs {
 			s.stages.record(stageQueue, req.deq.Sub(req.enq))
 			s.stages.record(stageCoalesce, b.flushed.Sub(req.deq))
 			s.stages.record(stageTotal, now.Sub(req.enq))
-			req.fut.complete(verdicts[i], nil)
 		}
 		// Publish (served, batches) as one immutable pair: a CAS loop
 		// instead of two independent atomic adds, so Stats can read a
-		// consistent snapshot for MeanBatchSize.
+		// consistent snapshot for MeanBatchSize. It goes out before any
+		// completion runs, so a caller holding its verdict reads Stats
+		// that count it.
 		for {
 			old := s.counts.Load()
 			next := &servedCounts{
@@ -198,6 +206,9 @@ func (s *Server) serveLane(ln *lane) {
 			if s.counts.CompareAndSwap(old, next) {
 				break
 			}
+		}
+		for i, req := range b.reqs {
+			req.done(verdicts[i], nil)
 		}
 	}
 }

@@ -27,10 +27,18 @@
 // update recompiles only the zones it touched before the swap (see
 // DESIGN.md, "Compiled query plans + sharded build").
 //
-// Every Submit returns a *Future that resolves exactly once — with a
-// Verdict, or with ErrServerClosed if the server aborts before the
-// request is served. Shutdown drains: requests accepted before Shutdown
-// are still served unless the shutdown context expires first.
+// Every accepted request carries one completion function, and the
+// server calls it exactly once — with a Verdict, with ErrExpired if its
+// context ran out before a lane took it, or with ErrServerClosed if the
+// server aborts before serving it. Submit, SubmitCtx, TrySubmit and
+// SubmitAll wrap that function in a *Future for callers that block on
+// a result. Front ends that serve many requests per goroutine pass
+// their own function through SubmitFunc or TrySubmitFunc instead: the
+// lane that serves a micro-batch then hands every verdict of it on
+// directly, with no goroutine parked per request (the wire gateway
+// turns them into queued frames, so a batch leaves in one socket
+// write). Shutdown drains: requests accepted before Shutdown are still
+// served unless the shutdown context expires first.
 package serve
 
 import (
@@ -126,15 +134,16 @@ func (c Config) validate() error {
 	return nil
 }
 
-// request is one queued unit of work: the input, the future that carries
-// its verdict back, the submitter's context (nil for the ctx-less Submit
+// request is one queued unit of work: the input, the completion
+// function that carries its verdict back (see SubmitFunc for its
+// contract), the submitter's context (nil for the ctx-less Submit
 // paths — never consulted again once nil), and the enqueue/dequeue
 // timestamps the per-stage latency metrics are based on (enq set by
 // Submit, deq by the coalescer when it picks the request up).
 type request struct {
 	ctx   context.Context
 	input *tensor.Tensor
-	fut   *Future
+	done  func(core.Verdict, error)
 	enq   time.Time
 	deq   time.Time
 }
@@ -263,7 +272,7 @@ func (s *Server) startLanes() {
 // backpressure contract. After Shutdown has begun it returns
 // ErrServerClosed without enqueuing.
 func (s *Server) Submit(x *tensor.Tensor) (*Future, error) {
-	return s.submit(nil, x, true)
+	return s.future(nil, x, true)
 }
 
 // SubmitCtx is Submit with deadline and cancellation propagation. While
@@ -276,14 +285,7 @@ func (s *Server) Submit(x *tensor.Tensor) (*Future, error) {
 // nothing and returns ctx.Err() immediately. A nil ctx behaves exactly
 // like Submit.
 func (s *Server) SubmitCtx(ctx context.Context, x *tensor.Tensor) (*Future, error) {
-	if ctx != nil {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-	}
-	return s.submit(ctx, x, true)
+	return s.future(ctx, x, true)
 }
 
 // TrySubmit is the non-blocking Submit: when the request queue is full
@@ -294,54 +296,89 @@ func (s *Server) SubmitCtx(ctx context.Context, x *tensor.Tensor) (*Future, erro
 // queue, where a connection-oriented front end simply stops reading its
 // socket and lets transport flow control push back.
 func (s *Server) TrySubmit(x *tensor.Tensor) (*Future, error) {
-	return s.submit(nil, x, false)
+	return s.future(nil, x, false)
 }
 
-func (s *Server) submit(ctx context.Context, x *tensor.Tensor, block bool) (*Future, error) {
+// SubmitFunc is SubmitCtx with a completion function in place of the
+// Future: it blocks on a full queue exactly as SubmitCtx does, and
+// sheds on ctx the same way. When it returns nil, done runs exactly
+// once, on a serve goroutine (the lane that served the request, or the
+// coalescer when it shed or failed it), with the Verdict or the error
+// the Future would have carried. done must not block — it holds up the
+// lane and every request of its batch behind it — and must not submit
+// to this server. When SubmitFunc returns an error, done never runs.
+func (s *Server) SubmitFunc(ctx context.Context, x *tensor.Tensor, done func(core.Verdict, error)) error {
+	return s.submit(ctx, x, true, done)
+}
+
+// TrySubmitFunc is TrySubmit with a completion function in place of the
+// Future, under SubmitFunc's contract for done.
+func (s *Server) TrySubmitFunc(x *tensor.Tensor, done func(core.Verdict, error)) error {
+	return s.submit(nil, x, false, done)
+}
+
+// future submits x with a fresh Future's resolve as its completion.
+func (s *Server) future(ctx context.Context, x *tensor.Tensor, block bool) (*Future, error) {
+	fut := newFuture()
+	if err := s.submit(ctx, x, block, fut.complete); err != nil {
+		return nil, err
+	}
+	return fut, nil
+}
+
+// submit is the one intake path: it validates x, then enqueues it with
+// done — blocking on a full queue (until ctx is done, when ctx is
+// non-nil) or, with block false, shedding with ErrQueueFull.
+func (s *Server) submit(ctx context.Context, x *tensor.Tensor, block bool, done func(core.Verdict, error)) error {
+	// A nil ctx leaves ctxDone nil — a never-ready select case — so the
+	// ctx-less paths pay nothing for the extra arm.
+	var ctxDone <-chan struct{}
+	if ctx != nil {
+		ctxDone = ctx.Done()
+		select {
+		case <-ctxDone:
+			return ctx.Err()
+		default:
+		}
+	}
 	if x == nil {
-		return nil, errors.New("serve: nil input")
+		return errors.New("serve: nil input")
 	}
 	if s.cfg.InputShape != nil && !slices.Equal(x.Shape(), s.cfg.InputShape) {
-		return nil, fmt.Errorf("serve: input shape %v, server expects %v", x.Shape(), s.cfg.InputShape)
+		return fmt.Errorf("serve: input shape %v, server expects %v", x.Shape(), s.cfg.InputShape)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.rejected.Add(1)
-		return nil, ErrServerClosed
+		return ErrServerClosed
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	defer s.inflight.Done()
-	fut := newFuture()
+	req := request{ctx: ctx, input: x, done: done, enq: time.Now()}
 	if !block {
 		select {
-		case s.queue <- request{ctx: ctx, input: x, fut: fut, enq: time.Now()}:
+		case s.queue <- req:
 			s.submitted.Add(1)
-			return fut, nil
+			return nil
 		case <-s.aborted:
 			s.rejected.Add(1)
-			return nil, ErrServerClosed
+			return ErrServerClosed
 		default:
 			s.shed.Add(1)
-			return nil, ErrQueueFull
+			return ErrQueueFull
 		}
 	}
-	// A nil ctx leaves ctxDone nil — a never-ready select case — so the
-	// ctx-less Submit pays nothing for the extra arm.
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
 	select {
-	case s.queue <- request{ctx: ctx, input: x, fut: fut, enq: time.Now()}:
+	case s.queue <- req:
 		s.submitted.Add(1)
-		return fut, nil
+		return nil
 	case <-s.aborted:
 		s.rejected.Add(1)
-		return nil, ErrServerClosed
+		return ErrServerClosed
 	case <-ctxDone:
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 

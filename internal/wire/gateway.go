@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -18,28 +19,30 @@ import (
 // GatewayConfig sizes a Gateway. The zero value of any field selects
 // its default.
 type GatewayConfig struct {
-	// MaxInflight bounds the watch requests a single TCP connection may
-	// have outstanding (submitted, verdict pending) before its reader
-	// stalls, and the total outstanding datagram requests of the UDP
-	// listener before new ones are shed (default 1024). Together with
-	// the serve queue it bounds gateway memory no matter how hard
+	// MaxInflight bounds the frames a single TCP connection may have
+	// accepted but not yet written — watch requests being served, and
+	// every answer, the reader's own pong, stats, learn and error frames
+	// included, until the writer has written it — before its reader
+	// stalls (default 1024). It is also the capacity of the
+	// connection's outbound queue, so queueing an answer never blocks,
+	// whichever goroutine does it. For the UDP listener it bounds the
+	// outstanding watch requests before new ones are shed. Together
+	// with the serve queue it bounds gateway memory no matter how hard
 	// clients push.
 	MaxInflight int
-	// WriteQueue is the per-TCP-connection outbound frame queue depth
-	// (default 256). A full queue stalls the producing goroutines — the
-	// slow-consumer case degrades that one connection, not the server.
-	WriteQueue int
 	// ReadIdleTimeout bounds the silence between a TCP client's frames
 	// (default 30s, negative disables): the reader arms a read deadline
-	// before every frame, so a conn that stalls mid-header or goes mute
-	// is reaped (Counters.Reaped) instead of pinning its goroutines
-	// forever. Clients only waiting on in-flight verdicts still count as
-	// idle — pipeline or ping within the window to stay alive.
+	// before every read that can block — whenever its buffer does not
+	// already hold the whole next frame — so a conn that stalls
+	// mid-header or goes mute is reaped (Counters.Reaped) instead of
+	// pinning its goroutines forever. Clients only waiting on in-flight
+	// verdicts still count as idle — pipeline or ping within the window
+	// to stay alive.
 	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds each response write — one frame, or the burst
 	// of queued frames the writer gathered into it (default 10s,
 	// negative disables). A client that stops draining its socket beyond
-	// what the write queue absorbs fails the write; the connection is
+	// what the socket buffers absorb fails the write; the connection is
 	// reaped rather than left wedged.
 	WriteTimeout time.Duration
 	// MalformedBudget is how many malformed-but-resyncable frames
@@ -54,9 +57,6 @@ type GatewayConfig struct {
 func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 1024
-	}
-	if c.WriteQueue == 0 {
-		c.WriteQueue = 256
 	}
 	if c.ReadIdleTimeout == 0 {
 		c.ReadIdleTimeout = 30 * time.Second
@@ -80,6 +80,10 @@ type GatewayCounters struct {
 	// are live the count may trail what a client has already read; it is
 	// exact once Close has returned (Close waits for every writer).
 	Responded uint64
+	// Writes counts TCP socket writes that succeeded; each carries every
+	// response frame its connection's writer found queued, so
+	// Responded/Writes over TCP-only traffic is frames per write.
+	Writes uint64
 	// Malformed counts datagrams the packet filter rejected, stream
 	// frames with invalid headers (those also kill their connection —
 	// a byte stream cannot resync), and well-framed requests whose
@@ -105,10 +109,13 @@ type GatewayCounters struct {
 // (epoch, delta) pair to its tenant's delta log, so followers see
 // wire-published epochs too; going straight to Server().Update would
 // silently skip that log and stall replication. A lane handed out by
-// ResolveTenant is pinned — the gateway calls Release exactly once when
-// the frame's work is done, so a fleet registry can drain an unloading
-// tenant without killing the frame's in-flight batch. registry.Tenant
-// implements it structurally.
+// a TenantResolver is pinned — the gateway calls Release exactly once
+// when the frame's work is done, so a fleet registry can drain an
+// unloading tenant without killing the frame's in-flight batch. For a
+// watch that is when its verdict is in, on the goroutine of the serve
+// lane that produced it, so Release must not block: registry.Tenant's
+// last Release starts its drain on a goroutine of its own.
+// registry.Tenant implements the interface structurally.
 type TenantLane interface {
 	Server() *serve.Server
 	Monitor() *core.Monitor
@@ -144,13 +151,15 @@ func (l staticLane) Learn(delta map[int][]core.Pattern) (uint64, error) {
 // serving lane and feeding that lane's micro-batching coalescer.
 //
 // Backpressure is transport-shaped. A TCP connection's reader submits
-// with the blocking Submit and bounds its outstanding responses with a
+// with the blocking SubmitFunc and bounds its unwritten answers with a
 // per-connection in-flight cap, so a server at capacity simply stops
 // reading that socket and TCP flow control pushes back to the client —
 // connection-level backpressure, no frame ever dropped. The UDP loop
-// has no connection to stall, so it uses the non-blocking TrySubmit and
-// sheds: queue-full or cap-full requests get a TypeErr/ErrCodeOverloaded
-// reply and a Dropped tick.
+// has no connection to stall, so it uses the non-blocking TrySubmitFunc
+// and sheds: queue-full or cap-full requests get a
+// TypeErr/ErrCodeOverloaded reply and a Dropped tick. On both
+// transports a watch verdict goes from the lane that served it straight
+// onto an outbound queue: no goroutine waits per request.
 //
 // Responses carry the request's frame id and may be written out of
 // order; pipelining clients match on id.
@@ -162,16 +171,15 @@ type Gateway struct {
 	udp *net.UDPConn
 	tcp net.Listener
 
-	udpTokens chan struct{} // UDP outstanding-request cap
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	wg sync.WaitGroup // listener loops, conn readers/writers, responders
+	wg sync.WaitGroup // listener loops and conn readers/writers
 
 	received   atomic.Uint64
 	responded  atomic.Uint64
+	writes     atomic.Uint64
 	malformed  atomic.Uint64
 	dropped    atomic.Uint64
 	reaped     atomic.Uint64
@@ -200,11 +208,10 @@ func NewGateway(srv *serve.Server, mon *core.Monitor, cfg GatewayConfig) *Gatewa
 // fleet registry's AcquireID is the intended resolver.
 func NewFleetGateway(resolve TenantResolver, count func() int, cfg GatewayConfig) *Gateway {
 	return &Gateway{
-		resolve:   resolve,
-		tenants:   count,
-		cfg:       cfg.withDefaults(),
-		udpTokens: make(chan struct{}, cfg.withDefaults().MaxInflight),
-		conns:     make(map[net.Conn]struct{}),
+		resolve: resolve,
+		tenants: count,
+		cfg:     cfg.withDefaults(),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -213,6 +220,7 @@ func (g *Gateway) Counters() GatewayCounters {
 	return GatewayCounters{
 		Received:   g.received.Load(),
 		Responded:  g.responded.Load(),
+		Writes:     g.writes.Load(),
 		Malformed:  g.malformed.Load(),
 		Dropped:    g.dropped.Load(),
 		Reaped:     g.reaped.Load(),
@@ -307,11 +315,12 @@ func (g *Gateway) TCPAddr() net.Addr {
 }
 
 // Close stops the listeners, closes every live connection and waits
-// for all gateway goroutines to exit. It does not shut down the
-// serve.Server behind the gateway — pending futures still resolve
-// (their responses go nowhere once the sockets are gone). Close the
-// gateway before draining the server so in-flight verdicts can still
-// be delivered.
+// for all gateway goroutines to exit — which they do only once every
+// watch request they accepted has completed, so Close waits on the
+// serve.Server behind the gateway for those. It does not shut that
+// server down: accepted requests still complete (their responses go
+// nowhere once the sockets are gone). Close the gateway before draining
+// the server so in-flight verdicts can still be delivered.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
 	if g.closed {
@@ -344,11 +353,49 @@ var respBufs = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 
 // --- UDP ---
 
+// udpReply is one datagram on its way out: the frame and its peer.
+type udpReply struct {
+	addr  *net.UDPAddr
+	frame []byte
+}
+
+// udpListener is one bound datagram socket's verdict path. The read
+// loop takes one of tokens per accepted watch request; the request's
+// completion, running on the lane that served it, queues the verdict on
+// out (which holds as many replies as there are tokens, so it never
+// blocks), and the listener's one sender goroutine writes it and hands
+// the token back.
+type udpListener struct {
+	pc     *net.UDPConn
+	tokens chan struct{}
+	out    chan udpReply
+}
+
 // serveUDP is the datagram read loop: filter, decode, dispatch. One
-// goroutine owns the reads; watch verdicts are awaited and written back
-// by short-lived responder goroutines bounded by udpTokens.
+// goroutine owns the reads and answers everything but watch verdicts
+// itself; verdicts leave through the listener's sender. On Close the
+// loop returns only after every accepted watch request has been
+// answered or failed and the sender has exited.
 func (g *Gateway) serveUDP(pc *net.UDPConn) {
 	defer g.wg.Done()
+	l := &udpListener{
+		pc:     pc,
+		tokens: make(chan struct{}, g.cfg.MaxInflight),
+		out:    make(chan udpReply, g.cfg.MaxInflight),
+	}
+	senderDone := make(chan struct{})
+	go func() {
+		defer close(senderDone)
+		for r := range l.out {
+			g.writeUDP(pc, r.addr, r.frame)
+			<-l.tokens
+		}
+	}()
+	defer func() {
+		awaitTokens(l.tokens)
+		close(l.out)
+		<-senderDone
+	}()
 	buf := make([]byte, MaxUDPFrame)
 	for {
 		n, raddr, err := pc.ReadFromUDP(buf)
@@ -357,7 +404,7 @@ func (g *Gateway) serveUDP(pc *net.UDPConn) {
 			if errors.As(err, &ne) && ne.Temporary() && !g.isClosed() { //nolint:staticcheck // transient datagram errors shouldn't kill the listener
 				continue
 			}
-			return // closed (or unrecoverable): the loop owns no other state
+			return // closed (or unrecoverable)
 		}
 		pkt := buf[:n]
 		if !BasicPacketFilter(pkt) {
@@ -383,7 +430,7 @@ func (g *Gateway) serveUDP(pc *net.UDPConn) {
 			}
 			g.writeUDP(pc, raddr, frame)
 		case TypeWatchReq:
-			g.handleWatchUDP(pc, raddr, h.ID, payload)
+			g.handleWatchUDP(l, raddr, h.ID, payload)
 		default:
 			// A response type arriving at a server: answer with an error
 			// rather than silently eating it, so a misconfigured peer
@@ -397,50 +444,36 @@ func (g *Gateway) serveUDP(pc *net.UDPConn) {
 // handleWatchUDP decodes and submits one datagram watch request. The
 // read loop must never block on the serve queue (one stalled client
 // would stall every client), so pressure turns into shedding here:
-// no in-flight token or TrySubmit queue-full → ErrCodeOverloaded.
-func (g *Gateway) handleWatchUDP(pc *net.UDPConn, raddr *net.UDPAddr, id uint32, payload []byte) {
+// no in-flight token or TrySubmitFunc queue-full → ErrCodeOverloaded.
+func (g *Gateway) handleWatchUDP(l *udpListener, raddr *net.UDPAddr, id uint32, payload []byte) {
 	tenant, shape, data, err := DecodeWatchReq(payload)
 	if err != nil {
 		g.malformed.Add(1)
-		g.writeUDP(pc, raddr, AppendErr(g.getBuf(), id, ErrCodeBadRequest, err.Error()))
+		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeBadRequest, err.Error()))
 		return
 	}
 	lane, err := g.resolve(tenant)
 	if err != nil {
-		g.writeUDP(pc, raddr, AppendErr(g.getBuf(), id, ErrCodeUnknownTenant, err.Error()))
+		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeUnknownTenant, err.Error()))
 		return
 	}
 	select {
-	case g.udpTokens <- struct{}{}:
+	case l.tokens <- struct{}{}:
 	default:
 		lane.Release()
 		g.dropped.Add(1)
-		g.writeUDP(pc, raddr, AppendErr(g.getBuf(), id, ErrCodeOverloaded, "gateway at in-flight cap"))
+		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeOverloaded, "gateway at in-flight cap"))
 		return
 	}
-	fut, err := lane.Server().TrySubmit(tensor.FromSlice(data, shape...))
+	err = lane.Server().TrySubmitFunc(tensor.FromSlice(data, shape...), func(v core.Verdict, err error) {
+		lane.Release() // the lane stays pinned until its verdict is in
+		l.out <- udpReply{addr: raddr, frame: g.verdictFrame(id, v, err)}
+	})
 	if err != nil {
-		<-g.udpTokens
+		<-l.tokens
 		lane.Release()
-		g.writeUDP(pc, raddr, g.submitErrFrame(id, err))
-		return
+		g.writeUDP(l.pc, raddr, g.submitErrFrame(id, err))
 	}
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.udpTokens }()
-		defer lane.Release() // lane stays pinned until the verdict is out
-		v, err := fut.Wait()
-		if err != nil {
-			g.writeUDP(pc, raddr, AppendErr(g.getBuf(), id, ErrCodeShutdown, err.Error()))
-			return
-		}
-		frame, err := AppendWatchResp(g.getBuf(), id, v)
-		if err != nil {
-			frame = AppendErr(frame, id, ErrCodeInternal, err.Error())
-		}
-		g.writeUDP(pc, raddr, frame)
-	}()
 }
 
 // writeUDP sends one response datagram and returns the frame buffer to
@@ -494,11 +527,21 @@ const connReadBuffer = 16 << 10
 // may carry.
 const writeGatherBytes = 64 << 10
 
-// serveConn owns one persistent TCP connection: a reader goroutine
-// (this one) decoding frames in arrival order, a writer goroutine
-// draining the outbound queue, and one short-lived goroutine per
-// in-flight watch awaiting its future. Backpressure is the blocking
-// chain reader → inflight cap / serve queue → TCP flow control.
+// serveConn owns one persistent TCP connection with two goroutines: a
+// reader (this one) decoding frames in arrival order, and a writer, the
+// sole owner of socket writes, draining the outbound queue out. No
+// goroutine waits per request: a watch is submitted with a completion
+// that encodes its verdict and queues the frame on out from the lane
+// that served it, so a micro-batch's verdicts are all queued before the
+// lane moves on. Backpressure is the blocking chain reader → in-flight
+// tokens / serve queue → TCP flow control.
+//
+// Every frame the reader accepts takes one of MaxInflight tokens,
+// which its answer holds until the writer has written it (or dropped it
+// off a dead connection). out holds MaxInflight frames, so queueing an
+// answer never blocks — not the reader, and not a lane running a
+// completion — and a client that stops reading stalls only its own
+// reader, once its tokens are spent.
 //
 // Both directions pay one syscall per burst, not per frame. The reader
 // decodes out of a connReadBuffer-byte buffer that one read fills with
@@ -510,16 +553,19 @@ const writeGatherBytes = 64 << 10
 // writeGatherBytes, unless a single frame is larger.
 //
 // The connection lives under three guards: a read deadline armed before
-// every frame (idle or half-sent conns are reaped, not pinned), a write
-// deadline per write (a client that stops draining is reaped once the
-// write queue stops absorbing), and a malformed-payload budget (framing
-// errors kill the stream outright — a byte stream cannot resync).
+// every read that can block (idle or half-sent conns are reaped, not
+// pinned), a write deadline per write (a client that stops draining is
+// reaped once the socket buffers stop absorbing), and a
+// malformed-payload budget (framing errors kill the stream outright — a
+// byte stream cannot resync).
 func (g *Gateway) serveConn(c net.Conn) {
 	defer g.wg.Done()
-	out := make(chan []byte, g.cfg.WriteQueue)
-	inflight := make(chan struct{}, g.cfg.MaxInflight)
-	var pending sync.WaitGroup
+	tokens := make(chan struct{}, g.cfg.MaxInflight)
+	out := make(chan []byte, g.cfg.MaxInflight)
 
+	// dead is set once a write fails: nothing more can reach the client,
+	// so the reader stops taking frames.
+	var dead atomic.Bool
 	// reap records this connection as deadline-killed, once, however
 	// many of its deadlines fire (reader and writer can both time out).
 	var reapedConn atomic.Bool
@@ -537,7 +583,6 @@ func (g *Gateway) serveConn(c net.Conn) {
 		var (
 			wbuf  []byte // the frames of one write
 			carry []byte // taken off the queue by the last gather, which had no room for it
-			dead  bool
 		)
 		for {
 			frame := carry
@@ -549,24 +594,29 @@ func (g *Gateway) serveConn(c net.Conn) {
 			}
 			var frames int
 			wbuf, frames, carry = g.gatherFrames(wbuf[:0], frame, out, writeGatherBytes)
-			if dead {
-				continue
-			}
-			if g.cfg.WriteTimeout > 0 {
-				c.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-			}
-			if _, err := c.Write(wbuf); err == nil {
-				g.responded.Add(uint64(frames))
-			} else {
-				// A failed stream write is terminal: close the conn so
-				// the reader unblocks, then keep draining the queue so
-				// producers never block on a dead connection.
-				dead = true
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					reap()
+			if !dead.Load() {
+				if g.cfg.WriteTimeout > 0 {
+					c.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
 				}
-				c.Close()
+				if _, err := c.Write(wbuf); err == nil {
+					g.responded.Add(uint64(frames))
+					g.writes.Add(1)
+				} else {
+					// A failed stream write is terminal: mark the conn
+					// dead, so the reader takes no further frame, and
+					// close it, so a reader blocked in a read returns;
+					// then keep draining the queue — and handing back
+					// tokens — so the reader's teardown wait ends.
+					dead.Store(true)
+					var ne net.Error
+					if errors.As(err, &ne) && ne.Timeout() {
+						reap()
+					}
+					c.Close()
+				}
+			}
+			for range frames {
+				<-tokens
 			}
 		}
 	}()
@@ -575,8 +625,8 @@ func (g *Gateway) serveConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, connReadBuffer)
 	buf := make([]byte, 0, 4096)
 readLoop:
-	for {
-		if g.cfg.ReadIdleTimeout > 0 {
+	for !dead.Load() {
+		if g.cfg.ReadIdleTimeout > 0 && !frameBuffered(br) {
 			c.SetReadDeadline(time.Now().Add(g.cfg.ReadIdleTimeout))
 		}
 		h, payload, err := ReadFrame(br, buf)
@@ -596,6 +646,8 @@ readLoop:
 		}
 		buf = payload[:0]
 		g.received.Add(1)
+		// The frame's one answer holds this token until it is written.
+		tokens <- struct{}{}
 		// overBudget charges one malformed-but-framed payload against the
 		// connection and reports when its budget is spent.
 		overBudget := func() bool {
@@ -635,42 +687,28 @@ readLoop:
 				out <- AppendErr(g.getBuf(), h.ID, ErrCodeUnknownTenant, err.Error())
 				continue
 			}
-			inflight <- struct{}{} // connection-level backpressure, cap in-flight
-			fut, err := lane.Server().Submit(tensor.FromSlice(data, shape...))
+			id := h.ID
+			err = lane.Server().SubmitFunc(nil, tensor.FromSlice(data, shape...), func(v core.Verdict, err error) {
+				lane.Release() // the lane stays pinned until its verdict is in
+				out <- g.verdictFrame(id, v, err)
+			})
 			if err != nil {
-				<-inflight
 				lane.Release()
-				out <- g.submitErrFrame(h.ID, err)
-				continue
+				out <- g.submitErrFrame(id, err)
 			}
-			pending.Add(1)
-			go func(id uint32) {
-				defer pending.Done()
-				defer func() { <-inflight }()
-				defer lane.Release() // lane stays pinned until the verdict is out
-				v, err := fut.Wait()
-				if err != nil {
-					out <- AppendErr(g.getBuf(), id, ErrCodeShutdown, err.Error())
-					return
-				}
-				frame, err := AppendWatchResp(g.getBuf(), id, v)
-				if err != nil {
-					frame = AppendErr(frame, id, ErrCodeInternal, err.Error())
-				}
-				out <- frame
-			}(h.ID)
 		default:
 			out <- AppendErr(g.getBuf(), h.ID, ErrCodeBadRequest,
 				fmt.Sprintf("frame type %d is not a request", h.Type))
 		}
 	}
-	// Teardown: stop reading, let every in-flight verdict flush (their
-	// futures resolve once served — or failed by a server drain), wait
-	// for the writer to drain the queue — closing the socket under it
-	// would discard responses already earned — then release the
-	// connection. The wait is bounded: each write carries WriteTimeout,
-	// and a gateway-level Close still closes the socket directly.
-	pending.Wait()
+	// Teardown: stop reading, and wait until every token is back — then
+	// every frame accepted has been written or dropped by a dead writer,
+	// the verdicts still being served included (their completions run
+	// once served, or failed by a server drain). Closing the socket
+	// earlier would discard responses already earned. The wait is
+	// bounded: each write carries WriteTimeout, and a gateway-level Close
+	// still closes the socket directly.
+	awaitTokens(tokens)
 	close(out)
 	<-writerDone
 	g.mu.Lock()
@@ -678,6 +716,28 @@ readLoop:
 	g.mu.Unlock()
 	c.Close()
 	g.connCount.Add(^uint64(0))
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// header and payload, so reading it cannot reach the socket. It only
+// peeks at what is buffered: a garbage header just reads as "not
+// covered" or leaves ReadFrame to reject it.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < HeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderSize)
+	return uint64(n) >= HeaderSize+uint64(binary.LittleEndian.Uint32(hdr[6:10]))
+}
+
+// awaitTokens returns once every token of a full in-flight set is back
+// — every answer the set ever admitted has been written or dropped —
+// by taking them all. The set is spent afterwards.
+func awaitTokens(tokens chan struct{}) {
+	for range cap(tokens) {
+		tokens <- struct{}{}
+	}
 }
 
 // gatherFrames appends first, then every frame already queued on out, to
@@ -762,6 +822,19 @@ func (g *Gateway) handleStats(id uint32, payload []byte) (frame []byte, bad bool
 	return AppendStatsResp(g.getBuf(), id, st), false
 }
 
+// verdictFrame encodes the outcome of one watch request: its verdict,
+// or the error frame for a request the server failed.
+func (g *Gateway) verdictFrame(id uint32, v core.Verdict, err error) []byte {
+	if err != nil {
+		return AppendErr(g.getBuf(), id, ErrCodeShutdown, err.Error())
+	}
+	frame, err := AppendWatchResp(g.getBuf(), id, v)
+	if err != nil {
+		frame = AppendErr(frame, id, ErrCodeInternal, err.Error())
+	}
+	return frame
+}
+
 // submitErrFrame maps a Submit/TrySubmit error to its wire error code.
 func (g *Gateway) submitErrFrame(id uint32, err error) []byte {
 	code := ErrCodeBadRequest
@@ -787,6 +860,9 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_gateway_frames_responded_total",
 		"response frames successfully handed to a socket",
 		func() uint64 { return g.responded.Load() })
+	reg.CounterFunc("napmon_gateway_tcp_writes_total",
+		"TCP socket writes, each carrying every response frame queued on its connection",
+		func() uint64 { return g.writes.Load() })
 	reg.CounterFunc("napmon_gateway_frames_malformed_total",
 		"datagrams, stream headers or payloads rejected as malformed",
 		func() uint64 { return g.malformed.Load() })

@@ -21,6 +21,19 @@ import (
 // themselves.
 func toyLane(t testing.TB, seed uint64, scfg serve.Config) (*serve.Server, *nn.Network, *core.Monitor, []*tensor.Tensor) {
 	t.Helper()
+	network, mon, inputs := toyModel(t, seed)
+	scfg.InputShape = []int{4}
+	srv, err := serve.New(network, mon, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, network, mon, inputs
+}
+
+// toyModel is toyLane's network, γ = 1 monitor and 32 validation inputs,
+// without a server: inputs are shaped [4].
+func toyModel(t testing.TB, seed uint64) (*nn.Network, *core.Monitor, []*tensor.Tensor) {
+	t.Helper()
 	r := rng.New(seed)
 	centers := [][4]float64{
 		{2, 0, -2, 0},
@@ -50,17 +63,12 @@ func toyLane(t testing.TB, seed uint64, scfg serve.Config) (*serve.Server, *nn.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg.InputShape = []int{4}
-	srv, err := serve.New(network, mon, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	val := gen(32)
 	inputs := make([]*tensor.Tensor, len(val))
 	for i, s := range val {
 		inputs[i] = s.Input
 	}
-	return srv, network, mon, inputs
+	return network, mon, inputs
 }
 
 // toyGatewayParts is toyLane plus a gateway on loopback ephemeral ports
@@ -345,7 +353,7 @@ func TestGatewayTCPMalformedKillsConn(t *testing.T) {
 func TestGatewayTCPSustained(t *testing.T) {
 	g, _, _, inputs := toyGatewayParts(t, 24,
 		serve.Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 4},
-		GatewayConfig{MaxInflight: 8, WriteQueue: 4})
+		GatewayConfig{MaxInflight: 8})
 	const conns, perConn = 4, 100
 	errc := make(chan error, conns)
 	for ci := 0; ci < conns; ci++ {

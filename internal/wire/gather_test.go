@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"napmon/internal/core"
+	"napmon/internal/obs"
 	"napmon/internal/serve"
 	"napmon/internal/tensor"
 )
@@ -92,7 +94,9 @@ func TestGatherFrames(t *testing.T) {
 // write — the shape the buffered reader and the gathering writer exist
 // for — and checks the burst is answered completely: every id exactly
 // once, each with its verdict, and Responded counting frames, not
-// socket writes.
+// socket writes. The verdicts of a micro-batch are queued together by
+// the lane that served it, so the 32 batches of 8 must leave in at most
+// n/4 writes; a writer woken once per verdict makes about n.
 func TestGatewayTCPBurst(t *testing.T) {
 	g, network, mon, inputs := toyGatewayParts(t, 29, serve.Config{MaxBatch: 8}, GatewayConfig{})
 	const n = 256
@@ -149,7 +153,26 @@ func TestGatewayTCPBurst(t *testing.T) {
 	for g.Counters().Responded != n && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if ctr := g.Counters(); ctr.Responded != n || ctr.Received != n {
+	ctr := g.Counters()
+	if ctr.Responded != n || ctr.Received != n {
 		t.Fatalf("counters after a %d-frame burst: %+v", n, ctr)
+	}
+	if ctr.Writes == 0 || ctr.Writes > n/4 {
+		t.Fatalf("%d frames left in %d socket writes, want 1..%d", n, ctr.Writes, n/4)
+	}
+	t.Logf("%d frames in %d writes", n, ctr.Writes)
+	// Operators read the same count off /metrics.
+	reg := obs.NewRegistry()
+	g.RegisterMetrics(reg)
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := exp.Value("napmon_gateway_tcp_writes_total", nil); !ok || uint64(v) != ctr.Writes {
+		t.Fatalf("napmon_gateway_tcp_writes_total = %v (ok=%v), Counters.Writes = %d", v, ok, ctr.Writes)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"napmon/internal/chaos"
 	"napmon/internal/core"
+	"napmon/internal/registry"
 	"napmon/internal/serve"
 	"napmon/internal/tensor"
 )
@@ -57,6 +58,192 @@ func TestGatewayReapsSilentConn(t *testing.T) {
 	}
 	if h, _, err := ReadFrame(good, nil); err != nil || h.Type != TypePong {
 		t.Fatalf("ping after a reap: %+v, %v", h, err)
+	}
+}
+
+// TestGatewayKeepsPipeliningConn: the read deadline is armed only
+// before a read that can reach the socket, never skipped before one. A
+// client pipelining bursts of four pings for three idle windows — the
+// later frames of each burst come out of the read buffer — is never
+// reaped.
+func TestGatewayKeepsPipeliningConn(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	g, _, _, _ := toyGatewayParts(t, 30,
+		serve.Config{MaxBatch: 4},
+		GatewayConfig{ReadIdleTimeout: idle})
+	c, err := net.Dial("tcp", g.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(time.Minute))
+	var id uint32
+	var buf []byte
+	for start := time.Now(); time.Since(start) < 3*idle; {
+		var burst []byte
+		for range 4 {
+			id++
+			burst = AppendPing(burst, id)
+		}
+		if _, err := c.Write(burst); err != nil {
+			t.Fatalf("burst ending at ping %d: %v", id, err)
+		}
+		for range 4 {
+			h, payload, err := ReadFrame(c, buf)
+			if err != nil {
+				t.Fatalf("pong after ping %d: %v (reaped %d)", id, err, g.Counters().Reaped)
+			}
+			buf = payload[:0]
+			if h.Type != TypePong {
+				t.Fatalf("ping answered with %+v", h)
+			}
+		}
+		time.Sleep(idle / 5)
+	}
+	if got := g.Counters().Reaped; got != 0 {
+		t.Fatalf("a pipelining conn was reaped (%d)", got)
+	}
+}
+
+// smallSendBuffers shrinks every accepted connection's kernel send
+// buffer, so a client that stops reading wedges the gateway's writer
+// after kilobytes of verdicts instead of megabytes.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestGatewayStalledConnIsolated: a client that pipelines watches and
+// never reads wedges only its own connection. Its writer blocks on the
+// full socket and its reader on the in-flight cap, but the lane serving
+// it queues its verdicts without blocking, so a second connection to
+// the same tenant gets every verdict before the wedged one is reaped by
+// its write deadline. The reap then hands back every token and every
+// tenant pin: the connection goes away and the tenant unloads. A dead
+// connection takes no further frame: what its read buffer still holds
+// is not decoded and served for a reply nobody can receive.
+func TestGatewayStalledConnIsolated(t *testing.T) {
+	const maxInflight = 8
+	network, mon, inputs := toyModel(t, 32)
+	reg := registry.New(registry.Config{Grace: time.Minute})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		reg.Close(ctx)
+	})
+	tn, err := reg.Load("m", registry.TenantConfig{Net: network, Mon: mon,
+		Serve: serve.Config{MaxBatch: 8, InputShape: []int{4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewFleetGateway(func(id uint32) (TenantLane, error) { return reg.AcquireID(id) }, reg.Len,
+		GatewayConfig{MaxInflight: maxInflight, WriteTimeout: 2 * time.Second})
+	t.Cleanup(func() { g.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ServeTCP(smallSendBuffers{ln}); err != nil {
+		t.Fatal(err)
+	}
+	watch := func(id uint32) []byte {
+		x := inputs[int(id)%len(inputs)]
+		frame, err := AppendWatchReq(nil, id, tn.ID(), x.Shape(), x.Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+
+	// The stalled client: pipeline watches until the gateway hangs up.
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	stalled.(*net.TCPConn).SetReadBuffer(4 << 10)
+	var burst []byte
+	for id := uint32(0); id < 64; id++ {
+		burst = append(burst, watch(id)...)
+	}
+	sending := make(chan struct{})
+	go func() {
+		defer close(sending)
+		for {
+			if _, err := stalled.Write(burst); err != nil {
+				return
+			}
+		}
+	}()
+
+	// Wedged: the writer holds unwritten verdicts for every token and the
+	// reader waits for a token with one more frame in hand, and nothing
+	// moves.
+	wedgeDeadline := time.Now().Add(time.Minute)
+	var wedged GatewayCounters
+	for prev := (GatewayCounters{}); ; {
+		time.Sleep(50 * time.Millisecond)
+		ct := g.Counters()
+		if ct.Received-ct.Responded == maxInflight+1 && ct.Received == prev.Received && ct.Responded == prev.Responded {
+			wedged = ct
+			break
+		}
+		if ct.Reaped != 0 || time.Now().After(wedgeDeadline) {
+			t.Fatalf("stalled conn never wedged: %+v", ct)
+		}
+		prev = ct
+	}
+
+	// The second connection is served while the first stays wedged.
+	good, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	good.SetDeadline(time.Now().Add(time.Minute))
+	const goodWatches = 32
+	var buf []byte
+	for id := uint32(0); id < goodWatches; id++ {
+		if _, err := good.Write(watch(id)); err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := ReadFrame(good, buf)
+		if err != nil {
+			t.Fatalf("watch %d on the second conn: %v", id, err)
+		}
+		buf = payload[:0]
+		if h.Type != TypeWatchResp || h.ID != id {
+			t.Fatalf("watch %d on the second conn answered with %+v", id, h)
+		}
+	}
+	if ct := g.Counters(); ct.Reaped != 0 {
+		t.Fatalf("second conn's verdicts waited for the stalled conn's reap: %+v", ct)
+	}
+
+	// The write deadline reaps the stalled conn, and its teardown hands
+	// back its tokens (the conn goes away) and its pins (Unload drains).
+	reapDeadline := time.Now().Add(time.Minute)
+	for ct := g.Counters(); ct.Reaped != 1 || ct.Conns != 1; ct = g.Counters() {
+		if ct.Reaped > 1 || time.Now().After(reapDeadline) {
+			t.Fatalf("stalled conn not reaped alone: %+v", ct)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, want := g.Counters().Received, wedged.Received+goodWatches; got != want {
+		t.Fatalf("%d frames received, want %d: the dead conn took %d more", got, want, got-want)
+	}
+	stalled.Close()
+	<-sending
+	good.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := reg.Unload(ctx, "m"); err != nil {
+		t.Fatalf("unload after the reap: %v (a pin was never released)", err)
 	}
 }
 
