@@ -68,14 +68,15 @@ var sliceScratches = sync.Pool{New: func() any { return new(sliceScratch) }}
 // modular multiply, so no carries pollute the result.
 const packMagic = 0x0102040810204080
 
-// packBits packs a bool slice (up to 64 entries) into a bit mask, bit v
+// PackBits packs a bool slice (up to 64 entries) into a bit mask, bit v
 // set iff p[v]. A Go bool is one byte holding 0 or 1, so the slice is
 // read as bytes and packed 8 bits per multiply instead of bit by bit —
 // the pack runs once per query per block and a per-bit loop (branchy or
-// not) was the dominant fixed cost of small-diversity blocks. The &
+// not) was the dominant fixed cost of small-diversity blocks. It is
+// also the pattern codec's packer (core.Pattern.AppendPacked). The &
 // with the low-bit mask keeps a non-canonical bool byte (only
 // constructible via unsafe) from corrupting its neighbours' lanes.
-func packBits(p []bool) uint64 {
+func PackBits(p []bool) uint64 {
 	pb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), len(p))
 	var w uint64
 	v := 0
@@ -158,10 +159,10 @@ func (c *Compiled) evalSliced(patterns [][]bool, out []bool) {
 		}
 		var hist [1024]int32
 		for i, p := range patterns {
-			// packBits yields kw low bits; Reverse64 lifts them to the
+			// PackBits yields kw low bits; Reverse64 lifts them to the
 			// top of the word (level 0 most significant), clear of the
 			// index in the low 24 bits.
-			k := bits.Reverse64(packBits(p[:kw])) | uint64(i)
+			k := bits.Reverse64(PackBits(p[:kw])) | uint64(i)
 			raw[i] = k
 			hist[k>>54]++
 		}
@@ -207,11 +208,11 @@ func (c *Compiled) evalSliced(patterns [][]bool, out []bool) {
 				}
 			case keys != nil:
 				for q, k := range keys[base : base+n] {
-					words[q] = packBits(patterns[k&0xFFFFFF][g : g+gw])
+					words[q] = PackBits(patterns[k&0xFFFFFF][g : g+gw])
 				}
 			default:
 				for q, p := range patterns[base : base+n] {
-					words[q] = packBits(p[g : g+gw])
+					words[q] = PackBits(p[g : g+gw])
 				}
 			}
 			for q := n; q < 64; q++ {

@@ -10,8 +10,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"napmon/internal/bdd"
 	"napmon/internal/tensor"
 )
 
@@ -120,13 +122,14 @@ func PackedLen(width int) int { return (width + 7) / 8 }
 // pattern codec — Pattern.Key, the monitor save format and the binary
 // wire protocol (internal/wire) all encode through it, so the HTTP
 // string path (String/ParsePattern) and the wire path cannot drift.
+// Each 64 neurons are packed by bdd.PackBits, whose word written
+// little-endian is that LSB-first byte order.
 func (p Pattern) AppendPacked(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, PackedLen(len(p)))...)
-	for i, v := range p {
-		if v {
-			dst[off+i/8] |= 1 << (i % 8)
-		}
+	var word [8]byte
+	for v := 0; v < len(p); v += 64 {
+		chunk := p[v:min(v+64, len(p))]
+		binary.LittleEndian.PutUint64(word[:], bdd.PackBits(chunk))
+		dst = append(dst, word[:PackedLen(len(chunk))]...)
 	}
 	return dst
 }

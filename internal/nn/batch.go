@@ -217,9 +217,9 @@ func batchDim(x *tensor.Tensor32, sampleLen int, l Layer) int {
 	return x.Dim(0)
 }
 
-// ForwardBatch implements Layer: one tensor.DenseBatchInto product on
-// the prepacked float32 panels, the bias added in the kernels' store,
-// replaces B MatVec calls.
+// ForwardBatch implements Layer: the whole batch is one
+// tensor.DenseBatchInto product on the prepacked float32 panels, the bias
+// added in the kernels' store.
 func (d *Dense) ForwardBatch(x *tensor.Tensor32, pool *tensor.Pool) *tensor.Tensor32 {
 	return d.forwardBatchDense(x, pool, false)
 }

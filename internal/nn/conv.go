@@ -188,12 +188,6 @@ func (bn *BatchNorm) Name() string { return fmt.Sprintf("bn(%d)", bn.ch) }
 // Spec implements Layer.
 func (bn *BatchNorm) Spec() Spec { return Spec{Kind: KindBN, Ch: bn.ch} }
 
-// RunningStats exposes the running mean and variance tensors so
-// serialization can persist them.
-func (bn *BatchNorm) RunningStats() (mean, variance *tensor.Tensor) {
-	return bn.runMean.v, bn.runVar.v
-}
-
 // Forward implements Layer.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != bn.ch {

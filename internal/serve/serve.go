@@ -30,8 +30,8 @@
 // Every accepted request carries one completion function, and the
 // server calls it exactly once — with a Verdict, with ErrExpired if its
 // context ran out before a lane took it, or with ErrServerClosed if the
-// server aborts before serving it. Submit, SubmitCtx, TrySubmit and
-// SubmitAll wrap that function in a *Future for callers that block on
+// server aborts before serving it. Submit, SubmitCtx and SubmitAll wrap
+// that function in a *Future for callers that block on
 // a result. Front ends that serve many requests per goroutine pass
 // their own function through SubmitFunc or TrySubmitFunc instead: the
 // lane that serves a micro-batch then hands every verdict of it on
@@ -60,7 +60,7 @@ import (
 // begun, and resolves any Future the server aborted before serving.
 var ErrServerClosed = errors.New("serve: server closed")
 
-// ErrQueueFull is returned by TrySubmit when the request queue is at
+// ErrQueueFull is returned by TrySubmitFunc when the request queue is at
 // capacity — the non-blocking counterpart of Submit's backpressure.
 var ErrQueueFull = errors.New("serve: request queue full")
 
@@ -272,7 +272,7 @@ func (s *Server) startLanes() {
 // backpressure contract. After Shutdown has begun it returns
 // ErrServerClosed without enqueuing.
 func (s *Server) Submit(x *tensor.Tensor) (*Future, error) {
-	return s.future(nil, x, true)
+	return s.future(nil, x)
 }
 
 // SubmitCtx is Submit with deadline and cancellation propagation. While
@@ -285,18 +285,7 @@ func (s *Server) Submit(x *tensor.Tensor) (*Future, error) {
 // nothing and returns ctx.Err() immediately. A nil ctx behaves exactly
 // like Submit.
 func (s *Server) SubmitCtx(ctx context.Context, x *tensor.Tensor) (*Future, error) {
-	return s.future(ctx, x, true)
-}
-
-// TrySubmit is the non-blocking Submit: when the request queue is full
-// it returns ErrQueueFull immediately instead of waiting for space, and
-// counts the request as shed (Stats.Shed). Datagram front ends use it
-// to turn queue pressure into explicit load shedding — a UDP reader
-// that blocked in Submit would stall every client behind one full
-// queue, where a connection-oriented front end simply stops reading its
-// socket and lets transport flow control push back.
-func (s *Server) TrySubmit(x *tensor.Tensor) (*Future, error) {
-	return s.future(nil, x, false)
+	return s.future(ctx, x)
 }
 
 // SubmitFunc is SubmitCtx with a completion function in place of the
@@ -311,16 +300,26 @@ func (s *Server) SubmitFunc(ctx context.Context, x *tensor.Tensor, done func(cor
 	return s.submit(ctx, x, true, done)
 }
 
-// TrySubmitFunc is TrySubmit with a completion function in place of the
-// Future, under SubmitFunc's contract for done.
+// TrySubmitFunc is the non-blocking SubmitFunc: when the request queue
+// is full it returns ErrQueueFull immediately instead of waiting for
+// space, and counts the request as shed (Stats.Shed). Datagram front
+// ends use it to turn queue pressure into explicit load shedding — a UDP
+// reader that blocked would stall every client behind one full queue,
+// where a connection-oriented front end simply stops reading its socket
+// and lets transport flow control push back. When it returns nil, done
+// runs exactly once, on a serve goroutine, with the Verdict or the
+// error (ErrServerClosed if the server aborts first); done must not
+// block and must not submit to this server. When it returns an error,
+// done never runs.
 func (s *Server) TrySubmitFunc(x *tensor.Tensor, done func(core.Verdict, error)) error {
 	return s.submit(nil, x, false, done)
 }
 
-// future submits x with a fresh Future's resolve as its completion.
-func (s *Server) future(ctx context.Context, x *tensor.Tensor, block bool) (*Future, error) {
+// future submits x, blocking on a full queue, with a fresh Future's
+// resolve as its completion.
+func (s *Server) future(ctx context.Context, x *tensor.Tensor) (*Future, error) {
 	fut := newFuture()
-	if err := s.submit(ctx, x, block, fut.complete); err != nil {
+	if err := s.submit(ctx, x, true, fut.complete); err != nil {
 		return nil, err
 	}
 	return fut, nil

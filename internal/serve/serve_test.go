@@ -429,18 +429,20 @@ func TestBackpressureQueueFull(t *testing.T) {
 
 // TestTrySubmitSheds pins the non-blocking contract on a bare Server
 // whose queue is never drained (no goroutines started): the first
-// TrySubmit takes the only queue slot, the second returns ErrQueueFull
-// immediately and bumps the shed counter instead of blocking.
+// TrySubmitFunc takes the only queue slot, the second returns
+// ErrQueueFull immediately and bumps the shed counter instead of
+// blocking.
 func TestTrySubmitSheds(t *testing.T) {
 	s := &Server{
 		queue:   make(chan request, 1),
 		aborted: make(chan struct{}),
 	}
-	if _, err := s.TrySubmit(tensor.New(4)); err != nil {
-		t.Fatalf("TrySubmit into empty queue: %v", err)
+	done := func(core.Verdict, error) {}
+	if err := s.TrySubmitFunc(tensor.New(4), done); err != nil {
+		t.Fatalf("TrySubmitFunc into empty queue: %v", err)
 	}
-	if _, err := s.TrySubmit(tensor.New(4)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmit into full queue: %v, want ErrQueueFull", err)
+	if err := s.TrySubmitFunc(tensor.New(4), done); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("TrySubmitFunc into full queue: %v, want ErrQueueFull", err)
 	}
 	if got := s.shed.Load(); got != 1 {
 		t.Fatalf("shed counter %d, want 1", got)
@@ -450,39 +452,53 @@ func TestTrySubmitSheds(t *testing.T) {
 	}
 }
 
-// TestTrySubmitLive drives a real server with TrySubmit only: accepted
-// requests all resolve, shed requests are counted, and accepted+shed
-// covers every attempt.
+// TestTrySubmitLive drives a real server with TrySubmitFunc only:
+// every accepted request completes with a verdict, shed requests are
+// counted, and accepted+shed covers every attempt.
 func TestTrySubmitLive(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 11)
 	s, err := New(net, mon, Config{MaxBatch: 4, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var futs []*Future
-	shed := 0
-	for i := 0; i < 200; i++ {
-		f, err := s.TrySubmit(inputs[i%len(inputs)])
+	const attempts = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, attempts)
+	accepted, shed := 0, 0
+	for i := 0; i < attempts; i++ {
+		wg.Add(1)
+		err := s.TrySubmitFunc(inputs[i%len(inputs)], func(_ core.Verdict, err error) {
+			errs <- err
+			wg.Done()
+		})
 		switch {
 		case err == nil:
-			futs = append(futs, f)
+			accepted++
 		case errors.Is(err, ErrQueueFull):
+			wg.Done()
 			shed++
 		default:
-			t.Fatalf("TrySubmit %d: %v", i, err)
+			t.Fatalf("TrySubmitFunc %d: %v", i, err)
 		}
 	}
-	for i, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatalf("accepted future %d: %v", i, err)
+	wg.Wait()
+	close(errs)
+	completed := 0
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("accepted request %d: %v", completed, err)
 		}
+		completed++
+	}
+	if completed != accepted {
+		t.Fatalf("%d of %d accepted requests completed", completed, accepted)
 	}
 	st := s.Stats()
 	if int(st.Shed) != shed {
 		t.Fatalf("Stats.Shed %d, want %d", st.Shed, shed)
 	}
-	if int(st.Submitted)+shed != 200 {
-		t.Fatalf("submitted %d + shed %d != 200 attempts", st.Submitted, shed)
+	if int(st.Submitted) != accepted || accepted+shed != attempts {
+		t.Fatalf("submitted %d (accepted %d) + shed %d != %d attempts", st.Submitted, accepted, shed, attempts)
 	}
 	shutdownOK(t, s)
 }

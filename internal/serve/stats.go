@@ -18,7 +18,7 @@ type Stats struct {
 	// Rejected counts Submit calls refused because the server was
 	// closed or aborted.
 	Rejected uint64
-	// Shed counts TrySubmit calls refused with ErrQueueFull — load a
+	// Shed counts TrySubmitFunc calls refused with ErrQueueFull — load a
 	// non-blocking front end (the UDP gateway) dropped instead of
 	// queueing.
 	Shed uint64

@@ -76,9 +76,9 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 
 // TestMatMulTransBMatchesMatVec pins the dense-batch contract: row i of
 // A×Bᵀ must equal MatVec(B, row i of A) bit for bit, since ForwardBatch
-// relies on exactly this equivalence against the per-sample path. Rows
-// below the level's gemvWidth take the matrix-vector kernel too, wider
-// products the packed GEMM.
+// relies on exactly this equivalence against the per-sample path. Both
+// run the packed GEMM; the random shapes vary which C columns land in
+// full panels and which in the padded last one.
 func TestMatMulTransBMatchesMatVec(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(9)

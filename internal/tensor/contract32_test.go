@@ -227,8 +227,8 @@ func TestFMA32MatchesAssembly(t *testing.T) {
 }
 
 // TestGemv32NoAlloc checks that a warm width-1 DenseBatchInto — one
-// dense layer of a lone request, the 1-row kernel that took over from
-// the matrix-vector kernel gemv32 — allocates nothing.
+// dense layer of a lone request, run by the 1-row kernel — allocates
+// nothing.
 func TestGemv32NoAlloc(t *testing.T) {
 	r := rng.New(79)
 	x, w, y := randTensor32(r, 1, 320), panels32(randTensor32(r, 320, 320)), New32(1, 320)

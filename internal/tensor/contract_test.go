@@ -99,12 +99,11 @@ func TestKernelLevel(t *testing.T) {
 // that hit every edge — fewer rows than a micro tile, one row or column
 // past a tile, a panel pair followed by an odd panel, a stripe and a
 // panel boundary, thin and wide products — for A×B and A×Bᵀ, on every
-// kernel level the host has. For A×Bᵀ, m below the level's gemvWidth
-// (3, 6 or 8) runs the matrix-vector kernel: m = 1–7 cover its batch
-// slabs and every crossover, n its row groups and the shifted last
-// group, k = 7, 8, 9 and 244 its masked k tail. Run under -cpu 1,2,3,4
-// (make test-split) it also covers worker splits that do not land on
-// tile boundaries.
+// kernel level the host has. m = 1–7 are the narrow batches of a dense
+// layer, whose A×Bᵀ puts every column of C in a short, zero-padded
+// panel; k = 7, 8, 9 and 244 end in a partial vector of k steps. Run
+// under -cpu 1,2,3,4 (make test-split) it also covers worker splits that
+// do not land on tile boundaries.
 func TestGemmContract(t *testing.T) {
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 10, 20, 40, 64, 65}
 	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 64, 250, 4096}
@@ -150,10 +149,9 @@ func checkGemmContract(t *testing.T, r *rng.Source, m, n, k int) {
 }
 
 // TestMatVecContract demands bit equality between MatVec and matVecRef
-// on every kernel level, over the row counts of the matrix-vector
-// kernel's edges — fewer than one 8-row group, one past a group, an odd
-// group count, the Table I layer widths — and k values that end in a
-// masked tail of every length or cross a blockK panel.
+// on every kernel level, over row counts that leave every remainder of a
+// 4-row strip and the Table I layer widths, and lengths of x from 0
+// through ones that cross a blockK panel.
 func TestMatVecContract(t *testing.T) {
 	r := rng.New(78)
 	forEachKernel(t, func(t *testing.T) {
@@ -171,14 +169,20 @@ func TestMatVecContract(t *testing.T) {
 	})
 }
 
-// TestGemvNoAlloc checks that a warm width-1 MatMulTransBInto — one
-// dense layer of a lone request — allocates nothing.
-func TestGemvNoAlloc(t *testing.T) {
+// TestMatVecNoAlloc checks that the float64 width-1 path — one dense
+// layer of one training sample — allocates nothing on a warm 320×320
+// product: a width-1 MatMulTransBInto makes no allocation and MatVec
+// only the vector it returns. A product too small to fork must run
+// without building the closure a fork would need.
+func TestMatVecNoAlloc(t *testing.T) {
 	r := rng.New(79)
 	x, w, y := randTensor(r, 1, 320), randTensor(r, 320, 320), New(1, 320)
 	forEachKernel(t, func(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { MatMulTransBInto(y, x, w) }); allocs != 0 {
 			t.Fatalf("width-1 MatMulTransBInto allocates %v times per call", allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { MatVec(w, x.data) }); allocs != 1 {
+			t.Fatalf("MatVec allocates %v times per call, want 1 (its result)", allocs)
 		}
 	})
 }

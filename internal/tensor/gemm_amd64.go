@@ -17,19 +17,6 @@ func gemm4x8asm(a *float64, lda int, pk *float64, kb int, c *float64, ldc int, f
 //go:noescape
 func gemm4x16asm(a *float64, lda int, pk *float64, kb int, c *float64, ldc int, first bool)
 
-// gemv16asm is the transposing matrix-vector kernel (AVX-512F): two
-// 8-row weight groups, w0 and w1, against nb ≤ 4 batch rows of x, the
-// outputs stored under the lane masks m0 and m1.
-//
-//go:noescape
-func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *float64, ldy, m0, m1 int, first bool)
-
-// gemv8asm is the matrix-vector kernel for eight weight rows against
-// one x, eight scalar FMA chains side by side (AVX2+FMA).
-//
-//go:noescape
-func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool)
-
 // gemm4x16ps is the 4×16 float32 YMM micro kernel (AVX2+FMA), storing
 // its tile as the epilogue flags say; bias is read only under epiBias.
 //

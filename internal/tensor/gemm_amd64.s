@@ -1,9 +1,8 @@
 // Assembly of the kernels, float64 (…asm) and float32 (…ps). The GEMM
 // micro kernels accumulate one C tile over a k panel, reading B from its
-// packed micro panels (kb rows of 8 contiguous float64 or 16 float32);
-// the float32 1-row kernels stream those panels against one row of A,
-// and the float64 matrix-vector kernels read the weight rows where they
-// lie. Per output element the accumulation is a chain of fused
+// packed micro panels (kb rows of 8 contiguous float64 or 16 float32),
+// and the float32 1-row kernels stream those panels against one row of
+// A. Per output element the accumulation is a chain of fused
 // multiply-adds in ascending k — the same correctly-rounded sequence the
 // math.FMA and fma32 scalar kernels perform, so every level computes the
 // same bits. The float32 stores, the gather and the pool epilogue only
@@ -215,301 +214,6 @@ accum16:
 	VMOVUPD Z9, 64(DI)
 
 done16:
-	VZEROUPPER
-	RET
-
-// TRANSPOSE8 transposes the 8×8 block held one row per register in
-// r0–r7 (lane k = column k) into t0–t7 (t_k lane r = row r, column k),
-// with 8 VUNPCK{L,H}PD and 16 VSHUFF64X2. r0–r7 are clobbered.
-#define TRANSPOSE8(r0, r1, r2, r3, r4, r5, r6, r7, t0, t1, t2, t3, t4, t5, t6, t7) \
-	VUNPCKLPD  r1, r0, t0; \
-	VUNPCKHPD  r1, r0, t1; \
-	VUNPCKLPD  r3, r2, t2; \
-	VUNPCKHPD  r3, r2, t3; \
-	VUNPCKLPD  r5, r4, t4; \
-	VUNPCKHPD  r5, r4, t5; \
-	VUNPCKLPD  r7, r6, t6; \
-	VUNPCKHPD  r7, r6, t7; \
-	VSHUFF64X2 $0x88, t2, t0, r0; \
-	VSHUFF64X2 $0xdd, t2, t0, r1; \
-	VSHUFF64X2 $0x88, t3, t1, r2; \
-	VSHUFF64X2 $0xdd, t3, t1, r3; \
-	VSHUFF64X2 $0x88, t6, t4, r4; \
-	VSHUFF64X2 $0xdd, t6, t4, r5; \
-	VSHUFF64X2 $0x88, t7, t5, r6; \
-	VSHUFF64X2 $0xdd, t7, t5, r7; \
-	VSHUFF64X2 $0x88, r4, r0, t0; \
-	VSHUFF64X2 $0xdd, r4, r0, t4; \
-	VSHUFF64X2 $0x88, r5, r1, t2; \
-	VSHUFF64X2 $0xdd, r5, r1, t6; \
-	VSHUFF64X2 $0x88, r6, r2, t1; \
-	VSHUFF64X2 $0xdd, r6, r2, t5; \
-	VSHUFF64X2 $0x88, r7, r3, t3; \
-	VSHUFF64X2 $0xdd, r7, r3, t7
-
-// LOADROWS loads eight k values of the eight weight rows at a0 (rows
-// 0–2, 4, 6 off a0, rows 3, 5, 7 off a3 = a0+3·ldw; DX = ldw bytes, BX =
-// 3·ldw bytes) into Z0–Z7, under the mask m (K0 for all eight).
-#define LOADROWS(a0, a3, m) \
-	VMOVUPD.Z (a0), m, Z0; \
-	VMOVUPD.Z (a0)(DX*1), m, Z1; \
-	VMOVUPD.Z (a0)(DX*2), m, Z2; \
-	VMOVUPD.Z (a3), m, Z3; \
-	VMOVUPD.Z (a0)(DX*4), m, Z4; \
-	VMOVUPD.Z (a3)(DX*2), m, Z5; \
-	VMOVUPD.Z (a0)(BX*2), m, Z6; \
-	VMOVUPD.Z (a3)(DX*4), m, Z7
-
-// FMA8 runs k steps 0–7 of one batch row (x at p) into the accumulators
-// ca (group A, steps in Z8–Z15) and cb (group B, steps in Z16–Z23),
-// alternating the two chains.
-#define FMA8(p, ca, cb) \
-	VFMADD231PD.BCST (p), Z8, ca; \
-	VFMADD231PD.BCST (p), Z16, cb; \
-	VFMADD231PD.BCST 8(p), Z9, ca; \
-	VFMADD231PD.BCST 8(p), Z17, cb; \
-	VFMADD231PD.BCST 16(p), Z10, ca; \
-	VFMADD231PD.BCST 16(p), Z18, cb; \
-	VFMADD231PD.BCST 24(p), Z11, ca; \
-	VFMADD231PD.BCST 24(p), Z19, cb; \
-	VFMADD231PD.BCST 32(p), Z12, ca; \
-	VFMADD231PD.BCST 32(p), Z20, cb; \
-	VFMADD231PD.BCST 40(p), Z13, ca; \
-	VFMADD231PD.BCST 40(p), Z21, cb; \
-	VFMADD231PD.BCST 48(p), Z14, ca; \
-	VFMADD231PD.BCST 48(p), Z22, cb; \
-	VFMADD231PD.BCST 56(p), Z15, ca; \
-	VFMADD231PD.BCST 56(p), Z23, cb
-
-// STORE8 writes the group accumulator c to the 8 outputs at p under
-// mask m: stored on the first panel, added to what is there otherwise
-// (R8 holds first).
-#define STORE8(c, p, m) \
-	VMOVUPD.Z (p), m, Z0; \
-	VADDPD    c, Z0, Z0; \
-	TESTQ     R8, R8; \
-	JZ        3(PC); \
-	VMOVUPD   c, m, (p); \
-	JMP       2(PC); \
-	VMOVUPD   Z0, m, (p)
-
-// func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *float64, ldy, m0, m1 int, first bool)
-// The transposing matrix-vector kernel (AVX-512F): two groups of eight
-// weight rows (w0 and w1, rows ldw elements apart) against nb ≤ 4 batch
-// rows of x (ldx apart) over one k panel of kb steps. Each 8×8 block of
-// a group is loaded where it lies and transposed in registers, so lane
-// r of the step-k register holds row r's weight k; lane r of a batch
-// row's accumulator then runs row r's ascending-k fused multiply-add
-// chain against x[k] broadcast, every block reused by all nb batch
-// rows. The kb%8 tail is loaded under a mask and only its real steps
-// are run. Batch row b of group A lands at y0+b·ldy under lane mask m0,
-// of group B at y1+b·ldy under m1.
-TEXT ·gemv16asm(SB), NOSPLIT, $0-97
-	MOVQ w0+0(FP), R8
-	MOVQ w1+8(FP), R10
-	MOVQ ldw+16(FP), DX
-	SHLQ $3, DX            // row stride in bytes
-	LEAQ (DX)(DX*2), BX    // 3 row strides
-	LEAQ (R8)(BX*1), R9    // group A row 3
-	LEAQ (R10)(BX*1), R11  // group B row 3
-	MOVQ x+24(FP), SI
-	MOVQ ldx+32(FP), R12
-	SHLQ $3, R12
-	MOVQ nb+40(FP), R13
-	MOVQ kb+48(FP), CX
-	MOVQ CX, AX
-	ANDQ $7, AX            // tail steps
-	SHRQ $3, CX            // full 8-step blocks
-
-	VPXORQ Z24, Z24, Z24   // group A, batch rows 0–3
-	VPXORQ Z25, Z25, Z25
-	VPXORQ Z26, Z26, Z26
-	VPXORQ Z27, Z27, Z27
-	VPXORQ Z28, Z28, Z28   // group B, batch rows 0–3
-	VPXORQ Z29, Z29, Z29
-	VPXORQ Z30, Z30, Z30
-	VPXORQ Z31, Z31, Z31
-	KXNORW K1, K1, K1      // all lanes
-	TESTQ  CX, CX
-	JZ     tail
-
-block:
-	LOADROWS(R8, R9, K1)
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
-	LOADROWS(R10, R11, K1)
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
-	MOVQ SI, DI
-	FMA8(DI, Z24, Z28)
-	CMPQ R13, $1
-	JEQ  next
-	ADDQ R12, DI
-	FMA8(DI, Z25, Z29)
-	CMPQ R13, $2
-	JEQ  next
-	ADDQ R12, DI
-	FMA8(DI, Z26, Z30)
-	CMPQ R13, $3
-	JEQ  next
-	ADDQ R12, DI
-	FMA8(DI, Z27, Z31)
-
-next:
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  block
-
-tail:
-	TESTQ AX, AX
-	JZ    store
-	MOVQ  AX, CX
-	MOVL  $1, DI
-	SHLL  CX, DI
-	DECL  DI
-	KMOVW DI, K2           // the tail's k lanes
-	LOADROWS(R8, R9, K2)
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
-	LOADROWS(R10, R11, K2)
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
-
-tailstep:
-	// one k step of every batch row, then shift the next step into Z8/Z16
-	// (a tail has at most 7 steps, so step 7 never needs to move)
-	MOVQ SI, DI
-	VFMADD231PD.BCST (DI), Z8, Z24
-	VFMADD231PD.BCST (DI), Z16, Z28
-	CMPQ R13, $1
-	JEQ  shift
-	ADDQ R12, DI
-	VFMADD231PD.BCST (DI), Z8, Z25
-	VFMADD231PD.BCST (DI), Z16, Z29
-	CMPQ R13, $2
-	JEQ  shift
-	ADDQ R12, DI
-	VFMADD231PD.BCST (DI), Z8, Z26
-	VFMADD231PD.BCST (DI), Z16, Z30
-	CMPQ R13, $3
-	JEQ  shift
-	ADDQ R12, DI
-	VFMADD231PD.BCST (DI), Z8, Z27
-	VFMADD231PD.BCST (DI), Z16, Z31
-
-shift:
-	VMOVAPD Z9, Z8
-	VMOVAPD Z10, Z9
-	VMOVAPD Z11, Z10
-	VMOVAPD Z12, Z11
-	VMOVAPD Z13, Z12
-	VMOVAPD Z14, Z13
-	VMOVAPD Z17, Z16
-	VMOVAPD Z18, Z17
-	VMOVAPD Z19, Z18
-	VMOVAPD Z20, Z19
-	VMOVAPD Z21, Z20
-	VMOVAPD Z22, Z21
-	ADDQ    $8, SI
-	DECQ    AX
-	JNZ     tailstep
-
-store:
-	MOVQ    y0+56(FP), DI
-	MOVQ    y1+64(FP), SI
-	MOVQ    ldy+72(FP), DX
-	SHLQ    $3, DX
-	MOVQ    m0+80(FP), AX
-	KMOVW   AX, K2
-	MOVQ    m1+88(FP), AX
-	KMOVW   AX, K3
-	MOVBQZX first+96(FP), R8
-	STORE8(Z24, DI, K2)
-	STORE8(Z28, SI, K3)
-	CMPQ    R13, $1
-	JEQ     done16v
-	ADDQ    DX, DI
-	ADDQ    DX, SI
-	STORE8(Z25, DI, K2)
-	STORE8(Z29, SI, K3)
-	CMPQ    R13, $2
-	JEQ     done16v
-	ADDQ    DX, DI
-	ADDQ    DX, SI
-	STORE8(Z26, DI, K2)
-	STORE8(Z30, SI, K3)
-	CMPQ    R13, $3
-	JEQ     done16v
-	ADDQ    DX, DI
-	ADDQ    DX, SI
-	STORE8(Z27, DI, K2)
-	STORE8(Z31, SI, K3)
-
-done16v:
-	VZEROUPPER
-	RET
-
-// func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool)
-// The AVX2+FMA matrix-vector kernel: eight weight rows (ldw elements
-// apart) against one x over one k panel of kb steps, one scalar fused
-// multiply-add chain per row in ascending k, the eight chains
-// interleaved to cover the FMA latency. Row r's subtotal lands at y+r.
-TEXT ·gemv8asm(SB), NOSPLIT, $0-41
-	MOVQ w+0(FP), R8
-	MOVQ ldw+8(FP), DX
-	SHLQ $3, DX            // row stride in bytes
-	LEAQ (DX)(DX*2), BX    // 3 row strides
-	LEAQ (R8)(BX*1), R9    // row 3
-	MOVQ x+16(FP), SI
-	MOVQ kb+24(FP), CX
-
-	VXORPD X0, X0, X0
-	VXORPD X1, X1, X1
-	VXORPD X2, X2, X2
-	VXORPD X3, X3, X3
-	VXORPD X4, X4, X4
-	VXORPD X5, X5, X5
-	VXORPD X6, X6, X6
-	VXORPD X7, X7, X7
-
-step:
-	VMOVSD      (SI), X8
-	VFMADD231SD (R8), X8, X0
-	VFMADD231SD (R8)(DX*1), X8, X1
-	VFMADD231SD (R8)(DX*2), X8, X2
-	VFMADD231SD (R9), X8, X3
-	VFMADD231SD (R8)(DX*4), X8, X4
-	VFMADD231SD (R9)(DX*2), X8, X5
-	VFMADD231SD (R8)(BX*2), X8, X6
-	VFMADD231SD (R9)(DX*4), X8, X7
-	ADDQ        $8, R8
-	ADDQ        $8, R9
-	ADDQ        $8, SI
-	DECQ        CX
-	JNZ         step
-
-	MOVQ    y+32(FP), DI
-	MOVBLZX first+40(FP), AX
-	TESTL   AX, AX
-	JNZ     put8
-	VADDSD  (DI), X0, X0
-	VADDSD  8(DI), X1, X1
-	VADDSD  16(DI), X2, X2
-	VADDSD  24(DI), X3, X3
-	VADDSD  32(DI), X4, X4
-	VADDSD  40(DI), X5, X5
-	VADDSD  48(DI), X6, X6
-	VADDSD  56(DI), X7, X7
-
-put8:
-	VMOVSD X0, (DI)
-	VMOVSD X1, 8(DI)
-	VMOVSD X2, 16(DI)
-	VMOVSD X3, 24(DI)
-	VMOVSD X4, 32(DI)
-	VMOVSD X5, 40(DI)
-	VMOVSD X6, 48(DI)
-	VMOVSD X7, 56(DI)
 	VZEROUPPER
 	RET
 

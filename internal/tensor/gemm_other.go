@@ -18,14 +18,6 @@ func gemm4x16asm(a *float64, lda int, pk *float64, kb int, c *float64, ldc int, 
 	panic("tensor: no assembly kernels on this architecture")
 }
 
-func gemv16asm(w0, w1 *float64, ldw int, x *float64, ldx, nb, kb int, y0, y1 *float64, ldy, m0, m1 int, first bool) {
-	panic("tensor: no assembly kernels on this architecture")
-}
-
-func gemv8asm(w *float64, ldw int, x *float64, kb int, y *float64, first bool) {
-	panic("tensor: no assembly kernels on this architecture")
-}
-
 func gemm4x16ps(a *float32, lda int, pk *float32, kb int, c *float32, ldc int, bias *float32, flags int) {
 	panic("tensor: no assembly kernels on this architecture")
 }

@@ -18,8 +18,8 @@ import (
 // the calling goroutine, made width 1 faster (median 0.231 vs 0.268 ms)
 // but width 16 slower (2.44 vs 2.20 ms), because width 8–16 dense
 // products stop forking too; 2²⁰ and 3·2¹⁹ slowed width 8 the same way.
-// Dense layers narrower than one 4-row strip stay on one goroutine
-// regardless: the float32 1-row kernel, like the float64 gemv, never forks.
+// Float32 dense layers narrower than one 4-row strip stay on one
+// goroutine regardless: the 1-row kernel never forks.
 const matmulParallelThreshold = 1 << 17
 
 // Blocking parameters of the tiled GEMM. Every multiply-accumulate goes
@@ -34,9 +34,8 @@ const matmulParallelThreshold = 1 << 17
 // amd64, and a 4×8 math.FMA loop on other hosts. Leftover rows and
 // columns run through the same kernels — short panels are zero-padded
 // when packed, short strips go through a scratch C tile — so no product
-// falls back to a scalar loop. A×Bᵀ narrower than gemvWidth — a dense
-// layer at batch width 1 — skips the packing: gemv (gemv.go) reads B's
-// rows where they lie and runs on the calling goroutine.
+// falls back to a scalar loop; a matrix-vector product is a GEMM one
+// column wide.
 //
 // The float64 kernels serve training (MatMul, MatMulTransB, MatVec,
 // Conv2D); inference runs the float32 kernels of gemm32.go and
@@ -72,13 +71,11 @@ const (
 	// amd64.
 	KernelGo KernelLevel = iota
 	// KernelAVX2 runs the 4×8 float64 and 4×16 float32 AVX2+FMA micro
-	// kernels, the float64 eight-chain matrix-vector kernel, the float32
-	// four-panel 1-row kernel, the AVX2 im2col
+	// kernels, the float32 four-panel 1-row kernel, the AVX2 im2col
 	// gather and the AVX2 Conv→ReLU→MaxPool(2) epilogue.
 	KernelAVX2
 	// KernelAVX512 adds the 4×16 float64 and 4×32 float32 AVX-512 micro
-	// kernels for full strips, the float64 transposing matrix-vector
-	// kernel and the float32 eight-panel 1-row kernel.
+	// kernels for full strips and the float32 eight-panel 1-row kernel.
 	KernelAVX512
 )
 
@@ -178,13 +175,10 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 
 // MatMulTransBInto computes dst = A × Bᵀ for A (m, k) and B (n, k),
 // overwriting dst (m, n). For a dense layer — Y (B, out) = X (B, in) × Wᵀ
-// with W stored (out, in) — neither path copies a weight. Below
-// gemvWidth rows of A (a lone request is one) it runs gemv, the
-// matrix-vector kernel, which reads each row of B once where it lies and
-// stays on the calling goroutine. Wider products are evaluated as dstᵀ =
-// B × Aᵀ: B's rows feed the micro kernel's broadcast side as they lie in
-// memory and only A — B·in activations — is packed. Element (i, j)
-// equals the math.FMA dot product MatVec computes, bit for bit.
+// with W stored (out, in) — no weight is copied: the product is evaluated
+// as dstᵀ = B × Aᵀ, B's rows feed the micro kernel's broadcast side as
+// they lie in memory and only A — B·in activations — is packed. Element
+// (i, j) equals the math.FMA dot product MatVec computes, bit for bit.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
@@ -193,10 +187,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	if k == 0 {
 		dst.Zero()
-		return
-	}
-	if m < gemvWidth[kernelLevel] {
-		gemv(dst.data, b.data, a.data, n, m, k)
 		return
 	}
 	gemm(dst.data, b.data, a.data, n, m, k, true)
@@ -237,11 +227,15 @@ func workersFor(work int) int {
 
 // gemm computes C = A×B for A (m, k) and B (k, n). With trans set, b is
 // stored (n, k) and c receives the transposed product, shape (n, m):
-// c[j][i] = Σ a[i][p]·b[j][p].
+// c[j][i] = Σ a[i][p]·b[j][p]. A product too small to fork runs on the
+// calling goroutine without building a closure, so it allocates nothing.
 func gemm(c, a, b []float64, m, n, k int, trans bool) {
-	if n > m {
+	switch {
+	case workersFor(m*n*k) == 1:
+		gemmBlocked(c, a, b, 0, m, 0, n, m, n, k, trans)
+	case n > m:
 		parallelRange(n, microN, m*n*k, func(lo, hi int) { gemmBlocked(c, a, b, 0, m, lo, hi, m, n, k, trans) })
-	} else {
+	default:
 		parallelRange(m, microM, m*n*k, func(lo, hi int) { gemmBlocked(c, a, b, lo, hi, 0, n, m, n, k, trans) })
 	}
 }
@@ -508,15 +502,15 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatVec computes y = A × x for A of shape (m, n) and x of length n,
-// through the matrix-vector kernel a width-1 MatMulTransBInto runs: the
-// per-sample dense layer of training and of the float64 oracle.
+// MatVec computes y = A × x for A of shape (m, n) and x of length n as
+// the width-1 MatMulTransBInto x × Aᵀ: the per-sample dense layer of
+// training and of the float64 oracle.
 func MatVec(a *Tensor, x []float64) []float64 {
 	m, n := a.shape[0], a.shape[1]
 	if len(x) != n {
 		panic("tensor: MatVec dimension mismatch")
 	}
 	y := make([]float64, m)
-	gemv(y, a.data, x, m, 1, n)
+	gemm(y, a.data, x, m, 1, n, true)
 	return y
 }

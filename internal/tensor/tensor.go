@@ -7,17 +7,14 @@
 // kernels move twice the lanes per vector instruction. The matrix
 // multiply is cache-blocked and parallelized across goroutines because it
 // dominates both training and inference time; its micro kernels, the
-// matrix-vector and 1-row kernels, the convolution's im2col gather and
-// its pooling epilogue have amd64 assembly forms (AVX2, and AVX-512 for
-// the kernels) picked at start-up by CPU detection. Within each
+// float32 1-row kernels, the convolution's im2col gather and its pooling
+// epilogue have amd64 assembly forms (AVX2, and AVX-512 for the
+// kernels) picked at start-up by CPU detection. Within each
 // precision every KernelLevel computes the same bits as the pure-Go one,
 // which other architectures run.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense, row-major multi-dimensional array of float64.
 // The zero value is an empty tensor.
@@ -104,13 +101,6 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx...)] }
 // Set stores v at the given coordinates.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx...)] = v }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Zero resets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {
@@ -128,23 +118,6 @@ func (t *Tensor) AddInto(other *Tensor) {
 	}
 }
 
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-// AxpyInto computes t += alpha*other.
-func (t *Tensor) AxpyInto(alpha float64, other *Tensor) {
-	if len(t.data) != len(other.data) {
-		panic("tensor: AxpyInto size mismatch")
-	}
-	for i, v := range other.data {
-		t.data[i] += alpha * v
-	}
-}
-
 // Dot returns the inner product of t and other viewed as flat vectors.
 func (t *Tensor) Dot(other *Tensor) float64 {
 	if len(t.data) != len(other.data) {
@@ -155,18 +128,6 @@ func (t *Tensor) Dot(other *Tensor) float64 {
 		sum += v * other.data[i]
 	}
 	return sum
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Sum returns the sum of all elements.

@@ -835,7 +835,7 @@ func (g *Gateway) verdictFrame(id uint32, v core.Verdict, err error) []byte {
 	return frame
 }
 
-// submitErrFrame maps a Submit/TrySubmit error to its wire error code.
+// submitErrFrame maps a SubmitFunc/TrySubmitFunc error to its wire error code.
 func (g *Gateway) submitErrFrame(id uint32, err error) []byte {
 	code := ErrCodeBadRequest
 	switch {

@@ -204,12 +204,12 @@ type Future = serve.Future
 // Shutdown has begun, and resolves any Future the server aborted.
 var ErrServerClosed = serve.ErrServerClosed
 
-// ErrQueueFull is returned by Server.TrySubmit when the request queue is
-// full. TrySubmit is the non-blocking submission path lossy transports
-// use to shed load explicitly (the UDP transport of cmd/napmon-serve
-// answers it with an "overloaded" error frame) instead of queueing
-// without bound; blocking callers should use Submit, which applies
-// backpressure by waiting.
+// ErrQueueFull is returned by Server.TrySubmitFunc when the request
+// queue is full. TrySubmitFunc is the non-blocking submission path
+// lossy transports use to shed load explicitly (the UDP transport of
+// cmd/napmon-serve answers it with an "overloaded" error frame) instead
+// of queueing without bound; blocking callers should use Submit, which
+// applies backpressure by waiting.
 var ErrQueueFull = serve.ErrQueueFull
 
 // ErrExpired resolves the Future of a Server.SubmitCtx request whose
