@@ -3,7 +3,7 @@
 // parser (internal/obs — the same grammar the exposition writer
 // emits), asserts that every -require'd series is present, and
 // optionally cross-checks core counters against the same daemon's
-// default-tenant stats JSON. It is the CI metrics-smoke gate (`make metrics-smoke`):
+// default-tenant stats JSON. It is the /metrics step of `make smoke`:
 // a daemon that serves an unparseable exposition, silently drops a
 // series, or reports different numbers on its two observability
 // surfaces exits 1 here.

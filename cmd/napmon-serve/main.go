@@ -66,10 +66,10 @@
 //	napmon-serve -follow http://leader:8080 [-follow-poll 500ms] [-udp ...] [-tcp ...]
 //
 // -selftrain trains the chosen Table I network at the given dataset scale
-// in-process (handy for demos and smoke tests; see `make serve-demo` and
-// `make fleet-smoke`). Inputs whose shape differs from a tenant's model
-// are rejected (400 / error frame): the tensor kernels panic on
-// mismatched inference, so every tenant's server gates them out.
+// in-process (handy for demos and smoke tests; see `make smoke`). Inputs
+// whose shape differs from a tenant's model are rejected (400 / error
+// frame): the tensor kernels panic on mismatched inference, so every
+// tenant's server gates them out.
 //
 // For resilience gates, -chaos-seed arms internal/chaos seeded fault
 // injection on whichever fault surface the process has — the -tcp

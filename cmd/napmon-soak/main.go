@@ -30,9 +30,9 @@
 // somewhere between the serving lanes and this socket; it is printed in
 // the report and fails -strict.
 //
-// Against a fault-injected gateway (`make chaos-smoke`) two extra flags
-// apply. -reconnect turns a mid-run connection death into a re-dial
-// instead of a fatal error: the worker counts it in conn_errors,
+// Against a fault-injected gateway (the chaos boot of `make smoke`) two
+// extra flags apply. -reconnect turns a mid-run connection death into a
+// re-dial instead of a fatal error: the worker counts it in conn_errors,
 // abandons that connection's unanswered sends as drops, and carries on
 // with fresh pacing state. -chaos-check swaps -strict's closed
 // accounting for the invariants that survive injected resets and

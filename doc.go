@@ -233,18 +233,19 @@
 // experiments run on. See DESIGN.md for the system inventory; every PR
 // is gated by .github/workflows/ci.yml, mirrored locally by `make ci`:
 // gofmt, vet + staticcheck (make lint), build, race-detector tests and
-// the GEMM/forward parity suites at 1–4 workers (make test-split) on a
-// Go 1.22/1.23 matrix, plus a fuzz-smoke job (make test-fuzz: the
-// differential BDD fuzzer, the pattern and wire-frame round trips and
-// the snapshot/delta-stream decoders), a coverage gate (make cover-check
-// against ci/coverage-baseline.txt), a serve-demo end-to-end daemon
-// smoke job (make serve-demo), a metrics-smoke observability gate (make
-// metrics-smoke: /metrics validated and cross-checked against /stats),
-// a soak-smoke wire-protocol gate (make soak-smoke: strict zero-loss
-// UDP+TCP soak with server-vs-client accounting, then make
-// bench-verdicts: every output of bench/'s five workloads against its
-// oracle — bench/ is the one benchmark, and no time is gated) and a fleet-smoke
-// replication gate (make fleet-smoke: a two-tenant leader snapshots
-// into a follower, streams learn deltas, and the follower must converge
-// to epoch equality with per-tenant metrics live on both daemons).
+// the GEMM/forward parity, serve, wire and daemon suites at 1–4 workers
+// (make test-split) on a Go 1.22/1.23/1.24 matrix, plus a fuzz-smoke
+// job (make test-fuzz: the differential BDD fuzzer, the pattern and
+// wire-frame round trips and the snapshot/delta-stream decoders), a
+// coverage gate (make cover-check against ci/coverage-baseline.txt) and
+// a smoke job on the built binaries (make smoke: strict zero-loss
+// UDP+TCP soaks with server-vs-client accounting, /metrics validated
+// and cross-checked against /stats, a seeded chaos soak, both drains
+// under a goroutine leak check; then make bench-verdicts: every output
+// of bench/'s five workloads against its oracle — bench/ is the one
+// benchmark, and no time is gated). Replication is a Go test: in
+// cmd/napmon-serve a two-tenant leader snapshots into a follower,
+// streams learn deltas, and the follower must converge to the leader's
+// epoch with identical verdicts and per-tenant metrics live on both
+// daemons, also through a seeded fault schedule on its leader client.
 package napmon

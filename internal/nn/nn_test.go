@@ -130,6 +130,48 @@ func TestConvInputGradient(t *testing.T) {
 	}
 }
 
+// TestConv2DMatchesNaive checks the convolution that trains, the layer's
+// float64 Forward (im2col + MatMul + bias), against the direct four-loop
+// tensor.Conv2DNaive.
+func TestConv2DMatchesNaive(t *testing.T) {
+	r := rng.New(7)
+	for _, tc := range []struct{ inC, inH, inW, outC, k, stride int }{
+		{1, 8, 8, 3, 3, 1},
+		{2, 9, 7, 4, 3, 2},
+		{3, 12, 12, 5, 5, 1},
+		{1, 5, 5, 1, 5, 1},
+		{4, 10, 10, 2, 2, 2},
+	} {
+		c := NewConv2D(tc.outC, tc.inC, tc.k, tc.k, tc.stride, r)
+		for i := range c.b.v.Data() {
+			c.b.v.Data()[i] = r.Range(-1, 1)
+		}
+		x := randInput(r, tc.inC, tc.inH, tc.inW)
+		convClose(t, c.Forward(x, false), tensor.Conv2DNaive(x, c.w.v, c.b.v.Data(), tc.stride))
+	}
+}
+
+// TestConv2DNilBias checks a fresh layer, whose bias is zero, against
+// the reference without a bias.
+func TestConv2DNilBias(t *testing.T) {
+	r := rng.New(8)
+	c := NewConv2D(3, 2, 3, 3, 1, r)
+	x := randInput(r, 2, 6, 6)
+	convClose(t, c.Forward(x, false), tensor.Conv2DNaive(x, c.w.v, nil, 1))
+}
+
+func convClose(t *testing.T, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("shape %v, want %v", got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data() {
+		if math.Abs(got.Data()[i]-w) > 1e-10 {
+			t.Fatalf("elem %d: got %v, want %v", i, got.Data()[i], w)
+		}
+	}
+}
+
 func TestMaxPoolGradients(t *testing.T) {
 	r := rng.New(5)
 	net := New(

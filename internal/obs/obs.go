@@ -18,7 +18,7 @@
 //  3. One registry, many surfaces. napmon-serve, the gateway admin
 //     listener and tests all render the same Registry through the same
 //     writer; the parser in this package is what the soak harness and
-//     the metrics-smoke CI job use to read it back.
+//     napmon-metricslint (`make smoke`) use to read it back.
 //
 // Registration happens at startup (Server/Gateway construction); it is
 // not designed for concurrent registration with scraping, and duplicate

@@ -9,7 +9,7 @@ import (
 
 // TestRegistryRoundTrip renders a registry with every metric kind and
 // feeds the output back through the package's own validating parser —
-// the same loop the metrics-smoke CI job runs against a live daemon.
+// the same loop `make smoke` runs against a live daemon.
 func TestRegistryRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	served := reg.NewCounter("test_served_total", "requests served")

@@ -18,7 +18,7 @@ type Sample struct {
 }
 
 // Exposition is the parsed form of a Prometheus text payload. It is
-// what the soak harness and the metrics-smoke linter consume to
+// what the soak harness and the metrics linter consume to
 // cross-check scraped counters against independent accounting.
 type Exposition struct {
 	// Types maps metric name -> declared TYPE (counter, gauge,

@@ -75,7 +75,7 @@ func TestStatsStagesAndCounts(t *testing.T) {
 
 // TestRegisterMetrics scrapes a live server through the obs registry and
 // cross-checks the exposition against Stats — the same consistency
-// contract the metrics-smoke CI job enforces over HTTP.
+// contract `make smoke` enforces over HTTP with napmon-metricslint.
 func TestRegisterMetrics(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 12)
 	s, err := New(net, mon, Config{MaxBatch: 4})

@@ -1,68 +1,12 @@
 package tensor
 
-// Conv2D computes a 2-D cross-correlation (the "convolution" of deep
-// learning) of a CHW input with a set of OIHW kernels, with the given
-// stride and no padding. Input shape (inC, inH, inW), kernel shape
-// (outC, inC, kH, kW), bias length outC; the result has shape
-// (outC, outH, outW) with outH = (inH-kH)/stride + 1.
-//
-// The implementation lowers the input to a column matrix (im2col) and uses
-// the blocked MatMul, which is the standard high-throughput formulation.
-func Conv2D(input, kernel *Tensor, bias []float64, stride int) *Tensor {
-	outC, inC, kH, kW := kernel.shape[0], kernel.shape[1], kernel.shape[2], kernel.shape[3]
-	if input.Rank() != 3 || input.shape[0] != inC {
-		panic("tensor: Conv2D input/kernel channel mismatch")
-	}
-	inH, inW := input.shape[1], input.shape[2]
-	outH := (inH-kH)/stride + 1
-	outW := (inW-kW)/stride + 1
-	if outH <= 0 || outW <= 0 {
-		panic("tensor: Conv2D kernel larger than input")
-	}
-
-	cols := Im2Col(input, kH, kW, stride) // (inC*kH*kW, outH*outW)
-	w := kernel.Reshape(outC, inC*kH*kW)
-	out := MatMul(w, cols) // (outC, outH*outW)
-	if bias != nil {
-		if len(bias) != outC {
-			panic("tensor: Conv2D bias length mismatch")
-		}
-		for c := 0; c < outC; c++ {
-			row := out.data[c*outH*outW : (c+1)*outH*outW]
-			b := bias[c]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	return out.Reshape(outC, outH, outW)
-}
-
 // Im2Col lowers a CHW input into a matrix with one column per output
-// position and one row per (channel, kernel row, kernel col) triple.
+// position and one row per (channel, kernel row, kernel col) triple: the
+// one-sample case of Im2ColBatchInto.
 func Im2Col(input *Tensor, kH, kW, stride int) *Tensor {
 	inC, inH, inW := input.shape[0], input.shape[1], input.shape[2]
-	outH := (inH-kH)/stride + 1
-	outW := (inW-kW)/stride + 1
-	cols := New(inC*kH*kW, outH*outW)
-	row := 0
-	for c := 0; c < inC; c++ {
-		chanBase := c * inH * inW
-		for ky := 0; ky < kH; ky++ {
-			for kx := 0; kx < kW; kx++ {
-				dst := cols.data[row*outH*outW : (row+1)*outH*outW]
-				di := 0
-				for oy := 0; oy < outH; oy++ {
-					srcBase := chanBase + (oy*stride+ky)*inW + kx
-					for ox := 0; ox < outW; ox++ {
-						dst[di] = input.data[srcBase+ox*stride]
-						di++
-					}
-				}
-				row++
-			}
-		}
-	}
+	cols := New(inC*kH*kW, ((inH-kH)/stride+1)*((inW-kW)/stride+1))
+	Im2ColBatchInto(cols, input.Reshape(1, inC, inH, inW), kH, kW, stride)
 	return cols
 }
 
@@ -147,8 +91,9 @@ func Col2Im(cols *Tensor, inC, inH, inW, kH, kW, stride int) *Tensor {
 	return img
 }
 
-// Conv2DNaive is a direct four-loop reference convolution used to validate
-// the im2col path in tests. It is deliberately simple and slow.
+// Conv2DNaive is a direct four-loop reference convolution (cross-
+// correlation, no padding) of a CHW input with OIHW kernels, used to
+// validate the im2col path in tests. It is deliberately simple and slow.
 func Conv2DNaive(input, kernel *Tensor, bias []float64, stride int) *Tensor {
 	outC, inC, kH, kW := kernel.shape[0], kernel.shape[1], kernel.shape[2], kernel.shape[3]
 	inH, inW := input.shape[1], input.shape[2]

@@ -37,9 +37,9 @@ const matmulParallelThreshold = 1 << 17
 // falls back to a scalar loop; a matrix-vector product is a GEMM one
 // column wide.
 //
-// The float64 kernels serve training (MatMul, MatMulTransB, MatVec,
-// Conv2D); inference runs the float32 kernels of gemm32.go and
-// conv32.go, which share this blocking. One accumulation contract
+// The float64 kernels serve training (MatMul, MatMulTransB, MatVec and
+// nn.Conv2D's im2col product); inference runs the float32 kernels of
+// gemm32.go and conv32.go, which share this blocking. One accumulation contract
 // holds for each precision at every level: every C element accumulates
 // over k in ascending order with one fused multiply-add chain per blockK
 // panel — float64 FMA here, float32 FMA there — and plain adds of that
@@ -47,7 +47,7 @@ const matmulParallelThreshold = 1 << 17
 // stripe or goroutine computes it. Fused multiply-add is correctly
 // rounded in every form, so results are bit-identical across levels,
 // tilings, splits, batch widths, operand orientations and
-// architectures; the per-sample float64 path (MatVec, Conv2D) is the
+// architectures; the per-sample float64 path (MatVec, nn.Conv2D) is the
 // oracle the float32 inference path stays within rounding of.
 //
 // A product large enough to fan out is cut along its longer side at

@@ -255,35 +255,6 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-func TestConv2DMatchesNaive(t *testing.T) {
-	r := rng.New(7)
-	cases := []struct{ inC, inH, inW, outC, k, stride int }{
-		{1, 8, 8, 3, 3, 1},
-		{2, 9, 7, 4, 3, 2},
-		{3, 12, 12, 5, 5, 1},
-		{1, 5, 5, 1, 5, 1},
-		{4, 10, 10, 2, 2, 2},
-	}
-	for _, tc := range cases {
-		input := randTensor(r, tc.inC, tc.inH, tc.inW)
-		kernel := randTensor(r, tc.outC, tc.inC, tc.k, tc.k)
-		bias := make([]float64, tc.outC)
-		for i := range bias {
-			bias[i] = r.Range(-1, 1)
-		}
-		got := Conv2D(input, kernel, bias, tc.stride)
-		want := Conv2DNaive(input, kernel, bias, tc.stride)
-		tensorsClose(t, got, want, 1e-10)
-	}
-}
-
-func TestConv2DNilBias(t *testing.T) {
-	r := rng.New(8)
-	input := randTensor(r, 2, 6, 6)
-	kernel := randTensor(r, 3, 2, 3, 3)
-	tensorsClose(t, Conv2D(input, kernel, nil, 1), Conv2DNaive(input, kernel, nil, 1), 1e-10)
-}
-
 func TestIm2ColShape(t *testing.T) {
 	input := New(2, 6, 8)
 	cols := Im2Col(input, 3, 3, 1)
@@ -400,17 +371,6 @@ func BenchmarkMatMul256(b *testing.B) {
 		}
 		b.ReportMetric(2*256*256*256*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 	})
-}
-
-func BenchmarkConv2D(b *testing.B) {
-	r := rng.New(1)
-	input := randTensor(r, 1, 28, 28)
-	kernel := randTensor(r, 40, 1, 5, 5)
-	bias := make([]float64, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(input, kernel, bias, 1)
-	}
 }
 
 // BenchmarkDenseBatch times DenseBatchInto with its bias+ReLU epilogue

@@ -309,7 +309,7 @@ func TestGatewayMalformedBudget(t *testing.T) {
 // not checksummed, so a corrupted-but-decodable input would earn an
 // honest verdict for data the client never sent — correct behavior, but
 // unverifiable from this side of the socket. The chaos package tests and
-// the chaos-smoke gate cover that fault.
+// the chaos boot of `make smoke` cover that fault.
 func TestGatewayChaosTCP(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 

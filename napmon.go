@@ -29,13 +29,6 @@ import (
 // serving the old one without a gap.
 type Monitor = core.Monitor
 
-// Updater holds a monitor's online-update counters (Published, Absorbed,
-// Recompiled, SwapNanos); obtain it with Monitor.Updater. The updates
-// themselves are Monitor.Update, UpdateBatch and UpdateGamma: each
-// shadow-builds the touched zones while the current epoch keeps serving
-// and swaps the new epoch in atomically.
-type Updater = core.Updater
-
 // Config specifies which layer, classes and neurons a monitor covers and
 // its Hamming enlargement γ.
 type Config = core.Config
@@ -51,9 +44,6 @@ type Pattern = core.Pattern
 // which lets a client feed flagged patterns straight back into
 // Monitor.Update.
 func ParsePattern(s string) (Pattern, error) { return core.ParsePattern(s) }
-
-// Zone is one class's γ-comfort zone (paper Definition 2).
-type Zone = core.Zone
 
 // Metrics aggregates monitor evaluation statistics (the paper's Table II
 // columns).
@@ -111,9 +101,6 @@ func Accuracy(net *Network, samples []Sample) float64 {
 // LoadModel reads a network written with Network.Save.
 func LoadModel(r io.Reader) (*Network, error) { return nn.Load(r) }
 
-// LoadModelFile reads a network from a file.
-func LoadModelFile(path string) (*Network, error) { return nn.LoadFile(path) }
-
 // BuildMonitor runs the paper's Algorithm 1: it records the activation
 // pattern of every correctly classified training sample in its class's
 // comfort zone and enlarges each zone to cfg.Gamma. Both phases run on
@@ -125,15 +112,6 @@ func LoadModelFile(path string) (*Network, error) { return nn.LoadFile(path) }
 // changes only through the Update family.
 func BuildMonitor(net *Network, train []Sample, cfg Config) (*Monitor, error) {
 	return core.Build(net, train, cfg)
-}
-
-// BuildMonitorFromPatterns builds a monitor directly from per-class
-// activation patterns — no network pass. Useful for rebuilding a monitor
-// from logged serving traffic (the /watch wire form parses with
-// ParsePattern); the result serves pattern-level queries (WatchPattern,
-// the Update family) but not the network-coupled Watch/WatchBatch.
-func BuildMonitorFromPatterns(width, gamma int, perClass map[int][]Pattern) (*Monitor, error) {
-	return core.BuildFromPatterns(width, gamma, perClass)
 }
 
 // LoadMonitorFile reads a monitor from a file written with
@@ -166,16 +144,6 @@ func WatchBatch(net *Network, m *Monitor, inputs []*Tensor) []Verdict {
 	return m.WatchBatch(net, inputs)
 }
 
-// ScratchPool recycles the intermediate tensors of the batched inference
-// path so a hot serving loop is allocation-free after warm-up. A pool
-// must not be shared between concurrent callers; see
-// Network.ForwardBatch and Monitor.WatchBatchPooled.
-type ScratchPool = tensor.Pool
-
-// NewScratchPool returns an empty scratch pool for the batched inference
-// path.
-func NewScratchPool() *ScratchPool { return tensor.NewPool() }
-
 // Server is the streaming serving front end: a long-lived service over
 // one frozen monitor that accepts Submit calls from any number of
 // goroutines through a bounded request queue and coalesces them into
@@ -203,14 +171,6 @@ type Future = serve.Future
 // ErrServerClosed is returned by Server.Submit and Server.SubmitAll after
 // Shutdown has begun, and resolves any Future the server aborted.
 var ErrServerClosed = serve.ErrServerClosed
-
-// ErrQueueFull is returned by Server.TrySubmitFunc when the request
-// queue is full. TrySubmitFunc is the non-blocking submission path
-// lossy transports use to shed load explicitly (the UDP transport of
-// cmd/napmon-serve answers it with an "overloaded" error frame) instead
-// of queueing without bound; blocking callers should use Submit, which
-// applies backpressure by waiting.
-var ErrQueueFull = serve.ErrQueueFull
 
 // ErrExpired resolves the Future of a Server.SubmitCtx request whose
 // context was cancelled or deadline-expired while it waited in the
