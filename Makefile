@@ -138,7 +138,7 @@ smoke:
 	$$soak -addr $(SMOKE_TCP) -proto tcp -strict -o soak-tcp.json; \
 	bin/napmon-metricslint -url http://$(SMOKE_ADDR)/metrics \
 		-stats-url http://$(SMOKE_ADDR)/v1/models/default/stats \
-		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up,napmon_tenant_served_total; \
+		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up; \
 	curl -sf http://$(SMOKE_ADDR)/v1/models/default/stats; \
 	curl -sf http://$(SMOKE_ADDR)/v1/models; \
 	kill -TERM $$pid; wait $$pid || fail "drain or goroutine leak check failed"; \

@@ -2,8 +2,8 @@
 // fetches the page, runs it through the strict internal exposition
 // parser (internal/obs — the same grammar the exposition writer
 // emits), asserts that every -require'd series is present, and
-// optionally cross-checks core counters against the same daemon's
-// default-tenant stats JSON. It is the /metrics step of `make smoke`:
+// optionally cross-checks one tenant's serving counters against the same
+// daemon's stats JSON for that tenant. It is the /metrics step of `make smoke`:
 // a daemon that serves an unparseable exposition, silently drops a
 // series, or reports different numbers on its two observability
 // surfaces exits 1 here.
@@ -16,8 +16,9 @@
 //
 // -require takes a comma-separated list of metric names; a histogram is
 // satisfied by its _bucket/_sum/_count series. -stats-url enables the
-// cross-check: served/submitted/shed counters and the monitored /
-// out-of-pattern tallies must agree between the scrapes. The two
+// cross-check: the series labelled with the tenant the stats JSON names
+// — served/submitted/shed counters and the monitored / out-of-pattern
+// tallies summed over that tenant's classes — must agree with it. The two
 // surfaces are sampled at slightly different instants, so the check
 // tolerates forward drift on counters that may tick between the two
 // GETs (second sample >= first, within -drift), but not disagreement
@@ -113,6 +114,7 @@ func fetchMetrics(url string) (*obs.Exposition, []byte, error) {
 
 // statsDoc is the subset of the /stats JSON the cross-check reads.
 type statsDoc struct {
+	Tenant       string `json:"tenant"`
 	Submitted    uint64 `json:"submitted"`
 	Served       uint64 `json:"served"`
 	Shed         uint64 `json:"shed"`
@@ -121,10 +123,10 @@ type statsDoc struct {
 	Epoch        uint64 `json:"epoch"`
 }
 
-// crossCheck fetches /stats and holds the exposition's counters to it.
-// The metrics scrape happened first, so live traffic may have advanced
-// a counter between the two samples — each check therefore requires
-// stats >= metrics value, within drift.
+// crossCheck fetches /stats and holds the exposition's series for the
+// tenant it names to it. The metrics scrape happened first, so live
+// traffic may have advanced a counter between the two samples — each
+// check therefore requires stats >= metrics value, within drift.
 func crossCheck(exp *obs.Exposition, statsURL string, drift uint64) error {
 	resp, err := http.Get(statsURL)
 	if err != nil {
@@ -138,6 +140,10 @@ func crossCheck(exp *obs.Exposition, statsURL string, drift uint64) error {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return fmt.Errorf("decode %s: %w", statsURL, err)
 	}
+	if st.Tenant == "" {
+		return fmt.Errorf("%s names no tenant", statsURL)
+	}
+	tenant := map[string]string{"tenant": st.Tenant}
 	checks := []struct {
 		metric string
 		summed bool
@@ -152,24 +158,24 @@ func crossCheck(exp *obs.Exposition, statsURL string, drift uint64) error {
 	for _, c := range checks {
 		var mv float64
 		if c.summed {
-			mv, _ = exp.SumAcross(c.metric)
+			mv, _ = exp.SumAcross(c.metric, tenant)
 		} else {
-			v, ok := exp.Value(c.metric, nil)
+			v, ok := exp.Value(c.metric, tenant)
 			if !ok {
-				return fmt.Errorf("%s absent from exposition", c.metric)
+				return fmt.Errorf("%s{tenant=%q} absent from exposition", c.metric, st.Tenant)
 			}
 			mv = v
 		}
 		m := uint64(mv)
 		if c.stats < m || c.stats-m > drift {
-			return fmt.Errorf("%s: metrics say %d, stats say %d (allowed forward drift %d)",
-				c.metric, m, c.stats, drift)
+			return fmt.Errorf("%s{tenant=%q}: metrics say %d, stats say %d (allowed forward drift %d)",
+				c.metric, st.Tenant, m, c.stats, drift)
 		}
 	}
 	// Epoch is a gauge, not a counter: it may step forward between the
 	// scrapes under live /learn traffic, never backward.
-	if v, ok := exp.Value("napmon_epoch", nil); ok && st.Epoch < uint64(v) {
-		return fmt.Errorf("napmon_epoch went backwards: metrics %v, stats %d", v, st.Epoch)
+	if v, ok := exp.Value("napmon_epoch", tenant); ok && st.Epoch < uint64(v) {
+		return fmt.Errorf("napmon_epoch{tenant=%q} went backwards: metrics %v, stats %d", st.Tenant, v, st.Epoch)
 	}
 	return nil
 }

@@ -29,20 +29,29 @@ func TestSplitList(t *testing.T) {
 
 // serveDaemon stands in for a napmon-serve's two observability surfaces:
 // /metrics renders the counters in m through the real exposition writer
-// (per-class series split in two, so the summed checks have something to
-// sum), /stats answers st. A metric left out of m is absent from the page.
+// under tenant "default" (per-class series split in two, so the summed
+// checks have something to sum) beside a second tenant whose series
+// must never be counted, and /stats answers st. A metric left out of m
+// is absent from the page.
 func serveDaemon(t *testing.T, m map[string]uint64, st statsDoc) *httptest.Server {
 	t.Helper()
 	reg := obs.NewRegistry()
-	for name, v := range m {
-		switch name {
-		case "napmon_epoch":
-			reg.NewGauge(name, "h").Set(int64(v))
-		case "napmon_watched_total", "napmon_oop_total":
-			reg.NewCounter(name, "h", obs.L("class", "0")).Add(v / 2)
-			reg.NewCounter(name, "h", obs.L("class", "1")).Add(v - v/2)
-		default:
-			reg.NewCounter(name, "h").Add(v)
+	for _, tenant := range []string{"default", "other"} {
+		lbl := obs.L("tenant", tenant)
+		for name, v := range m {
+			if tenant == "other" {
+				v += 1000 // an unrelated tenant's counts, far outside every drift
+			}
+			val := func(v uint64) func() uint64 { return func() uint64 { return v } }
+			switch name {
+			case "napmon_epoch":
+				reg.GaugeFunc(name, "h", func() float64 { return float64(v) }, lbl)
+			case "napmon_watched_total", "napmon_oop_total":
+				reg.CounterFunc(name, "h", val(v/2), lbl, obs.L("class", "0"))
+				reg.CounterFunc(name, "h", val(v-v/2), lbl, obs.L("class", "1"))
+			default:
+				reg.CounterFunc(name, "h", val(v), lbl)
+			}
 		}
 	}
 	mux := http.NewServeMux()
@@ -76,7 +85,7 @@ func TestCrossCheck(t *testing.T) {
 		}
 		return m
 	}
-	agree := statsDoc{Submitted: 100, Served: 90, Shed: 3, Monitored: 81, OutOfPattern: 7, Epoch: 4}
+	agree := statsDoc{Tenant: "default", Submitted: 100, Served: 90, Shed: 3, Monitored: 81, OutOfPattern: 7, Epoch: 4}
 	stats := func(mut func(*statsDoc)) statsDoc { s := agree; mut(&s); return s }
 	for _, tc := range []struct {
 		name    string
@@ -91,9 +100,11 @@ func TestCrossCheck(t *testing.T) {
 		{"summed series drift outside the allowance", metrics(nil), stats(func(s *statsDoc) { s.Monitored = 90 }), 5, "napmon_watched_total"},
 		{"stats behind metrics", metrics(nil), stats(func(s *statsDoc) { s.Submitted = 99 }), 1024, "napmon_requests_submitted_total"},
 		{"required series absent", metrics(func(m map[string]uint64) { delete(m, "napmon_requests_shed_total") }), agree, 0,
-			"napmon_requests_shed_total absent"},
+			`napmon_requests_shed_total{tenant="default"} absent`},
 		{"epoch stepped forward between scrapes", metrics(nil), stats(func(s *statsDoc) { s.Epoch = 5 }), 0, ""},
-		{"napmon_epoch ahead of stats", metrics(func(m map[string]uint64) { m["napmon_epoch"] = 5 }), agree, 1024, "napmon_epoch went backwards"},
+		{"napmon_epoch ahead of stats", metrics(func(m map[string]uint64) { m["napmon_epoch"] = 5 }), agree, 1024, "napmon_epoch{tenant=\"default\"} went backwards"},
+		{"stats of another tenant", metrics(nil), stats(func(s *statsDoc) { s.Tenant = "other" }), 5, `napmon_requests_submitted_total{tenant="other"}`},
+		{"stats name no tenant", metrics(nil), stats(func(s *statsDoc) { s.Tenant = "" }), 1024, "names no tenant"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := serveDaemon(t, tc.metrics, tc.stats)

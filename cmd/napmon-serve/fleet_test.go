@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"napmon/internal/core"
 	"napmon/internal/obs"
 )
 
@@ -78,25 +81,42 @@ func testFollowerConverges(t *testing.T, chaosSeed uint64, chaosFaults int) {
 		}
 	}
 
+	// Both daemons export the same serving series for every tenant,
+	// however it was loaded: from flags, by PUT, or from a snapshot.
+	classes := map[string][]int{}
+	for _, tn := range tenants {
+		status, snap := call(t, "GET", leader.http+"/v1/models/"+tn.name+"/snapshot", nil)
+		if status != 200 {
+			t.Fatalf("%s snapshot: status %d", tn.name, status)
+		}
+		mon, _, err := core.LoadSnapshot(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes[tn.name] = mon.WatchClasses()
+	}
 	for _, d := range []struct {
 		role string
 		b    *booted
 	}{{"leader", leader}, {"follower", follower}} {
-		status, body := call(t, "GET", d.b.http+"/metrics", nil)
-		if status != 200 {
-			t.Fatalf("%s /metrics: status %d", d.role, status)
-		}
-		exp, err := obs.ParseExposition(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s /metrics: %v", d.role, err)
-		}
+		exp := scrapeMetrics(t, d.b)
 		for _, tn := range tenants {
 			lbl := map[string]string{"tenant": tn.name}
 			if up, ok := exp.Value("napmon_tenant_up", lbl); !ok || up != 1 {
 				t.Errorf("%s: napmon_tenant_up{tenant=%q} = %v (present %v), want 1", d.role, tn.name, up, ok)
 			}
-			if e, ok := exp.Value("napmon_tenant_epoch", lbl); !ok || e != 1+learns {
-				t.Errorf("%s: napmon_tenant_epoch{tenant=%q} = %v (present %v), want %d", d.role, tn.name, e, ok, 1+learns)
+			if e, ok := exp.Value("napmon_epoch", lbl); !ok || e != 1+learns {
+				t.Errorf("%s: napmon_epoch{tenant=%q} = %v (present %v), want %d", d.role, tn.name, e, ok, 1+learns)
+			}
+			total := map[string]string{"tenant": tn.name, "stage": "total"}
+			if n, ok := exp.Value("napmon_stage_duration_seconds_count", total); !ok || n == 0 {
+				t.Errorf("%s: napmon_stage_duration_seconds_count %v = %v (present %v), want > 0", d.role, total, n, ok)
+			}
+			for _, c := range classes[tn.name] {
+				cl := map[string]string{"tenant": tn.name, "class": strconv.Itoa(c)}
+				if _, ok := exp.Value("napmon_oop_total", cl); !ok {
+					t.Errorf("%s: napmon_oop_total %v absent", d.role, cl)
+				}
 			}
 		}
 	}
@@ -114,4 +134,45 @@ func fleetWatch(t *testing.T, b *booted, tn fleetTenant) watchResponse {
 	var v watchResponse
 	callJSON(t, "POST", b.http+"/v1/models/"+tn.name+"/watch", watchRequest{Shape: tn.shape, Input: tn.input}, 200, &v)
 	return v
+}
+
+// scrapeMetrics GETs a daemon's /metrics and parses it strictly. Only
+// the fleet-level registry and gateway series may be unlabelled: every
+// serving series carries its tenant.
+func scrapeMetrics(t *testing.T, b *booted) *obs.Exposition {
+	t.Helper()
+	status, body := call(t, "GET", b.http+"/metrics", nil)
+	if status != 200 {
+		t.Fatalf("/metrics: status %d", status)
+	}
+	exp, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	for _, smp := range exp.Samples {
+		if _, ok := smp.Labels["tenant"]; !ok && !strings.HasPrefix(smp.Name, "napmon_registry_") && !strings.HasPrefix(smp.Name, "napmon_gateway_") {
+			t.Errorf("unlabelled serving series %s %v", smp.Name, smp.Labels)
+		}
+	}
+	return exp
+}
+
+// TestMetricsFollowReloadedDefault reloads the flag-loaded default
+// tenant over DELETE + PUT: its serving series must read the new
+// server, as /v1 stats does.
+func TestMetricsFollowReloadedDefault(t *testing.T) {
+	b, model, monitor, inputs := bootToy(t, 33)
+	httpWatch(t, b, "default", inputs[0])
+	if status, out := call(t, "DELETE", b.http+"/v1/models/default", nil); status != 204 {
+		t.Fatalf("DELETE: status %d: %s", status, out)
+	}
+	callJSON(t, "PUT", b.http+"/v1/models/default", loadRequest{Model: model, Monitor: monitor, Shape: []int{4}}, 201, nil)
+	for _, x := range inputs[:3] {
+		httpWatch(t, b, "default", x)
+	}
+	exp := scrapeMetrics(t, b)
+	served := httpStats(t, b, "default").Served
+	if v, ok := exp.Value("napmon_requests_served_total", map[string]string{"tenant": "default"}); !ok || uint64(v) != served || served != 3 {
+		t.Fatalf("napmon_requests_served_total{tenant=\"default\"} = %v (present %v), /v1 stats say %d, want 3", v, ok, served)
+	}
 }

@@ -18,8 +18,9 @@
 //	GET    /v1/models/{name}/deltas   ?since=N → binary epoch-delta stream; 410 Gone
 //	                                  when N predates the bounded delta log
 //	GET    /v1/models/{name}/model    binary model weights (follower bootstrap)
-//	GET    /metrics                   Prometheus text: registry, per-tenant and
-//	                                  (with -udp/-tcp) napmon_gateway_* series
+//	GET    /metrics                   Prometheus text: registry series, every
+//	                                  tenant's serving series labelled by tenant
+//	                                  and (with -udp/-tcp) napmon_gateway_* series
 //	GET    /healthz                   liveness probe
 //	       /debug/pprof/              net/http/pprof, only with -pprof (profiles
 //	                                  leak heap contents: opt in, never default)
@@ -267,19 +268,12 @@ func (d *daemon) loadTenants(ctx context.Context, cfg config) error {
 		log.Printf("following %s (%d tenants, poll %v)", cfg.follow, d.reg.Len(), cfg.followPoll)
 		return nil
 	}
-	t, err := d.load(napmon.DefaultTenant, loadRequest{
+	_, err := d.load(napmon.DefaultTenant, loadRequest{
 		Model: cfg.modelPath, Monitor: cfg.monitorPath,
 		Selftrain: cfg.selftrain, Dataset: cfg.dataset, Seed: cfg.seed, Gamma: &cfg.gamma,
 		Shape: cfg.shape,
 	})
-	if err != nil {
-		return err
-	}
-	// The default tenant also feeds the unlabelled napmon_* series that
-	// napmon-soak and napmon-metricslint cross-check against; per-tenant
-	// series live in the napmon_tenant_* families registered by run.
-	t.Server().RegisterMetrics(d.obsReg)
-	return nil
+	return err
 }
 
 // chaosStall is how long an injected TCP read/write stall lasts.

@@ -23,12 +23,17 @@
 //
 // -metrics URL points at the daemon's GET /metrics (its HTTP -addr). The
 // soak scrapes it before and after the run and cross-checks the
-// server-side deltas against its own per-frame accounting: requests the
-// server says it served must equal watch responses this client
-// received, and gateway-reported sheds must equal the overload error
-// frames it got back. A mismatch means lost or double-counted frames
-// somewhere between the serving lanes and this socket; it is printed in
-// the report and fails -strict.
+// server-side deltas against its own per-frame accounting. The served
+// count is the default tenant's (napmon_requests_served_total{tenant=
+// "default"}), the tenant every frame this soak sends addresses. With
+// -strict, requests the server says it served must equal watch
+// responses this client received; otherwise they must lie between the
+// responses received and those plus the frames that never came back
+// (dropped), since a frame lost on its way back was still served.
+// Gateway-reported sheds must equal the overload error frames it got
+// back. A mismatch means lost or double-counted frames somewhere
+// between the serving lanes and this socket; it is printed in the
+// report and fails -strict.
 //
 // Against a fault-injected gateway (the chaos boot of `make smoke`) two
 // extra flags apply. -reconnect turns a mid-run connection death into a
@@ -67,114 +72,56 @@ import (
 	"napmon/internal/wire"
 )
 
+// options is everything the flags decide about one run.
+type options struct {
+	addr, proto     string
+	duration, grace time.Duration
+	connectTimeout  time.Duration
+	rate            float64
+	conns, window   int
+	shape           []int
+	seed            uint64
+	metrics         string // /metrics URL; empty = no server-side accounting
+	reconnect       bool
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("napmon-soak: ")
+	var o options
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:9710", "gateway address")
+	flag.StringVar(&o.proto, "proto", "udp", "transport: udp or tcp")
+	flag.DurationVar(&o.duration, "duration", 10*time.Second, "send for this long")
+	flag.Float64Var(&o.rate, "rate", 0, "open-loop request rate per second across all conns (0 = closed loop)")
+	flag.IntVar(&o.conns, "conns", 4, "concurrent connections (TCP) or sockets (UDP)")
+	flag.IntVar(&o.window, "window", 32, "closed-loop outstanding requests per conn; UDP shed-retry cap")
+	flag.Uint64Var(&o.seed, "seed", 1, "input generator seed")
+	flag.StringVar(&o.metrics, "metrics", "", "napmon-serve /metrics URL to scrape before and after for server-side accounting (empty = off)")
+	flag.DurationVar(&o.connectTimeout, "connect-timeout", 10*time.Second, "budget for the initial ping probe")
+	flag.DurationVar(&o.grace, "grace", 2*time.Second, "wait this long after the send window for stragglers")
+	flag.BoolVar(&o.reconnect, "reconnect", false, "re-dial and keep going when a connection dies mid-run (for fault-injected gateways); transport failures are counted in conn_errors, not fatal")
 	var (
-		addr      = flag.String("addr", "127.0.0.1:9710", "gateway address")
-		proto     = flag.String("proto", "udp", "transport: udp or tcp")
-		duration  = flag.Duration("duration", 10*time.Second, "send for this long")
-		rate      = flag.Float64("rate", 0, "open-loop request rate per second across all conns (0 = closed loop)")
-		conns     = flag.Int("conns", 4, "concurrent connections (TCP) or sockets (UDP)")
-		window    = flag.Int("window", 32, "closed-loop outstanding requests per conn; UDP shed-retry cap")
-		shapeFlag = flag.String("shape", "", "input tensor shape to send (default: per -dataset)")
-		ds        = flag.String("dataset", "mnist", "dataset whose native shape to send when -shape is empty")
-		seed      = flag.Uint64("seed", 1, "input generator seed")
-		out       = flag.String("o", "", "write the JSON report here (default stdout)")
-		metricsU  = flag.String("metrics", "", "napmon-serve /metrics URL to scrape before and after for server-side accounting (empty = off)")
-		strict    = flag.Bool("strict", false, "exit 1 on any dropped, malformed, or error-frame response, or a server-vs-client accounting mismatch")
-		probeWait = flag.Duration("connect-timeout", 10*time.Second, "budget for the initial ping probe")
-		grace     = flag.Duration("grace", 2*time.Second, "wait this long after the send window for stragglers")
-
-		reconnect  = flag.Bool("reconnect", false, "re-dial and keep going when a connection dies mid-run (for fault-injected gateways); transport failures are counted in conn_errors, not fatal")
+		shapeFlag  = flag.String("shape", "", "input tensor shape to send (default: per -dataset)")
+		ds         = flag.String("dataset", "mnist", "dataset whose native shape to send when -shape is empty")
+		out        = flag.String("o", "", "write the JSON report here (default stdout)")
+		strict     = flag.Bool("strict", false, "exit 1 on any dropped, malformed, or error-frame response, or a server-vs-client accounting mismatch")
 		chaosCheck = flag.Bool("chaos-check", false, "exit 1 unless the run upholds the chaos invariants: responses were received, every received response decoded to a valid verdict, and (with -metrics) the client never received more than the server served")
 	)
 	flag.Parse()
-	if *proto != "udp" && *proto != "tcp" {
-		log.Fatalf("unknown -proto %q (want udp or tcp)", *proto)
+	if o.proto != "udp" && o.proto != "tcp" {
+		log.Fatalf("unknown -proto %q (want udp or tcp)", o.proto)
 	}
-	if *conns < 1 || *window < 1 {
+	if o.conns < 1 || o.window < 1 {
 		log.Fatal("-conns and -window must be >= 1")
 	}
-	shape, err := exp.InputShape(*shapeFlag, *ds)
-	if err != nil {
+	var err error
+	if o.shape, err = exp.InputShape(*shapeFlag, *ds); err != nil {
 		log.Fatal(err)
 	}
 
-	if err := probe(*proto, *addr, *probeWait); err != nil {
-		log.Fatalf("gateway probe failed: %v", err)
-	}
-
-	var before *serverSample
-	if *metricsU != "" {
-		s, err := scrape(*metricsU)
-		if err != nil {
-			log.Fatalf("pre-run metrics scrape: %v", err)
-		}
-		before = s
-	}
-
-	workers := make([]*worker, *conns)
-	var wg sync.WaitGroup
-	for i := range workers {
-		w := newWorker(i, *proto, *addr, shape, *seed+uint64(i)*1e6, *window, *reconnect)
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(*duration, *rate/float64(*conns), *grace)
-		}()
-	}
-	wg.Wait()
-
-	// Throughput is measured over the send window (the longest worker's
-	// dial-to-last-send span), not the straggler grace period — grace
-	// only decides what counts as dropped.
-	var elapsed time.Duration
-	rep := report{Proto: *proto, Conns: *conns, Window: *window, Rate: *rate}
-	var lat []time.Duration
-	for _, w := range workers {
-		if w.err != nil {
-			log.Fatalf("conn %d: %v", w.id, w.err)
-		}
-		if w.sendElapsed > elapsed {
-			elapsed = w.sendElapsed
-		}
-		rep.Sent += w.sent
-		rep.Received += w.received
-		rep.Malformed += w.malformed
-		rep.Overloaded += w.overloaded
-		rep.ServerErrors += w.serverErrors
-		rep.ConnErrors += w.connErrors
-		rep.Dropped += uint64(len(w.pending))
-		lat = append(lat, w.lat...)
-	}
-	rep.DurationS = elapsed.Seconds()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	q := func(p float64) time.Duration {
-		if len(lat) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lat)))
-		if i >= len(lat) {
-			i = len(lat) - 1
-		}
-		return lat[i]
-	}
-	rep.ThroughputRPS = float64(rep.Received) / elapsed.Seconds()
-	rep.P50Ns, rep.P99Ns, rep.P999Ns = q(0.50).Nanoseconds(), q(0.99).Nanoseconds(), q(0.999).Nanoseconds()
-	rep.P50, rep.P99, rep.P999 = q(0.50).String(), q(0.99).String(), q(0.999).String()
-
-	if before != nil {
-		after, err := scrape(*metricsU)
-		if err != nil {
-			log.Fatalf("post-run metrics scrape: %v", err)
-		}
-		rep.Server = &serverSide{
-			ServedDelta:    after.served - before.served,
-			ShedDelta:      after.shed - before.shed,
-			GwDroppedDelta: after.gwDropped - before.gwDropped,
-		}
+	rep, err := soak(o)
+	if err != nil {
+		log.Fatal(err)
 	}
 	mismatches, failures := judge(rep, *strict, *chaosCheck)
 	for _, m := range mismatches {
@@ -205,13 +152,100 @@ func main() {
 	}
 }
 
+// soak runs one load test as o describes: probe the gateway, scrape
+// /metrics (when o.metrics is set), drive o.conns workers for
+// o.duration, scrape again, and tally the client's and the server's
+// accounting into one report. judge decides what the report means.
+func soak(o options) (report, error) {
+	rep := report{Proto: o.proto, Conns: o.conns, Window: o.window, Rate: o.rate}
+	if err := probe(o.proto, o.addr, o.connectTimeout); err != nil {
+		return rep, fmt.Errorf("gateway probe failed: %w", err)
+	}
+
+	var before *serverSample
+	if o.metrics != "" {
+		s, err := scrape(o.metrics)
+		if err != nil {
+			return rep, fmt.Errorf("pre-run metrics scrape: %w", err)
+		}
+		before = s
+	}
+
+	workers := make([]*worker, o.conns)
+	var wg sync.WaitGroup
+	for i := range workers {
+		w := newWorker(i, o.proto, o.addr, o.shape, o.seed+uint64(i)*1e6, o.window, o.reconnect)
+		workers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(o.duration, o.rate/float64(o.conns), o.grace)
+		}()
+	}
+	wg.Wait()
+
+	// Throughput is measured over the send window (the longest worker's
+	// dial-to-last-send span), not the straggler grace period — grace
+	// only decides what counts as dropped.
+	var elapsed time.Duration
+	var lat []time.Duration
+	for _, w := range workers {
+		if w.err != nil {
+			return rep, fmt.Errorf("conn %d: %w", w.id, w.err)
+		}
+		if w.sendElapsed > elapsed {
+			elapsed = w.sendElapsed
+		}
+		rep.Sent += w.sent
+		rep.Received += w.received
+		rep.Malformed += w.malformed
+		rep.Overloaded += w.overloaded
+		rep.ServerErrors += w.serverErrors
+		rep.ConnErrors += w.connErrors
+		rep.Dropped += uint64(len(w.pending))
+		lat = append(lat, w.lat...)
+	}
+	rep.DurationS = elapsed.Seconds()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	q := func(p float64) time.Duration {
+		if len(lat) == 0 {
+			return 0
+		}
+		i := int(p * float64(len(lat)))
+		if i >= len(lat) {
+			i = len(lat) - 1
+		}
+		return lat[i]
+	}
+	rep.ThroughputRPS = float64(rep.Received) / elapsed.Seconds()
+	rep.P50Ns, rep.P99Ns, rep.P999Ns = q(0.50).Nanoseconds(), q(0.99).Nanoseconds(), q(0.999).Nanoseconds()
+	rep.P50, rep.P99, rep.P999 = q(0.50).String(), q(0.99).String(), q(0.999).String()
+
+	if before != nil {
+		after, err := scrape(o.metrics)
+		if err != nil {
+			return rep, fmt.Errorf("post-run metrics scrape: %w", err)
+		}
+		rep.Server = &serverSide{
+			ServedDelta:    after.served - before.served,
+			ShedDelta:      after.shed - before.shed,
+			GwDroppedDelta: after.gwDropped - before.gwDropped,
+		}
+	}
+	return rep, nil
+}
+
 // judge is the run's verdict, a pure function of its report. mismatches
 // lists where the server's /metrics deltas disagree with this client's
-// per-frame accounting (checked only when rep.Server is set): every
-// request the server counts as served must have come back as a watch
-// response, and every gateway shed as an overload error frame — which
-// holds when this soak is the gateway's sole client, as in CI. failures
-// lists why the run fails the gates it was asked for; none means exit 0.
+// per-frame accounting (checked only when rep.Server is set), which
+// holds when this soak is the gateway's sole client, as in CI: every
+// gateway shed must have come back as an overload error frame, and
+// under strict every request the server counts as served as a watch
+// response. Without strict, a frame the server served may still have
+// been lost on its way back (a reset connection, a dropped datagram)
+// and counted as dropped, so served must lie in [received, received +
+// dropped]. failures lists why the run fails the gates it was asked
+// for; none means exit 0.
 //
 // -strict demands closed accounting: nothing dropped, malformed, shed or
 // errored, and no mismatch. -chaos-check cannot — injected resets
@@ -222,9 +256,13 @@ func main() {
 // the server claims it served (phantom responses).
 func judge(rep report, strict, chaosCheck bool) (mismatches, failures []string) {
 	if sv := rep.Server; sv != nil {
-		if sv.ServedDelta != rep.Received {
+		switch {
+		case strict && sv.ServedDelta != rep.Received:
 			mismatches = append(mismatches, fmt.Sprintf("server served %d, client received %d",
 				sv.ServedDelta, rep.Received))
+		case sv.ServedDelta < rep.Received || sv.ServedDelta > rep.Received+rep.Dropped:
+			mismatches = append(mismatches, fmt.Sprintf("server served %d, client received %d and lost %d",
+				sv.ServedDelta, rep.Received, rep.Dropped))
 		}
 		if sv.GwDroppedDelta != rep.Overloaded {
 			mismatches = append(mismatches, fmt.Sprintf("gateway shed %d, client saw %d overload frames",
@@ -249,6 +287,10 @@ func judge(rep report, strict, chaosCheck bool) (mismatches, failures []string) 
 	}
 	return mismatches, failures
 }
+
+// soakTenant selects the series of the tenant soak frames address
+// (wire tenant id 0).
+var soakTenant = map[string]string{"tenant": "default"}
 
 // serverSample is one scrape of the counters the accounting check uses.
 type serverSample struct {
@@ -277,16 +319,17 @@ func scrape(url string) (*serverSample, error) {
 	}
 	s := &serverSample{}
 	for _, f := range []struct {
-		name string
-		dst  *uint64
+		name   string
+		labels map[string]string
+		dst    *uint64
 	}{
-		{"napmon_requests_served_total", &s.served},
-		{"napmon_requests_shed_total", &s.shed},
-		{"napmon_gateway_frames_dropped_total", &s.gwDropped},
+		{"napmon_requests_served_total", soakTenant, &s.served},
+		{"napmon_requests_shed_total", soakTenant, &s.shed},
+		{"napmon_gateway_frames_dropped_total", nil, &s.gwDropped},
 	} {
-		v, ok := exp.Value(f.name, nil)
+		v, ok := exp.Value(f.name, f.labels)
 		if !ok {
-			return nil, fmt.Errorf("%s: series %s missing", url, f.name)
+			return nil, fmt.Errorf("%s: series %s missing (labels %v)", url, f.name, f.labels)
 		}
 		*f.dst = uint64(v)
 	}

@@ -76,8 +76,8 @@
 // and the updated monitor answers exactly like one built from all
 // patterns in one shot.
 // Monitor.UpdateGamma re-levels γ the same way. Through a Server the
-// same flow is Server.Update (observable via ServerConfig.OnEpochSwap and
-// ServerStats.Epoch):
+// same flow is Server.Update (observable via ServerStats.Epoch and
+// ServerStats.Updates):
 //
 //	mon, _ := napmon.BuildMonitor(net, samples, cfg) // serves epoch 1
 //	epoch, err := mon.Update(class, pattern)         // publishes epoch 2
@@ -135,16 +135,22 @@
 // # Observability
 //
 // The daemon renders one internal/obs registry as Prometheus text on
-// GET /metrics — serve, monitor, registry, per-tenant and (with the
+// GET /metrics — registry, every tenant's serving series and (with the
 // wire plane on) napmon_gateway_* series on the same page — and mounts
 // net/http/pprof on that listener behind an opt-in -pprof flag; the
 // HTTP port is never a wire-protocol port. Recording is lock-free — counters are
 // atomic adds, latency distributions land in log-bucketed atomic
-// histograms (bounded relative quantile error), and metrics that
-// already exist as atomics register as scrape-time callbacks, so the
-// hot path pays nothing for being observable. The serve pipeline
-// stamps every request through its stages; /stats and /metrics report
-// p50/p99 per stage. The exposed series:
+// histograms (bounded relative quantile error), and every series is a
+// scrape-time callback over them, so the hot path pays nothing for
+// being observable. The serve pipeline stamps every request through
+// its stages; /stats and /metrics report p50/p99 per stage.
+//
+// The Registry registers each tenant's serving series once per name,
+// with a tenant label, and resolves the name at scrape time: a tenant
+// loaded from flags, by PUT or from a leader's snapshot exports the
+// same series, a reload is followed (per-class series gain the new
+// classes), and an unloaded name reads napmon_tenant_up 0 with zeroed
+// series. The serving series, every one labelled tenant="<name>":
 //
 //	napmon_requests_submitted_total        counter    requests accepted into the queue
 //	napmon_requests_served_total           counter    requests answered with a verdict
@@ -178,13 +184,17 @@
 //	napmon_epoch_swap_last_seconds         gauge      wall time of the latest publication
 //	napmon_zone_plans_recompiled_total     counter    zone query plans rebuilt by updates
 //	napmon_patterns_absorbed_total         counter    activation patterns absorbed by updates
-//	napmon_updates_total                   counter    epoch swaps published through the server
 //	napmon_bdd_nodes                       gauge      branches across the serving epoch's plans
 //	napmon_bdd_unique_hits_total           counter    unique-table hits, all build sessions
 //	napmon_bdd_unique_misses_total         counter    unique-table misses (node creations), ditto
 //	napmon_bdd_cache_hits_total            counter    computed-table hits, ditto
 //	napmon_bdd_cache_misses_total          counter    computed-table misses, ditto
 //	napmon_bdd_compiles_total              counter    query plans compiled, ditto
+//	napmon_tenant_up                       gauge      1 while the named tenant serves
+//
+// The wire gateway's series (unlabelled; one gateway serves every
+// tenant):
+//
 //	napmon_gateway_frames_received_total   counter    frames past the packet filter (gateway)
 //	napmon_gateway_frames_responded_total  counter    response frames handed to a socket
 //	napmon_gateway_tcp_writes_total        counter    TCP socket writes, each carrying every
@@ -197,32 +207,19 @@
 //	                                                  malformed-frame budget
 //	napmon_gateway_tcp_conns               gauge      live TCP connections
 //
-// A Registry adds fleet-level series plus one tenant-labelled family
-// per lane (kept separate from the unlabelled napmon_* families above
-// so sum-across-labels cross-checks stay double-count-free):
+// The fleet-level series (unlabelled):
 //
 //	napmon_registry_tenants                gauge      tenants currently loaded
 //	napmon_registry_generation             gauge      fleet generation (bumps on load/unload)
 //	napmon_registry_loads_total            counter    tenants loaded
 //	napmon_registry_unloads_total          counter    tenants unloaded
 //	napmon_registry_lookups_total          counter    Acquire/AcquireID pins
-//	napmon_tenant_up                       gauge      1 while the named tenant serves
-//	napmon_tenant_submitted_total          counter    per-tenant requests accepted
-//	napmon_tenant_served_total             counter    per-tenant verdicts answered
-//	napmon_tenant_rejected_total           counter    per-tenant submits refused
-//	napmon_tenant_shed_total               counter    per-tenant non-blocking shed
-//	napmon_tenant_batches_total            counter    per-tenant micro-batches
-//	napmon_tenant_queue_depth              gauge      per-tenant queued requests
-//	napmon_tenant_epoch                    gauge      per-tenant serving epoch id
-//	napmon_tenant_gamma                    gauge      per-tenant γ level
-//	napmon_tenant_updates_total            counter    per-tenant epoch swaps
-//	napmon_tenant_watched_total            counter    per-tenant monitored verdicts
-//	napmon_tenant_oop_total                counter    per-tenant out-of-pattern verdicts
 //
 // cmd/napmon-metricslint fetches an exposition, validates it with the
-// strict internal parser, and cross-checks it against /stats; the
-// napmon-soak harness scrapes before/after a run and reconciles
-// server-side served/shed deltas against its own per-frame accounting.
+// strict internal parser, and cross-checks the series of the tenant a
+// /v1/models/{name}/stats document names against it; the napmon-soak
+// harness scrapes before/after a run and reconciles the default
+// tenant's served/shed deltas against its own per-frame accounting.
 // See DESIGN.md, "Observability: registry, histograms, tracing".
 //
 // Everything is implemented from scratch on the standard library: the

@@ -86,7 +86,7 @@ func TestWatchBatchEmpty(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("empty batch returned %d verdicts", len(got))
 	}
-	if got := mon.WatchBatchPooled(net, nil, nil); got == nil || len(got) != 0 {
+	if got := mon.WatchBatchPooledTimed(net, nil, nil, nil); got == nil || len(got) != 0 {
 		t.Fatalf("empty pooled batch returned %v, want an empty non-nil slice", got)
 	}
 }

@@ -409,22 +409,19 @@ func (m *Monitor) WatchBatch(net *nn.Network, inputs []*tensor.Tensor) []Verdict
 	return out
 }
 
-// WatchBatchPooled serves one whole batch through a single ForwardBatch
-// pass on the calling goroutine, drawing every intermediate from the
-// caller's scratch pool. This is the entry point for serving lanes that
-// own a long-lived pool (internal/serve): the lane's buffers stay warm
-// across micro-batches, and lane-level parallelism replaces WatchBatch's
-// own worker split. Each call loads the serving epoch afresh, so
-// a lane picks up published online updates at micro-batch granularity and
-// never mixes generations within one batch. pool must not be shared
-// between concurrent callers; a nil pool uses a throwaway one.
-func (m *Monitor) WatchBatchPooled(net *nn.Network, inputs []*tensor.Tensor, pool *tensor.Pool) []Verdict {
-	return m.WatchBatchPooledTimed(net, inputs, pool, nil)
-}
-
-// WatchBatchPooledTimed is WatchBatchPooled with a per-call stage-time
-// split: when t is non-nil, the chunk's inference and zone-query wall
-// times are accumulated into it, letting a serving lane feed per-stage
+// WatchBatchPooledTimed serves one whole batch through a single
+// ForwardBatch pass on the calling goroutine, drawing every intermediate
+// from the caller's scratch pool. This is the entry point for serving
+// lanes that own a long-lived pool (internal/serve): the lane's buffers
+// stay warm across micro-batches, and lane-level parallelism replaces
+// WatchBatch's own worker split. Each call loads the serving epoch
+// afresh, so a lane picks up published online updates at micro-batch
+// granularity and never mixes generations within one batch. pool must
+// not be shared between concurrent callers; a nil pool uses a throwaway
+// one.
+//
+// When t is non-nil, the chunk's inference and zone-query wall times
+// are accumulated into it, letting a serving lane feed per-stage
 // latency histograms without a second clock read of its own. The
 // monitor-global time counters (InferenceNanos, ZoneQueryNanos) advance
 // either way.

@@ -59,16 +59,6 @@ type WatchCount struct {
 	OutOfPattern uint64
 }
 
-// WatchCounts returns the cumulative per-class verdict tallies since
-// construction. The returned map is a copy.
-func (m *Monitor) WatchCounts() map[int]WatchCount {
-	out := make(map[int]WatchCount, len(m.wc))
-	for c, wc := range m.wc {
-		out[c] = WatchCount{Watched: wc.watched.Load(), OutOfPattern: wc.oop.Load()}
-	}
-	return out
-}
-
 // WatchClasses returns the monitored class ids in ascending order —
 // the stable label set under which per-class counters are exported.
 func (m *Monitor) WatchClasses() []int {
@@ -80,7 +70,9 @@ func (m *Monitor) WatchClasses() []int {
 	return cs
 }
 
-// WatchCountsFor returns one class's tally without allocating.
+// WatchCountsFor returns one class's cumulative verdict tally since
+// construction, without allocating; a class the monitor does not
+// monitor reads zero.
 func (m *Monitor) WatchCountsFor(class int) WatchCount {
 	wc := m.wc[class]
 	if wc == nil {

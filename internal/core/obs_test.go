@@ -50,16 +50,15 @@ func TestWatchCounters(t *testing.T) {
 		}
 		wantUnmon++
 	}
-	counts := mon.WatchCounts()
 	for c := range perClass {
-		got := counts[c]
+		got := mon.WatchCountsFor(c)
 		if got.Watched != wantWatched[c] || got.OutOfPattern != wantOOP[c] {
 			t.Fatalf("class %d counts = %+v, want watched=%d oop=%d",
 				c, got, wantWatched[c], wantOOP[c])
 		}
-		if got != mon.WatchCountsFor(c) {
-			t.Fatalf("WatchCountsFor(%d) = %+v disagrees with WatchCounts", c, mon.WatchCountsFor(c))
-		}
+	}
+	if got := mon.WatchCountsFor(7); got != (WatchCount{}) {
+		t.Fatalf("unmonitored class 7 counts %+v, want zero", got)
 	}
 	watched, oop, unmon := mon.WatchTotals()
 	if watched != wantWatched[0]+wantWatched[2] || oop != wantOOP[0]+wantOOP[2] || unmon != wantUnmon {

@@ -16,12 +16,16 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WriteText renders every registered metric in Prometheus text format:
 // one # HELP / # TYPE header per family followed by its series, in
 // registration order. Counter and gauge callbacks run here, and each
-// histogram is snapshotted once — recording continues concurrently.
+// histogram is snapshotted once — recording continues concurrently. The
+// families and their series are copied under the registry lock first,
+// so a registration racing the scrape is either wholly in it or not.
 func (r *Registry) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	copy(fams, r.order)
+	fams := make([]family, len(r.order))
+	for i, f := range r.order {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 	for _, f := range fams {
 		bw.WriteString("# HELP ")
@@ -60,7 +64,10 @@ func (r *Registry) Handler() http.Handler {
 // internal bucket boundary, so the cumulative counts are exact, and the
 // octave spacing already matches the histogram's own resolution class.
 func writeHistogramSeries(bw *bufio.Writer, name string, s *series) {
-	snap := s.hist.Snapshot()
+	var snap HistogramSnapshot
+	if h := s.hist(); h != nil {
+		snap = h.Snapshot()
+	}
 	lo, hi, ok := snap.nonEmptyRange()
 	if ok {
 		loV, hiV := bucketMax(lo), bucketMax(hi)

@@ -1,16 +1,18 @@
-// Package obs is the zero-dependency observability core: atomic
-// counters and gauges, a lock-free log-bucketed histogram with bounded
-// quantile error, a named-metric registry, and a Prometheus text-format
+// Package obs is the zero-dependency observability core: a lock-free
+// log-bucketed histogram with bounded quantile error, a named-metric
+// registry of scrape-time callbacks, and a Prometheus text-format
 // exposition writer plus a matching validating parser.
 //
 // Design constraints, in order:
 //
-//  1. Hot-path cost. Recording a counter or histogram observation is a
-//     handful of atomic adds — no locks, no allocation, no formatting.
-//     Metrics that already exist as atomics elsewhere (the serve
-//     pipeline's served/shed counters, BDD manager stats) register as
-//     CounterFunc/GaugeFunc callbacks, so the serving code pays nothing
-//     at all and the cost lands on the scraper.
+//  1. Hot-path cost. Recording a histogram observation is a pair of
+//     atomic adds — no locks, no allocation, no formatting. Every series
+//     is a callback (CounterFunc, CounterFloatFunc, GaugeFunc,
+//     HistogramFunc) over state the serving code already keeps — the
+//     serve pipeline's served/shed atomics, its stage histograms, BDD
+//     manager stats — so the serving code pays nothing at all for being
+//     observable, the cost lands on the scraper, and a callback that
+//     resolves its owner at scrape time follows a reloaded tenant.
 //  2. Zero dependencies. The package imports only the standard library,
 //     like the rest of the repo; the exposition side speaks the
 //     Prometheus text format so any off-the-shelf scraper can consume
@@ -20,17 +22,17 @@
 //     writer; the parser in this package is what the soak harness and
 //     napmon-metricslint (`make smoke`) use to read it back.
 //
-// Registration happens at startup (Server/Gateway construction); it is
-// not designed for concurrent registration with scraping, and duplicate
-// or malformed registrations panic rather than return errors, since
-// they are programming mistakes, not runtime conditions.
+// Registration may run concurrently with scraping (a tenant loaded at
+// runtime registers its series while /metrics is being read); a scrape
+// sees each family's series as of its start. Duplicate or malformed
+// registrations panic rather than return errors, since they are
+// programming mistakes, not runtime conditions.
 package obs
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one name="value" pair attached to a series.
@@ -61,38 +63,15 @@ func (k metricKind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increments by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic value that may go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add increments by n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // series is one labeled sample stream within a family.
 type series struct {
 	labels []Label
 	// value reads the current sample for counter/gauge series.
 	value func() float64
-	// hist backs histogram series; scale multiplies recorded values at
-	// exposition time (1e-9 renders nanoseconds as Prometheus seconds).
-	hist  *Histogram
+	// hist resolves a histogram series' histogram at scrape time (nil
+	// renders as empty); scale multiplies recorded values at exposition
+	// time (1e-9 renders nanoseconds as Prometheus seconds).
+	hist  func() *Histogram
 	scale float64
 }
 
@@ -116,13 +95,6 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// NewCounter registers and returns a counter series.
-func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, help, func() uint64 { return c.Value() }, labels...)
-	return c
-}
-
 // CounterFunc registers a counter whose value is read by fn at scrape
 // time — the bridge for code that already maintains its own atomics.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
@@ -139,35 +111,21 @@ func (r *Registry) CounterFloatFunc(name, help string, fn func() float64, labels
 	r.add(name, help, kindCounter, &series{labels: labels, value: fn})
 }
 
-// NewGauge registers and returns a gauge series.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, help, func() float64 { return float64(g.Value()) }, labels...)
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read by fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.add(name, help, kindGauge, &series{labels: labels, value: fn})
 }
 
-// NewHistogram registers and returns a histogram series. scale
-// multiplies every recorded value at exposition time: histograms fed
-// nanoseconds use scale 1e-9 so the exposed series is in seconds, the
-// Prometheus base unit.
-func (r *Registry) NewHistogram(name, help string, scale float64, labels ...Label) *Histogram {
-	h := &Histogram{}
-	r.HistogramRef(name, help, h, scale, labels...)
-	return h
-}
-
-// HistogramRef registers an existing histogram (one the serving path
-// already records into) under name.
-func (r *Registry) HistogramRef(name, help string, h *Histogram, scale float64, labels ...Label) {
+// HistogramFunc registers a histogram series whose histogram fn
+// returns at scrape time — a nil result renders as an empty histogram.
+// scale multiplies every recorded value at exposition time: histograms
+// fed nanoseconds use scale 1e-9 so the exposed series is in seconds,
+// the Prometheus base unit.
+func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, scale float64, labels ...Label) {
 	if scale <= 0 {
 		panic(fmt.Sprintf("obs: histogram %q: scale must be positive, got %v", name, scale))
 	}
-	r.add(name, help, kindHistogram, &series{labels: labels, hist: h, scale: scale})
+	r.add(name, help, kindHistogram, &series{labels: labels, hist: fn, scale: scale})
 }
 
 func (r *Registry) add(name, help string, kind metricKind, s *series) {

@@ -4,30 +4,34 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// one is a callback for a counter that reads 1.
+func one() uint64 { return 1 }
 
 // TestRegistryRoundTrip renders a registry with every metric kind and
 // feeds the output back through the package's own validating parser —
 // the same loop `make smoke` runs against a live daemon.
 func TestRegistryRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	served := reg.NewCounter("test_served_total", "requests served")
-	served.Add(41)
-	served.Inc()
+	var served atomic.Uint64
+	reg.CounterFunc("test_served_total", "requests served", served.Load)
+	served.Add(42)
 	reg.CounterFunc("test_func_total", "func-backed counter", func() uint64 { return 7 })
-	depth := reg.NewGauge("test_queue_depth", "queue depth")
-	depth.Set(12)
-	depth.Add(-2)
+	reg.CounterFloatFunc("test_seconds_total", "float-valued counter", func() float64 { return 1.5 })
+	reg.GaugeFunc("test_queue_depth", "queue depth", func() float64 { return 10 })
 	reg.GaugeFunc("test_ratio", "a fractional gauge", func() float64 { return 0.375 })
 	for _, class := range []string{"0", "1"} {
-		c := reg.NewCounter("test_oop_total", "per-class OOP verdicts", L("class", class))
-		c.Add(3)
+		reg.CounterFunc("test_oop_total", "per-class OOP verdicts", func() uint64 { return 3 }, L("class", class))
 	}
-	h := reg.NewHistogram("test_latency_seconds", "stage latency", 1e-9, L("stage", "total"))
+	h := &Histogram{}
+	reg.HistogramFunc("test_latency_seconds", "stage latency", func() *Histogram { return h }, 1e-9, L("stage", "total"))
 	for _, ns := range []int64{100, 1000, 50_000, 2_000_000, 2_100_000} {
 		h.Record(ns)
 	}
+	reg.HistogramFunc("test_unbound_seconds", "a histogram whose owner is gone", func() *Histogram { return nil }, 1e-9)
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -45,14 +49,20 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if got, ok := exp.Value("test_func_total", nil); !ok || got != 7 {
 		t.Fatalf("test_func_total = %v ok=%v", got, ok)
 	}
+	if got, ok := exp.Value("test_seconds_total", nil); !ok || got != 1.5 {
+		t.Fatalf("test_seconds_total = %v ok=%v", got, ok)
+	}
 	if got, ok := exp.Value("test_queue_depth", nil); !ok || got != 10 {
 		t.Fatalf("test_queue_depth = %v ok=%v", got, ok)
 	}
 	if got, ok := exp.Value("test_ratio", nil); !ok || got != 0.375 {
 		t.Fatalf("test_ratio = %v ok=%v", got, ok)
 	}
-	if sum, n := exp.SumAcross("test_oop_total"); sum != 6 || n != 2 {
+	if sum, n := exp.SumAcross("test_oop_total", nil); sum != 6 || n != 2 {
 		t.Fatalf("test_oop_total sum=%v n=%d", sum, n)
+	}
+	if sum, n := exp.SumAcross("test_oop_total", map[string]string{"class": "1"}); sum != 3 || n != 1 {
+		t.Fatalf("test_oop_total{class=1} sum=%v n=%d", sum, n)
 	}
 	if exp.Types["test_latency_seconds"] != "histogram" {
 		t.Fatalf("histogram TYPE missing: %v", exp.Types)
@@ -67,6 +77,9 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if !exp.Has("test_latency_seconds") {
 		t.Fatal("Has(histogram) = false")
 	}
+	if got, ok := exp.Value("test_unbound_seconds_count", nil); !ok || got != 0 {
+		t.Fatalf("nil histogram _count = %v ok=%v, want an empty histogram", got, ok)
+	}
 	if exp.Has("test_absent") {
 		t.Fatal("Has(absent) = true")
 	}
@@ -74,7 +87,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("test_total", "help").Inc()
+	reg.CounterFunc("test_total", "help", one)
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != ContentType {
@@ -87,8 +100,8 @@ func TestHandler(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("test_total", "help with \\ backslash\nand newline",
-		L("path", `a"b\c`+"\nd")).Inc()
+	reg.CounterFunc("test_total", "help with \\ backslash\nand newline", one,
+		L("path", `a"b\c`+"\nd"))
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -104,18 +117,18 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestRegistryPanicsOnMisuse(t *testing.T) {
 	cases := map[string]func(*Registry){
-		"bad metric name": func(r *Registry) { r.NewCounter("9bad", "h") },
-		"bad label name":  func(r *Registry) { r.NewCounter("ok_total", "h", L("9bad", "v")) },
-		"reserved le":     func(r *Registry) { r.NewHistogram("h_seconds", "h", 1, L("le", "x")) },
+		"bad metric name": func(r *Registry) { r.CounterFunc("9bad", "h", one) },
+		"bad label name":  func(r *Registry) { r.CounterFunc("ok_total", "h", one, L("9bad", "v")) },
+		"reserved le":     func(r *Registry) { r.HistogramFunc("h_seconds", "h", noHist, 1, L("le", "x")) },
 		"kind mismatch": func(r *Registry) {
-			r.NewCounter("dual", "h")
-			r.NewGauge("dual", "h")
+			r.CounterFunc("dual", "h", one)
+			r.GaugeFunc("dual", "h", func() float64 { return 1 })
 		},
 		"duplicate series": func(r *Registry) {
-			r.NewCounter("dup_total", "h", L("a", "1"), L("b", "2"))
-			r.NewCounter("dup_total", "h", L("b", "2"), L("a", "1"))
+			r.CounterFunc("dup_total", "h", one, L("a", "1"), L("b", "2"))
+			r.CounterFunc("dup_total", "h", one, L("b", "2"), L("a", "1"))
 		},
-		"bad scale": func(r *Registry) { r.NewHistogram("h_seconds", "h", 0) },
+		"bad scale": func(r *Registry) { r.HistogramFunc("h_seconds", "h", noHist, 0) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -129,15 +142,20 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	}
 }
 
+func noHist() *Histogram { return nil }
+
 // TestRegistryConcurrentScrape scrapes while counters and histograms
-// are being written — -race coverage for the scrape path.
+// are being written and new series registered — -race coverage for the
+// scrape path, and for a tenant that loads while /metrics is read.
 func TestRegistryConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("test_total", "h")
-	h := reg.NewHistogram("test_seconds", "h", 1e-9)
+	var c atomic.Uint64
+	reg.CounterFunc("test_total", "h", c.Load)
+	h := &Histogram{}
+	reg.HistogramFunc("test_seconds", "h", func() *Histogram { return h }, 1e-9)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for {
@@ -145,9 +163,17 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Inc()
+				c.Add(1)
 				h.Record(12345)
 			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			l := L("tenant", string(rune('a'+i%26))+string(rune('a'+i/26)))
+			reg.CounterFunc("test_total", "h", c.Load, l)
+			reg.HistogramFunc("test_seconds", "h", func() *Histogram { return h }, 1e-9, l)
 		}
 	}()
 	for i := 0; i < 50; i++ {

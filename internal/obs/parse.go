@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -282,7 +283,7 @@ outer:
 		}
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
 		b.WriteString(k)
@@ -293,28 +294,10 @@ outer:
 	return b.String()
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Value returns the sample value for an exact (name, label set) match.
 func (e *Exposition) Value(name string, labels map[string]string) (float64, bool) {
 	for _, s := range e.Samples {
-		if s.Name != name || len(s.Labels) != len(labels) {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
+		if s.Name == name && len(s.Labels) == len(labels) && hasLabels(s, labels) {
 			return s.Value, true
 		}
 	}
@@ -332,16 +315,28 @@ func (e *Exposition) Has(name string) bool {
 	return false
 }
 
-// SumAcross sums every sample named name across label sets (e.g. total
-// OOP verdicts over all classes) and reports how many series matched.
-func (e *Exposition) SumAcross(name string) (float64, int) {
+// SumAcross sums every sample named name whose labels include match
+// (nil matches all), across the rest of their label sets — e.g. one
+// tenant's OOP verdicts over all classes — and reports how many series
+// matched.
+func (e *Exposition) SumAcross(name string, match map[string]string) (float64, int) {
 	var total float64
 	n := 0
 	for _, s := range e.Samples {
-		if s.Name == name {
+		if s.Name == name && hasLabels(s, match) {
 			total += s.Value
 			n++
 		}
 	}
 	return total, n
+}
+
+// hasLabels reports whether s carries every label in want.
+func hasLabels(s Sample, want map[string]string) bool {
+	for k, v := range want {
+		if got, ok := s.Labels[k]; !ok || got != v {
+			return false
+		}
+	}
+	return true
 }

@@ -6,21 +6,18 @@ import (
 )
 
 // RegisterMetrics attaches the registry to a scrape registry:
-// fleet-level series immediately, plus one set of tenant-labeled series
-// per tenant name (bound now for already-loaded tenants, and by Load
-// for future ones).
+// fleet-level series immediately, plus every tenant name's serving
+// families (bound now for already-loaded tenants, and by Load for
+// future ones).
 //
-// The per-tenant families are deliberately separate from the unlabeled
-// napmon_* families serve.RegisterMetrics exports: tooling that sums a
-// napmon_* family across label sets (napmon-metricslint's cross-check
-// does) must not double-count a tenant that also registered the
-// single-tenant series.
-//
-// Tenant series resolve through Peek at scrape time and are registered
-// at most once per name, so unload/reload cycles neither panic the
-// scrape registry with duplicate series nor leave callbacks pointing at
-// a drained tenant: an unloaded tenant scrapes as napmon_tenant_up 0
-// with zeroed series until its name returns.
+// A tenant's series are serve.RegisterMetrics' families with a tenant
+// label, plus napmon_tenant_up. They are registered once per name and
+// resolve the name through Peek at scrape time, so whichever way a
+// tenant was loaded — from flags, by PUT, or from a leader's snapshot
+// — it exports the same series, a reload is followed, and an unload
+// neither panics the scrape registry with duplicate series nor leaves
+// callbacks pointing at a drained tenant: an unloaded name scrapes as
+// napmon_tenant_up 0 with zeroed series until it returns.
 func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	r.metricsMu.Lock()
 	r.obsReg = reg
@@ -35,70 +32,42 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_registry_lookups_total", "Successful tenant acquisitions.", r.lookups.Load)
 
 	for _, name := range r.Names() {
-		r.bindTenantMetrics(name)
+		if t := r.Peek(name); t != nil {
+			r.bindTenantMetrics(t)
+		}
 	}
 }
 
-// bindTenantMetrics registers the tenant-labeled series for name, once
-// ever per name. Load calls it with r.mu held; RegisterMetrics calls it
-// without. Both orders are safe: registration is keyed on the name, and
-// the callbacks re-resolve the tenant on every scrape.
-func (r *Registry) bindTenantMetrics(name string) {
+// bindTenantMetrics registers t's name's series on first sight of the
+// name and tracks t's classes. Load calls it with r.mu held;
+// RegisterMetrics calls it without. Both orders are safe: registration
+// is keyed on the name, tracking is idempotent, and the callbacks
+// re-resolve the tenant on every scrape.
+func (r *Registry) bindTenantMetrics(t *Tenant) {
 	r.metricsMu.Lock()
+	defer r.metricsMu.Unlock()
 	reg := r.obsReg
-	if reg == nil || r.registered[name] {
-		r.metricsMu.Unlock()
+	if reg == nil {
 		return
 	}
-	r.registered[name] = true
-	r.metricsMu.Unlock()
-
-	lbl := obs.L("tenant", name)
-
-	stat := func(f func(serve.Stats) uint64) func() uint64 {
-		return func() uint64 {
+	name := t.name
+	m := r.metrics[name]
+	if m == nil {
+		lbl := obs.L("tenant", name)
+		reg.GaugeFunc("napmon_tenant_up", "1 while the tenant is loaded and serving.",
+			func() float64 {
+				if r.Peek(name) != nil {
+					return 1
+				}
+				return 0
+			}, lbl)
+		m = serve.RegisterMetrics(reg, func() *serve.Server {
 			if t := r.Peek(name); t != nil {
-				return f(t.srv.Stats())
+				return t.srv
 			}
-			return 0
-		}
-	}
-	gauge := func(f func(serve.Stats) float64) func() float64 {
-		return func() float64 {
-			if t := r.Peek(name); t != nil {
-				return f(t.srv.Stats())
-			}
-			return 0
-		}
-	}
-
-	reg.GaugeFunc("napmon_tenant_up", "1 while the tenant is loaded and serving.",
-		func() float64 {
-			if r.Peek(name) != nil {
-				return 1
-			}
-			return 0
+			return nil
 		}, lbl)
-	reg.CounterFunc("napmon_tenant_submitted_total", "Requests submitted to the tenant.",
-		stat(func(s serve.Stats) uint64 { return s.Submitted }), lbl)
-	reg.CounterFunc("napmon_tenant_served_total", "Requests served by the tenant.",
-		stat(func(s serve.Stats) uint64 { return s.Served }), lbl)
-	reg.CounterFunc("napmon_tenant_rejected_total", "Requests rejected by the tenant's admission control.",
-		stat(func(s serve.Stats) uint64 { return s.Rejected }), lbl)
-	reg.CounterFunc("napmon_tenant_shed_total", "Requests shed by the tenant under overload.",
-		stat(func(s serve.Stats) uint64 { return s.Shed }), lbl)
-	reg.CounterFunc("napmon_tenant_batches_total", "Batches executed by the tenant.",
-		stat(func(s serve.Stats) uint64 { return s.Batches }), lbl)
-	reg.GaugeFunc("napmon_tenant_queue_depth", "Requests queued in the tenant's lanes.",
-		gauge(func(s serve.Stats) float64 { return float64(s.Queued) }), lbl)
-	reg.GaugeFunc("napmon_tenant_epoch", "Tenant monitor epoch currently serving.",
-		gauge(func(s serve.Stats) float64 { return float64(s.Epoch) }), lbl)
-	reg.CounterFunc("napmon_tenant_updates_total", "Epoch swaps published by the tenant.",
-		stat(func(s serve.Stats) uint64 { return s.Updates }), lbl)
-	reg.CounterFunc("napmon_tenant_watched_total", "Membership queries answered by the tenant's monitor.",
-		stat(func(s serve.Stats) uint64 { return s.Monitored }), lbl)
-	reg.CounterFunc("napmon_tenant_oop_total", "Out-of-pattern verdicts from the tenant's monitor.",
-		stat(func(s serve.Stats) uint64 { return s.OutOfPattern }), lbl)
-	reg.GaugeFunc("napmon_tenant_gamma", "Tenant's serving Hamming tolerance.",
-		gauge(func(s serve.Stats) float64 { return float64(s.Gamma) }), lbl)
+		r.metrics[name] = m
+	}
+	m.Track(t.srv)
 }

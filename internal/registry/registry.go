@@ -23,6 +23,11 @@
 // published (epoch, delta) pair, DeltasSince serves the contiguous
 // suffix past a follower's epoch, and Snapshot embeds the retained log
 // so replicas can chain (internal/core snapshot format).
+//
+// The registry is also the one place serving metrics are registered:
+// RegisterMetrics gives every tenant name, however it was loaded,
+// serve's families under a tenant label, resolved by name at scrape
+// time.
 package registry
 
 import (
@@ -119,22 +124,22 @@ type Registry struct {
 	lookups atomic.Uint64
 
 	// metricsMu guards the scrape registry attachment and the
-	// per-tenant series guard: a tenant name registers its labeled
-	// series once ever, and reload re-binds them by name lookup, so an
+	// per-name series: a tenant name registers its labelled series once
+	// ever, and they resolve the name at scrape time, so an
 	// unload/reload cycle cannot trip the registry's duplicate-series
 	// panic.
-	metricsMu  sync.Mutex
-	obsReg     *obs.Registry
-	registered map[string]bool
+	metricsMu sync.Mutex
+	obsReg    *obs.Registry
+	metrics   map[string]*serve.Metrics
 }
 
 // New builds an empty registry.
 func New(cfg Config) *Registry {
 	r := &Registry{
-		cfg:        cfg.withDefaults(),
-		ids:        map[string]uint32{DefaultTenant: 0},
-		nextID:     1,
-		registered: make(map[string]bool),
+		cfg:     cfg.withDefaults(),
+		ids:     map[string]uint32{DefaultTenant: 0},
+		nextID:  1,
+		metrics: make(map[string]*serve.Metrics),
 	}
 	r.cur.Store(&generation{id: 1, byName: map[string]*Tenant{}, byID: map[uint32]*Tenant{}})
 	return r
@@ -383,7 +388,7 @@ func (r *Registry) load(name string, tc TenantConfig, tail []core.DeltaEntry) (*
 		ng.byID[id] = t
 	})
 	r.loads.Add(1)
-	r.bindTenantMetrics(name)
+	r.bindTenantMetrics(t)
 	return t, nil
 }
 

@@ -23,11 +23,17 @@ import (
 // care about pinning and drain order, not verdict quality, so skipping
 // training keeps the race-detector runs fast.
 func tenantParts(t testing.TB, seed uint64) (*nn.Network, *core.Monitor, []*tensor.Tensor) {
+	return tenantPartsClasses(t, seed, 3)
+}
+
+// tenantPartsClasses is tenantParts with a classes-wide output layer,
+// every class monitored.
+func tenantPartsClasses(t testing.TB, seed uint64, classes int) (*nn.Network, *core.Monitor, []*tensor.Tensor) {
 	t.Helper()
 	r := rng.New(seed)
 	net := nn.New(
 		nn.NewDense(4, 8, r), nn.NewReLU(), // monitored layer: index 1
-		nn.NewDense(8, 3, r),
+		nn.NewDense(8, classes, r),
 	)
 	samples := make([]nn.Sample, 0, 30)
 	inputs := make([]*tensor.Tensor, 0, 30)
@@ -36,7 +42,7 @@ func tenantParts(t testing.TB, seed uint64) (*nn.Network, *core.Monitor, []*tens
 		for j := range x.Data() {
 			x.Data()[j] = r.NormScaled(0, 1)
 		}
-		samples = append(samples, nn.Sample{Input: x, Label: i % 3})
+		samples = append(samples, nn.Sample{Input: x, Label: i % classes})
 		inputs = append(inputs, x)
 	}
 	mon, err := core.Build(net, samples, core.Config{Layer: 1, Gamma: 1})
@@ -392,9 +398,11 @@ func TestDeltaLogGap(t *testing.T) {
 	}
 }
 
-// TestRegistryMetrics checks the tenant-labeled families appear for
-// every loaded tenant, survive an unload/reload cycle without a
-// duplicate-registration panic, and read 0/1 through napmon_tenant_up.
+// TestRegistryMetrics checks every loaded tenant exports the serving
+// families under its tenant label, that they survive an unload/reload
+// cycle without a duplicate-registration panic, read 0/1 through
+// napmon_tenant_up, and follow the reloaded name's new server: its
+// counters and its class set.
 func TestRegistryMetrics(t *testing.T) {
 	r := New(Config{})
 	reg := obs.NewRegistry()
@@ -402,31 +410,72 @@ func TestRegistryMetrics(t *testing.T) {
 	tnA, inputsA := load(t, r, "alpha", 1)
 	load(t, r, "beta", 2)
 
-	fut, err := tnA.Server().Submit(inputsA[0])
-	if err != nil {
-		t.Fatal(err)
+	watch := func(tn *Tenant, x *tensor.Tensor) {
+		t.Helper()
+		fut, err := tn.Server().Submit(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := fut.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	watch(tnA, inputsA[0])
 
-	scrape := func() string {
+	scrape := func() *obs.Exposition {
+		t.Helper()
 		var buf bytes.Buffer
 		if err := reg.WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		exp, err := obs.ParseExposition(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp
 	}
-	out := scrape()
-	for _, want := range []string{
-		`napmon_registry_tenants 2`,
-		`napmon_tenant_up{tenant="alpha"} 1`,
-		`napmon_tenant_up{tenant="beta"} 1`,
-		`napmon_tenant_served_total{tenant="alpha"} 1`,
-		`napmon_tenant_epoch{tenant="alpha"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q", want)
+	value := func(exp *obs.Exposition, name string, labels ...string) float64 {
+		t.Helper()
+		want := map[string]string{}
+		for i := 0; i < len(labels); i += 2 {
+			want[labels[i]] = labels[i+1]
+		}
+		v, ok := exp.Value(name, want)
+		if !ok {
+			t.Fatalf("scrape has no %s %v", name, want)
+		}
+		return v
+	}
+	// classSeries counts name's per-class series for tenant.
+	classSeries := func(exp *obs.Exposition, name, tenant string) int {
+		_, n := exp.SumAcross(name, map[string]string{"tenant": tenant})
+		return n
+	}
+
+	exp := scrape()
+	if v := value(exp, "napmon_registry_tenants"); v != 2 {
+		t.Errorf("napmon_registry_tenants = %v, want 2", v)
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		if v := value(exp, "napmon_tenant_up", "tenant", name); v != 1 {
+			t.Errorf("napmon_tenant_up{tenant=%q} = %v, want 1", name, v)
+		}
+		if v := value(exp, "napmon_epoch", "tenant", name); v != 1 {
+			t.Errorf("napmon_epoch{tenant=%q} = %v, want 1", name, v)
+		}
+		if n := classSeries(exp, "napmon_oop_total", name); n != 3 {
+			t.Errorf("napmon_oop_total{tenant=%q}: %d class series, want 3", name, n)
+		}
+	}
+	if v := value(exp, "napmon_requests_served_total", "tenant", "alpha"); v != 1 {
+		t.Errorf("alpha served %v, want 1", v)
+	}
+	if v := value(exp, "napmon_stage_duration_seconds_count", "tenant", "alpha", "stage", "total"); v != 1 {
+		t.Errorf("alpha total stage count %v, want 1", v)
+	}
+	for _, smp := range exp.Samples {
+		if strings.HasPrefix(smp.Name, "napmon_") && !strings.HasPrefix(smp.Name, "napmon_registry_") && smp.Labels["tenant"] == "" {
+			t.Errorf("unlabelled serving series %s%v", smp.Name, smp.Labels)
 		}
 	}
 
@@ -435,13 +484,40 @@ func TestRegistryMetrics(t *testing.T) {
 	if err := r.Unload(ctx, "alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if out := scrape(); !strings.Contains(out, `napmon_tenant_up{tenant="alpha"} 0`) {
-		t.Error("unloaded tenant does not scrape as up 0")
+	exp = scrape()
+	if v := value(exp, "napmon_tenant_up", "tenant", "alpha"); v != 0 {
+		t.Errorf("unloaded tenant scrapes napmon_tenant_up %v, want 0", v)
 	}
-	// Reload must not panic the scrape registry with duplicate series.
-	load(t, r, "alpha", 3)
-	if out := scrape(); !strings.Contains(out, `napmon_tenant_up{tenant="alpha"} 1`) {
-		t.Error("reloaded tenant does not scrape as up 1")
+	if v := value(exp, "napmon_requests_served_total", "tenant", "alpha"); v != 0 {
+		t.Errorf("unloaded tenant scrapes served %v, want 0", v)
+	}
+
+	// Reload the name with a five-class model: no duplicate-series
+	// panic, the counters are the new server's, and the new classes get
+	// series of their own.
+	net, mon, inputs := tenantPartsClasses(t, 3, 5)
+	tnA, err := r.Load("alpha", TenantConfig{Net: net, Mon: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		watch(tnA, inputs[i])
+	}
+	exp = scrape()
+	if v := value(exp, "napmon_tenant_up", "tenant", "alpha"); v != 1 {
+		t.Errorf("reloaded tenant scrapes napmon_tenant_up %v, want 1", v)
+	}
+	if v, st := value(exp, "napmon_requests_served_total", "tenant", "alpha"), tnA.Server().Stats(); v != float64(st.Served) || v != 3 {
+		t.Errorf("reloaded tenant scrapes served %v, its server's stats say %d, want 3", v, st.Served)
+	}
+	if n := classSeries(exp, "napmon_oop_total", "alpha"); n != 5 {
+		t.Errorf("reloaded five-class tenant: %d napmon_oop_total series, want 5", n)
+	}
+	if v := value(exp, "napmon_watched_total", "tenant", "alpha", "class", "4"); v != float64(mon.WatchCountsFor(4).Watched) {
+		t.Errorf("class 4 watched %v, monitor says %d", v, mon.WatchCountsFor(4).Watched)
+	}
+	if n := classSeries(exp, "napmon_oop_total", "beta"); n != 3 {
+		t.Errorf("beta's class series changed with alpha's reload: %d, want 3", n)
 	}
 }
 

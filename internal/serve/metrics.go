@@ -2,108 +2,159 @@ package serve
 
 import (
 	"strconv"
+	"sync"
 
 	"napmon/internal/obs"
 )
 
-// RegisterMetrics exposes the server's counters, per-stage latency
-// histograms and the monitor's paper-level signals (per-class verdict
-// tallies, epoch/swap/recompile counters, BDD build statistics) on
-// reg under the napmon_ namespace. Everything that already exists as an
-// atomic registers as a scrape-time callback — the serving hot path
-// pays nothing for being observable beyond the stage clock reads it
-// already takes; the stage histograms are shared by reference.
+// Metrics is one name's serving families on a scrape registry. Every
+// series reads whichever server its resolver returns at scrape time, so
+// the families follow a reload of the name; while the resolver returns
+// nil (the name is unloaded) every series reads zero.
+type Metrics struct {
+	reg    *obs.Registry
+	server func() *Server
+	labels []obs.Label
+
+	mu      sync.Mutex
+	classes map[int]bool // classes whose per-class series are registered
+}
+
+// RegisterMetrics registers the serving families of whichever server
+// server returns at scrape time on reg under the napmon_ namespace, with
+// labels on every series: the server's counters, per-stage latency
+// histograms and the monitor's paper-level signals (verdict tallies,
+// epoch/swap/recompile counters, BDD build statistics). Everything
+// already exists as an atomic or a histogram the serving path records
+// into, so every series is a scrape-time callback and the hot path pays
+// nothing for being observable beyond the stage clock reads it already
+// takes. The per-class series come from Track.
 //
-// Call once per registry, after New; the metric-name reference table
-// lives in the repo root doc.go.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("napmon_requests_submitted_total",
-		"requests accepted into the queue", func() uint64 { return s.submitted.Load() })
-	reg.CounterFunc("napmon_requests_served_total",
-		"requests answered with a verdict", func() uint64 { return s.counts.Load().served })
-	reg.CounterFunc("napmon_requests_rejected_total",
-		"submits refused because the server was closed", func() uint64 { return s.rejected.Load() })
-	reg.CounterFunc("napmon_requests_shed_total",
-		"non-blocking submits refused on a full queue", func() uint64 { return s.shed.Load() })
-	reg.CounterFunc("napmon_serve_expired_total",
-		"queued requests shed because their context expired before inference", func() uint64 { return s.expired.Load() })
-	reg.CounterFunc("napmon_batches_total",
-		"micro-batches dispatched to serving lanes", func() uint64 { return s.counts.Load().batches })
-	reg.GaugeFunc("napmon_queue_depth",
-		"requests waiting in the bounded queue", func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("napmon_lanes",
-		"serving lanes (network replicas)", func() float64 { return float64(len(s.lanes)) })
+// Call once per label set; the metric-name reference table lives in the
+// repo root doc.go.
+func RegisterMetrics(reg *obs.Registry, server func() *Server, labels ...obs.Label) *Metrics {
+	m := &Metrics{reg: reg, server: server, labels: labels, classes: make(map[int]bool)}
+
+	counter := func(name, help string, f func(*Server) uint64) {
+		reg.CounterFloatFunc(name, help, m.read(func(s *Server) float64 { return float64(f(s)) }), m.with()...)
+	}
+	seconds := func(name, help string, f func(*Server) int64) {
+		reg.CounterFloatFunc(name, help, m.read(func(s *Server) float64 { return float64(f(s)) * 1e-9 }), m.with()...)
+	}
+	gauge := func(name, help string, f func(*Server) float64) {
+		reg.GaugeFunc(name, help, m.read(f), m.with()...)
+	}
+	histogram := func(name, help string, f func(*Server) *obs.Histogram, scale float64, extra ...obs.Label) {
+		reg.HistogramFunc(name, help, func() *obs.Histogram {
+			if s := server(); s != nil {
+				return f(s)
+			}
+			return nil
+		}, scale, m.with(extra...)...)
+	}
+
+	counter("napmon_requests_submitted_total", "requests accepted into the queue",
+		func(s *Server) uint64 { return s.submitted.Load() })
+	counter("napmon_requests_served_total", "requests answered with a verdict",
+		func(s *Server) uint64 { return s.counts.Load().served })
+	counter("napmon_requests_rejected_total", "submits refused because the server was closed",
+		func(s *Server) uint64 { return s.rejected.Load() })
+	counter("napmon_requests_shed_total", "non-blocking submits refused on a full queue",
+		func(s *Server) uint64 { return s.shed.Load() })
+	counter("napmon_serve_expired_total", "queued requests shed because their context expired before inference",
+		func(s *Server) uint64 { return s.expired.Load() })
+	counter("napmon_batches_total", "micro-batches dispatched to serving lanes",
+		func(s *Server) uint64 { return s.counts.Load().batches })
+	gauge("napmon_queue_depth", "requests waiting in the bounded queue",
+		func(s *Server) float64 { return float64(len(s.queue)) })
+	gauge("napmon_lanes", "serving lanes (network replicas)",
+		func(s *Server) float64 { return float64(len(s.lanes)) })
 
 	for i, name := range stageNames {
-		reg.HistogramRef("napmon_stage_duration_seconds",
+		histogram("napmon_stage_duration_seconds",
 			"serving pipeline stage latency: queue (enqueue to coalescer pickup), coalesce (pickup to hand-off, i.e. waiting for an idle lane) and total per request; dispatch (hand-off to lane running), inference and zone_query per batch",
-			&s.stages.hist[i], 1e-9, obs.L("stage", name))
+			func(s *Server) *obs.Histogram { return &s.stages.hist[i] }, 1e-9, obs.L("stage", name))
 	}
-	reg.HistogramRef("napmon_batch_size",
+	histogram("napmon_batch_size",
 		"requests per micro-batch a lane ran: 1 = lanes idle, MaxBatch = saturated",
-		&s.batchSize, 1)
+		func(s *Server) *obs.Histogram { return &s.batchSize }, 1)
 
-	m := s.mon
-	for _, class := range m.WatchClasses() {
-		c := class
-		label := obs.L("class", strconv.Itoa(c))
-		reg.CounterFunc("napmon_watched_total",
-			"verdicts issued for a monitored class",
-			func() uint64 { return m.WatchCountsFor(c).Watched }, label)
-		reg.CounterFunc("napmon_oop_total",
-			"out-of-pattern verdicts — the paper's safety signal",
-			func() uint64 { return m.WatchCountsFor(c).OutOfPattern }, label)
-	}
-	reg.CounterFunc("napmon_unmonitored_total",
-		"verdicts the monitor abstained on (no zone for the predicted class)",
-		func() uint64 { _, _, u := m.WatchTotals(); return u })
-	reg.CounterFloatFunc("napmon_inference_seconds_total",
-		"cumulative batched forward-pass + pattern-extraction time",
-		func() float64 { return float64(m.InferenceNanos()) * 1e-9 })
-	reg.CounterFloatFunc("napmon_zone_query_seconds_total",
-		"cumulative comfort-zone membership query time",
-		func() float64 { return float64(m.ZoneQueryNanos()) * 1e-9 })
+	counter("napmon_unmonitored_total", "verdicts the monitor abstained on (no zone for the predicted class)",
+		func(s *Server) uint64 { _, _, u := s.mon.WatchTotals(); return u })
+	seconds("napmon_inference_seconds_total", "cumulative batched forward-pass + pattern-extraction time",
+		func(s *Server) int64 { return s.mon.InferenceNanos() })
+	seconds("napmon_zone_query_seconds_total", "cumulative comfort-zone membership query time",
+		func(s *Server) int64 { return s.mon.ZoneQueryNanos() })
 
-	reg.GaugeFunc("napmon_gamma_level",
-		"Hamming enlargement level of the serving epoch", func() float64 { return float64(m.Gamma()) })
-	reg.GaugeFunc("napmon_epoch",
-		"id of the monitor epoch currently serving", func() float64 { return float64(m.Epoch()) })
-	upd := m.Updater()
-	reg.CounterFunc("napmon_epoch_swaps_total",
-		"epochs published by online updates", func() uint64 { return upd.Published() })
-	reg.CounterFloatFunc("napmon_epoch_swap_seconds_total",
-		"cumulative epoch publication wall time (shadow-build through pointer swap)",
-		func() float64 { t, _ := upd.SwapNanos(); return float64(t) * 1e-9 })
-	reg.GaugeFunc("napmon_epoch_swap_last_seconds",
-		"wall time of the most recent epoch publication",
-		func() float64 { _, l := upd.SwapNanos(); return float64(l) * 1e-9 })
-	reg.CounterFunc("napmon_zone_plans_recompiled_total",
-		"zone query plans rebuilt by online updates", func() uint64 { return upd.Recompiled() })
-	reg.CounterFunc("napmon_patterns_absorbed_total",
-		"activation patterns absorbed by online updates", func() uint64 { return upd.Absorbed() })
-	reg.CounterFunc("napmon_updates_total",
-		"epoch swaps published through this server", func() uint64 { return s.updates.Load() })
+	gauge("napmon_gamma_level", "Hamming enlargement level of the serving epoch",
+		func(s *Server) float64 { return float64(s.mon.Gamma()) })
+	gauge("napmon_epoch", "id of the monitor epoch currently serving",
+		func(s *Server) float64 { return float64(s.mon.Epoch()) })
+	counter("napmon_epoch_swaps_total", "epochs published by online updates",
+		func(s *Server) uint64 { return s.mon.Updater().Published() })
+	seconds("napmon_epoch_swap_seconds_total", "cumulative epoch publication wall time (shadow-build through pointer swap)",
+		func(s *Server) int64 { t, _ := s.mon.Updater().SwapNanos(); return t })
+	gauge("napmon_epoch_swap_last_seconds", "wall time of the most recent epoch publication",
+		func(s *Server) float64 { _, l := s.mon.Updater().SwapNanos(); return float64(l) * 1e-9 })
+	counter("napmon_zone_plans_recompiled_total", "zone query plans rebuilt by online updates",
+		func(s *Server) uint64 { return s.mon.Updater().Recompiled() })
+	counter("napmon_patterns_absorbed_total", "activation patterns absorbed by online updates",
+		func(s *Server) uint64 { return s.mon.Updater().Absorbed() })
 
 	// The zones of a serving epoch keep no BDD manager: nodes is the size
 	// of their plans, and the counters are the cumulative work of every
 	// build session (the initial build, each zone an update rebuilt),
 	// folded into the monitor when the session's manager was dropped.
-	reg.GaugeFunc("napmon_bdd_nodes",
-		"branches across every cached level's plan of the serving epoch's zones",
-		func() float64 { return float64(m.ManagerStatsTotal().Nodes) })
-	reg.CounterFunc("napmon_bdd_unique_hits_total",
-		"unique-table hits (canonical node reuse) over all build sessions",
-		func() uint64 { return m.ManagerStatsTotal().UniqueHits })
-	reg.CounterFunc("napmon_bdd_unique_misses_total",
-		"unique-table misses (node creations) over all build sessions",
-		func() uint64 { return m.ManagerStatsTotal().UniqueMisses })
-	reg.CounterFunc("napmon_bdd_cache_hits_total",
-		"computed-table hits over all build sessions",
-		func() uint64 { return m.ManagerStatsTotal().CacheHits })
-	reg.CounterFunc("napmon_bdd_cache_misses_total",
-		"computed-table misses over all build sessions",
-		func() uint64 { return m.ManagerStatsTotal().CacheMisses })
-	reg.CounterFunc("napmon_bdd_compiles_total",
-		"query plans compiled over all build sessions",
-		func() uint64 { return m.ManagerStatsTotal().Compiles })
+	gauge("napmon_bdd_nodes", "branches across every cached level's plan of the serving epoch's zones",
+		func(s *Server) float64 { return float64(s.mon.ManagerStatsTotal().Nodes) })
+	counter("napmon_bdd_unique_hits_total", "unique-table hits (canonical node reuse) over all build sessions",
+		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().UniqueHits })
+	counter("napmon_bdd_unique_misses_total", "unique-table misses (node creations) over all build sessions",
+		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().UniqueMisses })
+	counter("napmon_bdd_cache_hits_total", "computed-table hits over all build sessions",
+		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().CacheHits })
+	counter("napmon_bdd_cache_misses_total", "computed-table misses over all build sessions",
+		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().CacheMisses })
+	counter("napmon_bdd_compiles_total", "query plans compiled over all build sessions",
+		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().Compiles })
+	return m
+}
+
+// Track registers the per-class verdict tallies (napmon_watched_total
+// and napmon_oop_total, the paper's safety signal) for every class s
+// monitors that has no series yet. Call it whenever the name comes to
+// hold a new server: a reload with a different class set gains series
+// for its new classes, and a class the current server does not monitor
+// reads zero.
+func (m *Metrics) Track(s *Server) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, class := range s.mon.WatchClasses() {
+		if m.classes[class] {
+			continue
+		}
+		m.classes[class] = true
+		label := obs.L("class", strconv.Itoa(class))
+		m.reg.CounterFloatFunc("napmon_watched_total", "verdicts issued for a monitored class",
+			m.read(func(s *Server) float64 { return float64(s.mon.WatchCountsFor(class).Watched) }), m.with(label)...)
+		m.reg.CounterFloatFunc("napmon_oop_total", "out-of-pattern verdicts — the paper's safety signal",
+			m.read(func(s *Server) float64 { return float64(s.mon.WatchCountsFor(class).OutOfPattern) }), m.with(label)...)
+	}
+}
+
+// read makes f a scrape callback: it reads the server the name holds
+// at scrape time, and zero while the name holds none.
+func (m *Metrics) read(f func(*Server) float64) func() float64 {
+	return func() float64 {
+		if s := m.server(); s != nil {
+			return f(s)
+		}
+		return 0
+	}
+}
+
+// with returns a fresh copy of the set's labels plus extra: the scrape
+// registry sorts the slice it is handed in place.
+func (m *Metrics) with(extra ...obs.Label) []obs.Label {
+	return append(append(make([]obs.Label, 0, len(m.labels)+len(extra)), m.labels...), extra...)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,6 +74,86 @@ func TestStatsStagesAndCounts(t *testing.T) {
 	}
 }
 
+// register binds s alone to reg's serving families, unlabelled.
+func register(reg *obs.Registry, s *Server) {
+	RegisterMetrics(reg, func() *Server { return s }).Track(s)
+}
+
+// scrapeText renders reg and parses it back through the strict parser.
+func scrapeText(t *testing.T, reg *obs.Registry) *obs.Exposition {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, sb.String())
+	}
+	return exp
+}
+
+// TestMetricsFollowTheServer binds one label set to a resolver and
+// swaps what it resolves to: the series must read the server the name
+// holds at scrape time, read zero while it holds none, and keep one
+// per-class series per class any tracked server monitored.
+func TestMetricsFollowTheServer(t *testing.T) {
+	net, mon, inputs := toyServerParts(t, 12)
+	first, err := New(net, mon, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Shutdown(context.Background())
+	net2, mon2, _ := toyServerParts(t, 13)
+	second, err := New(net2, mon2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Shutdown(context.Background())
+
+	var cur atomic.Pointer[Server]
+	cur.Store(first)
+	reg := obs.NewRegistry()
+	lbl := obs.L("tenant", "t")
+	m := RegisterMetrics(reg, cur.Load, lbl)
+	m.Track(first)
+	serveN := func(s *Server, n int) {
+		for i := 0; i < n; i++ {
+			f, err := s.Submit(inputs[i%len(inputs)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := func(what string, served float64) {
+		t.Helper()
+		exp := scrapeText(t, reg)
+		tenant := map[string]string{"tenant": "t"}
+		if v, ok := exp.Value("napmon_requests_served_total", tenant); !ok || v != served {
+			t.Fatalf("%s: napmon_requests_served_total = %v (present %v), want %v", what, v, ok, served)
+		}
+		total := map[string]string{"tenant": "t", "stage": "total"}
+		if v, ok := exp.Value("napmon_stage_duration_seconds_count", total); !ok || v != served {
+			t.Fatalf("%s: total stage count = %v (present %v), want %v", what, v, ok, served)
+		}
+		if sum, n := exp.SumAcross("napmon_watched_total", tenant); n != len(mon.WatchClasses()) || sum > served {
+			t.Fatalf("%s: napmon_watched_total sums to %v over %d series, want at most %v over %d",
+				what, sum, n, served, len(mon.WatchClasses()))
+		}
+	}
+	serveN(first, 5)
+	want("first server", 5)
+	cur.Store(second)
+	m.Track(second)
+	serveN(second, 2)
+	want("second server", 2)
+	cur.Store(nil)
+	want("no server", 0)
+}
+
 // TestRegisterMetrics scrapes a live server through the obs registry and
 // cross-checks the exposition against Stats — the same consistency
 // contract `make smoke` enforces over HTTP with napmon-metricslint.
@@ -84,7 +165,7 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	defer s.Shutdown(context.Background())
 	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
+	register(reg, s)
 	for i := 0; i < 20; i++ {
 		f, err := s.Submit(inputs[i%len(inputs)])
 		if err != nil {
@@ -109,14 +190,14 @@ func TestRegisterMetrics(t *testing.T) {
 	if v, ok := exp.Value("napmon_requests_served_total", nil); !ok || uint64(v) != st.Served {
 		t.Fatalf("napmon_requests_served_total = %v (ok=%v), Stats.Served = %d", v, ok, st.Served)
 	}
-	watchedSum, nClasses := exp.SumAcross("napmon_watched_total")
+	watchedSum, nClasses := exp.SumAcross("napmon_watched_total", nil)
 	if nClasses != len(mon.WatchClasses()) {
 		t.Fatalf("napmon_watched_total series = %d, want one per class (%d)", nClasses, len(mon.WatchClasses()))
 	}
 	if uint64(watchedSum) != st.Monitored {
 		t.Fatalf("sum(napmon_watched_total) = %v, Stats.Monitored = %d", watchedSum, st.Monitored)
 	}
-	oopSum, _ := exp.SumAcross("napmon_oop_total")
+	oopSum, _ := exp.SumAcross("napmon_oop_total", nil)
 	if uint64(oopSum) != st.OutOfPattern {
 		t.Fatalf("sum(napmon_oop_total) = %v, Stats.OutOfPattern = %d", oopSum, st.OutOfPattern)
 	}
@@ -167,7 +248,7 @@ func TestBDDCountersMonotone(t *testing.T) {
 	}
 	defer s.Shutdown(context.Background())
 	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
+	register(reg, s)
 	series := []string{
 		"napmon_bdd_unique_hits_total", "napmon_bdd_unique_misses_total",
 		"napmon_bdd_cache_hits_total", "napmon_bdd_cache_misses_total",

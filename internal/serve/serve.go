@@ -16,7 +16,7 @@
 // batches, because batches form exactly when lanes are the bottleneck.
 // Lanes are per-shard monitor replicas: each owns a CloneShared copy of
 // the network plus a warm scratch pool and executes whole micro-batches
-// through the batched GEMM inference path (Monitor.WatchBatchPooled →
+// through the batched GEMM inference path (Monitor.WatchBatchPooledTimed →
 // Network.ForwardBatch) — the batch width is literally the GEMM width —
 // against the monitor's compiled zones, which are safe for concurrent
 // reads by construction (see DESIGN.md, "Build → publish epoch 1 → serve:
@@ -39,6 +39,11 @@
 // turns them into queued frames, so a batch leaves in one socket
 // write). Shutdown drains: requests accepted before Shutdown are still
 // served unless the shutdown context expires first.
+//
+// RegisterMetrics is the one description of a server's /metrics
+// families. It binds them to a resolver rather than to a Server, so a
+// caller that swaps servers under one name (the registry's reload)
+// keeps one set of series that reads whichever server the name holds.
 package serve
 
 import (
@@ -100,11 +105,6 @@ type Config struct {
 	// take the whole server down — a front end accepting untrusted
 	// inputs (e.g. cmd/napmon-serve) should always set this.
 	InputShape []int
-	// OnEpochSwap, when non-nil, is called after every successful
-	// Server.Update / UpdateGamma with the id of the epoch now serving.
-	// It runs on the updating goroutine (updates are serialized), so a
-	// slow hook delays subsequent updates but never the serving lanes.
-	OnEpochSwap func(epoch uint64)
 }
 
 func (c Config) withDefaults() Config {
@@ -185,13 +185,6 @@ type Server struct {
 	closed   bool
 	inflight sync.WaitGroup // Submits between the closed-check and enqueue
 
-	// updMu serializes Update/UpdateGamma through this server so the
-	// updates counter and the OnEpochSwap hook observe epochs in
-	// publication order (the monitor's own updater lock is released
-	// before control returns here, so without this a slow hook could see
-	// epoch ids out of order).
-	updMu sync.Mutex
-
 	abortOnce sync.Once
 	wg        sync.WaitGroup // coalescer + lanes
 
@@ -199,7 +192,6 @@ type Server struct {
 	rejected  atomic.Uint64
 	shed      atomic.Uint64
 	expired   atomic.Uint64
-	updates   atomic.Uint64
 	// counts carries (served, batches) as one immutable pair so readers
 	// snapshot both atomically; see servedCounts.
 	counts    atomic.Pointer[servedCounts]
@@ -408,37 +400,17 @@ func (s *Server) SubmitAll(inputs []*tensor.Tensor) ([]*Future, error) {
 // batch mixes zones from two generations. delta maps class → patterns to
 // absorb (widths must match the monitor). Updates may be called from any
 // goroutine, including while Submits are in flight and after Shutdown;
-// concurrent updates are serialized by the monitor. On success the
-// configured OnEpochSwap hook receives the new epoch id.
+// concurrent updates are serialized by the monitor. It returns the id of
+// the epoch now serving.
 func (s *Server) Update(delta map[int][]core.Pattern) (uint64, error) {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	id, err := s.mon.UpdateBatch(delta)
-	if err != nil {
-		return id, err
-	}
-	s.updates.Add(1)
-	if s.cfg.OnEpochSwap != nil {
-		s.cfg.OnEpochSwap(id)
-	}
-	return id, nil
+	return s.mon.UpdateBatch(delta)
 }
 
 // UpdateGamma republishes the monitor's zones at a new enlargement level
 // (Monitor.UpdateGamma) without a serving gap; see Update for the epoch
 // semantics.
 func (s *Server) UpdateGamma(gamma int) (uint64, error) {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	id, err := s.mon.UpdateGamma(gamma)
-	if err != nil {
-		return id, err
-	}
-	s.updates.Add(1)
-	if s.cfg.OnEpochSwap != nil {
-		s.cfg.OnEpochSwap(id)
-	}
-	return id, nil
+	return s.mon.UpdateGamma(gamma)
 }
 
 // Shutdown stops the server gracefully: new Submits fail with
@@ -532,15 +504,10 @@ func (s *Server) Stats() Stats {
 		Gamma:         s.mon.Gamma(),
 		Lanes:         len(s.lanes),
 		Epoch:         s.mon.Epoch(),
-		Updates:       s.updates.Load(),
+		Updates:       s.mon.Updater().Published(),
 		Recompiled:    s.mon.Updater().Recompiled(),
 	}
 }
-
-// Monitor returns the monitor this server serves — the handle metric
-// registration and admin surfaces use to reach the paper-level signals
-// (per-class verdict tallies, epoch/update counters, BDD stats).
-func (s *Server) Monitor() *core.Monitor { return s.mon }
 
 // InputShape returns the shape Submit gates inputs on (Config.InputShape;
 // nil when the server is ungated). A front end validates a request body

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -630,20 +631,11 @@ func TestStagePercentiles(t *testing.T) {
 // submitters hammer the server while a background updater continuously
 // publishes new zone epochs through Server.Update. Run under -race in CI.
 // Every future must resolve without error across every epoch swap (zero
-// dropped requests), the epoch counters must advance, and the OnEpochSwap
-// hook must observe every published epoch in order.
+// dropped requests), the epoch counters must advance, and every verdict
+// must carry an epoch some update published.
 func TestServeWhileUpdating(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 12)
-	var hookMu sync.Mutex
-	var hooked []uint64
-	srv, err := New(net, mon, Config{
-		MaxBatch: 8,
-		OnEpochSwap: func(epoch uint64) {
-			hookMu.Lock()
-			hooked = append(hooked, epoch)
-			hookMu.Unlock()
-		},
-	})
+	srv, err := New(net, mon, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,8 +680,8 @@ func TestServeWhileUpdating(t *testing.T) {
 					errs <- err
 					return
 				}
-				if v.Epoch < 1 {
-					errs <- errors.New("verdict missing its epoch id")
+				if v.Epoch < 1 || v.Epoch > 1+epochs {
+					errs <- fmt.Errorf("verdict epoch %d outside the published 1..%d", v.Epoch, 1+epochs)
 					return
 				}
 			}
@@ -717,15 +709,13 @@ func TestServeWhileUpdating(t *testing.T) {
 	if st.Recompiled != epochs {
 		t.Fatalf("recompiled %d zone plans across %d single-class swaps", st.Recompiled, epochs)
 	}
-	hookMu.Lock()
-	defer hookMu.Unlock()
-	if len(hooked) != epochs {
-		t.Fatalf("hook saw %d swaps, want %d", len(hooked), epochs)
+	// An update that changes nothing publishes no epoch and counts as
+	// no update.
+	if e, err := srv.Update(nil); err != nil || e != 1+epochs {
+		t.Fatalf("empty update: epoch %d, %v; want %d", e, err, 1+epochs)
 	}
-	for i, e := range hooked {
-		if e != uint64(i+2) { // first published update is epoch 2
-			t.Fatalf("hook order broken at %d: got epoch %d", i, e)
-		}
+	if st := srv.Stats(); st.Updates != epochs {
+		t.Fatalf("an empty update moved Stats.Updates to %d, want %d", st.Updates, epochs)
 	}
 	shutdownOK(t, srv)
 }

@@ -71,8 +71,9 @@ type Stats struct {
 	// published through Server.Update/UpdateGamma (or directly on the
 	// monitor).
 	Epoch uint64
-	// Updates counts the epoch swaps published through this server's
-	// Update/UpdateGamma since start.
+	// Updates counts the epochs the monitor has published since it was
+	// built or loaded (Updater.Published), through this server or
+	// directly; an update that changes nothing publishes none.
 	Updates uint64
 	// Recompiled counts the zone query plans online updates have rebuilt
 	// (Updater.Recompiled). Epoch swaps recompile only the zones they

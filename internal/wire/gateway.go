@@ -851,8 +851,8 @@ func (g *Gateway) submitErrFrame(id uint32, err error) []byte {
 // RegisterMetrics exposes the gateway's frame accounting on reg under
 // the napmon_gateway_ namespace, as scrape-time callbacks over the
 // counters the transport loops already maintain. Call once per
-// registry; pair with Server.RegisterMetrics on the same registry for
-// the full serving picture.
+// registry; pair with the tenant registry's RegisterMetrics on the same
+// registry for the full serving picture.
 func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_gateway_frames_received_total",
 		"frames accepted past the packet filter / stream header validation",

@@ -151,17 +151,16 @@ func WatchBatch(net *Network, m *Monitor, inputs []*Tensor) []Verdict {
 type Server = serve.Server
 
 // ServerConfig sizes a Server: micro-batch size cap (MaxBatch),
-// request-queue depth (backpressure) and number of serving lanes
-// (network replicas), plus the OnEpochSwap hook observing online updates
-// published through Server.Update/UpdateGamma. The zero value selects
-// sensible defaults.
+// request-queue depth (backpressure), number of serving lanes (network
+// replicas) and the input shape gate. The zero value selects sensible
+// defaults.
 type ServerConfig = serve.Config
 
 // ServerStats is a snapshot of a Server's counters: queue depth,
 // submitted/served/rejected totals, batch count and mean size, p50/p99
 // request latency since start, and the online-update view (the
-// monitor epoch currently serving plus the number of epoch swaps
-// published through the server).
+// monitor epoch currently serving plus the number of epochs its
+// monitor has published).
 type ServerStats = serve.Stats
 
 // Future is the pending result of one Server.Submit; Wait blocks until
