@@ -61,7 +61,8 @@ test-split:
 	$(GO) test -cpu 1,2,3,4 ./internal/tensor ./internal/nn ./internal/core ./internal/serve ./internal/wire ./cmd/napmon-serve
 
 ## test-fuzz: smoke-run the fuzz targets (differential BDD fuzzer against
-## a truth-table oracle; pattern wire-format round trip; binary protocol
+## a truth-table oracle; learn streams through the zone overlay against
+## brute-force Hamming distance; pattern wire-format round trip; binary protocol
 ## frame round trip + arbitrary-bytes decoder safety; the snapshot and
 ## delta-stream decoders, raw and re-checksummed). Each target gets a
 ## short budget — CI runs this on every PR; leave a fuzzer running with
@@ -69,6 +70,7 @@ test-split:
 FUZZTIME ?= 15s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime $(FUZZTIME) ./internal/bdd
+	$(GO) test -run '^$$' -fuzz '^FuzzZoneLearnStream$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltaStream$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -138,7 +140,7 @@ smoke:
 	$$soak -addr $(SMOKE_TCP) -proto tcp -strict -o soak-tcp.json; \
 	bin/napmon-metricslint -url http://$(SMOKE_ADDR)/metrics \
 		-stats-url http://$(SMOKE_ADDR)/v1/models/default/stats \
-		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up; \
+		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_zone_overlay_patterns,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up; \
 	curl -sf http://$(SMOKE_ADDR)/v1/models/default/stats; \
 	curl -sf http://$(SMOKE_ADDR)/v1/models; \
 	kill -TERM $$pid; wait $$pid || fail "drain or goroutine leak check failed"; \

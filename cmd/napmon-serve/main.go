@@ -38,9 +38,10 @@
 //
 // learn (either plane) is the online-update loop: a client that sees a
 // flagged (or independently misclassified) decision feeds the verdict's
-// pattern back under the decision's true class; the monitor
-// shadow-builds the touched zones and swaps them in atomically while
-// watch traffic keeps flowing. Each update also lands in the tenant's
+// pattern back under the decision's true class; the monitor adds it to
+// the touched zone's overlay of recent patterns (folding the overlay
+// into the zone's plans once it is full) and swaps the zone in
+// atomically while watch traffic keeps flowing. Each update also lands in the tenant's
 // bounded epoch-keyed delta log, which /deltas serves to followers.
 //
 // Started with -follow <leader-url> the daemon is a replication

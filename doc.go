@@ -67,12 +67,13 @@
 //
 // A monitor is not a static artifact: the online-update path
 // absorbs newly observed activation patterns while serving continues
-// (serve-while-retraining). Monitor.Update / Monitor.UpdateBatch
-// shadow-build the touched comfort zones on managers re-derived from
-// their plans and publish
-// the result as a new serving epoch with one atomic pointer swap; each
-// batch loads one epoch (every Verdict carries its epoch id), a retired
-// epoch is plans the garbage collector takes once its last batch returns,
+// (serve-while-retraining). Monitor.Update / Monitor.UpdateBatch add
+// the new patterns to the touched comfort zones' overlays (a zone keeps
+// up to 64 learned patterns beside its plans and folds them in when a
+// learn would push it past that) and publish the result as a new
+// serving epoch with one atomic pointer swap; each batch loads one epoch
+// (every Verdict carries its epoch id), a retired epoch is plans and
+// overlays the garbage collector takes once its last batch returns,
 // and the updated monitor answers exactly like one built from all
 // patterns in one shot.
 // Monitor.UpdateGamma re-levels γ the same way. Through a Server the
@@ -182,9 +183,13 @@
 //	napmon_epoch_swaps_total               counter    epochs published by online updates
 //	napmon_epoch_swap_seconds_total        counter    cumulative epoch publication wall time
 //	napmon_epoch_swap_last_seconds         gauge      wall time of the latest publication
-//	napmon_zone_plans_recompiled_total     counter    zone query plans rebuilt by updates
+//	napmon_zone_plans_recompiled_total     counter    zone folds: plans an update rebuilt,
+//	                                                  folding in the learned overlay
+//	napmon_zone_overlay_patterns           gauge      learned patterns pending in the serving
+//	                                                  epoch's zone overlays
 //	napmon_patterns_absorbed_total         counter    activation patterns absorbed by updates
-//	napmon_bdd_nodes                       gauge      branches across the serving epoch's plans
+//	napmon_bdd_nodes                       gauge      branches across the serving epoch's plans,
+//	                                                  overlays left out
 //	napmon_bdd_unique_hits_total           counter    unique-table hits, all build sessions
 //	napmon_bdd_unique_misses_total         counter    unique-table misses (node creations), ditto
 //	napmon_bdd_cache_hits_total            counter    computed-table hits, ditto

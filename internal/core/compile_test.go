@@ -300,8 +300,11 @@ func BenchmarkZoneBuild(b *testing.B) {
 
 // TestUpdateRecompilesOnlyTouchedZones asserts, via the compile
 // counters, that epoch swaps pay plan compilation only for the zones
-// they rebuild: untouched classes share the predecessor's Zone (and its
-// plans), and an UpdateGamma re-view to a cached level compiles nothing.
+// they fold: a learn below the overlay cap compiles nothing (the touched
+// zone is replaced but shares its plans), a learn that pushes overlays
+// past the cap rebuilds exactly the zones it pushes, untouched classes
+// share the predecessor's Zone, and an UpdateGamma re-view to a cached
+// level compiles nothing.
 func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 	r := rng.New(13)
 	const width = 14
@@ -321,20 +324,28 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		before[c] = mon.Zone(c)
 	}
+	compiles := mon.ManagerStatsTotal().Compiles
 
-	// Touch one class: exactly one zone recompiles; the other four Zone
-	// handles (and therefore their plans) are shared pointers.
+	// Touch one class below the cap: nothing compiles. The touched zone
+	// is a new Zone on the same plans; the other four Zone handles are
+	// shared pointers.
 	if _, err := mon.Update(2, randomPatterns(r, 3, width)...); err != nil {
 		t.Fatal(err)
 	}
-	if got := upd.Recompiled(); got != 1 {
-		t.Fatalf("single-class update recompiled %d zones, want 1", got)
+	if got := upd.Recompiled(); got != 0 {
+		t.Fatalf("a learn below the cap recompiled %d zones", got)
+	}
+	if got := mon.ManagerStatsTotal().Compiles; got != compiles {
+		t.Fatalf("a learn below the cap compiled %d plans", got-compiles)
+	}
+	if got := upd.Pending(); got != 3 {
+		t.Fatalf("Pending = %d after a 3-pattern learn, want 3", got)
 	}
 	for c := 0; c < 5; c++ {
 		cur := mon.Zone(c)
 		if c == 2 {
-			if cur == before[c] {
-				t.Fatal("touched zone was not replaced")
+			if cur == before[c] || &cur.plans[0] != &before[c].plans[0] {
+				t.Fatal("the touched zone was not replaced on the same plans")
 			}
 			continue
 		}
@@ -343,25 +354,55 @@ func TestUpdateRecompilesOnlyTouchedZones(t *testing.T) {
 		}
 	}
 
-	// Re-view at a cached γ: zero recompiles.
+	// One batch pushes class 2 past the cap (3 + 62 > 64), fills class 0
+	// to exactly the cap and adds one pattern to class 4: only class 2
+	// folds.
+	if _, err := mon.UpdateBatch(map[int][]Pattern{
+		2: randomPatterns(r, overlayCap-1, width),
+		0: randomPatterns(r, overlayCap, width),
+		4: randomPatterns(r, 1, width),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := upd.Recompiled(); got != 1 {
+		t.Fatalf("a batch pushing one zone past the cap recompiled %d zones, want 1", got)
+	}
+	if got := mon.ManagerStatsTotal().Compiles; got != compiles+3 {
+		t.Fatalf("the fold compiled %d plans, want 3", got-compiles)
+	}
+	if got, want := upd.Pending(), overlayCap+1; got != want {
+		t.Fatalf("Pending = %d, want %d", got, want)
+	}
+	if z := mon.Zone(2); z.pending() != 0 || &z.plans[0] == &before[2].plans[0] {
+		t.Fatal("the zone pushed past the cap was not folded into new plans")
+	}
+
+	// Re-view at a cached γ: zero recompiles, plans and overlays shared.
+	held := mon.Zone(0)
 	if _, err := mon.UpdateGamma(1); err != nil {
 		t.Fatal(err)
 	}
 	if got := upd.Recompiled(); got != 1 {
 		t.Fatalf("cached-level UpdateGamma recompiled %d-1 zones, want 0", got)
 	}
+	if z := mon.Zone(0); &z.plans[0] != &held.plans[0] || &z.overlay[0] != &held.overlay[0] {
+		t.Fatal("cached-level UpdateGamma did not share the plans and overlay")
+	}
 
-	// Deeper γ: every zone is re-derived, extended and recompiled.
+	// Deeper γ: every zone is folded, extended and recompiled.
 	if _, err := mon.UpdateGamma(4); err != nil {
 		t.Fatal(err)
 	}
 	if got := upd.Recompiled(); got != 1+5 {
 		t.Fatalf("deeper UpdateGamma recompiled %d-1 zones, want 5", got)
 	}
+	if got := upd.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after a deeper UpdateGamma folded every zone", got)
+	}
 
 	// The cumulative compile counter agrees: one plan per level of every
-	// zone built — five at the build and one update at three levels,
-	// then five at the five levels γ = 4 needs.
+	// zone built — five at the build and one fold at three levels, then
+	// five at the five levels γ = 4 needs.
 	if got, want := mon.ManagerStatsTotal().Compiles, uint64(5*3+1*3+5*5); got != want {
 		t.Fatalf("%d plans compiled in total, want %d", got, want)
 	}

@@ -87,13 +87,13 @@ func buildZone(width, gamma int, pats ...Pattern) *Zone {
 }
 
 // containsAt reports membership at a cached level other than the zone's
-// γ, reading its plan directly.
+// γ, reading its plan and overlay directly.
 func containsAt(t testing.TB, z *Zone, gamma int, p Pattern) bool {
 	t.Helper()
 	if gamma >= len(z.plans) || len(p) != z.width {
 		t.Fatalf("containsAt(γ=%d, width %d) on a zone of %d levels, width %d", gamma, len(p), len(z.plans), z.width)
 	}
-	return z.plans[gamma].Eval(p)
+	return z.plans[gamma].Eval(p) || z.inOverlay(p, gamma)
 }
 
 func TestZoneInsertContains(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"math/bits"
 	"testing"
 
 	"napmon/internal/bdd"
@@ -243,6 +244,91 @@ func FuzzDecodeDeltaStream(f *testing.F) {
 					_, _ = follower.UpdateBatch(e.Delta)
 				}
 			}
+		}
+	})
+}
+
+// FuzzZoneLearnStream drives a two-class monitor through a fuzzed stream
+// of learns at a small overlay cap (0–4 patterns, so folds and overlay
+// appends interleave) and, after every learn, checks every pattern of the
+// ≤ 12-neuron universe against brute-force Hamming distance to what the
+// class has learned, through Contains and ContainsBatch. At the end the
+// monitor must snapshot to the same bytes as a twin that folded every
+// learn.
+//
+// Input: width, γ and cap bytes, then learns of one header byte (bit 0
+// the class, bits 1–2 the pattern count less one) and two little-endian
+// bytes per pattern.
+func FuzzZoneLearnStream(f *testing.F) {
+	f.Add([]byte{8, 1, 2, 0x06, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x01, 0xFF, 0x00, 0x03, 0x0F, 0xF0})
+	f.Add([]byte{11, 3, 1, 0x00, 0xFF, 0x07, 0x01, 0x00, 0x00, 0x07, 0x01, 0x07, 0xAA, 0x05, 0x55, 0x02})
+	f.Add([]byte{1, 0, 0, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 || len(data) > 96 {
+			return
+		}
+		width := 1 + int(data[0])%12
+		gamma := int(data[1]) % (min(width, 3) + 1)
+		k := int(data[2]) % 5
+		data = data[3:]
+		classes := map[int][]Pattern{0: nil, 1: nil}
+		mon, err := BuildFromPatterns(width, gamma, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := BuildFromPatterns(width, gamma, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		universe := make([][]bool, 1<<width)
+		for v := range universe {
+			universe[v] = make([]bool, width)
+			for i := range universe[v] {
+				universe[v][i] = v&(1<<i) != 0
+			}
+		}
+		// dist[c][v] is the Hamming distance from pattern v to the nearest
+		// pattern class c has learned (width+1: none yet).
+		var dist [2][]int
+		for c := range dist {
+			dist[c] = make([]int, len(universe))
+			for v := range dist[c] {
+				dist[c][v] = width + 1
+			}
+		}
+		out := make([]bool, len(universe))
+		for len(data) >= 3 {
+			c, n := int(data[0]&1), 1+int(data[0]>>1)%4
+			data = data[1:]
+			var pats []Pattern
+			for ; n > 0 && len(data) >= 2; n-- {
+				v := int(binary.LittleEndian.Uint16(data)) & (1<<width - 1)
+				data = data[2:]
+				pats = append(pats, Pattern(universe[v]).Clone())
+				for u := range dist[c] {
+					dist[c][u] = min(dist[c][u], bits.OnesCount(uint(u^v)))
+				}
+			}
+			if _, err := mon.learnAt(k, map[int][]Pattern{c: pats}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.learnAt(0, map[int][]Pattern{c: pats}); err != nil {
+				t.Fatal(err)
+			}
+			for cc := range dist {
+				z := mon.Zone(cc)
+				z.ContainsBatch(universe, out)
+				for v, p := range universe {
+					want := dist[cc][v] <= gamma
+					if got := z.Contains(p); got != want || out[v] != want {
+						t.Fatalf("K=%d class %d width %d γ=%d pattern %s: Contains %v, ContainsBatch %v, want %v (%d pending)",
+							k, cc, width, gamma, Pattern(p), got, out[v], want, z.pending())
+					}
+				}
+			}
+		}
+		if !bytes.Equal(snapBytes(t, mon), snapBytes(t, twin)) {
+			t.Fatalf("K=%d: the snapshot (%d pending) differs from the folded twin's", k, mon.Updater().Pending())
 		}
 	})
 }

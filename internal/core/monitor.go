@@ -550,8 +550,8 @@ func (m *Monitor) WatchPattern(c int, p Pattern) (outOfPattern, monitored bool) 
 }
 
 // StorageNodes returns the total plan branch count across all zones at
-// the serving γ. The epoch is loaded once for the whole walk, so polling it
-// concurrently with online updates is safe.
+// the serving γ, the overlays left out. The epoch is loaded once for the
+// whole walk, so polling it concurrently with online updates is safe.
 func (m *Monitor) StorageNodes() int {
 	e := m.cur.Load()
 	total := 0

@@ -134,10 +134,10 @@ func (m *Monitor) foldBDD(session bdd.Stats) {
 
 // ManagerStatsTotal reports the monitor's BDD work and size. The hit,
 // miss and compile counters are cumulative over every build session (the
-// initial build, each zone an update rebuilt) and never decrease. Nodes
-// is what exists now: the branches of every cached level's plan in the
-// serving epoch. No manager outlives its session, so Frozen is always set
-// and the table capacities are zero.
+// initial build, each zone fold) and never decrease. Nodes is what exists
+// now: the branches of every cached level's plan in the serving epoch,
+// the overlays left out. No manager outlives its session, so Frozen is
+// always set and the table capacities are zero.
 func (m *Monitor) ManagerStatsTotal() bdd.Stats {
 	m.bddMu.Lock()
 	total := m.bddDone

@@ -105,7 +105,8 @@ func TestSwapNanos(t *testing.T) {
 // TestManagerStatsTotal checks the BDD statistics accessor: a built
 // monitor's counters are what its build sessions did before their
 // managers went, Nodes is the branches of the plans they left, there are
-// no tables left to have a capacity, and an update only ever adds.
+// no tables left to have a capacity, a learn below the overlay cap
+// changes nothing, and a fold only ever adds.
 func TestManagerStatsTotal(t *testing.T) {
 	r := rng.New(5)
 	const width = 10
@@ -140,12 +141,22 @@ func TestManagerStatsTotal(t *testing.T) {
 		t.Fatalf("Compiles = %d after building 2 zones of 2 levels", st.Compiles)
 	}
 
+	// A learn below the overlay cap builds no BDD: every counter, and
+	// Nodes (plan branches, the overlay left out), stays put.
 	if _, err := mon.Update(4, randomPatterns(r, 2, width)...); err != nil {
+		t.Fatal(err)
+	}
+	if after := mon.ManagerStatsTotal(); after != st {
+		t.Fatalf("a learn below the cap changed the BDD statistics: %+v, before %+v", after, st)
+	}
+	// The learn that pushes the overlay past the cap folds one zone of
+	// two levels, and a fold only ever adds.
+	if _, err := mon.Update(4, randomPatterns(r, overlayCap, width)...); err != nil {
 		t.Fatal(err)
 	}
 	after := mon.ManagerStatsTotal()
 	if after.Compiles != st.Compiles+2 || after.UniqueMisses <= st.UniqueMisses || after.CacheMisses <= st.CacheMisses ||
 		after.UniqueHits < st.UniqueHits || after.CacheHits < st.CacheHits {
-		t.Fatalf("an update must only add: %+v, before %+v", after, st)
+		t.Fatalf("a fold must only add: %+v, before %+v", after, st)
 	}
 }

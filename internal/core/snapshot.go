@@ -60,12 +60,31 @@ type DeltaEntry struct {
 // Snapshot writes the monitor's serving state to w in the compact
 // snapshot format. The serving epoch is loaded once for the whole write,
 // so the snapshot captures one consistent generation even under
-// concurrent updates. tail is an optional epoch-keyed delta log to embed (the
-// registry passes its recent entries so a follower of a follower can
+// concurrent updates. A zone with a pending overlay is written as a
+// folded copy of its plans that the snapshot does not keep: compiled
+// plans are canonical, so the bytes do not depend on when (or whether)
+// the monitor folded. tail is an optional epoch-keyed delta log to embed
+// (the registry passes its recent entries so a follower of a follower can
 // chain).
 func (m *Monitor) Snapshot(w io.Writer, tail []DeltaEntry) error {
-	e := m.cur.Load()
+	return m.writeSnapshot(w, m.cur.Load(), tail)
+}
 
+// SnapshotCut takes the consistent cut of a snapshot without writing it:
+// it loads the serving epoch and copies tail, and folds and encodes
+// nothing. The returned function writes that cut, byte for byte what
+// Snapshot would have written at the call, however many updates publish
+// in between. A caller that must hold a lock to keep the epoch and tail
+// consistent (the registry's delta log) holds it only for the cut, not
+// for the folds of pending overlays and the encoding.
+func (m *Monitor) SnapshotCut(tail []DeltaEntry) func(io.Writer) error {
+	e := m.cur.Load()
+	tail = append([]DeltaEntry(nil), tail...)
+	return func(w io.Writer) error { return m.writeSnapshot(w, e, tail) }
+}
+
+// writeSnapshot encodes epoch e and tail in the snapshot format.
+func (m *Monitor) writeSnapshot(w io.Writer, e *epoch, tail []DeltaEntry) error {
 	body := append([]byte(nil), snapshotMagic...)
 	body = binary.AppendVarint(body, int64(m.cfg.Layer))
 	body = binary.AppendUvarint(body, uint64(e.gamma))
@@ -92,8 +111,9 @@ func (m *Monitor) Snapshot(w io.Writer, tail []DeltaEntry) error {
 		z := e.zones[c]
 		body = binary.AppendUvarint(body, uint64(c))
 		body = binary.AppendUvarint(body, uint64(z.base))
-		body = binary.AppendUvarint(body, uint64(len(z.plans)))
-		for _, plan := range z.plans {
+		plans := z.folded()
+		body = binary.AppendUvarint(body, uint64(len(plans)))
+		for _, plan := range plans {
 			body = appendPlan(body, plan)
 		}
 	}

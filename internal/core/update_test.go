@@ -35,11 +35,12 @@ func flipOne(p Pattern, i int) Pattern {
 
 // TestZoneCloneWithDeltaEquivalence is the zone-level half of the
 // updater's correctness property: for random pattern sets split into a
-// build half and an update half, the shadow-built successor zone must
-// answer Contains/Hamming-γ queries identically to a zone built from the
-// union in one shot, at every cached enlargement level. This is the
-// distributivity argument (expansion distributes over union) checked
-// exhaustively on real BDDs.
+// build half and an update half, the successor zone must answer
+// Contains/Hamming-γ queries identically to a zone built from the union
+// in one shot, at every cached enlargement level — both when the update
+// folds (k = 0) and when it only appends to the overlay (k =
+// overlayCap). This is the distributivity argument (expansion
+// distributes over union) checked exhaustively on real BDDs.
 func TestZoneCloneWithDeltaEquivalence(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 25; trial++ {
@@ -51,12 +52,7 @@ func TestZoneCloneWithDeltaEquivalence(t *testing.T) {
 		b := randomPatterns(r, nB, width)
 
 		built := buildZone(width, gamma, a...)
-		updated, _ := built.cloneWithDelta(b)
 		union := buildZone(width, gamma, append(append([]Pattern{}, a...), b...)...)
-
-		if got, want := updated.InsertCount(), union.InsertCount(); got != want {
-			t.Fatalf("trial %d: updated InsertCount %d, union %d", trial, got, want)
-		}
 		// Query set: both halves, their 1-bit neighbors, and random probes.
 		queries := append(append([]Pattern{}, a...), b...)
 		for _, p := range [][]Pattern{a, b} {
@@ -65,11 +61,20 @@ func TestZoneCloneWithDeltaEquivalence(t *testing.T) {
 			}
 		}
 		queries = append(queries, randomPatterns(r, 40, width)...)
-		for g := 0; g <= gamma; g++ {
-			for qi, q := range queries {
-				if got, want := containsAt(t, updated, g, q), containsAt(t, union, g, q); got != want {
-					t.Fatalf("trial %d width=%d gamma=%d/%d query %d: updated=%v union=%v",
-						trial, width, g, gamma, qi, got, want)
+		for _, k := range []int{0, overlayCap} {
+			updated, _ := built.cloneWithDelta(b, k)
+			if folded := updated.pending() == 0; folded != (k == 0) {
+				t.Fatalf("trial %d k=%d: %d patterns pending", trial, k, updated.pending())
+			}
+			if got, want := updated.InsertCount(), union.InsertCount(); got != want {
+				t.Fatalf("trial %d k=%d: updated InsertCount %d, union %d", trial, k, got, want)
+			}
+			for g := 0; g <= gamma; g++ {
+				for qi, q := range queries {
+					if got, want := containsAt(t, updated, g, q), containsAt(t, union, g, q); got != want {
+						t.Fatalf("trial %d k=%d width=%d gamma=%d/%d query %d: updated=%v union=%v",
+							trial, k, width, g, gamma, qi, got, want)
+					}
 				}
 			}
 		}

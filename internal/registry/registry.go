@@ -300,12 +300,15 @@ func (t *Tenant) DeltasSince(since uint64) ([]core.DeltaEntry, error) {
 }
 
 // Snapshot writes the tenant's monitor snapshot with the retained delta
-// log embedded as the tail, under the log mutex so the epoch and the
-// tail are one consistent cut.
+// log embedded as the tail. The cut (serving epoch and a copy of the
+// log) is taken under the log mutex, so epoch and tail are consistent;
+// the folds of pending overlays and the encoding run after it is
+// released, so learns and follower polls do not wait for them.
 func (t *Tenant) Snapshot(w io.Writer) error {
 	t.logMu.Lock()
-	defer t.logMu.Unlock()
-	return t.mon.Snapshot(w, t.log.entries)
+	write := t.mon.SnapshotCut(t.log.entries)
+	t.logMu.Unlock()
+	return write(w)
 }
 
 // validateName enforces the tenant-name grammar shared by the HTTP

@@ -370,6 +370,79 @@ func TestRegistryReplication(t *testing.T) {
 	}
 }
 
+// gateWriter blocks every Write until release is closed, after closing
+// entered on the first one.
+type gateWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+	buf              bytes.Buffer
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestSnapshotHoldsNoLockWhileWriting pins that a tenant snapshot holds
+// the log mutex only for its cut: while the snapshot of a tenant with
+// patterns pending in its overlays (which it folds before it writes) is
+// stuck in its writer, a learn and a follower poll still complete, and
+// the snapshot is the one of the epoch before the learn.
+func TestSnapshotHoldsNoLockWhileWriting(t *testing.T) {
+	r := New(Config{})
+	tn, _ := load(t, r, "m", 1)
+	for seed := uint64(20); seed < 26; seed++ {
+		if _, err := tn.Learn(learnDelta(8, seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tn.Monitor().Updater().Pending() == 0 {
+		t.Fatal("no pattern pending; the snapshot folds nothing and the test shows nothing")
+	}
+	before := tn.Monitor().Epoch()
+	w := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(w.release)
+		}
+	}()
+	snapDone := make(chan error, 1)
+	go func() { snapDone <- tn.Snapshot(w) }()
+	<-w.entered
+
+	learnDone := make(chan error, 1)
+	go func() {
+		if _, err := tn.Learn(learnDelta(8, 30)); err != nil {
+			learnDone <- err
+			return
+		}
+		_, err := tn.DeltasSince(before)
+		learnDone <- err
+	}()
+	select {
+	case err := <-learnDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a learn waited for a snapshot's write: the log mutex is held past the cut")
+	}
+	close(w.release)
+	released = true
+	if err := <-snapDone; err != nil {
+		t.Fatal(err)
+	}
+	mon, tail, err := core.LoadSnapshot(&w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mon.Epoch() != before || len(tail) == 0 || tail[len(tail)-1].Epoch != before {
+		t.Fatalf("snapshot at epoch %d with %d tail entries, want the cut at epoch %d", mon.Epoch(), len(tail), before)
+	}
+}
+
 // TestDeltaLogGap pins the re-snapshot contract: a follower lagging past
 // the retained window gets ErrDeltaGap, never a silently incomplete
 // replay.

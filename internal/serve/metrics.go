@@ -24,7 +24,7 @@ type Metrics struct {
 // server returns at scrape time on reg under the napmon_ namespace, with
 // labels on every series: the server's counters, per-stage latency
 // histograms and the monitor's paper-level signals (verdict tallies,
-// epoch/swap/recompile counters, BDD build statistics). Everything
+// epoch/swap/fold counters, overlay size, BDD build statistics). Everything
 // already exists as an atomic or a histogram the serving path records
 // into, so every series is a scrape-time callback and the hot path pays
 // nothing for being observable beyond the stage clock reads it already
@@ -96,16 +96,19 @@ func RegisterMetrics(reg *obs.Registry, server func() *Server, labels ...obs.Lab
 		func(s *Server) int64 { t, _ := s.mon.Updater().SwapNanos(); return t })
 	gauge("napmon_epoch_swap_last_seconds", "wall time of the most recent epoch publication",
 		func(s *Server) float64 { _, l := s.mon.Updater().SwapNanos(); return float64(l) * 1e-9 })
-	counter("napmon_zone_plans_recompiled_total", "zone query plans rebuilt by online updates",
+	counter("napmon_zone_plans_recompiled_total", "zone folds: zones whose query plans an online update rebuilt, folding in the learned overlay",
 		func(s *Server) uint64 { return s.mon.Updater().Recompiled() })
+	gauge("napmon_zone_overlay_patterns", "learned patterns waiting in the serving epoch's zone overlays, not yet folded into plans",
+		func(s *Server) float64 { return float64(s.mon.Updater().Pending()) })
 	counter("napmon_patterns_absorbed_total", "activation patterns absorbed by online updates",
 		func(s *Server) uint64 { return s.mon.Updater().Absorbed() })
 
 	// The zones of a serving epoch keep no BDD manager: nodes is the size
-	// of their plans, and the counters are the cumulative work of every
-	// build session (the initial build, each zone an update rebuilt),
-	// folded into the monitor when the session's manager was dropped.
-	gauge("napmon_bdd_nodes", "branches across every cached level's plan of the serving epoch's zones",
+	// of their plans (overlays left out), and the counters are the
+	// cumulative work of every build session (the initial build, each
+	// zone fold), added to the monitor when the session's manager was
+	// dropped.
+	gauge("napmon_bdd_nodes", "branches across every cached level's plan of the serving epoch's zones, overlays left out",
 		func(s *Server) float64 { return float64(s.mon.ManagerStatsTotal().Nodes) })
 	counter("napmon_bdd_unique_hits_total", "unique-table hits (canonical node reuse) over all build sessions",
 		func(s *Server) uint64 { return s.mon.ManagerStatsTotal().UniqueHits })

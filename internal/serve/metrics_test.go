@@ -208,6 +208,7 @@ func TestRegisterMetrics(t *testing.T) {
 		"napmon_epoch",
 		"napmon_epoch_swaps_total",
 		"napmon_zone_plans_recompiled_total",
+		"napmon_zone_overlay_patterns",
 		"napmon_bdd_nodes",
 		"napmon_bdd_cache_hits_total",
 		"napmon_queue_depth",
@@ -310,6 +311,19 @@ func TestBDDCountersMonotone(t *testing.T) {
 	}
 	_, err = s.UpdateGamma(0) // cached: a re-view, nothing rebuilt
 	step("cached gamma", err)
+	// The deeper γ folded every overlay; the ten one-pattern learns since
+	// are pending, and the gauge says so.
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := exp.Value("napmon_zone_overlay_patterns", nil); !ok || v != 10 || mon.Updater().Pending() != 10 {
+		t.Fatalf("napmon_zone_overlay_patterns = %v (ok=%v), Pending %d, want 10", v, ok, mon.Updater().Pending())
+	}
 	if prev["napmon_bdd_compiles_total"] <= start["napmon_bdd_compiles_total"] ||
 		prev["napmon_bdd_cache_misses_total"] <= start["napmon_bdd_cache_misses_total"] {
 		t.Fatalf("22 updates counted no BDD work: %v -> %v", start, prev)

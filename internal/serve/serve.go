@@ -24,8 +24,9 @@
 // The zone queries themselves run on the compiled query plans the
 // monitor's epoch carries (Zone.ContainsBatch, grouped per predicted
 // class): all lanes share one set of plans per epoch, and an online
-// update recompiles only the zones it touched before the swap (see
-// DESIGN.md, "Compiled query plans + sharded build").
+// update adds its patterns to the touched zones' overlays, recompiling a
+// zone only when its overlay is full (see DESIGN.md, "Online updates:
+// epochs, grace periods").
 //
 // Every accepted request carries one completion function, and the
 // server calls it exactly once — with a Verdict, with ErrExpired if its
@@ -393,8 +394,8 @@ func (s *Server) SubmitAll(inputs []*tensor.Tensor) ([]*Future, error) {
 }
 
 // Update feeds newly observed activation patterns back into the monitor
-// while the server keeps serving: the monitor shadow-builds the touched
-// zones and publishes them as a new epoch with one atomic swap
+// while the server keeps serving: the monitor builds successors for the
+// touched zones and publishes them as a new epoch with one atomic swap
 // (Monitor.UpdateBatch), which the lanes pick up at micro-batch
 // granularity — no request is dropped or delayed across the swap, and no
 // batch mixes zones from two generations. delta maps class → patterns to

@@ -703,11 +703,12 @@ func TestServeWhileUpdating(t *testing.T) {
 		t.Fatalf("stats epoch view = (epoch %d, updates %d), want (%d, %d)",
 			st.Epoch, st.Updates, 1+epochs, epochs)
 	}
-	// Every update delta above touches exactly one class, so exactly one
-	// zone query plan is recompiled per swap — the untouched classes keep
-	// serving from the shared plans of the predecessor epoch.
-	if st.Recompiled != epochs {
-		t.Fatalf("recompiled %d zone plans across %d single-class swaps", st.Recompiled, epochs)
+	// Every update delta above is one pattern for one class, so no zone's
+	// overlay reaches its cap: no swap recompiles a plan, and all 25
+	// patterns wait in the serving epoch's overlays.
+	if st.Recompiled != 0 || mon.Updater().Pending() != epochs {
+		t.Fatalf("recompiled %d zone plans and %d patterns pending across %d one-pattern swaps, want 0 and %d",
+			st.Recompiled, mon.Updater().Pending(), epochs, epochs)
 	}
 	// An update that changes nothing publishes no epoch and counts as
 	// no update.

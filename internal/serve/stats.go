@@ -75,12 +75,13 @@ type Stats struct {
 	// built or loaded (Updater.Published), through this server or
 	// directly; an update that changes nothing publishes none.
 	Updates uint64
-	// Recompiled counts the zone query plans online updates have rebuilt
-	// (Updater.Recompiled). Epoch swaps recompile only the zones they
-	// touch — the lanes keep serving every untouched class from the
-	// predecessor epoch's shared compiled plans — so this growing much
-	// slower than Updates × classes is the O(delta) update property,
-	// observable from /stats.
+	// Recompiled counts the zone folds online updates have run
+	// (Updater.Recompiled). A learn appends to the touched zones'
+	// overlays and recompiles nothing until a zone's overlay would pass
+	// its cap; then only that zone folds, and the lanes keep serving every
+	// other class from the shared compiled plans — so this growing much
+	// slower than Updates × classes is the learn-costs-the-delta
+	// property, observable from /stats.
 	Recompiled uint64
 }
 

@@ -24,9 +24,11 @@ import (
 // one γ-comfort zone per monitored class, stored as compiled BDD query
 // plans. A monitor is a live service, not a static artifact: Monitor.Update,
 // Monitor.UpdateBatch and Monitor.UpdateGamma absorb newly observed
-// activation patterns (or re-level γ) by shadow-building the touched
-// zones and atomically publishing a new serving epoch, while readers keep
-// serving the old one without a gap.
+// activation patterns (or re-level γ) by building successors for the
+// touched zones — a learn adds its patterns to a zone's overlay of
+// recent patterns, and folds them into new plans once the overlay is
+// full — and atomically publishing a new serving epoch, while readers
+// keep serving the old one without a gap.
 type Monitor = core.Monitor
 
 // Config specifies which layer, classes and neurons a monitor covers and
