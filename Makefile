@@ -104,10 +104,10 @@ latency-budget:
 
 ## smoke: the end-to-end gate on the built binaries: one build, two
 ## boots of napmon-serve against a tiny self-trained model.
-## 1. Both wire transports and -leak-check: /healthz, one /v1 watch,
-##    strict zero-loss UDP and TCP soaks (napmon-soak; the server-vs-client
-##    accounting is diffed against /metrics; reports soak-udp.json and
-##    soak-tcp.json), napmon-metricslint (the /metrics exposition parses,
+## 1. The wire TCP listener and -leak-check: /healthz, one /v1 watch,
+##    a strict zero-loss TCP soak (napmon-soak; the server-vs-client
+##    accounting is diffed against /metrics; reports soak-tcp.json),
+##    napmon-metricslint (the /metrics exposition parses,
 ##    carries the required series and agrees with /v1 stats), /v1 stats
 ##    and model list, SIGTERM drain.
 ## 2. Wire TCP behind the seeded chaos listener (resets, stalls,
@@ -121,7 +121,6 @@ latency-budget:
 ## TestFleetFollowerConverges and TestChaosFollowerConverges
 ## (cmd/napmon-serve), so every `go test ./...` runs it.
 SMOKE_ADDR ?= 127.0.0.1:8841
-SMOKE_UDP ?= 127.0.0.1:9710
 SMOKE_TCP ?= 127.0.0.1:9711
 SOAK_DURATION ?= 10s
 CHAOS_SEED ?= 1
@@ -130,14 +129,13 @@ smoke:
 	@set -e; \
 	fail() { echo "smoke: $$1"; exit 1; }; \
 	soak="bin/napmon-soak -duration $(SOAK_DURATION) -connect-timeout 120s -metrics http://$(SMOKE_ADDR)/metrics"; \
-	bin/napmon-serve -selftrain 0.05 -addr $(SMOKE_ADDR) -udp $(SMOKE_UDP) -tcp $(SMOKE_TCP) -leak-check & pid=$$!; \
+	bin/napmon-serve -selftrain 0.05 -addr $(SMOKE_ADDR) -tcp $(SMOKE_TCP) -leak-check & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 600); do curl -sf http://$(SMOKE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -sf http://$(SMOKE_ADDR)/healthz || fail "daemon never came up"; \
 	awk 'BEGIN{printf "{\"shape\":[1,28,28],\"input\":["; for(i=0;i<784;i++) printf "%s0.1",(i?",":""); print "]}"}' \
 		| curl -sf -X POST --data-binary @- http://$(SMOKE_ADDR)/v1/models/default/watch; \
-	$$soak -addr $(SMOKE_UDP) -proto udp -strict -o soak-udp.json; \
-	$$soak -addr $(SMOKE_TCP) -proto tcp -strict -o soak-tcp.json; \
+	$$soak -addr $(SMOKE_TCP) -strict -o soak-tcp.json; \
 	bin/napmon-metricslint -url http://$(SMOKE_ADDR)/metrics \
 		-stats-url http://$(SMOKE_ADDR)/v1/models/default/stats \
 		-require napmon_requests_submitted_total,napmon_requests_served_total,napmon_stage_duration_seconds,napmon_batch_size,napmon_watched_total,napmon_oop_total,napmon_unmonitored_total,napmon_gamma_level,napmon_epoch,napmon_epoch_swaps_total,napmon_zone_plans_recompiled_total,napmon_zone_overlay_patterns,napmon_bdd_nodes,napmon_bdd_cache_hits_total,napmon_inference_seconds_total,napmon_zone_query_seconds_total,napmon_registry_tenants,napmon_tenant_up; \
@@ -146,7 +144,7 @@ smoke:
 	kill -TERM $$pid; wait $$pid || fail "drain or goroutine leak check failed"; \
 	bin/napmon-serve -selftrain 0.05 -addr $(SMOKE_ADDR) -tcp $(SMOKE_TCP) \
 		-chaos-seed $(CHAOS_SEED) -chaos-faults 40 -leak-check & pid=$$!; \
-	$$soak -addr $(SMOKE_TCP) -proto tcp -reconnect -chaos-check -o chaos-soak.json \
+	$$soak -addr $(SMOKE_TCP) -reconnect -chaos-check -o chaos-soak.json \
 		|| fail "chaos soak invariants failed (CHAOS_SEED=$(CHAOS_SEED) replays this fault sequence)"; \
 	kill -TERM $$pid; wait $$pid || fail "chaos drain or goroutine leak check failed (CHAOS_SEED=$(CHAOS_SEED))"; \
 	trap - EXIT

@@ -17,7 +17,7 @@
 // -require takes a comma-separated list of metric names; a histogram is
 // satisfied by its _bucket/_sum/_count series. -stats-url enables the
 // cross-check: the series labelled with the tenant the stats JSON names
-// — served/submitted/shed counters and the monitored / out-of-pattern
+// — served/submitted counters and the monitored / out-of-pattern
 // tallies summed over that tenant's classes — must agree with it. The two
 // surfaces are sampled at slightly different instants, so the check
 // tolerates forward drift on counters that may tick between the two
@@ -117,7 +117,6 @@ type statsDoc struct {
 	Tenant       string `json:"tenant"`
 	Submitted    uint64 `json:"submitted"`
 	Served       uint64 `json:"served"`
-	Shed         uint64 `json:"shed"`
 	Monitored    uint64 `json:"monitored"`
 	OutOfPattern uint64 `json:"out_of_pattern"`
 	Epoch        uint64 `json:"epoch"`
@@ -151,7 +150,6 @@ func crossCheck(exp *obs.Exposition, statsURL string, drift uint64) error {
 	}{
 		{"napmon_requests_submitted_total", false, st.Submitted},
 		{"napmon_requests_served_total", false, st.Served},
-		{"napmon_requests_shed_total", false, st.Shed},
 		{"napmon_watched_total", true, st.Monitored},
 		{"napmon_oop_total", true, st.OutOfPattern},
 	}

@@ -75,7 +75,6 @@ func TestCrossCheck(t *testing.T) {
 		m := map[string]uint64{
 			"napmon_requests_submitted_total": 100,
 			"napmon_requests_served_total":    90,
-			"napmon_requests_shed_total":      3,
 			"napmon_watched_total":            81,
 			"napmon_oop_total":                7,
 			"napmon_epoch":                    4,
@@ -85,7 +84,7 @@ func TestCrossCheck(t *testing.T) {
 		}
 		return m
 	}
-	agree := statsDoc{Tenant: "default", Submitted: 100, Served: 90, Shed: 3, Monitored: 81, OutOfPattern: 7, Epoch: 4}
+	agree := statsDoc{Tenant: "default", Submitted: 100, Served: 90, Monitored: 81, OutOfPattern: 7, Epoch: 4}
 	stats := func(mut func(*statsDoc)) statsDoc { s := agree; mut(&s); return s }
 	for _, tc := range []struct {
 		name    string
@@ -99,8 +98,8 @@ func TestCrossCheck(t *testing.T) {
 		{"forward drift outside the allowance", metrics(nil), stats(func(s *statsDoc) { s.Served = 96 }), 5, "napmon_requests_served_total"},
 		{"summed series drift outside the allowance", metrics(nil), stats(func(s *statsDoc) { s.Monitored = 90 }), 5, "napmon_watched_total"},
 		{"stats behind metrics", metrics(nil), stats(func(s *statsDoc) { s.Submitted = 99 }), 1024, "napmon_requests_submitted_total"},
-		{"required series absent", metrics(func(m map[string]uint64) { delete(m, "napmon_requests_shed_total") }), agree, 0,
-			`napmon_requests_shed_total{tenant="default"} absent`},
+		{"required series absent", metrics(func(m map[string]uint64) { delete(m, "napmon_requests_served_total") }), agree, 0,
+			`napmon_requests_served_total{tenant="default"} absent`},
 		{"epoch stepped forward between scrapes", metrics(nil), stats(func(s *statsDoc) { s.Epoch = 5 }), 0, ""},
 		{"napmon_epoch ahead of stats", metrics(func(m map[string]uint64) { m["napmon_epoch"] = 5 }), agree, 1024, "napmon_epoch{tenant=\"default\"} went backwards"},
 		{"stats of another tenant", metrics(nil), stats(func(s *statsDoc) { s.Tenant = "other" }), 5, `napmon_requests_submitted_total{tenant="other"}`},

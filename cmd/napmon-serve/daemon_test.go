@@ -72,19 +72,19 @@ func toyFiles(t *testing.T, seed uint64) (modelPath, monitorPath string, inputs 
 
 // booted is a daemon started through run on ephemeral loopback ports.
 type booted struct {
-	http, udp, tcp string
-	cancel         context.CancelFunc
-	done           chan error // run's return value
+	http, tcp string
+	cancel    context.CancelFunc
+	done      chan error // run's return value
 }
 
 // boot starts run(cfg) — the function main calls — with every listener
-// on 127.0.0.1:0 (wire transports only when wirePlane is set) and waits
+// on 127.0.0.1:0 (the wire listener only when wirePlane is set) and waits
 // for its ready callback. Cleanup cancels and waits for the drain.
 func boot(t *testing.T, cfg config, wirePlane bool) *booted {
 	t.Helper()
 	cfg.addr = "127.0.0.1:0"
 	if wirePlane {
-		cfg.udp, cfg.tcp = "127.0.0.1:0", "127.0.0.1:0"
+		cfg.tcp = "127.0.0.1:0"
 	}
 	if cfg.drain == 0 {
 		cfg.drain = 30 * time.Second
@@ -92,8 +92,8 @@ func boot(t *testing.T, cfg config, wirePlane bool) *booted {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &booted{cancel: cancel, done: make(chan error, 1)}
 	ready := make(chan struct{})
-	cfg.ready = func(h, u, tc string) {
-		b.http, b.udp, b.tcp = "http://"+h, u, tc
+	cfg.ready = func(h, tc string) {
+		b.http, b.tcp = "http://"+h, tc
 		close(ready)
 	}
 	go func() { b.done <- run(ctx, cfg) }()
@@ -191,37 +191,25 @@ func httpStats(t *testing.T, b *booted, tenant string) statsResponse {
 	return st
 }
 
-// exchange writes one request frame to a wire socket (a TCP stream or a
-// connected UDP socket) and returns the response frame's header and
-// payload.
+// exchange writes one request frame to a wire connection and returns
+// the response frame's header and payload.
 func exchange(t *testing.T, c net.Conn, frame []byte) (wire.Header, []byte) {
 	t.Helper()
 	if _, err := c.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, stream := c.(*net.TCPConn); stream {
-		h, payload, err := wire.ReadFrame(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, payload
-	}
-	buf := make([]byte, wire.MaxUDPFrame)
-	n, err := c.Read(buf)
+	h, payload, err := wire.ReadFrame(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := wire.ParseHeader(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h, buf[wire.HeaderSize:n]
+	return h, payload
 }
 
-func dial(t *testing.T, network, addr string) net.Conn {
+// dial opens a wire connection to addr, closed when the test ends.
+func dial(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	c, err := net.Dial(network, addr)
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,22 +273,20 @@ func flipped(t *testing.T, p string, i int) (string, core.Pattern) {
 	return string(b), pat
 }
 
-// (i) One input, three sockets, one verdict: the JSON route, a TCP frame
-// and a UDP datagram must agree on class, out-of-pattern, the pattern
-// bits and the epoch they were judged at.
+// (i) One input, two planes, one verdict: the JSON route and a TCP
+// frame must agree on class, out-of-pattern, the pattern bits and the
+// epoch they were judged at.
 func TestVerdictIdenticalAcrossPlanes(t *testing.T) {
 	b, _, _, inputs := bootToy(t, 21)
-	tcp, udp := dial(t, "tcp", b.tcp), dial(t, "udp", b.udp)
+	tcp := dial(t, b.tcp)
 	for i, x := range inputs {
 		hv := httpWatch(t, b, "default", x)
 		epoch := httpStats(t, b, "default").Epoch
-		for _, c := range []net.Conn{tcp, udp} {
-			wv := wireWatch(t, c, wire.DefaultTenant, x)
-			if wv.Class != hv.Class || wv.Monitored != hv.Monitored || wv.OutOfPattern != hv.OutOfPattern ||
-				wv.Pattern.String() != hv.Pattern || wv.Epoch != epoch {
-				t.Fatalf("input %d over %s: wire verdict %+v (pattern %s) differs from HTTP %+v at epoch %d",
-					i, c.RemoteAddr().Network(), wv, wv.Pattern, hv, epoch)
-			}
+		wv := wireWatch(t, tcp, wire.DefaultTenant, x)
+		if wv.Class != hv.Class || wv.Monitored != hv.Monitored || wv.OutOfPattern != hv.OutOfPattern ||
+			wv.Pattern.String() != hv.Pattern || wv.Epoch != epoch {
+			t.Fatalf("input %d: wire verdict %+v (pattern %s) differs from HTTP %+v at epoch %d",
+				i, wv, wv.Pattern, hv, epoch)
 		}
 	}
 }
@@ -309,7 +295,7 @@ func TestVerdictIdenticalAcrossPlanes(t *testing.T) {
 // id the model list reports, and DELETE unroutes it on both planes.
 func TestHotLoadedTenantRoutesOnWire(t *testing.T) {
 	b, model, monitor, inputs := bootToy(t, 22)
-	tcp := dial(t, "tcp", b.tcp)
+	tcp := dial(t, b.tcp)
 	callJSON(t, "PUT", b.http+"/v1/models/beta", loadRequest{Model: model, Monitor: monitor, Shape: []int{4}}, 201, nil)
 	var list struct{ Models []modelInfo }
 	callJSON(t, "GET", b.http+"/v1/models", nil, 200, &list)
@@ -340,7 +326,7 @@ func TestHotLoadedTenantRoutesOnWire(t *testing.T) {
 // serves, and both land in the replication delta log.
 func TestLearnCrossesPlanes(t *testing.T) {
 	b, _, _, inputs := bootToy(t, 23)
-	tcp := dial(t, "tcp", b.tcp)
+	tcp := dial(t, b.tcp)
 	seen := httpWatch(t, b, "default", inputs[0])
 	before := httpStats(t, b, "default").Epoch
 
@@ -412,11 +398,9 @@ func TestFollowerRefusesWritesOnBothPlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []net.Conn{dial(t, "tcp", f.tcp), dial(t, "udp", f.udp)} {
-		h, payload := exchange(t, c, frame)
-		if msg := wantErrFrame(t, h, payload, wire.ErrCodeBadRequest); !strings.Contains(msg, "read-only") {
-			t.Fatalf("wire learn refused with %q, want the read-only error", msg)
-		}
+	h, payload := exchange(t, dial(t, f.tcp), frame)
+	if msg := wantErrFrame(t, h, payload, wire.ErrCodeBadRequest); !strings.Contains(msg, "read-only") {
+		t.Fatalf("wire learn refused with %q, want the read-only error", msg)
 	}
 	if got := httpStats(t, f, "default").Epoch; got != before {
 		t.Fatalf("follower epoch moved %d -> %d under refused writes", before, got)
@@ -440,11 +424,10 @@ func TestLegacyRoutesRemoved(t *testing.T) {
 func TestDrainReturnsToGoroutineBaseline(t *testing.T) {
 	model, monitor, inputs := toyFiles(t, 26)
 	b := boot(t, config{modelPath: model, monitorPath: monitor, shape: []int{4}, leakCheck: true}, true)
-	tcp, udp := dial(t, "tcp", b.tcp), dial(t, "udp", b.udp)
+	tcp := dial(t, b.tcp)
 	for _, x := range inputs {
 		httpWatch(t, b, "default", x)
 		wireWatch(t, tcp, wire.DefaultTenant, x)
-		wireWatch(t, udp, wire.DefaultTenant, x)
 	}
 	if err := b.stop(t); err != nil {
 		t.Fatal(err)
@@ -562,8 +545,8 @@ func TestConfigValidate(t *testing.T) {
 		{"selftrain", ok, ""},
 		{"files", config{modelPath: "m", monitorPath: "z", dataset: "mnist"}, ""},
 		{"follow", config{follow: "http://leader"}, ""},
-		{"both planes, chaos on tcp, leak check", with(func(c *config) {
-			c.udp, c.tcp, c.chaosSeed, c.chaosFaults, c.leakCheck = ":1", ":2", 1, 40, true
+		{"wire plane, chaos on tcp, leak check", with(func(c *config) {
+			c.tcp, c.chaosSeed, c.chaosFaults, c.leakCheck = ":2", 1, 40, true
 		}), ""},
 		{"follow with chaos", config{follow: "http://leader", chaosSeed: 1, chaosFaults: 30}, ""},
 		{"no model source", config{dataset: "mnist"}, "need either"},
@@ -573,7 +556,6 @@ func TestConfigValidate(t *testing.T) {
 		{"follow with monitor", config{follow: "http://leader", monitorPath: "z"}, "-follow mirrors"},
 		{"follow with shape", config{follow: "http://leader", shape: []int{4}}, "-follow mirrors"},
 		{"chaos without a surface", with(func(c *config) { c.chaosSeed = 1 }), "no fault surface"},
-		{"chaos on udp only", with(func(c *config) { c.udp, c.chaosSeed = ":1", 1 }), "no fault surface"},
 		{"chaos budget without a seed", with(func(c *config) { c.tcp, c.chaosFaults = ":2", 40 }), "set -chaos-seed"},
 		{"leak check without the wire plane", with(func(c *config) { c.leakCheck = true }), "-leak-check"},
 	} {

@@ -261,7 +261,6 @@ type statsResponse struct {
 	Submitted     uint64                `json:"submitted"`
 	Served        uint64                `json:"served"`
 	Rejected      uint64                `json:"rejected"`
-	Shed          uint64                `json:"shed"`
 	Expired       uint64                `json:"expired"`
 	Batches       uint64                `json:"batches"`
 	MeanBatchSize float64               `json:"mean_batch_size"`
@@ -314,7 +313,6 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		Submitted:     st.Submitted,
 		Served:        st.Served,
 		Rejected:      st.Rejected,
-		Shed:          st.Shed,
 		Expired:       st.Expired,
 		Batches:       st.Batches,
 		MeanBatchSize: st.MeanBatchSize,

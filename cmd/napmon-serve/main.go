@@ -20,17 +20,16 @@
 //	GET    /v1/models/{name}/model    binary model weights (follower bootstrap)
 //	GET    /metrics                   Prometheus text: registry series, every
 //	                                  tenant's serving series labelled by tenant
-//	                                  and (with -udp/-tcp) napmon_gateway_* series
+//	                                  and (with -tcp) napmon_gateway_* series
 //	GET    /healthz                   liveness probe
 //	       /debug/pprof/              net/http/pprof, only with -pprof (profiles
 //	                                  leak heap contents: opt in, never default)
 //
-// The data plane is the binary wire protocol, off unless -udp and/or
-// -tcp name a listen address (never -addr's port, so scraping and
-// profiling share no socket with frames). UDP sheds overload with an
-// explicit error frame, TCP pushes it back through flow control and
-// drops nothing; wire.Gateway documents both, wire's TestABI pins the
-// bytes, cmd/napmon-soak is the load generator. Frames carry a tenant
+// The data plane is the binary wire protocol over TCP, off unless -tcp
+// names a listen address (never -addr's port, so scraping and
+// profiling share no socket with frames). Overload pushes back through
+// TCP flow control and drops nothing; wire.Gateway documents it, wire's
+// TestABI pins the bytes, cmd/napmon-soak is the load generator. Frames carry a tenant
 // id and route through the registry the HTTP API mutates: the id GET
 // /v1/models reports for a PUT-loaded tenant answers frames at once and
 // answers ErrCodeUnknownTenant once DELETE unpublishes it. The tenant
@@ -61,11 +60,11 @@
 //
 //	napmon-serve -model m.model -monitor m.monitor [-addr :8080]
 //	napmon-serve -selftrain 0.05 [-dataset mnist] [-seed 1] [-gamma 2] [-shape 1,28,28]
-//	             [-udp :9710] [-tcp :9711] [-pprof] [-drain 30s]
+//	             [-tcp :9711] [-pprof] [-drain 30s]
 //	             [-max-batch 64] [-queue 1024] [-lanes 1]
 //	             [-max-inflight 1024]
 //	             [-read-idle 30s] [-write-timeout 10s] [-malformed-budget 8]
-//	napmon-serve -follow http://leader:8080 [-follow-poll 500ms] [-udp ...] [-tcp ...]
+//	napmon-serve -follow http://leader:8080 [-follow-poll 500ms] [-tcp ...]
 //
 // -selftrain trains the chosen Table I network at the given dataset scale
 // in-process (handy for demos and smoke tests; see `make smoke`). Inputs
@@ -105,7 +104,7 @@ import (
 
 // config is everything the flags decide; run is a function of it.
 type config struct {
-	addr, udp, tcp string // listen addresses; empty udp/tcp = that transport off
+	addr, tcp string // listen addresses; empty tcp = the wire plane off
 
 	modelPath, monitorPath string
 	selftrain              float64
@@ -126,10 +125,11 @@ type config struct {
 	chaosFaults int
 	leakCheck   bool
 
-	// ready, when non-nil, receives the bound listener addresses ("" for
-	// a transport that is off) once every plane accepts traffic. No flag
-	// sets it: it is how a caller that asked for port 0 finds the daemon.
-	ready func(httpAddr, udpAddr, tcpAddr string)
+	// ready, when non-nil, receives the bound listener addresses (tcpAddr
+	// "" when the wire plane is off) once every plane accepts traffic. No
+	// flag sets it: it is how a caller that asked for port 0 finds the
+	// daemon.
+	ready func(httpAddr, tcpAddr string)
 }
 
 func main() {
@@ -137,7 +137,6 @@ func main() {
 	log.SetPrefix("napmon-serve: ")
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "HTTP listen address (API, /metrics, /healthz)")
-	flag.StringVar(&cfg.udp, "udp", "", "wire-protocol UDP listen address (empty = off)")
 	flag.StringVar(&cfg.tcp, "tcp", "", "wire-protocol TCP listen address (empty = off)")
 	flag.StringVar(&cfg.modelPath, "model", "", "trained model file (napmon-train -model)")
 	flag.StringVar(&cfg.monitorPath, "monitor", "", "monitor file (napmon-train -monitor)")
@@ -152,7 +151,7 @@ func main() {
 	flag.IntVar(&cfg.serve.MaxBatch, "max-batch", 0, "micro-batch size cap; batches form only while every lane is busy (0 = default 64)")
 	flag.IntVar(&cfg.serve.QueueDepth, "queue", 0, "request queue depth (0 = default)")
 	flag.IntVar(&cfg.serve.Lanes, "lanes", 0, "serving lanes / network replicas (0 = default)")
-	flag.IntVar(&cfg.gateway.MaxInflight, "max-inflight", 0, "per-TCP-connection cap on frames accepted but not yet written, and the UDP in-flight watch cap (0 = default)")
+	flag.IntVar(&cfg.gateway.MaxInflight, "max-inflight", 0, "per-TCP-connection cap on frames accepted but not yet written (0 = default)")
 	flag.DurationVar(&cfg.gateway.ReadIdleTimeout, "read-idle", 0, "per-TCP-conn read idle timeout (0 = default 30s, negative = disabled)")
 	flag.DurationVar(&cfg.gateway.WriteTimeout, "write-timeout", 0, "per-TCP-conn response write timeout (0 = default 10s, negative = disabled)")
 	flag.IntVar(&cfg.gateway.MalformedBudget, "malformed-budget", 0, "malformed payloads one TCP conn may send before teardown (0 = default 8, negative = disabled)")
@@ -190,14 +189,14 @@ func (c config) validate() error {
 		return errors.New("-chaos-faults bounds the -chaos-seed schedule; set -chaos-seed")
 	case c.chaosSeed != 0 && c.tcp == "" && c.follow == "":
 		return errors.New("-chaos-seed has no fault surface to arm; set -tcp and/or -follow")
-	case c.leakCheck && c.udp == "" && c.tcp == "":
-		return errors.New("-leak-check verifies the wire plane's goroutines exit; set -udp and/or -tcp")
+	case c.leakCheck && c.tcp == "":
+		return errors.New("-leak-check verifies the wire plane's goroutines exit; set -tcp")
 	}
 	return nil
 }
 
 // run is the daemon: validate, build the one registry, load (or mirror)
-// its tenants, open the HTTP plane and — when -udp/-tcp ask — the wire
+// its tenants, open the HTTP plane and — when -tcp asks — the wire
 // plane over that same registry, serve until ctx ends, drain.
 func run(ctx context.Context, cfg config) (err error) {
 	if err := cfg.validate(); err != nil {
@@ -284,19 +283,10 @@ const chaosStall = 100 * time.Millisecond
 // HTTP listener last, so a green /healthz means every plane is up. The
 // returned channel carries the HTTP serve loop's exit error.
 func (d *daemon) listen(cfg config) (<-chan error, error) {
-	var udpAddr, tcpAddr string
-	if cfg.udp != "" || cfg.tcp != "" {
+	var tcpAddr string
+	if cfg.tcp != "" {
 		d.gw = wire.NewFleetGateway(d.resolveLane, d.reg.Len, cfg.gateway)
 		d.gw.RegisterMetrics(d.obsReg)
-	}
-	if cfg.udp != "" {
-		if err := d.gw.ListenUDP(cfg.udp); err != nil {
-			return nil, err
-		}
-		udpAddr = d.gw.UDPAddr().String()
-		log.Printf("udp on %s (wire protocol v%d)", udpAddr, wire.Version)
-	}
-	if cfg.tcp != "" {
 		ln, err := net.Listen("tcp", cfg.tcp)
 		if err != nil {
 			return nil, err
@@ -341,7 +331,7 @@ func (d *daemon) listen(cfg config) (<-chan error, error) {
 	go func() { httpErr <- d.httpSrv.Serve(ln) }()
 	log.Printf("serving on http://%s (/v1/models..., GET /metrics, GET /healthz)", ln.Addr())
 	if cfg.ready != nil {
-		cfg.ready(ln.Addr().String(), udpAddr, tcpAddr)
+		cfg.ready(ln.Addr().String(), tcpAddr)
 	}
 	return httpErr, nil
 }
@@ -379,8 +369,8 @@ func (d *daemon) drain(budget time.Duration) {
 	log.Printf("drained: served %d requests in %d batches across the fleet", served, batches)
 	if d.gw != nil {
 		ct := d.gw.Counters()
-		log.Printf("wire: %d frames in (%d malformed, %d shed, %d conns reaped, %d over budget)",
-			ct.Received, ct.Malformed, ct.Dropped, ct.Reaped, ct.OverBudget)
+		log.Printf("wire: %d frames in (%d malformed, %d conns reaped, %d over budget)",
+			ct.Received, ct.Malformed, ct.Reaped, ct.OverBudget)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command napmon-soak is the load generator for the wire plane of
-// cmd/napmon-serve (its -udp / -tcp listeners): it hammers the gateway
-// with wire-protocol watch requests over UDP or TCP for a fixed
-// duration and reports throughput and latency percentiles as JSON.
+// cmd/napmon-serve (its -tcp listener): it hammers the gateway with
+// wire-protocol watch requests over TCP for a fixed duration and
+// reports throughput and latency percentiles as JSON.
 //
 // Two pacing modes:
 //
@@ -16,10 +16,9 @@
 //
 // Every response is matched to its request by frame id, so the report
 // also counts frames that never came back (dropped), responses that
-// fail the packet filter or decoder (malformed), overload shed replies
-// (overloaded — error frames with code 3), and other protocol-level
-// error frames (server_errors). With -strict, any of those makes the
-// process exit 1 — this is the CI soak gate.
+// fail the decoder or answer no request (malformed), and error frames
+// (server_errors). With -strict, any of those makes the process exit 1
+// — this is the CI soak gate.
 //
 // -metrics URL points at the daemon's GET /metrics (its HTTP -addr). The
 // soak scrapes it before and after the run and cross-checks the
@@ -29,9 +28,8 @@
 // -strict, requests the server says it served must equal watch
 // responses this client received; otherwise they must lie between the
 // responses received and those plus the frames that never came back
-// (dropped), since a frame lost on its way back was still served.
-// Gateway-reported sheds must equal the overload error frames it got
-// back. A mismatch means lost or double-counted frames somewhere
+// (dropped), since a frame lost on its way back was still served. A
+// mismatch means lost or double-counted frames somewhere
 // between the serving lanes and this socket; it is printed in the
 // report and fails -strict.
 //
@@ -47,7 +45,7 @@
 //
 // Usage:
 //
-//	napmon-soak -addr 127.0.0.1:9710 -proto udp -duration 10s [-rate 0]
+//	napmon-soak -addr 127.0.0.1:9711 -duration 10s [-rate 0]
 //	            [-conns 4] [-window 32] [-shape 1,28,28] [-o soak.json]
 //	            [-metrics http://127.0.0.1:9712/metrics] [-strict]
 //	            [-reconnect] [-chaos-check]
@@ -74,7 +72,7 @@ import (
 
 // options is everything the flags decide about one run.
 type options struct {
-	addr, proto     string
+	addr            string
 	duration, grace time.Duration
 	connectTimeout  time.Duration
 	rate            float64
@@ -89,12 +87,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("napmon-soak: ")
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:9710", "gateway address")
-	flag.StringVar(&o.proto, "proto", "udp", "transport: udp or tcp")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:9711", "gateway TCP address")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "send for this long")
 	flag.Float64Var(&o.rate, "rate", 0, "open-loop request rate per second across all conns (0 = closed loop)")
-	flag.IntVar(&o.conns, "conns", 4, "concurrent connections (TCP) or sockets (UDP)")
-	flag.IntVar(&o.window, "window", 32, "closed-loop outstanding requests per conn; UDP shed-retry cap")
+	flag.IntVar(&o.conns, "conns", 4, "concurrent connections")
+	flag.IntVar(&o.window, "window", 32, "closed-loop outstanding requests per conn")
 	flag.Uint64Var(&o.seed, "seed", 1, "input generator seed")
 	flag.StringVar(&o.metrics, "metrics", "", "napmon-serve /metrics URL to scrape before and after for server-side accounting (empty = off)")
 	flag.DurationVar(&o.connectTimeout, "connect-timeout", 10*time.Second, "budget for the initial ping probe")
@@ -108,9 +105,6 @@ func main() {
 		chaosCheck = flag.Bool("chaos-check", false, "exit 1 unless the run upholds the chaos invariants: responses were received, every received response decoded to a valid verdict, and (with -metrics) the client never received more than the server served")
 	)
 	flag.Parse()
-	if o.proto != "udp" && o.proto != "tcp" {
-		log.Fatalf("unknown -proto %q (want udp or tcp)", o.proto)
-	}
 	if o.conns < 1 || o.window < 1 {
 		log.Fatal("-conns and -window must be >= 1")
 	}
@@ -157,24 +151,23 @@ func main() {
 // o.duration, scrape again, and tally the client's and the server's
 // accounting into one report. judge decides what the report means.
 func soak(o options) (report, error) {
-	rep := report{Proto: o.proto, Conns: o.conns, Window: o.window, Rate: o.rate}
-	if err := probe(o.proto, o.addr, o.connectTimeout); err != nil {
+	rep := report{Conns: o.conns, Window: o.window, Rate: o.rate}
+	if err := probe(o.addr, o.connectTimeout); err != nil {
 		return rep, fmt.Errorf("gateway probe failed: %w", err)
 	}
 
-	var before *serverSample
+	var before uint64
 	if o.metrics != "" {
-		s, err := scrape(o.metrics)
-		if err != nil {
+		var err error
+		if before, err = scrape(o.metrics); err != nil {
 			return rep, fmt.Errorf("pre-run metrics scrape: %w", err)
 		}
-		before = s
 	}
 
 	workers := make([]*worker, o.conns)
 	var wg sync.WaitGroup
 	for i := range workers {
-		w := newWorker(i, o.proto, o.addr, o.shape, o.seed+uint64(i)*1e6, o.window, o.reconnect)
+		w := newWorker(i, o.addr, o.shape, o.seed+uint64(i)*1e6, o.window, o.reconnect)
 		workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -199,7 +192,6 @@ func soak(o options) (report, error) {
 		rep.Sent += w.sent
 		rep.Received += w.received
 		rep.Malformed += w.malformed
-		rep.Overloaded += w.overloaded
 		rep.ServerErrors += w.serverErrors
 		rep.ConnErrors += w.connErrors
 		rep.Dropped += uint64(len(w.pending))
@@ -221,16 +213,12 @@ func soak(o options) (report, error) {
 	rep.P50Ns, rep.P99Ns, rep.P999Ns = q(0.50).Nanoseconds(), q(0.99).Nanoseconds(), q(0.999).Nanoseconds()
 	rep.P50, rep.P99, rep.P999 = q(0.50).String(), q(0.99).String(), q(0.999).String()
 
-	if before != nil {
+	if o.metrics != "" {
 		after, err := scrape(o.metrics)
 		if err != nil {
 			return rep, fmt.Errorf("post-run metrics scrape: %w", err)
 		}
-		rep.Server = &serverSide{
-			ServedDelta:    after.served - before.served,
-			ShedDelta:      after.shed - before.shed,
-			GwDroppedDelta: after.gwDropped - before.gwDropped,
-		}
+		rep.Server = &serverSide{ServedDelta: after - before}
 	}
 	return rep, nil
 }
@@ -238,16 +226,15 @@ func soak(o options) (report, error) {
 // judge is the run's verdict, a pure function of its report. mismatches
 // lists where the server's /metrics deltas disagree with this client's
 // per-frame accounting (checked only when rep.Server is set), which
-// holds when this soak is the gateway's sole client, as in CI: every
-// gateway shed must have come back as an overload error frame, and
-// under strict every request the server counts as served as a watch
-// response. Without strict, a frame the server served may still have
-// been lost on its way back (a reset connection, a dropped datagram)
-// and counted as dropped, so served must lie in [received, received +
-// dropped]. failures lists why the run fails the gates it was asked
-// for; none means exit 0.
+// holds when this soak is the gateway's sole client, as in CI: under
+// strict every request the server counts as served must have come back
+// as a watch response. Without strict, a frame the server served may
+// still have been lost on its way back (a reset connection) and counted
+// as dropped, so served must lie in [received, received + dropped].
+// failures lists why the run fails the gates it was asked for; none
+// means exit 0.
 //
-// -strict demands closed accounting: nothing dropped, malformed, shed or
+// -strict demands closed accounting: nothing dropped, malformed or
 // errored, and no mismatch. -chaos-check cannot — injected resets
 // legitimately lose responses and corrupted requests legitimately earn
 // error frames — so it demands what must still hold: the service did real
@@ -264,14 +251,10 @@ func judge(rep report, strict, chaosCheck bool) (mismatches, failures []string) 
 			mismatches = append(mismatches, fmt.Sprintf("server served %d, client received %d and lost %d",
 				sv.ServedDelta, rep.Received, rep.Dropped))
 		}
-		if sv.GwDroppedDelta != rep.Overloaded {
-			mismatches = append(mismatches, fmt.Sprintf("gateway shed %d, client saw %d overload frames",
-				sv.GwDroppedDelta, rep.Overloaded))
-		}
 	}
-	if strict && (rep.Dropped > 0 || rep.Malformed > 0 || rep.Overloaded > 0 || rep.ServerErrors > 0 || len(mismatches) > 0) {
-		failures = append(failures, fmt.Sprintf("strict: %d dropped, %d malformed, %d overloaded, %d server errors, accounting ok=%v",
-			rep.Dropped, rep.Malformed, rep.Overloaded, rep.ServerErrors, len(mismatches) == 0))
+	if strict && (rep.Dropped > 0 || rep.Malformed > 0 || rep.ServerErrors > 0 || len(mismatches) > 0) {
+		failures = append(failures, fmt.Sprintf("strict: %d dropped, %d malformed, %d server errors, accounting ok=%v",
+			rep.Dropped, rep.Malformed, rep.ServerErrors, len(mismatches) == 0))
 	}
 	if chaosCheck {
 		if rep.Received == 0 {
@@ -292,53 +275,34 @@ func judge(rep report, strict, chaosCheck bool) (mismatches, failures []string) 
 // (wire tenant id 0).
 var soakTenant = map[string]string{"tenant": "default"}
 
-// serverSample is one scrape of the counters the accounting check uses.
-type serverSample struct {
-	served    uint64
-	shed      uint64
-	gwDropped uint64
-}
-
-// scrape fetches and parses a Prometheus exposition, pulling out the
-// serve/gateway counters the server-vs-client accounting diff needs.
-// The exposition is validated wholesale by the internal parser, so a
-// malformed metrics page fails the soak loudly rather than reading as
-// zeros.
-func scrape(url string) (*serverSample, error) {
+// scrape fetches and parses a Prometheus exposition and returns the
+// default tenant's served counter, the server side of the accounting
+// diff. The exposition is validated wholesale by the internal parser,
+// so a malformed metrics page fails the soak loudly rather than reading
+// as zero.
+func scrape(url string) (served uint64, err error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+		return 0, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	exp, err := obs.ParseExposition(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", url, err)
+		return 0, fmt.Errorf("parse %s: %w", url, err)
 	}
-	s := &serverSample{}
-	for _, f := range []struct {
-		name   string
-		labels map[string]string
-		dst    *uint64
-	}{
-		{"napmon_requests_served_total", soakTenant, &s.served},
-		{"napmon_requests_shed_total", soakTenant, &s.shed},
-		{"napmon_gateway_frames_dropped_total", nil, &s.gwDropped},
-	} {
-		v, ok := exp.Value(f.name, f.labels)
-		if !ok {
-			return nil, fmt.Errorf("%s: series %s missing (labels %v)", url, f.name, f.labels)
-		}
-		*f.dst = uint64(v)
+	const name = "napmon_requests_served_total"
+	v, ok := exp.Value(name, soakTenant)
+	if !ok {
+		return 0, fmt.Errorf("%s: series %s missing (labels %v)", url, name, soakTenant)
 	}
-	return s, nil
+	return uint64(v), nil
 }
 
 // report is the JSON document the soak run emits.
 type report struct {
-	Proto         string  `json:"proto"`
 	Conns         int     `json:"conns"`
 	Window        int     `json:"window"`
 	Rate          float64 `json:"rate"`
@@ -347,7 +311,6 @@ type report struct {
 	Received      uint64  `json:"received"`
 	Dropped       uint64  `json:"dropped"`
 	Malformed     uint64  `json:"malformed"`
-	Overloaded    uint64  `json:"overloaded"`
 	ServerErrors  uint64  `json:"server_errors"`
 	ConnErrors    uint64  `json:"conn_errors"`
 	ThroughputRPS float64 `json:"throughput_rps"`
@@ -365,18 +328,16 @@ type report struct {
 // serverSide is the server's view of the run, from /metrics deltas.
 type serverSide struct {
 	ServedDelta          uint64 `json:"served_delta"`
-	ShedDelta            uint64 `json:"shed_delta"`
-	GwDroppedDelta       uint64 `json:"gw_dropped_delta"`
 	ConsistentWithClient bool   `json:"consistent_with_client"`
 }
 
 // probe pings the gateway once so a wrong address fails fast with a
 // clear message instead of a ten-second soak full of drops.
-func probe(proto, addr string, budget time.Duration) error {
+func probe(addr string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		c, err := net.DialTimeout(proto, addr, time.Second)
+		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err != nil {
 			lastErr = err
 			time.Sleep(100 * time.Millisecond)
@@ -384,17 +345,8 @@ func probe(proto, addr string, budget time.Duration) error {
 		}
 		c.SetDeadline(time.Now().Add(time.Second))
 		c.Write(wire.AppendPing(nil, 0))
-		var h wire.Header
-		if proto == "udp" {
-			buf := make([]byte, wire.MaxUDPFrame)
-			n, err := c.Read(buf)
-			if err == nil && wire.BasicPacketFilter(buf[:n]) {
-				h, err = wire.ParseHeader(buf[:n])
-			}
-			lastErr = err
-		} else {
-			h, _, lastErr = wire.ReadFrame(c, nil)
-		}
+		h, _, err := wire.ReadFrame(c, nil)
+		lastErr = err
 		c.Close()
 		if lastErr == nil && h.Type == wire.TypePong {
 			return nil
@@ -407,12 +359,11 @@ func probe(proto, addr string, budget time.Duration) error {
 	return lastErr
 }
 
-// worker owns one connection (TCP) or socket (UDP): a sender paced by
-// the chosen mode, a receiver matching responses to send timestamps by
-// frame id, and per-conn tallies merged by main after the run.
+// worker owns one connection: a sender paced by the chosen mode, a
+// receiver matching responses to send timestamps by frame id, and
+// per-conn tallies merged by main after the run.
 type worker struct {
 	id    int
-	proto string
 	addr  string
 	frame []byte // pre-encoded watch request; id+checksum rewritten per send
 	shape []int
@@ -428,16 +379,15 @@ type worker struct {
 	sent         uint64
 	received     uint64
 	malformed    uint64
-	overloaded   uint64
 	serverErrors uint64
 	connErrors   uint64
 	lat          []time.Duration
 	err          error
 }
 
-func newWorker(id int, proto, addr string, shape []int, seed uint64, window int, reconnect bool) *worker {
+func newWorker(id int, addr string, shape []int, seed uint64, window int, reconnect bool) *worker {
 	return &worker{
-		id: id, proto: proto, addr: addr, shape: shape,
+		id: id, addr: addr, shape: shape,
 		r: rng.New(seed), window: window, reconnect: reconnect,
 		pending: make(map[uint32]time.Time),
 	}
@@ -485,19 +435,12 @@ func (w *worker) run(duration time.Duration, rate float64, grace time.Duration) 
 // sessions so late responses from a previous connection can never be
 // mistaken for current ones.
 func (w *worker) session(sendStart, end time.Time, rate float64, grace time.Duration, id *uint32) bool {
-	c, err := net.Dial(w.proto, w.addr)
+	c, err := net.Dial("tcp", w.addr)
 	if err != nil {
 		return w.connFailed(err)
 	}
 	defer c.Close()
 	c.SetDeadline(end.Add(grace + time.Minute))
-	if uc, ok := c.(*net.UDPConn); ok {
-		// Responses arrive in micro-batch-sized bursts; a default-sized
-		// socket buffer overflows under them and every loss leaks a
-		// window token. Best-effort — the kernel clamps to its own max.
-		uc.SetReadBuffer(4 << 20)
-		uc.SetWriteBuffer(4 << 20)
-	}
 
 	// tokens caps outstanding requests in closed-loop mode; the receiver
 	// refills it. Open loop ignores it and trusts the pacer. Fresh per
@@ -541,7 +484,7 @@ sendLoop:
 				break sendLoop
 			}
 		} else {
-			// A lost response (UDP) permanently leaks its window token, so
+			// A response that never comes back leaks its window token, so
 			// the wait must not outlive the send window — losing the whole
 			// window stalls this worker for the rest of the run (reported
 			// as drops), never hangs it.
@@ -617,35 +560,14 @@ func (w *worker) connFailed(err error) bool {
 // sends and recording latency. It returns false when the transport died
 // underneath it rather than being stopped by the sender.
 func (w *worker) receive(c net.Conn, stop <-chan struct{}) bool {
-	buf := make([]byte, wire.MaxUDPFrame)
+	var buf []byte
 	for {
 		select {
 		case <-stop:
 			return true
 		default:
 		}
-		var (
-			h       wire.Header
-			payload []byte
-			err     error
-		)
-		if w.proto == "udp" {
-			var n int
-			n, err = c.Read(buf)
-			if err == nil {
-				pkt := buf[:n]
-				if !wire.BasicPacketFilter(pkt) {
-					w.mu.Lock()
-					w.malformed++
-					w.mu.Unlock()
-					continue
-				}
-				h, _ = wire.ParseHeader(pkt)
-				payload = pkt[wire.HeaderSize : wire.HeaderSize+int(h.PayloadLen)]
-			}
-		} else {
-			h, payload, err = wire.ReadFrame(c, buf[:0])
-		}
+		h, payload, err := wire.ReadFrame(c, buf)
 		if err != nil {
 			select {
 			case <-stop: // expected: deadline fired during teardown
@@ -664,6 +586,7 @@ func (w *worker) receive(c net.Conn, stop <-chan struct{}) bool {
 			}
 			return false
 		}
+		buf = payload[:0]
 		now := time.Now()
 		w.mu.Lock()
 		sentAt, ok := w.pending[h.ID]
@@ -681,14 +604,7 @@ func (w *worker) receive(c net.Conn, stop <-chan struct{}) bool {
 				w.lat = append(w.lat, now.Sub(sentAt))
 			}
 		case h.Type == wire.TypeErr:
-			// Overload sheds are the server's explicit backpressure signal
-			// and must reconcile against the gateway's dropped counter;
-			// anything else is an unexpected failure.
-			if code, _, derr := wire.DecodeErr(payload); derr == nil && code == wire.ErrCodeOverloaded {
-				w.overloaded++
-			} else {
-				w.serverErrors++
-			}
+			w.serverErrors++
 		default:
 			w.malformed++
 		}

@@ -49,12 +49,6 @@ func TestJudge(t *testing.T) {
 			mismatches: 1,
 		},
 		{
-			name:       "gateway sheds not seen as overload frames",
-			rep:        report{Sent: 10, Received: 8, Overloaded: 1, Server: &serverSide{ServedDelta: 8, GwDroppedDelta: 2}},
-			strict:     true,
-			mismatches: 1, failures: 1,
-		},
-		{
 			name:     "strict fails on a drop alone",
 			rep:      report{Sent: 10, Received: 9, Dropped: 1, Server: &serverSide{ServedDelta: 9}},
 			strict:   true,
@@ -126,11 +120,8 @@ func TestScrape(t *testing.T) {
 	const good = `# TYPE napmon_requests_served_total counter
 napmon_requests_served_total{tenant="alpha"} 7
 napmon_requests_served_total{tenant="default"} 42
-# TYPE napmon_requests_shed_total counter
-napmon_requests_shed_total{tenant="default"} 3
-napmon_requests_shed_total{tenant="alpha"} 1
-# TYPE napmon_gateway_frames_dropped_total counter
-napmon_gateway_frames_dropped_total 2
+# TYPE napmon_batches_total counter
+napmon_batches_total{tenant="default"} 3
 `
 	serve := func(status int, body string) string {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -141,19 +132,19 @@ napmon_gateway_frames_dropped_total 2
 		return srv.URL + "/metrics"
 	}
 
-	s, err := scrape(serve(http.StatusOK, good))
+	served, err := scrape(serve(http.StatusOK, good))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *s != (serverSample{served: 42, shed: 3, gwDropped: 2}) {
-		t.Fatalf("scraped %+v", *s)
+	if served != 42 {
+		t.Fatalf("scraped served %d, want 42", served)
 	}
 
 	for _, tc := range []struct {
 		name, url, want string
 	}{
-		{"missing series", serve(http.StatusOK, strings.Join(strings.Split(good, "\n")[:6], "\n")+"\n"),
-			"napmon_gateway_frames_dropped_total missing"},
+		{"missing series", serve(http.StatusOK, strings.Join(strings.Split(good, "\n")[3:], "\n")),
+			"napmon_requests_served_total missing"},
 		{"default tenant absent", serve(http.StatusOK, strings.ReplaceAll(good, `"default"`, `"beta"`)),
 			"napmon_requests_served_total missing (labels map[tenant:default])"},
 		{"malformed exposition", serve(http.StatusOK, "napmon_requests_served_total forty-two\n"), "parse"},
@@ -166,10 +157,10 @@ napmon_gateway_frames_dropped_total 2
 }
 
 // liveGateway serves an untrained 4-input, 3-class toy model as the
-// registry's default tenant behind a fleet gateway on loopback UDP and
-// TCP, with the registry's and gateway's series on one /metrics page —
-// the shape napmon-serve gives them.
-func liveGateway(t *testing.T) (udpAddr, tcpAddr, metricsURL string) {
+// registry's default tenant behind a fleet gateway on loopback TCP,
+// with the registry's and gateway's series on one /metrics page — the
+// shape napmon-serve gives them.
+func liveGateway(t *testing.T) (tcpAddr, metricsURL string) {
 	t.Helper()
 	r := rng.New(5)
 	network := nn.New(nn.NewDense(4, 8, r), nn.NewReLU(), nn.NewDense(8, 3, r))
@@ -200,9 +191,6 @@ func liveGateway(t *testing.T) (udpAddr, tcpAddr, metricsURL string) {
 		return tn, nil
 	}, reg.Len, wire.GatewayConfig{})
 	gw.RegisterMetrics(metrics)
-	if err := gw.ListenUDP("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -216,26 +204,25 @@ func liveGateway(t *testing.T) (udpAddr, tcpAddr, metricsURL string) {
 		gw.Close()
 		reg.Close(context.Background())
 	})
-	return gw.UDPAddr().String(), gw.TCPAddr().String(), srv.URL + "/metrics"
+	return gw.TCPAddr().String(), srv.URL + "/metrics"
 }
 
 // TestSoakAgainstGateway runs the soak end to end against a live
-// gateway on both transports, closed and open loop: strict accounting
-// must close — the default tenant's served delta equals the verdicts
-// received — with nothing dropped, malformed or shed.
+// gateway, closed and open loop: strict accounting must close — the
+// default tenant's served delta equals the verdicts received — with
+// nothing dropped, malformed or errored.
 func TestSoakAgainstGateway(t *testing.T) {
-	udp, tcp, metrics := liveGateway(t)
+	tcp, metrics := liveGateway(t)
 	for _, tc := range []struct {
-		name, proto, addr string
-		rate              float64
+		name string
+		rate float64
 	}{
-		{"tcp closed loop", "tcp", tcp, 0},
-		{"tcp open loop", "tcp", tcp, 400},
-		{"udp closed loop", "udp", udp, 0},
+		{"tcp closed loop", 0},
+		{"tcp open loop", 400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := soak(options{
-				addr: tc.addr, proto: tc.proto, duration: 200 * time.Millisecond, grace: 2 * time.Second,
+				addr: tcp, duration: 200 * time.Millisecond, grace: 2 * time.Second,
 				connectTimeout: 5 * time.Second, rate: tc.rate, conns: 2, window: 4,
 				shape: []int{4}, seed: 1, metrics: metrics,
 			})
@@ -266,11 +253,11 @@ func TestSoakFailsFast(t *testing.T) {
 	}
 	dead := ln.Addr().String()
 	ln.Close()
-	o := options{addr: dead, proto: "tcp", connectTimeout: 300 * time.Millisecond, conns: 1, window: 1, shape: []int{4}}
+	o := options{addr: dead, connectTimeout: 300 * time.Millisecond, conns: 1, window: 1, shape: []int{4}}
 	if _, err := soak(o); err == nil || !strings.Contains(err.Error(), "probe") {
 		t.Fatalf("soak against a closed port: %v", err)
 	}
-	_, tcp, _ := liveGateway(t)
+	tcp, _ := liveGateway(t)
 	empty := httptest.NewServer(obs.NewRegistry().Handler())
 	defer empty.Close()
 	o.addr, o.metrics = tcp, empty.URL+"/metrics"

@@ -124,8 +124,8 @@
 // /v1/models/{name}/stats, GET /v1/models, PUT/DELETE
 // /v1/models/{name} for hot load/unload, plus the replication endpoints
 // GET /v1/models/{name}/snapshot and /deltas?since=N), GET /metrics and
-// GET /healthz — and, when -udp / -tcp name a listen address, over the
-// binary wire protocol (internal/wire) routed by tenant id through that
+// GET /healthz — and, when -tcp names a listen address, over the
+// binary wire protocol on TCP (internal/wire) routed by tenant id through that
 // same registry, so a tenant hot-loaded over HTTP answers wire frames
 // at once. The pre-fleet unprefixed routes (POST /watch, POST /learn,
 // GET /stats) are gone; they answer 404. Shutdown drains wire, then
@@ -150,13 +150,13 @@
 // with a tenant label, and resolves the name at scrape time: a tenant
 // loaded from flags, by PUT or from a leader's snapshot exports the
 // same series, a reload is followed (per-class series gain the new
-// classes), and an unloaded name reads napmon_tenant_up 0 with zeroed
-// series. The serving series, every one labelled tenant="<name>":
+// classes), and unloading a name removes every series it labels, so a
+// fleet that loads and unloads many names keeps a bounded page. The
+// serving series, every one labelled tenant="<name>":
 //
 //	napmon_requests_submitted_total        counter    requests accepted into the queue
 //	napmon_requests_served_total           counter    requests answered with a verdict
 //	napmon_requests_rejected_total         counter    submits refused (server closed)
-//	napmon_requests_shed_total             counter    non-blocking submits refused (queue full)
 //	napmon_serve_expired_total             counter    queued requests shed because their context
 //	                                                  expired before inference (SubmitCtx)
 //	napmon_batches_total                   counter    micro-batches dispatched to lanes
@@ -200,12 +200,11 @@
 // The wire gateway's series (unlabelled; one gateway serves every
 // tenant):
 //
-//	napmon_gateway_frames_received_total   counter    frames past the packet filter (gateway)
+//	napmon_gateway_frames_received_total   counter    frames past stream header validation
 //	napmon_gateway_frames_responded_total  counter    response frames handed to a socket
 //	napmon_gateway_tcp_writes_total        counter    TCP socket writes, each carrying every
 //	                                                  response frame queued on its conn
-//	napmon_gateway_frames_malformed_total  counter    rejected datagrams/headers/payloads
-//	napmon_gateway_frames_dropped_total    counter    watch requests shed under pressure
+//	napmon_gateway_frames_malformed_total  counter    rejected stream headers/payloads
 //	napmon_gateway_conns_reaped_total      counter    TCP conns torn down by a read-idle or
 //	                                                  write deadline
 //	napmon_gateway_conns_overbudget_total  counter    TCP conns torn down for exhausting their
@@ -224,7 +223,7 @@
 // strict internal parser, and cross-checks the series of the tenant a
 // /v1/models/{name}/stats document names against it; the napmon-soak
 // harness scrapes before/after a run and reconciles the default
-// tenant's served/shed deltas against its own per-frame accounting.
+// tenant's served delta against its own per-frame accounting.
 // See DESIGN.md, "Observability: registry, histograms, tracing".
 //
 // Everything is implemented from scratch on the standard library: the
@@ -240,8 +239,8 @@
 // job (make test-fuzz: the differential BDD fuzzer, the pattern and
 // wire-frame round trips and the snapshot/delta-stream decoders), a
 // coverage gate (make cover-check against ci/coverage-baseline.txt) and
-// a smoke job on the built binaries (make smoke: strict zero-loss
-// UDP+TCP soaks with server-vs-client accounting, /metrics validated
+// a smoke job on the built binaries (make smoke: a strict zero-loss
+// TCP soak with server-vs-client accounting, /metrics validated
 // and cross-checked against /stats, a seeded chaos soak, both drains
 // under a goroutine leak check; then make bench-verdicts: every output
 // of bench/'s five workloads against its oracle — bench/ is the one

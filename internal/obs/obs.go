@@ -9,7 +9,7 @@
 //     atomic adds — no locks, no allocation, no formatting. Every series
 //     is a callback (CounterFunc, CounterFloatFunc, GaugeFunc,
 //     HistogramFunc) over state the serving code already keeps — the
-//     serve pipeline's served/shed atomics, its stage histograms, BDD
+//     serve pipeline's served/expired atomics, its stage histograms, BDD
 //     manager stats — so the serving code pays nothing at all for being
 //     observable, the cost lands on the scraper, and a callback that
 //     resolves its owner at scrape time follows a reloaded tenant.
@@ -22,11 +22,11 @@
 //     writer; the parser in this package is what the soak harness and
 //     napmon-metricslint (`make smoke`) use to read it back.
 //
-// Registration may run concurrently with scraping (a tenant loaded at
-// runtime registers its series while /metrics is being read); a scrape
-// sees each family's series as of its start. Duplicate or malformed
-// registrations panic rather than return errors, since they are
-// programming mistakes, not runtime conditions.
+// Registration and Unregister may run concurrently with scraping (a
+// tenant loaded or unloaded at runtime adds or removes its series while
+// /metrics is being read); a scrape sees each family's series as of its
+// start. Duplicate or malformed registrations panic rather than return
+// errors, since they are programming mistakes, not runtime conditions.
 package obs
 
 import (
@@ -162,6 +162,46 @@ func (r *Registry) add(name, help string, kind metricKind, s *series) {
 		}
 	}
 	f.series = append(f.series, s)
+}
+
+// Unregister removes every series that carries label l, and every
+// family it leaves without series, so a label value that goes away (an
+// unloaded tenant) stops costing scrape time and page size. A later
+// registration of the same series succeeds. A scrape already running
+// keeps the series it copied; their callbacks may still run once.
+func (r *Registry) Unregister(l Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	order := r.order[:0]
+	for _, f := range r.order {
+		// A fresh slice, never an in-place filter: a scrape may be
+		// reading the old one outside the lock.
+		var kept []*series
+		for _, s := range f.series {
+			if !hasLabel(s.labels, l) {
+				kept = append(kept, s)
+			}
+		}
+		if len(kept) < len(f.series) {
+			f.series = kept
+		}
+		if len(f.series) == 0 {
+			delete(r.byName, f.name)
+			continue
+		}
+		order = append(order, f)
+	}
+	clear(r.order[len(order):])
+	r.order = order
+}
+
+func hasLabel(labels []Label, l Label) bool {
+	for _, x := range labels {
+		if x == l {
+			return true
+		}
+	}
+	return false
 }
 
 func sameLabels(a, b []Label) bool {

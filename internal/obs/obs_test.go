@@ -188,3 +188,44 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestRegistryUnregister: Unregister removes exactly the series that
+// carry the label, drops a family it empties, and lets the same series
+// register again.
+func TestRegistryUnregister(t *testing.T) {
+	reg := NewRegistry()
+	reg.GaugeFunc("test_up", "h", func() float64 { return 1 }, L("tenant", "a"))
+	reg.GaugeFunc("test_up", "h", func() float64 { return 1 }, L("tenant", "b"))
+	reg.CounterFunc("test_oop_total", "h", one, L("tenant", "a"), L("class", "0"))
+	reg.CounterFunc("test_fleet_total", "h", one)
+	render := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(strings.NewReader(sb.String())); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+
+	reg.Unregister(L("tenant", "a"))
+	out := render()
+	for _, gone := range []string{`tenant="a"`, "test_oop_total"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("%s still rendered after Unregister:\n%s", gone, out)
+		}
+	}
+	for _, kept := range []string{`test_up{tenant="b"} 1`, "test_fleet_total 1"} {
+		if !strings.Contains(out, kept) {
+			t.Fatalf("%s lost to Unregister:\n%s", kept, out)
+		}
+	}
+
+	reg.GaugeFunc("test_up", "h", func() float64 { return 1 }, L("tenant", "a"))
+	reg.CounterFunc("test_oop_total", "h", one, L("tenant", "a"), L("class", "0"))
+	if out := render(); !strings.Contains(out, `test_up{tenant="a"} 1`) || !strings.Contains(out, `test_oop_total{class="0",tenant="a"} 1`) {
+		t.Fatalf("re-registered series missing:\n%s", out)
+	}
+}

@@ -11,13 +11,13 @@ import (
 // future ones).
 //
 // A tenant's series are serve.RegisterMetrics' families with a tenant
-// label, plus napmon_tenant_up. They are registered once per name and
-// resolve the name through Peek at scrape time, so whichever way a
-// tenant was loaded — from flags, by PUT, or from a leader's snapshot
-// — it exports the same series, a reload is followed, and an unload
-// neither panics the scrape registry with duplicate series nor leaves
-// callbacks pointing at a drained tenant: an unloaded name scrapes as
-// napmon_tenant_up 0 with zeroed series until it returns.
+// label, plus napmon_tenant_up. They are registered when a name is
+// loaded and resolve the name through Peek at scrape time, so whichever
+// way a tenant was loaded — from flags, by PUT, or from a leader's
+// snapshot — it exports the same series. Unload removes every series
+// the name labels (unbindTenantMetrics), so a fleet that cycles through
+// many names keeps a bounded page; loading the name again registers
+// them afresh.
 func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	r.metricsMu.Lock()
 	r.obsReg = reg
@@ -31,18 +31,19 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_registry_unloads_total", "Tenants unloaded since start.", r.unloads.Load)
 	reg.CounterFunc("napmon_registry_lookups_total", "Successful tenant acquisitions.", r.lookups.Load)
 
-	for _, name := range r.Names() {
-		if t := r.Peek(name); t != nil {
-			r.bindTenantMetrics(t)
-		}
+	// r.mu orders this against Load and Unload, which bind and unbind
+	// under it too: no unloaded name is bound here after its unbind.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range r.cur.Load().byName {
+		r.bindTenantMetrics(t)
 	}
 }
 
-// bindTenantMetrics registers t's name's series on first sight of the
-// name and tracks t's classes. Load calls it with r.mu held;
-// RegisterMetrics calls it without. Both orders are safe: registration
-// is keyed on the name, tracking is idempotent, and the callbacks
-// re-resolve the tenant on every scrape.
+// bindTenantMetrics registers t's name's series if the name has none
+// and tracks t's classes. Callers hold r.mu. Registration is keyed on
+// the name, tracking is idempotent, and the callbacks re-resolve the
+// tenant on every scrape.
 func (r *Registry) bindTenantMetrics(t *Tenant) {
 	r.metricsMu.Lock()
 	defer r.metricsMu.Unlock()
@@ -70,4 +71,17 @@ func (r *Registry) bindTenantMetrics(t *Tenant) {
 		r.metrics[name] = m
 	}
 	m.Track(t.srv)
+}
+
+// unbindTenantMetrics removes every series labelled with name from the
+// scrape registry and forgets the name's series set, so the next load
+// of the name registers it again. Unload calls it with r.mu held.
+func (r *Registry) unbindTenantMetrics(name string) {
+	r.metricsMu.Lock()
+	defer r.metricsMu.Unlock()
+	if r.obsReg == nil {
+		return
+	}
+	r.obsReg.Unregister(obs.L("tenant", name))
+	delete(r.metrics, name)
 }

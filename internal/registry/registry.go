@@ -27,7 +27,7 @@
 // The registry is also the one place serving metrics are registered:
 // RegisterMetrics gives every tenant name, however it was loaded,
 // serve's families under a tenant label, resolved by name at scrape
-// time.
+// time and removed when the name is unloaded.
 package registry
 
 import (
@@ -124,10 +124,10 @@ type Registry struct {
 	lookups atomic.Uint64
 
 	// metricsMu guards the scrape registry attachment and the
-	// per-name series: a tenant name registers its labelled series once
-	// ever, and they resolve the name at scrape time, so an
-	// unload/reload cycle cannot trip the registry's duplicate-series
-	// panic.
+	// per-name series sets: a loaded name registers its labelled series
+	// once, Unload removes them, and they resolve the name at scrape
+	// time, so an unload/reload cycle cannot trip the registry's
+	// duplicate-series panic.
 	metricsMu sync.Mutex
 	obsReg    *obs.Registry
 	metrics   map[string]*serve.Metrics
@@ -445,6 +445,7 @@ func (r *Registry) Unload(ctx context.Context, name string) error {
 		delete(ng.byID, t.id)
 	})
 	r.unloads.Add(1)
+	r.unbindTenantMetrics(name)
 	r.mu.Unlock()
 
 	t.Release() // drop the base reference; drain fires at zero

@@ -472,10 +472,10 @@ func TestDeltaLogGap(t *testing.T) {
 }
 
 // TestRegistryMetrics checks every loaded tenant exports the serving
-// families under its tenant label, that they survive an unload/reload
-// cycle without a duplicate-registration panic, read 0/1 through
-// napmon_tenant_up, and follow the reloaded name's new server: its
-// counters and its class set.
+// families under its tenant label, that an unload removes the name's
+// series and a reload registers them again without a
+// duplicate-registration panic, and that they follow the reloaded
+// name's new server: its counters and its class set.
 func TestRegistryMetrics(t *testing.T) {
 	r := New(Config{})
 	reg := obs.NewRegistry()
@@ -558,11 +558,13 @@ func TestRegistryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp = scrape()
-	if v := value(exp, "napmon_tenant_up", "tenant", "alpha"); v != 0 {
-		t.Errorf("unloaded tenant scrapes napmon_tenant_up %v, want 0", v)
+	for _, smp := range exp.Samples {
+		if smp.Labels["tenant"] == "alpha" {
+			t.Errorf("unloaded tenant still exports %s%v", smp.Name, smp.Labels)
+		}
 	}
-	if v := value(exp, "napmon_requests_served_total", "tenant", "alpha"); v != 0 {
-		t.Errorf("unloaded tenant scrapes served %v, want 0", v)
+	if v := value(exp, "napmon_tenant_up", "tenant", "beta"); v != 1 {
+		t.Errorf("beta napmon_tenant_up %v after alpha's unload, want 1", v)
 	}
 
 	// Reload the name with a five-class model: no duplicate-series
@@ -591,6 +593,85 @@ func TestRegistryMetrics(t *testing.T) {
 	}
 	if n := classSeries(exp, "napmon_oop_total", "beta"); n != 3 {
 		t.Errorf("beta's class series changed with alpha's reload: %d, want 3", n)
+	}
+}
+
+// TestRegistryMetricsUnloadBounded: loading and unloading many unique
+// names leaves the scrape at its baseline series count, a reloaded name
+// exports its full set again, and scrapes racing the unloads stay
+// parseable (run under -race for the concurrency half).
+func TestRegistryMetricsUnloadBounded(t *testing.T) {
+	r := New(Config{})
+	reg := obs.NewRegistry()
+	r.RegisterMetrics(reg)
+	load(t, r, "beta", 2)
+	scrape := func() (*obs.Exposition, error) {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			return nil, err
+		}
+		return obs.ParseExposition(&buf)
+	}
+	count := func() int {
+		t.Helper()
+		exp, err := scrape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(exp.Samples)
+	}
+	baseline := count()
+
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+			if _, err := scrape(); err != nil {
+				scraped <- err
+				return
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < 50; i++ {
+		name := fmt.Sprintf("churn-%d", i)
+		load(t, r, name, uint64(i+10))
+		if err := r.Unload(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatalf("scrape during unloads: %v", err)
+	}
+	if got := count(); got != baseline {
+		t.Fatalf("after 50 load/unload cycles the scrape has %d samples, want the baseline %d", got, baseline)
+	}
+
+	// A reload of an unloaded name exports the same set beta does.
+	load(t, r, "churn-7", 17)
+	exp, err := scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTenant := map[string]int{}
+	for _, smp := range exp.Samples {
+		if tn := smp.Labels["tenant"]; tn != "" {
+			perTenant[tn]++
+		}
+	}
+	if perTenant["churn-7"] == 0 || perTenant["churn-7"] != perTenant["beta"] {
+		t.Fatalf("reloaded name exports %d samples, beta %d", perTenant["churn-7"], perTenant["beta"])
+	}
+	if got := len(exp.Samples); got != baseline+perTenant["beta"] {
+		t.Fatalf("scrape has %d samples after the reload, want %d", got, baseline+perTenant["beta"])
 	}
 }
 

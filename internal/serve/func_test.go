@@ -56,8 +56,7 @@ func waitQueued(t *testing.T, s *Server, n int) {
 }
 
 // TestSubmitFuncServed: on the served path every done runs exactly once
-// with the verdict serial Watch gives, from blocking and non-blocking
-// submits alike.
+// with the verdict serial Watch gives, with and without a context.
 func TestSubmitFuncServed(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 41)
 	s, err := New(net, mon, Config{MaxBatch: 8})
@@ -68,11 +67,10 @@ func TestSubmitFuncServed(t *testing.T) {
 	c := newCompletions(n)
 	for i := 0; i < n; i++ {
 		x := inputs[i%len(inputs)]
-		// The default queue holds all n, so TrySubmitFunc never sheds here.
 		if i%2 == 0 {
 			err = s.SubmitFunc(context.Background(), x, c.done(i))
 		} else {
-			err = s.TrySubmitFunc(x, c.done(i))
+			err = s.SubmitFunc(nil, x, c.done(i))
 		}
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -186,7 +184,8 @@ func TestSubmitFuncAbort(t *testing.T) {
 
 // TestSubmitFuncRefused: a submit the server refuses returns its error
 // and never runs done — after Shutdown, on a done context, on a full
-// queue (TrySubmitFunc), and for an input of the wrong shape.
+// queue whose wait outlives the context, and for an input of the wrong
+// shape.
 func TestSubmitFuncRefused(t *testing.T) {
 	net, mon, inputs := toyServerParts(t, 45)
 	var calls atomic.Int32
@@ -202,23 +201,22 @@ func TestSubmitFuncRefused(t *testing.T) {
 		t.Fatalf("SubmitFunc on a done ctx: %v, want context.Canceled", err)
 	}
 	// One request in the coalescer's full batch, one in the queue: the
-	// next non-blocking submit finds no room.
+	// next submit finds no room and waits until its deadline.
 	for i := 0; i < 2; i++ {
 		if err := s.SubmitFunc(nil, inputs[i], func(core.Verdict, error) {}); err != nil {
 			t.Fatal(err)
 		}
 		waitQueued(t, s, i)
 	}
-	if err := s.TrySubmitFunc(inputs[2], done); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmitFunc on a full queue: %v, want ErrQueueFull", err)
+	tctx, tcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer tcancel()
+	if err := s.SubmitFunc(tctx, inputs[2], done); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SubmitFunc on a full queue past its deadline: %v, want context.DeadlineExceeded", err)
 	}
 	release()
 	shutdownOK(t, s)
 	if err := s.SubmitFunc(nil, inputs[0], done); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("SubmitFunc after Shutdown: %v, want ErrServerClosed", err)
-	}
-	if err := s.TrySubmitFunc(inputs[0], done); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("TrySubmitFunc after Shutdown: %v, want ErrServerClosed", err)
 	}
 	if got := calls.Load(); got != 0 {
 		t.Fatalf("done ran %d times for refused submits", got)

@@ -59,8 +59,6 @@ func RegisterMetrics(reg *obs.Registry, server func() *Server, labels ...obs.Lab
 		func(s *Server) uint64 { return s.counts.Load().served })
 	counter("napmon_requests_rejected_total", "submits refused because the server was closed",
 		func(s *Server) uint64 { return s.rejected.Load() })
-	counter("napmon_requests_shed_total", "non-blocking submits refused on a full queue",
-		func(s *Server) uint64 { return s.shed.Load() })
 	counter("napmon_serve_expired_total", "queued requests shed because their context expired before inference",
 		func(s *Server) uint64 { return s.expired.Load() })
 	counter("napmon_batches_total", "micro-batches dispatched to serving lanes",

@@ -34,7 +34,7 @@
 // server aborts before serving it. Submit, SubmitCtx and SubmitAll wrap
 // that function in a *Future for callers that block on
 // a result. Front ends that serve many requests per goroutine pass
-// their own function through SubmitFunc or TrySubmitFunc instead: the
+// their own function through SubmitFunc instead: the
 // lane that serves a micro-batch then hands every verdict of it on
 // directly, with no goroutine parked per request (the wire gateway
 // turns them into queued frames, so a batch leaves in one socket
@@ -65,10 +65,6 @@ import (
 // ErrServerClosed is returned by Submit and SubmitAll after Shutdown has
 // begun, and resolves any Future the server aborted before serving.
 var ErrServerClosed = errors.New("serve: server closed")
-
-// ErrQueueFull is returned by TrySubmitFunc when the request queue is at
-// capacity — the non-blocking counterpart of Submit's backpressure.
-var ErrQueueFull = errors.New("serve: request queue full")
 
 // ErrExpired resolves the Future of a SubmitCtx request whose context
 // was cancelled or deadline-expired while it waited in the queue or for
@@ -191,7 +187,6 @@ type Server struct {
 
 	submitted atomic.Uint64
 	rejected  atomic.Uint64
-	shed      atomic.Uint64
 	expired   atomic.Uint64
 	// counts carries (served, batches) as one immutable pair so readers
 	// snapshot both atomically; see servedCounts.
@@ -290,38 +285,23 @@ func (s *Server) SubmitCtx(ctx context.Context, x *tensor.Tensor) (*Future, erro
 // lane and every request of its batch behind it — and must not submit
 // to this server. When SubmitFunc returns an error, done never runs.
 func (s *Server) SubmitFunc(ctx context.Context, x *tensor.Tensor, done func(core.Verdict, error)) error {
-	return s.submit(ctx, x, true, done)
-}
-
-// TrySubmitFunc is the non-blocking SubmitFunc: when the request queue
-// is full it returns ErrQueueFull immediately instead of waiting for
-// space, and counts the request as shed (Stats.Shed). Datagram front
-// ends use it to turn queue pressure into explicit load shedding — a UDP
-// reader that blocked would stall every client behind one full queue,
-// where a connection-oriented front end simply stops reading its socket
-// and lets transport flow control push back. When it returns nil, done
-// runs exactly once, on a serve goroutine, with the Verdict or the
-// error (ErrServerClosed if the server aborts first); done must not
-// block and must not submit to this server. When it returns an error,
-// done never runs.
-func (s *Server) TrySubmitFunc(x *tensor.Tensor, done func(core.Verdict, error)) error {
-	return s.submit(nil, x, false, done)
+	return s.submit(ctx, x, done)
 }
 
 // future submits x, blocking on a full queue, with a fresh Future's
 // resolve as its completion.
 func (s *Server) future(ctx context.Context, x *tensor.Tensor) (*Future, error) {
 	fut := newFuture()
-	if err := s.submit(ctx, x, true, fut.complete); err != nil {
+	if err := s.submit(ctx, x, fut.complete); err != nil {
 		return nil, err
 	}
 	return fut, nil
 }
 
 // submit is the one intake path: it validates x, then enqueues it with
-// done — blocking on a full queue (until ctx is done, when ctx is
-// non-nil) or, with block false, shedding with ErrQueueFull.
-func (s *Server) submit(ctx context.Context, x *tensor.Tensor, block bool, done func(core.Verdict, error)) error {
+// done, blocking on a full queue (until ctx is done, when ctx is
+// non-nil).
+func (s *Server) submit(ctx context.Context, x *tensor.Tensor, done func(core.Verdict, error)) error {
 	// A nil ctx leaves ctxDone nil — a never-ready select case — so the
 	// ctx-less paths pay nothing for the extra arm.
 	var ctxDone <-chan struct{}
@@ -349,19 +329,6 @@ func (s *Server) submit(ctx context.Context, x *tensor.Tensor, block bool, done 
 	s.mu.Unlock()
 	defer s.inflight.Done()
 	req := request{ctx: ctx, input: x, done: done, enq: time.Now()}
-	if !block {
-		select {
-		case s.queue <- req:
-			s.submitted.Add(1)
-			return nil
-		case <-s.aborted:
-			s.rejected.Add(1)
-			return ErrServerClosed
-		default:
-			s.shed.Add(1)
-			return ErrQueueFull
-		}
-	}
 	select {
 	case s.queue <- req:
 		s.submitted.Add(1)
@@ -492,7 +459,6 @@ func (s *Server) Stats() Stats {
 		Submitted:     s.submitted.Load(),
 		Served:        sc.served,
 		Rejected:      s.rejected.Load(),
-		Shed:          s.shed.Load(),
 		Expired:       s.expired.Load(),
 		Batches:       sc.batches,
 		MeanBatchSize: mean,

@@ -428,82 +428,6 @@ func TestBackpressureQueueFull(t *testing.T) {
 	shutdownOK(t, s)
 }
 
-// TestTrySubmitSheds pins the non-blocking contract on a bare Server
-// whose queue is never drained (no goroutines started): the first
-// TrySubmitFunc takes the only queue slot, the second returns
-// ErrQueueFull immediately and bumps the shed counter instead of
-// blocking.
-func TestTrySubmitSheds(t *testing.T) {
-	s := &Server{
-		queue:   make(chan request, 1),
-		aborted: make(chan struct{}),
-	}
-	done := func(core.Verdict, error) {}
-	if err := s.TrySubmitFunc(tensor.New(4), done); err != nil {
-		t.Fatalf("TrySubmitFunc into empty queue: %v", err)
-	}
-	if err := s.TrySubmitFunc(tensor.New(4), done); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmitFunc into full queue: %v, want ErrQueueFull", err)
-	}
-	if got := s.shed.Load(); got != 1 {
-		t.Fatalf("shed counter %d, want 1", got)
-	}
-	if got := s.submitted.Load(); got != 1 {
-		t.Fatalf("submitted counter %d, want 1", got)
-	}
-}
-
-// TestTrySubmitLive drives a real server with TrySubmitFunc only:
-// every accepted request completes with a verdict, shed requests are
-// counted, and accepted+shed covers every attempt.
-func TestTrySubmitLive(t *testing.T) {
-	net, mon, inputs := toyServerParts(t, 11)
-	s, err := New(net, mon, Config{MaxBatch: 4, QueueDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const attempts = 200
-	var wg sync.WaitGroup
-	errs := make(chan error, attempts)
-	accepted, shed := 0, 0
-	for i := 0; i < attempts; i++ {
-		wg.Add(1)
-		err := s.TrySubmitFunc(inputs[i%len(inputs)], func(_ core.Verdict, err error) {
-			errs <- err
-			wg.Done()
-		})
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrQueueFull):
-			wg.Done()
-			shed++
-		default:
-			t.Fatalf("TrySubmitFunc %d: %v", i, err)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	completed := 0
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("accepted request %d: %v", completed, err)
-		}
-		completed++
-	}
-	if completed != accepted {
-		t.Fatalf("%d of %d accepted requests completed", completed, accepted)
-	}
-	st := s.Stats()
-	if int(st.Shed) != shed {
-		t.Fatalf("Stats.Shed %d, want %d", st.Shed, shed)
-	}
-	if int(st.Submitted) != accepted || accepted+shed != attempts {
-		t.Fatalf("submitted %d (accepted %d) + shed %d != %d attempts", st.Submitted, accepted, shed, attempts)
-	}
-	shutdownOK(t, s)
-}
-
 func TestConfigValidate(t *testing.T) {
 	net, mon, _ := toyServerParts(t, 9)
 	for _, cfg := range []Config{

@@ -18,10 +18,6 @@ type Stats struct {
 	// Rejected counts Submit calls refused because the server was
 	// closed or aborted.
 	Rejected uint64
-	// Shed counts TrySubmitFunc calls refused with ErrQueueFull — load a
-	// non-blocking front end (the UDP gateway) dropped instead of
-	// queueing.
-	Shed uint64
 	// Expired counts SubmitCtx requests whose context fired after they
 	// were queued but before inference: the server shed them with
 	// ErrExpired instead of computing a verdict nobody was waiting for.

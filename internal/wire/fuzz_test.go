@@ -15,11 +15,13 @@ import (
 // re-encoding must be byte-identical (the encoding is canonical, which
 // is what lets TestABI pin single golden byte strings).
 //
-// Backward: the raw fuzz input itself is fed to ParseHeader,
-// BasicPacketFilter, ReadFrame and every payload decoder. None may
-// panic, over-read, or allocate past the declared caps, no matter the
-// bytes — this is the property that makes the gateway safe to point at
-// the open internet.
+// Backward: the raw fuzz input itself is fed to ParseHeader, ReadFrame
+// and every payload decoder. None may panic, over-read, or allocate
+// past the declared caps, no matter the bytes — this is the property
+// that makes the gateway safe to point at the open internet.
+//
+// Both directions hold every frame to wholeFrame: a valid header that
+// declares exactly the payload bytes behind it.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint32(0), []byte{})
 	f.Add(uint32(7), []byte{0x01, 0x03, 0x07, 0x00})
@@ -31,15 +33,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint32, data []byte) {
 		// --- Backward: arbitrary bytes never panic a decoder. ---
 		ParseHeader(data)
-		BasicPacketFilter(data)
-		if h, payload, err := ReadFrame(bytes.NewReader(data), nil); err == nil {
-			// A frame that parses off a stream must satisfy the filter
-			// when reassembled as a datagram, and vice versa.
-			whole := data[:HeaderSize+int(h.PayloadLen)]
-			if !BasicPacketFilter(whole) {
-				t.Fatalf("stream-parsed frame fails the packet filter: %#02x", whole)
+		if h, _, err := ReadFrame(bytes.NewReader(data), nil); err == nil {
+			// A frame that parses off a stream is whole on its own: its
+			// header declares exactly the bytes that follow it.
+			if whole := data[:HeaderSize+int(h.PayloadLen)]; !wholeFrame(whole) {
+				t.Fatalf("stream-parsed frame is not whole: %#02x", whole)
 			}
-			_ = payload
 		}
 		DecodeWatchReq(data)
 		DecodeWatchResp(data)
@@ -78,8 +77,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("AppendWatchReq(%v): %v", shape, err)
 			}
-			if !BasicPacketFilter(frame) {
-				t.Fatal("encoded watch request fails the filter")
+			if !wholeFrame(frame) {
+				t.Fatal("encoded watch request's header does not declare its length")
 			}
 			h, err := ParseHeader(frame)
 			if err != nil || h.ID != id || h.Type != TypeWatchReq {
@@ -122,8 +121,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Epoch:        uint64(id) * 0x9E3779B97F4A7C15,
 		}
 		frame, err := AppendWatchResp(nil, id, v)
-		if err != nil {
-			t.Fatalf("AppendWatchResp: %v", err)
+		if err != nil || !wholeFrame(frame) {
+			t.Fatalf("AppendWatchResp: %v, whole %v", err, wholeFrame(frame))
 		}
 		got, err := DecodeWatchResp(frame[HeaderSize:])
 		if err != nil {
@@ -146,8 +145,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(pat) > 0 {
 			class := int(id % 64)
 			lrFrame, err := AppendLearnReq(nil, id, tenant, class, []core.Pattern{pat, pat})
-			if err != nil {
-				t.Fatalf("AppendLearnReq: %v", err)
+			if err != nil || !wholeFrame(lrFrame) {
+				t.Fatalf("AppendLearnReq: %v, whole %v", err, wholeFrame(lrFrame))
 			}
 			gotTenant, gotClass, gotPats, err := DecodeLearnReq(lrFrame[HeaderSize:])
 			if err != nil || gotTenant != tenant || gotClass != class || len(gotPats) != 2 ||
@@ -170,11 +169,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Tenant: tenant, Tenants: id + 14,
 		}
 		stFrame := AppendStatsResp(nil, id, st)
+		sReq := AppendStatsReq(nil, id, tenant)
+		if !wholeFrame(stFrame) || !wholeFrame(sReq) {
+			t.Fatal("a stats frame's header does not declare its length")
+		}
 		gotSt, err := DecodeStatsResp(stFrame[HeaderSize:])
 		if err != nil || gotSt != st {
 			t.Fatalf("stats round trip: %+v, %v", gotSt, err)
 		}
-		sReq := AppendStatsReq(nil, id, tenant)
 		if gotTenant, err := DecodeStatsReq(sReq[HeaderSize:]); err != nil || gotTenant != tenant {
 			t.Fatalf("stats request round trip: tenant %d, %v", gotTenant, err)
 		}
@@ -182,6 +184,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// Err frames round-trip any message bytes.
 		msg := string(next(64))
 		eFrame := AppendErr(nil, id, uint8(id%5)+1, msg)
+		if !wholeFrame(eFrame) {
+			t.Fatal("error frame's header does not declare its length")
+		}
 		code, gotMsg, err := DecodeErr(eFrame[HeaderSize:])
 		if err != nil || code != uint8(id%5)+1 || gotMsg != msg {
 			t.Fatalf("err round trip: %d %q %v", code, gotMsg, err)
@@ -193,4 +198,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("id bytes moved")
 		}
 	})
+}
+
+// wholeFrame reports whether b is exactly one frame: a header that
+// ParseHeader accepts, followed by precisely the payload bytes it
+// declares.
+func wholeFrame(b []byte) bool {
+	h, err := ParseHeader(b)
+	return err == nil && int(h.PayloadLen) == len(b)-HeaderSize
 }

@@ -25,10 +25,8 @@ type GatewayConfig struct {
 	// included, until the writer has written it — before its reader
 	// stalls (default 1024). It is also the capacity of the
 	// connection's outbound queue, so queueing an answer never blocks,
-	// whichever goroutine does it. For the UDP listener it bounds the
-	// outstanding watch requests before new ones are shed. Together
-	// with the serve queue it bounds gateway memory no matter how hard
-	// clients push.
+	// whichever goroutine does it. Together with the serve queue it
+	// bounds gateway memory no matter how hard clients push.
 	MaxInflight int
 	// ReadIdleTimeout bounds the silence between a TCP client's frames
 	// (default 30s, negative disables): the reader arms a read deadline
@@ -72,25 +70,23 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 
 // GatewayCounters is a snapshot of a gateway's frame accounting.
 type GatewayCounters struct {
-	// Received counts frames accepted past the packet filter / stream
-	// header validation, across both transports.
+	// Received counts frames accepted past stream header validation.
 	Received uint64
 	// Responded counts response frames successfully handed to a socket.
 	// A frame is counted after its write returns, so while connections
 	// are live the count may trail what a client has already read; it is
 	// exact once Close has returned (Close waits for every writer).
 	Responded uint64
-	// Writes counts TCP socket writes that succeeded; each carries every
+	// Writes counts socket writes that succeeded; each carries every
 	// response frame its connection's writer found queued, so
-	// Responded/Writes over TCP-only traffic is frames per write.
+	// Responded/Writes is frames per write.
 	Writes uint64
-	// Malformed counts datagrams the packet filter rejected, stream
-	// frames with invalid headers (those also kill their connection —
-	// a byte stream cannot resync), and well-framed requests whose
-	// payload failed its codec.
+	// Malformed counts stream frames with invalid headers (those also
+	// kill their connection — a byte stream cannot resync) and
+	// well-framed requests whose payload failed its codec.
 	Malformed uint64
-	// Dropped counts watch requests shed under pressure: serve-queue
-	// full (UDP only — TCP blocks instead) or the UDP in-flight cap.
+	// Dropped is always 0: the gateway blocks under pressure and sheds
+	// nothing. The field stays because benchmark probes read it.
 	Dropped uint64
 	// Reaped counts TCP connections torn down by a deadline — read-idle
 	// silence or a response write that timed out.
@@ -146,20 +142,17 @@ func (l staticLane) Learn(delta map[int][]core.Pattern) (uint64, error) {
 	return l.srv.Update(delta)
 }
 
-// Gateway serves the binary wire protocol over UDP datagrams and
-// persistent TCP streams, routing each frame by its tenant id to one
-// serving lane and feeding that lane's micro-batching coalescer.
+// Gateway serves the binary wire protocol over persistent TCP streams,
+// routing each frame by its tenant id to one serving lane and feeding
+// that lane's micro-batching coalescer.
 //
-// Backpressure is transport-shaped. A TCP connection's reader submits
-// with the blocking SubmitFunc and bounds its unwritten answers with a
+// Backpressure is one policy: block. A connection's reader submits with
+// the blocking SubmitFunc and bounds its unwritten answers with a
 // per-connection in-flight cap, so a server at capacity simply stops
 // reading that socket and TCP flow control pushes back to the client —
-// connection-level backpressure, no frame ever dropped. The UDP loop
-// has no connection to stall, so it uses the non-blocking TrySubmitFunc
-// and sheds: queue-full or cap-full requests get a
-// TypeErr/ErrCodeOverloaded reply and a Dropped tick. On both
-// transports a watch verdict goes from the lane that served it straight
-// onto an outbound queue: no goroutine waits per request.
+// no frame is ever dropped. A watch verdict goes from the lane that
+// served it straight onto the connection's outbound queue: no goroutine
+// waits per request.
 //
 // Responses carry the request's frame id and may be written out of
 // order; pipelining clients match on id.
@@ -168,7 +161,6 @@ type Gateway struct {
 	tenants func() int
 	cfg     GatewayConfig
 
-	udp *net.UDPConn
 	tcp net.Listener
 
 	mu     sync.Mutex
@@ -181,7 +173,6 @@ type Gateway struct {
 	responded  atomic.Uint64
 	writes     atomic.Uint64
 	malformed  atomic.Uint64
-	dropped    atomic.Uint64
 	reaped     atomic.Uint64
 	overBudget atomic.Uint64
 	connCount  atomic.Uint64
@@ -190,8 +181,8 @@ type Gateway struct {
 // NewGateway wraps a running serve.Server (and the monitor it serves —
 // the learn path and the stats epoch come from it) in a single-tenant
 // protocol gateway: only the default tenant id (0) routes; every other
-// id answers ErrCodeUnknownTenant. Call ListenUDP/ListenTCP to bind
-// transports, Close to stop.
+// id answers ErrCodeUnknownTenant. Call ListenTCP (or ServeTCP) to
+// bind the transport, Close to stop.
 func NewGateway(srv *serve.Server, mon *core.Monitor, cfg GatewayConfig) *Gateway {
 	lane := staticLane{srv: srv, mon: mon}
 	return NewFleetGateway(func(id uint32) (TenantLane, error) {
@@ -222,40 +213,10 @@ func (g *Gateway) Counters() GatewayCounters {
 		Responded:  g.responded.Load(),
 		Writes:     g.writes.Load(),
 		Malformed:  g.malformed.Load(),
-		Dropped:    g.dropped.Load(),
 		Reaped:     g.reaped.Load(),
 		OverBudget: g.overBudget.Load(),
 		Conns:      g.connCount.Load(),
 	}
-}
-
-// ListenUDP binds the datagram transport and starts its read loop.
-func (g *Gateway) ListenUDP(addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return fmt.Errorf("wire: resolve udp %q: %w", addr, err)
-	}
-	pc, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return err
-	}
-	// Requests burst in faster than inference drains them and responses
-	// burst out at micro-batch boundaries; default-sized socket buffers
-	// drop datagrams under both. Best-effort — the kernel clamps to its
-	// configured max.
-	pc.SetReadBuffer(4 << 20)
-	pc.SetWriteBuffer(4 << 20)
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		pc.Close()
-		return errors.New("wire: gateway closed")
-	}
-	g.udp = pc
-	g.mu.Unlock()
-	g.wg.Add(1)
-	go g.serveUDP(pc)
-	return nil
 }
 
 // ListenTCP binds the stream transport and starts its accept loop.
@@ -286,22 +247,12 @@ func (g *Gateway) ServeTCP(ln net.Listener) error {
 	return nil
 }
 
-// isClosed reports whether Close has begun — the accept and UDP read
-// loops use it to tell a shutdown from a transient transport error.
+// isClosed reports whether Close has begun — the accept loop uses it
+// to tell a shutdown from a transient transport error.
 func (g *Gateway) isClosed() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.closed
-}
-
-// UDPAddr returns the bound UDP address (nil before ListenUDP).
-func (g *Gateway) UDPAddr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.udp == nil {
-		return nil
-	}
-	return g.udp.LocalAddr()
 }
 
 // TCPAddr returns the bound TCP address (nil before ListenTCP).
@@ -329,15 +280,12 @@ func (g *Gateway) Close() error {
 		return nil
 	}
 	g.closed = true
-	udp, tcp := g.udp, g.tcp
+	tcp := g.tcp
 	conns := make([]net.Conn, 0, len(g.conns))
 	for c := range g.conns {
 		conns = append(conns, c)
 	}
 	g.mu.Unlock()
-	if udp != nil {
-		udp.Close()
-	}
 	if tcp != nil {
 		tcp.Close()
 	}
@@ -350,143 +298,6 @@ func (g *Gateway) Close() error {
 
 // respBufs recycles response encode buffers across requests.
 var respBufs = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
-
-// --- UDP ---
-
-// udpReply is one datagram on its way out: the frame and its peer.
-type udpReply struct {
-	addr  *net.UDPAddr
-	frame []byte
-}
-
-// udpListener is one bound datagram socket's verdict path. The read
-// loop takes one of tokens per accepted watch request; the request's
-// completion, running on the lane that served it, queues the verdict on
-// out (which holds as many replies as there are tokens, so it never
-// blocks), and the listener's one sender goroutine writes it and hands
-// the token back.
-type udpListener struct {
-	pc     *net.UDPConn
-	tokens chan struct{}
-	out    chan udpReply
-}
-
-// serveUDP is the datagram read loop: filter, decode, dispatch. One
-// goroutine owns the reads and answers everything but watch verdicts
-// itself; verdicts leave through the listener's sender. On Close the
-// loop returns only after every accepted watch request has been
-// answered or failed and the sender has exited.
-func (g *Gateway) serveUDP(pc *net.UDPConn) {
-	defer g.wg.Done()
-	l := &udpListener{
-		pc:     pc,
-		tokens: make(chan struct{}, g.cfg.MaxInflight),
-		out:    make(chan udpReply, g.cfg.MaxInflight),
-	}
-	senderDone := make(chan struct{})
-	go func() {
-		defer close(senderDone)
-		for r := range l.out {
-			g.writeUDP(pc, r.addr, r.frame)
-			<-l.tokens
-		}
-	}()
-	defer func() {
-		awaitTokens(l.tokens)
-		close(l.out)
-		<-senderDone
-	}()
-	buf := make([]byte, MaxUDPFrame)
-	for {
-		n, raddr, err := pc.ReadFromUDP(buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Temporary() && !g.isClosed() { //nolint:staticcheck // transient datagram errors shouldn't kill the listener
-				continue
-			}
-			return // closed (or unrecoverable)
-		}
-		pkt := buf[:n]
-		if !BasicPacketFilter(pkt) {
-			g.malformed.Add(1)
-			continue
-		}
-		g.received.Add(1)
-		h, _ := ParseHeader(pkt)
-		payload := pkt[HeaderSize:]
-		switch h.Type {
-		case TypePing:
-			g.writeUDP(pc, raddr, AppendPong(g.getBuf(), h.ID))
-		case TypeStatsReq:
-			frame, bad := g.handleStats(h.ID, payload)
-			if bad {
-				g.malformed.Add(1)
-			}
-			g.writeUDP(pc, raddr, frame)
-		case TypeLearnReq:
-			frame, bad := g.handleLearn(h.ID, payload)
-			if bad {
-				g.malformed.Add(1)
-			}
-			g.writeUDP(pc, raddr, frame)
-		case TypeWatchReq:
-			g.handleWatchUDP(l, raddr, h.ID, payload)
-		default:
-			// A response type arriving at a server: answer with an error
-			// rather than silently eating it, so a misconfigured peer
-			// finds out.
-			g.writeUDP(pc, raddr, AppendErr(g.getBuf(), h.ID, ErrCodeBadRequest,
-				fmt.Sprintf("frame type %d is not a request", h.Type)))
-		}
-	}
-}
-
-// handleWatchUDP decodes and submits one datagram watch request. The
-// read loop must never block on the serve queue (one stalled client
-// would stall every client), so pressure turns into shedding here:
-// no in-flight token or TrySubmitFunc queue-full → ErrCodeOverloaded.
-func (g *Gateway) handleWatchUDP(l *udpListener, raddr *net.UDPAddr, id uint32, payload []byte) {
-	tenant, shape, data, err := DecodeWatchReq(payload)
-	if err != nil {
-		g.malformed.Add(1)
-		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeBadRequest, err.Error()))
-		return
-	}
-	lane, err := g.resolve(tenant)
-	if err != nil {
-		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeUnknownTenant, err.Error()))
-		return
-	}
-	select {
-	case l.tokens <- struct{}{}:
-	default:
-		lane.Release()
-		g.dropped.Add(1)
-		g.writeUDP(l.pc, raddr, AppendErr(g.getBuf(), id, ErrCodeOverloaded, "gateway at in-flight cap"))
-		return
-	}
-	err = lane.Server().TrySubmitFunc(tensor.FromSlice(data, shape...), func(v core.Verdict, err error) {
-		lane.Release() // the lane stays pinned until its verdict is in
-		l.out <- udpReply{addr: raddr, frame: g.verdictFrame(id, v, err)}
-	})
-	if err != nil {
-		<-l.tokens
-		lane.Release()
-		g.writeUDP(l.pc, raddr, g.submitErrFrame(id, err))
-	}
-}
-
-// writeUDP sends one response datagram and returns the frame buffer to
-// the pool. UDPConn writes are goroutine-safe; send failures are
-// dropped on the floor like any datagram.
-func (g *Gateway) writeUDP(pc *net.UDPConn, raddr *net.UDPAddr, frame []byte) {
-	if _, err := pc.WriteToUDP(frame, raddr); err == nil {
-		g.responded.Add(1)
-	}
-	g.putBuf(frame)
-}
-
-// --- TCP ---
 
 // serveTCP is the stream accept loop. Transient accept failures
 // (EMFILE bursts, aborted handshakes, injected faults) are retried
@@ -768,16 +579,16 @@ func (g *Gateway) gatherFrames(dst, first []byte, out <-chan []byte, limit int) 
 	}
 }
 
-// --- shared handlers ---
+// --- request handlers ---
 
 // handleLearn decodes a learn request, routes it to its tenant lane,
 // validates widths against that tenant's monitor and publishes the
 // update through the lane's Learn (serialized, so epoch observation
 // order matches publication order — and, for registry lanes, so the
 // published epoch lands in the tenant's replication delta log).
-// bad reports a payload its codec rejected: the transports count it
-// (and the TCP reader charges it against the connection's budget) —
-// semantic failures like width mismatches are well-formed, not bad.
+// bad reports a payload its codec rejected: the reader counts it and
+// charges it against the connection's budget — semantic failures like
+// width mismatches are well-formed, not bad.
 func (g *Gateway) handleLearn(id uint32, payload []byte) (frame []byte, bad bool) {
 	tenant, class, pats, err := DecodeLearnReq(payload)
 	if err != nil {
@@ -815,7 +626,6 @@ func (g *Gateway) handleStats(id uint32, payload []byte) (frame []byte, bad bool
 	st := StatsFromServe(lane.Server().Stats())
 	st.GwReceived = g.received.Load()
 	st.GwMalformed = g.malformed.Load()
-	st.GwDropped = g.dropped.Load()
 	st.GwConns = uint32(g.connCount.Load())
 	st.Tenant = tenant
 	st.Tenants = uint32(g.tenants())
@@ -835,27 +645,23 @@ func (g *Gateway) verdictFrame(id uint32, v core.Verdict, err error) []byte {
 	return frame
 }
 
-// submitErrFrame maps a SubmitFunc/TrySubmitFunc error to its wire error code.
+// submitErrFrame maps a SubmitFunc error to its wire error code.
 func (g *Gateway) submitErrFrame(id uint32, err error) []byte {
 	code := ErrCodeBadRequest
-	switch {
-	case errors.Is(err, serve.ErrServerClosed):
+	if errors.Is(err, serve.ErrServerClosed) {
 		code = ErrCodeShutdown
-	case errors.Is(err, serve.ErrQueueFull):
-		g.dropped.Add(1)
-		code = ErrCodeOverloaded
 	}
 	return AppendErr(g.getBuf(), id, code, err.Error())
 }
 
 // RegisterMetrics exposes the gateway's frame accounting on reg under
 // the napmon_gateway_ namespace, as scrape-time callbacks over the
-// counters the transport loops already maintain. Call once per
+// counters the connection loops already maintain. Call once per
 // registry; pair with the tenant registry's RegisterMetrics on the same
 // registry for the full serving picture.
 func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("napmon_gateway_frames_received_total",
-		"frames accepted past the packet filter / stream header validation",
+		"frames accepted past stream header validation",
 		func() uint64 { return g.received.Load() })
 	reg.CounterFunc("napmon_gateway_frames_responded_total",
 		"response frames successfully handed to a socket",
@@ -864,11 +670,8 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 		"TCP socket writes, each carrying every response frame queued on its connection",
 		func() uint64 { return g.writes.Load() })
 	reg.CounterFunc("napmon_gateway_frames_malformed_total",
-		"datagrams, stream headers or payloads rejected as malformed",
+		"stream headers or payloads rejected as malformed",
 		func() uint64 { return g.malformed.Load() })
-	reg.CounterFunc("napmon_gateway_frames_dropped_total",
-		"watch requests shed under pressure (queue full or in-flight cap)",
-		func() uint64 { return g.dropped.Load() })
 	reg.CounterFunc("napmon_gateway_conns_reaped_total",
 		"TCP connections torn down by a read-idle or write deadline",
 		func() uint64 { return g.reaped.Load() })
@@ -882,8 +685,12 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 
 func (g *Gateway) getBuf() []byte { return respBufs.Get().([]byte)[:0] }
 
+// maxPooledBuf is the largest response buffer putBuf returns to the
+// pool; a rarer, larger one is left to the collector.
+const maxPooledBuf = 65507
+
 func (g *Gateway) putBuf(b []byte) {
-	if cap(b) <= MaxUDPFrame {
+	if cap(b) <= maxPooledBuf {
 		respBufs.Put(b[:0]) //nolint:staticcheck // slice header allocation is amortized by reuse
 	}
 }

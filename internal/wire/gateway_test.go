@@ -71,15 +71,12 @@ func toyModel(t testing.TB, seed uint64) (*nn.Network, *core.Monitor, []*tensor.
 	return network, mon, inputs
 }
 
-// toyGatewayParts is toyLane plus a gateway on loopback ephemeral ports
-// (UDP and TCP), with teardown registered on the test.
+// toyGatewayParts is toyLane plus a gateway on a loopback ephemeral
+// port, with teardown registered on the test.
 func toyGatewayParts(t testing.TB, seed uint64, scfg serve.Config, gcfg GatewayConfig) (*Gateway, *nn.Network, *core.Monitor, []*tensor.Tensor) {
 	t.Helper()
 	srv, network, mon, inputs := toyLane(t, seed, scfg)
 	g := NewGateway(srv, mon, gcfg)
-	if err := g.ListenUDP("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	if err := g.ListenTCP("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -94,143 +91,24 @@ func toyGatewayParts(t testing.TB, seed uint64, scfg serve.Config, gcfg GatewayC
 	return g, network, mon, inputs
 }
 
-// udpExchange sends one frame and reads one response datagram.
-func udpExchange(t *testing.T, c net.Conn, frame []byte) (Header, []byte) {
+// exchange writes one frame on a connection and reads the next
+// response frame off it.
+func exchange(t *testing.T, c net.Conn, frame []byte) (Header, []byte) {
 	t.Helper()
 	if _, err := c.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	buf := make([]byte, MaxUDPFrame)
-	n, err := c.Read(buf)
+	h, payload, err := ReadFrame(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := buf[:n]
-	if !BasicPacketFilter(pkt) {
-		t.Fatalf("response fails the packet filter: %#02x", pkt[:min(n, 16)])
-	}
-	h, err := ParseHeader(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h, pkt[HeaderSize : HeaderSize+int(h.PayloadLen)]
+	return h, payload
 }
 
-func TestGatewayUDP(t *testing.T) {
-	g, network, mon, inputs := toyGatewayParts(t, 21, serve.Config{MaxBatch: 8, MaxDelay: time.Millisecond}, GatewayConfig{})
-	c, err := net.Dial("udp", g.UDPAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Ping → pong with the id echoed.
-	h, _ := udpExchange(t, c, AppendPing(nil, 99))
-	if h.Type != TypePong || h.ID != 99 {
-		t.Fatalf("ping answered with %+v", h)
-	}
-
-	// Watch verdicts match the direct path (the monitor is frozen, so
-	// reading it concurrently with the server is safe).
-	// Toy inputs are generated float64s — not exactly representable in
-	// float32 — so compare against the direct verdict of the narrowed
-	// input, which is what the wire carries.
-	for i, x := range inputs {
-		frame, err := AppendWatchReq(nil, uint32(i), DefaultTenant, x.Shape(), x.Data())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, narrowShape, narrowData, err := DecodeWatchReq(frame[HeaderSize:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := mon.WatchBatch(network, []*tensor.Tensor{tensor.FromSlice(narrowData, narrowShape...)})[0]
-		h, payload := udpExchange(t, c, frame)
-		if h.Type != TypeWatchResp || h.ID != uint32(i) {
-			t.Fatalf("watch %d answered with %+v", i, h)
-		}
-		got, err := DecodeWatchResp(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Class != want.Class || got.Monitored != want.Monitored ||
-			got.OutOfPattern != want.OutOfPattern ||
-			core.Hamming(got.Pattern, want.Pattern) != 0 {
-			t.Fatalf("watch %d: wire verdict %+v != direct %+v", i, got, want)
-		}
-	}
-
-	// Stats reflects the served traffic and the gateway accounting.
-	h, payload := udpExchange(t, c, AppendStatsReq(nil, 1000, DefaultTenant))
-	if h.Type != TypeStatsResp {
-		t.Fatalf("stats answered with %+v", h)
-	}
-	st, err := DecodeStatsResp(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Served < uint64(len(inputs)) {
-		t.Fatalf("stats served %d, want >= %d", st.Served, len(inputs))
-	}
-	if st.GwReceived < uint64(len(inputs))+2 {
-		t.Fatalf("stats gw received %d, want >= %d", st.GwReceived, len(inputs)+2)
-	}
-
-	// Learn absorbs a pattern and publishes a new epoch.
-	width := len(mon.Neurons())
-	pat := make(core.Pattern, width)
-	for i := range pat {
-		pat[i] = i%2 == 0
-	}
-	before := mon.Epoch()
-	lr, err := AppendLearnReq(nil, 2000, DefaultTenant, 1, []core.Pattern{pat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, payload = udpExchange(t, c, lr)
-	if h.Type != TypeLearnResp {
-		code, msg, _ := DecodeErr(payload)
-		t.Fatalf("learn answered with %+v (code %d: %s)", h, code, msg)
-	}
-	epoch, absorbed, err := DecodeLearnResp(payload)
-	if err != nil || absorbed != 1 || epoch != before+1 {
-		t.Fatalf("learn: epoch %d (before %d), absorbed %d, %v", epoch, before, absorbed, err)
-	}
-
-	// A wrong-width learn is a clean error, not a dead gateway.
-	lr, err = AppendLearnReq(nil, 2001, DefaultTenant, 1, []core.Pattern{{true, false}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, payload = udpExchange(t, c, lr)
-	if h.Type != TypeErr {
-		t.Fatalf("bad-width learn answered with %+v", h)
-	}
-	if code, _, err := DecodeErr(payload); err != nil || code != ErrCodeBadRequest {
-		t.Fatalf("bad-width learn code %d, %v", code, err)
-	}
-
-	// A response type sent to the server is answered with an error.
-	h, _ = udpExchange(t, c, AppendPong(nil, 3000))
-	if h.Type != TypeErr {
-		t.Fatalf("pong-at-server answered with %+v", h)
-	}
-
-	// Garbage datagrams are filtered and counted, never answered.
-	malformedBefore := g.Counters().Malformed
-	if _, err := c.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Counters().Malformed == malformedBefore {
-		if time.Now().After(deadline) {
-			t.Fatal("malformed datagram never counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
+// TestGatewayTCP pipelines watches over one persistent connection:
+// they are answered (in any order) with the direct path's verdicts, and
+// the stats block that follows accounts for them.
 func TestGatewayTCP(t *testing.T) {
 	g, network, mon, inputs := toyGatewayParts(t, 22, serve.Config{MaxBatch: 8, MaxDelay: time.Millisecond}, GatewayConfig{})
 	c, err := net.Dial("tcp", g.TCPAddr().String())
@@ -277,7 +155,9 @@ func TestGatewayTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Class != w.Class || got.OutOfPattern != w.OutOfPattern {
+		if got.Class != w.Class || got.Monitored != w.Monitored ||
+			got.OutOfPattern != w.OutOfPattern ||
+			core.Hamming(got.Pattern, w.Pattern) != 0 {
 			t.Fatalf("id %d: wire verdict %+v != direct %+v", h.ID, got, w)
 		}
 	}
@@ -285,13 +165,11 @@ func TestGatewayTCP(t *testing.T) {
 		t.Fatalf("%d responses missing", len(want))
 	}
 
-	// Stats over the same connection.
-	if _, err := c.Write(AppendStatsReq(nil, 7, DefaultTenant)); err != nil {
-		t.Fatal(err)
-	}
-	h, payload, err := ReadFrame(c, nil)
-	if err != nil || h.Type != TypeStatsResp {
-		t.Fatalf("stats: %+v, %v", h, err)
+	// Stats over the same connection reflect the served traffic and the
+	// gateway accounting; the shed slots read 0.
+	h, payload := exchange(t, c, AppendStatsReq(nil, 7, DefaultTenant))
+	if h.Type != TypeStatsResp {
+		t.Fatalf("stats answered with %+v", h)
 	}
 	st, err := DecodeStatsResp(payload)
 	if err != nil {
@@ -300,8 +178,94 @@ func TestGatewayTCP(t *testing.T) {
 	if st.Served < uint64(len(inputs)) {
 		t.Fatalf("stats served %d, want >= %d", st.Served, len(inputs))
 	}
-	if st.GwDropped != 0 || st.GwMalformed != 0 {
-		t.Fatalf("clean TCP run dropped %d / malformed %d", st.GwDropped, st.GwMalformed)
+	if st.GwReceived < uint64(len(inputs))+1 {
+		t.Fatalf("stats gw received %d, want >= %d", st.GwReceived, len(inputs)+1)
+	}
+	if st.Shed != 0 || st.GwDropped != 0 || st.GwMalformed != 0 {
+		t.Fatalf("clean TCP run shed %d / dropped %d / malformed %d", st.Shed, st.GwDropped, st.GwMalformed)
+	}
+}
+
+// TestGatewayTCPRequestTypes sends each non-watch request type, one
+// exchange at a time, on one connection: ping, stats, learn, a
+// wrong-width learn and a response type sent as a request. Every error
+// is answered on the connection, which keeps serving.
+func TestGatewayTCPRequestTypes(t *testing.T) {
+	g, _, mon, _ := toyGatewayParts(t, 21, serve.Config{MaxBatch: 8, MaxDelay: time.Millisecond}, GatewayConfig{})
+	c, err := net.Dial("tcp", g.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Ping → pong with the id echoed.
+	h, _ := exchange(t, c, AppendPing(nil, 99))
+	if h.Type != TypePong || h.ID != 99 {
+		t.Fatalf("ping answered with %+v", h)
+	}
+
+	// The stats block counts the ping and this request; the shed slots
+	// read 0.
+	h, payload := exchange(t, c, AppendStatsReq(nil, 1000, DefaultTenant))
+	if h.Type != TypeStatsResp || h.ID != 1000 {
+		t.Fatalf("stats answered with %+v", h)
+	}
+	st, err := DecodeStatsResp(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GwReceived < 2 {
+		t.Fatalf("stats gw received %d, want >= 2", st.GwReceived)
+	}
+	if st.Shed != 0 || st.GwDropped != 0 || st.GwMalformed != 0 {
+		t.Fatalf("clean TCP run shed %d / dropped %d / malformed %d", st.Shed, st.GwDropped, st.GwMalformed)
+	}
+
+	// Learn absorbs a pattern and publishes a new epoch.
+	width := len(mon.Neurons())
+	pat := make(core.Pattern, width)
+	for i := range pat {
+		pat[i] = i%2 == 0
+	}
+	before := mon.Epoch()
+	lr, err := AppendLearnReq(nil, 2000, DefaultTenant, 1, []core.Pattern{pat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload = exchange(t, c, lr)
+	if h.Type != TypeLearnResp {
+		code, msg, _ := DecodeErr(payload)
+		t.Fatalf("learn answered with %+v (code %d: %s)", h, code, msg)
+	}
+	epoch, absorbed, err := DecodeLearnResp(payload)
+	if err != nil || absorbed != 1 || epoch != before+1 {
+		t.Fatalf("learn: epoch %d (before %d), absorbed %d, %v", epoch, before, absorbed, err)
+	}
+
+	// A wrong-width learn is a clean error, not a dead connection.
+	lr, err = AppendLearnReq(nil, 2001, DefaultTenant, 1, []core.Pattern{{true, false}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload = exchange(t, c, lr)
+	if h.Type != TypeErr || h.ID != 2001 {
+		t.Fatalf("bad-width learn answered with %+v", h)
+	}
+	if code, _, err := DecodeErr(payload); err != nil || code != ErrCodeBadRequest {
+		t.Fatalf("bad-width learn code %d, %v", code, err)
+	}
+
+	// A response type sent to the server is answered with an error, and
+	// the connection keeps serving.
+	h, payload = exchange(t, c, AppendPong(nil, 3000))
+	if h.Type != TypeErr || h.ID != 3000 {
+		t.Fatalf("pong-at-server answered with %+v", h)
+	}
+	if code, _, err := DecodeErr(payload); err != nil || code != ErrCodeBadRequest {
+		t.Fatalf("pong-at-server code %d, %v", code, err)
+	}
+	if h, _ = exchange(t, c, AppendPing(nil, 3001)); h.Type != TypePong || h.ID != 3001 {
+		t.Fatalf("ping after an error frame answered with %+v", h)
 	}
 }
 
@@ -472,7 +436,7 @@ func (l fleetLane) Learn(delta map[int][]core.Pattern) (uint64, error) {
 }
 
 // TestFleetGatewayRouting drives the v3 tenant dimension end to end
-// over UDP: frames route to the lane their tenant id names, an unknown
+// over one TCP connection: frames route to the lane their tenant id names, an unknown
 // id answers ErrCodeUnknownTenant, stats report the addressed tenant,
 // and every resolved pin is released.
 func TestFleetGatewayRouting(t *testing.T) {
@@ -514,11 +478,11 @@ func TestFleetGatewayRouting(t *testing.T) {
 		l.acquires.Add(1)
 		return l, nil
 	}, func() int { return len(lanes) }, GatewayConfig{})
-	if err := g.ListenUDP("127.0.0.1:0"); err != nil {
+	if err := g.ListenTCP("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Close() })
-	c, err := net.Dial("udp", g.UDPAddr().String())
+	c, err := net.Dial("tcp", g.TCPAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,16 +490,15 @@ func TestFleetGatewayRouting(t *testing.T) {
 
 	// Watch frames land on the lane their tenant id names.
 	input := tensor.New(4)
-	for tenant, wantEpochBump := range map[uint32]bool{0: false, 7: true} {
+	for _, tenant := range []uint32{0, 7} {
 		frame, err := AppendWatchReq(nil, 100+tenant, tenant, input.Shape(), input.Data())
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, _ := udpExchange(t, c, frame)
+		h, _ := exchange(t, c, frame)
 		if h.Type != TypeWatchResp {
 			t.Fatalf("tenant %d watch answered with %+v", tenant, h)
 		}
-		_ = wantEpochBump
 	}
 
 	// A learn addressed to tenant 7 moves only tenant 7's epoch.
@@ -545,7 +508,7 @@ func TestFleetGatewayRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, payload := udpExchange(t, c, lr)
+	h, payload := exchange(t, c, lr)
 	if h.Type != TypeLearnResp {
 		code, msg, _ := DecodeErr(payload)
 		t.Fatalf("fleet learn answered with %+v (code %d: %s)", h, code, msg)
@@ -561,7 +524,7 @@ func TestFleetGatewayRouting(t *testing.T) {
 	}
 
 	// Stats report the addressed tenant and the fleet size.
-	h, payload = udpExchange(t, c, AppendStatsReq(nil, 300, 7))
+	h, payload = exchange(t, c, AppendStatsReq(nil, 300, 7))
 	if h.Type != TypeStatsResp {
 		t.Fatalf("fleet stats answered with %+v", h)
 	}
@@ -587,7 +550,7 @@ func TestFleetGatewayRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frame := range [][]byte{wf, lf, AppendStatsReq(nil, 402, 3)} {
-		h, payload := udpExchange(t, c, frame)
+		h, payload := exchange(t, c, frame)
 		if h.Type != TypeErr {
 			t.Fatalf("unknown tenant answered with %+v", h)
 		}

@@ -1,10 +1,9 @@
 // Package wire is the versioned compact binary protocol of the serving
-// stack: the frame layout, the cheap first-bytes packet filter, and the
+// stack: the frame layout, the header validation, and the
 // request/response codecs for the watch / learn / stats operations the
 // HTTP plane of cmd/napmon-serve exposes as JSON. The gateway
-// (gateway.go, the same daemon's -udp / -tcp plane) speaks it over UDP
-// datagrams and persistent TCP streams; cmd/napmon-soak generates load
-// in it.
+// (gateway.go, the same daemon's -tcp plane) speaks it over persistent
+// TCP streams; cmd/napmon-soak generates load in it.
 //
 // # Frame layout
 //
@@ -20,11 +19,10 @@
 //	6      4    payload length, uint32 LE
 //	10     2    header checksum, uint16 LE over bytes 0..9 (headerSum)
 //
-// The header doubles as the length prefix on streams and as the cheap
-// packet filter on datagrams: BasicPacketFilter validates version, type,
-// declared-vs-actual length and the checksum from the first 12 bytes
-// alone, so garbage and cross-protocol traffic is dropped before any
-// payload work — modeled on udpx's BasicPacketFilter.
+// The header is the stream's length prefix and its first check:
+// ParseHeader validates version, type, the payload bound and the
+// checksum from the first 12 bytes alone, so a stream carrying garbage
+// or another protocol is cut before any payload work.
 //
 // Activation patterns travel bit-packed (core.Pattern.AppendPacked /
 // core.UnpackPattern — 8 neurons per byte, zero pad bits, the same codec
@@ -70,15 +68,10 @@ const (
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 
-	// MaxPayload caps a declared payload length on streams (TCP): a
-	// corrupt or hostile length field aborts the connection instead of
-	// allocating gigabytes. Datagram frames are additionally bounded by
-	// the UDP maximum (MaxUDPFrame).
+	// MaxPayload caps a declared payload length: a corrupt or hostile
+	// length field aborts the connection instead of allocating
+	// gigabytes.
 	MaxPayload = 4 << 20
-
-	// MaxUDPFrame is the largest whole frame (header + payload) that
-	// fits one UDP datagram.
-	MaxUDPFrame = 65507
 
 	// MaxDims bounds the tensor rank a watch request may declare.
 	MaxDims = 8
@@ -114,7 +107,7 @@ func typeValid(t uint8) bool { return t >= TypePing && t <= TypeErr }
 const (
 	ErrCodeBadRequest    uint8 = 1 // malformed payload or rejected input
 	ErrCodeShutdown      uint8 = 2 // server is draining; retry elsewhere
-	ErrCodeOverloaded    uint8 = 3 // queue full; request was shed
+	ErrCodeOverloaded    uint8 = 3 // request shed under load; this gateway blocks instead and never sends it
 	ErrCodeInternal      uint8 = 4
 	ErrCodeUnknownTenant uint8 = 5 // tenant id not loaded on this peer (v3)
 )
@@ -129,7 +122,7 @@ type Header struct {
 
 // headerSum is the 16-bit checksum over the first 10 header bytes: a
 // multiply-xor mix, not a CRC — its job is to make stray traffic and
-// bit rot fail the first-bytes filter cheaply, not to authenticate.
+// bit rot fail header validation cheaply, not to authenticate.
 func headerSum(b []byte) uint16 {
 	x := uint32(0x811C)
 	for i := 0; i < 10; i++ {
@@ -196,19 +189,6 @@ func ParseHeader(b []byte) (Header, error) {
 		return Header{}, fmt.Errorf("%w: payload length %d exceeds cap %d", ErrMalformed, h.PayloadLen, MaxPayload)
 	}
 	return h, nil
-}
-
-// BasicPacketFilter is the cheap first-bytes datagram filter: it
-// accepts pkt only when a valid header is present and its declared
-// payload length matches the datagram exactly. It allocates nothing and
-// reads only the header, so the UDP read loop can discard garbage,
-// truncated frames and cross-protocol traffic before any payload work.
-func BasicPacketFilter(pkt []byte) bool {
-	h, err := ParseHeader(pkt)
-	if err != nil {
-		return false
-	}
-	return int(h.PayloadLen) == len(pkt)-HeaderSize
 }
 
 // ReadFrame reads one whole frame from a stream: header, validation,
@@ -461,13 +441,16 @@ func DecodeLearnResp(payload []byte) (epoch uint64, absorbed int, err error) {
 // --- stats ---
 
 // Stats is the wire form of the serving counters: the serve.Stats
-// snapshot plus the gateway's own frame counters.
+// snapshot plus the gateway's own frame counters. Shed and GwDropped
+// are v3 slots for load shedding, which this gateway never does: it
+// writes them as 0 and keeps them so the frame stays byte-compatible
+// until the next protocol version drops them.
 type Stats struct {
 	Queued    uint32
 	Submitted uint64
 	Served    uint64
 	Rejected  uint64
-	Shed      uint64
+	Shed      uint64 // always 0 from this gateway
 	Batches   uint64
 	P50Ns     uint64
 	P99Ns     uint64
@@ -483,13 +466,12 @@ type Stats struct {
 	OOP        uint64
 	Gamma      uint32
 	// Gateway-level frame accounting (zero when reported by a
-	// non-gateway peer): frames accepted past the packet filter, frames
-	// the filter or a codec rejected, watch requests dropped by load
-	// shedding or overload instead of being served, and live TCP
-	// connections (v2).
+	// non-gateway peer): frames accepted past header validation, frames
+	// whose header or payload was rejected, the always-zero shed slot,
+	// and live TCP connections (v2).
 	GwReceived  uint64
 	GwMalformed uint64
-	GwDropped   uint64
+	GwDropped   uint64 // always 0 from this gateway
 	GwConns     uint32
 	// Fleet dimension (v3): the tenant these counters describe and the
 	// number of tenants loaded on the answering peer.
@@ -528,7 +510,6 @@ func StatsFromServe(st serve.Stats) Stats {
 		Submitted:  st.Submitted,
 		Served:     st.Served,
 		Rejected:   st.Rejected,
-		Shed:       st.Shed,
 		Batches:    st.Batches,
 		P50Ns:      uint64(st.P50.Nanoseconds()),
 		P99Ns:      uint64(st.P99.Nanoseconds()),
@@ -603,8 +584,8 @@ func DecodeStatsResp(payload []byte) (Stats, error) {
 // --- error ---
 
 // AppendErr appends an error frame: code byte, uint16 message length,
-// message bytes. Messages beyond MaxErrMsg are truncated — an error
-// response must always fit a datagram.
+// message bytes. Messages beyond MaxErrMsg are truncated, so an error
+// frame stays small whatever error text produced it.
 func AppendErr(dst []byte, id uint32, code uint8, msg string) []byte {
 	if len(msg) > MaxErrMsg {
 		msg = msg[:MaxErrMsg]

@@ -68,27 +68,6 @@ func TestParseHeaderRejects(t *testing.T) {
 	}
 }
 
-func TestBasicPacketFilter(t *testing.T) {
-	frame := mustWatchReq(t, 3, []int{2, 2}, []float64{1, 2, 3, 4})
-	if !BasicPacketFilter(frame) {
-		t.Fatal("rejected a valid packet")
-	}
-	if BasicPacketFilter(frame[:len(frame)-1]) {
-		t.Fatal("accepted a truncated packet")
-	}
-	if BasicPacketFilter(append(append([]byte(nil), frame...), 0)) {
-		t.Fatal("accepted a padded packet")
-	}
-	if BasicPacketFilter(nil) || BasicPacketFilter(make([]byte, HeaderSize)) {
-		t.Fatal("accepted garbage")
-	}
-	mangled := append([]byte(nil), frame...)
-	mangled[5] ^= 0x80
-	if BasicPacketFilter(mangled) {
-		t.Fatal("accepted a bit-flipped header")
-	}
-}
-
 func TestReadFrame(t *testing.T) {
 	frame := mustWatchReq(t, 9, []int{3}, []float64{0.5, -0.25, 8})
 	h, payload, err := ReadFrame(bytes.NewReader(frame), nil)
@@ -310,8 +289,8 @@ func TestErrRoundTrip(t *testing.T) {
 	}
 	// Oversized messages truncate to MaxErrMsg and still frame cleanly.
 	long := AppendErr(nil, 6, ErrCodeInternal, strings.Repeat("x", 2*MaxErrMsg))
-	if !BasicPacketFilter(long) {
-		t.Fatal("truncated error frame fails the filter")
+	if !wholeFrame(long) {
+		t.Fatal("truncated error frame's header does not declare its length")
 	}
 	if _, msg, err := DecodeErr(long[HeaderSize:]); err != nil || len(msg) != MaxErrMsg {
 		t.Fatalf("long message: %d bytes, %v", len(msg), err)
